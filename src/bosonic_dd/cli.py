@@ -10,14 +10,12 @@ failed verification), 2 usage error.
 
 A plain-text config file (``--config``, ``key=value`` per line, '#'
 comments) supplies defaults for any long flag name; explicit flags win.
-The environment variable BDD_THREADS caps the sweep worker pool.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from typing import IO, Sequence
 
@@ -31,16 +29,6 @@ SLOPE_MARGIN = (0.7, 1.5)  # accepted slope window is [N+0.7, N+1.5]
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
-
-
-def _workers() -> int:
-    raw = os.environ.get("BDD_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -154,8 +142,7 @@ def cmd_decouple_sweep(args: argparse.Namespace) -> int:
                                      scale_ee=args.scale_ee,
                                      degree=args.degree)
     cfg = evolution.PropagatorConfig(tolerance=args.tol)
-    result = evolution.order_sweep(gen, "decoupling", args.N, grid, cfg,
-                                   workers=_workers())
+    result = evolution.order_sweep(gen, "decoupling", args.N, grid, cfg)
     stream = _open_out(args.out)
     try:
         _write_sweep_csv(result, stream)
@@ -195,7 +182,7 @@ def cmd_homogenize_sweep(args: argparse.Namespace) -> int:
                                      degree=args.degree)
     cfg = evolution.PropagatorConfig(tolerance=args.tol)
     result = evolution.order_sweep(gen, "homogenization", args.N, grid, cfg,
-                                   m=args.m, workers=_workers())
+                                   m=args.m)
     stream = _open_out(args.out)
     try:
         _write_sweep_csv(result, stream)

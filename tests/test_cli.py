@@ -129,19 +129,6 @@ class TestSpectrum:
             assert float(row[8]) < 1e-8  # dev_periodic
 
 
-class TestWorkerPool:
-    def test_thread_count_does_not_change_output(self, tmp_path, monkeypatch):
-        args = ["homogenize-sweep", "--seed", "4", "--N", "1", "--m", "1",
-                "--points", "5"]
-        serial = tmp_path / "serial.csv"
-        threaded = tmp_path / "threaded.csv"
-        monkeypatch.delenv("BDD_THREADS", raising=False)
-        assert run(args + ["--out", str(serial)]) == 0
-        monkeypatch.setenv("BDD_THREADS", "3")
-        assert run(args + ["--out", str(threaded)]) == 0
-        assert serial.read_bytes() == threaded.read_bytes()
-
-
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_win(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bosonic_dd.evolution import (
     AnalyticGenerator,
@@ -31,7 +32,9 @@ from bosonic_dd.symplectic import (
     block_decompose,
     is_symplectic,
     matrix_exponential,
+    spectral_norm,
     symplectic_form,
+    symplectic_residual,
 )
 
 
@@ -81,7 +84,7 @@ class TestPropagate:
 
     def test_refinement_exhaustion(self):
         layout = ModeLayout(1, 1)
-        gen = make_generator(layout, seed=4)
+        gen = make_generator(layout, seed=4, degree=1)
         cfg = PropagatorConfig(substeps=1, tolerance=1e-30, max_depth=3)
         with pytest.raises(RuntimeError):
             propagate(gen, 0.0, 1.0, cfg)
@@ -121,6 +124,17 @@ class TestResultingEvolution:
         sched = decoupling_schedule(2, layout.n_system)
         S = resulting_evolution(gen, sched, 0.3)
         assert is_symplectic(S, symplectic_form(layout), tol=1e-9)
+
+    @pytest.mark.parametrize("degree, T", [(0, 10.0), (1, 6.0)])
+    def test_large_norm_evolution(self, degree, T):
+        # ||S||_2 is ~1e5 (degree 0) and ~1e10 (degree 1): an absolute
+        # step-halving test cannot reach 1e-12 here
+        layout = ModeLayout(1, 2)
+        gen = make_generator(layout, seed=3, degree=degree)
+        S = resulting_evolution(gen, decoupling_schedule(2, 1), T)
+        norm = spectral_norm(S)
+        assert norm > 1e4
+        assert symplectic_residual(S, symplectic_form(layout)) < 1e-12 * norm ** 2
 
 
 class TestToggling:
@@ -229,14 +243,6 @@ class TestOrderSweep:
         with pytest.raises(ValueError):
             order_sweep(gen, "homogenization", 1, [0.1, 0.2], m=1)
 
-    def test_workers_match_serial(self):
-        layout = ModeLayout(1, 1)
-        gen = make_generator(layout, seed=15)
-        grid = np.logspace(-2, -1, 4)
-        serial = order_sweep(gen, "decoupling", 1, grid, workers=1)
-        threaded = order_sweep(gen, "decoupling", 1, grid, workers=3)
-        assert serial.residuals == threaded.residuals
-
     @pytest.mark.parametrize("order", [1, 2])
     def test_homogenization_omega_stability(self, order):
         # fitted rotation frequency settles as T -> 0: the three smallest-T
@@ -255,7 +261,7 @@ class TestOrderSweep:
 
     def test_integrator_self_consistency(self):
         layout = ModeLayout(1, 2)
-        gen = make_generator(layout, seed=16)
+        gen = make_generator(layout, seed=16, degree=1)
         sched = decoupling_schedule(2, 1)
         r = []
         for substeps in (16, 32):
@@ -339,6 +345,17 @@ class TestAffinePropagation:
         assert np.abs(M - M0).max() < 1e-14
         assert np.abs(d - (d0 + 1.5 * b)).max() < 1e-12
 
+    def test_time_dependent_drive_free_particle(self):
+        # a constant X with a time-dependent drive is not a constant
+        # embedded generator: d(T) = d0 + b0 T + b1 T^2 / 2
+        layout = ModeLayout(1, 0)
+        b0, b1 = np.array([0.4, -0.7]), np.array([-0.3, 0.9])
+        gen = AnalyticGenerator(layout=layout, coeffs=(np.zeros((2, 2)),),
+                                linear=(b0, b1))
+        d0 = np.array([1.0, 2.0])
+        _, d = affine_propagate(gen, np.eye(2), d0, T=1.5)
+        assert np.abs(d - (d0 + 1.5 * b0 + 1.125 * b1)).max() < 1e-12
+
     def test_against_fine_step_reference(self):
         layout = ModeLayout(1, 1)
         rng = np.random.default_rng(23)
@@ -405,3 +422,61 @@ class TestRandomGenerator:
         assert np.array_equal(P, np.diag([-1.0, -1.0, -1.0, -1.0, 1.0, 1.0]))
         with pytest.raises(ValueError):
             embed_pulse(((1, 1),), layout)  # 2x2 pulse on a 4-dim system
+
+
+layouts = st.builds(ModeLayout, st.integers(1, 3), st.integers(0, 3))
+seeds = st.integers(0, 2 ** 32 - 1)
+durations = st.floats(0.01, 0.5)
+
+
+def rel_dist(A, B):
+    return np.linalg.norm(A - B) / max(1.0, spectral_norm(B))
+
+
+def forced_cf4(gen):
+    """The same constant generator written with a zero degree-1 term, which
+    sends it down the time-dependent path."""
+    coeffs = gen.coeffs + (0.0 * gen.coeffs[0],)
+    linear = None if gen.linear is None else gen.linear + (0.0 * gen.linear[0],)
+    return AnalyticGenerator(layout=gen.layout, coeffs=coeffs, linear=linear)
+
+
+class TestPropagationProperties:
+    @given(layouts, seeds, durations, st.integers(1, 3))
+    @settings(max_examples=25, deadline=None)
+    def test_exact_route_matches_cf4(self, layout, seed, T, order):
+        gen = make_generator(layout, seed=seed)
+        sched = decoupling_schedule(order, layout.n_system)
+        exact = resulting_evolution(gen, sched, T)
+        assert rel_dist(exact, resulting_evolution(forced_cf4(gen), sched, T)) <= 1e-11
+
+    @given(layouts, seeds, durations, st.integers(0, 1))
+    @settings(max_examples=25, deadline=None)
+    def test_resulting_evolution_symplectic(self, layout, seed, T, degree):
+        gen = make_generator(layout, seed=seed, degree=degree)
+        S = resulting_evolution(gen, decoupling_schedule(2, layout.n_system), T)
+        residual = symplectic_residual(S, symplectic_form(layout))
+        assert residual <= 1e-11 * spectral_norm(S) ** 2
+
+    @given(layouts, seeds, st.lists(st.floats(0.0, 0.5), min_size=3, max_size=3),
+           st.integers(0, 1))
+    @settings(max_examples=25, deadline=None)
+    def test_segment_split_invariance(self, layout, seed, times, degree):
+        t0, t, t1 = sorted(times)
+        gen = make_generator(layout, seed=seed, degree=degree)
+        whole = propagate(gen, t0, t1)
+        split = propagate(gen, t, t1) @ propagate(gen, t0, t)
+        assert rel_dist(split, whole) <= 1e-11
+
+    @given(layouts, seeds, durations)
+    @settings(max_examples=25, deadline=None)
+    def test_affine_exact_route_matches_cf4(self, layout, seed, T):
+        gen = random_generator(layout, seed=seed, scale_ss=1.0, scale_se=1.0,
+                               scale_ee=1.0, linear_scale=1.0)
+        rng = np.random.default_rng(seed)
+        M0 = np.diag(rng.uniform(0.5, 2.0, layout.dim))
+        d0 = rng.uniform(-1.0, 1.0, layout.dim)
+        M, d = affine_propagate(gen, M0, d0, T)
+        M_cf4, d_cf4 = affine_propagate(forced_cf4(gen), M0, d0, T)
+        assert rel_dist(M, M_cf4) <= 1e-11
+        assert np.linalg.norm(d - d_cf4) <= 1e-11 * max(1.0, np.linalg.norm(d_cf4))

@@ -118,6 +118,20 @@ class TestMatrixExponential:
         with pytest.raises(ValueError):
             matrix_exponential(np.zeros((2, 3)))
 
+    def test_stacked_input(self):
+        rng = np.random.default_rng(4)
+        X = rng.uniform(-1.0, 1.0, (2, 3, 4, 4))
+        E = matrix_exponential(X)
+        assert E.shape == X.shape
+        for i in range(2):
+            for j in range(3):
+                assert np.array_equal(E[i, j], matrix_exponential(X[i, j]))
+        X[1, 2, 0, 0] = np.inf
+        with pytest.raises(ValueError):
+            matrix_exponential(X)
+        with pytest.raises(ValueError):
+            matrix_exponential(np.zeros((3, 2, 4)))
+
 
 class TestBlocks:
     def test_identity_blocks(self):
