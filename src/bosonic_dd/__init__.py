@@ -79,7 +79,6 @@ from .spin_boson import (
     f_filter,
     shear_parameter,
     added_noise,
-    noise_spectrum_value,
     thermal_covariance,
     uncontrolled_propagator,
     channel_params,

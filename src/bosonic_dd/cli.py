@@ -31,17 +31,29 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+class ConfigError(Exception):
+    """A ``--config`` file that cannot be read or holds a malformed line or
+    a value of the wrong type; reported as a usage error (exit code 2)."""
+
+
 def _load_config(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"malformed config line: {line!r}")
-            key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text") from exc
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: malformed config line {line!r}, "
+                              "expected key=value")
+        key, value = line.split("=", 1)
+        out[key.strip().replace("-", "_")] = value.strip()
     return out
 
 
@@ -58,7 +70,11 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> argparse.Namespac
                 if caster is bool:
                     setattr(args, key, raw.lower() in ("1", "true", "yes"))
                 else:
-                    setattr(args, key, caster(raw))
+                    try:
+                        setattr(args, key, caster(raw))
+                    except ValueError as exc:
+                        raise ConfigError(f"{args.config}: {key}={raw!r} is not a "
+                                          f"valid {caster.__name__}") from exc
             else:
                 setattr(args, key, fallback)
     return args
@@ -432,6 +448,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:  # pragma: no cover
         return 0
 

@@ -6,11 +6,18 @@ The central object is
     F[r_1..r_s; F_1..F_s] = int_0^1 dt_s ... int_0^{t_2} dt_1
                              prod_k F_k(t_k) t_k^{r_k}
 
-evaluated exactly by iterated antidifferentiation of piecewise polynomials
-(the sign functions are piecewise constant, so every intermediate stage is a
-polynomial on each grid interval).  Values are bounded by 1/s! (simplex
-volume), while the zero tolerance used by the checks is 1e-10, many orders
-below the generic nonzero scale at the budgets tested here.
+evaluated by iterated antidifferentiation, exact up to roundoff: the sign
+functions are piecewise constant, so every stage is a polynomial on each
+interval of one grid laid over the union of all flips a report uses (labels
+with identical flips share one function).  A stage is an
+``(n_intervals, degree + 1)`` array in the local variable u = t - b_i, so
+t^r is a binomial expansion in b_i, antidifferentiation a column shift and
+scale, and the continuity constants an exclusive cumulative sum.  Integrands
+are keys ((f_1, r_1), ..., (f_s, r_s)) walked in sorted order with only the
+live path on a stack, so each distinct prefix is integrated exactly once.
+Values are bounded by 1/s! (simplex volume), while the zero tolerance used
+by the checks is 1e-10, many orders below the generic nonzero scale at the
+budgets tested here.
 
 Checked conditions (each over all tuples with s + sum(r) <= N):
 
@@ -47,67 +54,61 @@ ZERO_TOL = 1e-10
 QUBIT_LABEL_GUARD = 10 ** 4
 
 
-@dataclass(frozen=True)
-class PiecewisePolynomial:
-    """Polynomial pieces on a shared grid over [0, 1].
+def _integrate_stage(coeffs: np.ndarray, signs: np.ndarray, power: int,
+                     left_pow: np.ndarray, width_pow: np.ndarray) -> np.ndarray:
+    """Antiderivative of F(t) t^power g(t), continuous and zero at t = 0.
 
-    ``coeffs[i]`` are ascending-power coefficients (in the global variable)
-    valid on ``(breaks[i], breaks[i+1]]``.
+    Row i of ``coeffs`` holds g on grid interval (b_i, b_{i+1}] in ascending
+    powers of u = t - b_i, and ``signs[i]`` is F there; ``left_pow[i, k]`` is
+    b_i^k and ``width_pow[i, k]`` is (b_{i+1} - b_i)^k.
     """
-
-    breaks: tuple[float, ...]
-    coeffs: tuple[tuple[float, ...], ...]
-
-    def value(self, tau: float) -> float:
-        if not 0.0 <= tau <= 1.0:
-            raise ValueError(f"argument {tau} outside [0, 1]")
-        i = np.searchsorted(self.breaks, tau, side="left") - 1
-        i = min(max(int(i), 0), len(self.coeffs) - 1)
-        return _poly_eval(self.coeffs[i], tau)
-
-    @property
-    def degree(self) -> int:
-        return max(len(c) - 1 for c in self.coeffs)
-
-
-def _poly_eval(coeffs: Sequence[float], x: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _interval_signs(F: PiecewiseSignFunction, breaks: Sequence[float]) -> list[int]:
-    """Sign of F on each grid interval; F.flips must be a subset of breaks."""
-    out = []
-    sgn = 1
-    fi = 0
-    flips = F.flips
-    for b in breaks[:-1]:
-        while fi < len(flips) and flips[fi] <= b:
-            sgn = -sgn
-            fi += 1
-        out.append(sgn)
+    n, width = coeffs.shape
+    degree = width + power
+    if degree > DEGREE_CAP:
+        raise RuntimeError(f"polynomial degree exceeds cap {DEGREE_CAP}")
+    out = np.zeros((n, degree + 1))
+    for a in range(power + 1):  # t^power = sum_a C(power, a) b_i^(power-a) u^a
+        scale = math.comb(power, a) * signs * left_pow[:, power - a]
+        out[:, a + 1:a + 1 + width] += scale[:, None] * coeffs
+    out[:, 1:] /= np.arange(1, degree + 1)
+    increments = np.einsum("ij,ij->i", out, width_pow[:, :degree + 1])
+    out[1:, 0] = np.cumsum(increments[:-1])
     return out
 
 
-def _integrate_stage(poly: PiecewisePolynomial, F: PiecewiseSignFunction,
-                     power: int) -> PiecewisePolynomial:
-    """Antiderivative of F(u) u^power poly(u), continuous and zero at 0."""
-    breaks = poly.breaks
-    signs = _interval_signs(F, breaks)
-    acc = 0.0
-    out = []
-    for i, c in enumerate(poly.coeffs):
-        shifted = [0.0] * power + [signs[i] * ck for ck in c]
-        anti = [0.0] + [ck / (k + 1) for k, ck in enumerate(shifted)]
-        if len(anti) - 1 > DEGREE_CAP:
-            raise RuntimeError(f"polynomial degree exceeds cap {DEGREE_CAP}")
-        lo, hi = breaks[i], breaks[i + 1]
-        anti[0] = acc - _poly_eval(anti, lo)
-        acc = _poly_eval(anti, hi)
-        out.append(tuple(anti))
-    return PiecewisePolynomial(breaks=breaks, coeffs=tuple(out))
+def _evaluate(functions: Sequence[PiecewiseSignFunction],
+              keys: Sequence[tuple[tuple[int, int], ...]],
+              extra_breaks: Sequence[float] = ()) -> list[float]:
+    """Nested integral of each key ((f_1, r_1), ..., (f_s, r_s)), in order;
+    f_k indexes ``functions``.  One stage per distinct key prefix."""
+    grid = {0.0, 1.0}
+    for F in functions:
+        grid.update(F.flips)
+    for b in extra_breaks:
+        if not 0.0 < b < 1.0:
+            raise ValueError("grid refinement points must lie in (0, 1)")
+        grid.add(float(b))
+    breaks = np.array(sorted(grid))
+    k = np.arange(DEGREE_CAP + 1)
+    left_pow = breaks[:-1, None] ** k
+    width_pow = np.diff(breaks)[:, None] ** k
+    # F is (-1)^(number of flips <= b_i) on (b_i, b_{i+1}]
+    signs = [1.0 - 2.0 * (np.searchsorted(F.flips, breaks[:-1], side="right") % 2)
+             for F in functions]
+    values = {}
+    previous: tuple = ()
+    stages = [np.ones((len(breaks) - 1, 1))]  # stages[k] integrates previous[:k]
+    for key in sorted(set(keys)):
+        shared = 0
+        while shared < min(len(key), len(previous)) and key[shared] == previous[shared]:
+            shared += 1
+        del stages[shared + 1:]
+        for f, r in key[shared:]:
+            stages.append(_integrate_stage(stages[-1], signs[f], r, left_pow, width_pow))
+        last = stages[-1][-1]  # final piece; at u = h_{n-1} it is the value at t = 1
+        values[key] = float(last @ width_pow[-1, :len(last)])
+        previous = key
+    return [values[key] for key in keys]
 
 
 def iterated_integral(signs: Sequence[PiecewiseSignFunction],
@@ -124,18 +125,8 @@ def iterated_integral(signs: Sequence[PiecewiseSignFunction],
         raise ValueError("empty integrand")
     if any(r < 0 for r in powers):
         raise ValueError("powers must be nonnegative")
-    grid = {0.0, 1.0}
-    for F in signs:
-        grid.update(F.flips)
-    for b in extra_breaks:
-        if not 0.0 < b < 1.0:
-            raise ValueError("grid refinement points must lie in (0, 1)")
-        grid.add(float(b))
-    breaks = tuple(sorted(grid))
-    poly = PiecewisePolynomial(breaks=breaks, coeffs=((1.0,),) * (len(breaks) - 1))
-    for F, r in zip(signs, powers):
-        poly = _integrate_stage(poly, F, int(r))
-    return poly.value(1.0)
+    return _evaluate(signs, [tuple((k, int(r)) for k, r in enumerate(powers))],
+                     extra_breaks)[0]
 
 
 def simplex_bound(s: int) -> float:
@@ -231,17 +222,14 @@ def check_bosonic_decoupling_condition(order: int, tol: float = ZERO_TOL) -> Con
 
 def _scalar_condition_report(scheme: str, order: int,
                              sigma: PiecewiseSignFunction, tol: float) -> ConditionReport:
-    const = PiecewiseSignFunction(())
-    rows = []
-    for s, powers in _budget_pairs(order):
-        for gammas in itertools.product((0, 1), repeat=s):
-            if sum(gammas) % 2 == 0:
-                continue
-            signs = [sigma if g else const for g in gammas]
-            value = iterated_integral(signs, powers)
-            rows.append(CheckRow(s, powers, gammas, value, required_zero=True))
-    probe = iterated_integral([sigma], [order])
-    rows.append(CheckRow(1, (order,), (1,), probe, required_zero=False))
+    # gamma doubles as the function index: 0 is the constant, 1 is sigma
+    tuples = [(gammas, powers) for s, powers in _budget_pairs(order)
+              for gammas in itertools.product((0, 1), repeat=s) if sum(gammas) % 2]
+    keys = [tuple(zip(gammas, powers)) for gammas, powers in tuples + [((1,), (order,))]]
+    values = _evaluate((PiecewiseSignFunction(()), sigma), keys)
+    rows = [CheckRow(len(powers), powers, gammas, value, required_zero=True)
+            for (gammas, powers), value in zip(tuples, values)]
+    rows.append(CheckRow(1, (order,), (1,), values[-1], required_zero=False))
     return ConditionReport(scheme=scheme, order=order, tol=tol,
                            rows=tuple(rows), exhaustive=True)
 
@@ -258,31 +246,35 @@ def _tuple_condition_report(scheme: str, schedule: PulseSchedule,
                             exempt_xors: frozenset,
                             order: int, tol: float,
                             max_tuples: int, seed: int) -> ConditionReport:
-    functions = {alpha: toggling_sign_function(schedule, alpha) for alpha in alphabet}
+    # labels whose toggling functions coincide share one function index
+    merged: dict[tuple[float, ...], int] = {}
+    index = {alpha: merged.setdefault(toggling_sign_function(schedule, alpha).flips,
+                                      len(merged))
+             for alpha in alphabet}
     pairs = _budget_pairs(order)
     total = sum(len(alphabet) ** s for s, _ in pairs)
-    rows = []
+    chosen: list[tuple[tuple[int, ...], tuple]] = []
     if total <= max_tuples:
         for s, powers in pairs:
             for alphas in itertools.product(alphabet, repeat=s):
-                if _xor(alphas) in exempt_xors:
-                    continue
-                value = iterated_integral([functions[a] for a in alphas], powers)
-                rows.append(CheckRow(s, powers, alphas, value, required_zero=True))
+                if _xor(alphas) not in exempt_xors:
+                    chosen.append((powers, alphas))
         exhaustive = True
     else:
         rng = np.random.default_rng(seed)
         attempts = 0
-        while len(rows) < max_tuples and attempts < 20 * max_tuples:
+        while len(chosen) < max_tuples and attempts < 20 * max_tuples:
             attempts += 1
             s, powers = pairs[int(rng.integers(len(pairs)))]
             alphas = tuple(alphabet[int(rng.integers(len(alphabet)))] for _ in range(s))
-            if _xor(alphas) in exempt_xors:
-                continue
-            value = iterated_integral([functions[a] for a in alphas], powers)
-            rows.append(CheckRow(s, powers, alphas, value, required_zero=True))
+            if _xor(alphas) not in exempt_xors:
+                chosen.append((powers, alphas))
         exhaustive = False
-    return ConditionReport(scheme=scheme, order=order, tol=tol, rows=tuple(rows),
+    keys = [tuple(zip((index[a] for a in alphas), powers)) for powers, alphas in chosen]
+    values = _evaluate([PiecewiseSignFunction(flips) for flips in merged], keys)
+    rows = tuple(CheckRow(len(powers), powers, alphas, value, required_zero=True)
+                 for (powers, alphas), value in zip(chosen, values))
+    return ConditionReport(scheme=scheme, order=order, tol=tol, rows=rows,
                            exhaustive=exhaustive, m=schedule.m)
 
 

@@ -153,19 +153,6 @@ def added_noise(total_time: float, bath: BathSpec, deltas) -> float:
     return out
 
 
-def noise_spectrum_value(bath: BathSpec, total_time: float, deltas) -> float:
-    """chi(T): the added noise written as a sum over spectral lines,
-    sum_j S_beta(omega_j)/omega_j^2 |y_L(omega_j T)|^2 with line weights
-    lambda_j^2 coth(beta omega_j/2).  Identical to :func:`added_noise` for
-    discrete spectra."""
-    deltas = _check_even(deltas)
-    weights = bath.thermal_weights()
-    out = 0.0
-    for lam, om, w in zip(bath.couplings, bath.frequencies, weights):
-        out += (lam ** 2 * w) / om ** 2 * abs(y_filter(om * total_time, deltas)) ** 2
-    return out
-
-
 def thermal_covariance(bath: BathSpec) -> np.ndarray:
     """Bath thermal covariance diag(coth) (+) diag(coth), QP-blocked."""
     D = np.diag(bath.thermal_weights())

@@ -1,3 +1,5 @@
+import pytest
+
 from bosonic_dd.cli import main
 
 
@@ -147,3 +149,51 @@ class TestConfigFile:
         assert run(["decouple-sweep", "--config", str(cfg), "--points", "5",
                     "--out", str(c)]) == 0
         assert len(c.read_text().splitlines()) == 6
+
+
+class TestLargeVerify:
+    def test_nudd_n2_m2_passes(self, tmp_path):
+        out = tmp_path / "nudd.csv"
+        assert run(["verify", "--check", "nudd", "--N", "2", "--m", "2",
+                    "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 4158  # every non-exempt tuple with s + sum(r) <= 2
+        assert all(row[-1] == "1" for row in rows)
+
+
+SUBCOMMANDS = ("schedule", "decouple-sweep", "homogenize-sweep", "verify", "spectrum")
+
+
+class TestConfigErrors:
+    """A bad --config file is a usage error on every subcommand: exit code 2
+    and an 'error:' line naming the file, never a traceback."""
+
+    @staticmethod
+    def run_with(tmp_path, capsys, command, cfg):
+        extra = ["--check", "udd"] if command == "verify" else []
+        code = run([command, *extra, "--config", str(cfg),
+                    "--out", str(tmp_path / "o.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and str(cfg) in err
+        assert "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_value_of_wrong_type(self, tmp_path, capsys, command):
+        cfg = tmp_path / "bad.cfg"
+        key = "L" if command == "spectrum" else "N"
+        cfg.write_text(f"# run\n{key}=abc\n")
+        err = self.run_with(tmp_path, capsys, command, cfg)
+        assert f"{key}='abc'" in err
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_malformed_line(self, tmp_path, capsys, command):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("# run\nN=2\nnot a setting\n")
+        err = self.run_with(tmp_path, capsys, command, cfg)
+        assert f"{cfg}:3:" in err
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_missing_file(self, tmp_path, capsys, command):
+        self.run_with(tmp_path, capsys, command, tmp_path / "absent.cfg")

@@ -1,12 +1,15 @@
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bosonic_dd.dyson import (
-    PiecewisePolynomial,
+    DEGREE_CAP,
+    _budget_pairs,
+    _integrate_stage,
     check_bosonic_decoupling_condition,
     check_homogenization_condition,
     check_qubit_nudd_condition,
@@ -16,8 +19,14 @@ from bosonic_dd.dyson import (
     simplex_bound,
     verify_qubit_bosonic_correspondence,
 )
-from bosonic_dd.pauli_basis import PAIR_I, PAIR_Y, gamma_set
-from bosonic_dd.schedules import PiecewiseSignFunction, udd_times
+from bosonic_dd.pauli_basis import PAIR_I, PAIR_Y, gamma_set, symplectic_form_index
+from bosonic_dd.schedules import (
+    PiecewiseSignFunction,
+    homogenization_schedule,
+    qubit_nudd_schedule,
+    toggling_sign_function,
+    udd_times,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +67,47 @@ def exact_sigma_moment(n_pulses, power):
     for i in range(len(pts) - 1):
         total += (-1) ** i * (pts[i + 1] ** (power + 1) - pts[i] ** (power + 1)) / (power + 1)
     return total
+
+
+def _rational_polyval(coeffs, x):
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def rational_oracle(flip_sets, powers):
+    """Exact nested integral in rational arithmetic.
+
+    Each flip point is taken as the exact rational value of its float, so the
+    result is the exact integral of the very functions ``iterated_integral``
+    receives.  Pieces are ascending-power polynomials in the global variable.
+    """
+    flip_sets = [[Fraction(f) for f in flips] for flips in flip_sets]
+    grid = sorted({Fraction(0), Fraction(1)}.union(*flip_sets))
+    pieces = [[Fraction(1)] for _ in grid[:-1]]
+    value = Fraction(0)
+    for flips, r in zip(flip_sets, powers):
+        value = Fraction(0)
+        stage = []
+        for lo, hi, coeffs in zip(grid, grid[1:], pieces):
+            sign = -1 if sum(1 for f in flips if f <= lo) % 2 else 1
+            anti = [Fraction(0)] * (r + 1) + [sign * c / (r + k + 1)
+                                              for k, c in enumerate(coeffs)]
+            anti[0] = value - _rational_polyval(anti, lo)
+            value = _rational_polyval(anti, hi)
+            stage.append(anti)
+        pieces = stage
+    return value
+
+
+def rational_flips(rng, denominators):
+    """Sorted distinct points k/q in (0, 1), q drawn from ``denominators``."""
+    points = set()
+    for _ in range(int(rng.integers(0, 5))):
+        q = int(rng.choice(denominators))
+        points.add(Fraction(int(rng.integers(1, q)), q))
+    return tuple(float(f) for f in sorted(points))
 
 
 CONST = PiecewiseSignFunction(())
@@ -118,6 +168,28 @@ class TestIteratedIntegralAgainstQuadrature:
         assert exact == pytest.approx(approx, abs=5e-7)
 
 
+class TestIteratedIntegralAgainstRationalOracle:
+    @pytest.mark.parametrize("denominators",
+                             [(2, 4, 8, 16, 32), (3, 5, 6, 7, 9, 10, 12)],
+                             ids=["dyadic", "small-denominator"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_rational_flips(self, seed, denominators):
+        rng = np.random.default_rng(seed)
+        s = 1 + seed % 4
+        flip_sets = [rational_flips(rng, denominators) for _ in range(s)]
+        powers = [int(r) for r in rng.integers(0, 4, size=s)]
+        exact = rational_oracle(flip_sets, powers)
+        value = iterated_integral([PiecewiseSignFunction(f) for f in flip_sets], powers)
+        assert abs(value - float(exact)) <= 1e-14
+
+    def test_uhrig_moments(self):
+        for n in range(1, 5):
+            sig = PiecewiseSignFunction(udd_times(n))
+            for r in range(4):
+                exact = rational_oracle([sig.flips], [r])
+                assert abs(iterated_integral([sig], [r]) - float(exact)) <= 1e-14
+
+
 class TestIntegralProperties:
     @given(st.integers(1, 4), st.integers(0, 5))
     @settings(max_examples=30, deadline=None)
@@ -137,20 +209,89 @@ class TestIntegralProperties:
         assert refined == pytest.approx(base, abs=1e-14)
 
     def test_polynomial_continuity(self):
-        # accumulated antiderivatives agree at interior breakpoints
-        from bosonic_dd.dyson import _integrate_stage
+        # accumulated antiderivatives agree at interior breakpoints: the left
+        # piece at u = h_{i-1} equals the right piece at u = 0
         sig = PiecewiseSignFunction(udd_times(2))
-        breaks = (0.0,) + sig.flips + (1.0,)
-        poly = PiecewisePolynomial(breaks=breaks, coeffs=((1.0,),) * 3)
-        anti = _integrate_stage(poly, sig, 1)
+        breaks = np.array((0.0,) + sig.flips + (1.0,))
+        k = np.arange(DEGREE_CAP + 1)
+        signs = np.array([1.0, -1.0, 1.0])
+        anti = _integrate_stage(np.ones((3, 1)), signs, 1, breaks[:-1, None] ** k,
+                                np.diff(breaks)[:, None] ** k)
         for i in range(1, len(breaks) - 1):
-            left = np.polynomial.polynomial.polyval(breaks[i], anti.coeffs[i - 1])
-            right = np.polynomial.polynomial.polyval(breaks[i], anti.coeffs[i])
+            h = breaks[i] - breaks[i - 1]
+            left = np.polynomial.polynomial.polyval(h, anti[i - 1])
+            right = np.polynomial.polynomial.polyval(0.0, anti[i])
             assert left == pytest.approx(right, abs=1e-15)
 
     def test_degree_guard(self):
         with pytest.raises(RuntimeError):
             iterated_integral([CONST] * 3, [10, 10, 10])
+
+
+def _label_functions(scheme, n, m):
+    """Report and label -> sign function for the small exhaustive reports."""
+    if scheme == "udd":
+        sigma = PiecewiseSignFunction(udd_times(n))
+        return check_udd_condition(n), lambda gamma: sigma if gamma else CONST
+    if scheme == "nudd":
+        sched = qubit_nudd_schedule(n, m)
+        report = check_qubit_nudd_condition(n, m)
+    else:
+        sched = homogenization_schedule(n, m)
+        report = check_homogenization_condition(n, m)
+    return report, lambda alpha: toggling_sign_function(sched, alpha)
+
+
+class TestWalkerProperties:
+    @given(st.sampled_from([("udd", 3, None), ("udd", 5, None), ("nudd", 2, 0),
+                            ("nudd", 1, 1), ("nudd", 2, 1), ("hom", 2, 1),
+                            ("hom", 1, 2)]))
+    @settings(max_examples=10, deadline=None)
+    def test_report_rows_equal_standalone_integrals(self, case):
+        report, function_of = _label_functions(*case)
+        assert report.exhaustive
+        for row in report.rows:
+            alone = iterated_integral([function_of(a) for a in row.labels], row.powers)
+            assert abs(row.value - alone) <= 1e-15
+
+    @given(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                    max_size=6),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_refinement_invariance(self, extra, seed):
+        rng = np.random.default_rng(seed)
+        s = int(rng.integers(1, 5))
+        signs = [PiecewiseSignFunction(tuple(np.unique(rng.uniform(0.05, 0.95, k))))
+                 for k in rng.integers(0, 4, size=s)]
+        powers = [int(r) for r in rng.integers(0, 4, size=s)]
+        base = iterated_integral(signs, powers)
+        assert iterated_integral(signs, powers, extra_breaks=extra) == pytest.approx(
+            base, abs=1e-14)
+
+    @given(st.integers(1, 400), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_sampled_rows_follow_the_seeded_draws(self, max_tuples, seed):
+        # reference: the draw loop of the sampled mode, written out here
+        alphabet = gamma_set(2)
+        exempt = {(PAIR_I,) * 3, symplectic_form_index(2)}
+        pairs = _budget_pairs(2)
+        rng = np.random.default_rng(seed)
+        expected = []
+        attempts = 0
+        while len(expected) < max_tuples and attempts < 20 * max_tuples:
+            attempts += 1
+            s, powers = pairs[int(rng.integers(len(pairs)))]
+            alphas = tuple(alphabet[int(rng.integers(len(alphabet)))] for _ in range(s))
+            acc = (PAIR_I,) * 3
+            for alpha in alphas:
+                acc = tuple((a[0] ^ b[0], a[1] ^ b[1]) for a, b in zip(acc, alpha))
+            if acc not in exempt:
+                expected.append((s, powers, alphas))
+        report = check_homogenization_condition(2, 2, max_tuples=max_tuples, seed=seed)
+        assert not report.exhaustive
+        assert [(r.s, r.powers, r.labels) for r in report.rows] == expected
+        again = check_homogenization_condition(2, 2, max_tuples=max_tuples, seed=seed)
+        assert again.rows == report.rows
 
 
 class TestUddCondition:
@@ -216,6 +357,12 @@ class TestQubitNuddCondition:
     def test_guard(self):
         with pytest.raises(ValueError):
             check_qubit_nudd_condition(9, 2)
+
+    def test_n2_m2_exhaustive(self):
+        report = check_qubit_nudd_condition(2, 2)
+        assert report.exhaustive and report.passed
+        assert report.n_checked == 63 * 2 + 64 ** 2 - 64  # zero-xor tuples exempt
+        assert report.max_violation <= 1e-14
 
 
 class TestHomogenizationCondition:

@@ -13,7 +13,6 @@ from bosonic_dd.spin_boson import (
     cross_validate,
     even_flip_train,
     f_filter,
-    noise_spectrum_value,
     pair_shear,
     shear_parameter,
     thermal_covariance,
@@ -130,11 +129,15 @@ class TestChannelScalars:
         assert slope == pytest.approx(2 * (n_pulses + 1), abs=0.4)
 
     def test_spectrum_entry_point_equals_noise(self):
+        # added noise as a sum over spectral lines:
+        # sum_j lambda_j^2 coth(beta omega_j / 2) / omega_j^2 |y_L(omega_j T)|^2
         deltas = even_flip_train(2)
         for seed in range(20):
             bath = seeded_bath(seed, 1 + seed % 4, beta=0.5 + 0.3 * seed)
-            assert noise_spectrum_value(bath, 0.8, deltas) == pytest.approx(
-                added_noise(0.8, bath, deltas), rel=1e-14)
+            lines = sum(lam ** 2 / math.tanh(bath.beta * om / 2) / om ** 2
+                        * abs(y_filter(om * 0.8, deltas)) ** 2
+                        for lam, om in zip(bath.couplings, bath.frequencies))
+            assert added_noise(0.8, bath, deltas) == pytest.approx(lines, rel=1e-14)
 
     def test_zero_filter_line_contributes_nothing(self):
         # a single line at a frequency where y_L vanishes adds no noise
