@@ -58,15 +58,21 @@ def _load_config(path: str) -> dict[str, str]:
 
 
 def _merge_config(args: argparse.Namespace, defaults: dict) -> argparse.Namespace:
-    """Fill unset (None) arguments from the config file, then from defaults."""
+    """Fill unset (None) arguments from the config file, then from defaults.
+
+    A config value is cast with its flag's declared argparse ``type``; flags
+    without one (choices, paths, switches) take the type of their default.
+    """
     config = {}
     if getattr(args, "config", None):
         config = _load_config(args.config)
+    flag_types = getattr(args, "flag_types", {})
     for key, fallback in defaults.items():
         if getattr(args, key, None) is None:
             if key in config:
                 raw = config[key]
-                caster = type(fallback) if fallback is not None else str
+                caster = flag_types.get(key) or (
+                    str if fallback is None else type(fallback))
                 if caster is bool:
                     setattr(args, key, raw.lower() in ("1", "true", "yes"))
                 else:
@@ -87,8 +93,8 @@ def _open_out(path: str | None) -> IO[str]:
 
 
 def _t_grid(tmin: float, tmax: float, points: int) -> tuple[float, ...]:
-    if not (0 < tmin < tmax) or points < 2:
-        raise ValueError("need 0 < tmin < tmax and at least two grid points")
+    if not (0 < tmin < tmax < math.inf) or points < 2:
+        raise ValueError("need finite 0 < tmin < tmax and at least two grid points")
     return tuple(np.logspace(math.log10(tmin), math.log10(tmax), points))
 
 
@@ -238,11 +244,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         nonlocal all_pass
         all_pass &= report.passed
         for row in report.rows:
-            ok = abs(row.value) <= report.tol if row.required_zero else True
             rows.append((check, str(row.s),
                          ";".join(str(r) for r in row.powers),
                          dyson.format_labels(row.labels),
-                         row.value, row.required_zero, ok))
+                         row.value, row.required_zero, report.row_passed(row)))
 
     try:
         if "basis" in selected:
@@ -324,6 +329,12 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     if args.nE < 1:
         print("error: need at least one bath line", file=sys.stderr)
         return 2
+    if not args.beta > 0:
+        print("error: beta must be positive (inf for the vacuum)", file=sys.stderr)
+        return 2
+    if not math.isfinite(args.coupling_scale):
+        print("error: the coupling scale must be finite", file=sys.stderr)
+        return 2
     try:
         grid = _t_grid(args.tmin, args.tmax, args.points)
     except ValueError as exc:
@@ -335,24 +346,22 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         "periodic": tuple((j + 1) / args.L for j in range(args.L)),
     }
     w_max = max(bath.frequencies)
+    header = ["T"]
+    columns = [grid]
+    for name, deltas in trains.items():
+        header += [f"x_{name}", f"y_{name}", f"yL2_{name}"]
+        columns += [spin_boson.shear_parameter(grid, bath, deltas),
+                    spin_boson.added_noise(grid, bath, deltas),
+                    np.abs(spin_boson.y_filter(w_max * np.array(grid), deltas)) ** 2]
+        if args.cross_validate:
+            header.append(f"dev_{name}")
+            columns.append([spin_boson.cross_validate(bath, deltas, T).max_deviation
+                            for T in grid])
     stream = _open_out(args.out)
     try:
-        header = "T"
-        for name in trains:
-            header += f",x_{name},y_{name},yL2_{name}"
-            if args.cross_validate:
-                header += f",dev_{name}"
-        stream.write(header + "\n")
-        for T in grid:
-            fields = [_fmt(T)]
-            for name, deltas in trains.items():
-                fields.append(_fmt(spin_boson.shear_parameter(T, bath, deltas)))
-                fields.append(_fmt(spin_boson.added_noise(T, bath, deltas)))
-                fields.append(_fmt(abs(spin_boson.y_filter(w_max * T, deltas)) ** 2))
-                if args.cross_validate:
-                    report = spin_boson.cross_validate(bath, deltas, T)
-                    fields.append(_fmt(report.max_deviation))
-            stream.write(",".join(fields) + "\n")
+        stream.write(",".join(header) + "\n")
+        for row in zip(*columns):
+            stream.write(",".join(_fmt(v) for v in row) + "\n")
     finally:
         if stream is not sys.stdout:
             stream.close()
@@ -371,6 +380,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "evolution sweeps and condition verification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def finish(p: argparse.ArgumentParser, func) -> None:
+        # the declared flag types let _merge_config cast config values alike
+        p.set_defaults(func=func, flag_types={a.dest: a.type for a in p._actions
+                                              if a.type is not None})
+
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--out", help="output path (default stdout)")
@@ -382,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--nS", type=int)
-    p.set_defaults(func=cmd_schedule)
+    finish(p, cmd_schedule)
 
     p = sub.add_parser("decouple-sweep", help="decoupling residual order sweep")
     common(p)
@@ -398,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale-ss", dest="scale_ss", type=float)
     p.add_argument("--scale-se", dest="scale_se", type=float)
     p.add_argument("--scale-ee", dest="scale_ee", type=float)
-    p.set_defaults(func=cmd_decouple_sweep)
+    finish(p, cmd_decouple_sweep)
 
     p = sub.add_parser("homogenize-sweep", help="homogenization order sweep")
     common(p)
@@ -412,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tmax", type=float)
     p.add_argument("--points", type=int)
     p.add_argument("--tol", type=float)
-    p.set_defaults(func=cmd_homogenize_sweep)
+    finish(p, cmd_homogenize_sweep)
 
     p = sub.add_parser("verify", help="basis, Dyson-condition and "
                                       "correspondence checks")
@@ -424,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float)
     p.add_argument("--mutate", action="store_true", default=None,
                    help="self-test: flip one pulse and expect failure")
-    p.set_defaults(func=cmd_verify)
+    finish(p, cmd_verify)
 
     p = sub.add_parser("spectrum", help="filter-function and channel sweep")
     common(p)
@@ -438,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int)
     p.add_argument("--cross-validate", dest="cross_validate",
                    action="store_true", default=None)
-    p.set_defaults(func=cmd_spectrum)
+    finish(p, cmd_spectrum)
 
     return parser
 

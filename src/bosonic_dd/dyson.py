@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import IO, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -166,9 +166,13 @@ class ConditionReport:
     def n_checked(self) -> int:
         return sum(1 for r in self.rows if r.required_zero)
 
+    def row_passed(self, row: CheckRow) -> bool:
+        """A row fails only when it must vanish and exceeds tol in magnitude."""
+        return abs(row.value) <= self.tol if row.required_zero else True
+
     @property
     def passed(self) -> bool:
-        return self.max_violation <= self.tol
+        return all(self.row_passed(row) for row in self.rows)
 
 
 def _budget_pairs(order: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -365,11 +369,3 @@ def format_labels(labels: tuple) -> str:
         return ";".join(str(l) for l in labels)
     return ";".join("".join(f"{x}{z}" for x, z in alpha) for alpha in labels)
 
-
-def report_to_csv(report: ConditionReport, stream: IO[str]) -> None:
-    stream.write("s,r,labels,value,required_zero,pass\n")
-    for row in report.rows:
-        ok = (abs(row.value) <= report.tol) if row.required_zero else True
-        stream.write(f"{row.s},{';'.join(str(r) for r in row.powers)},"
-                     f"{format_labels(row.labels)},{row.value:.17g},"
-                     f"{int(row.required_zero)},{int(ok)}\n")

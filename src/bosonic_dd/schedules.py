@@ -342,15 +342,17 @@ def _pulse_to_bits(pulse: Pulse, sign: int) -> str:
     return ("-" + bits) if sign < 0 else bits
 
 
-def _bits_to_pulse(bits: str) -> tuple[Pulse, int]:
-    sign = 1
-    if bits.startswith("-"):
-        sign = -1
-        bits = bits[1:]
-    if len(bits) == 1:
-        return int(bits), sign
-    if len(bits) % 2:
-        raise ValueError(f"malformed pulse bits {bits!r}")
+def _bits_to_pulse(bits: str, m: int | None) -> tuple[Pulse, int]:
+    """Inverse of _pulse_to_bits: the flip bit when m is None, else m+1 pairs."""
+    if m is None:
+        if bits != str(FLIP):
+            raise ValueError(f"malformed flip pulse {bits!r}, expected {FLIP}")
+        return FLIP, 1
+    sign = -1 if bits.startswith("-") else 1
+    bits = bits.removeprefix("-")
+    if len(bits) != 2 * (m + 1) or set(bits) - {"0", "1"}:
+        raise ValueError(f"malformed pulse bits {bits!r}, expected 2(m+1) = "
+                         f"{2 * (m + 1)} bits of 0/1")
     pairs = tuple((int(bits[2 * i]), int(bits[2 * i + 1]))
                   for i in range(len(bits) // 2))
     return pairs, sign
@@ -369,28 +371,36 @@ def write_schedule(schedule: PulseSchedule, stream: IO[str]) -> None:
 
 
 def read_schedule(stream: IO[str]) -> PulseSchedule:
+    """Parse a schedule file; a malformed line raises ValueError naming it."""
     scheme, order, m, n_system = "unknown", 0, None, None
     entries = []
-    for line in stream:
+    for lineno, line in enumerate(stream, 1):
         line = line.strip()
         if not line:
             continue
-        if line.startswith("#"):
-            parts = line[1:].split(None, 1)
-            if len(parts) != 2:
+        try:
+            if line.startswith("#"):
+                parts = line[1:].split(None, 1)
+                if len(parts) != 2:
+                    continue
+                key, value = parts
+                if key == "scheme":
+                    scheme = value
+                elif key == "N":
+                    order = int(value)
+                elif key == "m" and value != "-":
+                    m = int(value)
+                elif key == "nS":
+                    n_system = int(value)
                 continue
-            key, value = parts
-            if key == "scheme":
-                scheme = value
-            elif key == "N":
-                order = int(value)
-            elif key == "m" and value != "-":
-                m = int(value)
-            elif key == "nS":
-                n_system = int(value)
-            continue
-        delta_str, bits = line.split("\t")
-        pulse, sign = _bits_to_pulse(bits)
-        entries.append(PulseEntry(float(delta_str), pulse, sign))
+            delta_str, tab, bits = line.partition("\t")
+            if not tab:
+                raise ValueError("expected <delta><TAB><bits>")
+            delta = float(delta_str)
+            if not 0.0 < delta <= 1.0:
+                raise ValueError(f"pulse time {delta_str} outside (0, 1]")
+            entries.append(PulseEntry(delta, *_bits_to_pulse(bits, m)))
+        except ValueError as exc:
+            raise ValueError(f"schedule line {lineno}: {exc}") from exc
     return PulseSchedule(scheme=scheme, order=order, entries=tuple(entries),
                          m=m, n_system=n_system)

@@ -29,16 +29,17 @@ The pair part is the phase-space footprint of the commutators between the
 single-pulse coupling generators: their commutator is a Q^2 shear (not a
 scalar), so it survives in the covariance picture.  Both pieces together
 reproduce the direct symplectic simulation to machine precision; the added
-noise y is insensitive to it.
+noise y is insensitive to it.  T and z may be scalars or 1-D grids (evaluated
+in blocks); the pair sum costs O(L) per line as a prefix sum (:func:`_pairs_of`).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .evolution import AnalyticGenerator, PropagatorConfig, DEFAULT_CONFIG, resulting_evolution
 from .schedules import flip_train_schedule, udd_times
@@ -94,73 +95,87 @@ def _check_even(deltas) -> tuple[float, ...]:
     return deltas
 
 
-def y_filter(z: float, deltas) -> complex:
+# Elements (T points x bath lines x pulses) per evaluated block: each complex
+# temporary of a block stays at 32 kB, so peak memory does not grow with the
+# T grid while numpy still amortises its per-call overhead.
+BLOCK_ELEMENTS = 2048
+
+
+def _on_grid(fn, grid, deltas, rates=(1.0,)):
+    """fn(z, phases e^{i z d_k}, signs (-1)^k) at z = grid x rates, taking a
+    scalar or 1-D grid in blocks of BLOCK_ELEMENTS; a scalar gives a scalar."""
+    d, rates = np.array(_check_even(deltas)), np.asarray(rates)
+    s = (-1.0) ** np.arange(1, len(d) + 1)
+    arr = np.asarray(grid, dtype=float)
+    if arr.ndim > 1:
+        raise ValueError("expected a scalar or a 1-D array")
+    step = max(1, BLOCK_ELEMENTS // max(rates.size * d.size, 1))
+    zs = (t[:, None] * rates
+          for t in np.split(arr.reshape(-1), range(step, arr.size, step)))
+    out = np.concatenate([fn(z, np.exp(1j * (z[..., None] * d)), s) for z in zs])
+    return out.item() if arr.ndim == 0 else out.reshape(arr.shape)
+
+
+def _y_of(z, phase, s):
+    return 2.0 * (phase @ s) + 1.0 - np.exp(1j * z)
+
+
+def _pairs_of(z, phase, s):
+    """sum_{l<j} s_j s_l [sin(z (d_j - d_l)) + sin(z d_l) - sin(z d_j)] in O(L):
+    Im sum_j s_j e^{i z d_j} conj(sum_{l<j} s_l e^{i z d_l}) for the first part
+    and sum_k a_k sin(z d_k), a_k = s_k (sum_{j>k} s_j - sum_{l<k} s_l), for the rest."""
+    signed = phase * s
+    prior = np.cumsum(signed[..., :-1], axis=-1).conj()
+    a = s * (s.sum() - 2.0 * np.cumsum(s) + s)
+    return (signed[..., 1:] * prior).imag.sum(axis=-1) + phase.imag @ a
+
+
+def _line_sum(per_line, total_time, bath: BathSpec, deltas):
+    """sum_j (lambda_j / omega_j)^2 per_line(z, phases, signs) at z = omega_j T."""
+    om = np.asarray(bath.frequencies)
+    weight = (np.asarray(bath.couplings) / om) ** 2
+    return _on_grid(lambda z, phase, s: per_line(z, phase, s) @ weight,
+                    total_time, deltas, om)
+
+
+def y_filter(z, deltas):
     """y_L(z) = 2 sum_m (-1)^m e^{i z d_m} + 1 - e^{iz}."""
-    deltas = _check_even(deltas)
-    acc = 0.0 + 0.0j
-    for m, d in enumerate(deltas, start=1):
-        acc += (-1) ** m * cmath.exp(1j * z * d)
-    return 2.0 * acc + 1.0 - cmath.exp(1j * z)
+    return _on_grid(_y_of, z, deltas)
 
 
-def f_filter(z: float, deltas) -> complex:
+def f_filter(z, deltas):
     """f_L(z) = 2i sum_m (-1)^m e^{-i z d_m}.
 
     Satisfies Re f_L - sin z = Im y_L and Im f_L + 1 - cos z = Re y_L.
     """
-    deltas = _check_even(deltas)
-    acc = 0.0 + 0.0j
-    for m, d in enumerate(deltas, start=1):
-        acc += (-1) ** m * cmath.exp(-1j * z * d)
-    return 2j * acc
+    return _on_grid(lambda z, phase, s: 2j * (phase.conj() @ s), z, deltas)
 
 
-def pair_shear(total_time: float, bath: BathSpec, deltas) -> float:
+def pair_shear(total_time, bath: BathSpec, deltas):
     """Ordered-pulse-pair contribution to the shear parameter."""
-    deltas = _check_even(deltas)
-    lam = np.asarray(bath.couplings)
-    om = np.asarray(bath.frequencies)
-    out = 0.0
-    for j in range(1, len(deltas) + 1):
-        for l in range(1, j):
-            sgn = -1.0 if (j + l) % 2 else 1.0
-            z = om * total_time
-            term = (np.sin(z * (deltas[j - 1] - deltas[l - 1]))
-                    + np.sin(z * deltas[l - 1]) - np.sin(z * deltas[j - 1]))
-            out += 4.0 * sgn * float(np.sum((lam / om) ** 2 * term))
-    return out
+    return 4.0 * _line_sum(_pairs_of, total_time, bath, deltas)
 
 
-def shear_parameter(total_time: float, bath: BathSpec, deltas) -> float:
+def shear_parameter(total_time, bath: BathSpec, deltas):
     """The channel's x parameter (beta-independent)."""
-    deltas = _check_even(deltas)
-    out = 0.0
-    for lam, om in zip(bath.couplings, bath.frequencies):
-        z = om * total_time
-        yl = y_filter(z, deltas)
-        out += (lam / om) ** 2 * (z - math.sin(z) - math.sin(z) * yl.real
-                                  + (math.cos(z) - 1.0) * yl.imag)
-    return out + pair_shear(total_time, bath, deltas)
+    def per_line(z, phase, s):
+        yl, sin = _y_of(z, phase, s), np.sin(z)
+        return (z - sin - sin * yl.real + (np.cos(z) - 1.0) * yl.imag
+                + 4.0 * _pairs_of(z, phase, s))
+
+    return _line_sum(per_line, total_time, bath, deltas)
 
 
-def added_noise(total_time: float, bath: BathSpec, deltas) -> float:
+def added_noise(total_time, bath: BathSpec, deltas):
     """The channel's y parameter; nonnegative, decreasing in beta."""
-    deltas = _check_even(deltas)
-    weights = bath.thermal_weights()
-    out = 0.0
-    for lam, om, w in zip(bath.couplings, bath.frequencies, weights):
-        out += (lam / om) ** 2 * w * abs(y_filter(om * total_time, deltas)) ** 2
-    return out
+    coth = bath.thermal_weights()
+    return _line_sum(lambda z, phase, s: coth * np.abs(_y_of(z, phase, s)) ** 2,
+                     total_time, bath, deltas)
 
 
 def thermal_covariance(bath: BathSpec) -> np.ndarray:
     """Bath thermal covariance diag(coth) (+) diag(coth), QP-blocked."""
-    D = np.diag(bath.thermal_weights())
-    n = bath.n_modes
-    M = np.zeros((2 * n, 2 * n))
-    M[:n, :n] = D
-    M[n:, n:] = D
-    return M
+    return np.kron(np.eye(2), np.diag(bath.thermal_weights()))
 
 
 def coupling_matrix(bath: BathSpec) -> np.ndarray:
@@ -170,12 +185,9 @@ def coupling_matrix(bath: BathSpec) -> np.ndarray:
     closed-form free propagator below (QP-blocked ordering, system first).
     """
     n = bath.n_modes
-    lam = np.asarray(bath.couplings)
     A = np.zeros((2 * n + 2, 2 * n + 2))
-    A[0, 2:2 + n] = lam
-    A[2:2 + n, 0] = lam
-    A[2:2 + n, 2:2 + n] = np.diag(bath.frequencies)
-    A[2 + n:, 2 + n:] = np.diag(bath.frequencies)
+    A[0, 2:2 + n] = A[2:2 + n, 0] = bath.couplings
+    A[2:, 2:] = np.kron(np.eye(2), np.diag(bath.frequencies))
     return -A
 
 
@@ -201,22 +213,15 @@ def uncontrolled_propagator(bath: BathSpec, t: float) -> np.ndarray:
     if t < 0:
         raise ValueError("time must be nonnegative")
     n = bath.n_modes
-    lam = np.asarray(bath.couplings)
-    om = np.asarray(bath.frequencies)
+    lam, om = np.asarray(bath.couplings), np.asarray(bath.frequencies)
     c, s = np.cos(om * t), np.sin(om * t)
-    v = (c - 1.0) / om * lam
-    w = -s / om * lam
+    v, w = (c - 1.0) / om * lam, -s / om * lam
     x = t * float(np.sum(lam ** 2 / om)) - float(np.sum(lam ** 2 / om ** 2 * s))
     S = np.eye(2 * n + 2)
     S[0, 1] = x
-    S[0, 2:2 + n] = v
-    S[0, 2 + n:] = w
-    S[2:2 + n, 1] = w
-    S[2 + n:, 1] = v
-    S[2:2 + n, 2:2 + n] = np.diag(c)
-    S[2:2 + n, 2 + n:] = -np.diag(s)
-    S[2 + n:, 2:2 + n] = np.diag(s)
-    S[2 + n:, 2 + n:] = np.diag(c)
+    S[0, 2:] = np.concatenate([v, w])
+    S[2:, 1] = np.concatenate([w, v])
+    S[2:, 2:] = np.block([[np.diag(c), -np.diag(s)], [np.diag(s), np.diag(c)]])
     return S
 
 
@@ -277,19 +282,13 @@ def cross_validate(bath: BathSpec, deltas, total_time: float,
         raise ValueError("cross validation is limited to 5 bath modes")
     if covariances is None:
         covariances = (np.eye(2), np.diag([4.0, 0.25]))
-    gen = bath_generator(bath)
-    schedule = flip_train_schedule(deltas, n_system=1)
-    S = resulting_evolution(gen, schedule, total_time, cfg)
+    S = resulting_evolution(bath_generator(bath), flip_train_schedule(deltas, n_system=1),
+                            total_time, cfg)
     Mb = thermal_covariance(bath)
     params = channel_params(bath, total_time, deltas)
     deviations = []
     for M0 in covariances:
-        M0 = np.asarray(M0, dtype=float)
-        full = np.zeros((gen.layout.dim, gen.layout.dim))
-        full[:2, :2] = M0
-        full[2:, 2:] = Mb
-        out = S @ full @ S.T
-        closed = channel_apply(M0, params)
-        deviations.append(float(np.abs(out[:2, :2] - closed).max()))
+        out = S @ block_diag(M0, Mb) @ S.T
+        deviations.append(float(np.abs(out[:2, :2] - channel_apply(M0, params)).max()))
     return CrossValidationReport(total_time=total_time, deltas=deltas,
                                  deviations=tuple(deviations))

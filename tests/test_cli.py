@@ -130,6 +130,46 @@ class TestSpectrum:
             assert float(row[4]) < 1e-8  # dev_udd
             assert float(row[8]) < 1e-8  # dev_periodic
 
+    @pytest.mark.parametrize("flags", [
+        ["--beta", "0"],
+        ["--beta", "-1"],
+        ["--tmax", "1e400"],
+        ["--coupling-scale", "nan"],
+    ], ids=["beta-zero", "beta-negative", "tmax-overflow", "coupling-nan"])
+    def test_bad_numeric_input(self, tmp_path, capsys, flags):
+        out = tmp_path / "s.csv"
+        assert run(["spectrum", *flags, "--points", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_vacuum_beta_allowed(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert run(["spectrum", "--beta", "inf", "--points", "3",
+                    "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 4
+
+    def test_columns_match_per_point_library_calls(self, tmp_path):
+        # each column is computed over the whole grid at once; the values
+        # equal the scalar calls at every grid point
+        from bosonic_dd import cli, spin_boson
+
+        out = tmp_path / "s.csv"
+        assert run(["spectrum", "--seed", "4", "--nE", "5", "--L", "4",
+                    "--points", "7", "--out", str(out)]) == 0
+        rows = [[float(v) for v in r.split(",")]
+                for r in out.read_text().splitlines()[1:]]
+        bath = cli._seeded_bath(4, 5, 1.0, 0.3)
+        deltas = spin_boson.even_flip_train(4)
+        scale = sum((lam / om) ** 2 for lam, om in
+                    zip(bath.couplings, bath.frequencies)) * max(bath.thermal_weights())
+        for row in rows:
+            T = row[0]
+            assert row[1] == pytest.approx(
+                spin_boson.shear_parameter(T, bath, deltas), abs=1e-12 * scale)
+            assert row[2] == pytest.approx(
+                spin_boson.added_noise(T, bath, deltas), abs=1e-12 * scale)
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_win(self, tmp_path):
@@ -149,6 +189,15 @@ class TestConfigFile:
         assert run(["decouple-sweep", "--config", str(cfg), "--points", "5",
                     "--out", str(c)]) == 0
         assert len(c.read_text().splitlines()) == 6
+
+
+    @pytest.mark.parametrize("n_system,code", [(2, 0), (3, 2)])
+    def test_config_value_takes_the_flag_type(self, tmp_path, n_system, code):
+        # nS has no default; its config value is cast to int like the flag
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"nS={n_system}\n")
+        assert run(["homogenize-sweep", "--N", "1", "--m", "1", "--config",
+                    str(cfg), "--out", str(tmp_path / "h.csv")]) == code
 
 
 class TestLargeVerify:

@@ -1,4 +1,4 @@
-import io
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bosonic_dd import cli
 from bosonic_dd.dyson import (
     DEGREE_CAP,
     _budget_pairs,
@@ -15,7 +16,6 @@ from bosonic_dd.dyson import (
     check_qubit_nudd_condition,
     check_udd_condition,
     iterated_integral,
-    report_to_csv,
     simplex_bound,
     verify_qubit_bosonic_correspondence,
 )
@@ -408,12 +408,25 @@ class TestCorrespondence:
 
 
 class TestCsv:
-    def test_report_csv(self):
-        report = check_udd_condition(2)
-        buf = io.StringIO()
-        report_to_csv(report, buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "s,r,labels,value,required_zero,pass"
-        assert len(lines) == len(report.rows) + 1
+    def test_report_csv(self, tmp_path):
+        out = tmp_path / "udd.csv"
+        assert cli.main(["verify", "--check", "udd", "--N", "2",
+                         "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "check,s,r,labels,value,required_zero,pass"
+        assert len(lines) == len(check_udd_condition(2).rows) + 1
         for line in lines[1:]:
-            assert len(line.split(",")) == 6
+            assert len(line.split(",")) == 7
+
+    def test_row_passed(self):
+        # the one pass formula behind ConditionReport.passed and the CSV
+        report = check_udd_condition(2, tol=1e-10)
+        row = next(r for r in report.rows if r.required_zero)
+        witness = next(r for r in report.rows if not r.required_zero)
+        assert report.row_passed(row) and report.passed
+        assert report.row_passed(dataclasses.replace(witness, value=1.0))
+        for value in (1e-9, math.nan):
+            broken = dataclasses.replace(
+                report, rows=(dataclasses.replace(row, value=value), witness))
+            assert not broken.row_passed(broken.rows[0])
+            assert not broken.passed

@@ -3,6 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bosonic_dd.pauli_basis import (
     PAIR_I,
@@ -250,7 +251,47 @@ class TestMerging:
         assert np.array_equal(dense, sign * s_matrix(idx))
 
 
+SCHEMES = {
+    "decoupling": lambda N, k: decoupling_schedule(N, k + 1),
+    "qubit-nudd": qubit_nudd_schedule,
+    "homogenization": homogenization_schedule,
+}
+
+
+def roundtrip(sched):
+    buf = io.StringIO()
+    write_schedule(sched, buf)
+    buf.seek(0)
+    return read_schedule(buf)
+
+
 class TestScheduleFile:
+    @settings(max_examples=30, deadline=None)
+    @given(scheme=st.sampled_from(sorted(SCHEMES)), order=st.integers(1, 3),
+           k=st.integers(0, 2))
+    def test_roundtrip_property(self, scheme, order, k):
+        # k is nS - 1 for decoupling and m for the indexed schemes
+        sched = SCHEMES[scheme](order, k)
+        back = roundtrip(sched)
+        assert (back.scheme, back.order, back.m, back.n_system) == \
+            (sched.scheme, sched.order, sched.m, sched.n_system)
+        assert back.entries == sched.entries
+        assert roundtrip(back) == back
+
+    @pytest.mark.parametrize("body,message", [
+        ("#m -\n0.5\t1\n0.75 1\n", "line 3: expected <delta><TAB><bits>"),
+        ("#m -\nhalf\t1\n", "line 2: could not convert"),
+        ("#m -\n1.5\t1\n", "line 2: pulse time 1.5 outside"),
+        ("#m -\n0.5\t2\n", "line 2: malformed flip pulse"),
+        ("#m 1\n0.5\t1100\n0.6\t110\n", "line 3: malformed pulse bits"),
+        ("#m 1\n0.5\t11a0\n", "line 2: malformed pulse bits"),
+        ("#m 0\n0.5\t1\n", "line 2: malformed pulse bits"),
+        ("#N two\n", "line 1: invalid literal"),
+    ])
+    def test_malformed_line_named(self, body, message):
+        with pytest.raises(ValueError, match=message):
+            read_schedule(io.StringIO(body))
+
     def test_roundtrip(self):
         for sched in (decoupling_schedule(3, 2), qubit_nudd_schedule(1, 1),
                       homogenization_schedule(2, 1)):

@@ -1,8 +1,12 @@
+import cmath
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bosonic_dd import spin_boson
 from bosonic_dd.spin_boson import (
     BathSpec,
     ChannelParams,
@@ -33,6 +37,141 @@ def seeded_bath(seed, n, beta=1.0, scale=0.3):
     om /= om.max()
     lam = scale * rng.uniform(0.5, 1.0, n)
     return BathSpec(couplings=tuple(lam), frequencies=tuple(om), beta=beta)
+
+
+# ---------------------------------------------------------------------------
+# Written-out oracle: one T point, one bath line and one pulse pair at a time
+# ---------------------------------------------------------------------------
+
+
+def oracle_y(z, deltas):
+    acc = 0.0 + 0.0j
+    for m, d in enumerate(deltas, start=1):
+        acc += (-1) ** m * cmath.exp(1j * z * d)
+    return 2.0 * acc + 1.0 - cmath.exp(1j * z)
+
+
+def oracle_f(z, deltas):
+    acc = 0.0 + 0.0j
+    for m, d in enumerate(deltas, start=1):
+        acc += (-1) ** m * cmath.exp(-1j * z * d)
+    return 2j * acc
+
+
+def oracle_pair(T, bath, deltas):
+    out = 0.0
+    for j in range(1, len(deltas) + 1):
+        for l in range(1, j):
+            sgn = -1.0 if (j + l) % 2 else 1.0
+            for lam, om in zip(bath.couplings, bath.frequencies):
+                z = om * T
+                term = (math.sin(z * (deltas[j - 1] - deltas[l - 1]))
+                        + math.sin(z * deltas[l - 1]) - math.sin(z * deltas[j - 1]))
+                out += 4.0 * sgn * (lam / om) ** 2 * term
+    return out
+
+
+def oracle_shear(T, bath, deltas):
+    out = 0.0
+    for lam, om in zip(bath.couplings, bath.frequencies):
+        z = om * T
+        yl = oracle_y(z, deltas)
+        out += (lam / om) ** 2 * (z - math.sin(z) - math.sin(z) * yl.real
+                                  + (math.cos(z) - 1.0) * yl.imag)
+    return out + oracle_pair(T, bath, deltas)
+
+
+def oracle_noise(T, bath, deltas):
+    out = 0.0
+    for lam, om, w in zip(bath.couplings, bath.frequencies, bath.thermal_weights()):
+        out += (lam / om) ** 2 * w * abs(oracle_y(om * T, deltas)) ** 2
+    return out
+
+
+def channel_scale(bath):
+    """sum_j (lambda_j / omega_j)^2 max(1, coth(beta omega_j / 2))."""
+    lam, om = np.array(bath.couplings), np.array(bath.frequencies)
+    return float(np.sum((lam / om) ** 2 * np.maximum(1.0, bath.thermal_weights())))
+
+
+@st.composite
+def baths(draw):
+    n = draw(st.integers(1, 8))
+    lam = draw(st.lists(st.floats(0.0, 1.5), min_size=n, max_size=n))
+    om = draw(st.lists(st.floats(0.05, 2.0), min_size=n, max_size=n))
+    beta = draw(st.one_of(st.just(math.inf), st.floats(0.1, 20.0)))
+    return BathSpec(couplings=tuple(lam), frequencies=tuple(om), beta=beta)
+
+
+@st.composite
+def even_trains(draw):
+    # strictly increasing, mostly asymmetric, so the pair term is nonzero
+    size = 2 * draw(st.integers(1, 6))
+    points = draw(st.lists(st.floats(1e-3, 1.0), min_size=size, max_size=size,
+                           unique=True))
+    return tuple(sorted(points))
+
+
+class TestArrayClosedForm:
+    @settings(max_examples=60, deadline=None)
+    @given(bath=baths(), deltas=even_trains(),
+           times=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=12),
+           block=st.integers(1, 5))
+    def test_grid_equals_points_and_oracle(self, bath, deltas, times, block):
+        # a block of `block` grid points, so grids span several blocks that
+        # need not divide them evenly
+        tol = 1e-12 * channel_scale(bath)
+        per_point = bath.n_modes * len(deltas)
+        with patch.object(spin_boson, "BLOCK_ELEMENTS", block * per_point):
+            grid = {fn: fn(np.array(times), bath, deltas)
+                    for fn in (shear_parameter, added_noise, pair_shear)}
+        oracle = {shear_parameter: oracle_shear, added_noise: oracle_noise,
+                  pair_shear: oracle_pair}
+        for fn, values in grid.items():
+            assert values.shape == (len(times),)
+            for T, value in zip(times, values):
+                point = fn(T, bath, deltas)
+                assert type(point) is float
+                assert value == pytest.approx(point, abs=tol)
+                assert point == pytest.approx(oracle[fn](T, bath, deltas), abs=tol)
+
+    @settings(max_examples=40, deadline=None)
+    @given(deltas=even_trains(),
+           zs=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=12),
+           block=st.integers(1, 5))
+    def test_filters_equal_points_and_oracle(self, deltas, zs, block):
+        with patch.object(spin_boson, "BLOCK_ELEMENTS", block * len(deltas)):
+            ys, fs = y_filter(np.array(zs), deltas), f_filter(np.array(zs), deltas)
+        for z, y, f in zip(zs, ys, fs):
+            assert type(y_filter(z, deltas)) is complex
+            assert type(f_filter(z, deltas)) is complex
+            assert y == pytest.approx(y_filter(z, deltas), abs=1e-12)
+            assert f == pytest.approx(f_filter(z, deltas), abs=1e-12)
+            assert y == pytest.approx(oracle_y(z, deltas), abs=1e-12)
+            assert f == pytest.approx(oracle_f(z, deltas), abs=1e-12)
+
+    def test_grid_spanning_module_blocks(self):
+        # 64 lines x 16 pulses: 11 points are 2 full blocks and a partial one
+        bath = seeded_bath(3, 64)
+        deltas = even_flip_train(16)
+        step = spin_boson.BLOCK_ELEMENTS // (64 * 16)
+        Ts = np.linspace(0.05, 2.0, 2 * step + 3)
+        tol = 1e-12 * channel_scale(bath)
+        xs, ys = shear_parameter(Ts, bath, deltas), added_noise(Ts, bath, deltas)
+        for T, x, y in zip(Ts, xs, ys):
+            assert x == pytest.approx(oracle_shear(T, bath, deltas), abs=tol)
+            assert y == pytest.approx(oracle_noise(T, bath, deltas), abs=tol)
+        zs = np.linspace(0.0, 3.0, spin_boson.BLOCK_ELEMENTS // 16 + 7)
+        for z, y in zip(zs, y_filter(zs, deltas)):
+            assert y == pytest.approx(oracle_y(z, deltas), abs=1e-12)
+
+    def test_empty_and_bad_grids(self):
+        bath = seeded_bath(1, 2)
+        assert shear_parameter(np.array([]), bath, (0.25, 0.75)).shape == (0,)
+        with pytest.raises(ValueError):
+            added_noise(np.ones((2, 2)), bath, (0.25, 0.75))
+        with pytest.raises(ValueError):
+            y_filter(np.ones(3), (0.5,))
 
 
 class TestBathSpec:
