@@ -64,7 +64,6 @@ from .evolution import (
     propagate,
     resulting_evolution,
     toggling_generator,
-    decoupling_residual,
     homogenization_fit,
     order_sweep,
     decoupling_error_bound,

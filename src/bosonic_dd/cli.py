@@ -15,9 +15,10 @@ comments) supplies defaults for any long flag name; explicit flags win.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
-from typing import IO, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
@@ -57,6 +58,10 @@ def _load_config(path: str) -> dict[str, str]:
     return out
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True,
+             "0": False, "false": False, "no": False}
+
+
 def _merge_config(args: argparse.Namespace, defaults: dict) -> argparse.Namespace:
     """Fill unset (None) arguments from the config file, then from defaults.
 
@@ -73,29 +78,43 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> argparse.Namespac
                 raw = config[key]
                 caster = flag_types.get(key) or (
                     str if fallback is None else type(fallback))
-                if caster is bool:
-                    setattr(args, key, raw.lower() in ("1", "true", "yes"))
-                else:
-                    try:
-                        setattr(args, key, caster(raw))
-                    except ValueError as exc:
-                        raise ConfigError(f"{args.config}: {key}={raw!r} is not a "
-                                          f"valid {caster.__name__}") from exc
+                try:
+                    value = _BOOLEANS[raw.lower()] if caster is bool else caster(raw)
+                except (KeyError, ValueError) as exc:
+                    raise ConfigError(f"{args.config}: {key}={raw!r} is not a "
+                                      f"valid {caster.__name__}") from exc
+                setattr(args, key, value)
             else:
                 setattr(args, key, fallback)
     return args
 
 
-def _open_out(path: str | None) -> IO[str]:
+@contextlib.contextmanager
+def _output(path: str | None) -> Iterator[IO[str]]:
+    """The output stream: stdout for no path or '-', else the file, closed on exit."""
     if path is None or path == "-":
-        return sys.stdout
-    return open(path, "w", encoding="utf-8", newline="\n")
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8", newline="\n") as stream:
+        yield stream
 
 
 def _t_grid(tmin: float, tmax: float, points: int) -> tuple[float, ...]:
     if not (0 < tmin < tmax < math.inf) or points < 2:
         raise ValueError("need finite 0 < tmin < tmax and at least two grid points")
     return tuple(np.logspace(math.log10(tmin), math.log10(tmax), points))
+
+
+def _sweep_grid(args: argparse.Namespace) -> tuple[float, ...]:
+    """The sweep's T grid, after checking its tolerance, degree and scales."""
+    if not args.tol > 0:
+        raise ValueError("--tol must be positive")
+    if not 0 <= args.degree <= 4:
+        raise ValueError("--degree must lie in 0..4")
+    for key in ("scale_ss", "scale_se", "scale_ee"):
+        if not 0 <= getattr(args, key, 0.0) < math.inf:
+            raise ValueError(f"--{key.replace('_', '-')} must be finite and >= 0")
+    return _t_grid(args.tmin, args.tmax, args.points)
 
 
 def _slope_window(order: int) -> tuple[float, float]:
@@ -135,12 +154,8 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    stream = _open_out(args.out)
-    try:
+    with _output(args.out) as stream:
         schedules.write_schedule(sched, stream)
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
     return 0
 
 
@@ -153,7 +168,7 @@ def cmd_decouple_sweep(args: argparse.Namespace) -> int:
         print("error: invalid N/nS/nE", file=sys.stderr)
         return 2
     try:
-        grid = _t_grid(args.tmin, args.tmax, args.points)
+        grid = _sweep_grid(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -165,12 +180,8 @@ def cmd_decouple_sweep(args: argparse.Namespace) -> int:
                                      degree=args.degree)
     cfg = evolution.PropagatorConfig(tolerance=args.tol)
     result = evolution.order_sweep(gen, "decoupling", args.N, grid, cfg)
-    stream = _open_out(args.out)
-    try:
+    with _output(args.out) as stream:
         _write_sweep_csv(result, stream)
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
     if args.scale_se == 0.0:
         # nothing to suppress; CSV carries the floor flags, no slope claim
         return 0
@@ -194,7 +205,7 @@ def cmd_homogenize_sweep(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     try:
-        grid = _t_grid(args.tmin, args.tmax, args.points)
+        grid = _sweep_grid(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -205,12 +216,8 @@ def cmd_homogenize_sweep(args: argparse.Namespace) -> int:
     cfg = evolution.PropagatorConfig(tolerance=args.tol)
     result = evolution.order_sweep(gen, "homogenization", args.N, grid, cfg,
                                    m=args.m)
-    stream = _open_out(args.out)
-    try:
+    with _output(args.out) as stream:
         _write_sweep_csv(result, stream)
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
     lo, hi = _slope_window(args.N)
     if result.slope is None or not lo <= result.slope <= hi:
         print(f"slope acceptance failed: slope={result.slope} window=[{lo},{hi}]",
@@ -280,15 +287,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    stream = _open_out(args.out)
-    try:
+    with _output(args.out) as stream:
         stream.write("check,s,r,labels,value,required_zero,pass\n")
         for check, s, r, labels, value, required, ok in rows:
             stream.write(f"{check},{s},{r},{labels},{_fmt(value)},"
                          f"{int(required)},{int(ok)}\n")
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
     return 0 if all_pass else 1
 
 
@@ -357,14 +360,10 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
             header.append(f"dev_{name}")
             columns.append([spin_boson.cross_validate(bath, deltas, T).max_deviation
                             for T in grid])
-    stream = _open_out(args.out)
-    try:
+    with _output(args.out) as stream:
         stream.write(",".join(header) + "\n")
         for row in zip(*columns):
             stream.write(",".join(_fmt(v) for v in row) + "\n")
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
     return 0
 
 

@@ -116,7 +116,7 @@ class PropagatorConfig:
     max_depth: int = 8
 
     def __post_init__(self) -> None:
-        if self.substeps < 1 or self.tolerance <= 0 or self.max_depth < 1:
+        if self.substeps < 1 or not self.tolerance > 0 or self.max_depth < 1:
             raise ValueError("invalid propagator configuration")
 
 
@@ -221,11 +221,6 @@ def toggling_generator(gen: AnalyticGenerator, schedule: PulseSchedule,
     """S_ctr(t)^{-1} X(t) S_ctr(t)."""
     C = control_product(schedule, t, T, gen.layout)
     return np.linalg.solve(C, gen.value(t) @ C)
-
-
-def decoupling_residual(S: np.ndarray, layout: ModeLayout) -> float:
-    """Distance of S to the nearest block-diagonal S_S (+) S_E."""
-    return offdiag_residual(S, layout)
 
 
 class DegenerateRotationFit(ValueError):
@@ -338,7 +333,7 @@ def order_sweep(gen: AnalyticGenerator, scheme: str, order: int,
             point_cfg = replace(cfg, tolerance=tol)
             S = resulting_evolution(gen, schedule, T, point_cfg)
             if scheme == "decoupling":
-                residual = decoupling_residual(S, gen.layout)
+                residual = offdiag_residual(S, gen.layout)
             else:
                 fit = homogenization_fit(sign * S[:sys_dim, :sys_dim], T)
                 residual, omega = fit.residual, fit.omega

@@ -399,6 +399,8 @@ def read_schedule(stream: IO[str]) -> PulseSchedule:
             delta = float(delta_str)
             if not 0.0 < delta <= 1.0:
                 raise ValueError(f"pulse time {delta_str} outside (0, 1]")
+            if entries and delta <= entries[-1].delta:
+                raise ValueError("pulse times must be strictly increasing")
             entries.append(PulseEntry(delta, *_bits_to_pulse(bits, m)))
         except ValueError as exc:
             raise ValueError(f"schedule line {lineno}: {exc}") from exc

@@ -13,6 +13,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,20 +97,51 @@ def is_symplectic(S: np.ndarray, J: np.ndarray, tol: float = 1e-10) -> bool:
     return symplectic_residual(S, J) <= tol
 
 
-def matrix_exponential(X: np.ndarray) -> np.ndarray:
-    """Dense matrix exponential (scaling-and-squaring Pade, via scipy).
+# For ||X||_1 <= theta the degree-8 Taylor polynomial of e^X has relative
+# error <= sum_{k>8} theta^k/k! * ||e^-X|| <= sum_{k>8} theta^k/k! * e^theta,
+# about 5.7e-18 at theta = 5e-2, below 2^-53 ~ 1.1e-16 (cf. theta_8 = 5.0e-2
+# in Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
+_TAYLOR_THETA = 5e-2
+_TAYLOR_DEGREE = 8
+_INV_FACTORIALS = [1.0 / math.factorial(k) for k in range(_TAYLOR_DEGREE + 1)]
 
-    Accepts one square matrix or a stack of them, shape ``(..., d, d)``, and
-    exponentiates each.  Relative accuracy is ~1e-13 or better for
-    ``||X|| <= 10``; larger inputs are handled by the built-in rescaling of
-    the backend.
+
+def _taylor_exponential(X: np.ndarray) -> np.ndarray:
+    """sum_{k<=8} X^k/k! by Paterson-Stockmeyer: X^2, X^3, X^4, then B0 + X^4 B1."""
+    c = _INV_FACTORIALS
+    X2 = X @ X
+    X3 = X2 @ X
+    X4 = X2 @ X2
+    E = X4 @ (c[5] * X + c[6] * X2 + c[7] * X3 + c[8] * X4)
+    E += c[4] * X4 + c[3] * X3 + c[2] * X2 + X + np.eye(X.shape[-1])
+    return E
+
+
+def matrix_exponential(X: np.ndarray) -> np.ndarray:
+    """Dense matrix exponential of each square matrix in ``(..., d, d)``.
+
+    A slice with 1-norm <= theta = 5e-2 takes the degree-8 Taylor polynomial
+    (truncation error below 2^-53), any other slice scipy's scaling-and-
+    squaring Pade; the branch is chosen per slice, so a stacked call equals
+    the per-slice calls bitwise.  Relative accuracy is ~1e-13 or better for
+    ``||X|| <= 10``; larger inputs are handled by the backend's rescaling.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim < 2 or X.shape[-1] != X.shape[-2]:
         raise ValueError(f"X must be square, got shape {X.shape}")
-    if not np.all(np.isfinite(X)):
+    col_norms = np.abs(X).sum(axis=-2)
+    norm = col_norms.max(initial=0.0)  # finite if X is, unless the sum overflows
+    if not math.isfinite(norm) and not np.isfinite(X).all():
         raise ValueError("matrix exponential of non-finite input")
-    return scipy.linalg.expm(X)
+    if norm <= _TAYLOR_THETA:
+        return _taylor_exponential(X)
+    small = col_norms.max(axis=-1) <= _TAYLOR_THETA
+    if not small.any():
+        return scipy.linalg.expm(X)
+    E = np.empty_like(X)
+    E[small] = _taylor_exponential(X[small])
+    E[~small] = scipy.linalg.expm(X[~small])
+    return E
 
 
 @dataclass(frozen=True)

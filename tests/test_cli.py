@@ -78,6 +78,26 @@ class TestSweeps:
         assert run(["decouple-sweep", "--tmin", "0.1", "--tmax", "0.01",
                     "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("command,flags", [
+        ("decouple-sweep", ["--scale-ss", "nan"]),
+        ("decouple-sweep", ["--scale-se", "inf"]),
+        ("decouple-sweep", ["--scale-ee", "-1"]),
+        ("decouple-sweep", ["--tol", "0"]),
+        ("decouple-sweep", ["--tol", "nan", "--degree", "1"]),
+        ("decouple-sweep", ["--degree", "5"]),
+        ("homogenize-sweep", ["--tol=-1e-12"]),
+        ("homogenize-sweep", ["--tol", "nan", "--degree", "1"]),
+        ("homogenize-sweep", ["--degree", "-1"]),
+    ], ids=["scale-ss-nan", "scale-se-inf", "scale-ee-negative", "tol-zero",
+            "tol-nan", "degree-5", "hom-tol-negative", "hom-tol-nan",
+            "hom-degree-negative"])
+    def test_bad_sweep_input(self, tmp_path, capsys, command, flags):
+        out = tmp_path / "s.csv"
+        assert run([command, *flags, "--points", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestVerify:
     def test_requires_checks(self, tmp_path):
@@ -191,6 +211,16 @@ class TestConfigFile:
         assert len(c.read_text().splitlines()) == 6
 
 
+    @pytest.mark.parametrize("word,columns", [("1", 9), ("YES", 9), ("True", 9),
+                                              ("0", 7), ("no", 7), ("False", 7)])
+    def test_boolean_config_words(self, tmp_path, word, columns):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"cross_validate={word}\n")
+        out = tmp_path / "s.csv"
+        assert run(["spectrum", "--points", "3", "--config", str(cfg),
+                    "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()[0].split(",")) == columns
+
     @pytest.mark.parametrize("n_system,code", [(2, 0), (3, 2)])
     def test_config_value_takes_the_flag_type(self, tmp_path, n_system, code):
         # nS has no default; its config value is cast to int like the flag
@@ -235,6 +265,12 @@ class TestConfigErrors:
         cfg.write_text(f"# run\n{key}=abc\n")
         err = self.run_with(tmp_path, capsys, command, cfg)
         assert f"{key}='abc'" in err
+
+    def test_boolean_value_not_a_known_word(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("cross_validate=ture\n")
+        err = self.run_with(tmp_path, capsys, "spectrum", cfg)
+        assert "cross_validate='ture'" in err
 
     @pytest.mark.parametrize("command", SUBCOMMANDS)
     def test_malformed_line(self, tmp_path, capsys, command):

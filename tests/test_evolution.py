@@ -10,7 +10,6 @@ from bosonic_dd.evolution import (
     PropagatorConfig,
     affine_propagate,
     decoupling_error_bound,
-    decoupling_residual,
     embed_pulse,
     generator_block_norms,
     homogenization_fit,
@@ -32,6 +31,7 @@ from bosonic_dd.symplectic import (
     block_decompose,
     is_symplectic,
     matrix_exponential,
+    offdiag_residual,
     spectral_norm,
     symplectic_form,
     symplectic_residual,
@@ -88,6 +88,11 @@ class TestPropagate:
         cfg = PropagatorConfig(substeps=1, tolerance=1e-30, max_depth=3)
         with pytest.raises(RuntimeError):
             propagate(gen, 0.0, 1.0, cfg)
+
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-12, float("nan")])
+    def test_config_rejects_bad_tolerance(self, tolerance):
+        with pytest.raises(ValueError):
+            PropagatorConfig(tolerance=tolerance)
 
     def test_generator_validation(self):
         layout = ModeLayout(1, 0)
@@ -267,7 +272,7 @@ class TestOrderSweep:
         for substeps in (16, 32):
             cfg = PropagatorConfig(substeps=substeps)
             S = resulting_evolution(gen, sched, 0.05, cfg)
-            r.append(decoupling_residual(S, layout))
+            r.append(offdiag_residual(S, layout))
         assert abs(r[0] - r[1]) < max(0.01 * abs(r[1]), 1e-13)
 
 

@@ -287,6 +287,7 @@ class TestScheduleFile:
         ("#m 1\n0.5\t11a0\n", "line 2: malformed pulse bits"),
         ("#m 0\n0.5\t1\n", "line 2: malformed pulse bits"),
         ("#N two\n", "line 1: invalid literal"),
+        ("#m -\n0.5\t1\n\n0.5\t1\n", "line 4: pulse times must be strictly increasing"),
     ])
     def test_malformed_line_named(self, body, message):
         with pytest.raises(ValueError, match=message):

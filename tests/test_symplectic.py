@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from bosonic_dd.symplectic import (
     ModeLayout,
@@ -13,6 +15,7 @@ from bosonic_dd.symplectic import (
     spectral_norm,
     symplectic_form,
 )
+from bosonic_dd.symplectic import _TAYLOR_THETA as TAYLOR_THETA
 
 
 def random_symmetric(rng, dim):
@@ -121,16 +124,50 @@ class TestMatrixExponential:
     def test_stacked_input(self):
         rng = np.random.default_rng(4)
         X = rng.uniform(-1.0, 1.0, (2, 3, 4, 4))
-        E = matrix_exponential(X)
-        assert E.shape == X.shape
-        for i in range(2):
-            for j in range(3):
-                assert np.array_equal(E[i, j], matrix_exponential(X[i, j]))
+        # two slices below the Taylor threshold, four above it
+        mixed = X * np.array([[1.0, 1e-3, 1.0], [1e-2, 1.0, 1.0]])[..., None, None]
+        norms = np.abs(mixed).sum(axis=-2).max(axis=-1)
+        assert (norms <= TAYLOR_THETA).sum() == 2
+        for stack in (X, mixed):
+            E = matrix_exponential(stack)
+            assert E.shape == stack.shape
+            for i in range(2):
+                for j in range(3):
+                    assert np.array_equal(E[i, j], matrix_exponential(stack[i, j]))
         X[1, 2, 0, 0] = np.inf
         with pytest.raises(ValueError):
             matrix_exponential(X)
         with pytest.raises(ValueError):
             matrix_exponential(np.zeros((3, 2, 4)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 12),
+           norms=st.lists(st.one_of(
+               st.sampled_from([TAYLOR_THETA * (1 - 1e-12), TAYLOR_THETA,
+                                TAYLOR_THETA * (1 + 1e-12)]),
+               st.floats(0.0, 4 * TAYLOR_THETA)), min_size=1, max_size=6))
+    def test_agrees_with_scipy_on_both_sides_of_theta(self, seed, dim, norms):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-1.0, 1.0, (len(norms), dim, dim))
+        X *= (np.array(norms) / np.abs(X).sum(axis=-2).max(axis=-1))[:, None, None]
+        E = matrix_exponential(X)
+        for e, x in zip(E, X):
+            reference = scipy.linalg.expm(x)
+            assert np.abs(e - reference).max() <= \
+                1e-15 * max(1.0, np.linalg.norm(reference, 1))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_system=st.integers(1, 3),
+           n_env=st.integers(0, 3), scale=st.floats(1e-6, 1.0))
+    def test_small_norm_algebra_elements_are_symplectic(self, seed, n_system,
+                                                        n_env, scale):
+        rng = np.random.default_rng(seed)
+        layout = ModeLayout(n_system, n_env)
+        J = symplectic_form(layout)
+        X = np.stack([random_symmetric(rng, layout.dim) @ J for _ in range(4)])
+        X *= scale * TAYLOR_THETA / np.abs(X).sum(axis=-2).max(axis=-1)[:, None, None]
+        for S in matrix_exponential(X):
+            assert is_symplectic(S, J, tol=1e-14)
 
 
 class TestBlocks:
