@@ -39,7 +39,6 @@ from .schedules import (
     udd_times,
     decoupling_schedule,
     flip_train_schedule,
-    sigma_function,
     nudd_times,
     nudd_pulses,
     qubit_nudd_schedule,
@@ -63,7 +62,6 @@ from .evolution import (
     PropagatorConfig,
     propagate,
     resulting_evolution,
-    toggling_generator,
     homogenization_fit,
     order_sweep,
     decoupling_error_bound,

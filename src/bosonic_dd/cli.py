@@ -6,7 +6,8 @@ byte-identical output files.  Numbers are written with 17 significant
 digits and '.' decimal separator.
 
 Exit codes: 0 success, 1 acceptance failure (slope outside its window or a
-failed verification), 2 usage error.
+failed verification), 2 usage error.  A subcommand reports a usage error by
+raising ``ValueError``; ``main`` alone prints it as ``error: ...``.
 
 A plain-text config file (``--config``, ``key=value`` per line, '#'
 comments) supplies defaults for any long flag name; explicit flags win.
@@ -32,7 +33,7 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """A ``--config`` file that cannot be read or holds a malformed line or
     a value of the wrong type; reported as a usage error (exit code 2)."""
 
@@ -105,10 +106,14 @@ def _t_grid(tmin: float, tmax: float, points: int) -> tuple[float, ...]:
     return tuple(np.logspace(math.log10(tmin), math.log10(tmax), points))
 
 
+def _check_tol(tol: float) -> None:
+    if not tol > 0:
+        raise ValueError("--tol must be positive")
+
+
 def _sweep_grid(args: argparse.Namespace) -> tuple[float, ...]:
     """The sweep's T grid, after checking its tolerance, degree and scales."""
-    if not args.tol > 0:
-        raise ValueError("--tol must be positive")
+    _check_tol(args.tol)
     if not 0 <= args.degree <= 4:
         raise ValueError("--degree must lie in 0..4")
     for key in ("scale_ss", "scale_se", "scale_ee"):
@@ -139,21 +144,15 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     _merge_config(args, {"scheme": "decoupling", "N": 1, "m": 1, "nS": 1,
                          "out": None})
     if args.N < 1:
-        print("error: N must be >= 1", file=sys.stderr)
-        return 2
-    try:
-        if args.scheme == "decoupling":
-            sched = schedules.decoupling_schedule(args.N, args.nS)
-        elif args.scheme == "qubit-nudd":
-            sched = schedules.qubit_nudd_schedule(args.N, args.m)
-        elif args.scheme == "homogenization":
-            sched = schedules.homogenization_schedule(args.N, args.m)
-        else:
-            print(f"error: unknown scheme {args.scheme!r}", file=sys.stderr)
-            return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError("N must be >= 1")
+    if args.scheme == "decoupling":
+        sched = schedules.decoupling_schedule(args.N, args.nS)
+    elif args.scheme == "qubit-nudd":
+        sched = schedules.qubit_nudd_schedule(args.N, args.m)
+    elif args.scheme == "homogenization":
+        sched = schedules.homogenization_schedule(args.N, args.m)
+    else:
+        raise ValueError(f"unknown scheme {args.scheme!r}")
     with _output(args.out) as stream:
         schedules.write_schedule(sched, stream)
     return 0
@@ -165,13 +164,8 @@ def cmd_decouple_sweep(args: argparse.Namespace) -> int:
                          "degree": 0, "scale_ss": 1.0, "scale_se": 1.0,
                          "scale_ee": 1.0, "out": None})
     if args.N < 1 or args.nS < 1 or args.nE < 0:
-        print("error: invalid N/nS/nE", file=sys.stderr)
-        return 2
-    try:
-        grid = _sweep_grid(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError("invalid N/nS/nE")
+    grid = _sweep_grid(args)
     layout = ModeLayout(n_system=args.nS, n_env=args.nE)
     gen = evolution.random_generator(layout, seed=args.seed,
                                      scale_ss=args.scale_ss,
@@ -198,17 +192,10 @@ def cmd_homogenize_sweep(args: argparse.Namespace) -> int:
                          "tmin": 1e-3, "tmax": 1e-1, "points": 10,
                          "tol": 1e-12, "degree": 0, "out": None})
     if args.N < 1 or args.m < 0:
-        print("error: invalid N/m", file=sys.stderr)
-        return 2
+        raise ValueError("invalid N/m")
     if args.nS is not None and args.nS != 2 ** args.m:
-        print(f"error: homogenization needs nS = 2^m = {2 ** args.m}, got {args.nS}",
-              file=sys.stderr)
-        return 2
-    try:
-        grid = _sweep_grid(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"homogenization needs nS = 2^m = {2 ** args.m}, got {args.nS}")
+    grid = _sweep_grid(args)
     layout = ModeLayout(n_system=2 ** args.m, n_env=args.nE)
     gen = evolution.random_generator(layout, seed=args.seed, scale_ss=1.0,
                                      scale_se=0.0, scale_ee=1.0,
@@ -233,16 +220,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _merge_config(args, {"N": 2, "m": 1, "tol": 1e-10, "out": None,
                          "mutate": False})
     if not args.check:
-        print("error: select at least one check "
-              f"(--check {{{','.join(_VERIFY_CHECKS)},all}})", file=sys.stderr)
-        return 2
+        raise ValueError("select at least one check "
+                         f"(--check {{{','.join(_VERIFY_CHECKS)},all}})")
     selected = set(args.check)
     if "all" in selected:
         selected = set(_VERIFY_CHECKS)
     unknown = selected - set(_VERIFY_CHECKS)
     if unknown:
-        print(f"error: unknown checks {sorted(unknown)}", file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown checks {sorted(unknown)}")
+    _check_tol(args.tol)
 
     rows: list[tuple[str, str, str, str, float, bool, bool]] = []
     all_pass = True
@@ -256,37 +242,32 @@ def cmd_verify(args: argparse.Namespace) -> int:
                          dyson.format_labels(row.labels),
                          row.value, row.required_zero, report.row_passed(row)))
 
-    try:
-        if "basis" in selected:
-            count_ok = len(pauli_basis.gamma_set(args.m)) == \
-                2 * 2 ** (2 * args.m) + 2 ** args.m
-            adj = pauli_basis.verify_adjoint_action(args.m, tol=args.tol)
-            ok = count_ok and adj.passed
-            all_pass &= ok
-            rows.append(("basis", "-", "-", f"m={args.m}", adj.max_deviation,
-                         True, ok))
-        if "udd" in selected:
-            add_report("udd", dyson.check_udd_condition(args.N, tol=args.tol))
-        if "nudd" in selected:
-            add_report("nudd", dyson.check_qubit_nudd_condition(
-                args.N, args.m, tol=args.tol))
-        if "homogenization" in selected:
-            if args.mutate:
-                report = _mutated_homogenization_report(args.N, args.m, args.tol)
-            else:
-                report = dyson.check_homogenization_condition(
-                    args.N, args.m, tol=args.tol)
-            add_report("homogenization", report)
-        if "correspondence" in selected:
-            corr = dyson.verify_qubit_bosonic_correspondence(args.N, args.m)
-            all_pass &= corr.passed
-            rows.append(("correspondence", "-", "-",
-                         f"N={args.N};m={args.m}", float(len(corr.mismatches)),
-                         True, corr.passed))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+    if "basis" in selected:
+        count_ok = len(pauli_basis.gamma_set(args.m)) == \
+            2 * 2 ** (2 * args.m) + 2 ** args.m
+        adj = pauli_basis.verify_adjoint_action(args.m, tol=args.tol)
+        ok = count_ok and adj.passed
+        all_pass &= ok
+        rows.append(("basis", "-", "-", f"m={args.m}", adj.max_deviation,
+                     True, ok))
+    if "udd" in selected:
+        add_report("udd", dyson.check_udd_condition(args.N, tol=args.tol))
+    if "nudd" in selected:
+        add_report("nudd", dyson.check_qubit_nudd_condition(
+            args.N, args.m, tol=args.tol))
+    if "homogenization" in selected:
+        if args.mutate:
+            report = _mutated_homogenization_report(args.N, args.m, args.tol)
+        else:
+            report = dyson.check_homogenization_condition(
+                args.N, args.m, tol=args.tol)
+        add_report("homogenization", report)
+    if "correspondence" in selected:
+        corr = dyson.verify_qubit_bosonic_correspondence(args.N, args.m)
+        all_pass &= corr.passed
+        rows.append(("correspondence", "-", "-",
+                     f"N={args.N};m={args.m}", float(len(corr.mismatches)),
+                     True, corr.passed))
     with _output(args.out) as stream:
         stream.write("check,s,r,labels,value,required_zero,pass\n")
         for check, s, r, labels, value, required, ok in rows:
@@ -327,22 +308,14 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
                          "coupling_scale": 0.3, "tmin": 0.05, "tmax": 2.0,
                          "points": 20, "cross_validate": False, "out": None})
     if args.L < 2 or args.L % 2:
-        print("error: the pulse count L must be even and >= 2", file=sys.stderr)
-        return 2
+        raise ValueError("the pulse count L must be even and >= 2")
     if args.nE < 1:
-        print("error: need at least one bath line", file=sys.stderr)
-        return 2
+        raise ValueError("need at least one bath line")
     if not args.beta > 0:
-        print("error: beta must be positive (inf for the vacuum)", file=sys.stderr)
-        return 2
+        raise ValueError("beta must be positive (inf for the vacuum)")
     if not math.isfinite(args.coupling_scale):
-        print("error: the coupling scale must be finite", file=sys.stderr)
-        return 2
-    try:
-        grid = _t_grid(args.tmin, args.tmax, args.points)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError("the coupling scale must be finite")
+    grid = _t_grid(args.tmin, args.tmax, args.points)
     bath = _seeded_bath(args.seed, args.nE, args.beta, args.coupling_scale)
     trains = {
         "udd": spin_boson.even_flip_train(args.L),
@@ -461,7 +434,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except ValueError as exc:  # usage errors, ConfigError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:  # pragma: no cover

@@ -43,7 +43,6 @@ from .schedules import (
     decoupling_schedule,
     homogenization_schedule,
     qubit_nudd_schedule,
-    sigma_function,
     substitute_bosonic,
     toggling_sign_function,
     udd_times,
@@ -218,7 +217,7 @@ def check_bosonic_decoupling_condition(order: int, tol: float = ZERO_TOL) -> Con
         raise ValueError("order must be >= 1")
     if order > 8:
         raise ValueError("budget guard: order <= 8")
-    sigma = sigma_function(decoupling_schedule(order, n_system=1))
+    sigma = toggling_sign_function(decoupling_schedule(order, n_system=1), 1)
     if sigma.flips != udd_times(order):
         raise AssertionError("schedule-derived sigma differs from the Uhrig times")
     return _scalar_condition_report("bosonic-decoupling", order, sigma, tol)
@@ -238,13 +237,6 @@ def _scalar_condition_report(scheme: str, order: int,
                            rows=tuple(rows), exhaustive=True)
 
 
-def _xor(indices: Sequence[MultiIndex]) -> MultiIndex:
-    acc = tuple(PAIR_I for _ in indices[0])
-    for idx in indices:
-        acc = tuple((a[0] ^ b[0], a[1] ^ b[1]) for a, b in zip(acc, idx))
-    return acc
-
-
 def _tuple_condition_report(scheme: str, schedule: PulseSchedule,
                             alphabet: Sequence[MultiIndex],
                             exempt_xors: frozenset,
@@ -252,17 +244,26 @@ def _tuple_condition_report(scheme: str, schedule: PulseSchedule,
                             max_tuples: int, seed: int) -> ConditionReport:
     # labels whose toggling functions coincide share one function index
     merged: dict[tuple[float, ...], int] = {}
-    index = {alpha: merged.setdefault(toggling_sign_function(schedule, alpha).flips,
-                                      len(merged))
-             for alpha in alphabet}
+    function = np.array([merged.setdefault(toggling_sign_function(schedule, alpha).flips,
+                                           len(merged)) for alpha in alphabet])
+    stack = np.array(alphabet)
+    exempt = np.array(sorted(exempt_xors))
+
+    def kept(picks: np.ndarray) -> np.ndarray:
+        """Rows of alphabet positions whose index xor is not exempt."""
+        xors = np.bitwise_xor.reduce(stack[picks], axis=1)
+        return ~(xors[:, None] == exempt).all(axis=(2, 3)).any(axis=1)
+
     pairs = _budget_pairs(order)
     total = sum(len(alphabet) ** s for s, _ in pairs)
-    chosen: list[tuple[tuple[int, ...], tuple]] = []
+    chosen: list[tuple[tuple[int, ...], np.ndarray]] = []
     if total <= max_tuples:
+        by_length: dict[int, np.ndarray] = {}
         for s, powers in pairs:
-            for alphas in itertools.product(alphabet, repeat=s):
-                if _xor(alphas) not in exempt_xors:
-                    chosen.append((powers, alphas))
+            if s not in by_length:  # all s-tuples in itertools.product order
+                picks = np.indices((len(alphabet),) * s).reshape(s, -1).T
+                by_length[s] = picks[kept(picks)]
+            chosen += [(powers, row) for row in by_length[s]]
         exhaustive = True
     else:
         rng = np.random.default_rng(seed)
@@ -270,14 +271,16 @@ def _tuple_condition_report(scheme: str, schedule: PulseSchedule,
         while len(chosen) < max_tuples and attempts < 20 * max_tuples:
             attempts += 1
             s, powers = pairs[int(rng.integers(len(pairs)))]
-            alphas = tuple(alphabet[int(rng.integers(len(alphabet)))] for _ in range(s))
-            if _xor(alphas) not in exempt_xors:
-                chosen.append((powers, alphas))
+            picks = rng.integers(len(alphabet), size=(1, s))  # = s scalar draws
+            if kept(picks)[0]:
+                chosen.append((powers, picks[0]))
         exhaustive = False
-    keys = [tuple(zip((index[a] for a in alphas), powers)) for powers, alphas in chosen]
+    keys = [tuple(zip(function[picks].tolist(), powers)) for powers, picks in chosen]
     values = _evaluate([PiecewiseSignFunction(flips) for flips in merged], keys)
-    rows = tuple(CheckRow(len(powers), powers, alphas, value, required_zero=True)
-                 for (powers, alphas), value in zip(chosen, values))
+    labels = np.fromiter(alphabet, dtype=object, count=len(alphabet))
+    rows = tuple(CheckRow(len(powers), powers, tuple(labels[picks]), value,
+                          required_zero=True)
+                 for (powers, picks), value in zip(chosen, values))
     return ConditionReport(scheme=scheme, order=order, tol=tol, rows=rows,
                            exhaustive=exhaustive, m=schedule.m)
 

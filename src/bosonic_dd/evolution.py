@@ -206,23 +206,6 @@ def resulting_evolution(gen: AnalyticGenerator, schedule: PulseSchedule,
                  gen.layout.dim)
 
 
-def control_product(schedule: PulseSchedule, t: float, T: float,
-                    layout: ModeLayout) -> np.ndarray:
-    """Accumulated pulse product S_ctr(t): pulses applied strictly before t."""
-    C = np.eye(layout.dim)
-    for e in schedule.entries:
-        if e.delta * T < t:
-            C = embed_pulse(e.pulse, layout, e.sign) @ C
-    return C
-
-
-def toggling_generator(gen: AnalyticGenerator, schedule: PulseSchedule,
-                       t: float, T: float) -> np.ndarray:
-    """S_ctr(t)^{-1} X(t) S_ctr(t)."""
-    C = control_product(schedule, t, T, gen.layout)
-    return np.linalg.solve(C, gen.value(t) @ C)
-
-
 class DegenerateRotationFit(ValueError):
     """Raised when the trace projections onto I and J both vanish."""
 

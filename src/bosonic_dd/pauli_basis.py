@@ -19,6 +19,17 @@ Two index sets matter:
   delta counts y-entries.
 * ``gamma_tilde_set(m)``: all indices with a_0 in {I, y}; these S_beta are
   orthogonal symplectic and are the pulses available to bosonic schemes.
+
+The index algebra acts on tuples and on integer index stacks alike: a stack
+of shape ``(..., m+1, 2)`` is ``np.array`` of the tuples, with the x-bit
+and the z-bit of position j in ``[..., j, 0]`` and ``[..., j, 1]``.  Since
+S_(x,z) = x^x z^z and zx = -xz, two factors multiply by the rule
+
+    S_p S_q = (-1)^(p_z q_x) S_(p xor q)
+
+at every position, so an ordered product is the xor of its indices with the
+sign (-1)^(sum over factors of z_acc . x), z_acc being the xor of the
+z-bits of all earlier factors.
 """
 
 from __future__ import annotations
@@ -102,30 +113,17 @@ def symplectic_form_index(m: int) -> MultiIndex:
     return (PAIR_Y,) + (PAIR_I,) * m
 
 
-def symplectic_inner_product(alpha: MultiIndex, beta: MultiIndex) -> int:
-    """Componentwise symplectic pairing sum_j a_j^T [[0,1],[-1,0]] b_j mod 2."""
-    if len(alpha) != len(beta):
+def symplectic_inner_product(alpha, beta):
+    """Componentwise symplectic pairing sum_j a_j^T [[0,1],[-1,0]] b_j mod 2.
+
+    Either argument may be an index stack of shape (..., m+1, 2); the stacks
+    broadcast against each other.  Two single indices give an ``int``.
+    """
+    a, b = np.asarray(alpha), np.asarray(beta)
+    if a.shape[-2:] != b.shape[-2:]:
         raise ValueError("multi-index length mismatch")
-    return sum(ax * bz + az * bx for (ax, az), (bx, bz) in zip(alpha, beta)) % 2
-
-
-def _pair_product_table() -> dict[tuple[Pair, Pair], int]:
-    table = {}
-    for p in ALL_PAIRS:
-        for q in ALL_PAIRS:
-            r = (p[0] ^ q[0], p[1] ^ q[1])
-            prod = _FACTORS[p] @ _FACTORS[q]
-            target = _FACTORS[r]
-            if np.array_equal(prod, target):
-                table[(p, q)] = 1
-            elif np.array_equal(prod, -target):
-                table[(p, q)] = -1
-            else:  # pragma: no cover - the four factors close under product
-                raise AssertionError("2x2 factor product is not +-S_{p xor q}")
-    return table
-
-
-_PAIR_SIGN = _pair_product_table()
+    pairing = (a[..., 0] * b[..., 1] + a[..., 1] * b[..., 0]).sum(axis=-1) % 2
+    return int(pairing) if pairing.ndim == 0 else pairing
 
 
 def product_index(alphas: Sequence[MultiIndex]) -> tuple[MultiIndex, int]:
@@ -134,21 +132,15 @@ def product_index(alphas: Sequence[MultiIndex]) -> tuple[MultiIndex, int]:
     The empty product is (all-zero index of length 1, +1); callers that know
     the index length should prefer passing at least one operand.
     """
-    alphas = list(alphas)
-    if not alphas:
+    if len(alphas) == 0:
         return ((PAIR_I,), 1)
-    length = len(alphas[0])
-    cur = tuple(PAIR_I for _ in range(length))
-    sign = 1
-    for alpha in alphas:
-        if len(alpha) != length:
-            raise ValueError("multi-index length mismatch")
-        nxt = []
-        for p, q in zip(cur, alpha):
-            sign *= _PAIR_SIGN[(tuple(p), tuple(q))]
-            nxt.append((p[0] ^ q[0], p[1] ^ q[1]))
-        cur = tuple(nxt)
-    return cur, sign
+    try:
+        stack = np.asarray(alphas, dtype=np.int64)
+    except ValueError as exc:
+        raise ValueError("multi-index length mismatch") from exc
+    acc = np.bitwise_xor.accumulate(stack, axis=0)
+    odd = (acc[:-1, :, 1] * stack[1:, :, 0]).sum() % 2
+    return tuple(map(tuple, acc[-1].tolist())), -1 if odd else 1
 
 
 _PULSE_AXES = ("x", "y", "z")

@@ -21,10 +21,12 @@ breakpoint-exact across schedules that do or do not retain a final pulse).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import IO, Iterable, Sequence, Union
+
+import numpy as np
 
 from .pauli_basis import (
     MultiIndex,
@@ -32,6 +34,7 @@ from .pauli_basis import (
     PAIR_X,
     PAIR_Y,
     PAIR_Z,
+    _check_m,
     product_index,
     symplectic_inner_product,
 )
@@ -79,6 +82,16 @@ class PulseSchedule:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """Pulse times, and for indexed schedules the pulses as one index
+        stack of shape (len, m+1, 2); built once, read by every F_alpha."""
+        deltas = np.array(self.times())
+        if self.is_flip_schedule:
+            return deltas, None
+        pulses = np.array([e.pulse for e in self.entries])
+        return deltas, pulses.reshape(len(self), self.m + 1, 2)
 
 
 @dataclass(frozen=True)
@@ -138,14 +151,6 @@ def decoupling_schedule(n_pulses: int, n_system: int) -> PulseSchedule:
                                order=n_pulses, scheme="decoupling")
 
 
-def sigma_function(schedule: PulseSchedule) -> PiecewiseSignFunction:
-    """The scalar sign function: sigma(0) = +1, flipping at every -I_S pulse."""
-    if not schedule.is_flip_schedule:
-        raise ValueError("sigma is defined for flip schedules only")
-    return PiecewiseSignFunction(tuple(e.delta for e in schedule.entries
-                                       if e.delta < 1.0))
-
-
 # ---------------------------------------------------------------------------
 # Nested (multi-level) Uhrig schedules
 # ---------------------------------------------------------------------------
@@ -164,87 +169,72 @@ def _nudd_guard(n_pulses: int, m: int) -> None:
             f"exceeds the resource guard {NUDD_LABEL_GUARD}")
 
 
-def _nested_time(label: Label, grid: Sequence[float]) -> float:
-    """Evaluate the nesting recursion d for one label, innermost entry first.
+def _nudd_labels(n_pulses: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                                 list[MultiIndex]]:
+    """Labels {0..N}^{2m+2} in lexicographic order, with their pulse
+    fractions, pulse levels and the (2m+3)-entry level-pulse table.
 
-    ``grid[j]`` holds delta_j for j = 0..N+1 plus a sentinel at N+2 that is
-    only ever multiplied by a zero prefix (it arises for the shifted labels
-    whose prefix is all zeros).
-    """
-    d = grid[label[0]]
-    for lk in label[1:]:
-        d = grid[lk] + (grid[lk + 1] - grid[lk]) * d
-    return d
+    A label's level is the position r of its first nonzero entry, and 2m+2
+    for the all-zero label.  That label maps to 1 (a final pulse at readout
+    time); a label with r >= 1 is evaluated through the shifted label with
+    entries (r-1, r) replaced by (N+1, l_r - 1).  The nesting recursion
+    d <- delta_l + (delta_{l+1} - delta_l) d runs innermost entry first over
+    ``grid``, which holds delta_j for j = 0..N+1 plus a sentinel at N+2 that
+    is only ever multiplied by a zero prefix.
 
-
-def nudd_times(n_pulses: int, m: int) -> dict[Label, float]:
-    """Pulse fraction for every label in {0..N}^{2m+2}.
-
-    The all-zero label maps to 1 (a final pulse at readout time); a label
-    whose first nonzero entry sits at position r >= 1 is evaluated through
-    the shifted label with entries (r-1, r) replaced by (N+1, l_r - 1).
-    """
-    _nudd_guard(n_pulses, m)
-    N = n_pulses
-    grid = [math.sin(j * math.pi / (2 * (N + 1))) ** 2 for j in range(N + 1)]
-    grid += [1.0, 1.0]  # delta_{N+1} = 1 and the never-weighted sentinel
-    out: dict[Label, float] = {}
-    for label in itertools.product(range(N + 1), repeat=2 * m + 2):
-        if all(l == 0 for l in label):
-            out[label] = 1.0
-            continue
-        r = next(i for i, l in enumerate(label) if l != 0)
-        if r == 0:
-            out[label] = _nested_time(label, grid)
-        else:
-            shifted = list(label)
-            shifted[r - 1] = N + 1
-            shifted[r] = label[r] - 1
-            out[label] = _nested_time(tuple(shifted), grid)
-    return out
-
-
-def nudd_pulses(n_pulses: int, m: int) -> dict[Label, MultiIndex]:
-    """Pulse index for every label.
-
-    Even N: the lowest nonzero level decides, z at even levels, x at odd.
-    Odd N: each level pulse additionally carries the product of all lower
-    y factors (z_k picks up y_0..y_{k-1}, x_k becomes y_0..y_k, and the
+    Pulses: for even N the level decides, z at even levels, x at odd.  For
+    odd N each level pulse additionally carries the product of all lower y
+    factors (z_k picks up y_0..y_{k-1}, x_k becomes y_0..y_k, and the
     all-zero label becomes the product of every y).
     """
     _nudd_guard(n_pulses, m)
-    N = n_pulses
+    N, width = n_pulses, 2 * m + 2
+    labels = np.indices((N + 1,) * width).reshape(width, -1).T
+    nonzero = labels != 0
+    level = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), width)
+    shifted = labels.copy()
+    rows = np.flatnonzero((level >= 1) & (level < width))
+    shifted[rows, level[rows] - 1] = N + 1
+    shifted[rows, level[rows]] -= 1
+    grid = np.array([math.sin(j * math.pi / (2 * (N + 1))) ** 2 for j in range(N + 1)]
+                    + [1.0, 1.0])
+    times = grid[shifted[:, 0]]
+    for column in shifted.T[1:]:
+        times = grid[column] + (grid[column + 1] - grid[column]) * times
+    times[level == width] = 1.0
+
     odd = N % 2 == 1
-    out: dict[Label, MultiIndex] = {}
-    for label in itertools.product(range(N + 1), repeat=2 * m + 2):
+    table = []
+    for r in range(width):
+        k, x_slot = divmod(r, 2)
         idx = [PAIR_I] * (m + 1)
-        if all(l == 0 for l in label):
-            if odd:
-                idx = [PAIR_Y] * (m + 1)
-        else:
-            r = next(i for i, l in enumerate(label) if l != 0)
-            k, x_slot = divmod(r, 2)
-            if x_slot:
-                if odd:
-                    for j in range(k + 1):
-                        idx[j] = PAIR_Y
-                else:
-                    idx[k] = PAIR_X
-            else:
-                idx[k] = PAIR_Z
-                if odd:
-                    for j in range(k):
-                        idx[j] = PAIR_Y
-        out[label] = tuple(idx)
-    return out
+        if odd:
+            idx[:k + x_slot] = [PAIR_Y] * (k + x_slot)
+        if not (odd and x_slot):
+            idx[k] = PAIR_X if x_slot else PAIR_Z
+        table.append(tuple(idx))
+    table.append((PAIR_Y if odd else PAIR_I,) * (m + 1))
+    return labels, times, level, table
+
+
+def nudd_times(n_pulses: int, m: int) -> dict[Label, float]:
+    """Pulse fraction for every label in {0..N}^{2m+2} (see _nudd_labels)."""
+    labels, times, _, _ = _nudd_labels(n_pulses, m)
+    return dict(zip(map(tuple, labels.tolist()), times.tolist()))
+
+
+def nudd_pulses(n_pulses: int, m: int) -> dict[Label, MultiIndex]:
+    """Pulse index for every label (see _nudd_labels for the rules)."""
+    labels, _, level, table = _nudd_labels(n_pulses, m)
+    return dict(zip(map(tuple, labels.tolist()), (table[r] for r in level.tolist())))
 
 
 def qubit_nudd_schedule(n_pulses: int, m: int) -> PulseSchedule:
     """The (m+1)-qubit nested Uhrig schedule as a time-ordered pulse list."""
-    times = nudd_times(n_pulses, m)
-    pulses = nudd_pulses(n_pulses, m)
-    entries = [PulseEntry(times[lab], pulses[lab])
-               for lab in sorted(times, key=lambda l: times[l])]
+    _, times, level, table = _nudd_labels(n_pulses, m)
+    order = np.argsort(times, kind="stable")
+    entries = [PulseEntry(t, table[r])
+               for t, r in zip(times[order].tolist(), level[order].tolist())]
     merged = _merge_entries(entries, flip_alphabet=False)
     return PulseSchedule(scheme="qubit-nudd", order=n_pulses,
                          entries=tuple(merged), m=m, n_system=2 ** m)
@@ -261,21 +251,20 @@ def substitute_bosonic(qubit: PulseSchedule) -> PulseSchedule:
     """
     if qubit.is_flip_schedule:
         raise ValueError("substitution expects an indexed qubit schedule")
+    identity = (PAIR_I,) * (qubit.m + 1)
     entries = []
     for e in qubit.entries:
-        beta = e.pulse
-        b0 = tuple(beta[0])
-        b0p = PAIR_Y if b0 in (PAIR_X, PAIR_Y) else PAIR_I
-        bp = (b0p,) + tuple(beta[1:])
-        if all(p == PAIR_I for p in bp) and e.delta < 1.0:
-            continue
-        entries.append(PulseEntry(e.delta, bp, e.sign))
+        x0 = e.pulse[0][0]  # the x-bit picks y (for x and y) or I (for I and z)
+        beta = ((x0, x0),) + tuple(e.pulse[1:])
+        if beta != identity or e.delta == 1.0:
+            entries.append(PulseEntry(e.delta, beta, e.sign))
     return PulseSchedule(scheme="bosonic-homogenization", order=qubit.order,
                          entries=tuple(entries), m=qubit.m, n_system=qubit.n_system)
 
 
 def homogenization_schedule(n_pulses: int, m: int) -> PulseSchedule:
     """Bosonic homogenization schedule for 2^m modes at suppression order N."""
+    _check_m(m)
     return substitute_bosonic(qubit_nudd_schedule(n_pulses, m))
 
 
@@ -284,23 +273,20 @@ def homogenization_schedule(n_pulses: int, m: int) -> PulseSchedule:
 # ---------------------------------------------------------------------------
 
 
-def _pulse_overlap(alpha, pulse: Pulse) -> int:
-    if isinstance(pulse, int):
-        if alpha not in (0, 1):
-            raise ValueError("flip schedules pair with a scalar Z2 index")
-        return alpha & pulse
-    return symplectic_inner_product(alpha, pulse)
-
-
 def toggling_sign_function(schedule: PulseSchedule, alpha) -> PiecewiseSignFunction:
     """F_alpha: flips exactly at pulses whose index pairs oddly with alpha.
 
     For indexed schedules ``alpha`` is a multi-index of matching length; for
     flip schedules it is a bit (0 or 1), pairing 1 with every flip pulse.
     """
-    flips = [e.delta for e in schedule.entries
-             if e.delta < 1.0 and _pulse_overlap(alpha, e.pulse) == 1]
-    return PiecewiseSignFunction(tuple(flips))
+    deltas, pulses = schedule._arrays
+    if pulses is None:
+        if alpha not in (0, 1):
+            raise ValueError("flip schedules pair with a scalar Z2 index")
+        odd = alpha == 1
+    else:
+        odd = symplectic_inner_product(alpha, pulses) == 1
+    return PiecewiseSignFunction(tuple(deltas[odd & (deltas < 1.0)].tolist()))
 
 
 def _merge_entries(entries: Iterable[PulseEntry], flip_alphabet: bool) -> list[PulseEntry]:
@@ -315,7 +301,7 @@ def _merge_entries(entries: Iterable[PulseEntry], flip_alphabet: bool) -> list[P
                     merged.append(PulseEntry(prev.delta, FLIP))
                 continue
             idx, sign = product_index([e.pulse, prev.pulse])
-            if all(p == PAIR_I for p in idx) and sign == 1:
+            if idx == (PAIR_I,) * len(idx) and sign == 1:
                 continue
             merged.append(PulseEntry(prev.delta, idx, sign * prev.sign * e.sign))
         else:

@@ -88,14 +88,33 @@ class TestSweeps:
         ("homogenize-sweep", ["--tol=-1e-12"]),
         ("homogenize-sweep", ["--tol", "nan", "--degree", "1"]),
         ("homogenize-sweep", ["--degree", "-1"]),
+        ("verify", ["--check", "udd", "--tol", "nan"]),
+        ("verify", ["--check", "udd", "--tol", "0"]),
+        ("verify", ["--check", "udd", "--tol=-1"]),
     ], ids=["scale-ss-nan", "scale-se-inf", "scale-ee-negative", "tol-zero",
             "tol-nan", "degree-5", "hom-tol-negative", "hom-tol-nan",
-            "hom-degree-negative"])
+            "hom-degree-negative", "verify-tol-nan", "verify-tol-zero",
+            "verify-tol-negative"])
     def test_bad_sweep_input(self, tmp_path, capsys, command, flags):
         out = tmp_path / "s.csv"
-        assert run([command, *flags, "--points", "3", "--out", str(out)]) == 2
+        points = [] if command == "verify" else ["--points", "3"]
+        assert run([command, *flags, *points, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        if "--tol" in " ".join(flags):
+            assert err == "error: --tol must be positive\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["schedule", "--scheme", "homogenization", "--N", "1", "--m", "5"],
+        ["homogenize-sweep", "--N", "1", "--m", "5", "--nS", "32"],
+    ], ids=["schedule", "homogenize-sweep"])
+    def test_m_beyond_the_basis_guard(self, tmp_path, capsys, command):
+        # m is bounded by pauli_basis.MAX_M = 4 on every homogenization path
+        out = tmp_path / "o.txt"
+        assert run([*command, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: m=5 exceeds the exhaustive-enumeration guard (max 4)\n"
         assert not out.exists()
 
 

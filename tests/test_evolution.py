@@ -17,7 +17,6 @@ from bosonic_dd.evolution import (
     propagate,
     random_generator,
     resulting_evolution,
-    toggling_generator,
 )
 from bosonic_dd.pauli_basis import gamma_set, s_matrix, symplectic_form_index
 from bosonic_dd.schedules import (
@@ -140,6 +139,22 @@ class TestResultingEvolution:
         norm = spectral_norm(S)
         assert norm > 1e4
         assert symplectic_residual(S, symplectic_form(layout)) < 1e-12 * norm ** 2
+
+
+def control_product(schedule, t, T, layout):
+    """Accumulated pulse product S_ctr(t): pulses applied strictly before t."""
+    C = np.eye(layout.dim)
+    for e in schedule.entries:
+        if e.delta * T < t:
+            C = embed_pulse(e.pulse, layout, e.sign) @ C
+    return C
+
+
+def toggling_generator(gen, schedule, t, T):
+    """S_ctr(t)^{-1} X(t) S_ctr(t): the dense-conjugation oracle for the
+    toggling sign functions."""
+    C = control_product(schedule, t, T, gen.layout)
+    return np.linalg.solve(C, gen.value(t) @ C)
 
 
 class TestToggling:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bosonic_dd.pauli_basis import (
     ALL_PAIRS,
@@ -29,6 +29,15 @@ from bosonic_dd.symplectic import (
 )
 
 index_strategy = st.lists(st.sampled_from(ALL_PAIRS), min_size=1, max_size=4).map(tuple)
+
+
+@st.composite
+def index_lists(draw, max_m=3, min_size=1, max_size=6):
+    """A list of multi-indices of one common length m + 1."""
+    m = draw(st.integers(0, max_m))
+    index = st.lists(st.sampled_from(ALL_PAIRS), min_size=m + 1, max_size=m + 1)
+    return [tuple(a) for a in draw(st.lists(index, min_size=min_size,
+                                            max_size=max_size))]
 
 
 class TestSMatrix:
@@ -120,6 +129,18 @@ class TestInnerProduct:
         assert np.array_equal(Sa @ Sb, sign * (Sb @ Sa))
 
 
+    @settings(max_examples=50, deadline=None)
+    @given(index_lists(max_size=8), st.integers(1, 5))
+    def test_stacked_pairing_equals_per_pair_formula(self, indices, split):
+        # a (k, 1, m+1, 2) stack against a (1, l, m+1, 2) stack gives the
+        # k x l matrix of the per-pair pairings
+        rows, cols = indices[:split], indices[split:] or indices
+        table = symplectic_inner_product(np.array(rows)[:, None], np.array(cols)[None])
+        expected = [[sum(ax * bz + az * bx for (ax, az), (bx, bz) in zip(a, b)) % 2
+                     for b in cols] for a in rows]
+        assert table.tolist() == expected
+
+
 class TestAdjointAction:
     def test_m0_x_under_y(self):
         report = verify_adjoint_action(0)
@@ -180,6 +201,10 @@ class TestProductIndex:
             dense = s_matrix(alpha) @ s_matrix(alpha)
             assert np.array_equal(dense, sign * np.eye(4))
 
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            product_index([(PAIR_X,), (PAIR_X, PAIR_I)])
+
     def test_xz_gives_y(self):
         idx, sign = product_index([(PAIR_X,), (PAIR_Z,)])
         assert idx == (PAIR_Y,)
@@ -199,6 +224,16 @@ class TestProductIndex:
             for a in alphas:
                 dense = dense @ s_matrix(a)
             assert np.array_equal(dense, sign * s_matrix(idx))
+
+    @settings(max_examples=60, deadline=None)
+    @given(index_lists(max_m=3, max_size=6))
+    def test_product_rule_equals_dense_product(self, alphas):
+        idx, sign = product_index(alphas)
+        dense = np.eye(2 ** len(alphas[0]))
+        for a in alphas:
+            dense = dense @ s_matrix(a)
+        assert sign in (1, -1)
+        assert np.array_equal(dense, sign * s_matrix(idx))
 
 
 class TestPulses:

@@ -1,5 +1,6 @@
 import io
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from bosonic_dd.schedules import (
     nudd_times,
     qubit_nudd_schedule,
     read_schedule,
-    sigma_function,
     substitute_bosonic,
     toggling_sign_function,
     udd_times,
@@ -72,18 +72,18 @@ class TestDecouplingSchedule:
 
 class TestSigma:
     def test_n1_values(self):
-        sig = sigma_function(decoupling_schedule(1, 1))
+        sig = toggling_sign_function(decoupling_schedule(1, 1), 1)
         assert sig.flips == pytest.approx((0.5,))
         assert sig.value(0.0) == 1
         assert sig.value(sig.flips[0]) == 1   # left-open right-closed: (0, 1/2] is +1
         assert sig.value(0.75) == -1
 
     def test_n2_interval_values(self):
-        sig = sigma_function(decoupling_schedule(2, 1))
+        sig = toggling_sign_function(decoupling_schedule(2, 1), 1)
         assert sig.interval_values() == (1, -1, 1)
 
     def test_n1_integral_is_zero(self):
-        sig = sigma_function(decoupling_schedule(1, 1))
+        sig = toggling_sign_function(decoupling_schedule(1, 1), 1)
         pts = [0.0] + list(sig.flips) + [1.0]
         vals = sig.interval_values()
         total = sum(v * (b - a) for v, a, b in zip(vals, pts, pts[1:]))
@@ -91,7 +91,7 @@ class TestSigma:
 
     def test_rejects_indexed_schedule(self):
         with pytest.raises(ValueError):
-            sigma_function(qubit_nudd_schedule(1, 0))
+            toggling_sign_function(qubit_nudd_schedule(1, 0), 1)
 
 
 class TestPiecewiseSignFunction:
@@ -106,6 +106,72 @@ class TestPiecewiseSignFunction:
     def test_constant(self):
         f = PiecewiseSignFunction(())
         assert f.value(0.0) == f.value(1.0) == 1
+
+
+def oracle_nested_time(label, grid):
+    """The nesting recursion for one label, innermost entry first."""
+    d = grid[label[0]]
+    for lk in label[1:]:
+        d = grid[lk] + (grid[lk + 1] - grid[lk]) * d
+    return d
+
+
+def oracle_nudd(n, m):
+    """Per-label reference for nudd_times and nudd_pulses.
+
+    The all-zero label maps to 1; a label whose first nonzero entry sits at
+    r >= 1 is evaluated through the shifted label with entries (r-1, r)
+    replaced by (N+1, l_r - 1).  The level r picks the pulse: z at even
+    levels, x at odd ones, and for odd N every lower y factor joins in.
+    """
+    grid = [math.sin(j * math.pi / (2 * (n + 1))) ** 2 for j in range(n + 1)]
+    grid += [1.0, 1.0]
+    odd = n % 2 == 1
+    times, pulses = {}, {}
+    for label in itertools.product(range(n + 1), repeat=2 * m + 2):
+        idx = [PAIR_I] * (m + 1)
+        if not any(label):
+            times[label] = 1.0
+            if odd:
+                idx = [PAIR_Y] * (m + 1)
+        else:
+            r = next(i for i, l in enumerate(label) if l != 0)
+            shifted = list(label)
+            if r > 0:
+                shifted[r - 1] = n + 1
+                shifted[r] = label[r] - 1
+            times[label] = oracle_nested_time(shifted, grid)
+            k, x_slot = divmod(r, 2)
+            if x_slot:
+                if odd:
+                    for j in range(k + 1):
+                        idx[j] = PAIR_Y
+                else:
+                    idx[k] = PAIR_X
+            else:
+                idx[k] = PAIR_Z
+                if odd:
+                    for j in range(k):
+                        idx[j] = PAIR_Y
+        pulses[label] = tuple(idx)
+    return times, pulses
+
+
+class TestNestedAgainstOracle:
+    @pytest.mark.parametrize("m", range(6))
+    def test_exact_for_every_size_up_to_1e4_labels(self, m):
+        n = 1
+        while (n + 1) ** (2 * m + 2) <= 10 ** 4:
+            times, pulses = oracle_nudd(n, m)
+            # exact equality, in label order
+            assert list(nudd_times(n, m).items()) == list(times.items())
+            assert list(nudd_pulses(n, m).items()) == list(pulses.items())
+            if n <= 9:  # the time order; all of m >= 1, the start of m = 0
+                order = sorted(times, key=times.get)
+                sched = qubit_nudd_schedule(n, m)
+                assert sched.times() == tuple(map(times.get, order))
+                assert [e.pulse for e in sched.entries] == list(map(pulses.get, order))
+            n += 1
 
 
 class TestNestedTimes:
@@ -216,7 +282,7 @@ class TestTogglingSignFunction:
 
     def test_flip_schedule_matches_sigma(self):
         sched = decoupling_schedule(3, 1)
-        assert toggling_sign_function(sched, 1) == sigma_function(sched)
+        assert toggling_sign_function(sched, 1) == PiecewiseSignFunction(sched.times())
         assert toggling_sign_function(sched, 0).flips == ()
 
     def test_form_index_constant_iff_pulses_commute(self):
