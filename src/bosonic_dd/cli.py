@@ -22,6 +22,7 @@ import sys
 from typing import IO, Iterator, Sequence
 
 import numpy as np
+import numpy.random  # numpy 2 loads it lazily; load it at import time
 
 from . import dyson, evolution, pauli_basis, schedules, spin_boson
 from .symplectic import ModeLayout
@@ -236,10 +237,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     def add_report(check: str, report: dyson.ConditionReport) -> None:
         nonlocal all_pass
         all_pass &= report.passed
-        for row in report.rows:
+        for row, labels in zip(report.rows, dyson.format_labels(report)):
             rows.append((check, str(row.s),
-                         ";".join(str(r) for r in row.powers),
-                         dyson.format_labels(row.labels),
+                         ";".join(str(r) for r in row.powers), labels,
                          row.value, row.required_zero, report.row_passed(row)))
 
     if "basis" in selected:
@@ -326,8 +326,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     columns = [grid]
     for name, deltas in trains.items():
         header += [f"x_{name}", f"y_{name}", f"yL2_{name}"]
-        columns += [spin_boson.shear_parameter(grid, bath, deltas),
-                    spin_boson.added_noise(grid, bath, deltas),
+        columns += [*spin_boson.channel_columns(grid, bath, deltas),
                     np.abs(spin_boson.y_filter(w_max * np.array(grid), deltas)) ** 2]
         if args.cross_validate:
             header.append(f"dev_{name}")

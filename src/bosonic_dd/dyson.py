@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
+import numpy.random  # numpy 2 loads it lazily; load it at import time
 
 from .pauli_basis import ALL_PAIRS, MultiIndex, PAIR_I, gamma_set, symplectic_form_index
 from .schedules import (
@@ -366,9 +367,11 @@ def verify_qubit_bosonic_correspondence(order: int, m: int) -> CorrespondenceRep
 # ---------------------------------------------------------------------------
 
 
-def format_labels(labels: tuple) -> str:
-    """gamma tuples as ';'-joined bits; index tuples as ';'-joined bit pairs."""
-    if all(isinstance(l, int) for l in labels):
-        return ";".join(str(l) for l in labels)
-    return ";".join("".join(f"{x}{z}" for x, z in alpha) for alpha in labels)
+def format_labels(report: ConditionReport) -> list[str]:
+    """Each row's labels, ';'-joined: gamma bits as digits, indices as bit
+    pairs.  Each distinct label of the report is formatted once."""
+    text = {label: str(label) if isinstance(label, int)
+            else "".join(f"{x}{z}" for x, z in label)
+            for label in {label for row in report.rows for label in row.labels}}
+    return [";".join([text[label] for label in row.labels]) for row in report.rows]
 

@@ -1,20 +1,23 @@
 """Time-ordered symplectic propagation interleaved with instantaneous pulses.
 
-Each generator class has one propagation path.  A constant generator
-propagates a free segment [t0, t1] exactly, by the single exponential
-exp((t1 - t0) X0).  A time-dependent generator uses a fourth-order
-commutator-free scheme: one step over [t, t+h] is
+A walk over a pulse schedule gets the propagators of all its free segments
+from one batched call, and each generator class has one path.  A constant
+generator propagates every segment [t0, t1] exactly, by exp((t1 - t0) X0),
+all segments in one stacked exponential.  A time-dependent generator uses a
+fourth-order commutator-free scheme: one step over [t, t+h] is
 
     exp(h (a1 X1 + a2 X2)) . exp(h (a2 X1 + a1 X2)),
 
 where X1, X2 are the generator at the two Gauss-Legendre nodes and
 a1 = 1/4 - sqrt(3)/6, a2 = 1/4 + sqrt(3)/6 (the factor applied first weights
-the early node more).  A pass evaluates the generator at all of its nodes in
-one array expression and exponentiates all of its factors in one call.  The
-step is halved until successive passes S, S2 agree to
+the early node more).  A pass builds the factors of every segment at once,
+contracting the node weights with the coefficient stack, and exponentiates
+them in calls of at most CF4_BLOCK_ELEMENTS elements.  The step is halved
+until successive passes S, S2 of a segment agree to
 ||S2 - S||_F <= tol max(1, ||S2||_2), a test relative to the size of the
 propagator, so residuals down to ~1e-12 are not polluted by integration
-error.  The tolerance acts only on this time-dependent path.
+error; only segments that fail it are passed again.  The tolerance acts
+only on this time-dependent path.
 
 Pulses are applied after the free segment that ends at their application
 time; in particular a pulse at delta = 1 acts after the final segment,
@@ -26,9 +29,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
+import numpy.random  # numpy 2 loads it lazily; load it at import time
 
 from .pauli_basis import s_matrix
 from .schedules import (
@@ -46,10 +50,9 @@ from .symplectic import (
     symplectic_form,
 )
 
-_C1 = 0.5 - math.sqrt(3.0) / 6.0
-_C2 = 0.5 + math.sqrt(3.0) / 6.0
-_A1 = 0.25 - math.sqrt(3.0) / 6.0
-_A2 = 0.25 + math.sqrt(3.0) / 6.0
+# Gauss-Legendre nodes (c1, c2) of a step; factor f weights node j by _MIX[f, j]
+_NODES = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
+_MIX = 0.25 + np.array([[-1.0, 1.0], [1.0, -1.0]]) * math.sqrt(3.0) / 6.0
 
 
 @dataclass(frozen=True)
@@ -123,42 +126,52 @@ class PropagatorConfig:
 DEFAULT_CONFIG = PropagatorConfig()
 
 
-# substeps exponentiated per call, which caps the stacked input of a deep pass
-_CHUNK = 256
+# Elements (2 factors x intervals x substeps x dim^2) exponentiated per call,
+# one substep of every interval at least: a deep pass is split into calls
+# whose temporaries stay at 64 kB, as in spin_boson.BLOCK_ELEMENTS.
+CF4_BLOCK_ELEMENTS = 8192
 
 
-def _cf4_pass(coeffs: Sequence[np.ndarray], t0: float, t1: float,
+def _cf4_pass(coeffs: np.ndarray, t0s: np.ndarray, t1s: np.ndarray,
               n: int) -> np.ndarray:
-    h = (t1 - t0) / n
-    S = np.eye(coeffs[0].shape[0])
-    for k0 in range(0, n, _CHUNK):
-        a = t0 + h * np.arange(k0, min(k0 + _CHUNK, n))
-        X1 = _polynomial(coeffs, a + _C1 * h)
-        X2 = _polynomial(coeffs, a + _C2 * h)
-        left, right = matrix_exponential(
-            h * np.stack((_A1 * X1 + _A2 * X2, _A2 * X1 + _A1 * X2)))
-        for step in left @ right:
+    """n CF4 steps on every interval [t0s[i], t1s[i]], stacked; each factor
+    is the mix of Gauss-node powers contracted with the coefficients."""
+    d = coeffs.shape[-1]
+    h = (t1s - t0s) / n
+    chunk = max(1, CF4_BLOCK_ELEMENTS // max(1, 2 * len(h) * d * d))
+    S = np.eye(d)
+    for k0 in range(0, n, chunk):
+        a = t0s + h * np.arange(k0, min(k0 + chunk, n))[:, None]
+        powers = (a[..., None] + h[:, None] * _NODES)[..., None] ** np.arange(len(coeffs))
+        weights = h[:, None, None] * (_MIX @ powers)  # (substep, interval, factor, r)
+        E = matrix_exponential(np.tensordot(weights, coeffs, axes=1))
+        for step in E[:, :, 0] @ E[:, :, 1]:
             S = step @ S
     return S
 
 
-def _flow(coeffs: Sequence[np.ndarray], t0: float, t1: float,
-          cfg: PropagatorConfig) -> np.ndarray:
-    """Time-ordered exponential of sum_r coeffs[r] t^r on [t0, t1]."""
+def _flows(coeffs: Sequence[np.ndarray], t0s: Sequence[float],
+           t1s: Sequence[float], cfg: PropagatorConfig) -> np.ndarray:
+    """Time-ordered exponentials of sum_r coeffs[r] t^r on every interval
+    [t0s[i], t1s[i]], stacked.  Step halving refines only the intervals
+    that have not yet converged."""
+    coeffs = np.asarray(coeffs)
+    t0s, t1s = np.asarray(t0s, dtype=float), np.asarray(t1s, dtype=float)
     if len(coeffs) == 1:
-        return matrix_exponential((t1 - t0) * coeffs[0])
-    if t1 == t0:
-        return np.eye(coeffs[0].shape[0])
-    n = cfg.substeps
-    S = _cf4_pass(coeffs, t0, t1, n)
-    for _ in range(cfg.max_depth):
-        n *= 2
-        S2 = _cf4_pass(coeffs, t0, t1, n)
-        if np.linalg.norm(S2 - S) <= cfg.tolerance * max(1.0, spectral_norm(S2)):
-            return S2
-        S = S2
-    raise RuntimeError(f"propagator did not reach tolerance {cfg.tolerance} "
-                       f"within {cfg.max_depth} refinements on [{t0}, {t1}]")
+        return matrix_exponential((t1s - t0s)[:, None, None] * coeffs[0])
+    out = np.tile(np.eye(coeffs.shape[-1]), (len(t0s), 1, 1))
+    todo = np.flatnonzero(t1s != t0s)
+    S = _cf4_pass(coeffs, t0s[todo], t1s[todo], cfg.substeps)
+    for depth in range(1, cfg.max_depth + 1):
+        S2 = _cf4_pass(coeffs, t0s[todo], t1s[todo], cfg.substeps << depth)
+        done = (np.linalg.norm(S2 - S, axis=(-2, -1)) <= cfg.tolerance
+                * np.maximum(1.0, np.linalg.norm(S2, 2, axis=(-2, -1))))
+        out[todo[done]] = S2[done]
+        todo, S = todo[~done], S2[~done]
+        if not todo.size:
+            return out
+    raise RuntimeError(f"propagator did not reach tolerance {cfg.tolerance} within "
+                       f"{cfg.max_depth} refinements on [{t0s[todo[0]]}, {t1s[todo[0]]}]")
 
 
 def propagate(gen: AnalyticGenerator, t0: float, t1: float,
@@ -167,19 +180,19 @@ def propagate(gen: AnalyticGenerator, t0: float, t1: float,
     generator, step-halving CF4 otherwise."""
     if t1 < t0:
         raise ValueError("need t0 <= t1")
-    return _flow(gen.coeffs, t0, t1, cfg)
+    return _flows(gen.coeffs, [t0], [t1], cfg)[0]
 
 
-def _walk(segment: Callable[[float, float], np.ndarray],
-          pulses: Iterable[tuple[float, np.ndarray]], T: float,
-          dim: int) -> np.ndarray:
-    """Time-ordered product of free segments and pulses (delta, P) on [0, T]."""
-    S = np.eye(dim)
-    prev = 0.0
-    for delta, P in pulses:
-        S = P @ segment(prev * T, delta * T) @ S
-        prev = delta
-    return segment(prev * T, T) @ S
+def _walk(coeffs: Sequence[np.ndarray], pulses: Sequence[tuple[float, np.ndarray]],
+          T: float, cfg: PropagatorConfig) -> np.ndarray:
+    """Time-ordered product of the free flows of sum_r coeffs[r] t^r and the
+    pulses (delta, P) on [0, T], every flow from one batched call."""
+    bounds = np.array([0.0, *(delta for delta, _ in pulses), 1.0]) * T
+    flows = _flows(coeffs, bounds[:-1], bounds[1:], cfg)
+    S = np.eye(flows.shape[-1])
+    for (_, P), F in zip(pulses, flows):
+        S = P @ F @ S
+    return flows[-1] @ S
 
 
 def embed_pulse(pulse, layout: ModeLayout, sign: int = 1) -> np.ndarray:
@@ -200,10 +213,9 @@ def embed_pulse(pulse, layout: ModeLayout, sign: int = 1) -> np.ndarray:
 def resulting_evolution(gen: AnalyticGenerator, schedule: PulseSchedule,
                         T: float, cfg: PropagatorConfig = DEFAULT_CONFIG) -> np.ndarray:
     """S(T, t_L) . prod_j (S_j (+) I) S(t_j, t_{j-1}) in time order."""
-    pulses = ((e.delta, embed_pulse(e.pulse, gen.layout, e.sign))
-              for e in schedule.entries)
-    return _walk(lambda t0, t1: propagate(gen, t0, t1, cfg), pulses, T,
-                 gen.layout.dim)
+    pulses = [(e.delta, embed_pulse(e.pulse, gen.layout, e.sign))
+              for e in schedule.entries]
+    return _walk(gen.coeffs, pulses, T, cfg)
 
 
 class DegenerateRotationFit(ValueError):
@@ -411,8 +423,7 @@ def affine_propagate(gen: AnalyticGenerator, M0: np.ndarray, d0: np.ndarray,
         return P
 
     entries = schedule.entries if schedule is not None else ()
-    E = _walk(lambda t0, t1: _flow(emb, t0, t1, cfg),
-              ((e.delta, pulse_emb(e)) for e in entries), T, dim + 1)
+    E = _walk(emb, [(e.delta, pulse_emb(e)) for e in entries], T, cfg)
 
     S = E[:dim, :dim]
     zeta = E[:dim, dim]

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+import numpy.random  # numpy 2 loads it lazily; load it at import time
 
 Pair = tuple[int, int]
 MultiIndex = tuple[Pair, ...]

@@ -387,7 +387,10 @@ def read_schedule(stream: IO[str]) -> PulseSchedule:
                 raise ValueError(f"pulse time {delta_str} outside (0, 1]")
             if entries and delta <= entries[-1].delta:
                 raise ValueError("pulse times must be strictly increasing")
-            entries.append(PulseEntry(delta, *_bits_to_pulse(bits, m)))
+            pulse, sign = _bits_to_pulse(bits, m)
+            if scheme == "bosonic-homogenization" and pulse[0] not in (PAIR_I, PAIR_Y):
+                raise ValueError(f"homogenization pulse {bits!r} has a_0 outside {{I, y}}")
+            entries.append(PulseEntry(delta, pulse, sign))
         except ValueError as exc:
             raise ValueError(f"schedule line {lineno}: {exc}") from exc
     return PulseSchedule(scheme=scheme, order=order, entries=tuple(entries),

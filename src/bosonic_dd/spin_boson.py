@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .evolution import AnalyticGenerator, PropagatorConfig, DEFAULT_CONFIG, resulting_evolution
 from .schedules import flip_train_schedule, udd_times
@@ -103,7 +102,9 @@ BLOCK_ELEMENTS = 2048
 
 def _on_grid(fn, grid, deltas, rates=(1.0,)):
     """fn(z, phases e^{i z d_k}, signs (-1)^k) at z = grid x rates, taking a
-    scalar or 1-D grid in blocks of BLOCK_ELEMENTS; a scalar gives a scalar."""
+    scalar or 1-D grid in blocks of BLOCK_ELEMENTS; a scalar gives a scalar.
+    fn maps a (block, rates) z to (block,), or to (columns, block), in which
+    case a scalar gives a list."""
     d, rates = np.array(_check_even(deltas)), np.asarray(rates)
     s = (-1.0) ** np.arange(1, len(d) + 1)
     arr = np.asarray(grid, dtype=float)
@@ -112,8 +113,9 @@ def _on_grid(fn, grid, deltas, rates=(1.0,)):
     step = max(1, BLOCK_ELEMENTS // max(rates.size * d.size, 1))
     zs = (t[:, None] * rates
           for t in np.split(arr.reshape(-1), range(step, arr.size, step)))
-    out = np.concatenate([fn(z, np.exp(1j * (z[..., None] * d)), s) for z in zs])
-    return out.item() if arr.ndim == 0 else out.reshape(arr.shape)
+    out = np.concatenate([fn(z, np.exp(1j * (z[..., None] * d)), s) for z in zs],
+                         axis=-1)
+    return out[..., 0].tolist() if arr.ndim == 0 else out
 
 
 def _y_of(z, phase, s):
@@ -140,7 +142,7 @@ def _line_sum(per_line, total_time, bath: BathSpec, deltas):
 
 def y_filter(z, deltas):
     """y_L(z) = 2 sum_m (-1)^m e^{i z d_m} + 1 - e^{iz}."""
-    return _on_grid(_y_of, z, deltas)
+    return _on_grid(lambda z, phase, s: _y_of(z, phase, s)[:, 0], z, deltas)
 
 
 def f_filter(z, deltas):
@@ -148,7 +150,7 @@ def f_filter(z, deltas):
 
     Satisfies Re f_L - sin z = Im y_L and Im f_L + 1 - cos z = Re y_L.
     """
-    return _on_grid(lambda z, phase, s: 2j * (phase.conj() @ s), z, deltas)
+    return _on_grid(lambda z, phase, s: 2j * (phase.conj() @ s)[:, 0], z, deltas)
 
 
 def pair_shear(total_time, bath: BathSpec, deltas):
@@ -156,21 +158,28 @@ def pair_shear(total_time, bath: BathSpec, deltas):
     return 4.0 * _line_sum(_pairs_of, total_time, bath, deltas)
 
 
-def shear_parameter(total_time, bath: BathSpec, deltas):
-    """The channel's x parameter (beta-independent)."""
+def channel_columns(total_time, bath: BathSpec, deltas):
+    """The channel's (x, y) from one pass over the phases: a list of two
+    floats for a scalar T, a (2, len) array for a 1-D T grid."""
+    coth = bath.thermal_weights()
+
     def per_line(z, phase, s):
         yl, sin = _y_of(z, phase, s), np.sin(z)
-        return (z - sin - sin * yl.real + (np.cos(z) - 1.0) * yl.imag
-                + 4.0 * _pairs_of(z, phase, s))
+        shear = (z - sin - sin * yl.real + (np.cos(z) - 1.0) * yl.imag
+                 + 4.0 * _pairs_of(z, phase, s))
+        return np.stack((shear, coth * np.abs(yl) ** 2))
 
     return _line_sum(per_line, total_time, bath, deltas)
 
 
+def shear_parameter(total_time, bath: BathSpec, deltas):
+    """The channel's x parameter (beta-independent)."""
+    return channel_columns(total_time, bath, deltas)[0]
+
+
 def added_noise(total_time, bath: BathSpec, deltas):
     """The channel's y parameter; nonnegative, decreasing in beta."""
-    coth = bath.thermal_weights()
-    return _line_sum(lambda z, phase, s: coth * np.abs(_y_of(z, phase, s)) ** 2,
-                     total_time, bath, deltas)
+    return channel_columns(total_time, bath, deltas)[1]
 
 
 def thermal_covariance(bath: BathSpec) -> np.ndarray:
@@ -239,9 +248,8 @@ class ChannelParams:
 
 
 def channel_params(bath: BathSpec, total_time: float, deltas) -> ChannelParams:
-    return ChannelParams(x_shear=shear_parameter(total_time, bath, deltas),
-                         y_noise=added_noise(total_time, bath, deltas),
-                         total_time=total_time,
+    x, y = channel_columns(total_time, bath, deltas)
+    return ChannelParams(x_shear=x, y_noise=y, total_time=total_time,
                          deltas=tuple(float(d) for d in deltas))
 
 
@@ -284,11 +292,13 @@ def cross_validate(bath: BathSpec, deltas, total_time: float,
         covariances = (np.eye(2), np.diag([4.0, 0.25]))
     S = resulting_evolution(bath_generator(bath), flip_train_schedule(deltas, n_system=1),
                             total_time, cfg)
-    Mb = thermal_covariance(bath)
+    M = np.zeros_like(S)  # M0 (+) the bath's thermal covariance
+    M[2:, 2:] = thermal_covariance(bath)
     params = channel_params(bath, total_time, deltas)
     deviations = []
     for M0 in covariances:
-        out = S @ block_diag(M0, Mb) @ S.T
+        M[:2, :2] = M0
+        out = S @ M @ S.T
         deviations.append(float(np.abs(out[:2, :2] - channel_apply(M0, params)).max()))
     return CrossValidationReport(total_time=total_time, deltas=deltas,
                                  deviations=tuple(deviations))

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 
 @dataclass(frozen=True)
@@ -125,6 +124,8 @@ def matrix_exponential(X: np.ndarray) -> np.ndarray:
     squaring Pade; the branch is chosen per slice, so a stacked call equals
     the per-slice calls bitwise.  Relative accuracy is ~1e-13 or better for
     ``||X|| <= 10``; larger inputs are handled by the backend's rescaling.
+    ``scipy.linalg`` is imported only when a slice needs it, so a run whose
+    slices all stay below theta never pays for loading it.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim < 2 or X.shape[-1] != X.shape[-2]:
@@ -135,6 +136,7 @@ def matrix_exponential(X: np.ndarray) -> np.ndarray:
         raise ValueError("matrix exponential of non-finite input")
     if norm <= _TAYLOR_THETA:
         return _taylor_exponential(X)
+    import scipy.linalg  # loaded on first use: most runs never get here
     small = col_norms.max(axis=-1) <= _TAYLOR_THETA
     if not small.any():
         return scipy.linalg.expm(X)

@@ -301,3 +301,24 @@ class TestConfigErrors:
     @pytest.mark.parametrize("command", SUBCOMMANDS)
     def test_missing_file(self, tmp_path, capsys, command):
         self.run_with(tmp_path, capsys, command, tmp_path / "absent.cfg")
+
+
+class TestColdStart:
+    def test_runs_load_no_module_and_never_scipy_linalg(self, tmp_path, fresh_python):
+        out = str(tmp_path / "out.csv")
+        result = fresh_python(f"""
+import json, sys
+import bosonic_dd
+from bosonic_dd import cli
+cli.build_parser()
+loaded = set(sys.modules)
+codes = [cli.main(argv + ["--out", {out!r}]) for argv in (
+    ["homogenize-sweep", "--N", "1", "--m", "1", "--points", "3"],
+    ["decouple-sweep", "--N", "1", "--degree", "1", "--points", "3"],
+    ["verify", "--check", "udd", "--N", "2"],
+    ["spectrum", "--nE", "2", "--L", "2", "--points", "3", "--tmin", "1e-3",
+     "--tmax", "1e-2", "--cross-validate"])]
+print(json.dumps([codes, "scipy.linalg" in sys.modules,
+                  sorted(set(sys.modules) - loaded)]))
+""")
+        assert result == [[0, 0, 0, 0], False, []]

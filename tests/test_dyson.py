@@ -15,6 +15,7 @@ from bosonic_dd.dyson import (
     check_homogenization_condition,
     check_qubit_nudd_condition,
     check_udd_condition,
+    format_labels,
     iterated_integral,
     simplex_bound,
     verify_qubit_bosonic_correspondence,
@@ -430,3 +431,13 @@ class TestCsv:
                 report, rows=(dataclasses.replace(row, value=value), witness))
             assert not broken.row_passed(broken.rows[0])
             assert not broken.passed
+
+    def test_format_labels_per_row(self):
+        for report in (check_udd_condition(3), check_qubit_nudd_condition(2, 1),
+                       check_homogenization_condition(2, 1)):
+            expected = [
+                ";".join(str(l) for l in row.labels)
+                if all(isinstance(l, int) for l in row.labels)
+                else ";".join("".join(f"{x}{z}" for x, z in alpha) for alpha in row.labels)
+                for row in report.rows]
+            assert format_labels(report) == expected

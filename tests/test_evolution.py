@@ -1,13 +1,17 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bosonic_dd import evolution
 from bosonic_dd.evolution import (
+    DEFAULT_CONFIG,
     AnalyticGenerator,
     DegenerateRotationFit,
     PropagatorConfig,
+    _flows,
     affine_propagate,
     decoupling_error_bound,
     embed_pulse,
@@ -85,7 +89,7 @@ class TestPropagate:
         layout = ModeLayout(1, 1)
         gen = make_generator(layout, seed=4, degree=1)
         cfg = PropagatorConfig(substeps=1, tolerance=1e-30, max_depth=3)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match=r"within 3 refinements on \[0\.0, 1\.0\]"):
             propagate(gen, 0.0, 1.0, cfg)
 
     @pytest.mark.parametrize("tolerance", [0.0, -1e-12, float("nan")])
@@ -500,3 +504,29 @@ class TestPropagationProperties:
         M_cf4, d_cf4 = affine_propagate(forced_cf4(gen), M0, d0, T)
         assert rel_dist(M, M_cf4) <= 1e-11
         assert np.linalg.norm(d - d_cf4) <= 1e-11 * max(1.0, np.linalg.norm(d_cf4))
+
+    @given(layouts, seeds, st.integers(0, 2),
+           st.lists(st.tuples(st.floats(0.0, 0.5), st.floats(1e-4, 0.01)),
+                    min_size=1, max_size=5), st.integers(0, 2))
+    @settings(max_examples=25, deadline=None)
+    def test_batched_flows_equal_single_interval_flows(self, layout, seed, degree,
+                                                        spans, n_empty):
+        gen = make_generator(layout, seed=seed, degree=degree)
+        # short intervals, some zero-length ones and one long interval that
+        # keeps refining after its neighbours have converged
+        intervals = ([(t, t + h) for t, h in spans]
+                     + [(t, t) for t, _ in spans[:n_empty]] + [(0.0, 1.0)])
+        t0s, t1s = zip(*intervals)
+        with mock.patch.object(evolution, "_cf4_pass",
+                               wraps=evolution._cf4_pass) as passes:
+            batched = _flows(gen.coeffs, t0s, t1s, DEFAULT_CONFIG)
+        assert batched.shape == (len(intervals), layout.dim, layout.dim)
+        for F, t0, t1 in zip(batched, t0s, t1s):
+            single = _flows(gen.coeffs, [t0], [t1], DEFAULT_CONFIG)[0]
+            if degree == 0:
+                assert np.array_equal(F, single)
+            else:
+                assert rel_dist(F, single) <= 1e-12
+        if degree:
+            sizes = [len(call.args[1]) for call in passes.call_args_list]
+            assert sizes[0] == len(spans) + 1 > sizes[-1] == 1

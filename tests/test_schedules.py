@@ -352,6 +352,8 @@ class TestScheduleFile:
         ("#m 1\n0.5\t1100\n0.6\t110\n", "line 3: malformed pulse bits"),
         ("#m 1\n0.5\t11a0\n", "line 2: malformed pulse bits"),
         ("#m 0\n0.5\t1\n", "line 2: malformed pulse bits"),
+        ("#scheme bosonic-homogenization\n#m 1\n0.5\t1100\n0.6\t1000\n",
+         "line 4: homogenization pulse '1000' has a_0 outside"),
         ("#N two\n", "line 1: invalid literal"),
         ("#m -\n0.5\t1\n\n0.5\t1\n", "line 4: pulse times must be strictly increasing"),
     ])

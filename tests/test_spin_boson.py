@@ -12,6 +12,7 @@ from bosonic_dd.spin_boson import (
     ChannelParams,
     added_noise,
     channel_apply,
+    channel_columns,
     channel_params,
     coupling_matrix,
     cross_validate,
@@ -234,6 +235,19 @@ class TestFilters:
 
 
 class TestChannelScalars:
+    def test_channel_columns_scalar_and_grid(self):
+        bath = seeded_bath(3, 4, beta=1.5)
+        deltas = even_flip_train(4)
+        grid = np.linspace(0.1, 2.0, 7)
+        columns = channel_columns(grid, bath, deltas)
+        assert columns.shape == (2, 7)
+        for T, x, y in zip(grid, *columns):
+            point = channel_columns(T, bath, deltas)
+            assert [type(v) for v in point] == [float, float]
+            assert point == pytest.approx([x, y], rel=1e-13)
+            params = channel_params(bath, T, deltas)
+            assert (params.x_shear, params.y_noise) == tuple(point)
+
     def test_zero_coupling(self):
         bath = BathSpec(couplings=(0.0, 0.0), frequencies=(0.5, 1.0), beta=2.0)
         deltas = (0.25, 0.75)

@@ -169,6 +169,20 @@ class TestMatrixExponential:
         for S in matrix_exponential(X):
             assert is_symplectic(S, J, tol=1e-14)
 
+    def test_large_norm_slice_loads_scipy_expm(self, fresh_python):
+        equal, loaded_before, loaded_after = fresh_python("""
+import json, sys
+import numpy as np
+from bosonic_dd.symplectic import matrix_exponential
+before = "scipy.linalg" in sys.modules
+X = np.array([[0.1, 1.0], [-2.0, 0.3]])  # 1-norm 2.1, far above theta
+E = matrix_exponential(X)
+after = "scipy.linalg" in sys.modules
+import scipy.linalg
+print(json.dumps([bool(np.array_equal(E, scipy.linalg.expm(X))), before, after]))
+""")
+        assert (equal, loaded_before, loaded_after) == (True, False, True)
+
 
 class TestBlocks:
     def test_identity_blocks(self):
