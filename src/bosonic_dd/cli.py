@@ -123,8 +123,14 @@ def _sweep_grid(args: argparse.Namespace) -> tuple[float, ...]:
     return _t_grid(args.tmin, args.tmax, args.points)
 
 
-def _slope_window(order: int) -> tuple[float, float]:
-    return order + SLOPE_MARGIN[0], order + SLOPE_MARGIN[1]
+def _slope_exit(result: evolution.SweepResult) -> int:
+    """0 if the fitted slope lies in [N+0.7, N+1.5], else 1 with a message."""
+    lo, hi = result.order + SLOPE_MARGIN[0], result.order + SLOPE_MARGIN[1]
+    if result.slope is None or not lo <= result.slope <= hi:
+        print(f"slope acceptance failed: slope={result.slope} window=[{lo},{hi}]",
+              file=sys.stderr)
+        return 1
+    return 0
 
 
 def _write_sweep_csv(result: evolution.SweepResult, stream: IO[str]) -> None:
@@ -177,15 +183,10 @@ def cmd_decouple_sweep(args: argparse.Namespace) -> int:
     result = evolution.order_sweep(gen, "decoupling", args.N, grid, cfg)
     with _output(args.out) as stream:
         _write_sweep_csv(result, stream)
-    if args.scale_se == 0.0:
+    if args.scale_se == 0.0 or args.nE == 0:
         # nothing to suppress; CSV carries the floor flags, no slope claim
         return 0
-    lo, hi = _slope_window(args.N)
-    if result.slope is None or not lo <= result.slope <= hi:
-        print(f"slope acceptance failed: slope={result.slope} window=[{lo},{hi}]",
-              file=sys.stderr)
-        return 1
-    return 0
+    return _slope_exit(result)
 
 
 def cmd_homogenize_sweep(args: argparse.Namespace) -> int:
@@ -206,12 +207,7 @@ def cmd_homogenize_sweep(args: argparse.Namespace) -> int:
                                    m=args.m)
     with _output(args.out) as stream:
         _write_sweep_csv(result, stream)
-    lo, hi = _slope_window(args.N)
-    if result.slope is None or not lo <= result.slope <= hi:
-        print(f"slope acceptance failed: slope={result.slope} window=[{lo},{hi}]",
-              file=sys.stderr)
-        return 1
-    return 0
+    return _slope_exit(result)
 
 
 _VERIFY_CHECKS = ("basis", "udd", "nudd", "homogenization", "correspondence")

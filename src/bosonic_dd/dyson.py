@@ -194,16 +194,25 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
+def _check_scalar_order(order: int) -> None:
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    if order > 8:
+        raise ValueError("budget guard: order <= 8")
+
+
+def _check_label_guard(order: int, m: int, condition: str) -> None:
+    if (order + 1) ** (2 * m + 2) > QUBIT_LABEL_GUARD:
+        raise ValueError(f"label set exceeds the {condition}-condition guard")
+
+
 def check_udd_condition(order: int, tol: float = ZERO_TOL) -> ConditionReport:
     """Single-axis Uhrig vanishing: all tuples with odd gamma parity vanish.
 
     Also probes the tuple (s=1, r=N, gamma=1) one order past the budget; its
     value (-1/4)^N is the witness that suppression stops exactly at order N.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if order > 8:
-        raise ValueError("budget guard: order <= 8")
+    _check_scalar_order(order)
     sigma = PiecewiseSignFunction(udd_times(order))
     return _scalar_condition_report("udd", order, sigma, tol)
 
@@ -214,10 +223,7 @@ def check_bosonic_decoupling_condition(order: int, tol: float = ZERO_TOL) -> Con
     The sign function of the flip-pulse schedule must coincide with the
     Uhrig construction exactly; this is asserted before checking.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if order > 8:
-        raise ValueError("budget guard: order <= 8")
+    _check_scalar_order(order)
     sigma = toggling_sign_function(decoupling_schedule(order, n_system=1), 1)
     if sigma.flips != udd_times(order):
         raise AssertionError("schedule-derived sigma differs from the Uhrig times")
@@ -290,8 +296,7 @@ def check_qubit_nudd_condition(order: int, m: int, tol: float = ZERO_TOL,
                                max_tuples: int = 10 ** 5,
                                seed: int = 0) -> ConditionReport:
     """Nested-train decoupling condition over the full (Z2xZ2)^{m+1} alphabet."""
-    if (order + 1) ** (2 * m + 2) > QUBIT_LABEL_GUARD:
-        raise ValueError("label set exceeds the qubit-condition guard")
+    _check_label_guard(order, m, "qubit")
     schedule = qubit_nudd_schedule(order, m)
     alphabet = tuple(itertools.product(ALL_PAIRS, repeat=m + 1))
     exempt = frozenset({(PAIR_I,) * (m + 1)})
@@ -318,8 +323,7 @@ def check_homogenization_condition(order: int, m: int, tol: float = ZERO_TOL,
                                    max_tuples: int = 10 ** 5,
                                    seed: int = 0) -> ConditionReport:
     """Homogenization condition for the nested-train bosonic schedule."""
-    if (order + 1) ** (2 * m + 2) > QUBIT_LABEL_GUARD:
-        raise ValueError("label set exceeds the homogenization-condition guard")
+    _check_label_guard(order, m, "homogenization")
     return check_homogenization_condition_for(homogenization_schedule(order, m),
                                               order, m, tol, max_tuples, seed)
 

@@ -3,8 +3,9 @@
 A walk over a pulse schedule gets the propagators of all its free segments
 from one batched call, and each generator class has one path.  A constant
 generator propagates every segment [t0, t1] exactly, by exp((t1 - t0) X0),
-all segments in one stacked exponential.  A time-dependent generator uses a
-fourth-order commutator-free scheme: one step over [t, t+h] is
+stacked in calls of at most CF4_BLOCK_ELEMENTS elements.  A time-dependent
+generator uses a fourth-order commutator-free scheme: one step over
+[t, t+h] is
 
     exp(h (a1 X1 + a2 X2)) . exp(h (a2 X1 + a1 X2)),
 
@@ -19,10 +20,12 @@ propagator, so residuals down to ~1e-12 are not polluted by integration
 error; only segments that fail it are passed again.  The tolerance acts
 only on this time-dependent path.
 
-Pulses are applied after the free segment that ends at their application
-time; in particular a pulse at delta = 1 acts after the final segment,
-immediately before readout.  Affine (displacement) propagation is the same
-walk on the homogeneous embedding of dimension dim + 1.
+A walk's pulses are one stack too, from one ``s_matrix`` call over the
+schedule's index stack.  Each pulse is applied after the free segment that
+ends at its application time; in particular a pulse at delta = 1 acts
+after the final segment, immediately before readout.  Affine (displacement)
+propagation is the same walk on the homogeneous embedding of dimension
+dim + 1.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import Sequence
 import numpy as np
 import numpy.random  # numpy 2 loads it lazily; load it at import time
 
-from .pauli_basis import s_matrix
+from .pauli_basis import product_index, s_matrix
 from .schedules import (
     PulseSchedule,
     decoupling_schedule,
@@ -126,9 +129,10 @@ class PropagatorConfig:
 DEFAULT_CONFIG = PropagatorConfig()
 
 
-# Elements (2 factors x intervals x substeps x dim^2) exponentiated per call,
-# one substep of every interval at least: a deep pass is split into calls
-# whose temporaries stay at 64 kB, as in spin_boson.BLOCK_ELEMENTS.
+# Elements exponentiated per call, as in spin_boson.BLOCK_ELEMENTS, so the
+# temporaries stay at 64 kB: a CF4 pass (2 factors x intervals x substeps x
+# dim^2, one substep of every interval at least) and a long constant walk
+# (intervals x dim^2, one interval at least) are split into such calls.
 CF4_BLOCK_ELEMENTS = 8192
 
 
@@ -158,7 +162,10 @@ def _flows(coeffs: Sequence[np.ndarray], t0s: Sequence[float],
     coeffs = np.asarray(coeffs)
     t0s, t1s = np.asarray(t0s, dtype=float), np.asarray(t1s, dtype=float)
     if len(coeffs) == 1:
-        return matrix_exponential((t1s - t0s)[:, None, None] * coeffs[0])
+        X = (t1s - t0s)[:, None, None] * coeffs[0]
+        chunk = max(1, CF4_BLOCK_ELEMENTS // X[0].size)
+        return np.concatenate([matrix_exponential(X[i:i + chunk])
+                               for i in range(0, len(X), chunk)])
     out = np.tile(np.eye(coeffs.shape[-1]), (len(t0s), 1, 1))
     todo = np.flatnonzero(t1s != t0s)
     S = _cf4_pass(coeffs, t0s[todo], t1s[todo], cfg.substeps)
@@ -183,39 +190,35 @@ def propagate(gen: AnalyticGenerator, t0: float, t1: float,
     return _flows(gen.coeffs, [t0], [t1], cfg)[0]
 
 
-def _walk(coeffs: Sequence[np.ndarray], pulses: Sequence[tuple[float, np.ndarray]],
-          T: float, cfg: PropagatorConfig) -> np.ndarray:
+def _walk(coeffs: Sequence[np.ndarray], schedule: PulseSchedule | None,
+          layout: ModeLayout, T: float, cfg: PropagatorConfig) -> np.ndarray:
     """Time-ordered product of the free flows of sum_r coeffs[r] t^r and the
-    pulses (delta, P) on [0, T], every flow from one batched call."""
-    bounds = np.array([0.0, *(delta for delta, _ in pulses), 1.0]) * T
+    schedule's pulses on [0, T], every flow from one batched call.  Each
+    pulse is sign * S_alpha, or -I for a flip schedule, on the system block
+    and identity on the rest of the coefficients' dimension."""
+    deltas, indices, signs = (np.empty(0), None, None) if schedule is None else schedule.arrays
+    dim, d = coeffs[0].shape[-1], layout.system_dim
+    pulses = np.tile(np.eye(dim), (len(deltas), 1, 1))
+    if indices is None:
+        pulses[:, :d, :d] = -np.eye(d)
+    else:
+        W = s_matrix(indices)
+        if W.shape[-1] != d:
+            raise ValueError(f"pulse dimension {W.shape[-1]} does not match "
+                             f"system dimension {d}")
+        pulses[:, :d, :d] = signs[:, None, None] * W
+    bounds = np.array([0.0, *deltas, 1.0]) * T
     flows = _flows(coeffs, bounds[:-1], bounds[1:], cfg)
-    S = np.eye(flows.shape[-1])
-    for (_, P), F in zip(pulses, flows):
-        S = P @ F @ S
+    S = np.eye(dim)
+    for step in pulses @ flows[:-1]:
+        S = step @ S
     return flows[-1] @ S
-
-
-def embed_pulse(pulse, layout: ModeLayout, sign: int = 1) -> np.ndarray:
-    """Pulse on the system block, identity on the environment."""
-    P = np.eye(layout.dim)
-    d = layout.system_dim
-    if isinstance(pulse, int):
-        P[:d, :d] = -np.eye(d)
-        return P
-    W = s_matrix(pulse)
-    if W.shape[0] != d:
-        raise ValueError(f"pulse dimension {W.shape[0]} does not match "
-                         f"system dimension {d}")
-    P[:d, :d] = sign * W
-    return P
 
 
 def resulting_evolution(gen: AnalyticGenerator, schedule: PulseSchedule,
                         T: float, cfg: PropagatorConfig = DEFAULT_CONFIG) -> np.ndarray:
     """S(T, t_L) . prod_j (S_j (+) I) S(t_j, t_{j-1}) in time order."""
-    pulses = [(e.delta, embed_pulse(e.pulse, gen.layout, e.sign))
-              for e in schedule.entries]
-    return _walk(gen.coeffs, pulses, T, cfg)
+    return _walk(gen.coeffs, schedule, gen.layout, T, cfg)
 
 
 class DegenerateRotationFit(ValueError):
@@ -267,16 +270,13 @@ class SweepResult:
 
 
 def _pulse_product_sign(schedule: PulseSchedule) -> int:
-    """Sign of the dense time-ordered product of the system pulse matrices."""
-    d = 2 ** (schedule.m + 1)
-    P = np.eye(d)
-    for e in schedule.entries:
-        P = (e.sign * s_matrix(e.pulse)) @ P
-    if np.allclose(P, np.eye(d)):
-        return 1
-    if np.allclose(P, -np.eye(d)):
-        return -1
-    raise ValueError("pulse product is not +-identity")
+    """Sign of the time-ordered product of the signed system pulses, read
+    from the index algebra; raises unless the product is +-identity."""
+    _, indices, signs = schedule.arrays
+    index, sign = product_index(indices[::-1])
+    if any(x or z for x, z in index):
+        raise ValueError("pulse product is not +-identity")
+    return sign * int(np.prod(signs))
 
 
 def _fit_slope(times: Sequence[float], residuals: Sequence[float],
@@ -417,16 +417,8 @@ def affine_propagate(gen: AnalyticGenerator, M0: np.ndarray, d0: np.ndarray,
     if linear:
         emb[:len(linear), :dim, dim] = linear
 
-    def pulse_emb(entry) -> np.ndarray:
-        P = np.eye(dim + 1)
-        P[:dim, :dim] = embed_pulse(entry.pulse, gen.layout, entry.sign)
-        return P
-
-    entries = schedule.entries if schedule is not None else ()
-    E = _walk(emb, [(e.delta, pulse_emb(e)) for e in entries], T, cfg)
-
-    S = E[:dim, :dim]
-    zeta = E[:dim, dim]
+    E = _walk(emb, schedule, gen.layout, T, cfg)
+    S, zeta = E[:dim, :dim], E[:dim, dim]
     return S @ M0 @ S.T, S @ d0 + zeta
 
 

@@ -20,9 +20,11 @@ Two index sets matter:
 * ``gamma_tilde_set(m)``: all indices with a_0 in {I, y}; these S_beta are
   orthogonal symplectic and are the pulses available to bosonic schemes.
 
-The index algebra acts on tuples and on integer index stacks alike: a stack
-of shape ``(..., m+1, 2)`` is ``np.array`` of the tuples, with the x-bit
-and the z-bit of position j in ``[..., j, 0]`` and ``[..., j, 1]``.  Since
+The index algebra and ``s_matrix`` act on tuples and on integer index
+stacks alike: a stack of shape ``(..., m+1, 2)`` is ``np.array`` of the
+tuples, with the x-bit and the z-bit of position j in ``[..., j, 0]`` and
+``[..., j, 1]``, and ``s_matrix`` of a stack is the stack of its matrices,
+built by one broadcast per position from a four-entry factor table.  Since
 S_(x,z) = x^x z^z and zx = -xz, two factors multiply by the rule
 
     S_p S_q = (-1)^(p_z q_x) S_(p xor q)
@@ -50,12 +52,11 @@ PAIR_Y: Pair = (1, 1)
 PAIR_Z: Pair = (0, 1)
 ALL_PAIRS: tuple[Pair, ...] = (PAIR_I, PAIR_X, PAIR_Y, PAIR_Z)
 
-_FACTORS = {
-    PAIR_I: np.array([[1, 0], [0, 1]], dtype=float),
-    PAIR_X: np.array([[0, 1], [1, 0]], dtype=float),
-    PAIR_Y: np.array([[0, -1], [1, 0]], dtype=float),
-    PAIR_Z: np.array([[1, 0], [0, -1]], dtype=float),
-}
+# The 2x2 factor of each pair, at code 2 * x-bit + z-bit: I, z, x, y
+_FACTOR_TABLE = np.array([[[1, 0], [0, 1]],
+                          [[1, 0], [0, -1]],
+                          [[0, 1], [1, 0]],
+                          [[0, -1], [1, 0]]], dtype=float)
 
 # Resource guard: dimension 2^{m+1} and |Gamma| grow fast; m=4 (dim 32,
 # |Gamma| = 528) is the largest size any verification here needs.
@@ -69,20 +70,25 @@ def _check_m(m: int) -> None:
         raise ValueError(f"m={m} exceeds the exhaustive-enumeration guard (max {MAX_M})")
 
 
-def _check_index(alpha: MultiIndex) -> None:
-    if len(alpha) == 0:
-        raise ValueError("multi-index must have at least one entry")
-    for a in alpha:
-        if tuple(a) not in _FACTORS:
-            raise ValueError(f"invalid Z2xZ2 entry {a!r}")
+def s_matrix(alpha) -> np.ndarray:
+    """Kronecker product S_{a_0} (x) ... (x) S_{a_m}; dimension 2^{m+1}.
 
-
-def s_matrix(alpha: MultiIndex) -> np.ndarray:
-    """Kronecker product S_{a_0} (x) ... (x) S_{a_m}; dimension 2^{m+1}."""
-    _check_index(alpha)
-    M = _FACTORS[tuple(alpha[0])]
-    for a in alpha[1:]:
-        M = np.kron(M, _FACTORS[tuple(a)])
+    ``alpha`` is one multi-index or an index stack of shape (..., m+1, 2),
+    whose matrices come stacked along its leading axes.  A ragged stack
+    raises numpy's ValueError.
+    """
+    a = np.asarray(alpha)
+    if a.ndim < 2 or a.shape[-2] == 0 or a.shape[-1] != 2:
+        raise ValueError(f"expected at least one (x, z) pair per multi-index, "
+                         f"got shape {a.shape}")
+    valid = ((a == 0) | (a == 1)).all(axis=-1)
+    if not valid.all():
+        raise ValueError(f"invalid Z2xZ2 entry {tuple(a[~valid][0].tolist())!r}")
+    codes = (2 * a[..., 0] + a[..., 1]).astype(np.intp)
+    M = _FACTOR_TABLE[codes[..., 0]]
+    for j in range(1, codes.shape[-1]):
+        M = (M[..., :, None, :, None] * _FACTOR_TABLE[codes[..., j]][..., None, :, None, :]
+             ).reshape(codes.shape[:-1] + (2 * M.shape[-1],) * 2)
     return M
 
 

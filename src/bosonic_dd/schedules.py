@@ -65,6 +65,8 @@ class PulseSchedule:
     n_system: int | None = None
 
     def __post_init__(self) -> None:
+        if self.n_system is not None and self.n_system < 1:
+            raise ValueError(f"n_system must be >= 1, got {self.n_system}")
         prev = 0.0
         for e in self.entries:
             if not 0.0 < e.delta <= 1.0:
@@ -84,14 +86,13 @@ class PulseSchedule:
         return len(self.entries)
 
     @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """Pulse times, and for indexed schedules the pulses as one index
-        stack of shape (len, m+1, 2); built once, read by every F_alpha."""
-        deltas = np.array(self.times())
-        if self.is_flip_schedule:
-            return deltas, None
-        pulses = np.array([e.pulse for e in self.entries])
-        return deltas, pulses.reshape(len(self), self.m + 1, 2)
+    def arrays(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+        """Pulse times, the pulses as one index stack of shape (len, m+1, 2)
+        (None for a flip schedule) and the entry signs; built once, read by
+        every F_alpha and every evolution walk."""
+        pulses = None if self.is_flip_schedule else np.array(
+            [e.pulse for e in self.entries], dtype=int).reshape(len(self), self.m + 1, 2)
+        return np.array(self.times()), pulses, np.array([e.sign for e in self.entries])
 
 
 @dataclass(frozen=True)
@@ -279,7 +280,7 @@ def toggling_sign_function(schedule: PulseSchedule, alpha) -> PiecewiseSignFunct
     For indexed schedules ``alpha`` is a multi-index of matching length; for
     flip schedules it is a bit (0 or 1), pairing 1 with every flip pulse.
     """
-    deltas, pulses = schedule._arrays
+    deltas, pulses, _ = schedule.arrays
     if pulses is None:
         if alpha not in (0, 1):
             raise ValueError("flip schedules pair with a scalar Z2 index")

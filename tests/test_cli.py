@@ -34,6 +34,14 @@ class TestSchedule:
         assert run(["schedule", "--scheme", "decoupling", "--N", "0",
                     "--nS", "1", "--out", str(tmp_path / "x.txt")]) == 2
 
+    @pytest.mark.parametrize("n_system", ["0", "-3"])
+    def test_nonpositive_mode_count(self, tmp_path, capsys, n_system):
+        out = tmp_path / "x.txt"
+        assert run(["schedule", "--scheme", "decoupling", "--N", "2",
+                    "--nS", n_system, "--out", str(out)]) == 2
+        assert "error: n_system must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_idempotent(self, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         for out in (a, b):
@@ -61,6 +69,16 @@ class TestSweeps:
                     "--out", str(out)]) == 0
         rows = out.read_text().splitlines()[1:]
         assert all(row.split(",")[4] == "1" for row in rows)
+
+    def test_no_environment_floor_flags(self, tmp_path, capsys):
+        # without an environment every residual is 0: no slope claim, exit 0
+        out = tmp_path / "closed.csv"
+        assert run(["decouple-sweep", "--seed", "7", "--N", "2", "--nS", "1",
+                    "--nE", "0", "--points", "4", "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 4
+        assert all(row.split(",")[4] == "1" for row in rows)
+        assert capsys.readouterr().err == ""
 
     def test_homogenize_sweep(self, tmp_path):
         out = tmp_path / "hom.csv"

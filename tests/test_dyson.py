@@ -338,6 +338,20 @@ class TestBosonicDecouplingCondition:
                 assert sum(row.labels) % 2 == 1
 
 
+@pytest.mark.parametrize("check, args, message", [
+    (check_udd_condition, (0,), "order must be >= 1"),
+    (check_udd_condition, (9,), "budget guard: order <= 8"),
+    (check_bosonic_decoupling_condition, (0,), "order must be >= 1"),
+    (check_bosonic_decoupling_condition, (9,), "budget guard: order <= 8"),
+    (check_qubit_nudd_condition, (9, 2), "label set exceeds the qubit-condition guard"),
+    (check_homogenization_condition, (9, 2),
+     "label set exceeds the homogenization-condition guard"),
+])
+def test_condition_input_guards(check, args, message):
+    with pytest.raises(ValueError, match=message):
+        check(*args)
+
+
 class TestQubitNuddCondition:
     def test_n1_m0_full(self):
         report = check_qubit_nudd_condition(1, 0)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -14,7 +15,6 @@ from bosonic_dd.evolution import (
     _flows,
     affine_propagate,
     decoupling_error_bound,
-    embed_pulse,
     generator_block_norms,
     homogenization_fit,
     order_sweep,
@@ -24,6 +24,8 @@ from bosonic_dd.evolution import (
 )
 from bosonic_dd.pauli_basis import gamma_set, s_matrix, symplectic_form_index
 from bosonic_dd.schedules import (
+    PulseEntry,
+    PulseSchedule,
     decoupling_schedule,
     flip_train_schedule,
     homogenization_schedule,
@@ -45,6 +47,15 @@ def make_generator(layout, seed=0, coupled=True, degree=0):
     return random_generator(layout, seed=seed, scale_ss=1.0,
                             scale_se=1.0 if coupled else 0.0,
                             scale_ee=1.0, degree=degree)
+
+
+layouts = st.builds(ModeLayout, st.integers(1, 3), st.integers(0, 3))
+seeds = st.integers(0, 2 ** 32 - 1)
+durations = st.floats(0.01, 0.5)
+
+
+def rel_dist(A, B):
+    return np.linalg.norm(A - B) / max(1.0, spectral_norm(B))
 
 
 class TestPropagate:
@@ -119,6 +130,36 @@ class TestResultingEvolution:
         sched = flip_train_schedule([0.3, 0.8], n_system=1)
         assert np.array_equal(resulting_evolution(gen, sched, 1.0), np.eye(4))
 
+    def test_flip_negates_only_the_system_block(self):
+        layout = ModeLayout(2, 1)
+        gen = AnalyticGenerator(layout=layout, coeffs=(np.zeros((6, 6)),))
+        S = resulting_evolution(gen, flip_train_schedule([0.5], n_system=2), 1.0)
+        assert np.array_equal(S, np.diag([-1.0, -1.0, -1.0, -1.0, 1.0, 1.0]))
+
+    def test_pulse_of_wrong_m_rejected(self):
+        layout = ModeLayout(2, 1)
+        gen = AnalyticGenerator(layout=layout, coeffs=(np.zeros((6, 6)),))
+        # an m = 0 pulse is 2x2, the system block is 4x4
+        sched = PulseSchedule(scheme="bosonic-homogenization", order=1,
+                              entries=(PulseEntry(0.5, ((1, 1),)),), m=0, n_system=1)
+        with pytest.raises(ValueError, match="pulse dimension 2 does not match "
+                                             "system dimension 4"):
+            resulting_evolution(gen, sched, 1.0)
+
+    @given(seeds, st.integers(0, 2), st.integers(1, 5), st.integers(0, 1))
+    @settings(max_examples=25, deadline=None)
+    def test_signed_pulses_match_per_entry_walk(self, seed, m, n_pulses, degree):
+        sched = signed_closed_schedule(seed, m, n_pulses)
+        layout = ModeLayout(2 ** m, 1)
+        gen = make_generator(layout, seed=seed, degree=degree)
+        T = 0.3
+        bounds = [0.0, *(e.delta * T for e in sched.entries), T]
+        S = np.eye(layout.dim)
+        for e, t0, t1 in zip(sched.entries, bounds, bounds[1:]):
+            S = embedded_pulse(sched, e, layout) @ propagate(gen, t0, t1) @ S
+        S = propagate(gen, bounds[-2], T) @ S
+        assert rel_dist(resulting_evolution(gen, sched, T), S) <= 1e-12
+
     def test_first_order_decoupling_slope(self):
         layout = ModeLayout(1, 1)
         gen = make_generator(layout, seed=6)
@@ -145,13 +186,47 @@ class TestResultingEvolution:
         assert symplectic_residual(S, symplectic_form(layout)) < 1e-12 * norm ** 2
 
 
+def embedded_pulse(schedule, entry, layout):
+    """One pulse on the system block and identity elsewhere, embedded on its
+    own from s_matrix of its single index: the per-entry oracle."""
+    P = np.eye(layout.dim)
+    d = layout.system_dim
+    P[:d, :d] = -np.eye(d) if schedule.is_flip_schedule else entry.sign * s_matrix(entry.pulse)
+    return P
+
+
 def control_product(schedule, t, T, layout):
     """Accumulated pulse product S_ctr(t): pulses applied strictly before t."""
     C = np.eye(layout.dim)
     for e in schedule.entries:
         if e.delta * T < t:
-            C = embed_pulse(e.pulse, layout, e.sign) @ C
+            C = embedded_pulse(schedule, e, layout) @ C
     return C
+
+
+def signed_closed_schedule(seed, m, n_pulses):
+    """n_pulses random pulses of Gamma~ with random signs, closed by one more
+    pulse, the xor of the others, so the product is +-identity."""
+    rng = np.random.default_rng(seed)
+    stack = rng.integers(0, 2, size=(n_pulses, m + 1, 2))
+    stack[:, 0, 1] = stack[:, 0, 0]  # a_0 in {I, y}
+    stack = np.concatenate([stack, np.bitwise_xor.reduce(stack, axis=0)[None]])
+    deltas = np.sort(rng.uniform(0.05, 0.95, n_pulses + 1))
+    signs = rng.choice([-1, 1], n_pulses + 1)
+    entries = tuple(PulseEntry(float(t), tuple(map(tuple, alpha.tolist())), int(sign))
+                    for t, alpha, sign in zip(deltas, stack, signs))
+    return PulseSchedule(scheme="bosonic-homogenization", order=1, entries=entries,
+                         m=m, n_system=2 ** m)
+
+
+def dense_product_sign(schedule):
+    """Sign s of the dense time-ordered product prod sign * S_alpha = s I."""
+    d = 2 ** (schedule.m + 1)
+    P = np.eye(d)
+    for e in schedule.entries:
+        P = (e.sign * s_matrix(e.pulse)) @ P
+    assert np.array_equal(P, P[0, 0] * np.eye(d))
+    return int(P[0, 0])
 
 
 def toggling_generator(gen, schedule, t, T):
@@ -282,6 +357,36 @@ class TestOrderSweep:
         assert spread < 0.1 * abs(np.mean(smallest))
         if order == 2:
             assert res.product_sign == -1
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_product_sign_matches_dense_product(self, order, m):
+        dense = dense_product_sign(homogenization_schedule(order, m))
+        gen = random_generator(ModeLayout(2 ** m, 0), seed=20 + order, scale_ss=1.0,
+                               scale_se=0.0, scale_ee=1.0)
+        res = order_sweep(gen, "homogenization", order, [1e-2, 2e-2], m=m)
+        assert res.product_sign == dense
+
+    @given(seeds, st.integers(0, 2), st.integers(1, 6))
+    @settings(max_examples=50, deadline=None)
+    def test_product_sign_of_signed_schedules(self, seed, m, n_pulses):
+        # random signs and an odd count of y factors can make the time order
+        # and the entry signs matter, unlike in the nested schedules
+        sched = signed_closed_schedule(seed, m, n_pulses)
+        assert evolution._pulse_product_sign(sched) == dense_product_sign(sched)
+
+    def test_product_not_identity_rejected(self):
+        sched = homogenization_schedule(2, 1)
+        first = sched.entries[0]
+        flipped = (first.pulse[0], (first.pulse[1][0] ^ 1, first.pulse[1][1]))
+        mutated = replace(sched, entries=(replace(first, pulse=flipped),)
+                          + sched.entries[1:])
+        gen = random_generator(ModeLayout(2, 1), seed=21, scale_ss=1.0,
+                               scale_se=0.0, scale_ee=1.0)
+        with mock.patch.object(evolution, "homogenization_schedule",
+                               return_value=mutated):
+            with pytest.raises(ValueError, match="pulse product is not"):
+                order_sweep(gen, "homogenization", 2, [1e-2, 2e-2], m=1)
 
     def test_integrator_self_consistency(self):
         layout = ModeLayout(1, 2)
@@ -440,22 +545,6 @@ class TestRandomGenerator:
         assert gen.decoupled
         assert len(gen.coeffs) == 2
 
-    def test_embed_pulse_dimensions(self):
-        layout = ModeLayout(2, 1)
-        P = embed_pulse(1, layout)
-        assert np.array_equal(P, np.diag([-1.0, -1.0, -1.0, -1.0, 1.0, 1.0]))
-        with pytest.raises(ValueError):
-            embed_pulse(((1, 1),), layout)  # 2x2 pulse on a 4-dim system
-
-
-layouts = st.builds(ModeLayout, st.integers(1, 3), st.integers(0, 3))
-seeds = st.integers(0, 2 ** 32 - 1)
-durations = st.floats(0.01, 0.5)
-
-
-def rel_dist(A, B):
-    return np.linalg.norm(A - B) / max(1.0, spectral_norm(B))
-
 
 def forced_cf4(gen):
     """The same constant generator written with a zero degree-1 term, which
@@ -530,3 +619,18 @@ class TestPropagationProperties:
         if degree:
             sizes = [len(call.args[1]) for call in passes.call_args_list]
             assert sizes[0] == len(spans) + 1 > sizes[-1] == 1
+
+    def test_constant_flows_split_at_the_block_cap(self):
+        layout = ModeLayout(2, 2)  # dim 8: 64 elements a slice
+        gen = make_generator(layout, seed=17)
+        n = 3 * (evolution.CF4_BLOCK_ELEMENTS // 64) + 5
+        t0s = np.linspace(0.0, 0.5, n)
+        t1s = t0s + 0.01
+        with mock.patch.object(evolution, "matrix_exponential",
+                               wraps=evolution.matrix_exponential) as expm:
+            batched = _flows(gen.coeffs, t0s, t1s, DEFAULT_CONFIG)
+        assert expm.call_count > 1
+        assert all(call.args[0].size <= evolution.CF4_BLOCK_ELEMENTS
+                   for call in expm.call_args_list)
+        for F, t0, t1 in zip(batched, t0s, t1s):
+            assert np.array_equal(F, _flows(gen.coeffs, [t0], [t1], DEFAULT_CONFIG)[0])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bosonic_dd.pauli_basis import (
     ALL_PAIRS,
@@ -40,7 +41,50 @@ def index_lists(draw, max_m=3, min_size=1, max_size=6):
                                             max_size=max_size))]
 
 
+KRON_FACTORS = {
+    PAIR_I: np.array([[1.0, 0.0], [0.0, 1.0]]),
+    PAIR_X: np.array([[0.0, 1.0], [1.0, 0.0]]),
+    PAIR_Y: np.array([[0.0, -1.0], [1.0, 0.0]]),
+    PAIR_Z: np.array([[1.0, 0.0], [0.0, -1.0]]),
+}
+
+
+def kron_oracle(alpha):
+    """S_alpha as the np.kron chain of its 2x2 factors."""
+    M = KRON_FACTORS[alpha[0]]
+    for a in alpha[1:]:
+        M = np.kron(M, KRON_FACTORS[a])
+    return M
+
+
+# index stacks of shape (*lead, m+1, 2): m in 0..3, up to two leading axes
+index_stacks = st.integers(0, 3).flatmap(lambda m: hnp.arrays(
+    np.int64, st.lists(st.integers(0, 3), max_size=2).map(lambda lead: (*lead, m + 1, 2)),
+    elements=st.integers(0, 1)))
+
+
 class TestSMatrix:
+    @settings(max_examples=60, deadline=None)
+    @given(index_stacks)
+    def test_stack_matches_kron_oracle(self, stack):
+        S = s_matrix(stack)
+        d = 2 ** stack.shape[-2]
+        assert S.shape == stack.shape[:-2] + (d, d)
+        for i in np.ndindex(stack.shape[:-2]):
+            alpha = tuple(map(tuple, stack[i].tolist()))
+            assert S[i].tobytes() == kron_oracle(alpha).tobytes()
+            assert s_matrix(alpha).tobytes() == kron_oracle(alpha).tobytes()
+
+    @pytest.mark.parametrize("alpha, message", [
+        (((2, 0), PAIR_I), "invalid Z2xZ2 entry"),
+        ((), "at least one"),
+        (((1, 0, 1),), "at least one"),
+        ([(PAIR_X,), (PAIR_X, PAIR_Z)], "inhomogeneous"),
+    ])
+    def test_malformed_index_rejected(self, alpha, message):
+        with pytest.raises(ValueError, match=message):
+            s_matrix(alpha)
+
     def test_identity_index(self):
         assert np.array_equal(s_matrix((PAIR_I, PAIR_I)), np.eye(4))
 

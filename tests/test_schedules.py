@@ -361,6 +361,12 @@ class TestScheduleFile:
         with pytest.raises(ValueError, match=message):
             read_schedule(io.StringIO(body))
 
+    @pytest.mark.parametrize("n_system", [0, -3])
+    def test_nonpositive_mode_count(self, n_system):
+        body = f"#scheme decoupling\n#N 1\n#m -\n#nS {n_system}\n0.5\t1\n"
+        with pytest.raises(ValueError, match=f"n_system must be >= 1, got {n_system}"):
+            read_schedule(io.StringIO(body))
+
     def test_roundtrip(self):
         for sched in (decoupling_schedule(3, 2), qubit_nudd_schedule(1, 1),
                       homogenization_schedule(2, 1)):
