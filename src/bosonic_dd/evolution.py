@@ -11,13 +11,15 @@ generator uses a fourth-order commutator-free scheme: one step over
 
 where X1, X2 are the generator at the two Gauss-Legendre nodes and
 a1 = 1/4 - sqrt(3)/6, a2 = 1/4 + sqrt(3)/6 (the factor applied first weights
-the early node more).  A pass builds the factors of every segment at once,
-contracting the node weights with the coefficient stack, and exponentiates
-them in calls of at most CF4_BLOCK_ELEMENTS elements.  The step is halved
+the early node more).  A pass weights the nodes of every segment at once
+and exponentiates the factors in calls of at most CF4_BLOCK_ELEMENTS
+elements, each call's factors one matrix product.  The step is halved
 until successive passes S, S2 of a segment agree to
 ||S2 - S||_F <= tol max(1, ||S2||_2), a test relative to the size of the
-propagator, so residuals down to ~1e-12 are not polluted by integration
-error; only segments that fail it are passed again.  The tolerance acts
+propagator (screened by ||S2||_2 <= ||S2||_F before any SVD), so residuals
+down to ~1e-12 are not polluted by integration error; only segments that
+fail it are passed again.  ``order_sweep`` re-tightens a point's tolerance
+by resuming from the passes the point already ran.  The tolerance acts
 only on this time-dependent path.
 
 A walk's pulses are one stack too, from one ``s_matrix`` call over the
@@ -132,53 +134,84 @@ DEFAULT_CONFIG = PropagatorConfig()
 # Elements exponentiated per call, as in spin_boson.BLOCK_ELEMENTS, so the
 # temporaries stay at 64 kB: a CF4 pass (2 factors x intervals x substeps x
 # dim^2, one substep of every interval at least) and a long constant walk
-# (intervals x dim^2, one interval at least) are split into such calls.
+# (intervals x dim^2, one interval at least) are split into such calls, and
+# a CF4 pass builds its node weights in blocks of about this size too.
 CF4_BLOCK_ELEMENTS = 8192
 
 
 def _cf4_pass(coeffs: np.ndarray, t0s: np.ndarray, t1s: np.ndarray,
               n: int) -> np.ndarray:
-    """n CF4 steps on every interval [t0s[i], t1s[i]], stacked; each factor
-    is the mix of Gauss-node powers contracted with the coefficients."""
-    d = coeffs.shape[-1]
+    """n CF4 steps on every interval [t0s[i], t1s[i]], stacked.  The
+    Gauss-node weights are built for up to CF4_BLOCK_ELEMENTS elements of
+    whole chunks at once; each chunk's factors are one product of its weight
+    rows (substep, interval, factor) with the coefficients."""
+    r, d = len(coeffs), coeffs.shape[-1]
     h = (t1s - t0s) / n
-    chunk = max(1, CF4_BLOCK_ELEMENTS // max(1, 2 * len(h) * d * d))
+    chunk = max(1, CF4_BLOCK_ELEMENTS // (2 * len(h) * d * d))
+    rows = 2 * len(h) * chunk
+    span = chunk * max(1, CF4_BLOCK_ELEMENTS // (rows * r))
     S = np.eye(d)
-    for k0 in range(0, n, chunk):
-        a = t0s + h * np.arange(k0, min(k0 + chunk, n))[:, None]
-        powers = (a[..., None] + h[:, None] * _NODES)[..., None] ** np.arange(len(coeffs))
-        weights = h[:, None, None] * (_MIX @ powers)  # (substep, interval, factor, r)
-        E = matrix_exponential(np.tensordot(weights, coeffs, axes=1))
-        for step in E[:, :, 0] @ E[:, :, 1]:
-            S = step @ S
+    for k0 in range(0, n, span):
+        a = t0s + h * np.arange(k0, min(k0 + span, n))[:, None]
+        powers = (a[..., None] + h[:, None] * _NODES)[..., None] ** np.arange(r)
+        weights = (h[:, None, None] * (_MIX @ powers)).reshape(-1, r)
+        for j0 in range(0, len(weights), rows):
+            F = weights[j0:j0 + rows] @ coeffs.reshape(r, d * d)
+            E = matrix_exponential(F.reshape(-1, len(h), 2, d, d))
+            for step in E[:, :, 0] @ E[:, :, 1]:
+                S = step @ S
     return S
 
 
+def _converged(S2: np.ndarray, diff: np.ndarray, tol: float) -> np.ndarray:
+    """diff <= tol max(1, ||S2||_2) per slice; as ||S2||_2 <= ||S2||_F (up to
+    rounding: the slack), only tol < diff <= tol ||S2||_F needs the SVD."""
+    done = diff <= tol
+    fro = np.linalg.norm(S2, axis=(-2, -1))
+    open_ = ~done & (diff <= tol * np.maximum(1.0, fro) * (1.0 + 1e-9))
+    if open_.any():
+        done[open_] = diff[open_] <= tol * np.maximum(
+            1.0, np.linalg.norm(S2[open_], 2, axis=(-2, -1)))
+    return done
+
+
 def _flows(coeffs: Sequence[np.ndarray], t0s: Sequence[float],
-           t1s: Sequence[float], cfg: PropagatorConfig) -> np.ndarray:
+           t1s: Sequence[float], cfg: PropagatorConfig,
+           record: dict | None = None) -> np.ndarray:
     """Time-ordered exponentials of sum_r coeffs[r] t^r on every interval
     [t0s[i], t1s[i]], stacked.  Step halving refines only the intervals
-    that have not yet converged."""
+    that have not yet converged, one pass per depth.  ``record`` (a dict,
+    empty at first) keeps per interval the depth of its last pass, that pass
+    and its distance from the one before, so a later call on the same
+    intervals at a tighter tolerance adds only the passes a fresh call would
+    add, with bitwise its result (a pass does not depend on the other
+    intervals in its call)."""
     coeffs = np.asarray(coeffs)
     t0s, t1s = np.asarray(t0s, dtype=float), np.asarray(t1s, dtype=float)
     if len(coeffs) == 1:
         X = (t1s - t0s)[:, None, None] * coeffs[0]
         chunk = max(1, CF4_BLOCK_ELEMENTS // X[0].size)
-        return np.concatenate([matrix_exponential(X[i:i + chunk])
-                               for i in range(0, len(X), chunk)])
-    out = np.tile(np.eye(coeffs.shape[-1]), (len(t0s), 1, 1))
+        for i in range(0, len(X), chunk):
+            X[i:i + chunk] = matrix_exponential(X[i:i + chunk])
+        return X
+    record = {} if record is None else record
+    if not record:  # no pass yet: depth -1, identity, infinite distance
+        record.update(depth=np.full(len(t0s), -1), diff=np.full(len(t0s), np.inf),
+                      S=np.tile(np.eye(coeffs.shape[-1]), (len(t0s), 1, 1)))
+    depth, S, diff = record["depth"], record["S"], record["diff"]
     todo = np.flatnonzero(t1s != t0s)
-    S = _cf4_pass(coeffs, t0s[todo], t1s[todo], cfg.substeps)
-    for depth in range(1, cfg.max_depth + 1):
-        S2 = _cf4_pass(coeffs, t0s[todo], t1s[todo], cfg.substeps << depth)
-        done = (np.linalg.norm(S2 - S, axis=(-2, -1)) <= cfg.tolerance
-                * np.maximum(1.0, np.linalg.norm(S2, 2, axis=(-2, -1))))
-        out[todo[done]] = S2[done]
-        todo, S = todo[~done], S2[~done]
+    while True:
+        todo = todo[~_converged(S[todo], diff[todo], cfg.tolerance)]
         if not todo.size:
-            return out
-    raise RuntimeError(f"propagator did not reach tolerance {cfg.tolerance} within "
-                       f"{cfg.max_depth} refinements on [{t0s[todo[0]]}, {t1s[todo[0]]}]")
+            return S
+        k = depth[todo].min()
+        if k == cfg.max_depth:
+            raise RuntimeError(f"propagator did not reach tolerance {cfg.tolerance} within "
+                               f"{cfg.max_depth} refinements on [{t0s[todo[0]]}, {t1s[todo[0]]}]")
+        step = todo[depth[todo] == k]
+        S2 = _cf4_pass(coeffs, t0s[step], t1s[step], cfg.substeps << (k + 1))
+        diff[step] = np.linalg.norm(S2 - S[step], axis=(-2, -1)) if k >= 0 else np.inf
+        S[step], depth[step] = S2, k + 1
 
 
 def propagate(gen: AnalyticGenerator, t0: float, t1: float,
@@ -191,7 +224,8 @@ def propagate(gen: AnalyticGenerator, t0: float, t1: float,
 
 
 def _walk(coeffs: Sequence[np.ndarray], schedule: PulseSchedule | None,
-          layout: ModeLayout, T: float, cfg: PropagatorConfig) -> np.ndarray:
+          layout: ModeLayout, T: float, cfg: PropagatorConfig,
+          record: dict | None = None) -> np.ndarray:
     """Time-ordered product of the free flows of sum_r coeffs[r] t^r and the
     schedule's pulses on [0, T], every flow from one batched call.  Each
     pulse is sign * S_alpha, or -I for a flip schedule, on the system block
@@ -208,7 +242,7 @@ def _walk(coeffs: Sequence[np.ndarray], schedule: PulseSchedule | None,
                              f"system dimension {d}")
         pulses[:, :d, :d] = signs[:, None, None] * W
     bounds = np.array([0.0, *deltas, 1.0]) * T
-    flows = _flows(coeffs, bounds[:-1], bounds[1:], cfg)
+    flows = _flows(coeffs, bounds[:-1], bounds[1:], cfg, record)
     S = np.eye(dim)
     for step in pulses @ flows[:-1]:
         S = step @ S
@@ -300,7 +334,9 @@ def order_sweep(gen: AnalyticGenerator, scheme: str, order: int,
     evolution, coupled generator) or "homogenization" (rotation-fit residual
     of the system block, decoupled generator with n_system = 2^m modes).
     For a time-dependent generator the integrator tolerance is re-tightened
-    per point until it sits at least two orders below the measured residual;
+    per point until it sits at least two orders below the measured residual,
+    each time resuming from the step-halving record of the point's earlier
+    walks (kept for that point only; the result is bitwise a fresh walk's);
     a constant generator is propagated exactly, once per point.
     """
     if scheme == "decoupling":
@@ -324,9 +360,10 @@ def order_sweep(gen: AnalyticGenerator, scheme: str, order: int,
         tol = cfg.tolerance
         residual = math.inf
         omega = math.nan
+        record: dict = {}
         for _ in range(4):
-            point_cfg = replace(cfg, tolerance=tol)
-            S = resulting_evolution(gen, schedule, T, point_cfg)
+            S = _walk(gen.coeffs, schedule, gen.layout, T,
+                      replace(cfg, tolerance=tol), record)
             if scheme == "decoupling":
                 residual = offdiag_residual(S, gen.layout)
             else:

@@ -40,6 +40,7 @@ from .pauli_basis import (
 )
 
 FLIP = 1  # pulse token for -I on the system block
+_PAIRS = frozenset((PAIR_I, PAIR_X, PAIR_Y, PAIR_Z))
 Pulse = Union[int, MultiIndex]
 
 # Pulse times produced by the nested recursion are distinct by construction;
@@ -56,6 +57,14 @@ class PulseEntry:
     sign: int = 1
 
 
+def _is_index(pulse, width: int) -> bool:
+    """Whether ``pulse`` is a tuple of ``width`` pairs of bits."""
+    try:
+        return type(pulse) is tuple and len(pulse) == width and _PAIRS.issuperset(pulse)
+    except TypeError:  # an unhashable pair
+        return False
+
+
 @dataclass(frozen=True)
 class PulseSchedule:
     scheme: str
@@ -67,13 +76,22 @@ class PulseSchedule:
     def __post_init__(self) -> None:
         if self.n_system is not None and self.n_system < 1:
             raise ValueError(f"n_system must be >= 1, got {self.n_system}")
-        prev = 0.0
-        for e in self.entries:
+        prev, width = 0.0, None if self.m is None else self.m + 1
+        for i, e in enumerate(self.entries):
             if not 0.0 < e.delta <= 1.0:
                 raise ValueError(f"pulse time {e.delta} outside (0, 1]")
             if e.delta <= prev:
                 raise ValueError("pulse times must be strictly increasing")
             prev = e.delta
+            if e.sign not in (1, -1):
+                raise ValueError(f"entry {i}: sign {e.sign!r} is not +-1")
+            if width is None:
+                if e.pulse != FLIP:
+                    raise ValueError(f"entry {i}: flip schedule pulse {e.pulse!r} "
+                                     f"is not {FLIP}")
+            elif not _is_index(e.pulse, width):
+                raise ValueError(f"entry {i}: pulse {e.pulse!r} is not m+1 = "
+                                 f"{width} pairs of bits in {{0, 1}}")
 
     @property
     def is_flip_schedule(self) -> bool:

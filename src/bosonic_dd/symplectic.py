@@ -106,13 +106,21 @@ _INV_FACTORIALS = [1.0 / math.factorial(k) for k in range(_TAYLOR_DEGREE + 1)]
 
 
 def _taylor_exponential(X: np.ndarray) -> np.ndarray:
-    """sum_{k<=8} X^k/k! by Paterson-Stockmeyer: X^2, X^3, X^4, then B0 + X^4 B1."""
+    """sum_{k<=8} X^k/k! by Paterson-Stockmeyer: X^2, X^3, X^4, then
+    B0 + X^4 B1, each sum accumulated left to right in two scratch buffers."""
     c = _INV_FACTORIALS
     X2 = X @ X
     X3 = X2 @ X
     X4 = X2 @ X2
-    E = X4 @ (c[5] * X + c[6] * X2 + c[7] * X3 + c[8] * X4)
-    E += c[4] * X4 + c[3] * X3 + c[2] * X2 + X + np.eye(X.shape[-1])
+    B, term = c[5] * X, np.empty_like(X)
+    for ck, Xk in ((c[6], X2), (c[7], X3), (c[8], X4)):
+        B += np.multiply(Xk, ck, out=term)
+    E = X4 @ B
+    np.multiply(X4, c[4], out=B)
+    for ck, Xk in ((c[3], X3), (c[2], X2), (c[1], X)):  # c[1] X is X exactly
+        B += np.multiply(Xk, ck, out=term)
+    B += np.eye(X.shape[-1])
+    E += B
     return E
 
 

@@ -321,6 +321,26 @@ class TestConfigErrors:
         self.run_with(tmp_path, capsys, command, tmp_path / "absent.cfg")
 
 
+class TestRerunIdentity:
+    # both sweeps re-tighten some points, so they resume step-halving records
+    @pytest.mark.parametrize("argv", [
+        ["decouple-sweep", "--seed", "11", "--N", "3", "--nS", "2", "--nE", "1",
+         "--degree", "2"],
+        ["homogenize-sweep", "--seed", "3", "--N", "2", "--m", "1", "--nE", "1",
+         "--degree", "1"],
+    ])
+    def test_same_bytes_in_process_and_in_a_fresh_interpreter(self, tmp_path, argv,
+                                                              fresh_python):
+        a, b, c = (tmp_path / f"{name}.csv" for name in "abc")
+        assert run(argv + ["--out", str(a)]) == 0
+        assert run(argv + ["--out", str(b)]) == 0
+        assert fresh_python(f"""
+from bosonic_dd import cli
+print(cli.main({argv + ["--out", str(c)]!r}))
+""") == 0
+        assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+
+
 class TestColdStart:
     def test_runs_load_no_module_and_never_scipy_linalg(self, tmp_path, fresh_python):
         out = str(tmp_path / "out.csv")

@@ -12,7 +12,10 @@ from bosonic_dd.evolution import (
     AnalyticGenerator,
     DegenerateRotationFit,
     PropagatorConfig,
+    _cf4_pass,
+    _converged,
     _flows,
+    _walk,
     affine_propagate,
     decoupling_error_bound,
     generator_block_norms,
@@ -634,3 +637,134 @@ class TestPropagationProperties:
                    for call in expm.call_args_list)
         for F, t0, t1 in zip(batched, t0s, t1s):
             assert np.array_equal(F, _flows(gen.coeffs, [t0], [t1], DEFAULT_CONFIG)[0])
+
+
+def chunked_cf4_pass(coeffs, t0s, t1s, n):
+    """The CF4 pass with its weights built per chunk and contracted by
+    np.tensordot: the former formula, kept as an oracle."""
+    d = coeffs.shape[-1]
+    h = (t1s - t0s) / n
+    chunk = max(1, evolution.CF4_BLOCK_ELEMENTS // max(1, 2 * len(h) * d * d))
+    S = np.eye(d)
+    for k0 in range(0, n, chunk):
+        a = t0s + h * np.arange(k0, min(k0 + chunk, n))[:, None]
+        powers = (a[..., None] + h[:, None] * evolution._NODES)[..., None] \
+            ** np.arange(len(coeffs))
+        weights = h[:, None, None] * (evolution._MIX @ powers)
+        E = matrix_exponential(np.tensordot(weights, coeffs, axes=1))
+        for step in E[:, :, 0] @ E[:, :, 1]:
+            S = step @ S
+    return S
+
+
+def full_convergence_test(S2, diff, tol):
+    return diff <= tol * np.maximum(1.0, np.linalg.norm(S2, 2, axis=(-2, -1)))
+
+
+def walk_or_error(*args):
+    try:
+        return _walk(*args)
+    except RuntimeError as exc:
+        return str(exc)
+
+
+class TestResumedRefinement:
+    @given(layouts, seeds, st.integers(1, 2), st.integers(1, 4), st.floats(0.01, 1.0),
+           st.sampled_from([1, 4, 16]),
+           st.lists(st.floats(1e-13, 1e-5), min_size=2, max_size=3, unique=True))
+    @settings(max_examples=40, deadline=None)
+    def test_resumed_walk_equals_fresh_walk(self, layout, seed, degree, order, T,
+                                            substeps, tolerances):
+        gen = make_generator(layout, seed=seed, degree=degree)
+        sched = decoupling_schedule(order, layout.n_system)
+        record = {}
+        for tol in sorted(tolerances, reverse=True):
+            cfg = PropagatorConfig(substeps=substeps, tolerance=tol)
+            fresh = walk_or_error(gen.coeffs, sched, layout, T, cfg)
+            resumed = walk_or_error(gen.coeffs, sched, layout, T, cfg, record)
+            if isinstance(fresh, str):
+                assert resumed == fresh
+                break
+            assert np.array_equal(resumed, fresh)
+
+    def test_resumed_flows_pass_intervals_of_unequal_depth(self):
+        gen = make_generator(ModeLayout(1, 1), seed=5, degree=2)
+        t0s, t1s = [0.0, 0.1], [0.1, 0.5]
+        record, depths = {}, []
+        for tol in (1e-6, 1e-9, 1e-12):
+            cfg = PropagatorConfig(substeps=4, tolerance=tol)
+            resumed = _flows(gen.coeffs, t0s, t1s, cfg, record)
+            assert np.array_equal(resumed, _flows(gen.coeffs, t0s, t1s, cfg))
+            depths.append(record["depth"].tolist())
+        # the last call resumes the intervals from depths 2 and 4
+        assert depths == [[1, 1], [2, 4], [4, 6]]
+
+    @given(layouts, seeds, st.integers(1, 2),
+           st.lists(st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 0.3)),
+                    min_size=1, max_size=6), st.integers(0, 6))
+    @settings(max_examples=25, deadline=None)
+    def test_cf4_pass_equals_the_chunked_formula(self, layout, seed, degree, spans,
+                                                 depth):
+        gen = make_generator(layout, seed=seed, degree=degree)
+        t0s = np.array([t for t, _ in spans])
+        t1s = t0s + np.array([h for _, h in spans])
+        coeffs = np.asarray(gen.coeffs)
+        n = 16 << depth  # up to 1024 substeps: several weight blocks
+        with mock.patch.object(evolution, "matrix_exponential",
+                               wraps=evolution.matrix_exponential) as expm:
+            S = _cf4_pass(coeffs, t0s, t1s, n)
+        assert np.array_equal(S, chunked_cf4_pass(coeffs, t0s, t1s, n))
+        one_substep = 2 * len(spans) * layout.dim ** 2
+        assert all(call.args[0].size <= max(evolution.CF4_BLOCK_ELEMENTS, one_substep)
+                   for call in expm.call_args_list)
+
+    def test_re_tightening_sweep_runs_no_pass_twice(self):
+        gen = make_generator(ModeLayout(1, 2), seed=1, degree=2)
+        grid = np.geomspace(2e-3, 0.3, 6)
+        with mock.patch.object(evolution, "_cf4_pass", wraps=evolution._cf4_pass) as p, \
+                mock.patch.object(evolution, "_walk", wraps=evolution._walk) as walks:
+            resumed = order_sweep(gen, "decoupling", 3, grid)
+        # one (interval, substeps) key per pass of a segment; the T points
+        # have distinct segments, so a repeat can only come from one point
+        passes = [(t0, t1, call.args[3]) for call in p.call_args_list
+                  for t0, t1 in zip(call.args[1].tolist(), call.args[2].tolist())]
+        assert walks.call_count > len(grid)  # some point was re-tightened
+        assert len(passes) == len(set(passes))
+        # and the resumed sweep equals one that walks every tolerance afresh
+        fresh_walk = evolution._walk
+        with mock.patch.object(evolution, "_walk",
+                               lambda *args: fresh_walk(*args[:5])):
+            fresh = order_sweep(gen, "decoupling", 3, grid)
+        assert resumed.residuals == fresh.residuals
+
+    @given(seeds, st.integers(1, 12), st.integers(1, 6), st.floats(0.1, 3.0),
+           st.lists(st.floats(0.0, 10.0), min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_screened_convergence_test_decides_as_the_svd(self, seed, dim, count,
+                                                          scale, factors):
+        rng = np.random.default_rng(seed)
+        S2 = scale * rng.uniform(-1.0, 1.0, (count, dim, dim))
+        tol = 1e-10
+        diff = tol * np.resize(factors, count) * np.linalg.norm(S2, axis=(-2, -1)) / 2
+        assert np.array_equal(_converged(S2, diff, tol),
+                              full_convergence_test(S2, diff, tol))
+
+    def test_screened_convergence_test_at_its_boundaries(self):
+        rng = np.random.default_rng(3)
+        tol = 1e-12
+        S2 = 3.0 * rng.uniform(-1.0, 1.0, (4, 6, 6))
+        S2[3] = np.outer(rng.uniform(1, 2, 6), rng.uniform(1, 2, 6))  # ||.||_2 = ||.||_F
+        spec = np.linalg.norm(S2, 2, axis=(-2, -1))
+        assert (spec > 1).all()
+        for diff in (np.full(4, tol), tol * spec, np.nextafter(tol * spec, np.inf),
+                     tol * (1 + spec) / 2, np.nextafter(np.full(4, tol), 0)):
+            expected = full_convergence_test(S2, diff, tol)
+            assert np.array_equal(_converged(S2, diff, tol), expected)
+        assert full_convergence_test(S2, tol * spec, tol).all()
+        assert not full_convergence_test(S2, np.nextafter(tol * spec, np.inf), tol).any()
+        # below ||S2||_2 = 1 the bound is tol itself
+        small = 0.1 * S2 / spec[:, None, None]
+        for diff, expected in ((np.full(4, tol), True),
+                               (np.nextafter(np.full(4, tol), np.inf), False)):
+            assert (_converged(small, diff, tol) == expected).all()
+            assert (full_convergence_test(small, diff, tol) == expected).all()

@@ -301,6 +301,41 @@ class TestTogglingSignFunction:
             assert set(f.interval_values()) <= {-1, 1}
 
 
+class TestScheduleEntries:
+    @pytest.mark.parametrize("m, pulse, message", [
+        (1, ((1, 1),), "entry 1: pulse .* is not m\\+1 = 2 pairs"),
+        (0, ((1, 1), (0, 0)), "entry 1: pulse .* is not m\\+1 = 1 pairs"),
+        (0, ((1, 2),), "entry 1: pulse .*bits in"),
+        (0, ((1, 1, 0),), "entry 1: pulse .*bits in"),
+        (0, ((-1, 0),), "entry 1: pulse .*bits in"),
+        (0, (1,), "entry 1: pulse .*bits in"),
+        (0, [(1, 1)], "entry 1: pulse .*bits in"),
+        (0, FLIP, "entry 1: pulse 1 is not"),
+    ])
+    def test_malformed_indexed_pulse_rejected(self, m, pulse, message):
+        good = PulseEntry(0.25, (PAIR_Y,) * (m + 1))
+        with pytest.raises(ValueError, match=message):
+            PulseSchedule(scheme="x", order=1, entries=(good, PulseEntry(0.5, pulse)), m=m)
+
+    @pytest.mark.parametrize("pulse", [0, 2, (PAIR_Y,)])
+    def test_flip_schedule_holds_only_flips(self, pulse):
+        entries = (PulseEntry(0.25, FLIP), PulseEntry(0.5, pulse))
+        with pytest.raises(ValueError, match="entry 1: flip schedule pulse"):
+            PulseSchedule(scheme="x", order=1, entries=entries, n_system=1)
+
+    @pytest.mark.parametrize("sign", [0, 2, -2, 0.5])
+    @pytest.mark.parametrize("m, pulse", [(None, FLIP), (0, (PAIR_Y,))])
+    def test_sign_must_be_plus_or_minus_one(self, sign, m, pulse):
+        entries = (PulseEntry(0.25, pulse), PulseEntry(0.5, pulse, sign))
+        with pytest.raises(ValueError, match="entry 1: sign"):
+            PulseSchedule(scheme="x", order=1, entries=entries, m=m)
+
+    def test_wrong_pair_count_fails_at_construction(self):
+        # formerly accepted, failing later inside `arrays` with a reshape error
+        with pytest.raises(ValueError, match="entry 0: pulse"):
+            PulseSchedule(scheme="x", order=1, entries=(PulseEntry(0.5, ((1, 1),)),), m=1)
+
+
 class TestMerging:
     def test_coincident_flips_cancel(self):
         s = flip_train_schedule([0.3, 0.3, 0.7], n_system=1)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -16,6 +18,19 @@ from bosonic_dd.symplectic import (
     symplectic_form,
 )
 from bosonic_dd.symplectic import _TAYLOR_THETA as TAYLOR_THETA
+from bosonic_dd.symplectic import _taylor_exponential
+
+
+def out_of_place_taylor(X):
+    """The degree-8 Paterson-Stockmeyer expression with a temporary per
+    term: the former kernel, kept as a bitwise oracle."""
+    c = [1.0 / math.factorial(k) for k in range(9)]
+    X2 = X @ X
+    X3 = X2 @ X
+    X4 = X2 @ X2
+    E = X4 @ (c[5] * X + c[6] * X2 + c[7] * X3 + c[8] * X4)
+    E += c[4] * X4 + c[3] * X3 + c[2] * X2 + X + np.eye(X.shape[-1])
+    return E
 
 
 def random_symmetric(rng, dim):
@@ -168,6 +183,20 @@ class TestMatrixExponential:
         X *= scale * TAYLOR_THETA / np.abs(X).sum(axis=-2).max(axis=-1)[:, None, None]
         for S in matrix_exponential(X):
             assert is_symplectic(S, J, tol=1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 16),
+           shape=st.lists(st.integers(1, 5), max_size=2),
+           scale=st.floats(0.0, 1.0))
+    def test_taylor_kernel_equals_out_of_place_expression(self, seed, dim, shape,
+                                                          scale):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-1.0, 1.0, (*shape, dim, dim))
+        norms = np.abs(X).sum(axis=-2).max(axis=-1, keepdims=True)[..., None]
+        X *= scale * TAYLOR_THETA / np.maximum(norms, 1e-300)
+        E, oracle = _taylor_exponential(X), out_of_place_taylor(X)
+        assert E.shape == oracle.shape and E.tobytes() == oracle.tobytes()  # -0.0 too
+        assert matrix_exponential(X).tobytes() == E.tobytes()
 
     def test_large_norm_slice_loads_scipy_expm(self, fresh_python):
         equal, loaded_before, loaded_after = fresh_python("""
