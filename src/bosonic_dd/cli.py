@@ -7,7 +7,8 @@ digits and '.' decimal separator.
 
 Exit codes: 0 success, 1 acceptance failure (slope outside its window or a
 failed verification), 2 usage error.  A subcommand reports a usage error by
-raising ``ValueError``; ``main`` alone prints it as ``error: ...``.
+raising ``ValueError``; ``main`` alone prints it as ``error: ...``, and
+does the same for a tolerance the integrator cannot reach.
 
 A plain-text config file (``--config``, ``key=value`` per line, '#'
 comments) supplies defaults for any long flag name; explicit flags win.
@@ -429,7 +430,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # usage errors, ConfigError among them
+    except (ValueError, evolution.ToleranceNotReached) as exc:
+        # usage errors (ConfigError among them) and an unreachable --tol
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:  # pragma: no cover

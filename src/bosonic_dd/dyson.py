@@ -12,9 +12,13 @@ interval of one grid laid over the union of all flips a report uses (labels
 with identical flips share one function).  A stage is an
 ``(n_intervals, degree + 1)`` array in the local variable u = t - b_i, so
 t^r is a binomial expansion in b_i, antidifferentiation a column shift and
-scale, and the continuity constants an exclusive cumulative sum.  Integrands
-are keys ((f_1, r_1), ..., (f_s, r_s)) walked in sorted order with only the
-live path on a stack, so each distinct prefix is integrated exactly once.
+scale, and the continuity constants an exclusive cumulative sum.  Keys
+((f_1, r_1), ..., (f_s, r_s)) come as integer arrays and are walked by
+depth: the distinct length-d prefixes of the longer keys are integrated as
+one stacked stage, and each key's last step is not integrated at all but
+contracted against a per-report table of moments
+int_0^{h_i} (b_i + u)^r u^j du.  Every sum runs in a fixed order, so a
+key's value does not depend on the other keys of the walk.
 Values are bounded by 1/s! (simplex volume), while the zero tolerance used
 by the checks is 1e-10, many orders below the generic nonzero scale at the
 budgets tested here.
@@ -31,8 +35,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 import numpy.random  # numpy 2 loads it lazily; load it at import time
@@ -52,35 +56,44 @@ from .schedules import (
 DEGREE_CAP = 24
 ZERO_TOL = 1e-10
 QUBIT_LABEL_GUARD = 10 ** 4
+WALK_BLOCK_ELEMENTS = 2 ** 18  # keys x intervals of one walk: bounds its arrays
+# _BINOMIAL[r, a] = C(r, a), zero for a > r
+_BINOMIAL = np.array([[math.comb(r, a) for a in range(DEGREE_CAP + 1)]
+                      for r in range(DEGREE_CAP + 1)], dtype=float)
 
 
-def _integrate_stage(coeffs: np.ndarray, signs: np.ndarray, power: int,
-                     left_pow: np.ndarray, width_pow: np.ndarray) -> np.ndarray:
-    """Antiderivative of F(t) t^power g(t), continuous and zero at t = 0.
+def _integrate_stage(coeffs: np.ndarray, signs: np.ndarray, powers: np.ndarray,
+                     degree: int, left_pow: np.ndarray, width_pow: np.ndarray) -> np.ndarray:
+    """Antiderivatives of F_p(t) t^(r_p) g_p(t), continuous and zero at t = 0.
 
-    Row i of ``coeffs`` holds g on grid interval (b_i, b_{i+1}] in ascending
-    powers of u = t - b_i, and ``signs[i]`` is F there; ``left_pow[i, k]`` is
-    b_i^k and ``width_pow[i, k]`` is (b_{i+1} - b_i)^k.
+    ``coeffs[p, i]`` holds g_p on grid interval (b_i, b_{i+1}] in ascending
+    powers of u = t - b_i, ``signs[p, i]`` is F_p there and ``powers[p]`` is
+    r_p; ``left_pow[i, k]`` is b_i^k and ``width_pow[i, k]`` is
+    (b_{i+1} - b_i)^k.  ``degree`` is the largest degree of any antiderivative;
+    the columns past a prefix's own degree stay zero and change no bit.
     """
-    n, width = coeffs.shape
-    degree = width + power
-    if degree > DEGREE_CAP:
-        raise RuntimeError(f"polynomial degree exceeds cap {DEGREE_CAP}")
-    out = np.zeros((n, degree + 1))
-    for a in range(power + 1):  # t^power = sum_a C(power, a) b_i^(power-a) u^a
-        scale = math.comb(power, a) * signs * left_pow[:, power - a]
-        out[:, a + 1:a + 1 + width] += scale[:, None] * coeffs
-    out[:, 1:] /= np.arange(1, degree + 1)
-    increments = np.einsum("ij,ij->i", out, width_pow[:, :degree + 1])
-    out[1:, 0] = np.cumsum(increments[:-1])
+    n_prefixes, n, width = coeffs.shape
+    out = np.zeros((n_prefixes, n, degree + 1))
+    for a in range(int(powers.max()) + 1):  # t^r = sum_a C(r, a) b_i^(r-a) u^a
+        scale = _BINOMIAL[powers, a][:, None] * signs * left_pow[:, np.maximum(powers - a, 0)].T
+        columns = min(width, degree - a)  # the rest would add zeros past `degree`
+        out[:, :, a + 1:a + 1 + columns] += scale[:, :, None] * coeffs[:, :, :columns]
+    out[:, :, 1:] /= np.arange(1, degree + 1)
+    increments = np.cumsum(out * width_pow[:, :degree + 1], axis=-1)[..., -1]
+    out[:, 1:, 0] = np.cumsum(increments[:, :-1], axis=-1)
     return out
 
 
-def _evaluate(functions: Sequence[PiecewiseSignFunction],
-              keys: Sequence[tuple[tuple[int, int], ...]],
-              extra_breaks: Sequence[float] = ()) -> list[float]:
-    """Nested integral of each key ((f_1, r_1), ..., (f_s, r_s)), in order;
-    f_k indexes ``functions``.  One stage per distinct key prefix."""
+def _evaluate(functions: Sequence[PiecewiseSignFunction], keys: Sequence[np.ndarray],
+              extra_breaks: Sequence[float] = ()) -> list[np.ndarray]:
+    """Nested integral of every key, one value array per key array.
+
+    ``keys[k]`` has shape (n_k, s_k, 2): row j is the key ((f_1, r_1), ...,
+    (f_s, r_s)), f indexing ``functions``.  Walked by depth: the distinct
+    length-d prefixes of the keys longer than d form one stacked stage, and a
+    key of length d + 1 is its prefix stage g contracted with the moments
+    mu_r[i, j] = int_0^{h_i} (b_i + u)^r u^j du: sum_i F(b_i) sum_j g mu_r.
+    """
     grid = {0.0, 1.0}
     for F in functions:
         grid.update(F.flips)
@@ -89,26 +102,64 @@ def _evaluate(functions: Sequence[PiecewiseSignFunction],
             raise ValueError("grid refinement points must lie in (0, 1)")
         grid.add(float(b))
     breaks = np.array(sorted(grid))
-    k = np.arange(DEGREE_CAP + 1)
+    n = len(breaks) - 1
+    # F is (-1)^(number of flips <= b_i) on (b_i, b_{i+1}]
+    signs = np.array([1.0 - 2.0 * (np.searchsorted(F.flips, breaks[:-1], side="right") % 2)
+                      for F in functions]).reshape(len(functions), n)
+    sizes = [len(block) for block in keys]
+    length = np.repeat([block.shape[1] for block in keys], sizes)
+    if not length.size:  # e.g. a sampled report that drew no tuple
+        return [np.empty(0) for _ in keys]
+    pairs = np.zeros((len(length), length.max(), 2), dtype=np.intp)  # keys padded with 0
+    for start, block in zip(np.cumsum([0] + sizes), keys):
+        pairs[start:start + len(block), :block.shape[1]] = block
+    f, r = pairs[..., 0], pairs[..., 1]
+    total = r.sum(axis=1)
+    if (length + total).max() > DEGREE_CAP:
+        raise RuntimeError(f"polynomial degree exceeds cap {DEGREE_CAP}")
+    n_powers = int(r.max()) + 1
+    # widest stage any key contracts: its prefix degree s - 1 + r_1 + ... + r_(s-1)
+    width = int((length - 1 + total - r[np.arange(len(r)), length - 1]).max()) + 1
+    k = np.arange(DEGREE_CAP + 1)  # one table shape, so the same bits for any keys
     left_pow = breaks[:-1, None] ** k
     width_pow = np.diff(breaks)[:, None] ** k
-    # F is (-1)^(number of flips <= b_i) on (b_i, b_{i+1}]
-    signs = [1.0 - 2.0 * (np.searchsorted(F.flips, breaks[:-1], side="right") % 2)
-             for F in functions]
-    values = {}
-    previous: tuple = ()
-    stages = [np.ones((len(breaks) - 1, 1))]  # stages[k] integrates previous[:k]
-    for key in sorted(set(keys)):
-        shared = 0
-        while shared < min(len(key), len(previous)) and key[shared] == previous[shared]:
-            shared += 1
-        del stages[shared + 1:]
-        for f, r in key[shared:]:
-            stages.append(_integrate_stage(stages[-1], signs[f], r, left_pow, width_pow))
-        last = stages[-1][-1]  # final piece; at u = h_{n-1} it is the value at t = 1
-        values[key] = float(last @ width_pow[-1, :len(last)])
-        previous = key
-    return [values[key] for key in keys]
+    moments = np.zeros((n_powers, n, width))  # moments[r] is mu_r
+    for a in range(n_powers):
+        scale = _BINOMIAL[:n_powers, a, None] * left_pow[:, np.maximum(k[:n_powers] - a, 0)].T
+        columns = min(width, DEGREE_CAP - a)  # entries past the cap are never used
+        moments[:, :, :columns] += scale[:, :, None] * (
+            width_pow[:, a + 1:a + 1 + columns] / np.arange(a + 1, a + 1 + columns))
+
+    values = np.empty(len(length))
+    prefix = np.zeros(len(length), dtype=np.intp)  # each key's row in `stage`
+    # walks over blocks of keys in lexicographic order share most prefixes
+    order = np.lexsort(np.where(np.arange(pairs.shape[1]) < length[:, None],
+                                f * n_powers + r, -1).T[::-1])
+    block = max(1, WALK_BLOCK_ELEMENTS // n)  # keys per walk
+    for start in range(0, len(length), block):
+        live = order[start:start + block]
+        stage = np.ones((1, n, 1))  # the empty prefix: g = 1
+        degrees = np.zeros(1, dtype=np.intp)
+        for d in range(pairs.shape[1]):
+            leaf = live[length[live] == d + 1]
+            if leaf.size:
+                last, which = np.unique(prefix[leaf] * n_powers + r[leaf, d],
+                                        return_inverse=True)
+                inner = np.cumsum(stage[last // n_powers]
+                                  * moments[last % n_powers, :, :stage.shape[2]], axis=-1)
+                terms = signs[f[leaf, d]]
+                terms *= inner[which, :, -1]
+                values[leaf] = np.cumsum(terms, axis=-1, out=terms)[:, -1]
+            live = live[length[live] > d + 1]
+            if not live.size:
+                break
+            steps, prefix[live] = np.unique((prefix[live] * len(signs) + f[live, d])
+                                            * n_powers + r[live, d], return_inverse=True)
+            parent, steps = np.divmod(steps, len(signs) * n_powers)
+            degrees = degrees[parent] + 1 + steps % n_powers
+            stage = _integrate_stage(stage[parent], signs[steps // n_powers], steps % n_powers,
+                                     int(degrees.max()), left_pow, width_pow)
+    return np.split(values, np.cumsum(sizes)[:-1])
 
 
 def iterated_integral(signs: Sequence[PiecewiseSignFunction],
@@ -125,8 +176,8 @@ def iterated_integral(signs: Sequence[PiecewiseSignFunction],
         raise ValueError("empty integrand")
     if any(r < 0 for r in powers):
         raise ValueError("powers must be nonnegative")
-    return _evaluate(signs, [tuple((k, int(r)) for k, r in enumerate(powers))],
-                     extra_breaks)[0]
+    key = np.array([[(k, int(r)) for k, r in enumerate(powers)]])
+    return float(_evaluate(signs, [key], extra_breaks)[0][0])
 
 
 def simplex_bound(s: int) -> float:
@@ -176,22 +227,11 @@ class ConditionReport:
 
 
 def _budget_pairs(order: int) -> list[tuple[int, tuple[int, ...]]]:
-    """All (s, powers) with s >= 1 and s + sum(powers) <= order."""
-    pairs = []
-    for s in range(1, order + 1):
-        for total in range(order - s + 1):
-            for comp in _compositions(total, s):
-                pairs.append((s, comp))
-    return pairs
-
-
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """All (s, powers) with s >= 1 and s + sum(powers) <= order: by s, then
+    by sum(powers), then lexicographically."""
+    return [(s, powers) for s in range(1, order + 1)
+            for powers in sorted(itertools.product(range(order - s + 1), repeat=s), key=sum)
+            if sum(powers) <= order - s]
 
 
 def _check_scalar_order(order: int) -> None:
@@ -232,45 +272,43 @@ def check_bosonic_decoupling_condition(order: int, tol: float = ZERO_TOL) -> Con
 
 def _scalar_condition_report(scheme: str, order: int,
                              sigma: PiecewiseSignFunction, tol: float) -> ConditionReport:
-    # gamma doubles as the function index: 0 is the constant, 1 is sigma
-    tuples = [(gammas, powers) for s, powers in _budget_pairs(order)
-              for gammas in itertools.product((0, 1), repeat=s) if sum(gammas) % 2]
-    keys = [tuple(zip(gammas, powers)) for gammas, powers in tuples + [((1,), (order,))]]
-    values = _evaluate((PiecewiseSignFunction(()), sigma), keys)
-    rows = [CheckRow(len(powers), powers, gammas, value, required_zero=True)
-            for (gammas, powers), value in zip(tuples, values)]
-    rows.append(CheckRow(1, (order,), (1,), values[-1], required_zero=False))
-    return ConditionReport(scheme=scheme, order=order, tol=tol,
-                           rows=tuple(rows), exhaustive=True)
+    # gamma labels 0 and 1 stand for the constant and sigma; their xor is 0 or 1
+    report = _tuple_condition_report(scheme, (PiecewiseSignFunction(()), sigma), (0, 1),
+                                     frozenset({0}), order, tol, max_tuples=10 ** 5,
+                                     seed=0, m=None)
+    witness = CheckRow(1, (order,), (1,), iterated_integral([sigma], [order]),
+                       required_zero=False)
+    return replace(report, rows=report.rows + (witness,))
 
 
-def _tuple_condition_report(scheme: str, schedule: PulseSchedule,
-                            alphabet: Sequence[MultiIndex],
-                            exempt_xors: frozenset,
-                            order: int, tol: float,
-                            max_tuples: int, seed: int) -> ConditionReport:
-    # labels whose toggling functions coincide share one function index
+def _tuple_condition_report(scheme: str, functions: Sequence[PiecewiseSignFunction],
+                            alphabet: Sequence, exempt_xors: frozenset,
+                            order: int, tol: float, max_tuples: int, seed: int,
+                            m: int | None) -> ConditionReport:
+    """Every tuple of ``alphabet`` labels (sign function ``functions[k]`` for
+    label k) whose index xor is not exempt, with every budget of powers."""
+    # labels whose sign functions coincide share one function index
     merged: dict[tuple[float, ...], int] = {}
-    function = np.array([merged.setdefault(toggling_sign_function(schedule, alpha).flips,
-                                           len(merged)) for alpha in alphabet])
+    function = np.array([merged.setdefault(F.flips, len(merged)) for F in functions])
     stack = np.array(alphabet)
     exempt = np.array(sorted(exempt_xors))
 
     def kept(picks: np.ndarray) -> np.ndarray:
         """Rows of alphabet positions whose index xor is not exempt."""
         xors = np.bitwise_xor.reduce(stack[picks], axis=1)
-        return ~(xors[:, None] == exempt).all(axis=(2, 3)).any(axis=1)
+        same = (xors[:, None] == exempt).reshape(len(xors), len(exempt), -1)
+        return ~same.all(axis=2).any(axis=1)
 
     pairs = _budget_pairs(order)
     total = sum(len(alphabet) ** s for s, _ in pairs)
-    chosen: list[tuple[tuple[int, ...], np.ndarray]] = []
+    chosen: list[tuple[tuple[int, ...], np.ndarray]] = []  # (powers, rows of picks)
     if total <= max_tuples:
         by_length: dict[int, np.ndarray] = {}
         for s, powers in pairs:
             if s not in by_length:  # all s-tuples in itertools.product order
                 picks = np.indices((len(alphabet),) * s).reshape(s, -1).T
                 by_length[s] = picks[kept(picks)]
-            chosen += [(powers, row) for row in by_length[s]]
+            chosen.append((powers, by_length[s]))
         exhaustive = True
     else:
         rng = np.random.default_rng(seed)
@@ -280,16 +318,29 @@ def _tuple_condition_report(scheme: str, schedule: PulseSchedule,
             s, powers = pairs[int(rng.integers(len(pairs)))]
             picks = rng.integers(len(alphabet), size=(1, s))  # = s scalar draws
             if kept(picks)[0]:
-                chosen.append((powers, picks[0]))
+                chosen.append((powers, picks))
         exhaustive = False
-    keys = [tuple(zip(function[picks].tolist(), powers)) for powers, picks in chosen]
-    values = _evaluate([PiecewiseSignFunction(flips) for flips in merged], keys)
+    # the keys of one length go to the walker as one array
+    groups: dict[int, list[tuple[tuple[int, ...], np.ndarray]]] = {}
+    for powers, picks in chosen:
+        groups.setdefault(len(powers), []).append((powers, picks))
+    keys = [np.stack([function[np.concatenate([picks for _, picks in group])],
+                      np.repeat([powers for powers, _ in group],
+                                [len(picks) for _, picks in group], axis=0)], axis=-1)
+            for group in groups.values()]
+    length = np.repeat([len(powers) for powers, _ in chosen],
+                       [len(picks) for _, picks in chosen])
+    values = np.empty(len(length))
+    for s, group_values in zip(groups, _evaluate(
+            [PiecewiseSignFunction(flips) for flips in merged], keys)):
+        values[length == s] = group_values
     labels = np.fromiter(alphabet, dtype=object, count=len(alphabet))
-    rows = tuple(CheckRow(len(powers), powers, tuple(labels[picks]), value,
+    value = iter(values.tolist())
+    rows = tuple(CheckRow(len(powers), powers, tuple(labels[row]), next(value),
                           required_zero=True)
-                 for (powers, picks), value in zip(chosen, values))
+                 for powers, picks in chosen for row in picks)
     return ConditionReport(scheme=scheme, order=order, tol=tol, rows=rows,
-                           exhaustive=exhaustive, m=schedule.m)
+                           exhaustive=exhaustive, m=m)
 
 
 def check_qubit_nudd_condition(order: int, m: int, tol: float = ZERO_TOL,
@@ -300,8 +351,9 @@ def check_qubit_nudd_condition(order: int, m: int, tol: float = ZERO_TOL,
     schedule = qubit_nudd_schedule(order, m)
     alphabet = tuple(itertools.product(ALL_PAIRS, repeat=m + 1))
     exempt = frozenset({(PAIR_I,) * (m + 1)})
-    return _tuple_condition_report("qubit-nudd", schedule, alphabet, exempt,
-                                   order, tol, max_tuples, seed)
+    functions = [toggling_sign_function(schedule, alpha) for alpha in alphabet]
+    return _tuple_condition_report("qubit-nudd", functions, alphabet, exempt,
+                                   order, tol, max_tuples, seed, m)
 
 
 def check_homogenization_condition_for(schedule: PulseSchedule, order: int,
@@ -315,8 +367,9 @@ def check_homogenization_condition_for(schedule: PulseSchedule, order: int,
     """
     alphabet = gamma_set(m)
     exempt = frozenset({(PAIR_I,) * (m + 1), symplectic_form_index(m)})
-    return _tuple_condition_report(schedule.scheme, schedule, alphabet,
-                                   exempt, order, tol, max_tuples, seed)
+    functions = [toggling_sign_function(schedule, alpha) for alpha in alphabet]
+    return _tuple_condition_report(schedule.scheme, functions, alphabet,
+                                   exempt, order, tol, max_tuples, seed, schedule.m)
 
 
 def check_homogenization_condition(order: int, m: int, tol: float = ZERO_TOL,

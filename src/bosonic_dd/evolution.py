@@ -163,6 +163,10 @@ def _cf4_pass(coeffs: np.ndarray, t0s: np.ndarray, t1s: np.ndarray,
     return S
 
 
+class ToleranceNotReached(RuntimeError):
+    """Step halving ran out of refinements before a segment met the tolerance."""
+
+
 def _converged(S2: np.ndarray, diff: np.ndarray, tol: float) -> np.ndarray:
     """diff <= tol max(1, ||S2||_2) per slice; as ||S2||_2 <= ||S2||_F (up to
     rounding: the slack), only tol < diff <= tol ||S2||_F needs the SVD."""
@@ -206,8 +210,9 @@ def _flows(coeffs: Sequence[np.ndarray], t0s: Sequence[float],
             return S
         k = depth[todo].min()
         if k == cfg.max_depth:
-            raise RuntimeError(f"propagator did not reach tolerance {cfg.tolerance} within "
-                               f"{cfg.max_depth} refinements on [{t0s[todo[0]]}, {t1s[todo[0]]}]")
+            raise ToleranceNotReached(
+                f"propagator did not reach tolerance {cfg.tolerance} within "
+                f"{cfg.max_depth} refinements on [{t0s[todo[0]]}, {t1s[todo[0]]}]")
         step = todo[depth[todo] == k]
         S2 = _cf4_pass(coeffs, t0s[step], t1s[step], cfg.substeps << (k + 1))
         diff[step] = np.linalg.norm(S2 - S[step], axis=(-2, -1)) if k >= 0 else np.inf

@@ -123,6 +123,21 @@ class TestSweeps:
             assert err == "error: --tol must be positive\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--N", "1", "--nS", "1", "--nE", "1", "--degree", "1", "--tol", "1e-16",
+         "--points", "3"],
+        ["--N", "4", "--nS", "2", "--nE", "4", "--degree", "2", "--tmin", "1e-2",
+         "--tmax", "1.0", "--tol", "1e-14"],
+    ], ids=["small", "deep"])
+    def test_unreachable_tolerance(self, tmp_path, capsys, flags):
+        # step halving runs out of refinements: a usage error, not a traceback
+        out = tmp_path / "s.csv"
+        assert run(["decouple-sweep", "--seed", "7", *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: propagator did not reach tolerance ")
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [
         ["schedule", "--scheme", "homogenization", "--N", "1", "--m", "5"],
         ["homogenize-sweep", "--N", "1", "--m", "5", "--nS", "32"],
@@ -354,9 +369,11 @@ codes = [cli.main(argv + ["--out", {out!r}]) for argv in (
     ["homogenize-sweep", "--N", "1", "--m", "1", "--points", "3"],
     ["decouple-sweep", "--N", "1", "--degree", "1", "--points", "3"],
     ["verify", "--check", "udd", "--N", "2"],
+    ["verify", "--check", "homogenization", "--N", "2", "--m", "1"],
+    ["verify", "--check", "nudd", "--N", "1", "--m", "1"],
     ["spectrum", "--nE", "2", "--L", "2", "--points", "3", "--tmin", "1e-3",
      "--tmax", "1e-2", "--cross-validate"])]
 print(json.dumps([codes, "scipy.linalg" in sys.modules,
                   sorted(set(sys.modules) - loaded)]))
 """)
-        assert result == [[0, 0, 0, 0], False, []]
+        assert result == [[0, 0, 0, 0, 0, 0], False, []]

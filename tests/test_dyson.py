@@ -10,6 +10,7 @@ from bosonic_dd import cli
 from bosonic_dd.dyson import (
     DEGREE_CAP,
     _budget_pairs,
+    _evaluate,
     _integrate_stage,
     check_bosonic_decoupling_condition,
     check_homogenization_condition,
@@ -216,8 +217,8 @@ class TestIntegralProperties:
         breaks = np.array((0.0,) + sig.flips + (1.0,))
         k = np.arange(DEGREE_CAP + 1)
         signs = np.array([1.0, -1.0, 1.0])
-        anti = _integrate_stage(np.ones((3, 1)), signs, 1, breaks[:-1, None] ** k,
-                                np.diff(breaks)[:, None] ** k)
+        anti = _integrate_stage(np.ones((1, 3, 1)), signs[None], np.array([1]), 2,
+                                breaks[:-1, None] ** k, np.diff(breaks)[:, None] ** k)[0]
         for i in range(1, len(breaks) - 1):
             h = breaks[i] - breaks[i - 1]
             left = np.polynomial.polynomial.polyval(h, anti[i - 1])
@@ -227,6 +228,101 @@ class TestIntegralProperties:
     def test_degree_guard(self):
         with pytest.raises(RuntimeError):
             iterated_integral([CONST] * 3, [10, 10, 10])
+
+
+@st.composite
+def rational_functions(draw):
+    """One to four sign functions with flips k/q from one denominator family."""
+    denominators = draw(st.sampled_from([(2, 4, 8, 16, 32), (3, 5, 6, 7, 9, 10, 12)]))
+    flip = st.sampled_from(denominators).flatmap(
+        lambda q: st.integers(1, q - 1).map(lambda k: Fraction(k, q)))
+    flip_sets = draw(st.lists(st.sets(flip, max_size=4), min_size=1, max_size=4))
+    return [tuple(float(f) for f in sorted(flips)) for flips in flip_sets]
+
+
+@st.composite
+def key_lists(draw, n_functions):
+    """Keys of length 1-4 with powers 0-3; a key may reuse a prefix of an
+    earlier key, so the list has shared prefixes, extensions and duplicates."""
+    pair = st.tuples(st.integers(0, n_functions - 1), st.integers(0, 3))
+    keys = []
+    for _ in range(draw(st.integers(1, 12))):
+        base = []
+        if keys and draw(st.booleans()):
+            base = keys[draw(st.integers(0, len(keys) - 1))]
+            base = base[:draw(st.integers(0, len(base)))]
+        keys.append(base + draw(st.lists(pair, min_size=0 if base else 1,
+                                         max_size=4 - len(base))))
+    return keys
+
+
+def walk(flip_sets, keys):
+    """Values of ``keys`` from one walker call, one key array per length."""
+    lengths = sorted({len(key) for key in keys})
+    arrays = [np.array([key for key in keys if len(key) == s]) for s in lengths]
+    functions = [PiecewiseSignFunction(flips) for flips in flip_sets]
+    values = {s: iter(v.tolist()) for s, v in zip(lengths, _evaluate(functions, arrays))}
+    return [next(values[len(key)]) for key in keys]
+
+
+class TestDepthWalker:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_values_match_the_rational_oracle(self, data):
+        flip_sets = data.draw(rational_functions())
+        keys = data.draw(key_lists(len(flip_sets)))
+        for key, value in zip(keys, walk(flip_sets, keys)):
+            exact = rational_oracle([flip_sets[f] for f, _ in key], [r for _, r in key])
+            assert abs(value - float(exact)) <= 1e-14
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_value_does_not_depend_on_the_other_keys(self, data):
+        flip_sets = data.draw(rational_functions())
+        keys = data.draw(key_lists(len(flip_sets)))
+        shared = walk(flip_sets, keys)
+        for key, value in zip(keys, shared):
+            assert walk(flip_sets, [key])[0].hex() == value.hex()
+        assert [v.hex() for v in walk(flip_sets, keys[::-1])] == \
+            [v.hex() for v in shared[::-1]]
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 9))
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_stage_equals_one_prefix_stages(self, seed, n_prefixes, n):
+        rng = np.random.default_rng(seed)
+        breaks = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, n - 1)), [1.0]])
+        k = np.arange(DEGREE_CAP + 1)
+        left_pow, width_pow = breaks[:-1, None] ** k, np.diff(breaks)[:, None] ** k
+        widths = rng.integers(1, 6, n_prefixes)  # real columns of each g_p
+        powers = rng.integers(0, 4, n_prefixes)
+        coeffs = np.where(np.arange(widths.max()) < widths[:, None, None],
+                          rng.uniform(-1.0, 1.0, (n_prefixes, n, widths.max())), 0.0)
+        signs = rng.choice([-1.0, 1.0], (n_prefixes, n))
+        degrees = widths + powers
+        stacked = _integrate_stage(coeffs, signs, powers, int(degrees.max()),
+                                   left_pow, width_pow)
+        for p in range(n_prefixes):
+            alone = _integrate_stage(coeffs[p:p + 1, :, :widths[p]], signs[p:p + 1],
+                                     powers[p:p + 1], int(degrees[p]), left_pow,
+                                     width_pow)[0]
+            assert stacked[p, :, :degrees[p] + 1].tobytes() == alone.tobytes()
+            assert not stacked[p, :, degrees[p] + 1:].any()
+
+    @given(st.lists(st.integers(0, 3), max_size=3), st.integers(0, 1))
+    @settings(max_examples=30, deadline=None)
+    def test_degree_guard_on_the_contracted_step(self, prefix_powers, spare):
+        # the key's prefix stays far below the cap; only its last power reaches it
+        s = len(prefix_powers) + 1
+        last = DEGREE_CAP + 1 - spare - s - sum(prefix_powers)
+        powers = prefix_powers + [last]
+        if spare:
+            exact = rational_oracle([()] * s, powers)
+            assert abs(iterated_integral([CONST] * s, powers) - float(exact)) <= 1e-14
+        else:
+            with pytest.raises(RuntimeError, match="degree exceeds cap"):
+                iterated_integral([CONST] * s, powers)
+            with pytest.raises(RuntimeError, match="degree exceeds cap"):
+                walk([()], [[(0, 0)], list(zip([0] * s, powers))])
 
 
 def _label_functions(scheme, n, m):
@@ -404,6 +500,10 @@ class TestHomogenizationCondition:
         assert not report.exhaustive
         assert report.n_checked == 500
         assert report.passed
+
+    def test_sampled_mode_without_draws(self):
+        report = check_homogenization_condition(2, 1, max_tuples=0)
+        assert not report.exhaustive and report.rows == () and report.passed
 
 
 class TestCorrespondence:

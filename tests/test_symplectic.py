@@ -187,7 +187,9 @@ class TestMatrixExponential:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 16),
            shape=st.lists(st.integers(1, 5), max_size=2),
-           scale=st.floats(0.0, 1.0))
+           # at scale 1 the rescaled 1-norm can round above theta, which takes
+           # scipy's branch by design; the boundary has its own test above
+           scale=st.floats(0.0, 1.0 - 1e-12))
     def test_taylor_kernel_equals_out_of_place_expression(self, seed, dim, shape,
                                                           scale):
         rng = np.random.default_rng(seed)
