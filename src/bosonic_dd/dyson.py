@@ -84,9 +84,19 @@ def _integrate_stage(coeffs: np.ndarray, signs: np.ndarray, powers: np.ndarray,
     return out
 
 
+def _dedupe(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(codes, return_inverse=True)`` by a stable argsort (np.unique
+    may import numpy.ma, which a cold process would pay for)."""
+    order = np.argsort(codes, kind="stable")  # a lower memory peak than the default
+    first = np.diff(codes[order], prepend=-1) != 0  # codes are >= 0
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(first) - 1
+    return codes[order[first]], inverse
+
+
 def _evaluate(functions: Sequence[PiecewiseSignFunction], keys: Sequence[np.ndarray],
-              extra_breaks: Sequence[float] = ()) -> list[np.ndarray]:
-    """Nested integral of every key, one value array per key array.
+              extra_breaks: Sequence[float] = ()) -> np.ndarray:
+    """Nested integral of every key, in key order across the key arrays.
 
     ``keys[k]`` has shape (n_k, s_k, 2): row j is the key ((f_1, r_1), ...,
     (f_s, r_s)), f indexing ``functions``.  Walked by depth: the distinct
@@ -109,26 +119,23 @@ def _evaluate(functions: Sequence[PiecewiseSignFunction], keys: Sequence[np.ndar
     sizes = [len(block) for block in keys]
     length = np.repeat([block.shape[1] for block in keys], sizes)
     if not length.size:  # e.g. a sampled report that drew no tuple
-        return [np.empty(0) for _ in keys]
+        return np.empty(0)
     pairs = np.zeros((len(length), length.max(), 2), dtype=np.intp)  # keys padded with 0
     for start, block in zip(np.cumsum([0] + sizes), keys):
         pairs[start:start + len(block), :block.shape[1]] = block
     f, r = pairs[..., 0], pairs[..., 1]
-    total = r.sum(axis=1)
-    if (length + total).max() > DEGREE_CAP:
+    power_sum = np.cumsum(r, axis=1)  # a length-d prefix has degree d + power_sum[d - 1]
+    if (length + power_sum[:, -1]).max() > DEGREE_CAP:
         raise RuntimeError(f"polynomial degree exceeds cap {DEGREE_CAP}")
     n_powers = int(r.max()) + 1
-    # widest stage any key contracts: its prefix degree s - 1 + r_1 + ... + r_(s-1)
-    width = int((length - 1 + total - r[np.arange(len(r)), length - 1]).max()) + 1
     k = np.arange(DEGREE_CAP + 1)  # one table shape, so the same bits for any keys
     left_pow = breaks[:-1, None] ** k
     width_pow = np.diff(breaks)[:, None] ** k
-    moments = np.zeros((n_powers, n, width))  # moments[r] is mu_r
-    for a in range(n_powers):
+    moments = np.zeros((n_powers, n, DEGREE_CAP))  # moments[r] is mu_r
+    for a in range(n_powers):  # entries past the cap stay partial but are never used
         scale = _BINOMIAL[:n_powers, a, None] * left_pow[:, np.maximum(k[:n_powers] - a, 0)].T
-        columns = min(width, DEGREE_CAP - a)  # entries past the cap are never used
-        moments[:, :, :columns] += scale[:, :, None] * (
-            width_pow[:, a + 1:a + 1 + columns] / np.arange(a + 1, a + 1 + columns))
+        moments[:, :, :DEGREE_CAP - a] += scale[:, :, None] * (
+            width_pow[:, a + 1:] / np.arange(a + 1, DEGREE_CAP + 1))
 
     values = np.empty(len(length))
     prefix = np.zeros(len(length), dtype=np.intp)  # each key's row in `stage`
@@ -139,27 +146,23 @@ def _evaluate(functions: Sequence[PiecewiseSignFunction], keys: Sequence[np.ndar
     for start in range(0, len(length), block):
         live = order[start:start + block]
         stage = np.ones((1, n, 1))  # the empty prefix: g = 1
-        degrees = np.zeros(1, dtype=np.intp)
         for d in range(pairs.shape[1]):
             leaf = live[length[live] == d + 1]
-            if leaf.size:
-                last, which = np.unique(prefix[leaf] * n_powers + r[leaf, d],
-                                        return_inverse=True)
-                inner = np.cumsum(stage[last // n_powers]
-                                  * moments[last % n_powers, :, :stage.shape[2]], axis=-1)
-                terms = signs[f[leaf, d]]
-                terms *= inner[which, :, -1]
-                values[leaf] = np.cumsum(terms, axis=-1, out=terms)[:, -1]
+            last, which = _dedupe(prefix[leaf] * n_powers + r[leaf, d])
+            inner = np.cumsum(stage[last // n_powers]
+                              * moments[last % n_powers, :, :stage.shape[2]], axis=-1)
+            terms = signs[f[leaf, d]]
+            terms *= inner[which, :, -1]
+            values[leaf] = np.cumsum(terms, axis=-1, out=terms)[:, -1]
             live = live[length[live] > d + 1]
             if not live.size:
                 break
-            steps, prefix[live] = np.unique((prefix[live] * len(signs) + f[live, d])
-                                            * n_powers + r[live, d], return_inverse=True)
+            steps, prefix[live] = _dedupe((prefix[live] * len(signs) + f[live, d])
+                                          * n_powers + r[live, d])
             parent, steps = np.divmod(steps, len(signs) * n_powers)
-            degrees = degrees[parent] + 1 + steps % n_powers
             stage = _integrate_stage(stage[parent], signs[steps // n_powers], steps % n_powers,
-                                     int(degrees.max()), left_pow, width_pow)
-    return np.split(values, np.cumsum(sizes)[:-1])
+                                     d + 1 + int(power_sum[live, d].max()), left_pow, width_pow)
+    return values
 
 
 def iterated_integral(signs: Sequence[PiecewiseSignFunction],
@@ -177,7 +180,7 @@ def iterated_integral(signs: Sequence[PiecewiseSignFunction],
     if any(r < 0 for r in powers):
         raise ValueError("powers must be nonnegative")
     key = np.array([[(k, int(r)) for k, r in enumerate(powers)]])
-    return float(_evaluate(signs, [key], extra_breaks)[0][0])
+    return float(_evaluate(signs, [key], extra_breaks)[0])
 
 
 def simplex_bound(s: int) -> float:
@@ -274,8 +277,7 @@ def _scalar_condition_report(scheme: str, order: int,
                              sigma: PiecewiseSignFunction, tol: float) -> ConditionReport:
     # gamma labels 0 and 1 stand for the constant and sigma; their xor is 0 or 1
     report = _tuple_condition_report(scheme, (PiecewiseSignFunction(()), sigma), (0, 1),
-                                     frozenset({0}), order, tol, max_tuples=10 ** 5,
-                                     seed=0, m=None)
+                                     frozenset({0}), order, tol)
     witness = CheckRow(1, (order,), (1,), iterated_integral([sigma], [order]),
                        required_zero=False)
     return replace(report, rows=report.rows + (witness,))
@@ -283,8 +285,8 @@ def _scalar_condition_report(scheme: str, order: int,
 
 def _tuple_condition_report(scheme: str, functions: Sequence[PiecewiseSignFunction],
                             alphabet: Sequence, exempt_xors: frozenset,
-                            order: int, tol: float, max_tuples: int, seed: int,
-                            m: int | None) -> ConditionReport:
+                            order: int, tol: float, max_tuples: int = 10 ** 5,
+                            seed: int = 0) -> ConditionReport:
     """Every tuple of ``alphabet`` labels (sign function ``functions[k]`` for
     label k) whose index xor is not exempt, with every budget of powers."""
     # labels whose sign functions coincide share one function index
@@ -320,27 +322,15 @@ def _tuple_condition_report(scheme: str, functions: Sequence[PiecewiseSignFuncti
             if kept(picks)[0]:
                 chosen.append((powers, picks))
         exhaustive = False
-    # the keys of one length go to the walker as one array
-    groups: dict[int, list[tuple[tuple[int, ...], np.ndarray]]] = {}
-    for powers, picks in chosen:
-        groups.setdefault(len(powers), []).append((powers, picks))
-    keys = [np.stack([function[np.concatenate([picks for _, picks in group])],
-                      np.repeat([powers for powers, _ in group],
-                                [len(picks) for _, picks in group], axis=0)], axis=-1)
-            for group in groups.values()]
-    length = np.repeat([len(powers) for powers, _ in chosen],
-                       [len(picks) for _, picks in chosen])
-    values = np.empty(len(length))
-    for s, group_values in zip(groups, _evaluate(
-            [PiecewiseSignFunction(flips) for flips in merged], keys)):
-        values[length == s] = group_values
+    keys = [np.stack([function[picks], np.broadcast_to(powers, picks.shape)], axis=-1)
+            for powers, picks in chosen]
+    value = iter(_evaluate([PiecewiseSignFunction(flips) for flips in merged], keys).tolist())
     labels = np.fromiter(alphabet, dtype=object, count=len(alphabet))
-    value = iter(values.tolist())
     rows = tuple(CheckRow(len(powers), powers, tuple(labels[row]), next(value),
                           required_zero=True)
                  for powers, picks in chosen for row in picks)
     return ConditionReport(scheme=scheme, order=order, tol=tol, rows=rows,
-                           exhaustive=exhaustive, m=m)
+                           exhaustive=exhaustive)
 
 
 def check_qubit_nudd_condition(order: int, m: int, tol: float = ZERO_TOL,
@@ -352,8 +342,8 @@ def check_qubit_nudd_condition(order: int, m: int, tol: float = ZERO_TOL,
     alphabet = tuple(itertools.product(ALL_PAIRS, repeat=m + 1))
     exempt = frozenset({(PAIR_I,) * (m + 1)})
     functions = [toggling_sign_function(schedule, alpha) for alpha in alphabet]
-    return _tuple_condition_report("qubit-nudd", functions, alphabet, exempt,
-                                   order, tol, max_tuples, seed, m)
+    return replace(_tuple_condition_report("qubit-nudd", functions, alphabet, exempt,
+                                           order, tol, max_tuples, seed), m=m)
 
 
 def check_homogenization_condition_for(schedule: PulseSchedule, order: int,
@@ -368,8 +358,9 @@ def check_homogenization_condition_for(schedule: PulseSchedule, order: int,
     alphabet = gamma_set(m)
     exempt = frozenset({(PAIR_I,) * (m + 1), symplectic_form_index(m)})
     functions = [toggling_sign_function(schedule, alpha) for alpha in alphabet]
-    return _tuple_condition_report(schedule.scheme, functions, alphabet,
-                                   exempt, order, tol, max_tuples, seed, schedule.m)
+    return replace(_tuple_condition_report(schedule.scheme, functions, alphabet,
+                                           exempt, order, tol, max_tuples, seed),
+                   m=schedule.m)
 
 
 def check_homogenization_condition(order: int, m: int, tol: float = ZERO_TOL,

@@ -10,6 +10,7 @@ from bosonic_dd import cli
 from bosonic_dd.dyson import (
     DEGREE_CAP,
     _budget_pairs,
+    _dedupe,
     _evaluate,
     _integrate_stage,
     check_bosonic_decoupling_condition,
@@ -261,11 +262,21 @@ def walk(flip_sets, keys):
     lengths = sorted({len(key) for key in keys})
     arrays = [np.array([key for key in keys if len(key) == s]) for s in lengths]
     functions = [PiecewiseSignFunction(flips) for flips in flip_sets]
-    values = {s: iter(v.tolist()) for s, v in zip(lengths, _evaluate(functions, arrays))}
-    return [next(values[len(key)]) for key in keys]
+    values = iter(_evaluate(functions, arrays).tolist())  # in array order
+    by_length = {s: iter([next(values) for _ in array]) for s, array in zip(lengths, arrays)}
+    return [next(by_length[len(key)]) for key in keys]
 
 
 class TestDepthWalker:
+    @given(st.lists(st.integers(0, 2 ** 40), max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_dedupe_equals_np_unique(self, codes):
+        codes = np.array(codes, dtype=np.intp)
+        distinct, inverse = _dedupe(codes)
+        expected, expected_inverse = np.unique(codes, return_inverse=True)
+        assert distinct.tolist() == expected.tolist()
+        assert inverse.tolist() == expected_inverse.tolist()
+
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_values_match_the_rational_oracle(self, data):

@@ -187,9 +187,7 @@ class TestMatrixExponential:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 16),
            shape=st.lists(st.integers(1, 5), max_size=2),
-           # at scale 1 the rescaled 1-norm can round above theta, which takes
-           # scipy's branch by design; the boundary has its own test above
-           scale=st.floats(0.0, 1.0 - 1e-12))
+           scale=st.floats(0.0, 1.0))
     def test_taylor_kernel_equals_out_of_place_expression(self, seed, dim, shape,
                                                           scale):
         rng = np.random.default_rng(seed)
@@ -198,7 +196,9 @@ class TestMatrixExponential:
         X *= scale * TAYLOR_THETA / np.maximum(norms, 1e-300)
         E, oracle = _taylor_exponential(X), out_of_place_taylor(X)
         assert E.shape == oracle.shape and E.tobytes() == oracle.tobytes()  # -0.0 too
-        assert matrix_exponential(X).tobytes() == E.tobytes()
+        # at scale 1 a rescaled 1-norm can round above theta: scipy's branch
+        small = np.abs(X).sum(axis=-2).max(axis=-1) <= TAYLOR_THETA
+        assert matrix_exponential(X)[small].tobytes() == E[small].tobytes()
 
     def test_large_norm_slice_loads_scipy_expm(self, fresh_python):
         equal, loaded_before, loaded_after = fresh_python("""
