@@ -125,9 +125,16 @@ def _sweep_grid(args: argparse.Namespace) -> tuple[float, ...]:
 
 
 def _slope_exit(result: evolution.SweepResult) -> int:
-    """0 if the fitted slope lies in [N+0.7, N+1.5], else 1 with a message."""
+    """0 if the fitted slope lies in [N+0.7, N+1.5], else 1 with a message;
+    too few points in the fit window for a slope is an acceptance failure too."""
+    if result.slope is None:
+        (low, high), res = result.fit_window, result.residuals
+        print(f"slope acceptance failed: only {result.n_fit} of {len(res)} points inside the "
+              f"fit window [{low}, {high}] ({sum(r < low for r in res)} below, "
+              f"{sum(r > high for r in res)} above); widen --tmin/--tmax", file=sys.stderr)
+        return 1
     lo, hi = result.order + SLOPE_MARGIN[0], result.order + SLOPE_MARGIN[1]
-    if result.slope is None or not lo <= result.slope <= hi:
+    if not lo <= result.slope <= hi:
         print(f"slope acceptance failed: slope={result.slope} window=[{lo},{hi}]",
               file=sys.stderr)
         return 1
@@ -211,6 +218,24 @@ def cmd_homogenize_sweep(args: argparse.Namespace) -> int:
     return _slope_exit(result)
 
 
+def _report_lines(check: str, report: dyson.ConditionReport) -> list[str]:
+    """The verify CSV lines of a condition report, one f-string per row; each
+    label and each budget's s and r text is formatted once."""
+    text = [str(label) if isinstance(label, int) else "".join(f"{x}{z}" for x, z in label)
+            for label in report.alphabet]
+    # row labels as object-array sums; a -1 pick (past s) adds the last text, ""
+    labels = np.array(text + [""], dtype=object)[report.picks[:, 0]]
+    later = np.array([";" + t for t in text] + [""], dtype=object)
+    for column in report.picks.T[1:]:
+        labels += later[column]
+    heads = [f"{check},{s},{';'.join(map(str, powers))}," for s, powers in report.budgets]
+    tails = ((",0,1\n", ",0,1\n"), (",1,0\n", ",1,1\n"))  # [required_zero][pass]
+    return [f"{heads[b]}{label},{_fmt(value)}{tails[required][ok]}"
+            for b, label, value, required, ok in zip(
+                report.budget.tolist(), labels.tolist(), report.values.tolist(),
+                report.required_zero.tolist(), report.row_passes.tolist())]
+
+
 _VERIFY_CHECKS = ("basis", "udd", "nudd", "homogenization", "correspondence")
 
 
@@ -228,25 +253,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"unknown checks {sorted(unknown)}")
     _check_tol(args.tol)
 
-    rows: list[tuple[str, str, str, str, float, bool, bool]] = []
-    all_pass = True
+    lines: list[str] = []
+    passes: list[bool] = []
 
     def add_report(check: str, report: dyson.ConditionReport) -> None:
-        nonlocal all_pass
-        all_pass &= report.passed
-        for row, labels in zip(report.rows, dyson.format_labels(report)):
-            rows.append((check, str(row.s),
-                         ";".join(str(r) for r in row.powers), labels,
-                         row.value, row.required_zero, report.row_passed(row)))
+        passes.append(report.passed)
+        lines.extend(_report_lines(check, report))
 
     if "basis" in selected:
         count_ok = len(pauli_basis.gamma_set(args.m)) == \
             2 * 2 ** (2 * args.m) + 2 ** args.m
         adj = pauli_basis.verify_adjoint_action(args.m, tol=args.tol)
         ok = count_ok and adj.passed
-        all_pass &= ok
-        rows.append(("basis", "-", "-", f"m={args.m}", adj.max_deviation,
-                     True, ok))
+        passes.append(ok)
+        lines.append(f"basis,-,-,m={args.m},{_fmt(adj.max_deviation)},1,{int(ok)}\n")
     if "udd" in selected:
         add_report("udd", dyson.check_udd_condition(args.N, tol=args.tol))
     if "nudd" in selected:
@@ -261,16 +281,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         add_report("homogenization", report)
     if "correspondence" in selected:
         corr = dyson.verify_qubit_bosonic_correspondence(args.N, args.m)
-        all_pass &= corr.passed
-        rows.append(("correspondence", "-", "-",
-                     f"N={args.N};m={args.m}", float(len(corr.mismatches)),
-                     True, corr.passed))
+        passes.append(corr.passed)
+        lines.append(f"correspondence,-,-,N={args.N};m={args.m},"
+                     f"{_fmt(float(len(corr.mismatches)))},1,{int(corr.passed)}\n")
     with _output(args.out) as stream:
         stream.write("check,s,r,labels,value,required_zero,pass\n")
-        for check, s, r, labels, value, required, ok in rows:
-            stream.write(f"{check},{s},{r},{labels},{_fmt(value)},"
-                         f"{int(required)},{int(ok)}\n")
-    return 0 if all_pass else 1
+        stream.writelines(lines)
+    return 0 if all(passes) else 1
 
 
 def _mutated_homogenization_report(order: int, m: int, tol: float) -> dyson.ConditionReport:

@@ -29,6 +29,13 @@ Checked conditions (each over all tuples with s + sum(r) <= N):
 * nested multi-qubit train:            vanishes when xor(alpha) != 0
 * bosonic homogenization:              vanishes when xor(alpha) is neither
                                        the zero index nor the index of -J
+
+A ``ConditionReport`` holds its rows as columns, with no object per row: the
+(s, powers) budgets and one budget id per row, an (n_rows, s_max) matrix of
+alphabet positions, the walker's values, a ``required_zero`` mask and the
+alphabet.  ``passed``, ``max_violation`` and ``n_checked`` are array
+reductions (a NaN value fails).  The scalar reports append their witness
+row, one order past the budget, as one more budget that need not vanish.
 """
 
 from __future__ import annotations
@@ -79,7 +86,9 @@ def _integrate_stage(coeffs: np.ndarray, signs: np.ndarray, powers: np.ndarray,
         columns = min(width, degree - a)  # the rest would add zeros past `degree`
         out[:, :, a + 1:a + 1 + columns] += scale[:, :, None] * coeffs[:, :, :columns]
     out[:, :, 1:] /= np.arange(1, degree + 1)
-    increments = np.cumsum(out * width_pow[:, :degree + 1], axis=-1)[..., -1]
+    increments = out[:, :, 0] * width_pow[:, 0]  # summed in column order, one column at a time
+    for j in range(1, degree + 1):
+        increments += out[:, :, j] * width_pow[:, j]
     out[:, 1:, 0] = np.cumsum(increments[:, :-1], axis=-1)
     return out
 
@@ -94,12 +103,13 @@ def _dedupe(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return codes[order[first]], inverse
 
 
-def _evaluate(functions: Sequence[PiecewiseSignFunction], keys: Sequence[np.ndarray],
-              extra_breaks: Sequence[float] = ()) -> np.ndarray:
-    """Nested integral of every key, in key order across the key arrays.
+def _evaluate(functions: Sequence[PiecewiseSignFunction], f: np.ndarray, r: np.ndarray,
+              length: np.ndarray, extra_breaks: Sequence[float] = ()) -> np.ndarray:
+    """Nested integral of every key.
 
-    ``keys[k]`` has shape (n_k, s_k, 2): row j is the key ((f_1, r_1), ...,
-    (f_s, r_s)), f indexing ``functions``.  Walked by depth: the distinct
+    Row j of the ``(n, width)`` integer arrays ``f`` and ``r`` is the key
+    ((f_1, r_1), ..., (f_s, r_s)), s = ``length[j]``, f indexing ``functions``
+    (padding past s: r = 0, any valid f).  Walked by depth: the distinct
     length-d prefixes of the keys longer than d form one stacked stage, and a
     key of length d + 1 is its prefix stage g contracted with the moments
     mu_r[i, j] = int_0^{h_i} (b_i + u)^r u^j du: sum_i F(b_i) sum_j g mu_r.
@@ -116,14 +126,8 @@ def _evaluate(functions: Sequence[PiecewiseSignFunction], keys: Sequence[np.ndar
     # F is (-1)^(number of flips <= b_i) on (b_i, b_{i+1}]
     signs = np.array([1.0 - 2.0 * (np.searchsorted(F.flips, breaks[:-1], side="right") % 2)
                       for F in functions]).reshape(len(functions), n)
-    sizes = [len(block) for block in keys]
-    length = np.repeat([block.shape[1] for block in keys], sizes)
     if not length.size:  # e.g. a sampled report that drew no tuple
         return np.empty(0)
-    pairs = np.zeros((len(length), length.max(), 2), dtype=np.intp)  # keys padded with 0
-    for start, block in zip(np.cumsum([0] + sizes), keys):
-        pairs[start:start + len(block), :block.shape[1]] = block
-    f, r = pairs[..., 0], pairs[..., 1]
     power_sum = np.cumsum(r, axis=1)  # a length-d prefix has degree d + power_sum[d - 1]
     if (length + power_sum[:, -1]).max() > DEGREE_CAP:
         raise RuntimeError(f"polynomial degree exceeds cap {DEGREE_CAP}")
@@ -140,19 +144,24 @@ def _evaluate(functions: Sequence[PiecewiseSignFunction], keys: Sequence[np.ndar
     values = np.empty(len(length))
     prefix = np.zeros(len(length), dtype=np.intp)  # each key's row in `stage`
     # walks over blocks of keys in lexicographic order share most prefixes
-    order = np.lexsort(np.where(np.arange(pairs.shape[1]) < length[:, None],
+    order = np.lexsort(np.where(np.arange(r.shape[1]) < length[:, None],
                                 f * n_powers + r, -1).T[::-1])
     block = max(1, WALK_BLOCK_ELEMENTS // n)  # keys per walk
+    # the walks' leaf products reuse two buffers instead of growing and shrinking
+    # the heap each step (np.take copies its `out` under the default mode)
+    leaf_terms, leaf_inner = np.empty((2, min(block, len(length)), n))
     for start in range(0, len(length), block):
         live = order[start:start + block]
         stage = np.ones((1, n, 1))  # the empty prefix: g = 1
-        for d in range(pairs.shape[1]):
+        for d in range(r.shape[1]):
             leaf = live[length[live] == d + 1]
             last, which = _dedupe(prefix[leaf] * n_powers + r[leaf, d])
-            inner = np.cumsum(stage[last // n_powers]
-                              * moments[last % n_powers, :, :stage.shape[2]], axis=-1)
-            terms = signs[f[leaf, d]]
-            terms *= inner[which, :, -1]
+            g, mu = last // n_powers, last % n_powers
+            inner = stage[g, :, 0] * moments[mu, :, 0]  # sum_j g mu_r, in column order
+            for j in range(1, stage.shape[2]):
+                inner += stage[g, :, j] * moments[mu, :, j]
+            terms = np.take(signs, f[leaf, d], axis=0, out=leaf_terms[:len(leaf)], mode="clip")
+            terms *= np.take(inner, which, axis=0, out=leaf_inner[:len(leaf)], mode="clip")
             values[leaf] = np.cumsum(terms, axis=-1, out=terms)[:, -1]
             live = live[length[live] > d + 1]
             if not live.size:
@@ -179,8 +188,8 @@ def iterated_integral(signs: Sequence[PiecewiseSignFunction],
         raise ValueError("empty integrand")
     if any(r < 0 for r in powers):
         raise ValueError("powers must be nonnegative")
-    key = np.array([[(k, int(r)) for k, r in enumerate(powers)]])
-    return float(_evaluate(signs, [key], extra_breaks)[0])
+    return float(_evaluate(signs, np.arange(len(powers))[None], np.array([powers], dtype=np.intp),
+                           np.array([len(powers)]), extra_breaks)[0])
 
 
 def simplex_bound(s: int) -> float:
@@ -193,40 +202,41 @@ def simplex_bound(s: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckRow:
-    s: int
-    powers: tuple[int, ...]
-    labels: tuple
-    value: float
-    required_zero: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionReport:
+    """One row per checked tuple, held as columns: row j is the labels
+    ``alphabet[picks[j, :s]]`` (``picks`` holds -1 past s) with the powers of
+    budget ``budgets[budget[j]] = (s, powers)``; ``values[j]`` is its integral,
+    which must vanish to within ``tol`` where ``required_zero[j]``."""
     scheme: str
     order: int
     tol: float
-    rows: tuple[CheckRow, ...]
+    alphabet: tuple
+    budgets: tuple[tuple[int, tuple[int, ...]], ...]
+    budget: np.ndarray
+    picks: np.ndarray
+    values: np.ndarray
+    required_zero: np.ndarray
     exhaustive: bool
     m: int | None = None
 
     @property
-    def max_violation(self) -> float:
-        vals = [abs(r.value) for r in self.rows if r.required_zero]
-        return max(vals, default=0.0)
-
-    @property
-    def n_checked(self) -> int:
-        return sum(1 for r in self.rows if r.required_zero)
-
-    def row_passed(self, row: CheckRow) -> bool:
-        """A row fails only when it must vanish and exceeds tol in magnitude."""
-        return abs(row.value) <= self.tol if row.required_zero else True
+    def row_passes(self) -> np.ndarray:
+        """A row fails only if it must vanish and not |value| <= tol (NaN fails)."""
+        return ~self.required_zero | (np.abs(self.values) <= self.tol)
 
     @property
     def passed(self) -> bool:
-        return all(self.row_passed(row) for row in self.rows)
+        return bool(self.row_passes.all())
+
+    @property
+    def max_violation(self) -> float:
+        """The largest |value| that must vanish: 0.0 for none, NaN if any is NaN."""
+        return float(np.abs(self.values[self.required_zero]).max(initial=0.0))
+
+    @property
+    def n_checked(self) -> int:
+        return int(np.count_nonzero(self.required_zero))
 
 
 def _budget_pairs(order: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -275,12 +285,15 @@ def check_bosonic_decoupling_condition(order: int, tol: float = ZERO_TOL) -> Con
 
 def _scalar_condition_report(scheme: str, order: int,
                              sigma: PiecewiseSignFunction, tol: float) -> ConditionReport:
-    # gamma labels 0 and 1 stand for the constant and sigma; their xor is 0 or 1
+    # gamma labels 0 and 1 stand for the constant and sigma; their xor is 0 or 1.
+    # The witness row (s=1, r=N, gamma=1) lies one order past the budget.
     report = _tuple_condition_report(scheme, (PiecewiseSignFunction(()), sigma), (0, 1),
                                      frozenset({0}), order, tol)
-    witness = CheckRow(1, (order,), (1,), iterated_integral([sigma], [order]),
-                       required_zero=False)
-    return replace(report, rows=report.rows + (witness,))
+    return replace(report, budgets=report.budgets + ((1, (order,)),),
+                   budget=np.append(report.budget, len(report.budgets)),
+                   picks=np.concatenate([report.picks, [[1] + [-1] * (order - 1)]]),
+                   values=np.append(report.values, iterated_integral([sigma], [order])),
+                   required_zero=np.append(report.required_zero, False))
 
 
 def _tuple_condition_report(scheme: str, functions: Sequence[PiecewiseSignFunction],
@@ -292,44 +305,54 @@ def _tuple_condition_report(scheme: str, functions: Sequence[PiecewiseSignFuncti
     # labels whose sign functions coincide share one function index
     merged: dict[tuple[float, ...], int] = {}
     function = np.array([merged.setdefault(F.flips, len(merged)) for F in functions])
-    stack = np.array(alphabet)
-    exempt = np.array(sorted(exempt_xors))
+    # each label's index bits packed into one integer, so index xors are integer xors
+    weight = 1 << np.arange(np.size(alphabet[0]))
+    code = np.reshape(alphabet, (len(alphabet), -1)) @ weight
+    exempt = np.reshape(sorted(exempt_xors), (len(exempt_xors), -1)) @ weight
 
     def kept(picks: np.ndarray) -> np.ndarray:
-        """Rows of alphabet positions whose index xor is not exempt."""
-        xors = np.bitwise_xor.reduce(stack[picks], axis=1)
-        same = (xors[:, None] == exempt).reshape(len(xors), len(exempt), -1)
-        return ~same.all(axis=2).any(axis=1)
+        """Rows of alphabet positions (-1 past s) whose index xor is not exempt."""
+        xors = np.bitwise_xor.reduce(np.where(picks < 0, 0, code[picks]), axis=1)
+        return (xors[:, None] != exempt).all(axis=1)
 
-    pairs = _budget_pairs(order)
-    total = sum(len(alphabet) ** s for s, _ in pairs)
-    chosen: list[tuple[tuple[int, ...], np.ndarray]] = []  # (powers, rows of picks)
-    if total <= max_tuples:
+    budgets = _budget_pairs(order)
+    powers = np.array([r + (0,) * (order - s) for s, r in budgets])  # padded with 0
+    if sum(len(alphabet) ** s for s, _ in budgets) <= max_tuples:
         by_length: dict[int, np.ndarray] = {}
-        for s, powers in pairs:
-            if s not in by_length:  # all s-tuples in itertools.product order
-                picks = np.indices((len(alphabet),) * s).reshape(s, -1).T
-                by_length[s] = picks[kept(picks)]
-            chosen.append((powers, by_length[s]))
+        for s in range(1, order + 1):  # all s-tuples in itertools.product order
+            picks = np.full((len(alphabet) ** s, order), -1)
+            picks[:, :s] = np.indices((len(alphabet),) * s).reshape(s, -1).T
+            by_length[s] = picks[kept(picks)]
+        budget = np.repeat(np.arange(len(budgets)), [len(by_length[s]) for s, _ in budgets])
+        picks = np.concatenate([by_length[s] for s, _ in budgets])
         exhaustive = True
     else:
+        # per draw: one budget, then s labels; each batch is tested at once and
+        # draws no more tuples than are still missing, so no extra number is drawn
         rng = np.random.default_rng(seed)
-        attempts = 0
-        while len(chosen) < max_tuples and attempts < 20 * max_tuples:
-            attempts += 1
-            s, powers = pairs[int(rng.integers(len(pairs)))]
-            picks = rng.integers(len(alphabet), size=(1, s))  # = s scalar draws
-            if kept(picks)[0]:
-                chosen.append((powers, picks))
+        budget = np.empty(max_tuples, dtype=np.intp)
+        picks = np.full((max_tuples, order), -1)
+        n = attempts = 0
+        while n < max_tuples and attempts < 20 * max_tuples:
+            batch = min(max_tuples - n, 20 * max_tuples - attempts)
+            attempts += batch
+            drawn, rows = budget[n:n + batch], picks[n:n + batch]
+            for j in range(batch):
+                drawn[j] = b = rng.integers(len(budgets))
+                s = budgets[b][0]
+                rows[j, :s] = rng.integers(len(alphabet), size=s)
+            keep = kept(rows)
+            n_kept = int(np.count_nonzero(keep))
+            drawn[:n_kept], rows[:n_kept] = drawn[keep], rows[keep]
+            rows[n_kept:] = -1
+            n += n_kept
+        budget, picks = budget[:n], picks[:n]
         exhaustive = False
-    keys = [np.stack([function[picks], np.broadcast_to(powers, picks.shape)], axis=-1)
-            for powers, picks in chosen]
-    value = iter(_evaluate([PiecewiseSignFunction(flips) for flips in merged], keys).tolist())
-    labels = np.fromiter(alphabet, dtype=object, count=len(alphabet))
-    rows = tuple(CheckRow(len(powers), powers, tuple(labels[row]), next(value),
-                          required_zero=True)
-                 for powers, picks in chosen for row in picks)
-    return ConditionReport(scheme=scheme, order=order, tol=tol, rows=rows,
+    values = _evaluate([PiecewiseSignFunction(flips) for flips in merged], function[picks],
+                       powers[budget], np.array([s for s, _ in budgets])[budget])
+    return ConditionReport(scheme=scheme, order=order, tol=tol, alphabet=tuple(alphabet),
+                           budgets=tuple(budgets), budget=budget, picks=picks,
+                           values=values, required_zero=np.ones(len(values), dtype=bool),
                            exhaustive=exhaustive)
 
 
@@ -408,18 +431,3 @@ def verify_qubit_bosonic_correspondence(order: int, m: int) -> CorrespondenceRep
             mismatches.append(alpha)
     return CorrespondenceReport(order=order, m=m, n_checked=len(gamma),
                                 mismatches=tuple(mismatches))
-
-
-# ---------------------------------------------------------------------------
-# CSV emission
-# ---------------------------------------------------------------------------
-
-
-def format_labels(report: ConditionReport) -> list[str]:
-    """Each row's labels, ';'-joined: gamma bits as digits, indices as bit
-    pairs.  Each distinct label of the report is formatted once."""
-    text = {label: str(label) if isinstance(label, int)
-            else "".join(f"{x}{z}" for x, z in label)
-            for label in {label for row in report.rows for label in row.labels}}
-    return [";".join([text[label] for label in row.labels]) for row in report.rows]
-

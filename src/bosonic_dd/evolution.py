@@ -105,11 +105,6 @@ class AnalyticGenerator:
     def value(self, t: float) -> np.ndarray:
         return self.values(t)
 
-    def linear_value(self, t: float) -> np.ndarray:
-        if self.linear is None:
-            return np.zeros(self.layout.dim)
-        return _polynomial(self.linear, t)
-
 
 def _polynomial(coeffs: Sequence[np.ndarray], ts) -> np.ndarray:
     """sum_r coeffs[r] t^r at every t in ``ts``, stacked along its axes."""

@@ -179,18 +179,6 @@ def pulse_matrix(axis: str, qubit: int, m: int) -> np.ndarray:
     return s_matrix(pulse_index(axis, qubit, m))
 
 
-def pulse_generator(axis: str, qubit: int, m: int) -> np.ndarray:
-    """An algebra element G with exp(G) = +-pulse_matrix(axis, qubit, m)."""
-    idx = pulse_index(axis, qubit, m)  # validates arguments
-    y0 = s_matrix(symplectic_form_index(m))
-    if qubit == 0:
-        return (np.pi / 2) * y0
-    W = s_matrix(idx)
-    if axis == "y":
-        return (np.pi / 2) * W
-    return (np.pi / 2) * (y0 @ (W + np.eye(W.shape[0])))
-
-
 def expand_in_basis(X: np.ndarray, m: int, tol: float = 1e-10) -> dict[MultiIndex, float]:
     """Coefficients B_alpha with X = sum_alpha B_alpha S_alpha over Gamma(m).
 

@@ -139,10 +139,6 @@ class PiecewiseSignFunction:
         k = sum(1 for t in self.flips if t < tau)
         return -1 if k % 2 else 1
 
-    def interval_values(self) -> tuple[int, ...]:
-        """Values on the len(flips)+1 intervals between consecutive flips."""
-        return tuple(-1 if k % 2 else 1 for k in range(len(self.flips) + 1))
-
 
 def udd_times(n_pulses: int) -> tuple[float, ...]:
     """Uhrig fractions sin^2(j pi / (2(N+1))), j = 1..N.

@@ -173,12 +173,6 @@ def block_decompose(M: np.ndarray, layout: ModeLayout) -> Blocks:
                   es=M[d:, :d].copy(), ee=M[d:, d:].copy())
 
 
-def assemble_blocks(blocks: Blocks) -> np.ndarray:
-    top = np.hstack([blocks.ss, blocks.se])
-    bot = np.hstack([blocks.es, blocks.ee])
-    return np.vstack([top, bot])
-
-
 def offdiag_residual(M: np.ndarray, layout: ModeLayout) -> float:
     """sqrt(||M_SE||_F^2 + ||M_ES||_F^2), the distance to the nearest
     block-diagonal matrix in Frobenius norm."""

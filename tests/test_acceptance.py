@@ -124,8 +124,8 @@ def test_c05_dyson_conditions():
         rep = dyson.check_udd_condition(n, tol=1e-10)
         ok &= rep.passed
         max_viol = max(max_viol, rep.max_violation)
-        probe = [r for r in rep.rows if not r.required_zero][0]
-        ok &= abs(probe.value) > 1e-6  # first violated order is exactly N+1
+        probe = rep.values[~rep.required_zero][0]
+        ok &= abs(probe) > 1e-6  # first violated order is exactly N+1
     for n, m in [(1, 1), (2, 1)]:
         rep = dyson.check_homogenization_condition(n, m, tol=1e-10)
         ok &= rep.passed and rep.exhaustive

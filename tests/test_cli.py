@@ -88,6 +88,17 @@ class TestSweeps:
         # omega column populated
         assert all(row.split(",")[2] != "" for row in rows)
 
+    def test_sweep_without_a_fit_says_why(self, tmp_path, capsys):
+        # every residual of this sweep lies below the fit window: no slope
+        out = tmp_path / "hom.csv"
+        assert run(["homogenize-sweep", "--seed", "7", "--N", "4", "--m", "1",
+                    "--nE", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "slope acceptance failed: only 0 of 10 points inside the fit window "
+            "[1e-12, 0.01] (10 below, 0 above); widen --tmin/--tmax\n")
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 10 and all(row.split(",")[4] == "1" for row in rows)
+
     def test_homogenize_rejects_bad_mode_count(self, tmp_path):
         assert run(["homogenize-sweep", "--N", "1", "--m", "1", "--nS", "3",
                     "--out", str(tmp_path / "x.csv")]) == 2

@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -17,12 +19,11 @@ from bosonic_dd.dyson import (
     check_homogenization_condition,
     check_qubit_nudd_condition,
     check_udd_condition,
-    format_labels,
     iterated_integral,
     simplex_bound,
     verify_qubit_bosonic_correspondence,
 )
-from bosonic_dd.pauli_basis import PAIR_I, PAIR_Y, gamma_set, symplectic_form_index
+from bosonic_dd.pauli_basis import ALL_PAIRS, PAIR_I, PAIR_Y, gamma_set, symplectic_form_index
 from bosonic_dd.schedules import (
     PiecewiseSignFunction,
     homogenization_schedule,
@@ -258,13 +259,22 @@ def key_lists(draw, n_functions):
 
 
 def walk(flip_sets, keys):
-    """Values of ``keys`` from one walker call, one key array per length."""
-    lengths = sorted({len(key) for key in keys})
-    arrays = [np.array([key for key in keys if len(key) == s]) for s in lengths]
+    """Values of ``keys`` from one walker call, the keys padded with (0, 0)."""
+    pairs = np.zeros((len(keys), max(map(len, keys)), 2), dtype=np.intp)
+    for row, key in zip(pairs, keys):
+        row[:len(key)] = key
     functions = [PiecewiseSignFunction(flips) for flips in flip_sets]
-    values = iter(_evaluate(functions, arrays).tolist())  # in array order
-    by_length = {s: iter([next(values) for _ in array]) for s, array in zip(lengths, arrays)}
-    return [next(by_length[len(key)]) for key in keys]
+    return _evaluate(functions, pairs[..., 0], pairs[..., 1],
+                     np.array([len(key) for key in keys])).tolist()
+
+
+def report_rows(report):
+    """(s, powers, labels, value, required_zero) of every row, read from the
+    report's columns."""
+    return [(s, powers, tuple(report.alphabet[p] for p in picks[:s]), value, required)
+            for (s, powers), picks, value, required in zip(
+                [report.budgets[b] for b in report.budget.tolist()], report.picks.tolist(),
+                report.values.tolist(), report.required_zero.tolist())]
 
 
 class TestDepthWalker:
@@ -336,6 +346,36 @@ class TestDepthWalker:
                 walk([()], [[(0, 0)], list(zip([0] * s, powers))])
 
 
+def seeded_draws(alphabet, exempt, order, max_tuples, seed):
+    """The sampled mode's draw loop written out one draw at a time: the kept
+    (s, powers, labels) rows, and whether each draw was kept."""
+    pairs = _budget_pairs(order)
+    rng = np.random.default_rng(seed)
+    rows, kept = [], []
+    while len(rows) < max_tuples and len(kept) < 20 * max_tuples:
+        s, powers = pairs[int(rng.integers(len(pairs)))]
+        alphas = tuple(alphabet[int(rng.integers(len(alphabet)))] for _ in range(s))
+        acc = (PAIR_I,) * len(alphabet[0])
+        for alpha in alphas:
+            acc = tuple((a[0] ^ b[0], a[1] ^ b[1]) for a, b in zip(acc, alpha))
+        kept.append(acc not in exempt)
+        if kept[-1]:
+            rows.append((s, powers, alphas))
+    return rows, kept
+
+
+def batches_with_rejections(kept, max_tuples):
+    """How many draw batches reject a draw, when each batch draws as many
+    tuples as are still missing."""
+    count = n = start = 0
+    while start < len(kept):
+        batch = kept[start:start + max_tuples - n]
+        count += not all(batch)
+        n += sum(batch)
+        start += len(batch)
+    return count
+
+
 def _label_functions(scheme, n, m):
     """Report and label -> sign function for the small exhaustive reports."""
     if scheme == "udd":
@@ -358,9 +398,9 @@ class TestWalkerProperties:
     def test_report_rows_equal_standalone_integrals(self, case):
         report, function_of = _label_functions(*case)
         assert report.exhaustive
-        for row in report.rows:
-            alone = iterated_integral([function_of(a) for a in row.labels], row.powers)
-            assert abs(row.value - alone) <= 1e-15
+        for _, powers, labels, value, _ in report_rows(report):
+            alone = iterated_integral([function_of(a) for a in labels], powers)
+            assert abs(value - alone) <= 1e-15
 
     @given(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
                     max_size=6),
@@ -379,27 +419,24 @@ class TestWalkerProperties:
     @given(st.integers(1, 400), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=15, deadline=None)
     def test_sampled_rows_follow_the_seeded_draws(self, max_tuples, seed):
-        # reference: the draw loop of the sampled mode, written out here
-        alphabet = gamma_set(2)
         exempt = {(PAIR_I,) * 3, symplectic_form_index(2)}
-        pairs = _budget_pairs(2)
-        rng = np.random.default_rng(seed)
-        expected = []
-        attempts = 0
-        while len(expected) < max_tuples and attempts < 20 * max_tuples:
-            attempts += 1
-            s, powers = pairs[int(rng.integers(len(pairs)))]
-            alphas = tuple(alphabet[int(rng.integers(len(alphabet)))] for _ in range(s))
-            acc = (PAIR_I,) * 3
-            for alpha in alphas:
-                acc = tuple((a[0] ^ b[0], a[1] ^ b[1]) for a, b in zip(acc, alpha))
-            if acc not in exempt:
-                expected.append((s, powers, alphas))
+        expected, _ = seeded_draws(gamma_set(2), exempt, 2, max_tuples, seed)
         report = check_homogenization_condition(2, 2, max_tuples=max_tuples, seed=seed)
         assert not report.exhaustive
-        assert [(r.s, r.powers, r.labels) for r in report.rows] == expected
+        assert [row[:3] for row in report_rows(report)] == expected
         again = check_homogenization_condition(2, 2, max_tuples=max_tuples, seed=seed)
-        assert again.rows == report.rows
+        assert report_rows(again) == report_rows(report)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sampled_nudd_rows_follow_the_seeded_draws(self, seed):
+        # 60 of the 124 tuples of N=3 m=0; about 1 draw in 4 is rejected, so
+        # the batches after the first redraw what the earlier ones rejected
+        alphabet = tuple(itertools.product(ALL_PAIRS, repeat=1))
+        expected, kept = seeded_draws(alphabet, {(PAIR_I,)}, 3, 60, seed)
+        assert batches_with_rejections(kept, 60) >= 2
+        report = check_qubit_nudd_condition(3, 0, max_tuples=60, seed=seed)
+        assert not report.exhaustive and report.passed
+        assert [row[:3] for row in report_rows(report)] == expected
 
 
 class TestUddCondition:
@@ -412,16 +449,16 @@ class TestUddCondition:
     def test_boundary_probe_is_nonzero(self):
         for n in range(1, 7):
             report = check_udd_condition(n)
-            probes = [r for r in report.rows if not r.required_zero]
+            probes = report.values[~report.required_zero]
             assert len(probes) == 1
-            assert abs(probes[0].value) == pytest.approx(0.25 ** n, rel=1e-9)
-            assert abs(probes[0].value) > 1e-6
+            assert abs(probes[0]) == pytest.approx(0.25 ** n, rel=1e-9)
+            assert abs(probes[0]) > 1e-6
 
     def test_n1_single_required_tuple(self):
         report = check_udd_condition(1)
-        required = [r for r in report.rows if r.required_zero]
+        required = [row for row in report_rows(report) if row[4]]
         assert len(required) == 1
-        assert required[0].s == 1 and required[0].powers == (0,)
+        assert required[0][:2] == (1, (0,))
 
     def test_budget_guard(self):
         with pytest.raises(ValueError):
@@ -434,15 +471,13 @@ class TestBosonicDecouplingCondition:
         a = check_udd_condition(n)
         b = check_bosonic_decoupling_condition(n)
         assert b.passed
-        rows_a = [(r.s, r.powers, r.labels, r.value) for r in a.rows]
-        rows_b = [(r.s, r.powers, r.labels, r.value) for r in b.rows]
-        assert rows_a == rows_b
+        assert report_rows(a) == report_rows(b)
 
     def test_even_parity_tuples_not_required(self):
         report = check_bosonic_decoupling_condition(2)
-        for row in report.rows:
-            if row.required_zero:
-                assert sum(row.labels) % 2 == 1
+        for _, _, labels, _, required in report_rows(report):
+            if required:
+                assert sum(labels) % 2 == 1
 
 
 @pytest.mark.parametrize("check, args, message", [
@@ -472,8 +507,8 @@ class TestQubitNuddCondition:
 
     def test_zero_index_exempt(self):
         report = check_qubit_nudd_condition(1, 0)
-        for row in report.rows:
-            flat = tuple(b for alpha in row.labels for pair in alpha for b in pair)
+        for _, _, labels, _, _ in report_rows(report):
+            flat = tuple(b for alpha in labels for pair in alpha for b in pair)
             assert any(flat)
 
     def test_guard(self):
@@ -500,9 +535,9 @@ class TestHomogenizationCondition:
         report = check_homogenization_condition(2, 1)
         zero = (PAIR_I, PAIR_I)
         form = (PAIR_Y, PAIR_I)
-        for row in report.rows:
+        for _, _, labels, _, _ in report_rows(report):
             acc = list(zero)
-            for alpha in row.labels:
+            for alpha in labels:
                 acc = [(a[0] ^ b[0], a[1] ^ b[1]) for a, b in zip(acc, alpha)]
             assert tuple(acc) not in (zero, form)
 
@@ -514,7 +549,9 @@ class TestHomogenizationCondition:
 
     def test_sampled_mode_without_draws(self):
         report = check_homogenization_condition(2, 1, max_tuples=0)
-        assert not report.exhaustive and report.rows == () and report.passed
+        assert not report.exhaustive and report.passed
+        assert len(report.values) == len(report.budget) == len(report.picks) == 0
+        assert report.max_violation == 0.0 and report.n_checked == 0
 
 
 class TestCorrespondence:
@@ -540,29 +577,101 @@ class TestCsv:
                          "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "check,s,r,labels,value,required_zero,pass"
-        assert len(lines) == len(check_udd_condition(2).rows) + 1
+        assert len(lines) == len(check_udd_condition(2).values) + 1
         for line in lines[1:]:
             assert len(line.split(",")) == 7
 
     def test_row_passed(self):
         # the one pass formula behind ConditionReport.passed and the CSV
         report = check_udd_condition(2, tol=1e-10)
-        row = next(r for r in report.rows if r.required_zero)
-        witness = next(r for r in report.rows if not r.required_zero)
-        assert report.row_passed(row) and report.passed
-        assert report.row_passed(dataclasses.replace(witness, value=1.0))
+        assert report.row_passes.all() and report.passed
+        row = int(np.flatnonzero(report.required_zero)[0])
+        witness = int(np.flatnonzero(~report.required_zero)[0])
+        loud = report.values.copy()
+        loud[witness] = 1.0
+        assert dataclasses.replace(report, values=loud).passed
         for value in (1e-9, math.nan):
-            broken = dataclasses.replace(
-                report, rows=(dataclasses.replace(row, value=value), witness))
-            assert not broken.row_passed(broken.rows[0])
+            values = report.values.copy()
+            values[row] = value
+            broken = dataclasses.replace(report, values=values)
+            assert not broken.row_passes[row]
             assert not broken.passed
 
     def test_format_labels_per_row(self):
-        for report in (check_udd_condition(3), check_qubit_nudd_condition(2, 1),
-                       check_homogenization_condition(2, 1)):
+        for check, report in (("udd", check_udd_condition(3)),
+                              ("nudd", check_qubit_nudd_condition(2, 1)),
+                              ("homogenization", check_homogenization_condition(2, 1))):
             expected = [
-                ";".join(str(l) for l in row.labels)
-                if all(isinstance(l, int) for l in row.labels)
-                else ";".join("".join(f"{x}{z}" for x, z in alpha) for alpha in row.labels)
-                for row in report.rows]
-            assert format_labels(report) == expected
+                ";".join(str(l) for l in labels)
+                if all(isinstance(l, int) for l in labels)
+                else ";".join("".join(f"{x}{z}" for x, z in alpha) for alpha in labels)
+                for _, _, labels, _, _ in report_rows(report)]
+            lines = cli._report_lines(check, report)
+            assert [line.split(",")[3] for line in lines] == expected
+
+
+def row_line(check, tol, row):
+    """Oracle: the verify CSV line of one (s, powers, labels, value,
+    required_zero) row, formatted label by label."""
+    s, powers, labels, value, required = row
+    text = ";".join(str(l) if isinstance(l, int) else "".join(f"{x}{z}" for x, z in l)
+                    for l in labels)
+    ok = abs(value) <= tol if required else True
+    return (f"{check},{s},{';'.join(str(r) for r in powers)},{text},{cli._fmt(value)},"
+            f"{int(required)},{int(ok)}\n")
+
+
+@functools.cache
+def column_report(check):
+    if check == "udd":
+        return check_udd_condition(3)
+    if check == "nudd":
+        return check_qubit_nudd_condition(1, 1)
+    return check_homogenization_condition(2, 2, max_tuples=40, seed=5)
+
+
+row_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-10, -1e-10, 1.0000000000000002e-10, math.nan,
+                     math.inf, -math.inf]),
+    st.floats(allow_nan=True, allow_infinity=True))
+
+
+class TestColumnReductions:
+    @given(st.sampled_from(["udd", "nudd", "homogenization"]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_reductions_and_lines_equal_the_per_row_oracle(self, check, data):
+        base = column_report(check)
+        n = len(base.values)
+        report = dataclasses.replace(
+            base, values=np.array(data.draw(st.lists(row_values, min_size=n, max_size=n))),
+            required_zero=np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+                                   dtype=bool))
+        rows = report_rows(report)
+        oks = [abs(value) <= report.tol if required else True for *_, value, required in rows]
+        assert report.row_passes.tolist() == oks
+        assert report.passed == all(oks)
+        assert report.n_checked == sum(required for *_, required in rows)
+        needed = [abs(value) for *_, value, required in rows if required]
+        if any(math.isnan(v) for v in needed):
+            assert math.isnan(report.max_violation)
+        else:
+            assert report.max_violation == max(needed, default=0.0)
+        assert cli._report_lines(check, report) == [row_line(check, report.tol, row)
+                                                     for row in rows]
+
+
+class TestExactConditionValues:
+    # worst |value - exact| over these rows is 1.4e-17 (nudd N=2 m=1)
+    BOUND = 1e-16
+
+    @pytest.mark.parametrize("case", [("udd", 6, None), ("nudd", 2, 1), ("hom", 3, 1)])
+    def test_seeded_rows_equal_exact_fractions(self, case):
+        # flips are floats, so exact dyadic rationals: the oracle integrates
+        # the very functions the walker does, in exact arithmetic
+        report, function_of = _label_functions(*case)
+        rows = report_rows(report)
+        rng = np.random.default_rng(2024)
+        for j in rng.choice(len(rows), size=60, replace=False).tolist():
+            _, powers, labels, value, _ = rows[j]
+            exact = rational_oracle([function_of(a).flips for a in labels], powers)
+            assert abs(Fraction(value) - exact) <= self.BOUND

@@ -506,7 +506,7 @@ class TestAffinePropagation:
             t = k * h
 
             def f(tt, dd):
-                return gen.value(tt) @ dd + gen.linear_value(tt)
+                return gen.value(tt) @ dd + sum(b * tt ** r for r, b in enumerate(gen.linear))
 
             k1 = f(t, dref)
             k2 = f(t + h / 2, dref + h / 2 * k1)

@@ -13,7 +13,6 @@ from bosonic_dd.pauli_basis import (
     gamma_set,
     gamma_tilde_set,
     product_index,
-    pulse_generator,
     pulse_index,
     pulse_matrix,
     s_matrix,
@@ -311,6 +310,18 @@ class TestPulses:
         with pytest.raises(ValueError):
             pulse_index("w", 1, 1)
 
+    @staticmethod
+    def pulse_generator(axis, qubit, m):
+        """An algebra element G with exp(G) = +-pulse_matrix(axis, qubit, m)."""
+        idx = pulse_index(axis, qubit, m)  # validates arguments
+        y0 = s_matrix(symplectic_form_index(m))
+        if qubit == 0:
+            return (np.pi / 2) * y0
+        W = s_matrix(idx)
+        if axis == "y":
+            return (np.pi / 2) * W
+        return (np.pi / 2) * (y0 @ (W + np.eye(W.shape[0])))
+
     @pytest.mark.parametrize("m", [1, 2])
     def test_generators_exponentiate_to_pulses(self, m):
         # every pulse is +-exp(G) for an algebra element G
@@ -318,7 +329,7 @@ class TestPulses:
         labels = [("y", 0)] + [(ax, i) for i in range(1, m + 1)
                                for ax in ("x", "y", "z")]
         for axis, qubit in labels:
-            G = pulse_generator(axis, qubit, m)
+            G = self.pulse_generator(axis, qubit, m)
             assert is_in_sp_algebra(G, J, tol=1e-12)
             E = matrix_exponential(G)
             W = pulse_matrix(axis, qubit, m)

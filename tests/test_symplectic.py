@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from bosonic_dd.symplectic import (
     ModeLayout,
-    assemble_blocks,
     block_decompose,
     is_in_sp_algebra,
     is_symplectic,
@@ -234,7 +233,8 @@ class TestBlocks:
         rng = np.random.default_rng(1)
         M = rng.uniform(size=(8, 8))
         layout = ModeLayout(2, 2)
-        assert np.array_equal(assemble_blocks(block_decompose(M, layout)), M)
+        b = block_decompose(M, layout)
+        assert np.array_equal(np.block([[b.ss, b.se], [b.es, b.ee]]), M)
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
