@@ -39,8 +39,6 @@ from .schedules import (
     udd_times,
     decoupling_schedule,
     flip_train_schedule,
-    nudd_times,
-    nudd_pulses,
     qubit_nudd_schedule,
     substitute_bosonic,
     homogenization_schedule,
@@ -77,7 +75,6 @@ from .spin_boson import (
     shear_parameter,
     added_noise,
     thermal_covariance,
-    uncontrolled_propagator,
     channel_params,
     channel_apply,
     cross_validate,

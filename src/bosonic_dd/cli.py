@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import math
 import sys
 from typing import IO, Iterator, Sequence
@@ -296,13 +297,10 @@ def _mutated_homogenization_report(order: int, m: int, tol: float) -> dyson.Cond
     if m < 1:
         raise ValueError("the mutation self-test needs m >= 1")
     sched = schedules.homogenization_schedule(order, m)
-    first = sched.entries[0]
-    flipped = (first.pulse[0],
-               (first.pulse[1][0] ^ 1, first.pulse[1][1])) + tuple(first.pulse[2:])
-    entries = (schedules.PulseEntry(first.delta, flipped, first.sign),) + sched.entries[1:]
-    mutated = schedules.PulseSchedule(scheme="bosonic-homogenization-mutated",
-                                      order=sched.order, entries=entries,
-                                      m=sched.m, n_system=sched.n_system)
+    pulses = sched.pulses.copy()
+    pulses[0, 1, 0] ^= 1
+    mutated = dataclasses.replace(sched, scheme="bosonic-homogenization-mutated",
+                                  pulses=pulses)
     return dyson.check_homogenization_condition_for(mutated, order, m, tol=tol)
 
 

@@ -47,6 +47,7 @@ from .schedules import (
 )
 from .symplectic import (
     ModeLayout,
+    _single_form,
     block_decompose,
     matrix_exponential,
     offdiag_residual,
@@ -101,9 +102,6 @@ class AnalyticGenerator:
     def values(self, ts) -> np.ndarray:
         """X(t) at every t in ``ts``, shape ``np.shape(ts) + (dim, dim)``."""
         return _polynomial(self.coeffs, ts)
-
-    def value(self, t: float) -> np.ndarray:
-        return self.values(t)
 
 
 def _polynomial(coeffs: Sequence[np.ndarray], ts) -> np.ndarray:
@@ -230,17 +228,17 @@ def _walk(coeffs: Sequence[np.ndarray], schedule: PulseSchedule | None,
     schedule's pulses on [0, T], every flow from one batched call.  Each
     pulse is sign * S_alpha, or -I for a flip schedule, on the system block
     and identity on the rest of the coefficients' dimension."""
-    deltas, indices, signs = (np.empty(0), None, None) if schedule is None else schedule.arrays
+    deltas = np.empty(0) if schedule is None else schedule.deltas
     dim, d = coeffs[0].shape[-1], layout.system_dim
     pulses = np.tile(np.eye(dim), (len(deltas), 1, 1))
-    if indices is None:
+    if schedule is None or schedule.is_flip_schedule:
         pulses[:, :d, :d] = -np.eye(d)
     else:
-        W = s_matrix(indices)
+        W = s_matrix(schedule.pulses)
         if W.shape[-1] != d:
             raise ValueError(f"pulse dimension {W.shape[-1]} does not match "
                              f"system dimension {d}")
-        pulses[:, :d, :d] = signs[:, None, None] * W
+        pulses[:, :d, :d] = schedule.signs[:, None, None] * W
     bounds = np.array([0.0, *deltas, 1.0]) * T
     flows = _flows(coeffs, bounds[:-1], bounds[1:], cfg, record)
     S = np.eye(dim)
@@ -274,10 +272,7 @@ def homogenization_fit(S_sys: np.ndarray, T: float) -> RotationFit:
     d = S_sys.shape[0]
     if d % 2 or S_sys.shape != (d, d):
         raise ValueError("system matrix must be square of even dimension")
-    n = d // 2
-    J = np.zeros((d, d))
-    J[:n, n:] = np.eye(n)
-    J[n:, :n] = -np.eye(n)
+    J = _single_form(d // 2)
     c1 = float(np.trace(S_sys)) / d
     c2 = float(np.trace(J.T @ S_sys)) / d
     if c1 == 0.0 and c2 == 0.0:
@@ -306,11 +301,10 @@ class SweepResult:
 def _pulse_product_sign(schedule: PulseSchedule) -> int:
     """Sign of the time-ordered product of the signed system pulses, read
     from the index algebra; raises unless the product is +-identity."""
-    _, indices, signs = schedule.arrays
-    index, sign = product_index(indices[::-1])
+    index, sign = product_index(schedule.pulses[::-1])
     if any(x or z for x, z in index):
         raise ValueError("pulse product is not +-identity")
-    return sign * int(np.prod(signs))
+    return sign * int(np.prod(schedule.signs))
 
 
 def _fit_slope(times: Sequence[float], residuals: Sequence[float],

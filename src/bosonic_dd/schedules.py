@@ -1,17 +1,18 @@
 """Pulse schedules: single-axis Uhrig trains, nested multi-qubit trains,
 and the bosonic homogenization schedules obtained by pulse substitution.
 
-A schedule stores fractional application times ``0 < delta <= 1``; the total
-time T is supplied when the schedule is evolved.  Two pulse alphabets occur:
+A ``PulseSchedule`` holds L pulses as three read-only columns, checked at
+construction: ``deltas`` (L,), the application times as fractions of the
+total time T, strictly increasing in (0, 1]; ``pulses`` (L, m+1, 2), one
+multi-index over (Z2 x Z2)^{m+1} per pulse (see :mod:`bosonic_dd.pauli_basis`),
+or None for a flip schedule; and ``signs`` (L,), the +-1 factor of each pulse.
 
-* flip schedules ("decoupling"): every pulse is the phase flip -I on the
-  system block.  The pulse is stored as the bit 1; the relevant sign
+* flip schedules ("decoupling", ``m`` None): every pulse is the phase flip
+  -I on the system block and every sign is +1; the relevant sign
   information is the scalar function sigma that flips at every pulse.
-* indexed schedules ("qubit-nudd", "bosonic-homogenization"): pulses are
-  multi-indices over (Z2 x Z2)^{m+1} (see :mod:`bosonic_dd.pauli_basis`).
-  Position 0 of the index corresponds to the innermost nesting level of the
-  nested train; level 2k is the z-slot and level 2k+1 the x-slot of
-  position k.
+* indexed schedules ("qubit-nudd", "bosonic-homogenization"): position 0
+  of an index corresponds to the innermost nesting level of the nested
+  train; level 2k is the z-slot and level 2k+1 the x-slot of position k.
 
 Sign functions are stored canonically as their flip points only: F(0+) = +1
 always, and a flip at exactly delta = 1 is dropped (it changes the function
@@ -23,94 +24,87 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import IO, Iterable, Sequence, Union
+from typing import IO, Sequence
 
 import numpy as np
 
 from .pauli_basis import (
-    MultiIndex,
     PAIR_I,
     PAIR_X,
     PAIR_Y,
     PAIR_Z,
     _check_m,
-    product_index,
     symplectic_inner_product,
 )
 
-FLIP = 1  # pulse token for -I on the system block
-_PAIRS = frozenset((PAIR_I, PAIR_X, PAIR_Y, PAIR_Z))
-Pulse = Union[int, MultiIndex]
+FLIP = 1  # file token for -I on the system block
 
-# Pulse times produced by the nested recursion are distinct by construction;
-# the merge below is a safety net for externally supplied schedules.
+# Coincident flips of a flip train compose.  The nested recursion never puts
+# two pulses this close: its smallest gap under the label guard is 6.1e-12.
 MERGE_TOL = 1e-12
 
 NUDD_LABEL_GUARD = 10 ** 6
 
 
-@dataclass(frozen=True)
-class PulseEntry:
-    delta: float
-    pulse: Pulse
-    sign: int = 1
-
-
-def _is_index(pulse, width: int) -> bool:
-    """Whether ``pulse`` is a tuple of ``width`` pairs of bits."""
-    try:
-        return type(pulse) is tuple and len(pulse) == width and _PAIRS.issuperset(pulse)
-    except TypeError:  # an unhashable pair
-        return False
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PulseSchedule:
+    """A schedule's columns (see the module docstring); eq=False, as they
+    are arrays."""
+
     scheme: str
     order: int
-    entries: tuple[PulseEntry, ...]
+    deltas: np.ndarray
+    pulses: np.ndarray | None
+    signs: np.ndarray
     m: int | None = None
     n_system: int | None = None
 
     def __post_init__(self) -> None:
         if self.n_system is not None and self.n_system < 1:
             raise ValueError(f"n_system must be >= 1, got {self.n_system}")
-        prev, width = 0.0, None if self.m is None else self.m + 1
-        for i, e in enumerate(self.entries):
-            if not 0.0 < e.delta <= 1.0:
-                raise ValueError(f"pulse time {e.delta} outside (0, 1]")
-            if e.delta <= prev:
-                raise ValueError("pulse times must be strictly increasing")
-            prev = e.delta
-            if e.sign not in (1, -1):
-                raise ValueError(f"entry {i}: sign {e.sign!r} is not +-1")
-            if width is None:
-                if e.pulse != FLIP:
-                    raise ValueError(f"entry {i}: flip schedule pulse {e.pulse!r} "
-                                     f"is not {FLIP}")
-            elif not _is_index(e.pulse, width):
-                raise ValueError(f"entry {i}: pulse {e.pulse!r} is not m+1 = "
-                                 f"{width} pairs of bits in {{0, 1}}")
+        flip = self.m is None
+        if flip != (self.pulses is None):
+            raise ValueError("a schedule has a pulse stack iff m is set")
+        deltas, signs = np.array(self.deltas, dtype=float), np.array(self.signs)
+        n, width = len(deltas), 0 if flip else self.m + 1
+        if deltas.ndim != 1 or signs.shape != deltas.shape or not (flip or len(self.pulses) == n):
+            raise ValueError(f"need one sign and one pulse per pulse time, got {signs.shape} "
+                             f"signs and {deltas.shape} times")
+        try:
+            pulses = np.zeros((n, 0, 2), dtype=int) if flip else np.array(self.pulses)
+        except ValueError:  # a ragged stack
+            pulses = None
+        if pulses is None or pulses.shape != (n, width, 2):
+            i = next((i for i, p in enumerate(self.pulses) if np.shape(p) != (width, 2)), 0)
+            pulse = self.pulses[i]
+            pulse = pulse.tolist() if isinstance(pulse, np.ndarray) else pulse
+            raise ValueError(f"entry {i}: pulse {pulse!r} is not m+1 = {width} "
+                             "pairs of bits in {0, 1}")
+        bad = np.array([~((deltas > 0.0) & (deltas <= 1.0)),
+                        ~(np.diff(deltas, prepend=0.0) > 0.0),
+                        ~((signs == 1) | (signs == (1 if flip else -1))),
+                        ((pulses != 0) & (pulses != 1)).reshape(n, 2 * width).any(axis=1)])
+        if bad.any():  # name the first bad entry, by its first failed check
+            i = int(bad.any(axis=0).argmax())
+            raise ValueError(f"entry {i}: " + (
+                f"pulse time {deltas[i]} outside (0, 1]",
+                "pulse times must be strictly increasing",
+                f"sign {signs[i].item()!r} is not {'+1 on a flip schedule' if flip else '+-1'}",
+                f"pulse {pulses[i].tolist()} is not m+1 = {width} pairs of bits in {{0, 1}}",
+            )[int(bad[:, i].argmax())])
+        columns = {"deltas": deltas, "signs": signs.astype(int, copy=False)}
+        if not flip:
+            columns["pulses"] = pulses.astype(int, copy=False)
+        for name, column in columns.items():
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
     @property
     def is_flip_schedule(self) -> bool:
         return self.m is None
 
-    def times(self) -> tuple[float, ...]:
-        return tuple(e.delta for e in self.entries)
-
     def __len__(self) -> int:
-        return len(self.entries)
-
-    @cached_property
-    def arrays(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-        """Pulse times, the pulses as one index stack of shape (len, m+1, 2)
-        (None for a flip schedule) and the entry signs; built once, read by
-        every F_alpha and every evolution walk."""
-        pulses = None if self.is_flip_schedule else np.array(
-            [e.pulse for e in self.entries], dtype=int).reshape(len(self), self.m + 1, 2)
-        return np.array(self.times()), pulses, np.array([e.sign for e in self.entries])
+        return len(self.deltas)
 
 
 @dataclass(frozen=True)
@@ -118,26 +112,15 @@ class PiecewiseSignFunction:
     """Piecewise +-1 function on [0, 1]: starts at +1, flips at each point.
 
     Intervals follow the left-open right-closed convention: the value on
-    ``(flip_k, flip_{k+1}]`` is ``(-1)^{k+1}``, so ``value(flip_k)`` still
-    carries the pre-flip sign.
+    ``(flip_k, flip_{k+1}]`` is ``(-1)^{k+1}``.
     """
 
     flips: tuple[float, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        prev = 0.0
-        for t in self.flips:
-            if not 0.0 < t < 1.0:
-                raise ValueError(f"flip point {t} outside (0, 1)")
-            if t <= prev:
-                raise ValueError("flip points must be strictly increasing")
-            prev = t
-
-    def value(self, tau: float) -> int:
-        if not 0.0 <= tau <= 1.0:
-            raise ValueError(f"argument {tau} outside [0, 1]")
-        k = sum(1 for t in self.flips if t < tau)
-        return -1 if k % 2 else 1
+        flips = np.array(self.flips, dtype=float)
+        if not ((np.diff(flips, prepend=0.0) > 0.0) & (flips < 1.0)).all():
+            raise ValueError("flip points must be strictly increasing in (0, 1)")
 
 
 def udd_times(n_pulses: int) -> tuple[float, ...]:
@@ -153,11 +136,14 @@ def udd_times(n_pulses: int) -> tuple[float, ...]:
 
 def flip_train_schedule(deltas: Sequence[float], n_system: int,
                         order: int = 0, scheme: str = "flip-train") -> PulseSchedule:
-    """Schedule applying -I_S at the given fractions (merging even repeats)."""
-    merged = _merge_entries([PulseEntry(float(d), FLIP) for d in sorted(deltas)],
-                            flip_alphabet=True)
-    return PulseSchedule(scheme=scheme, order=order, entries=tuple(merged),
-                         n_system=n_system)
+    """Schedule applying -I_S at the given fractions.  Coincident flips
+    compose: each run of times with gaps <= MERGE_TOL is one flip, at its
+    last time, if the run is odd, and none if it is even."""
+    d = np.sort(np.asarray(deltas, dtype=float))
+    last = np.flatnonzero(~(np.diff(d, append=np.inf) <= MERGE_TOL))  # NaN ends a run
+    d = d[last[np.diff(last, prepend=-1) % 2 == 1]]
+    return PulseSchedule(scheme=scheme, order=order, deltas=d, pulses=None,
+                         signs=np.ones(len(d), dtype=int), n_system=n_system)
 
 
 def decoupling_schedule(n_pulses: int, n_system: int) -> PulseSchedule:
@@ -169,8 +155,6 @@ def decoupling_schedule(n_pulses: int, n_system: int) -> PulseSchedule:
 # ---------------------------------------------------------------------------
 # Nested (multi-level) Uhrig schedules
 # ---------------------------------------------------------------------------
-
-Label = tuple[int, ...]
 
 
 def _nudd_guard(n_pulses: int, m: int) -> None:
@@ -185,9 +169,9 @@ def _nudd_guard(n_pulses: int, m: int) -> None:
 
 
 def _nudd_labels(n_pulses: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                                 list[MultiIndex]]:
+                                                 np.ndarray]:
     """Labels {0..N}^{2m+2} in lexicographic order, with their pulse
-    fractions, pulse levels and the (2m+3)-entry level-pulse table.
+    fractions, pulse levels and the (2m+3, m+1, 2) level-pulse table.
 
     A label's level is the position r of its first nonzero entry, and 2m+2
     for the all-zero label.  That label maps to 1 (a final pulse at readout
@@ -204,55 +188,39 @@ def _nudd_labels(n_pulses: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     """
     _nudd_guard(n_pulses, m)
     N, width = n_pulses, 2 * m + 2
-    labels = np.indices((N + 1,) * width).reshape(width, -1).T
-    nonzero = labels != 0
-    level = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), width)
-    shifted = labels.copy()
+    digits = np.indices((N + 1,) * width).reshape(width, -1)  # row r: entry r of each label
+    level = np.full(digits.shape[1], width)
+    for r in range(width - 1, -1, -1):
+        level[digits[r] != 0] = r
+    shifted = digits.copy()
     rows = np.flatnonzero((level >= 1) & (level < width))
-    shifted[rows, level[rows] - 1] = N + 1
-    shifted[rows, level[rows]] -= 1
-    grid = np.array([math.sin(j * math.pi / (2 * (N + 1))) ** 2 for j in range(N + 1)]
-                    + [1.0, 1.0])
-    times = grid[shifted[:, 0]]
-    for column in shifted.T[1:]:
+    shifted[level[rows] - 1, rows] = N + 1
+    shifted[level[rows], rows] -= 1
+    grid = np.array((0.0, *udd_times(N), 1.0, 1.0))
+    times = grid[shifted[0]]
+    for column in shifted[1:]:
         times = grid[column] + (grid[column + 1] - grid[column]) * times
     times[level == width] = 1.0
 
     odd = N % 2 == 1
-    table = []
+    table = np.zeros((width + 1, m + 1, 2), dtype=int)
     for r in range(width):
         k, x_slot = divmod(r, 2)
-        idx = [PAIR_I] * (m + 1)
         if odd:
-            idx[:k + x_slot] = [PAIR_Y] * (k + x_slot)
+            table[r, :k + x_slot] = PAIR_Y
         if not (odd and x_slot):
-            idx[k] = PAIR_X if x_slot else PAIR_Z
-        table.append(tuple(idx))
-    table.append((PAIR_Y if odd else PAIR_I,) * (m + 1))
-    return labels, times, level, table
-
-
-def nudd_times(n_pulses: int, m: int) -> dict[Label, float]:
-    """Pulse fraction for every label in {0..N}^{2m+2} (see _nudd_labels)."""
-    labels, times, _, _ = _nudd_labels(n_pulses, m)
-    return dict(zip(map(tuple, labels.tolist()), times.tolist()))
-
-
-def nudd_pulses(n_pulses: int, m: int) -> dict[Label, MultiIndex]:
-    """Pulse index for every label (see _nudd_labels for the rules)."""
-    labels, _, level, table = _nudd_labels(n_pulses, m)
-    return dict(zip(map(tuple, labels.tolist()), (table[r] for r in level.tolist())))
+            table[r, k] = PAIR_X if x_slot else PAIR_Z
+    table[width] = PAIR_Y if odd else PAIR_I
+    return digits.T, times, level, table
 
 
 def qubit_nudd_schedule(n_pulses: int, m: int) -> PulseSchedule:
-    """The (m+1)-qubit nested Uhrig schedule as a time-ordered pulse list."""
+    """The (m+1)-qubit nested Uhrig schedule in time order."""
     _, times, level, table = _nudd_labels(n_pulses, m)
     order = np.argsort(times, kind="stable")
-    entries = [PulseEntry(t, table[r])
-               for t, r in zip(times[order].tolist(), level[order].tolist())]
-    merged = _merge_entries(entries, flip_alphabet=False)
-    return PulseSchedule(scheme="qubit-nudd", order=n_pulses,
-                         entries=tuple(merged), m=m, n_system=2 ** m)
+    return PulseSchedule(scheme="qubit-nudd", order=n_pulses, deltas=times[order],
+                         pulses=table[level[order]], signs=np.ones(len(order), dtype=int),
+                         m=m, n_system=2 ** m)
 
 
 def substitute_bosonic(qubit: PulseSchedule) -> PulseSchedule:
@@ -261,20 +229,17 @@ def substitute_bosonic(qubit: PulseSchedule) -> PulseSchedule:
 
     Pulses that substitute to the all-zero index apply no operation and are
     dropped, except for the final slot at delta = 1, which is always kept so
-    that the schedule has exactly (N+1)^{2m+1} entries for nested input of
+    that the schedule has exactly (N+1)^{2m+1} pulses for nested input of
     any parity (the retained identity there is a bookkeeping no-op).
     """
     if qubit.is_flip_schedule:
         raise ValueError("substitution expects an indexed qubit schedule")
-    identity = (PAIR_I,) * (qubit.m + 1)
-    entries = []
-    for e in qubit.entries:
-        x0 = e.pulse[0][0]  # the x-bit picks y (for x and y) or I (for I and z)
-        beta = ((x0, x0),) + tuple(e.pulse[1:])
-        if beta != identity or e.delta == 1.0:
-            entries.append(PulseEntry(e.delta, beta, e.sign))
+    pulses = qubit.pulses.copy()
+    pulses[:, 0, 1] = pulses[:, 0, 0]  # the x-bit picks y (for x and y) or I (for I and z)
+    keep = pulses.any(axis=(1, 2)) | (qubit.deltas == 1.0)
     return PulseSchedule(scheme="bosonic-homogenization", order=qubit.order,
-                         entries=tuple(entries), m=qubit.m, n_system=qubit.n_system)
+                         deltas=qubit.deltas[keep], pulses=pulses[keep],
+                         signs=qubit.signs[keep], m=qubit.m, n_system=qubit.n_system)
 
 
 def homogenization_schedule(n_pulses: int, m: int) -> PulseSchedule:
@@ -294,34 +259,14 @@ def toggling_sign_function(schedule: PulseSchedule, alpha) -> PiecewiseSignFunct
     For indexed schedules ``alpha`` is a multi-index of matching length; for
     flip schedules it is a bit (0 or 1), pairing 1 with every flip pulse.
     """
-    deltas, pulses, _ = schedule.arrays
-    if pulses is None:
+    deltas = schedule.deltas
+    if schedule.is_flip_schedule:
         if alpha not in (0, 1):
             raise ValueError("flip schedules pair with a scalar Z2 index")
         odd = alpha == 1
     else:
-        odd = symplectic_inner_product(alpha, pulses) == 1
+        odd = symplectic_inner_product(alpha, schedule.pulses) == 1
     return PiecewiseSignFunction(tuple(deltas[odd & (deltas < 1.0)].tolist()))
-
-
-def _merge_entries(entries: Iterable[PulseEntry], flip_alphabet: bool) -> list[PulseEntry]:
-    """Merge pulses at coincident times (instantaneous pulses compose)."""
-    merged: list[PulseEntry] = []
-    for e in sorted(entries, key=lambda x: x.delta):
-        if merged and abs(e.delta - merged[-1].delta) <= MERGE_TOL:
-            prev = merged.pop()
-            if flip_alphabet:
-                parity = (prev.pulse + e.pulse) % 2
-                if parity:
-                    merged.append(PulseEntry(prev.delta, FLIP))
-                continue
-            idx, sign = product_index([e.pulse, prev.pulse])
-            if idx == (PAIR_I,) * len(idx) and sign == 1:
-                continue
-            merged.append(PulseEntry(prev.delta, idx, sign * prev.sign * e.sign))
-        else:
-            merged.append(e)
-    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -330,33 +275,24 @@ def _merge_entries(entries: Iterable[PulseEntry], flip_alphabet: bool) -> list[P
 #
 # One pulse per line: "<delta><TAB><bits>", delta with 17 significant digits.
 # For indexed schedules the bits are the index pairs in position order
-# (innermost level first), x-bit then z-bit per position, optionally
-# prefixed with '-' for a negative merged sign.  Flip schedules use the
-# single bit "1".  Header lines: #scheme, #N, #m ("-" for flip schedules),
-# plus informational #-lines that readers ignore.
+# (innermost level first), x-bit then z-bit per position, prefixed with '-'
+# for a negative sign.  Flip schedules use the single bit "1".  Header lines:
+# #scheme, #N, #m ("-" for flip schedules), plus informational #-lines that
+# readers ignore.
 
 
-def _pulse_to_bits(pulse: Pulse, sign: int) -> str:
-    if isinstance(pulse, int):
-        return str(pulse)
-    bits = "".join(f"{x}{z}" for x, z in pulse)
-    return ("-" + bits) if sign < 0 else bits
-
-
-def _bits_to_pulse(bits: str, m: int | None) -> tuple[Pulse, int]:
-    """Inverse of _pulse_to_bits: the flip bit when m is None, else m+1 pairs."""
+def _bits_to_pulse(bits: str, m: int | None) -> tuple[str, int]:
+    """The unsigned bits of one pulse ("" for a flip) and its sign."""
     if m is None:
         if bits != str(FLIP):
             raise ValueError(f"malformed flip pulse {bits!r}, expected {FLIP}")
-        return FLIP, 1
+        return "", 1
     sign = -1 if bits.startswith("-") else 1
     bits = bits.removeprefix("-")
     if len(bits) != 2 * (m + 1) or set(bits) - {"0", "1"}:
         raise ValueError(f"malformed pulse bits {bits!r}, expected 2(m+1) = "
                          f"{2 * (m + 1)} bits of 0/1")
-    pairs = tuple((int(bits[2 * i]), int(bits[2 * i + 1]))
-                  for i in range(len(bits) // 2))
-    return pairs, sign
+    return bits, sign
 
 
 def write_schedule(schedule: PulseSchedule, stream: IO[str]) -> None:
@@ -367,14 +303,16 @@ def write_schedule(schedule: PulseSchedule, stream: IO[str]) -> None:
         stream.write(f"#nS {schedule.n_system}\n")
     stream.write("# bits: index pairs innermost-level first, x-bit then z-bit"
                  " per position; flip schedules use the single bit 1\n")
-    for e in schedule.entries:
-        stream.write(f"{e.delta:.17g}\t{_pulse_to_bits(e.pulse, e.sign)}\n")
+    bits = ([[FLIP]] * len(schedule) if schedule.is_flip_schedule else
+            schedule.pulses.reshape(len(schedule), 2 * schedule.m + 2).tolist())
+    for delta, sign, row in zip(schedule.deltas.tolist(), schedule.signs.tolist(), bits):
+        stream.write(f"{delta:.17g}\t{'-' if sign < 0 else ''}{''.join(map(str, row))}\n")
 
 
 def read_schedule(stream: IO[str]) -> PulseSchedule:
     """Parse a schedule file; a malformed line raises ValueError naming it."""
     scheme, order, m, n_system = "unknown", 0, None, None
-    entries = []
+    deltas, rows, signs = [], [], []
     for lineno, line in enumerate(stream, 1):
         line = line.strip()
         if not line:
@@ -390,6 +328,8 @@ def read_schedule(stream: IO[str]) -> PulseSchedule:
                 elif key == "N":
                     order = int(value)
                 elif key == "m" and value != "-":
+                    if deltas and int(value) != m:
+                        raise ValueError("#m changes after the first pulse line")
                     m = int(value)
                 elif key == "nS":
                     n_system = int(value)
@@ -400,13 +340,17 @@ def read_schedule(stream: IO[str]) -> PulseSchedule:
             delta = float(delta_str)
             if not 0.0 < delta <= 1.0:
                 raise ValueError(f"pulse time {delta_str} outside (0, 1]")
-            if entries and delta <= entries[-1].delta:
+            if deltas and delta <= deltas[-1]:
                 raise ValueError("pulse times must be strictly increasing")
             pulse, sign = _bits_to_pulse(bits, m)
-            if scheme == "bosonic-homogenization" and pulse[0] not in (PAIR_I, PAIR_Y):
+            if scheme == "bosonic-homogenization" and pulse[:1] != pulse[1:2]:
                 raise ValueError(f"homogenization pulse {bits!r} has a_0 outside {{I, y}}")
-            entries.append(PulseEntry(delta, pulse, sign))
+            deltas.append(delta)
+            rows.append(pulse)
+            signs.append(sign)
         except ValueError as exc:
             raise ValueError(f"schedule line {lineno}: {exc}") from exc
-    return PulseSchedule(scheme=scheme, order=order, entries=tuple(entries),
-                         m=m, n_system=n_system)
+    pulses = None if m is None else (np.frombuffer("".join(rows).encode(), dtype=np.uint8)
+                                     - ord("0")).reshape(len(rows), m + 1, 2)
+    return PulseSchedule(scheme=scheme, order=order, deltas=deltas, pulses=pulses,
+                         signs=signs, m=m, n_system=n_system)

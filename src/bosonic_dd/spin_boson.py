@@ -190,8 +190,8 @@ def thermal_covariance(bath: BathSpec) -> np.ndarray:
 def coupling_matrix(bath: BathSpec) -> np.ndarray:
     """Symmetric matrix A_eff of the model generator X = A_eff J.
 
-    The sign convention is fixed so that exp(t A_eff J) equals the
-    closed-form free propagator below (QP-blocked ordering, system first).
+    The sign convention is fixed so that exp(t A_eff J) equals the model's
+    closed-form free propagator (QP-blocked ordering, system first).
     """
     n = bath.n_modes
     A = np.zeros((2 * n + 2, 2 * n + 2))
@@ -205,33 +205,6 @@ def bath_generator(bath: BathSpec) -> AnalyticGenerator:
     layout = ModeLayout(n_system=1, n_env=bath.n_modes)
     X = coupling_matrix(bath) @ symplectic_form(layout)
     return AnalyticGenerator(layout=layout, coeffs=(X,))
-
-
-def uncontrolled_propagator(bath: BathSpec, t: float) -> np.ndarray:
-    """Closed-form free evolution on (Q, P, Q_1..Q_n, P_1..P_n):
-
-        [[1, x(t), v(t)^T,    w(t)^T   ],
-         [0, 1,    0,         0        ],
-         [0, w(t), cos(Om t), -sin(Om t)],
-         [0, v(t), sin(Om t), cos(Om t)]]
-
-    with v = Om^{-1}(cos(Om t) - I) lam, w = -Om^{-1} sin(Om t) lam and
-    x = t lam^T Om^{-1} lam - lam^T Om^{-2} sin(Om t) lam.  Equals
-    matrix_exponential(t A_eff J) for the coupling matrix above.
-    """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    n = bath.n_modes
-    lam, om = np.asarray(bath.couplings), np.asarray(bath.frequencies)
-    c, s = np.cos(om * t), np.sin(om * t)
-    v, w = (c - 1.0) / om * lam, -s / om * lam
-    x = t * float(np.sum(lam ** 2 / om)) - float(np.sum(lam ** 2 / om ** 2 * s))
-    S = np.eye(2 * n + 2)
-    S[0, 1] = x
-    S[0, 2:] = np.concatenate([v, w])
-    S[2:, 1] = np.concatenate([w, v])
-    S[2:, 2:] = np.block([[np.diag(c), -np.diag(s)], [np.diag(s), np.diag(c)]])
-    return S
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,8 @@ from bosonic_dd.schedules import (
     udd_times,
 )
 
+from oracles import sign_value
+
 
 # ---------------------------------------------------------------------------
 # Independent oracles
@@ -56,7 +58,7 @@ def quadrature_oracle(signs, powers, panels=400):
     g = np.ones_like(xs)
     total = 1.0
     for F, r in zip(signs, powers):
-        fv = np.array([F.value(x) for x in xs])
+        fv = np.array([sign_value(F, x) for x in xs])
         integrand = fv * xs ** r * g
         csum = np.concatenate([[0.0], np.cumsum(integrand * ws)])
         g = csum[:-1] + 0.5 * integrand * ws  # cumulative value at midpoints

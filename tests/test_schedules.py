@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import itertools
 import math
@@ -5,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bosonic_dd.pauli_basis import (
     PAIR_I,
@@ -18,14 +20,14 @@ from bosonic_dd.pauli_basis import (
 )
 from bosonic_dd.schedules import (
     FLIP,
+    MERGE_TOL,
+    NUDD_LABEL_GUARD,
     PiecewiseSignFunction,
-    PulseEntry,
     PulseSchedule,
+    _nudd_labels,
     decoupling_schedule,
     flip_train_schedule,
     homogenization_schedule,
-    nudd_pulses,
-    nudd_times,
     qubit_nudd_schedule,
     read_schedule,
     substitute_bosonic,
@@ -33,6 +35,25 @@ from bosonic_dd.schedules import (
     udd_times,
     write_schedule,
 )
+
+from oracles import sign_value
+
+
+def as_index(row):
+    """One row of a pulse stack as a multi-index tuple of (x, z) pairs."""
+    return tuple(map(tuple, np.asarray(row).tolist()))
+
+
+def nudd_times(n, m):
+    """Pulse fraction for every label in {0..N}^{2m+2}, in label order."""
+    labels, times, _, _ = _nudd_labels(n, m)
+    return dict(zip(map(tuple, labels.tolist()), times.tolist()))
+
+
+def nudd_pulses(n, m):
+    """Pulse index for every label, in label order."""
+    labels, _, level, table = _nudd_labels(n, m)
+    return dict(zip(map(tuple, labels.tolist()), (as_index(table[r]) for r in level)))
 
 
 class TestUddTimes:
@@ -62,8 +83,8 @@ class TestUddTimes:
 class TestDecouplingSchedule:
     def test_n2(self):
         s = decoupling_schedule(2, n_system=1)
-        assert s.times() == pytest.approx((0.25, 0.75))
-        assert all(e.pulse == FLIP for e in s.entries)
+        assert tuple(s.deltas) == pytest.approx((0.25, 0.75))
+        assert s.pulses is None and s.signs.tolist() == [1, 1]
         assert s.is_flip_schedule
 
     def test_n1_single_pulse(self):
@@ -74,16 +95,16 @@ def interval_values(sig):
     """Values of ``sig`` on the len(flips) + 1 intervals between consecutive
     flips, read at each interval's midpoint."""
     pts = [0.0, *sig.flips, 1.0]
-    return tuple(sig.value((a + b) / 2) for a, b in zip(pts, pts[1:]))
+    return tuple(sign_value(sig, (a + b) / 2) for a, b in zip(pts, pts[1:]))
 
 
 class TestSigma:
     def test_n1_values(self):
         sig = toggling_sign_function(decoupling_schedule(1, 1), 1)
         assert sig.flips == pytest.approx((0.5,))
-        assert sig.value(0.0) == 1
-        assert sig.value(sig.flips[0]) == 1   # left-open right-closed: (0, 1/2] is +1
-        assert sig.value(0.75) == -1
+        assert sign_value(sig, 0.0) == 1
+        assert sign_value(sig, sig.flips[0]) == 1   # left-open right-closed: (0, 1/2] is +1
+        assert sign_value(sig, 0.75) == -1
 
     def test_n2_interval_values(self):
         sig = toggling_sign_function(decoupling_schedule(2, 1), 1)
@@ -112,7 +133,7 @@ class TestPiecewiseSignFunction:
 
     def test_constant(self):
         f = PiecewiseSignFunction(())
-        assert f.value(0.0) == f.value(1.0) == 1
+        assert sign_value(f, 0.0) == sign_value(f, 1.0) == 1
 
 
 def oracle_nested_time(label, grid):
@@ -176,8 +197,8 @@ class TestNestedAgainstOracle:
             if n <= 9:  # the time order; all of m >= 1, the start of m = 0
                 order = sorted(times, key=times.get)
                 sched = qubit_nudd_schedule(n, m)
-                assert sched.times() == tuple(map(times.get, order))
-                assert [e.pulse for e in sched.entries] == list(map(pulses.get, order))
+                assert tuple(sched.deltas.tolist()) == tuple(map(times.get, order))
+                assert list(map(as_index, sched.pulses)) == list(map(pulses.get, order))
             n += 1
 
 
@@ -249,15 +270,15 @@ class TestSubstitution:
         bosonic = substitute_bosonic(qubit)
         # (sigma_z)_0 pulses vanish entirely
         z0 = (PAIR_Z, PAIR_I)
-        dropped = {e.delta for e in qubit.entries if e.pulse == z0}
-        assert dropped.isdisjoint({e.delta for e in bosonic.entries})
+        dropped = {t for t, p in zip(qubit.deltas, qubit.pulses) if as_index(p) == z0}
+        assert dropped.isdisjoint(bosonic.deltas.tolist())
         # (sigma_x)_0 pulses turn into the all-mode y rotation
         x0 = (PAIR_X, PAIR_I)
         y0 = (PAIR_Y, PAIR_I)
-        for e in qubit.entries:
-            if e.pulse == x0:
-                match = [b for b in bosonic.entries if b.delta == e.delta]
-                assert match and match[0].pulse == y0
+        for t, p in zip(qubit.deltas, qubit.pulses):
+            if as_index(p) == x0:
+                match = np.flatnonzero(bosonic.deltas == t)
+                assert len(match) and as_index(bosonic.pulses[match[0]]) == y0
 
     @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2)])
     def test_pulse_count(self, n, m):
@@ -269,16 +290,16 @@ class TestSubstitution:
         bosonic = homogenization_schedule(n, m)
         allowed = set(gamma_tilde_set(m))
         P = np.eye(2 ** (m + 1))
-        for e in bosonic.entries:
-            assert e.pulse in allowed
-            P = (e.sign * s_matrix(e.pulse)) @ P
+        for sign, alpha in zip(bosonic.signs, bosonic.pulses):
+            assert as_index(alpha) in allowed
+            P = (sign * s_matrix(alpha)) @ P
         assert (np.abs(P - np.eye(2 ** (m + 1))).max() < 1e-12
                 or np.abs(P + np.eye(2 ** (m + 1))).max() < 1e-12)
 
     def test_final_slot_retained(self):
         bosonic = homogenization_schedule(2, 1)
-        assert bosonic.entries[-1].delta == 1.0
-        assert bosonic.entries[-1].pulse == (PAIR_I, PAIR_I)
+        assert bosonic.deltas[-1] == 1.0
+        assert as_index(bosonic.pulses[-1]) == (PAIR_I, PAIR_I)
 
 
 class TestTogglingSignFunction:
@@ -289,23 +310,30 @@ class TestTogglingSignFunction:
 
     def test_flip_schedule_matches_sigma(self):
         sched = decoupling_schedule(3, 1)
-        assert toggling_sign_function(sched, 1) == PiecewiseSignFunction(sched.times())
+        assert toggling_sign_function(sched, 1) == PiecewiseSignFunction(
+            tuple(sched.deltas.tolist()))
         assert toggling_sign_function(sched, 0).flips == ()
 
     def test_form_index_constant_iff_pulses_commute(self):
         # every homogenization pulse commutes with J, so F is constant
         sched = homogenization_schedule(1, 1)
         alpha = symplectic_form_index(1)
-        assert all(symplectic_inner_product(alpha, e.pulse) == 0
-                   for e in sched.entries)
+        assert all(symplectic_inner_product(alpha, as_index(p)) == 0
+                   for p in sched.pulses)
         assert toggling_sign_function(sched, alpha).flips == ()
 
     def test_first_value_plus_one(self):
         sched = homogenization_schedule(2, 1)
         for alpha in gamma_tilde_set(1):
             f = toggling_sign_function(sched, alpha)
-            assert f.value(0.0) == 1
+            assert sign_value(f, 0.0) == 1
             assert set(interval_values(f)) <= {-1, 1}
+
+
+def indexed(deltas, stack, signs=None, m=0):
+    """An indexed schedule from plain columns."""
+    return PulseSchedule(scheme="x", order=1, deltas=deltas, pulses=stack,
+                         signs=[1] * len(deltas) if signs is None else signs, m=m)
 
 
 class TestScheduleEntries:
@@ -316,47 +344,109 @@ class TestScheduleEntries:
         (0, ((1, 1, 0),), "entry 1: pulse .*bits in"),
         (0, ((-1, 0),), "entry 1: pulse .*bits in"),
         (0, (1,), "entry 1: pulse .*bits in"),
-        (0, [(1, 1)], "entry 1: pulse .*bits in"),
         (0, FLIP, "entry 1: pulse 1 is not"),
     ])
     def test_malformed_indexed_pulse_rejected(self, m, pulse, message):
-        good = PulseEntry(0.25, (PAIR_Y,) * (m + 1))
+        # a stack whose entry 1 has the wrong shape or a bit outside {0, 1}
         with pytest.raises(ValueError, match=message):
-            PulseSchedule(scheme="x", order=1, entries=(good, PulseEntry(0.5, pulse)), m=m)
+            indexed([0.25, 0.5], [(PAIR_Y,) * (m + 1), pulse], m=m)
 
     @pytest.mark.parametrize("pulse", [0, 2, (PAIR_Y,)])
     def test_flip_schedule_holds_only_flips(self, pulse):
-        entries = (PulseEntry(0.25, FLIP), PulseEntry(0.5, pulse))
-        with pytest.raises(ValueError, match="entry 1: flip schedule pulse"):
-            PulseSchedule(scheme="x", order=1, entries=entries, n_system=1)
+        # a flip schedule's pulses are all -I, so it takes no pulse stack
+        with pytest.raises(ValueError, match="pulse stack iff m is set"):
+            PulseSchedule(scheme="x", order=1, deltas=[0.25, 0.5], pulses=[FLIP, pulse],
+                          signs=[1, 1], n_system=1)
+
+    def test_indexed_schedule_needs_a_stack(self):
+        with pytest.raises(ValueError, match="pulse stack iff m is set"):
+            indexed([0.5], None)
 
     @pytest.mark.parametrize("sign", [0, 2, -2, 0.5])
     @pytest.mark.parametrize("m, pulse", [(None, FLIP), (0, (PAIR_Y,))])
     def test_sign_must_be_plus_or_minus_one(self, sign, m, pulse):
-        entries = (PulseEntry(0.25, pulse), PulseEntry(0.5, pulse, sign))
+        stack = None if m is None else [pulse, pulse]
         with pytest.raises(ValueError, match="entry 1: sign"):
-            PulseSchedule(scheme="x", order=1, entries=entries, m=m)
+            PulseSchedule(scheme="x", order=1, deltas=[0.25, 0.5], pulses=stack,
+                          signs=[1, sign], m=m)
+
+    def test_flip_schedule_signs_are_plus_one(self):
+        # the file format and the walk read a flip as -I, whatever its sign
+        with pytest.raises(ValueError, match="entry 1: sign -1 is not \\+1 on a flip schedule"):
+            PulseSchedule(scheme="x", order=1, deltas=[0.25, 0.5], pulses=None, signs=[1, -1])
 
     def test_wrong_pair_count_fails_at_construction(self):
-        # formerly accepted, failing later inside `arrays` with a reshape error
+        # formerly accepted, failing later inside the walk with a reshape error
         with pytest.raises(ValueError, match="entry 0: pulse"):
-            PulseSchedule(scheme="x", order=1, entries=(PulseEntry(0.5, ((1, 1),)),), m=1)
+            indexed([0.5], [((1, 1),)], m=1)
+
+    @pytest.mark.parametrize("m, shape, message", [
+        (1, (2, 1, 2), "entry 0: pulse .* is not m\\+1 = 2 pairs"),
+        (0, (2, 1, 3), "entry 0: pulse .* is not m\\+1 = 1 pairs"),
+        (0, (2, 2), "entry 0: pulse .* is not m\\+1 = 1 pairs"),
+        (0, (3, 1, 2), "need one sign and one pulse per pulse time"),
+    ])
+    def test_stack_shape_is_entries_by_pairs(self, m, shape, message):
+        with pytest.raises(ValueError, match=message):
+            indexed([0.25, 0.5], np.ones(shape, dtype=int), m=m)
+
+    @pytest.mark.parametrize("deltas, message", [
+        ([0.25, 1.5], "entry 1: pulse time 1.5 outside"),
+        ([0.0, 0.5], "entry 0: pulse time 0.0 outside"),
+        ([0.25, float("nan")], "entry 1: pulse time nan outside"),
+        ([0.5, 0.5], "entry 1: pulse times must be strictly increasing"),
+        ([0.5, 0.25], "entry 1: pulse times must be strictly increasing"),
+    ])
+    def test_times_strictly_increasing_in_unit_interval(self, deltas, message):
+        with pytest.raises(ValueError, match=message):
+            indexed(deltas, [[PAIR_Y], [PAIR_Y]])
+
+    def test_first_bad_entry_named(self):
+        # entry 1 has a bad sign, entry 2 a repeated time and a bad bit
+        with pytest.raises(ValueError, match="entry 1: sign 0"):
+            indexed([0.25, 0.5, 0.5], [[PAIR_Y], [PAIR_Y], [(2, 0)]], signs=[1, 0, 1])
+
+    def test_one_sign_per_time(self):
+        with pytest.raises(ValueError, match="need one sign and one pulse per pulse time"):
+            indexed([0.25, 0.5], [[PAIR_Y], [PAIR_Y]], signs=[1])
+
+    def test_columns_are_read_only_copies(self):
+        deltas, signs = np.array([0.25, 0.5]), np.array([1, -1])
+        stack = np.array([[PAIR_Y], [PAIR_Z]])
+        s = indexed(deltas, stack, signs)
+        deltas[0], stack[0, 0, 0], signs[0] = 0.1, 0, -1
+        assert (s.deltas[0], as_index(s.pulses[0]), s.signs[0]) == (0.25, (PAIR_Y,), 1)
+        # a builder's stack cannot be edited behind its sign functions' back
+        sched = homogenization_schedule(2, 1)
+        with pytest.raises(ValueError, match="read-only"):
+            sched.pulses[0, 1, 0] ^= 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sched.pulses = sched.pulses.copy()
 
 
 class TestMerging:
     def test_coincident_flips_cancel(self):
-        s = flip_train_schedule([0.3, 0.3, 0.7], n_system=1)
-        assert s.times() == pytest.approx((0.7,))
+        # a run of coincident flips composes to one flip if odd, none if even
+        for copies, expected in [(1, (0.3, 0.7)), (2, (0.7,)), (3, (0.3, 0.7)), (4, (0.7,))]:
+            s = flip_train_schedule([0.3] * copies + [0.7], n_system=1)
+            assert tuple(s.deltas) == pytest.approx(expected)
 
-    def test_coincident_indexed_pulses_compose(self):
-        e1 = PulseEntry(0.5, (PAIR_X,))
-        e2 = PulseEntry(0.5, (PAIR_Z,))
-        from bosonic_dd.schedules import _merge_entries
-        merged = _merge_entries([e1, e2], flip_alphabet=False)
-        assert len(merged) == 1
-        idx, sign = merged[0].pulse, merged[0].sign
-        dense = s_matrix((PAIR_Z,)) @ s_matrix((PAIR_X,))
-        assert np.array_equal(dense, sign * s_matrix(idx))
+    def test_run_within_merge_tol_composes(self):
+        # gaps of 0.6 MERGE_TOL chain three flips into one run, kept at its last time
+        run = [0.3 + k * 0.6 * MERGE_TOL for k in range(3)]
+        s = flip_train_schedule([0.7, *run], n_system=1)
+        assert s.deltas.tolist() == [run[-1], 0.7]
+
+    @pytest.mark.parametrize("m", range(8))
+    def test_nested_times_never_merge(self, m):
+        # the nested builder has no merge step: at every size the guard
+        # admits with at most 10^5 labels, the sorted label times (the
+        # schedule's deltas) stay more than MERGE_TOL apart
+        n = 1
+        while (n + 1) ** (2 * m + 2) <= min(10 ** 5, NUDD_LABEL_GUARD):
+            assert np.diff(np.sort(_nudd_labels(n, m)[1])).min() > MERGE_TOL
+            n += 1
+        assert n > 1
 
 
 SCHEMES = {
@@ -366,11 +456,46 @@ SCHEMES = {
 }
 
 
-def roundtrip(sched):
+def text(sched):
     buf = io.StringIO()
     write_schedule(sched, buf)
-    buf.seek(0)
-    return read_schedule(buf)
+    return buf.getvalue()
+
+
+def roundtrip(sched):
+    return read_schedule(io.StringIO(text(sched)))
+
+
+def assert_same(a, b):
+    """Same header fields and bitwise-equal columns."""
+    assert (a.scheme, a.order, a.m, a.n_system) == (b.scheme, b.order, b.m, b.n_system)
+    assert (a.pulses is None) == (b.pulses is None)
+    for x, y in zip((a.deltas, a.pulses, a.signs), (b.deltas, b.pulses, b.signs)):
+        if x is not None:
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+
+
+@st.composite
+def random_schedules(draw, min_size=0):
+    """Strictly increasing times in (0, 1], sometimes ending at 1.0, with an
+    m in {0, 1, 2} index stack and random signs, or a flip schedule."""
+    times = sorted(draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                                 min_size=min_size, max_size=12, unique=True)))
+    if draw(st.booleans()):
+        times.append(1.0)
+    n = len(times)
+    m = draw(st.sampled_from([None, 0, 1, 2]))
+    header = dict(order=draw(st.integers(0, 9)), n_system=draw(st.none() | st.integers(1, 8)))
+    if m is None:
+        return PulseSchedule(scheme="flip-train", deltas=times, pulses=None, signs=[1] * n,
+                             **header)
+    stack = draw(hnp.arrays(np.int64, (n, m + 1, 2), elements=st.integers(0, 1)))
+    signs = draw(hnp.arrays(np.int64, n, elements=st.sampled_from([-1, 1])))
+    scheme = draw(st.sampled_from(["qubit-nudd", "bosonic-homogenization"]))
+    if scheme == "bosonic-homogenization":
+        stack[:, 0, 1] = stack[:, 0, 0]  # a_0 in {I, y}
+    return PulseSchedule(scheme=scheme, deltas=times, pulses=stack, signs=signs, m=m,
+                         **header)
 
 
 class TestScheduleFile:
@@ -381,10 +506,44 @@ class TestScheduleFile:
         # k is nS - 1 for decoupling and m for the indexed schemes
         sched = SCHEMES[scheme](order, k)
         back = roundtrip(sched)
-        assert (back.scheme, back.order, back.m, back.n_system) == \
-            (sched.scheme, sched.order, sched.m, sched.n_system)
-        assert back.entries == sched.entries
-        assert roundtrip(back) == back
+        assert_same(back, sched)
+        assert_same(roundtrip(back), back)
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_schedules())
+    def test_random_schedule_roundtrip(self, sched):
+        back = roundtrip(sched)
+        assert_same(back, sched)
+        assert text(back) == text(sched)
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_schedules(min_size=2), st.data())
+    def test_corruption_names_its_entry(self, sched, data):
+        kinds = ["time", "sign"] + ([] if sched.is_flip_schedule else ["bit", "pairs"])
+        kind = data.draw(st.sampled_from(kinds))
+        i = data.draw(st.integers(1 if kind == "time" else 0, len(sched) - 1))
+        deltas, signs = sched.deltas.copy(), sched.signs.copy()
+        pulses = None if sched.is_flip_schedule else sched.pulses.copy()
+        if kind == "time":
+            deltas[i], message = deltas[i - 1], "pulse times must be strictly increasing"
+        elif kind == "sign":
+            signs[i], message = 0, "sign 0 is not"
+        elif kind == "bit":
+            pulses[i, data.draw(st.integers(0, sched.m)), data.draw(st.integers(0, 1))] = 2
+            message = "pulse .* pairs of bits in"
+        else:  # one pair too many: every entry is malformed, so entry 0 is named
+            pulses, i = np.concatenate([pulses, pulses[:, :1]], axis=1), 0
+            message = f"pulse .* is not m\\+1 = {sched.m + 1} pairs"
+        with pytest.raises(ValueError, match=f"^entry {i}: {message}"):
+            dataclasses.replace(sched, deltas=deltas, pulses=pulses, signs=signs)
+
+    @settings(max_examples=30, deadline=None)
+    @given(random_schedules())
+    def test_columns_read_only(self, sched):
+        for column in (sched.deltas, sched.pulses, sched.signs):
+            if column is not None:
+                with pytest.raises(ValueError, match="read-only"):
+                    column[...] = column
 
     @pytest.mark.parametrize("body,message", [
         ("#m -\n0.5\t1\n0.75 1\n", "line 3: expected <delta><TAB><bits>"),
@@ -398,6 +557,7 @@ class TestScheduleFile:
          "line 4: homogenization pulse '1000' has a_0 outside"),
         ("#N two\n", "line 1: invalid literal"),
         ("#m -\n0.5\t1\n\n0.5\t1\n", "line 4: pulse times must be strictly increasing"),
+        ("#m 0\n0.5\t11\n#m 1\n0.6\t1100\n", "line 3: #m changes after the first pulse line"),
     ])
     def test_malformed_line_named(self, body, message):
         with pytest.raises(ValueError, match=message):
@@ -412,30 +572,21 @@ class TestScheduleFile:
     def test_roundtrip(self):
         for sched in (decoupling_schedule(3, 2), qubit_nudd_schedule(1, 1),
                       homogenization_schedule(2, 1)):
-            buf = io.StringIO()
-            write_schedule(sched, buf)
-            buf.seek(0)
-            back = read_schedule(buf)
+            back = roundtrip(sched)
             assert back.scheme == sched.scheme
             assert back.order == sched.order
             assert back.m == sched.m
-            assert back.entries == sched.entries
+            assert_same(back, sched)
 
     def test_negative_sign_roundtrip(self):
-        sched = PulseSchedule(scheme="bosonic-homogenization", order=1,
-                              entries=(PulseEntry(0.3, (PAIR_Y, PAIR_I), -1),
-                                       PulseEntry(0.7, (PAIR_Y, PAIR_Z), 1)),
+        sched = PulseSchedule(scheme="bosonic-homogenization", order=1, deltas=[0.3, 0.7],
+                              pulses=[(PAIR_Y, PAIR_I), (PAIR_Y, PAIR_Z)], signs=[-1, 1],
                               m=1, n_system=2)
-        buf = io.StringIO()
-        write_schedule(sched, buf)
-        assert "\t-1100\n" in buf.getvalue()
-        buf.seek(0)
-        assert read_schedule(buf).entries == sched.entries
+        assert "\t-1100\n" in text(sched)
+        assert_same(roundtrip(sched), sched)
 
     def test_format_details(self):
-        buf = io.StringIO()
-        write_schedule(decoupling_schedule(2, 1), buf)
-        lines = buf.getvalue().splitlines()
+        lines = text(decoupling_schedule(2, 1)).splitlines()
         assert lines[0] == "#scheme decoupling"
         assert lines[1] == "#N 2"
         assert lines[2] == "#m -"

@@ -21,7 +21,6 @@ from bosonic_dd.spin_boson import (
     pair_shear,
     shear_parameter,
     thermal_covariance,
-    uncontrolled_propagator,
     y_filter,
 )
 from bosonic_dd.symplectic import (
@@ -318,6 +317,31 @@ class TestThermalCovariance:
         for seed in range(5):
             bath = seeded_bath(seed, 4, beta=0.3 + seed)
             assert thermal_covariance(bath).diagonal().min() >= 1.0
+
+
+def uncontrolled_propagator(bath, t):
+    """Closed-form free evolution on (Q, P, Q_1..Q_n, P_1..P_n):
+
+        [[1, x(t), v(t)^T,    w(t)^T   ],
+         [0, 1,    0,         0        ],
+         [0, w(t), cos(Om t), -sin(Om t)],
+         [0, v(t), sin(Om t), cos(Om t)]]
+
+    with v = Om^{-1}(cos(Om t) - I) lam, w = -Om^{-1} sin(Om t) lam and
+    x = t lam^T Om^{-1} lam - lam^T Om^{-2} sin(Om t) lam: the oracle for
+    matrix_exponential(t A_eff J) with the model's coupling matrix.
+    """
+    n = bath.n_modes
+    lam, om = np.asarray(bath.couplings), np.asarray(bath.frequencies)
+    c, s = np.cos(om * t), np.sin(om * t)
+    v, w = (c - 1.0) / om * lam, -s / om * lam
+    x = t * float(np.sum(lam ** 2 / om)) - float(np.sum(lam ** 2 / om ** 2 * s))
+    S = np.eye(2 * n + 2)
+    S[0, 1] = x
+    S[0, 2:] = np.concatenate([v, w])
+    S[2:, 1] = np.concatenate([w, v])
+    S[2:, 2:] = np.block([[np.diag(c), -np.diag(s)], [np.diag(s), np.diag(c)]])
+    return S
 
 
 class TestUncontrolledPropagator:
