@@ -66,10 +66,10 @@ class PulseSchedule:
         if flip != (self.pulses is None):
             raise ValueError("a schedule has a pulse stack iff m is set")
         deltas, signs = np.array(self.deltas, dtype=float), np.array(self.signs)
-        n, width = len(deltas), 0 if flip else self.m + 1
+        n, width = deltas.size, 0 if flip else self.m + 1
         if deltas.ndim != 1 or signs.shape != deltas.shape or not (flip or len(self.pulses) == n):
-            raise ValueError(f"need one sign and one pulse per pulse time, got {signs.shape} "
-                             f"signs and {deltas.shape} times")
+            raise ValueError(f"need a 1-D time column with one sign and one pulse per time, "
+                             f"got times of shape {deltas.shape}, signs of shape {signs.shape}")
         try:
             pulses = np.zeros((n, 0, 2), dtype=int) if flip else np.array(self.pulses)
         except ValueError:  # a ragged stack

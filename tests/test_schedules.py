@@ -384,7 +384,7 @@ class TestScheduleEntries:
         (1, (2, 1, 2), "entry 0: pulse .* is not m\\+1 = 2 pairs"),
         (0, (2, 1, 3), "entry 0: pulse .* is not m\\+1 = 1 pairs"),
         (0, (2, 2), "entry 0: pulse .* is not m\\+1 = 1 pairs"),
-        (0, (3, 1, 2), "need one sign and one pulse per pulse time"),
+        (0, (3, 1, 2), "one sign and one pulse per time"),
     ])
     def test_stack_shape_is_entries_by_pairs(self, m, shape, message):
         with pytest.raises(ValueError, match=message):
@@ -407,7 +407,7 @@ class TestScheduleEntries:
             indexed([0.25, 0.5, 0.5], [[PAIR_Y], [PAIR_Y], [(2, 0)]], signs=[1, 0, 1])
 
     def test_one_sign_per_time(self):
-        with pytest.raises(ValueError, match="need one sign and one pulse per pulse time"):
+        with pytest.raises(ValueError, match="one sign and one pulse per time"):
             indexed([0.25, 0.5], [[PAIR_Y], [PAIR_Y]], signs=[1])
 
     def test_columns_are_read_only_copies(self):
