@@ -48,7 +48,6 @@ from .schedules import (
 )
 from .dyson import (
     iterated_integral,
-    simplex_bound,
     check_udd_condition,
     check_bosonic_decoupling_condition,
     check_qubit_nudd_condition,

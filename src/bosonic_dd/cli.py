@@ -10,8 +10,13 @@ failed verification), 2 usage error.  A subcommand reports a usage error by
 raising ``ValueError``; ``main`` alone prints it as ``error: ...``, and
 does the same for a tolerance the integrator cannot reach.
 
-A plain-text config file (``--config``, ``key=value`` per line, '#'
-comments) supplies defaults for any long flag name; explicit flags win.
+Each flag is declared once, in ``build_parser``, with its type and default;
+``--help`` shows a subcommand's defaults.  A plain-text config file
+(``--config``, ``key=value`` per line, '#' comments) replaces them: a key is
+a flag's long name, with '-' or '_', cast like the flag (a switch takes
+1/0/true/false/yes/no), and keys that name no value flag of the subcommand
+(``check`` among them) are ignored.  The command line is then parsed again,
+so explicit flags win.
 """
 
 from __future__ import annotations
@@ -66,37 +71,28 @@ _BOOLEANS = {"1": True, "true": True, "yes": True,
              "0": False, "false": False, "no": False}
 
 
-def _merge_config(args: argparse.Namespace, defaults: dict) -> argparse.Namespace:
-    """Fill unset (None) arguments from the config file, then from defaults.
-
-    A config value is cast with its flag's declared argparse ``type``; flags
-    without one (choices, paths, switches) take the type of their default.
-    """
-    config = {}
-    if getattr(args, "config", None):
-        config = _load_config(args.config)
-    flag_types = getattr(args, "flag_types", {})
-    for key, fallback in defaults.items():
-        if getattr(args, key, None) is None:
-            if key in config:
-                raw = config[key]
-                caster = flag_types.get(key) or (
-                    str if fallback is None else type(fallback))
-                try:
-                    value = _BOOLEANS[raw.lower()] if caster is bool else caster(raw)
-                except (KeyError, ValueError) as exc:
-                    raise ConfigError(f"{args.config}: {key}={raw!r} is not a "
-                                      f"valid {caster.__name__}") from exc
-                setattr(args, key, value)
-            else:
-                setattr(args, key, fallback)
-    return args
+def _config_defaults(parser: argparse.ArgumentParser, path: str) -> None:
+    """Make the config file's values the subcommand's defaults, each cast like
+    its flag (a switch takes a boolean word); keys naming no value flag are ignored."""
+    flags = {action.dest: action for action in parser._actions
+             if action.dest not in ("help", "config", "check")}
+    defaults = {}
+    for key, raw in _load_config(path).items():
+        if key in flags:
+            switch = flags[key].const is True  # store_true
+            caster = bool if switch else flags[key].type or str
+            try:
+                defaults[key] = _BOOLEANS[raw.lower()] if switch else caster(raw)
+            except (KeyError, ValueError) as exc:
+                raise ConfigError(f"{path}: {key}={raw!r} is not a "
+                                  f"valid {caster.__name__}") from exc
+    parser.set_defaults(**defaults)
 
 
 @contextlib.contextmanager
-def _output(path: str | None) -> Iterator[IO[str]]:
-    """The output stream: stdout for no path or '-', else the file, closed on exit."""
-    if path is None or path == "-":
+def _output(path: str) -> Iterator[IO[str]]:
+    """The output stream: stdout for '-', else the file, closed on exit."""
+    if path == "-":
         yield sys.stdout
         return
     with open(path, "w", encoding="utf-8", newline="\n") as stream:
@@ -129,7 +125,7 @@ def _slope_exit(result: evolution.SweepResult) -> int:
     """0 if the fitted slope lies in [N+0.7, N+1.5], else 1 with a message;
     too few points in the fit window for a slope is an acceptance failure too."""
     if result.slope is None:
-        (low, high), res = result.fit_window, result.residuals
+        (low, high), res = evolution.FIT_WINDOW, result.residuals
         print(f"slope acceptance failed: only {result.n_fit} of {len(res)} points inside the "
               f"fit window [{low}, {high}] ({sum(r < low for r in res)} below, "
               f"{sum(r > high for r in res)} above); widen --tmin/--tmax", file=sys.stderr)
@@ -157,8 +153,6 @@ def _write_sweep_csv(result: evolution.SweepResult, stream: IO[str]) -> None:
 
 
 def cmd_schedule(args: argparse.Namespace) -> int:
-    _merge_config(args, {"scheme": "decoupling", "N": 1, "m": 1, "nS": 1,
-                         "out": None})
     if args.N < 1:
         raise ValueError("N must be >= 1")
     if args.scheme == "decoupling":
@@ -175,10 +169,6 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 
 
 def cmd_decouple_sweep(args: argparse.Namespace) -> int:
-    _merge_config(args, {"seed": 0, "N": 2, "nS": 1, "nE": 1, "tmin": 1e-3,
-                         "tmax": 1e-1, "points": 10, "tol": 1e-12,
-                         "degree": 0, "scale_ss": 1.0, "scale_se": 1.0,
-                         "scale_ee": 1.0, "out": None})
     if args.N < 1 or args.nS < 1 or args.nE < 0:
         raise ValueError("invalid N/nS/nE")
     grid = _sweep_grid(args)
@@ -199,9 +189,6 @@ def cmd_decouple_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_homogenize_sweep(args: argparse.Namespace) -> int:
-    _merge_config(args, {"seed": 0, "N": 1, "m": 1, "nS": None, "nE": 1,
-                         "tmin": 1e-3, "tmax": 1e-1, "points": 10,
-                         "tol": 1e-12, "degree": 0, "out": None})
     if args.N < 1 or args.m < 0:
         raise ValueError("invalid N/m")
     if args.nS is not None and args.nS != 2 ** args.m:
@@ -241,8 +228,6 @@ _VERIFY_CHECKS = ("basis", "udd", "nudd", "homogenization", "correspondence")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _merge_config(args, {"N": 2, "m": 1, "tol": 1e-10, "out": None,
-                         "mutate": False})
     if not args.check:
         raise ValueError("select at least one check "
                          f"(--check {{{','.join(_VERIFY_CHECKS)},all}})")
@@ -316,9 +301,6 @@ def _seeded_bath(seed: int, n_modes: int, beta: float,
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    _merge_config(args, {"seed": 0, "nE": 3, "beta": 1.0, "L": 2,
-                         "coupling_scale": 0.3, "tmin": 0.05, "tmax": 2.0,
-                         "points": 20, "cross_validate": False, "out": None})
     if args.L < 2 or args.L % 2:
         raise ValueError("the pulse count L must be even and >= 2")
     if args.nE < 1:
@@ -363,80 +345,65 @@ def build_parser() -> argparse.ArgumentParser:
                     "evolution sweeps and condition verification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def finish(p: argparse.ArgumentParser, func) -> None:
-        # the declared flag types let _merge_config cast config values alike
-        p.set_defaults(func=func, flag_types={a.dest: a.type for a in p._actions
-                                              if a.type is not None})
-
-    def common(p: argparse.ArgumentParser) -> None:
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help,
+                           formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        p.set_defaults(func=func, subparser=p)
         p.add_argument("--config", help="key=value config file")
-        p.add_argument("--out", help="output path (default stdout)")
+        p.add_argument("--out", default="-", help="output path, - for stdout")
+        return p
 
-    p = sub.add_parser("schedule", help="emit a pulse schedule file")
-    common(p)
-    p.add_argument("--scheme", choices=("decoupling", "qubit-nudd",
-                                        "homogenization"))
-    p.add_argument("--N", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--nS", type=int)
-    finish(p, cmd_schedule)
+    def sweep(name: str, func, help: str, N: int) -> argparse.ArgumentParser:
+        p = command(name, func, help)
+        p.add_argument("--seed", type=int, default=0, help="generator seed")
+        p.add_argument("--N", type=int, default=N, help="suppression order")
+        p.add_argument("--nE", type=int, default=1, help="environment modes")
+        p.add_argument("--degree", type=int, default=0, help="generator degree in t (0..4)")
+        p.add_argument("--tmin", type=float, default=1e-3, help="smallest total time T")
+        p.add_argument("--tmax", type=float, default=1e-1, help="largest total time T")
+        p.add_argument("--points", type=int, default=10, help="log-spaced T points")
+        p.add_argument("--tol", type=float, default=1e-12,
+                       help="integrator tolerance (time-dependent generators)")
+        return p
 
-    p = sub.add_parser("decouple-sweep", help="decoupling residual order sweep")
-    common(p)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--N", type=int)
-    p.add_argument("--nS", type=int)
-    p.add_argument("--nE", type=int)
-    p.add_argument("--degree", type=int)
-    p.add_argument("--tmin", type=float)
-    p.add_argument("--tmax", type=float)
-    p.add_argument("--points", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--scale-ss", dest="scale_ss", type=float)
-    p.add_argument("--scale-se", dest="scale_se", type=float)
-    p.add_argument("--scale-ee", dest="scale_ee", type=float)
-    finish(p, cmd_decouple_sweep)
+    p = command("schedule", cmd_schedule, "emit a pulse schedule file")
+    p.add_argument("--scheme", default="decoupling",
+                   choices=("decoupling", "qubit-nudd", "homogenization"), help="pulse family")
+    p.add_argument("--N", type=int, default=1, help="suppression order")
+    p.add_argument("--m", type=int, default=1, help="nesting level (not for decoupling)")
+    p.add_argument("--nS", type=int, default=1, help="system modes (decoupling only)")
 
-    p = sub.add_parser("homogenize-sweep", help="homogenization order sweep")
-    common(p)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--N", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--nS", type=int)
-    p.add_argument("--nE", type=int)
-    p.add_argument("--degree", type=int)
-    p.add_argument("--tmin", type=float)
-    p.add_argument("--tmax", type=float)
-    p.add_argument("--points", type=int)
-    p.add_argument("--tol", type=float)
-    finish(p, cmd_homogenize_sweep)
+    p = sweep("decouple-sweep", cmd_decouple_sweep, "decoupling residual order sweep", N=2)
+    p.add_argument("--nS", type=int, default=1, help="system modes")
+    p.add_argument("--scale-ss", type=float, default=1.0, help="system block scale")
+    p.add_argument("--scale-se", type=float, default=1.0, help="coupling block scale")
+    p.add_argument("--scale-ee", type=float, default=1.0, help="environment block scale")
 
-    p = sub.add_parser("verify", help="basis, Dyson-condition and "
-                                      "correspondence checks")
-    common(p)
+    p = sweep("homogenize-sweep", cmd_homogenize_sweep, "homogenization order sweep", N=1)
+    p.add_argument("--m", type=int, default=1, help="nesting level: 2^m system modes")
+    p.add_argument("--nS", type=int, help="system modes, must equal 2^m")
+
+    p = command("verify", cmd_verify, "basis, Dyson-condition and correspondence checks")
     p.add_argument("--check", action="append", default=[],
                    help=f"one of {','.join(_VERIFY_CHECKS)} or 'all' (repeatable)")
-    p.add_argument("--N", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--mutate", action="store_true", default=None,
+    p.add_argument("--N", type=int, default=2, help="suppression order")
+    p.add_argument("--m", type=int, default=1, help="nesting level")
+    p.add_argument("--tol", type=float, default=dyson.ZERO_TOL,
+                   help="zero tolerance, relative to each row's simplex scale")
+    p.add_argument("--mutate", action="store_true",
                    help="self-test: flip one pulse and expect failure")
-    finish(p, cmd_verify)
 
-    p = sub.add_parser("spectrum", help="filter-function and channel sweep")
-    common(p)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--nE", type=int, help="number of bath lines")
-    p.add_argument("--beta", type=float)
-    p.add_argument("--L", type=int, help="pulse count (even)")
-    p.add_argument("--coupling-scale", dest="coupling_scale", type=float)
-    p.add_argument("--tmin", type=float)
-    p.add_argument("--tmax", type=float)
-    p.add_argument("--points", type=int)
-    p.add_argument("--cross-validate", dest="cross_validate",
-                   action="store_true", default=None)
-    finish(p, cmd_spectrum)
-
+    p = command("spectrum", cmd_spectrum, "filter-function and channel sweep")
+    p.add_argument("--seed", type=int, default=0, help="bath seed")
+    p.add_argument("--nE", type=int, default=3, help="number of bath lines")
+    p.add_argument("--beta", type=float, default=1.0, help="inverse temperature (inf: vacuum)")
+    p.add_argument("--L", type=int, default=2, help="pulse count (even)")
+    p.add_argument("--coupling-scale", type=float, default=0.3, help="bath coupling scale")
+    p.add_argument("--tmin", type=float, default=0.05, help="smallest total time T")
+    p.add_argument("--tmax", type=float, default=2.0, help="largest total time T")
+    p.add_argument("--points", type=int, default=20, help="log-spaced T points")
+    p.add_argument("--cross-validate", action="store_true",
+                   help="add columns of the deviation from direct simulation")
     return parser
 
 
@@ -444,6 +411,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.config:  # the file sets the defaults, so a second parse lets flags win
+            _config_defaults(args.subparser, args.config)
+            args = parser.parse_args(argv)
         return args.func(args)
     except (ValueError, evolution.ToleranceNotReached) as exc:
         # usage errors (ConfigError among them) and an unreachable --tol

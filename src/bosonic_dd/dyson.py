@@ -19,9 +19,14 @@ one stacked stage, and each key's last step is not integrated at all but
 contracted against a per-report table of moments
 int_0^{h_i} (b_i + u)^r u^j du.  Every sum runs in a fixed order, so a
 key's value does not depend on the other keys of the walk.
-Values are bounded by 1/s! (simplex volume), while the zero tolerance used
-by the checks is 1e-10, many orders below the generic nonzero scale at the
-budgets tested here.
+
+The zero test is relative.  With every sign +1 the integral is the closed
+form scale(r) = 1 / prod_{k=1..s} (k + r_1 + ... + r_k), and |F| <= scale(r)
+for any signs, since |F_k| = 1 and t^r >= 0.  A required-zero row passes iff
+|value| <= tol * scale(r); scale(r) <= 1/s! <= 1, so the test is never
+looser than an absolute one at the same ``tol``.  The default 1e-10 lies four
+orders above the worst relative residual measured on the largest checks run
+(1.3e-14, sampled nudd N=3 m=2).
 
 Checked conditions (each over all tuples with s + sum(r) <= N):
 
@@ -192,11 +197,6 @@ def iterated_integral(signs: Sequence[PiecewiseSignFunction],
                            np.array([len(powers)]), extra_breaks)[0])
 
 
-def simplex_bound(s: int) -> float:
-    """|F| <= 1/s! for any admissible integrand (ordered-simplex volume)."""
-    return 1.0 / math.factorial(s)
-
-
 # ---------------------------------------------------------------------------
 # Condition reports
 # ---------------------------------------------------------------------------
@@ -207,7 +207,8 @@ class ConditionReport:
     """One row per checked tuple, held as columns: row j is the labels
     ``alphabet[picks[j, :s]]`` (``picks`` holds -1 past s) with the powers of
     budget ``budgets[budget[j]] = (s, powers)``; ``values[j]`` is its integral,
-    which must vanish to within ``tol`` where ``required_zero[j]``."""
+    which must vanish to within ``tol`` times the budget's scale where
+    ``required_zero[j]``."""
     scheme: str
     order: int
     tol: float
@@ -222,8 +223,11 @@ class ConditionReport:
 
     @property
     def row_passes(self) -> np.ndarray:
-        """A row fails only if it must vanish and not |value| <= tol (NaN fails)."""
-        return ~self.required_zero | (np.abs(self.values) <= self.tol)
+        """A row fails only if it must vanish and not |value| <= tol * scale(r),
+        scale(r) = 1 / prod_k (k + r_1 + ... + r_k) (NaN fails)."""
+        scale = np.array([1.0 / math.prod(k + p for k, p in enumerate(itertools.accumulate(r), 1))
+                          for _, r in self.budgets])
+        return ~self.required_zero | (np.abs(self.values) <= self.tol * scale[self.budget])
 
     @property
     def passed(self) -> bool:
@@ -250,8 +254,8 @@ def _budget_pairs(order: int) -> list[tuple[int, tuple[int, ...]]]:
 def _check_scalar_order(order: int) -> None:
     if order < 1:
         raise ValueError("order must be >= 1")
-    if order > 8:
-        raise ValueError("budget guard: order <= 8")
+    if order > 12:
+        raise ValueError("budget guard: order <= 12")
 
 
 def _check_label_guard(order: int, m: int, condition: str) -> None:

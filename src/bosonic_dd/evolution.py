@@ -59,6 +59,8 @@ from .symplectic import (
 # Gauss-Legendre nodes (c1, c2) of a step; factor f weights node j by _MIX[f, j]
 _NODES = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
 _MIX = 0.25 + np.array([[-1.0, 1.0], [1.0, -1.0]]) * math.sqrt(3.0) / 6.0
+# residuals a sweep fits its slope over; those below it are floor-flagged
+FIT_WINDOW = (1e-12, 1e-2)
 
 
 @dataclass(frozen=True)
@@ -290,7 +292,6 @@ class SweepResult:
     residuals: tuple[float, ...]
     floor_flags: tuple[bool, ...]
     slope: float | None
-    fit_window: tuple[float, float]
     n_fit: int
     m: int | None = None
     omegas: tuple[float, ...] | None = None
@@ -307,9 +308,9 @@ def _pulse_product_sign(schedule: PulseSchedule) -> int:
     return sign * int(np.prod(schedule.signs))
 
 
-def _fit_slope(times: Sequence[float], residuals: Sequence[float],
-               window: tuple[float, float]) -> tuple[float | None, int]:
-    pts = [(t, r) for t, r in zip(times, residuals) if window[0] <= r <= window[1]]
+def _fit_slope(times: Sequence[float],
+               residuals: Sequence[float]) -> tuple[float | None, int]:
+    pts = [(t, r) for t, r in zip(times, residuals) if FIT_WINDOW[0] <= r <= FIT_WINDOW[1]]
     if len(pts) < 3:
         return None, len(pts)
     logt = np.log([p[0] for p in pts])
@@ -320,9 +321,8 @@ def _fit_slope(times: Sequence[float], residuals: Sequence[float],
 
 def order_sweep(gen: AnalyticGenerator, scheme: str, order: int,
                 T_grid: Sequence[float], cfg: PropagatorConfig = DEFAULT_CONFIG,
-                m: int | None = None,
-                fit_window: tuple[float, float] = (1e-12, 1e-2)) -> SweepResult:
-    """Residual-vs-T sweep with log-log slope fit over the window.
+                m: int | None = None) -> SweepResult:
+    """Residual-vs-T sweep with log-log slope fit over ``FIT_WINDOW``.
 
     ``scheme`` is "decoupling" (off-diagonal residual of the resulting
     evolution, coupled generator) or "homogenization" (rotation-fit residual
@@ -368,7 +368,7 @@ def order_sweep(gen: AnalyticGenerator, scheme: str, order: int,
             # the 1e-13 floor is the absolute self-consistency allowance:
             # step-halving differences cannot certify much below it in
             # double precision
-            if gen.degree == 0 or residual < fit_window[0] or tol <= residual / 100.0:
+            if gen.degree == 0 or residual < FIT_WINDOW[0] or tol <= residual / 100.0:
                 break
             new_tol = max(residual / 200.0, 1e-13)
             if new_tol >= tol:
@@ -380,8 +380,8 @@ def order_sweep(gen: AnalyticGenerator, scheme: str, order: int,
     results = [eval_point(T) for T in T_grid]
     residuals = tuple(r for r, _ in results)
     omegas = tuple(w for _, w in results) if scheme == "homogenization" else None
-    floor = tuple(r < fit_window[0] for r in residuals)
-    slope, n_fit = _fit_slope(T_grid, residuals, fit_window)
+    floor = tuple(r < FIT_WINDOW[0] for r in residuals)
+    slope, n_fit = _fit_slope(T_grid, residuals)
 
     bounds = None
     if scheme == "decoupling" and gen.degree == 0:
@@ -390,7 +390,7 @@ def order_sweep(gen: AnalyticGenerator, scheme: str, order: int,
 
     return SweepResult(scheme=scheme, order=order, times=T_grid,
                        residuals=residuals, floor_flags=floor, slope=slope,
-                       fit_window=fit_window, n_fit=n_fit, m=m, omegas=omegas,
+                       n_fit=n_fit, m=m, omegas=omegas,
                        bounds=bounds, product_sign=sign)
 
 

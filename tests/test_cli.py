@@ -1,5 +1,6 @@
 import pytest
 
+from bosonic_dd import cli
 from bosonic_dd.cli import main
 
 
@@ -178,6 +179,12 @@ class TestVerify:
         assert run(["verify", "--check", "homogenization", "--N", "2",
                     "--m", "1", "--mutate", "--out", str(tmp_path / "m.csv")]) == 1
 
+    def test_udd_budget_guard(self, tmp_path, capsys):
+        out = tmp_path / "u.csv"
+        assert run(["verify", "--check", "udd", "--N", "13", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: budget guard: order <= 12\n"
+        assert not out.exists()
+
     def test_unknown_check(self, tmp_path):
         assert run(["verify", "--check", "bogus",
                     "--out", str(tmp_path / "u.csv")]) == 2
@@ -254,25 +261,71 @@ class TestSpectrum:
                 spin_boson.added_noise(T, bath, deltas), abs=1e-12 * scale)
 
 
-class TestConfigFile:
-    def test_config_supplies_defaults_and_flags_win(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("# sweep configuration\nseed=7\npoints=4\nN=1\n"
-                       "nS=1\nnE=1\n")
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        assert run(["decouple-sweep", "--config", str(cfg),
-                    "--out", str(a)]) == 0
-        assert run(["decouple-sweep", "--seed", "7", "--points", "4",
-                    "--N", "1", "--nS", "1", "--nE", "1",
-                    "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-        # explicit flag overrides the config value
-        c = tmp_path / "c.csv"
-        assert run(["decouple-sweep", "--config", str(cfg), "--points", "5",
-                    "--out", str(c)]) == 0
-        assert len(c.read_text().splitlines()) == 6
+# every value flag of each subcommand but --out, set to a value that is not its
+# default, spelled as a config key (a flag's long name, with '-' or '_'); True
+# marks a switch; the pair is an explicit flag that must beat its config line
+CONFIG_RUNS = {
+    "schedule": ([], {"scheme": "homogenization", "N": "2", "m": "2", "nS": "2"},
+                 ["--N", "1"]),
+    "decouple-sweep": ([], {"seed": "5", "N": "1", "nE": "2", "degree": "1",
+                            "tmin": "2e-3", "tmax": "5e-2", "points": "4", "tol": "1e-11",
+                            "nS": "2", "scale-ss": "0.5", "scale_se": "0.8",
+                            "scale-ee": "0.7"},
+                       ["--points", "3"]),
+    "homogenize-sweep": ([], {"seed": "4", "N": "2", "nE": "2", "degree": "1",
+                              "tmin": "2e-3", "tmax": "5e-2", "points": "4",
+                              "tol": "1e-11", "m": "0", "nS": "1"},
+                         ["--seed", "6"]),
+    "verify": (["--check", "homogenization"], {"N": "1", "m": "2", "tol": "1e-9",
+                                               "mutate": True},
+               ["--N", "2"]),
+    "spectrum": ([], {"seed": "3", "nE": "2", "beta": "2.0", "L": "4",
+                      "coupling_scale": "0.2", "tmin": "0.1", "tmax": "1.0",
+                      "points": "3", "cross-validate": True},
+                 ["--L", "2"]),
+}
 
+
+class TestConfigFile:
+    @pytest.mark.parametrize("command", CONFIG_RUNS)
+    def test_config_supplies_defaults_and_flags_win(self, tmp_path, command):
+        extra, values, override = CONFIG_RUNS[command]
+        parser = cli.build_parser().parse_args([command, *extra]).subparser
+        actions = {a.dest: a for a in parser._actions
+                   if a.dest not in ("help", "config", "check", "out")}
+        assert {key.replace("-", "_") for key in values} == set(actions)
+        for key, value in values.items():
+            action = actions[key.replace("-", "_")]
+            assert (value if value is True else (action.type or str)(value)) != action.default
+        argv = [command, *extra]
+        for key, value in values.items():
+            argv += [f"--{key.replace('_', '-')}"] + ([] if value is True else [value])
+        paths = {name: tmp_path / f"{name}.out" for name in ("config", "flags", "a", "b")}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# every flag\ncheck=bogus\nno_such_flag=1\n"
+                       + "".join(f"{key}={'yes' if value is True else value}\n"
+                                 for key, value in values.items())
+                       + f"out={paths['config']}\n")
+        code = run([command, *extra, "--config", str(cfg)])
+        assert run([*argv, "--out", str(paths["flags"])]) == code
+        assert paths["config"].read_bytes() == paths["flags"].read_bytes()
+        # an explicit flag beats its config line, --out among them
+        code = run([command, *extra, "--config", str(cfg), *override, "--out", str(paths["a"])])
+        assert run([*argv, *override, "--out", str(paths["b"])]) == code
+        assert paths["a"].read_bytes() == paths["b"].read_bytes()
+        assert paths["a"].read_bytes() != paths["config"].read_bytes()
+
+    @pytest.mark.parametrize("command", CONFIG_RUNS)
+    def test_help_shows_every_default(self, capsys, command):
+        with pytest.raises(SystemExit):
+            run([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        extra = CONFIG_RUNS[command][0]
+        parser = cli.build_parser().parse_args([command, *extra]).subparser
+        actions = [a for a in parser._actions if a.dest != "help"]
+        assert text.count("(default: ") == len(actions)
+        for action in actions:
+            assert f"(default: {action.default})" in text
 
     @pytest.mark.parametrize("word,columns", [("1", 9), ("YES", 9), ("True", 9),
                                               ("0", 7), ("no", 7), ("False", 7)])

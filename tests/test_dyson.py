@@ -20,7 +20,6 @@ from bosonic_dd.dyson import (
     check_qubit_nudd_condition,
     check_udd_condition,
     iterated_integral,
-    simplex_bound,
     verify_qubit_bosonic_correspondence,
 )
 from bosonic_dd.pauli_basis import ALL_PAIRS, PAIR_I, PAIR_Y, gamma_set, symplectic_form_index
@@ -105,6 +104,12 @@ def rational_oracle(flip_sets, powers):
             stage.append(anti)
         pieces = stage
     return value
+
+
+def simplex_scale(powers):
+    """Oracle: the all-+1 integral 1 / prod_k (k + r_1 + ... + r_k), the scale
+    of the relative zero test."""
+    return 1.0 / math.prod(k + sum(powers[:k]) for k in range(1, len(powers) + 1))
 
 
 def rational_flips(rng, denominators):
@@ -205,7 +210,15 @@ class TestIntegralProperties:
                                                                 rng.integers(0, 3)))))
                  for _ in range(s)]
         powers = [int(r) for r in rng.integers(0, 3, size=s)]
-        assert abs(iterated_integral(signs, powers)) <= simplex_bound(s) + 1e-12
+        assert abs(iterated_integral(signs, powers)) <= simplex_scale(powers) * (1 + 1e-12)
+
+    @pytest.mark.parametrize("powers", [(0,), (3,), (0, 0, 0), (1, 0, 2), (2, 2), (0, 3, 1, 0, 2)])
+    def test_simplex_scale_is_the_all_plus_integral(self, powers):
+        exact = rational_oracle([()] * len(powers), powers)
+        assert exact == Fraction(1, math.prod(k + sum(powers[:k])
+                                              for k in range(1, len(powers) + 1)))
+        assert iterated_integral([CONST] * len(powers), powers) == pytest.approx(
+            simplex_scale(powers), rel=1e-15)
 
     def test_refinement_invariance(self):
         sig = PiecewiseSignFunction(udd_times(3))
@@ -464,7 +477,18 @@ class TestUddCondition:
 
     def test_budget_guard(self):
         with pytest.raises(ValueError):
-            check_udd_condition(9)
+            check_udd_condition(13)
+
+    @pytest.mark.parametrize("check", [check_udd_condition, check_bosonic_decoupling_condition])
+    def test_order_10_exhaustive(self, check):
+        report = check(10)
+        assert report.passed and report.exhaustive
+        assert len(report.values) == 29525  # 3^10 // 2 required rows and the witness
+
+    def test_order_12_sampled(self):
+        report = check_udd_condition(12)
+        assert report.passed and not report.exhaustive
+        assert report.n_checked == 10 ** 5
 
 
 class TestBosonicDecouplingCondition:
@@ -484,9 +508,9 @@ class TestBosonicDecouplingCondition:
 
 @pytest.mark.parametrize("check, args, message", [
     (check_udd_condition, (0,), "order must be >= 1"),
-    (check_udd_condition, (9,), "budget guard: order <= 8"),
+    (check_udd_condition, (13,), "budget guard: order <= 12"),
     (check_bosonic_decoupling_condition, (0,), "order must be >= 1"),
-    (check_bosonic_decoupling_condition, (9,), "budget guard: order <= 8"),
+    (check_bosonic_decoupling_condition, (13,), "budget guard: order <= 12"),
     (check_qubit_nudd_condition, (9, 2), "label set exceeds the qubit-condition guard"),
     (check_homogenization_condition, (9, 2),
      "label set exceeds the homogenization-condition guard"),
@@ -599,6 +623,20 @@ class TestCsv:
             assert not broken.row_passes[row]
             assert not broken.passed
 
+    def test_zero_test_is_relative(self):
+        # a required-zero value between tol * scale(r) and tol fails
+        report = check_udd_condition(3, tol=1e-10)
+        rows = report_rows(report)
+        for row in np.flatnonzero(report.required_zero).tolist():
+            scale = simplex_scale(rows[row][1])
+            if scale < 1.0:
+                values = report.values.copy()
+                values[row] = 1e-10 * (1 + scale) / 2  # in (tol * scale, tol)
+                broken = dataclasses.replace(report, values=values)
+                assert not broken.row_passes[row] and not broken.passed
+                values[row] = 1e-10 * scale
+                assert dataclasses.replace(report, values=values).passed
+
     def test_format_labels_per_row(self):
         for check, report in (("udd", check_udd_condition(3)),
                               ("nudd", check_qubit_nudd_condition(2, 1)),
@@ -618,7 +656,7 @@ def row_line(check, tol, row):
     s, powers, labels, value, required = row
     text = ";".join(str(l) if isinstance(l, int) else "".join(f"{x}{z}" for x, z in l)
                     for l in labels)
-    ok = abs(value) <= tol if required else True
+    ok = abs(value) <= tol * simplex_scale(powers) if required else True
     return (f"{check},{s},{';'.join(str(r) for r in powers)},{text},{cli._fmt(value)},"
             f"{int(required)},{int(ok)}\n")
 
@@ -649,7 +687,8 @@ class TestColumnReductions:
             required_zero=np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)),
                                    dtype=bool))
         rows = report_rows(report)
-        oks = [abs(value) <= report.tol if required else True for *_, value, required in rows]
+        oks = [abs(value) <= report.tol * simplex_scale(powers) if required else True
+               for _, powers, _, value, required in rows]
         assert report.row_passes.tolist() == oks
         assert report.passed == all(oks)
         assert report.n_checked == sum(required for *_, required in rows)

@@ -21,7 +21,7 @@ EXPORTS = {
     # dyson
     "check_bosonic_decoupling_condition", "check_homogenization_condition",
     "check_qubit_nudd_condition", "check_udd_condition", "iterated_integral",
-    "simplex_bound", "verify_qubit_bosonic_correspondence",
+    "verify_qubit_bosonic_correspondence",
     # evolution
     "AnalyticGenerator", "PropagatorConfig", "affine_propagate", "decoupling_error_bound",
     "generator_block_norms", "homogenization_fit", "order_sweep", "propagate",
