@@ -56,7 +56,6 @@ from .dyson import (
 )
 from .evolution import (
     AnalyticGenerator,
-    PropagatorConfig,
     propagate,
     resulting_evolution,
     homogenization_fit,

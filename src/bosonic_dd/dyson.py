@@ -41,6 +41,8 @@ alphabet positions, the walker's values, a ``required_zero`` mask and the
 alphabet.  ``passed``, ``max_violation`` and ``n_checked`` are array
 reductions (a NaN value fails).  The scalar reports append their witness
 row, one order past the budget, as one more budget that need not vanish.
+A report enumerates every tuple when there are at most MAX_TUPLES of them;
+past that it checks MAX_TUPLES tuples drawn with seed SAMPLE_SEED.
 """
 
 from __future__ import annotations
@@ -68,6 +70,8 @@ from .schedules import (
 DEGREE_CAP = 24
 ZERO_TOL = 1e-10
 QUBIT_LABEL_GUARD = 10 ** 4
+MAX_TUPLES = 10 ** 5  # past this many tuples a report samples this many
+SAMPLE_SEED = 0
 WALK_BLOCK_ELEMENTS = 2 ** 18  # keys x intervals of one walk: bounds its arrays
 # _BINOMIAL[r, a] = C(r, a), zero for a > r
 _BINOMIAL = np.array([[math.comb(r, a) for a in range(DEGREE_CAP + 1)]
@@ -109,7 +113,7 @@ def _dedupe(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _evaluate(functions: Sequence[PiecewiseSignFunction], f: np.ndarray, r: np.ndarray,
-              length: np.ndarray, extra_breaks: Sequence[float] = ()) -> np.ndarray:
+              length: np.ndarray) -> np.ndarray:
     """Nested integral of every key.
 
     Row j of the ``(n, width)`` integer arrays ``f`` and ``r`` is the key
@@ -122,10 +126,6 @@ def _evaluate(functions: Sequence[PiecewiseSignFunction], f: np.ndarray, r: np.n
     grid = {0.0, 1.0}
     for F in functions:
         grid.update(F.flips)
-    for b in extra_breaks:
-        if not 0.0 < b < 1.0:
-            raise ValueError("grid refinement points must lie in (0, 1)")
-        grid.add(float(b))
     breaks = np.array(sorted(grid))
     n = len(breaks) - 1
     # F is (-1)^(number of flips <= b_i) on (b_i, b_{i+1}]
@@ -180,13 +180,8 @@ def _evaluate(functions: Sequence[PiecewiseSignFunction], f: np.ndarray, r: np.n
 
 
 def iterated_integral(signs: Sequence[PiecewiseSignFunction],
-                      powers: Sequence[int],
-                      extra_breaks: Sequence[float] = ()) -> float:
-    """Exact nested integral g_s(1) with g_k' = F_k(u) u^{r_k} g_{k-1}(u).
-
-    ``extra_breaks`` refines the integration grid with spurious breakpoints;
-    the value is invariant under any refinement (used by property tests).
-    """
+                      powers: Sequence[int]) -> float:
+    """Exact nested integral g_s(1) with g_k' = F_k(u) u^{r_k} g_{k-1}(u)."""
     if len(signs) != len(powers):
         raise ValueError("need one power per sign function")
     if not signs:
@@ -194,7 +189,7 @@ def iterated_integral(signs: Sequence[PiecewiseSignFunction],
     if any(r < 0 for r in powers):
         raise ValueError("powers must be nonnegative")
     return float(_evaluate(signs, np.arange(len(powers))[None], np.array([powers], dtype=np.intp),
-                           np.array([len(powers)]), extra_breaks)[0])
+                           np.array([len(powers)]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +204,6 @@ class ConditionReport:
     budget ``budgets[budget[j]] = (s, powers)``; ``values[j]`` is its integral,
     which must vanish to within ``tol`` times the budget's scale where
     ``required_zero[j]``."""
-    scheme: str
-    order: int
     tol: float
     alphabet: tuple
     budgets: tuple[tuple[int, tuple[int, ...]], ...]
@@ -219,7 +212,6 @@ class ConditionReport:
     values: np.ndarray
     required_zero: np.ndarray
     exhaustive: bool
-    m: int | None = None
 
     @property
     def row_passes(self) -> np.ndarray:
@@ -271,7 +263,7 @@ def check_udd_condition(order: int, tol: float = ZERO_TOL) -> ConditionReport:
     """
     _check_scalar_order(order)
     sigma = PiecewiseSignFunction(udd_times(order))
-    return _scalar_condition_report("udd", order, sigma, tol)
+    return _scalar_condition_report(order, sigma, tol)
 
 
 def check_bosonic_decoupling_condition(order: int, tol: float = ZERO_TOL) -> ConditionReport:
@@ -284,14 +276,14 @@ def check_bosonic_decoupling_condition(order: int, tol: float = ZERO_TOL) -> Con
     sigma = toggling_sign_function(decoupling_schedule(order, n_system=1), 1)
     if sigma.flips != udd_times(order):
         raise AssertionError("schedule-derived sigma differs from the Uhrig times")
-    return _scalar_condition_report("bosonic-decoupling", order, sigma, tol)
+    return _scalar_condition_report(order, sigma, tol)
 
 
-def _scalar_condition_report(scheme: str, order: int,
-                             sigma: PiecewiseSignFunction, tol: float) -> ConditionReport:
+def _scalar_condition_report(order: int, sigma: PiecewiseSignFunction,
+                             tol: float) -> ConditionReport:
     # gamma labels 0 and 1 stand for the constant and sigma; their xor is 0 or 1.
     # The witness row (s=1, r=N, gamma=1) lies one order past the budget.
-    report = _tuple_condition_report(scheme, (PiecewiseSignFunction(()), sigma), (0, 1),
+    report = _tuple_condition_report((PiecewiseSignFunction(()), sigma), (0, 1),
                                      frozenset({0}), order, tol)
     return replace(report, budgets=report.budgets + ((1, (order,)),),
                    budget=np.append(report.budget, len(report.budgets)),
@@ -300,10 +292,9 @@ def _scalar_condition_report(scheme: str, order: int,
                    required_zero=np.append(report.required_zero, False))
 
 
-def _tuple_condition_report(scheme: str, functions: Sequence[PiecewiseSignFunction],
+def _tuple_condition_report(functions: Sequence[PiecewiseSignFunction],
                             alphabet: Sequence, exempt_xors: frozenset,
-                            order: int, tol: float, max_tuples: int = 10 ** 5,
-                            seed: int = 0) -> ConditionReport:
+                            order: int, tol: float) -> ConditionReport:
     """Every tuple of ``alphabet`` labels (sign function ``functions[k]`` for
     label k) whose index xor is not exempt, with every budget of powers."""
     # labels whose sign functions coincide share one function index
@@ -321,7 +312,7 @@ def _tuple_condition_report(scheme: str, functions: Sequence[PiecewiseSignFuncti
 
     budgets = _budget_pairs(order)
     powers = np.array([r + (0,) * (order - s) for s, r in budgets])  # padded with 0
-    if sum(len(alphabet) ** s for s, _ in budgets) <= max_tuples:
+    if sum(len(alphabet) ** s for s, _ in budgets) <= MAX_TUPLES:
         by_length: dict[int, np.ndarray] = {}
         for s in range(1, order + 1):  # all s-tuples in itertools.product order
             picks = np.full((len(alphabet) ** s, order), -1)
@@ -333,12 +324,12 @@ def _tuple_condition_report(scheme: str, functions: Sequence[PiecewiseSignFuncti
     else:
         # per draw: one budget, then s labels; each batch is tested at once and
         # draws no more tuples than are still missing, so no extra number is drawn
-        rng = np.random.default_rng(seed)
-        budget = np.empty(max_tuples, dtype=np.intp)
-        picks = np.full((max_tuples, order), -1)
+        rng = np.random.default_rng(SAMPLE_SEED)
+        budget = np.empty(MAX_TUPLES, dtype=np.intp)
+        picks = np.full((MAX_TUPLES, order), -1)
         n = attempts = 0
-        while n < max_tuples and attempts < 20 * max_tuples:
-            batch = min(max_tuples - n, 20 * max_tuples - attempts)
+        while n < MAX_TUPLES and attempts < 20 * MAX_TUPLES:
+            batch = min(MAX_TUPLES - n, 20 * MAX_TUPLES - attempts)
             attempts += batch
             drawn, rows = budget[n:n + batch], picks[n:n + batch]
             for j in range(batch):
@@ -354,49 +345,43 @@ def _tuple_condition_report(scheme: str, functions: Sequence[PiecewiseSignFuncti
         exhaustive = False
     values = _evaluate([PiecewiseSignFunction(flips) for flips in merged], function[picks],
                        powers[budget], np.array([s for s, _ in budgets])[budget])
-    return ConditionReport(scheme=scheme, order=order, tol=tol, alphabet=tuple(alphabet),
+    return ConditionReport(tol=tol, alphabet=tuple(alphabet),
                            budgets=tuple(budgets), budget=budget, picks=picks,
                            values=values, required_zero=np.ones(len(values), dtype=bool),
                            exhaustive=exhaustive)
 
 
-def check_qubit_nudd_condition(order: int, m: int, tol: float = ZERO_TOL,
-                               max_tuples: int = 10 ** 5,
-                               seed: int = 0) -> ConditionReport:
+def check_qubit_nudd_condition(order: int, m: int, tol: float = ZERO_TOL) -> ConditionReport:
     """Nested-train decoupling condition over the full (Z2xZ2)^{m+1} alphabet."""
     _check_label_guard(order, m, "qubit")
     schedule = qubit_nudd_schedule(order, m)
     alphabet = tuple(itertools.product(ALL_PAIRS, repeat=m + 1))
     exempt = frozenset({(PAIR_I,) * (m + 1)})
     functions = [toggling_sign_function(schedule, alpha) for alpha in alphabet]
-    return replace(_tuple_condition_report("qubit-nudd", functions, alphabet, exempt,
-                                           order, tol, max_tuples, seed), m=m)
+    return _tuple_condition_report(functions, alphabet, exempt, order, tol)
 
 
-def check_homogenization_condition_for(schedule: PulseSchedule, order: int,
-                                       m: int, tol: float = ZERO_TOL,
-                                       max_tuples: int = 10 ** 5,
-                                       seed: int = 0) -> ConditionReport:
-    """Homogenization condition for an arbitrary indexed pulse schedule.
+def check_homogenization_condition_for(schedule: PulseSchedule,
+                                       tol: float = ZERO_TOL) -> ConditionReport:
+    """Homogenization condition for an arbitrary indexed pulse schedule, to
+    the schedule's order over its m.
 
     Tuples whose index sum is the zero index (product ~ identity) or the
     index of the symplectic form (product ~ J) are exempt.
     """
+    if schedule.is_flip_schedule:
+        raise ValueError("the homogenization condition needs an indexed schedule")
+    m = schedule.m
     alphabet = gamma_set(m)
     exempt = frozenset({(PAIR_I,) * (m + 1), symplectic_form_index(m)})
     functions = [toggling_sign_function(schedule, alpha) for alpha in alphabet]
-    return replace(_tuple_condition_report(schedule.scheme, functions, alphabet,
-                                           exempt, order, tol, max_tuples, seed),
-                   m=schedule.m)
+    return _tuple_condition_report(functions, alphabet, exempt, schedule.order, tol)
 
 
-def check_homogenization_condition(order: int, m: int, tol: float = ZERO_TOL,
-                                   max_tuples: int = 10 ** 5,
-                                   seed: int = 0) -> ConditionReport:
+def check_homogenization_condition(order: int, m: int, tol: float = ZERO_TOL) -> ConditionReport:
     """Homogenization condition for the nested-train bosonic schedule."""
     _check_label_guard(order, m, "homogenization")
-    return check_homogenization_condition_for(homogenization_schedule(order, m),
-                                              order, m, tol, max_tuples, seed)
+    return check_homogenization_condition_for(homogenization_schedule(order, m), tol)
 
 
 # ---------------------------------------------------------------------------

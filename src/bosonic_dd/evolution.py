@@ -18,9 +18,11 @@ until successive passes S, S2 of a segment agree to
 ||S2 - S||_F <= tol max(1, ||S2||_2), a test relative to the size of the
 propagator (screened by ||S2||_2 <= ||S2||_F before any SVD), so residuals
 down to ~1e-12 are not polluted by integration error; only segments that
-fail it are passed again.  ``order_sweep`` re-tightens a point's tolerance
-by resuming from the passes the point already ran.  The tolerance acts
-only on this time-dependent path.
+fail it are passed again.  The first pass takes SUBSTEPS steps per segment
+and each refinement doubles them, at most MAX_DEPTH times.  ``order_sweep``
+re-tightens a point's tolerance by resuming from the passes the point
+already ran.  The tolerance ``tol`` (DEFAULT_TOL unless given) is the
+engine's only setting, and it acts only on this time-dependent path.
 
 A walk's pulses are one stack too, from one ``s_matrix`` call over the
 schedule's index stack.  Each pulse is applied after the free segment that
@@ -33,7 +35,7 @@ dim + 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -61,6 +63,9 @@ _NODES = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
 _MIX = 0.25 + np.array([[-1.0, 1.0], [1.0, -1.0]]) * math.sqrt(3.0) / 6.0
 # residuals a sweep fits its slope over; those below it are floor-flagged
 FIT_WINDOW = (1e-12, 1e-2)
+DEFAULT_TOL = 1e-12  # the integrator's step-halving tolerance
+SUBSTEPS = 16  # CF4 steps per segment in its first pass
+MAX_DEPTH = 8  # step halvings before ToleranceNotReached
 
 
 @dataclass(frozen=True)
@@ -68,14 +73,12 @@ class AnalyticGenerator:
     """Polynomial-in-time generator X(t) = sum_r X_r t^r, optionally with a
     linear drive b(t) = sum_r b_r t^r for affine (displacement) propagation.
 
-    Every coefficient must lie in sp(2n) for the layout's form; a generator
-    flagged ``decoupled`` must have vanishing system-environment blocks.
+    Every coefficient must lie in sp(2n) for the layout's form.
     """
 
     layout: ModeLayout
     coeffs: tuple[np.ndarray, ...]
     linear: tuple[np.ndarray, ...] | None = None
-    decoupled: bool = False
 
     def __post_init__(self) -> None:
         if not self.coeffs:
@@ -88,10 +91,6 @@ class AnalyticGenerator:
             res = sp_algebra_residual(X, J)
             if res > 1e-10 * max(1.0, float(np.linalg.norm(X))):
                 raise ValueError(f"coefficient {r} is not in sp(2n): residual {res:.3e}")
-            if self.decoupled:
-                b = block_decompose(X, self.layout)
-                if np.linalg.norm(b.se) > 0 or np.linalg.norm(b.es) > 0:
-                    raise ValueError("decoupled generator has nonzero coupling blocks")
         if self.linear is not None:
             for r, v in enumerate(self.linear):
                 if v.shape != (self.layout.dim,):
@@ -100,6 +99,12 @@ class AnalyticGenerator:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
+
+    @property
+    def decoupled(self) -> bool:
+        """True when no coefficient has a nonzero system-environment entry."""
+        blocks = (block_decompose(X, self.layout) for X in self.coeffs)
+        return not any(b.se.any() or b.es.any() for b in blocks)
 
     def values(self, ts) -> np.ndarray:
         """X(t) at every t in ``ts``, shape ``np.shape(ts) + (dim, dim)``."""
@@ -110,20 +115,6 @@ def _polynomial(coeffs: Sequence[np.ndarray], ts) -> np.ndarray:
     """sum_r coeffs[r] t^r at every t in ``ts``, stacked along its axes."""
     powers = np.asarray(ts, dtype=float)[..., None] ** np.arange(len(coeffs))
     return np.tensordot(powers, np.asarray(coeffs), axes=1)
-
-
-@dataclass(frozen=True)
-class PropagatorConfig:
-    substeps: int = 16
-    tolerance: float = 1e-12
-    max_depth: int = 8
-
-    def __post_init__(self) -> None:
-        if self.substeps < 1 or not self.tolerance > 0 or self.max_depth < 1:
-            raise ValueError("invalid propagator configuration")
-
-
-DEFAULT_CONFIG = PropagatorConfig()
 
 
 # Elements exponentiated per call, as in spin_boson.BLOCK_ELEMENTS, so the
@@ -175,7 +166,7 @@ def _converged(S2: np.ndarray, diff: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _flows(coeffs: Sequence[np.ndarray], t0s: Sequence[float],
-           t1s: Sequence[float], cfg: PropagatorConfig,
+           t1s: Sequence[float], tol: float = DEFAULT_TOL,
            record: dict | None = None) -> np.ndarray:
     """Time-ordered exponentials of sum_r coeffs[r] t^r on every interval
     [t0s[i], t1s[i]], stacked.  Step halving refines only the intervals
@@ -185,6 +176,8 @@ def _flows(coeffs: Sequence[np.ndarray], t0s: Sequence[float],
     intervals at a tighter tolerance adds only the passes a fresh call would
     add, with bitwise its result (a pass does not depend on the other
     intervals in its call)."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     coeffs = np.asarray(coeffs)
     t0s, t1s = np.asarray(t0s, dtype=float), np.asarray(t1s, dtype=float)
     if len(coeffs) == 1:
@@ -200,31 +193,31 @@ def _flows(coeffs: Sequence[np.ndarray], t0s: Sequence[float],
     depth, S, diff = record["depth"], record["S"], record["diff"]
     todo = np.flatnonzero(t1s != t0s)
     while True:
-        todo = todo[~_converged(S[todo], diff[todo], cfg.tolerance)]
+        todo = todo[~_converged(S[todo], diff[todo], tol)]
         if not todo.size:
             return S
         k = depth[todo].min()
-        if k == cfg.max_depth:
+        if k == MAX_DEPTH:
             raise ToleranceNotReached(
-                f"propagator did not reach tolerance {cfg.tolerance} within "
-                f"{cfg.max_depth} refinements on [{t0s[todo[0]]}, {t1s[todo[0]]}]")
+                f"propagator did not reach tolerance {tol} within "
+                f"{MAX_DEPTH} refinements on [{t0s[todo[0]]}, {t1s[todo[0]]}]")
         step = todo[depth[todo] == k]
-        S2 = _cf4_pass(coeffs, t0s[step], t1s[step], cfg.substeps << (k + 1))
+        S2 = _cf4_pass(coeffs, t0s[step], t1s[step], SUBSTEPS << (k + 1))
         diff[step] = np.linalg.norm(S2 - S[step], axis=(-2, -1)) if k >= 0 else np.inf
         S[step], depth[step] = S2, k + 1
 
 
 def propagate(gen: AnalyticGenerator, t0: float, t1: float,
-              cfg: PropagatorConfig = DEFAULT_CONFIG) -> np.ndarray:
+              tol: float = DEFAULT_TOL) -> np.ndarray:
     """Time-ordered propagator of X(t) on [t0, t1]: exact for a constant
     generator, step-halving CF4 otherwise."""
     if t1 < t0:
         raise ValueError("need t0 <= t1")
-    return _flows(gen.coeffs, [t0], [t1], cfg)[0]
+    return _flows(gen.coeffs, [t0], [t1], tol)[0]
 
 
 def _walk(coeffs: Sequence[np.ndarray], schedule: PulseSchedule | None,
-          layout: ModeLayout, T: float, cfg: PropagatorConfig,
+          layout: ModeLayout, T: float, tol: float = DEFAULT_TOL,
           record: dict | None = None) -> np.ndarray:
     """Time-ordered product of the free flows of sum_r coeffs[r] t^r and the
     schedule's pulses on [0, T], every flow from one batched call.  Each
@@ -242,7 +235,7 @@ def _walk(coeffs: Sequence[np.ndarray], schedule: PulseSchedule | None,
                              f"system dimension {d}")
         pulses[:, :d, :d] = schedule.signs[:, None, None] * W
     bounds = np.array([0.0, *deltas, 1.0]) * T
-    flows = _flows(coeffs, bounds[:-1], bounds[1:], cfg, record)
+    flows = _flows(coeffs, bounds[:-1], bounds[1:], tol, record)
     S = np.eye(dim)
     for step in pulses @ flows[:-1]:
         S = step @ S
@@ -250,9 +243,9 @@ def _walk(coeffs: Sequence[np.ndarray], schedule: PulseSchedule | None,
 
 
 def resulting_evolution(gen: AnalyticGenerator, schedule: PulseSchedule,
-                        T: float, cfg: PropagatorConfig = DEFAULT_CONFIG) -> np.ndarray:
+                        T: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     """S(T, t_L) . prod_j (S_j (+) I) S(t_j, t_{j-1}) in time order."""
-    return _walk(gen.coeffs, schedule, gen.layout, T, cfg)
+    return _walk(gen.coeffs, schedule, gen.layout, T, tol)
 
 
 class DegenerateRotationFit(ValueError):
@@ -286,14 +279,12 @@ def homogenization_fit(S_sys: np.ndarray, T: float) -> RotationFit:
 
 @dataclass(frozen=True)
 class SweepResult:
-    scheme: str
     order: int
     times: tuple[float, ...]
     residuals: tuple[float, ...]
     floor_flags: tuple[bool, ...]
     slope: float | None
     n_fit: int
-    m: int | None = None
     omegas: tuple[float, ...] | None = None
     bounds: tuple[float, ...] | None = None
     product_sign: int = 1
@@ -320,13 +311,13 @@ def _fit_slope(times: Sequence[float],
 
 
 def order_sweep(gen: AnalyticGenerator, scheme: str, order: int,
-                T_grid: Sequence[float], cfg: PropagatorConfig = DEFAULT_CONFIG,
-                m: int | None = None) -> SweepResult:
+                T_grid: Sequence[float], tol: float = DEFAULT_TOL) -> SweepResult:
     """Residual-vs-T sweep with log-log slope fit over ``FIT_WINDOW``.
 
     ``scheme`` is "decoupling" (off-diagonal residual of the resulting
     evolution, coupled generator) or "homogenization" (rotation-fit residual
-    of the system block, decoupled generator with n_system = 2^m modes).
+    of the system block, decoupled generator with n_system = 2^m modes, which
+    fixes m).
     For a time-dependent generator the integrator tolerance is re-tightened
     per point until it sits at least two orders below the measured residual,
     each time resuming from the step-halving record of the point's earlier
@@ -337,8 +328,7 @@ def order_sweep(gen: AnalyticGenerator, scheme: str, order: int,
         schedule = decoupling_schedule(order, gen.layout.n_system)
         sign = 1
     elif scheme == "homogenization":
-        if m is None:
-            raise ValueError("homogenization sweep requires m")
+        m = gen.layout.n_system.bit_length() - 1
         if gen.layout.n_system != 2 ** m:
             raise ValueError("homogenization requires n_system = 2^m")
         if not gen.decoupled:
@@ -350,14 +340,12 @@ def order_sweep(gen: AnalyticGenerator, scheme: str, order: int,
 
     sys_dim = gen.layout.system_dim
 
-    def eval_point(T: float) -> tuple[float, float]:
-        tol = cfg.tolerance
+    def eval_point(T: float, tol: float) -> tuple[float, float]:
         residual = math.inf
         omega = math.nan
         record: dict = {}
         for _ in range(4):
-            S = _walk(gen.coeffs, schedule, gen.layout, T,
-                      replace(cfg, tolerance=tol), record)
+            S = _walk(gen.coeffs, schedule, gen.layout, T, tol, record)
             if scheme == "decoupling":
                 residual = offdiag_residual(S, gen.layout)
             else:
@@ -377,7 +365,7 @@ def order_sweep(gen: AnalyticGenerator, scheme: str, order: int,
         return residual, omega
 
     T_grid = tuple(float(T) for T in T_grid)
-    results = [eval_point(T) for T in T_grid]
+    results = [eval_point(T, tol) for T in T_grid]
     residuals = tuple(r for r, _ in results)
     omegas = tuple(w for _, w in results) if scheme == "homogenization" else None
     floor = tuple(r < FIT_WINDOW[0] for r in residuals)
@@ -388,10 +376,9 @@ def order_sweep(gen: AnalyticGenerator, scheme: str, order: int,
         j0, jz = generator_block_norms(gen)
         bounds = tuple(decoupling_error_bound(j0, jz, order, T) for T in T_grid)
 
-    return SweepResult(scheme=scheme, order=order, times=T_grid,
-                       residuals=residuals, floor_flags=floor, slope=slope,
-                       n_fit=n_fit, m=m, omegas=omegas,
-                       bounds=bounds, product_sign=sign)
+    return SweepResult(order=order, times=T_grid, residuals=residuals,
+                       floor_flags=floor, slope=slope, n_fit=n_fit,
+                       omegas=omegas, bounds=bounds, product_sign=sign)
 
 
 def generator_block_norms(gen: AnalyticGenerator) -> tuple[float, float]:
@@ -422,7 +409,7 @@ def decoupling_error_bound(j0: float, jz: float, order: int, t_total: float) -> 
 
 
 def affine_propagate(gen: AnalyticGenerator, M0: np.ndarray, d0: np.ndarray,
-                     T: float, cfg: PropagatorConfig = DEFAULT_CONFIG,
+                     T: float, tol: float = DEFAULT_TOL,
                      schedule: PulseSchedule | None = None
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Covariance and displacement after time T (with optional pulses).
@@ -448,14 +435,13 @@ def affine_propagate(gen: AnalyticGenerator, M0: np.ndarray, d0: np.ndarray,
     if linear:
         emb[:len(linear), :dim, dim] = linear
 
-    E = _walk(emb, schedule, gen.layout, T, cfg)
+    E = _walk(emb, schedule, gen.layout, T, tol)
     S, zeta = E[:dim, :dim], E[:dim, dim]
     return S @ M0 @ S.T, S @ d0 + zeta
 
 
 def random_generator(layout: ModeLayout, seed: int, scale_ss: float,
-                     scale_se: float, scale_ee: float, degree: int = 0,
-                     linear_scale: float = 0.0) -> AnalyticGenerator:
+                     scale_se: float, scale_ee: float, degree: int = 0) -> AnalyticGenerator:
     """Seeded generator with X_r = A_r J, A_r symmetric, entries uniform in
     [-1, 1] scaled per block.  scale_se = 0 yields a decoupled generator."""
     if min(scale_ss, scale_se, scale_ee) < 0:
@@ -477,9 +463,4 @@ def random_generator(layout: ModeLayout, seed: int, scale_ss: float,
             A[ds:, :ds] = scale_se * se.T
             A[ds:, ds:] = scale_ee * (ee + ee.T) / 2.0
         coeffs.append(A @ J)
-    linear = None
-    if linear_scale > 0:
-        linear = tuple(linear_scale * rng.uniform(-1.0, 1.0, layout.dim)
-                       for _ in range(degree + 1))
-    return AnalyticGenerator(layout=layout, coeffs=tuple(coeffs), linear=linear,
-                             decoupled=(scale_se == 0.0))
+    return AnalyticGenerator(layout=layout, coeffs=tuple(coeffs))

@@ -218,12 +218,11 @@ class AdjointActionReport:
         return self.max_deviation <= self.tol
 
 
-def verify_adjoint_action(m: int, tol: float = 1e-12,
-                          samples: int = 1000, seed: int = 0) -> AdjointActionReport:
+def verify_adjoint_action(m: int, tol: float = 1e-12) -> AdjointActionReport:
     """Check S_beta^{-1} S_alpha S_beta = (-1)^{<alpha,beta>} S_alpha.
 
-    Exhaustive over Gamma x Gamma~ for m <= 2; for larger m a seeded sample
-    of ``samples`` pairs is tested.  S_beta is orthogonal, so the inverse is
+    Exhaustive over Gamma x Gamma~ for m <= 2; for larger m a sample of
+    1000 pairs drawn with seed 0 is tested.  S_beta is orthogonal, so the inverse is
     the transpose.
     """
     _check_m(m)
@@ -234,10 +233,10 @@ def verify_adjoint_action(m: int, tol: float = 1e-12,
         n_total = len(gamma) * len(gtilde)
         exhaustive = True
     else:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
+        n_total = 1000
         pairs = ((gamma[rng.integers(len(gamma))], gtilde[rng.integers(len(gtilde))])
-                 for _ in range(samples))
-        n_total = samples
+                 for _ in range(n_total))
         exhaustive = False
     max_dev = 0.0
     for alpha, beta in pairs:

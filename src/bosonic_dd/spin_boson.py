@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import AnalyticGenerator, PropagatorConfig, DEFAULT_CONFIG, resulting_evolution
+from .evolution import AnalyticGenerator, resulting_evolution
 from .schedules import flip_train_schedule, udd_times
 from .symplectic import ModeLayout, symplectic_form
 
@@ -249,7 +249,6 @@ class CrossValidationReport:
 
 
 def cross_validate(bath: BathSpec, deltas, total_time: float,
-                   cfg: PropagatorConfig = DEFAULT_CONFIG,
                    covariances: tuple[np.ndarray, ...] | None = None
                    ) -> CrossValidationReport:
     """Compare the closed-form channel against direct symplectic simulation.
@@ -264,7 +263,7 @@ def cross_validate(bath: BathSpec, deltas, total_time: float,
     if covariances is None:
         covariances = (np.eye(2), np.diag([4.0, 0.25]))
     S = resulting_evolution(bath_generator(bath), flip_train_schedule(deltas, n_system=1),
-                            total_time, cfg)
+                            total_time)
     M = np.zeros_like(S)  # M0 (+) the bath's thermal covariance
     M[2:, 2:] = thermal_covariance(bath)
     params = channel_params(bath, total_time, deltas)

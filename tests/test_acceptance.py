@@ -6,6 +6,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 import itertools
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -81,7 +82,7 @@ def test_c03_homogenization_order():
         gen = evolution.random_generator(
             ModeLayout(2 ** m, 1), seed=300 + 10 * m + order,
             scale_ss=1.0, scale_se=0.0, scale_ee=1.0)
-        res = evolution.order_sweep(gen, "homogenization", order, T_GRID, m=m)
+        res = evolution.order_sweep(gen, "homogenization", order, T_GRID)
         details[(m, order)] = round(res.slope, 2) if res.slope else None
         ok &= _slope_ok(order, res.slope)
     elapsed = time.time() - t0
@@ -130,8 +131,9 @@ def test_c05_dyson_conditions():
         rep = dyson.check_homogenization_condition(n, m, tol=1e-10)
         ok &= rep.passed and rep.exhaustive
         max_viol = max(max_viol, rep.max_violation)
-    rep = dyson.check_homogenization_condition(2, 2, tol=1e-10,
-                                               max_tuples=1000, seed=1)
+    with mock.patch.object(dyson, "MAX_TUPLES", 1000), \
+            mock.patch.object(dyson, "SAMPLE_SEED", 1):
+        rep = dyson.check_homogenization_condition(2, 2, tol=1e-10)
     ok &= rep.passed and rep.n_checked == 1000
     max_viol = max(max_viol, rep.max_violation)
     _record("5 vanishing integral conditions", ok, f"max |F| = {max_viol:.2e}")
@@ -152,7 +154,7 @@ def test_c06_basis_algebra():
         rep = pauli_basis.verify_adjoint_action(m, tol=1e-12)
         ok &= rep.passed and rep.exhaustive
         devs.append(rep.max_deviation)
-    rep3 = pauli_basis.verify_adjoint_action(3, tol=1e-12, samples=1000)
+    rep3 = pauli_basis.verify_adjoint_action(3, tol=1e-12)
     ok &= rep3.passed and rep3.n_checked == 1000
     devs.append(rep3.max_deviation)
     _record("6 basis algebra", ok, f"max adjoint deviation {max(devs):.1e}")

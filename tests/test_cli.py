@@ -121,10 +121,17 @@ class TestSweeps:
         ("verify", ["--check", "udd", "--tol", "nan"]),
         ("verify", ["--check", "udd", "--tol", "0"]),
         ("verify", ["--check", "udd", "--tol=-1"]),
+        # a tolerance at which every check passes: the mutation self-test too
+        ("verify", ["--check", "homogenization", "--mutate", "--tol", "inf"]),
+        ("verify", ["--check", "homogenization", "--mutate", "--tol", "1"]),
+        # at tolerance inf a time-dependent walk would converge before any pass
+        ("decouple-sweep", ["--tol", "inf", "--degree", "1"]),
+        ("homogenize-sweep", ["--tol", "inf", "--degree", "1"]),
     ], ids=["scale-ss-nan", "scale-se-inf", "scale-ee-negative", "tol-zero",
             "tol-nan", "degree-5", "hom-tol-negative", "hom-tol-nan",
             "hom-degree-negative", "verify-tol-nan", "verify-tol-zero",
-            "verify-tol-negative"])
+            "verify-tol-negative", "verify-tol-inf", "verify-tol-one", "tol-inf",
+            "hom-tol-inf"])
     def test_bad_sweep_input(self, tmp_path, capsys, command, flags):
         out = tmp_path / "s.csv"
         points = [] if command == "verify" else ["--points", "3"]
@@ -132,7 +139,8 @@ class TestSweeps:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         if "--tol" in " ".join(flags):
-            assert err == "error: --tol must be positive\n"
+            assert err == ("error: --tol must lie in (0, 1)\n" if command == "verify"
+                           else "error: --tol must be finite and positive\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [
@@ -161,6 +169,21 @@ class TestSweeps:
         err = capsys.readouterr().err
         assert err == "error: m=5 exceeds the exhaustive-enumeration guard (max 4)\n"
         assert not out.exists()
+
+
+class TestOutput:
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_unopenable_output_is_a_usage_error(self, tmp_path, capsys, how):
+        if how == "flag":
+            argv = ["--out", str(tmp_path / "missing" / "x.txt")]
+        else:  # an empty value names no file
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("out=\n")
+            argv = ["--config", str(cfg)]
+        assert run(["schedule", "--N", "2", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestVerify:

@@ -1,14 +1,17 @@
+import contextlib
 import dataclasses
 import functools
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bosonic_dd import cli
+from bosonic_dd import cli, dyson
 from bosonic_dd.dyson import (
     DEGREE_CAP,
     _budget_pairs,
@@ -17,6 +20,7 @@ from bosonic_dd.dyson import (
     _integrate_stage,
     check_bosonic_decoupling_condition,
     check_homogenization_condition,
+    check_homogenization_condition_for,
     check_qubit_nudd_condition,
     check_udd_condition,
     iterated_integral,
@@ -25,6 +29,8 @@ from bosonic_dd.dyson import (
 from bosonic_dd.pauli_basis import ALL_PAIRS, PAIR_I, PAIR_Y, gamma_set, symplectic_form_index
 from bosonic_dd.schedules import (
     PiecewiseSignFunction,
+    _nudd_labels,
+    decoupling_schedule,
     homogenization_schedule,
     qubit_nudd_schedule,
     toggling_sign_function,
@@ -75,29 +81,31 @@ def exact_sigma_moment(n_pulses, power):
 
 
 def _rational_polyval(coeffs, x):
-    acc = Fraction(0)
+    acc = 0 * x
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
 
 
-def rational_oracle(flip_sets, powers):
+def rational_oracle(flip_sets, powers, number=Fraction):
     """Exact nested integral in rational arithmetic.
 
     Each flip point is taken as the exact rational value of its float, so the
     result is the exact integral of the very functions ``iterated_integral``
     receives.  Pieces are ascending-power polynomials in the global variable.
+    With ``number=mpmath.mpf`` the flips may be given exactly to the working
+    precision instead, and the integral is taken at that precision.
     """
-    flip_sets = [[Fraction(f) for f in flips] for flips in flip_sets]
-    grid = sorted({Fraction(0), Fraction(1)}.union(*flip_sets))
-    pieces = [[Fraction(1)] for _ in grid[:-1]]
-    value = Fraction(0)
+    flip_sets = [[number(f) for f in flips] for flips in flip_sets]
+    grid = sorted({number(0), number(1)}.union(*flip_sets))
+    pieces = [[number(1)] for _ in grid[:-1]]
+    value = number(0)
     for flips, r in zip(flip_sets, powers):
-        value = Fraction(0)
+        value = number(0)
         stage = []
         for lo, hi, coeffs in zip(grid, grid[1:], pieces):
             sign = -1 if sum(1 for f in flips if f <= lo) % 2 else 1
-            anti = [Fraction(0)] * (r + 1) + [sign * c / (r + k + 1)
+            anti = [number(0)] * (r + 1) + [sign * c / (r + k + 1)
                                               for k, c in enumerate(coeffs)]
             anti[0] = value - _rational_polyval(anti, lo)
             value = _rational_polyval(anti, hi)
@@ -223,8 +231,9 @@ class TestIntegralProperties:
     def test_refinement_invariance(self):
         sig = PiecewiseSignFunction(udd_times(3))
         base = iterated_integral([sig, CONST], [1, 2])
-        refined = iterated_integral([sig, CONST], [1, 2],
-                                    extra_breaks=(0.111, 0.333, 0.777, 0.9))
+        # the extra breakpoints are the flips of a function that no key uses
+        refined = walk([sig.flips, CONST.flips, (0.111, 0.333, 0.777, 0.9)],
+                       [[(0, 1), (1, 2)]])[0]
         assert refined == pytest.approx(base, abs=1e-14)
 
     def test_polynomial_continuity(self):
@@ -361,6 +370,14 @@ class TestDepthWalker:
                 walk([()], [[(0, 0)], list(zip([0] * s, powers))])
 
 
+@contextlib.contextmanager
+def sampling(max_tuples, seed=dyson.SAMPLE_SEED):
+    """The condition reports with another sample size and seed."""
+    with mock.patch.object(dyson, "MAX_TUPLES", max_tuples), \
+            mock.patch.object(dyson, "SAMPLE_SEED", seed):
+        yield
+
+
 def seeded_draws(alphabet, exempt, order, max_tuples, seed):
     """The sampled mode's draw loop written out one draw at a time: the kept
     (s, powers, labels) rows, and whether each draw was kept."""
@@ -428,18 +445,21 @@ class TestWalkerProperties:
                  for k in rng.integers(0, 4, size=s)]
         powers = [int(r) for r in rng.integers(0, 4, size=s)]
         base = iterated_integral(signs, powers)
-        assert iterated_integral(signs, powers, extra_breaks=extra) == pytest.approx(
-            base, abs=1e-14)
+        # the extra breakpoints are the flips of a function that no key uses
+        refined = walk([F.flips for F in signs] + [tuple(sorted(set(extra)))],
+                       [list(enumerate(powers))])[0]
+        assert refined == pytest.approx(base, abs=1e-14)
 
     @given(st.integers(1, 400), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=15, deadline=None)
     def test_sampled_rows_follow_the_seeded_draws(self, max_tuples, seed):
         exempt = {(PAIR_I,) * 3, symplectic_form_index(2)}
         expected, _ = seeded_draws(gamma_set(2), exempt, 2, max_tuples, seed)
-        report = check_homogenization_condition(2, 2, max_tuples=max_tuples, seed=seed)
+        with sampling(max_tuples, seed):
+            report = check_homogenization_condition(2, 2)
+            again = check_homogenization_condition(2, 2)
         assert not report.exhaustive
         assert [row[:3] for row in report_rows(report)] == expected
-        again = check_homogenization_condition(2, 2, max_tuples=max_tuples, seed=seed)
         assert report_rows(again) == report_rows(report)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -449,7 +469,8 @@ class TestWalkerProperties:
         alphabet = tuple(itertools.product(ALL_PAIRS, repeat=1))
         expected, kept = seeded_draws(alphabet, {(PAIR_I,)}, 3, 60, seed)
         assert batches_with_rejections(kept, 60) >= 2
-        report = check_qubit_nudd_condition(3, 0, max_tuples=60, seed=seed)
+        with sampling(60, seed):
+            report = check_qubit_nudd_condition(3, 0)
         assert not report.exhaustive and report.passed
         assert [row[:3] for row in report_rows(report)] == expected
 
@@ -557,6 +578,11 @@ class TestHomogenizationCondition:
         report = check_homogenization_condition(2, 1)
         assert report.passed and report.exhaustive
 
+    def test_flip_schedule_rejected(self):
+        # order and m come from the schedule, and a flip schedule has no m
+        with pytest.raises(ValueError, match="needs an indexed schedule"):
+            check_homogenization_condition_for(decoupling_schedule(2, 1))
+
     def test_exemptions_not_tested(self):
         report = check_homogenization_condition(2, 1)
         zero = (PAIR_I, PAIR_I)
@@ -568,13 +594,15 @@ class TestHomogenizationCondition:
             assert tuple(acc) not in (zero, form)
 
     def test_sampled_mode(self):
-        report = check_homogenization_condition(2, 2, max_tuples=500, seed=3)
+        with sampling(500, 3):
+            report = check_homogenization_condition(2, 2)
         assert not report.exhaustive
         assert report.n_checked == 500
         assert report.passed
 
     def test_sampled_mode_without_draws(self):
-        report = check_homogenization_condition(2, 1, max_tuples=0)
+        with sampling(0):
+            report = check_homogenization_condition(2, 1)
         assert not report.exhaustive and report.passed
         assert len(report.values) == len(report.budget) == len(report.picks) == 0
         assert report.max_violation == 0.0 and report.n_checked == 0
@@ -667,7 +695,8 @@ def column_report(check):
         return check_udd_condition(3)
     if check == "nudd":
         return check_qubit_nudd_condition(1, 1)
-    return check_homogenization_condition(2, 2, max_tuples=40, seed=5)
+    with sampling(40, 5):
+        return check_homogenization_condition(2, 2)
 
 
 row_values = st.one_of(
@@ -716,3 +745,55 @@ class TestExactConditionValues:
             _, powers, labels, value, _ = rows[j]
             exact = rational_oracle([function_of(a).flips for a in labels], powers)
             assert abs(Fraction(value) - exact) <= self.BOUND
+
+
+def fifty_digit_nudd_times(n_pulses, m):
+    """Each nested-schedule pulse time (as a float, the schedule's value) to
+    its value at the working precision: the nesting recursion of
+    ``_nudd_labels`` run on Uhrig fractions sin^2 at that precision."""
+    digits, times, level, _ = _nudd_labels(n_pulses, m)
+    width = 2 * m + 2
+    grid = ([mpmath.mpf(0)] + [mpmath.sin(j * mpmath.pi / (2 * (n_pulses + 1))) ** 2
+                               for j in range(1, n_pulses + 1)] + [mpmath.mpf(1)] * 2)
+    exact = {}
+    for label, t, lev in zip(digits.tolist(), times.tolist(), level.tolist()):
+        if lev == width:
+            exact[t] = mpmath.mpf(1)
+            continue
+        if lev >= 1:
+            label[lev - 1], label[lev] = n_pulses + 1, label[lev] - 1
+        value = grid[label[0]]
+        for entry in label[1:]:
+            value = grid[entry] + (grid[entry + 1] - grid[entry]) * value
+        exact[t] = value
+    return exact
+
+
+class TestFiftyDigitValues:
+    """A seeded sample of the required-zero rows of full order s + sum(r) = N,
+    recomputed at 50 digits with every flip at 50 digits as well: the true
+    integral vanishes, and the walker lies within 1e-13 scale(r) of it."""
+
+    def check_sample(self, report, flips_of, size=40):
+        rows = [row for row in report_rows(report) if row[4]]
+        order = max(s + sum(powers) for s, powers, *_ in rows)
+        deepest = [row for row in rows if row[0] + sum(row[1]) == order]
+        rng = np.random.default_rng(50)
+        for j in rng.choice(len(deepest), size=min(size, len(deepest)), replace=False).tolist():
+            _, powers, labels, value, _ = deepest[j]
+            exact = rational_oracle([flips_of(a) for a in labels], powers, mpmath.mpf)
+            assert abs(exact) <= 1e-40
+            assert abs(value - float(exact)) <= 1e-13 * simplex_scale(powers)
+
+    def test_udd_rows(self):
+        with mpmath.workdps(50):
+            sigma = [mpmath.sin(j * mpmath.pi / 22) ** 2 for j in range(1, 11)]
+            self.check_sample(check_udd_condition(10), lambda gamma: sigma if gamma else [])
+
+    def test_homogenization_rows(self):
+        schedule = homogenization_schedule(3, 1)
+        with mpmath.workdps(50):
+            exact = fifty_digit_nudd_times(3, 1)
+            assert all(abs(float(v) - t) <= 1e-15 for t, v in exact.items())  # a few ulps
+            self.check_sample(check_homogenization_condition(3, 1), lambda alpha: [
+                exact[t] for t in toggling_sign_function(schedule, alpha).flips])

@@ -8,10 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from bosonic_dd import evolution
 from bosonic_dd.evolution import (
-    DEFAULT_CONFIG,
+    DEFAULT_TOL,
     AnalyticGenerator,
     DegenerateRotationFit,
-    PropagatorConfig,
     _cf4_pass,
     _converged,
     _flows,
@@ -53,6 +52,17 @@ def make_generator(layout, seed=0, coupled=True, degree=0):
                             scale_ee=1.0, degree=degree)
 
 
+def with_drive(gen, seed, scale):
+    """``gen`` with a linear drive of entries uniform in [-scale, scale], one
+    vector per coefficient, drawn from the seeded stream right after the
+    draws ``random_generator(layout, seed, ...)`` made for the coefficients."""
+    rng = np.random.default_rng(seed)
+    ds, de = gen.layout.system_dim, gen.layout.env_dim
+    rng.uniform(-1.0, 1.0, len(gen.coeffs) * (ds * ds + de * (ds + de)))  # coefficients
+    drive = tuple(scale * rng.uniform(-1.0, 1.0, gen.layout.dim) for _ in gen.coeffs)
+    return replace(gen, linear=drive)
+
+
 layouts = st.builds(ModeLayout, st.integers(1, 3), st.integers(0, 3))
 seeds = st.integers(0, 2 ** 32 - 1)
 durations = st.floats(0.01, 0.5)
@@ -89,10 +99,9 @@ class TestPropagate:
     def test_result_symplectic(self):
         layout = ModeLayout(2, 1)
         gen = make_generator(layout, seed=3, degree=2)
-        cfg = PropagatorConfig()
-        S = propagate(gen, 0.0, 0.7, cfg)
+        S = propagate(gen, 0.0, 0.7)
         J = symplectic_form(layout)
-        assert is_symplectic(S, J, tol=10 * cfg.tolerance)
+        assert is_symplectic(S, J, tol=10 * DEFAULT_TOL)
 
     def test_reversed_interval_rejected(self):
         layout = ModeLayout(1, 0)
@@ -103,14 +112,17 @@ class TestPropagate:
     def test_refinement_exhaustion(self):
         layout = ModeLayout(1, 1)
         gen = make_generator(layout, seed=4, degree=1)
-        cfg = PropagatorConfig(substeps=1, tolerance=1e-30, max_depth=3)
-        with pytest.raises(RuntimeError, match=r"within 3 refinements on \[0\.0, 1\.0\]"):
-            propagate(gen, 0.0, 1.0, cfg)
+        with mock.patch.object(evolution, "SUBSTEPS", 1), \
+                mock.patch.object(evolution, "MAX_DEPTH", 3):
+            with pytest.raises(RuntimeError, match=r"within 3 refinements on \[0\.0, 1\.0\]"):
+                propagate(gen, 0.0, 1.0, 1e-30)
 
-    @pytest.mark.parametrize("tolerance", [0.0, -1e-12, float("nan")])
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-12, float("nan"), float("inf")])
     def test_config_rejects_bad_tolerance(self, tolerance):
-        with pytest.raises(ValueError):
-            PropagatorConfig(tolerance=tolerance)
+        # at tolerance inf a time-dependent propagator would pass before any CF4 pass
+        gen = make_generator(ModeLayout(1, 1), seed=4, degree=1)
+        with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+            propagate(gen, 0.0, 1.0, tolerance)
 
     def test_generator_validation(self):
         layout = ModeLayout(1, 0)
@@ -336,14 +348,14 @@ class TestOrderSweep:
         layout = ModeLayout(2, 1)
         gen = make_generator(layout, seed=13, coupled=True)
         with pytest.raises(ValueError):
-            order_sweep(gen, "homogenization", 1, [0.1, 0.2], m=1)
+            order_sweep(gen, "homogenization", 1, [0.1, 0.2])
 
     def test_homogenization_requires_power_of_two(self):
         layout = ModeLayout(3, 1)
         gen = random_generator(layout, seed=14, scale_ss=1.0, scale_se=0.0,
                                scale_ee=1.0)
         with pytest.raises(ValueError):
-            order_sweep(gen, "homogenization", 1, [0.1, 0.2], m=1)
+            order_sweep(gen, "homogenization", 1, [0.1, 0.2])
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_homogenization_omega_stability(self, order):
@@ -354,7 +366,7 @@ class TestOrderSweep:
         gen = random_generator(layout, seed=310 + order, scale_ss=1.0,
                                scale_se=0.0, scale_ee=1.0)
         res = order_sweep(gen, "homogenization", order,
-                          np.logspace(-3, -1, 10), m=1)
+                          np.logspace(-3, -1, 10))
         smallest = res.omegas[:3]
         spread = max(smallest) - min(smallest)
         assert spread < 0.1 * abs(np.mean(smallest))
@@ -367,7 +379,7 @@ class TestOrderSweep:
         dense = dense_product_sign(homogenization_schedule(order, m))
         gen = random_generator(ModeLayout(2 ** m, 0), seed=20 + order, scale_ss=1.0,
                                scale_se=0.0, scale_ee=1.0)
-        res = order_sweep(gen, "homogenization", order, [1e-2, 2e-2], m=m)
+        res = order_sweep(gen, "homogenization", order, [1e-2, 2e-2])
         assert res.product_sign == dense
 
     @given(seeds, st.integers(0, 2), st.integers(1, 6))
@@ -388,7 +400,7 @@ class TestOrderSweep:
         with mock.patch.object(evolution, "homogenization_schedule",
                                return_value=mutated):
             with pytest.raises(ValueError, match="pulse product is not"):
-                order_sweep(gen, "homogenization", 2, [1e-2, 2e-2], m=1)
+                order_sweep(gen, "homogenization", 2, [1e-2, 2e-2])
 
     def test_integrator_self_consistency(self):
         layout = ModeLayout(1, 2)
@@ -396,8 +408,8 @@ class TestOrderSweep:
         sched = decoupling_schedule(2, 1)
         r = []
         for substeps in (16, 32):
-            cfg = PropagatorConfig(substeps=substeps)
-            S = resulting_evolution(gen, sched, 0.05, cfg)
+            with mock.patch.object(evolution, "SUBSTEPS", substeps):
+                S = resulting_evolution(gen, sched, 0.05)
             r.append(offdiag_residual(S, layout))
         assert abs(r[0] - r[1]) < max(0.01 * abs(r[1]), 1e-13)
 
@@ -490,8 +502,8 @@ class TestAffinePropagation:
     def test_against_fine_step_reference(self):
         layout = ModeLayout(1, 1)
         rng = np.random.default_rng(23)
-        gen = random_generator(layout, seed=23, scale_ss=0.8, scale_se=0.5,
-                               scale_ee=0.8, degree=1, linear_scale=0.7)
+        gen = with_drive(random_generator(layout, seed=23, scale_ss=0.8, scale_se=0.5,
+                                          scale_ee=0.8, degree=1), 23, 0.7)
         d0 = rng.uniform(-1, 1, 4)
         M0 = np.eye(4)
         T = 0.9
@@ -586,8 +598,8 @@ class TestPropagationProperties:
     @given(layouts, seeds, durations)
     @settings(max_examples=25, deadline=None)
     def test_affine_exact_route_matches_cf4(self, layout, seed, T):
-        gen = random_generator(layout, seed=seed, scale_ss=1.0, scale_se=1.0,
-                               scale_ee=1.0, linear_scale=1.0)
+        gen = with_drive(random_generator(layout, seed=seed, scale_ss=1.0, scale_se=1.0,
+                                          scale_ee=1.0), seed, 1.0)
         rng = np.random.default_rng(seed)
         M0 = np.diag(rng.uniform(0.5, 2.0, layout.dim))
         d0 = rng.uniform(-1.0, 1.0, layout.dim)
@@ -610,10 +622,10 @@ class TestPropagationProperties:
         t0s, t1s = zip(*intervals)
         with mock.patch.object(evolution, "_cf4_pass",
                                wraps=evolution._cf4_pass) as passes:
-            batched = _flows(gen.coeffs, t0s, t1s, DEFAULT_CONFIG)
+            batched = _flows(gen.coeffs, t0s, t1s)
         assert batched.shape == (len(intervals), layout.dim, layout.dim)
         for F, t0, t1 in zip(batched, t0s, t1s):
-            single = _flows(gen.coeffs, [t0], [t1], DEFAULT_CONFIG)[0]
+            single = _flows(gen.coeffs, [t0], [t1])[0]
             if degree == 0:
                 assert np.array_equal(F, single)
             else:
@@ -630,12 +642,12 @@ class TestPropagationProperties:
         t1s = t0s + 0.01
         with mock.patch.object(evolution, "matrix_exponential",
                                wraps=evolution.matrix_exponential) as expm:
-            batched = _flows(gen.coeffs, t0s, t1s, DEFAULT_CONFIG)
+            batched = _flows(gen.coeffs, t0s, t1s)
         assert expm.call_count > 1
         assert all(call.args[0].size <= evolution.CF4_BLOCK_ELEMENTS
                    for call in expm.call_args_list)
         for F, t0, t1 in zip(batched, t0s, t1s):
-            assert np.array_equal(F, _flows(gen.coeffs, [t0], [t1], DEFAULT_CONFIG)[0])
+            assert np.array_equal(F, _flows(gen.coeffs, [t0], [t1])[0])
 
 
 def chunked_cf4_pass(coeffs, t0s, t1s, n):
@@ -678,9 +690,9 @@ class TestResumedRefinement:
         sched = decoupling_schedule(order, layout.n_system)
         record = {}
         for tol in sorted(tolerances, reverse=True):
-            cfg = PropagatorConfig(substeps=substeps, tolerance=tol)
-            fresh = walk_or_error(gen.coeffs, sched, layout, T, cfg)
-            resumed = walk_or_error(gen.coeffs, sched, layout, T, cfg, record)
+            with mock.patch.object(evolution, "SUBSTEPS", substeps):
+                fresh = walk_or_error(gen.coeffs, sched, layout, T, tol)
+                resumed = walk_or_error(gen.coeffs, sched, layout, T, tol, record)
             if isinstance(fresh, str):
                 assert resumed == fresh
                 break
@@ -691,9 +703,9 @@ class TestResumedRefinement:
         t0s, t1s = [0.0, 0.1], [0.1, 0.5]
         record, depths = {}, []
         for tol in (1e-6, 1e-9, 1e-12):
-            cfg = PropagatorConfig(substeps=4, tolerance=tol)
-            resumed = _flows(gen.coeffs, t0s, t1s, cfg, record)
-            assert np.array_equal(resumed, _flows(gen.coeffs, t0s, t1s, cfg))
+            with mock.patch.object(evolution, "SUBSTEPS", 4):
+                resumed = _flows(gen.coeffs, t0s, t1s, tol, record)
+                assert np.array_equal(resumed, _flows(gen.coeffs, t0s, t1s, tol))
             depths.append(record["depth"].tolist())
         # the last call resumes the intervals from depths 2 and 4
         assert depths == [[1, 1], [2, 4], [4, 6]]

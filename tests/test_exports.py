@@ -1,6 +1,8 @@
-"""The public names of ``bosonic_dd``, pinned: adding or removing an export
-is a deliberate edit of this set, recorded in CHANGES.md."""
+"""The public names of ``bosonic_dd`` and the parameter names of every
+exported callable, pinned: adding or removing an export or a parameter is a
+deliberate edit of these tables, recorded in CHANGES.md."""
 
+import inspect
 import types
 
 import bosonic_dd
@@ -23,7 +25,7 @@ EXPORTS = {
     "check_qubit_nudd_condition", "check_udd_condition", "iterated_integral",
     "verify_qubit_bosonic_correspondence",
     # evolution
-    "AnalyticGenerator", "PropagatorConfig", "affine_propagate", "decoupling_error_bound",
+    "AnalyticGenerator", "affine_propagate", "decoupling_error_bound",
     "generator_block_norms", "homogenization_fit", "order_sweep", "propagate",
     "random_generator", "resulting_evolution",
     # spin_boson
@@ -32,9 +34,82 @@ EXPORTS = {
     "thermal_covariance", "y_filter",
 }
 
+# parameter names of every exported callable (MultiIndex is a type alias)
+SIGNATURES = {
+    # symplectic
+    "block_decompose": "M, layout",
+    "is_in_sp_algebra": "X, J, tol",
+    "is_symplectic": "S, J, tol",
+    "matrix_exponential": "X",
+    "ModeLayout": "n_system, n_env",
+    "offdiag_residual": "M, layout",
+    "spectral_norm": "M",
+    "symplectic_form": "layout",
+    # pauli_basis
+    "expand_in_basis": "X, m, tol",
+    "gamma_set": "m",
+    "gamma_tilde_set": "m",
+    "product_index": "alphas",
+    "pulse_index": "axis, qubit, m",
+    "pulse_matrix": "axis, qubit, m",
+    "s_matrix": "alpha",
+    "symplectic_inner_product": "alpha, beta",
+    "verify_adjoint_action": "m, tol",
+    # schedules
+    "decoupling_schedule": "n_pulses, n_system",
+    "flip_train_schedule": "deltas, n_system, order, scheme",
+    "homogenization_schedule": "n_pulses, m",
+    "PiecewiseSignFunction": "flips",
+    "PulseSchedule": "scheme, order, deltas, pulses, signs, m, n_system",
+    "qubit_nudd_schedule": "n_pulses, m",
+    "read_schedule": "stream",
+    "substitute_bosonic": "qubit",
+    "toggling_sign_function": "schedule, alpha",
+    "udd_times": "n_pulses",
+    "write_schedule": "schedule, stream",
+    # dyson
+    "check_bosonic_decoupling_condition": "order, tol",
+    "check_homogenization_condition": "order, m, tol",
+    "check_qubit_nudd_condition": "order, m, tol",
+    "check_udd_condition": "order, tol",
+    "iterated_integral": "signs, powers",
+    "verify_qubit_bosonic_correspondence": "order, m",
+    # evolution
+    "affine_propagate": "gen, M0, d0, T, tol, schedule",
+    "AnalyticGenerator": "layout, coeffs, linear",
+    "decoupling_error_bound": "j0, jz, order, t_total",
+    "generator_block_norms": "gen",
+    "homogenization_fit": "S_sys, T",
+    "order_sweep": "gen, scheme, order, T_grid, tol",
+    "propagate": "gen, t0, t1, tol",
+    "random_generator": "layout, seed, scale_ss, scale_se, scale_ee, degree",
+    "resulting_evolution": "gen, schedule, T, tol",
+    # spin_boson
+    "added_noise": "total_time, bath, deltas",
+    "BathSpec": "couplings, frequencies, beta",
+    "channel_apply": "M0, params",
+    "channel_params": "bath, total_time, deltas",
+    "ChannelParams": "x_shear, y_noise, total_time, deltas",
+    "cross_validate": "bath, deltas, total_time, covariances",
+    "even_flip_train": "n_pulses",
+    "f_filter": "z, deltas",
+    "shear_parameter": "total_time, bath, deltas",
+    "thermal_covariance": "bath",
+    "y_filter": "z, deltas",
+}
+
 
 def test_public_names_are_pinned():
     public = {name for name, value in vars(bosonic_dd).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert sorted(public - EXPORTS) == [], "unlisted export"
     assert sorted(EXPORTS - public) == [], "listed name not exported"
+
+
+def test_exported_signatures_are_pinned():
+    callables = {name for name in EXPORTS
+                 if not isinstance(getattr(bosonic_dd, name), types.GenericAlias)}
+    assert sorted(callables ^ set(SIGNATURES)) == [], "callable without a pinned signature"
+    actual = {name: ", ".join(inspect.signature(getattr(bosonic_dd, name)).parameters)
+              for name in SIGNATURES}
+    assert actual == SIGNATURES
