@@ -22,7 +22,6 @@ from .symplectic import (
     spectral_norm,
 )
 from .pauli_basis import (
-    MultiIndex,
     s_matrix,
     gamma_set,
     gamma_tilde_set,

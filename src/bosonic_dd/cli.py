@@ -14,9 +14,9 @@ Each flag is declared once, in ``build_parser``, with its type and default;
 ``--help`` shows a subcommand's defaults.  A plain-text config file
 (``--config``, ``key=value`` per line, '#' comments) replaces them: a key is
 a flag's long name, with '-' or '_', cast like the flag (a switch takes
-1/0/true/false/yes/no), and keys that name no value flag of the subcommand
-(``check`` among them) are ignored.  The command line is then parsed again,
-so explicit flags win.
+1/0/true/false/yes/no) and held to the flag's choices, and keys that name
+no value flag of the subcommand (``check`` among them) are ignored.  The
+command line is then parsed again, so explicit flags win.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ def _fmt(x: float) -> str:
 
 
 class ConfigError(ValueError):
-    """A ``--config`` file that cannot be read or holds a malformed line or
-    a value of the wrong type; reported as a usage error (exit code 2)."""
+    """A ``--config`` file that cannot be read or holds a malformed line or a
+    value of the wrong type or choice; reported as a usage error (exit code 2)."""
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -73,7 +73,8 @@ _BOOLEANS = {"1": True, "true": True, "yes": True,
 
 def _config_defaults(parser: argparse.ArgumentParser, path: str) -> None:
     """Make the config file's values the subcommand's defaults, each cast like
-    its flag (a switch takes a boolean word); keys naming no value flag are ignored."""
+    its flag (a switch takes a boolean word) and held to its choices, which
+    argparse checks no default against; keys naming no value flag are ignored."""
     flags = {action.dest: action for action in parser._actions
              if action.dest not in ("help", "config", "check")}
     defaults = {}
@@ -86,6 +87,9 @@ def _config_defaults(parser: argparse.ArgumentParser, path: str) -> None:
             except (KeyError, ValueError) as exc:
                 raise ConfigError(f"{path}: {key}={raw!r} is not a "
                                   f"valid {caster.__name__}") from exc
+            if flags[key].choices and defaults[key] not in flags[key].choices:
+                raise ConfigError(f"{path}: {key}={raw!r} is not one of "
+                                  f"{', '.join(flags[key].choices)}")
     parser.set_defaults(**defaults)
 
 
@@ -160,10 +164,8 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         sched = schedules.decoupling_schedule(args.N, args.nS)
     elif args.scheme == "qubit-nudd":
         sched = schedules.qubit_nudd_schedule(args.N, args.m)
-    elif args.scheme == "homogenization":
+    else:  # "homogenization", the last of the flag's choices
         sched = schedules.homogenization_schedule(args.N, args.m)
-    else:
-        raise ValueError(f"unknown scheme {args.scheme!r}")
     with _output(args.out) as stream:
         schedules.write_schedule(sched, stream)
     return 0
@@ -207,8 +209,10 @@ def cmd_homogenize_sweep(args: argparse.Namespace) -> int:
 def _report_lines(check: str, report: dyson.ConditionReport) -> list[str]:
     """The verify CSV lines of a condition report, one f-string per row; each
     label and each budget's s and r text is formatted once."""
-    text = [str(label) if isinstance(label, int) else "".join(f"{x}{z}" for x, z in label)
-            for label in report.alphabet]
+    # a label's text is its bits: a 0-d label (udd: 0 or 1) as is, an index as
+    # the x-bit and z-bit of each position
+    text = ["".join(map(str, bits))
+            for bits in report.alphabet.reshape(len(report.alphabet), -1).tolist()]
     # row labels as object-array sums; a -1 pick (past s) adds the last text, ""
     labels = np.array(text + [""], dtype=object)[report.picks[:, 0]]
     later = np.array([";" + t for t in text] + [""], dtype=object)
@@ -229,12 +233,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not args.check:
         raise ValueError("select at least one check "
                          f"(--check {{{','.join(_VERIFY_CHECKS)},all}})")
-    selected = set(args.check)
-    if "all" in selected:
-        selected = set(_VERIFY_CHECKS)
-    unknown = selected - set(_VERIFY_CHECKS)
-    if unknown:
-        raise ValueError(f"unknown checks {sorted(unknown)}")
+    selected = set(_VERIFY_CHECKS) if "all" in args.check else set(args.check)
     if not 0 < args.tol < 1:  # every row passes at tol >= 1, as |value| <= scale(r)
         raise ValueError("--tol must lie in (0, 1)")
 
@@ -248,7 +247,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if "basis" in selected:
         count_ok = len(pauli_basis.gamma_set(args.m)) == \
             2 * 2 ** (2 * args.m) + 2 ** args.m
-        adj = pauli_basis.verify_adjoint_action(args.m, tol=args.tol)
+        adj = pauli_basis.verify_adjoint_action(args.m)  # its own absolute ADJOINT_TOL
         ok = count_ok and adj.passed
         passes.append(ok)
         lines.append(f"basis,-,-,m={args.m},{_fmt(adj.max_deviation)},1,{int(ok)}\n")
@@ -382,8 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nS", type=int, help="system modes, must equal 2^m")
 
     p = command("verify", cmd_verify, "basis, Dyson-condition and correspondence checks")
-    p.add_argument("--check", action="append", default=[],
-                   help=f"one of {','.join(_VERIFY_CHECKS)} or 'all' (repeatable)")
+    p.add_argument("--check", action="append", default=[], choices=(*_VERIFY_CHECKS, "all"),
+                   help="a check to run, or all of them (repeatable)")
     p.add_argument("--N", type=int, default=2, help="suppression order")
     p.add_argument("--m", type=int, default=1, help="nesting level")
     p.add_argument("--tol", type=float, default=dyson.ZERO_TOL,

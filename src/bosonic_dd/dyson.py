@@ -55,7 +55,7 @@ from typing import Sequence
 import numpy as np
 import numpy.random  # numpy 2 loads it lazily; load it at import time
 
-from .pauli_basis import ALL_PAIRS, MultiIndex, PAIR_I, gamma_set, symplectic_form_index
+from .pauli_basis import all_indices, gamma_set, symplectic_form_index
 from .schedules import (
     PiecewiseSignFunction,
     PulseSchedule,
@@ -200,12 +200,13 @@ def iterated_integral(signs: Sequence[PiecewiseSignFunction],
 @dataclass(frozen=True, eq=False)
 class ConditionReport:
     """One row per checked tuple, held as columns: row j is the labels
-    ``alphabet[picks[j, :s]]`` (``picks`` holds -1 past s) with the powers of
+    ``alphabet[picks[j, :s]]`` (``picks`` holds -1 past s; ``alphabet`` is an
+    index stack, or the 0-d labels 0 and 1 of a scalar report) with the powers of
     budget ``budgets[budget[j]] = (s, powers)``; ``values[j]`` is its integral,
     which must vanish to within ``tol`` times the budget's scale where
     ``required_zero[j]``."""
     tol: float
-    alphabet: tuple
+    alphabet: np.ndarray
     budgets: tuple[tuple[int, tuple[int, ...]], ...]
     budget: np.ndarray
     picks: np.ndarray
@@ -283,8 +284,8 @@ def _scalar_condition_report(order: int, sigma: PiecewiseSignFunction,
                              tol: float) -> ConditionReport:
     # gamma labels 0 and 1 stand for the constant and sigma; their xor is 0 or 1.
     # The witness row (s=1, r=N, gamma=1) lies one order past the budget.
-    report = _tuple_condition_report((PiecewiseSignFunction(()), sigma), (0, 1),
-                                     frozenset({0}), order, tol)
+    report = _tuple_condition_report((PiecewiseSignFunction(()), sigma), np.arange(2),
+                                     np.zeros(1, dtype=int), order, tol)
     return replace(report, budgets=report.budgets + ((1, (order,)),),
                    budget=np.append(report.budget, len(report.budgets)),
                    picks=np.concatenate([report.picks, [[1] + [-1] * (order - 1)]]),
@@ -293,17 +294,18 @@ def _scalar_condition_report(order: int, sigma: PiecewiseSignFunction,
 
 
 def _tuple_condition_report(functions: Sequence[PiecewiseSignFunction],
-                            alphabet: Sequence, exempt_xors: frozenset,
+                            alphabet: np.ndarray, exempt_xors: np.ndarray,
                             order: int, tol: float) -> ConditionReport:
     """Every tuple of ``alphabet`` labels (sign function ``functions[k]`` for
-    label k) whose index xor is not exempt, with every budget of powers."""
+    label k) whose index xor is no row of ``exempt_xors``, with every budget
+    of powers."""
     # labels whose sign functions coincide share one function index
     merged: dict[tuple[float, ...], int] = {}
     function = np.array([merged.setdefault(F.flips, len(merged)) for F in functions])
     # each label's index bits packed into one integer, so index xors are integer xors
     weight = 1 << np.arange(np.size(alphabet[0]))
     code = np.reshape(alphabet, (len(alphabet), -1)) @ weight
-    exempt = np.reshape(sorted(exempt_xors), (len(exempt_xors), -1)) @ weight
+    exempt = np.reshape(exempt_xors, (len(exempt_xors), -1)) @ weight
 
     def kept(picks: np.ndarray) -> np.ndarray:
         """Rows of alphabet positions (-1 past s) whose index xor is not exempt."""
@@ -345,7 +347,7 @@ def _tuple_condition_report(functions: Sequence[PiecewiseSignFunction],
         exhaustive = False
     values = _evaluate([PiecewiseSignFunction(flips) for flips in merged], function[picks],
                        powers[budget], np.array([s for s, _ in budgets])[budget])
-    return ConditionReport(tol=tol, alphabet=tuple(alphabet),
+    return ConditionReport(tol=tol, alphabet=alphabet,
                            budgets=tuple(budgets), budget=budget, picks=picks,
                            values=values, required_zero=np.ones(len(values), dtype=bool),
                            exhaustive=exhaustive)
@@ -355,8 +357,8 @@ def check_qubit_nudd_condition(order: int, m: int, tol: float = ZERO_TOL) -> Con
     """Nested-train decoupling condition over the full (Z2xZ2)^{m+1} alphabet."""
     _check_label_guard(order, m, "qubit")
     schedule = qubit_nudd_schedule(order, m)
-    alphabet = tuple(itertools.product(ALL_PAIRS, repeat=m + 1))
-    exempt = frozenset({(PAIR_I,) * (m + 1)})
+    alphabet = all_indices(m)
+    exempt = np.zeros((1, m + 1, 2), dtype=int)  # the zero index, product ~ identity
     functions = [toggling_sign_function(schedule, alpha) for alpha in alphabet]
     return _tuple_condition_report(functions, alphabet, exempt, order, tol)
 
@@ -373,7 +375,7 @@ def check_homogenization_condition_for(schedule: PulseSchedule,
         raise ValueError("the homogenization condition needs an indexed schedule")
     m = schedule.m
     alphabet = gamma_set(m)
-    exempt = frozenset({(PAIR_I,) * (m + 1), symplectic_form_index(m)})
+    exempt = np.stack([np.zeros((m + 1, 2), dtype=int), symplectic_form_index(m)])
     functions = [toggling_sign_function(schedule, alpha) for alpha in alphabet]
     return _tuple_condition_report(functions, alphabet, exempt, schedule.order, tol)
 
@@ -389,16 +391,17 @@ def check_homogenization_condition(order: int, m: int, tol: float = ZERO_TOL) ->
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrespondenceReport:
+    """``mismatches``: the basis indices whose sign functions differ, a stack."""
     order: int
     m: int
     n_checked: int
-    mismatches: tuple[MultiIndex, ...]
+    mismatches: np.ndarray
 
     @property
     def passed(self) -> bool:
-        return not self.mismatches
+        return not len(self.mismatches)
 
 
 def verify_qubit_bosonic_correspondence(order: int, m: int) -> CorrespondenceReport:
@@ -409,14 +412,11 @@ def verify_qubit_bosonic_correspondence(order: int, m: int) -> CorrespondenceRep
     """
     qubit = qubit_nudd_schedule(order, m)
     bosonic = substitute_bosonic(qubit)
-    mismatches = []
     gamma = gamma_set(m)
-    for alpha in gamma:
-        c, d = alpha[0]
-        alpha_prime = ((0, d ^ c),) + tuple(alpha[1:])
-        f_bos = toggling_sign_function(bosonic, alpha)
-        f_qub = toggling_sign_function(qubit, alpha_prime)
-        if f_bos != f_qub:
-            mismatches.append(alpha)
+    partner = gamma.copy()
+    partner[:, 0, 1] ^= partner[:, 0, 0]
+    partner[:, 0, 0] = 0
+    differ = [toggling_sign_function(bosonic, alpha) != toggling_sign_function(qubit, beta)
+              for alpha, beta in zip(gamma, partner)]
     return CorrespondenceReport(order=order, m=m, n_checked=len(gamma),
-                                mismatches=tuple(mismatches))
+                                mismatches=gamma[np.array(differ, dtype=bool)])

@@ -25,11 +25,11 @@ already ran.  The tolerance ``tol`` (DEFAULT_TOL unless given) is the
 engine's only setting, and it acts only on this time-dependent path.
 
 A walk's pulses are one stack too, from one ``s_matrix`` call over the
-schedule's index stack.  Each pulse is applied after the free segment that
-ends at its application time; in particular a pulse at delta = 1 acts
-after the final segment, immediately before readout.  Affine (displacement)
-propagation is the same walk on the homogeneous embedding of dimension
-dim + 1.
+schedule's index stack, each applied to the system rows of its segment's
+flow only.  Each pulse is applied after the free segment that ends at its
+application time; in particular a pulse at delta = 1 acts after the final
+segment, immediately before readout.  Affine (displacement) propagation
+is the same walk on the homogeneous embedding of dimension dim + 1.
 """
 
 from __future__ import annotations
@@ -222,22 +222,26 @@ def _walk(coeffs: Sequence[np.ndarray], schedule: PulseSchedule | None,
     """Time-ordered product of the free flows of sum_r coeffs[r] t^r and the
     schedule's pulses on [0, T], every flow from one batched call.  Each
     pulse is sign * S_alpha, or -I for a flip schedule, on the system block
-    and identity on the rest of the coefficients' dimension."""
+    and identity on the rest, so it acts on the system rows of the flow
+    before it only."""
     deltas = np.empty(0) if schedule is None else schedule.deltas
     dim, d = coeffs[0].shape[-1], layout.system_dim
-    pulses = np.tile(np.eye(dim), (len(deltas), 1, 1))
     if schedule is None or schedule.is_flip_schedule:
-        pulses[:, :d, :d] = -np.eye(d)
+        W = np.broadcast_to(-np.eye(d), (len(deltas), d, d))
     else:
         W = s_matrix(schedule.pulses)
         if W.shape[-1] != d:
             raise ValueError(f"pulse dimension {W.shape[-1]} does not match "
                              f"system dimension {d}")
-        pulses[:, :d, :d] = schedule.signs[:, None, None] * W
+        W *= schedule.signs[:, None, None]
     bounds = np.array([0.0, *deltas, 1.0]) * T
     flows = _flows(coeffs, bounds[:-1], bounds[1:], tol, record)
+    # pulse k times flow k changes only the system rows; flows may be the
+    # record's stack, so they are written into a copy
+    steps = flows[:-1].copy()
+    np.matmul(W, flows[:-1, :d], out=steps[:, :d])
     S = np.eye(dim)
-    for step in pulses @ flows[:-1]:
+    for step in steps:
         S = step @ S
     return flows[-1] @ S
 
@@ -294,7 +298,7 @@ def _pulse_product_sign(schedule: PulseSchedule) -> int:
     """Sign of the time-ordered product of the signed system pulses, read
     from the index algebra; raises unless the product is +-identity."""
     index, sign = product_index(schedule.pulses[::-1])
-    if any(x or z for x, z in index):
+    if index.any():
         raise ValueError("pulse product is not +-identity")
     return sign * int(np.prod(schedule.signs))
 

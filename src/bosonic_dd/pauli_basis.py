@@ -12,7 +12,11 @@ The first tensor factor (position 0) plays a distinguished role: it carries
 the Q/P structure of the 2^m-mode phase space, and the symplectic form is
 ``J = -S_{(1,1),(0,0),...}``.
 
-Two index sets matter:
+Indices are integer stacks: one multi-index is an ``(m+1, 2)`` array of
+the x-bit and z-bit of each position, a set of them an ``(n, m+1, 2)``
+array (tuples of pairs are accepted as input, and never returned).
+``all_indices(m)`` stacks all 4^{m+1} in ``itertools.product(ALL_PAIRS,
+repeat=m+1)`` order; two subsets of it matter, each in that order:
 
 * ``gamma_set(m)``: indices whose S_alpha form a basis of the Lie algebra
   sp(2*2^m).  Membership rule: delta(alpha) + [a_0 in {x, z}] is odd, where
@@ -20,11 +24,9 @@ Two index sets matter:
 * ``gamma_tilde_set(m)``: all indices with a_0 in {I, y}; these S_beta are
   orthogonal symplectic and are the pulses available to bosonic schemes.
 
-The index algebra and ``s_matrix`` act on tuples and on integer index
-stacks alike: a stack of shape ``(..., m+1, 2)`` is ``np.array`` of the
-tuples, with the x-bit and the z-bit of position j in ``[..., j, 0]`` and
-``[..., j, 1]``, and ``s_matrix`` of a stack is the stack of its matrices,
-built by one broadcast per position from a four-entry factor table.  Since
+The index algebra and ``s_matrix`` broadcast over the leading axes of a
+stack; ``s_matrix`` of a stack is the stack of its matrices, built by one
+broadcast per position from a four-entry factor table.  Since
 S_(x,z) = x^x z^z and zx = -xz, two factors multiply by the rule
 
     S_p S_q = (-1)^(p_z q_x) S_(p xor q)
@@ -36,15 +38,12 @@ z-bits of all earlier factors.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 import numpy.random  # numpy 2 loads it lazily; load it at import time
 
 Pair = tuple[int, int]
-MultiIndex = tuple[Pair, ...]
 
 PAIR_I: Pair = (0, 0)
 PAIR_X: Pair = (1, 0)
@@ -61,6 +60,11 @@ _FACTOR_TABLE = np.array([[[1, 0], [0, 1]],
 # Resource guard: dimension 2^{m+1} and |Gamma| grow fast; m=4 (dim 32,
 # |Gamma| = 528) is the largest size any verification here needs.
 MAX_M = 4
+# matrix elements per stacked block of the adjoint-action check: bounds its
+# temporaries at 512 kB each (64 pairs at m = 4, 1,024 at m = 2)
+ADJOINT_BLOCK_ELEMENTS = 2 ** 16
+ADJOINT_TOL = 1e-12  # Frobenius; every deviation is exactly 0 on a correct basis
+EXPAND_TOL = 1e-10  # largest relative reconstruction defect of expand_in_basis
 
 
 def _check_m(m: int) -> None:
@@ -68,6 +72,12 @@ def _check_m(m: int) -> None:
         raise ValueError("m must be nonnegative")
     if m > MAX_M:
         raise ValueError(f"m={m} exceeds the exhaustive-enumeration guard (max {MAX_M})")
+
+
+def all_indices(m: int) -> np.ndarray:
+    """All 4^{m+1} multi-indices as one (4^{m+1}, m+1, 2) stack, in the order
+    of itertools.product(ALL_PAIRS, repeat=m+1); unguarded, as nudd has its own."""
+    return np.array(ALL_PAIRS)[np.indices((4,) * (m + 1)).reshape(m + 1, -1).T]
 
 
 def s_matrix(alpha) -> np.ndarray:
@@ -92,32 +102,26 @@ def s_matrix(alpha) -> np.ndarray:
     return M
 
 
-def y_count(alpha: MultiIndex) -> int:
-    return sum(1 for a in alpha if tuple(a) == PAIR_Y)
-
-
-def in_gamma(alpha: MultiIndex) -> bool:
-    leading_xz = 1 if tuple(alpha[0]) in (PAIR_X, PAIR_Z) else 0
-    return (y_count(alpha) + leading_xz) % 2 == 1
-
-
-def gamma_set(m: int) -> tuple[MultiIndex, ...]:
-    """Algebra-basis indices; |Gamma| = 2*2^{2m} + 2^m = dim sp(2*2^m)."""
+def gamma_set(m: int) -> np.ndarray:
+    """Algebra-basis indices, an (n, m+1, 2) stack; n = |Gamma| =
+    2*2^{2m} + 2^m = dim sp(2*2^m)."""
     _check_m(m)
-    return tuple(alpha for alpha in itertools.product(ALL_PAIRS, repeat=m + 1)
-                 if in_gamma(alpha))
+    a = all_indices(m)
+    y_count = (a[..., 0] & a[..., 1]).sum(axis=-1)
+    return a[(y_count + (a[:, 0, 0] ^ a[:, 0, 1])) % 2 == 1]
 
 
-def gamma_tilde_set(m: int) -> tuple[MultiIndex, ...]:
-    """Pulse-eligible indices (a_0 in {I, y}); |Gamma~| = 2*4^m."""
+def gamma_tilde_set(m: int) -> np.ndarray:
+    """Pulse-eligible indices (a_0 in {I, y}), an (n, m+1, 2) stack;
+    n = |Gamma~| = 2*4^m."""
     _check_m(m)
-    return tuple(alpha for alpha in itertools.product(ALL_PAIRS, repeat=m + 1)
-                 if tuple(alpha[0]) in (PAIR_I, PAIR_Y))
+    a = all_indices(m)
+    return a[a[:, 0, 0] == a[:, 0, 1]]
 
 
-def symplectic_form_index(m: int) -> MultiIndex:
+def symplectic_form_index(m: int) -> np.ndarray:
     """Index of -J: the form is J = -S_{(1,1),(0,0),...,(0,0)}."""
-    return (PAIR_Y,) + (PAIR_I,) * m
+    return np.array((PAIR_Y,) + (PAIR_I,) * m)
 
 
 def symplectic_inner_product(alpha, beta):
@@ -133,28 +137,29 @@ def symplectic_inner_product(alpha, beta):
     return int(pairing) if pairing.ndim == 0 else pairing
 
 
-def product_index(alphas: Sequence[MultiIndex]) -> tuple[MultiIndex, int]:
+def product_index(alphas) -> tuple[np.ndarray, int]:
     """Index and sign of the ordered product: prod_k S_{alpha_k} = sign * S_xor.
 
-    The empty product is (all-zero index of length 1, +1); callers that know
-    the index length should prefer passing at least one operand.
+    ``alphas`` is a (k, m+1, 2) stack.  The empty product is (the all-zero
+    index of length 1, +1); callers that know the index length should prefer
+    passing at least one operand.
     """
     if len(alphas) == 0:
-        return ((PAIR_I,), 1)
+        return np.zeros((1, 2), dtype=np.int64), 1
     try:
         stack = np.asarray(alphas, dtype=np.int64)
     except ValueError as exc:
         raise ValueError("multi-index length mismatch") from exc
     acc = np.bitwise_xor.accumulate(stack, axis=0)
     odd = (acc[:-1, :, 1] * stack[1:, :, 0]).sum() % 2
-    return tuple(map(tuple, acc[-1].tolist())), -1 if odd else 1
+    return acc[-1], -1 if odd else 1
 
 
-_PULSE_AXES = ("x", "y", "z")
+_PULSE_PAIRS = {"x": PAIR_X, "y": PAIR_Y, "z": PAIR_Z}
 
 
-def pulse_index(axis: str, qubit: int, m: int) -> MultiIndex:
-    """Multi-index of the named control pulse.
+def pulse_index(axis: str, qubit: int, m: int) -> np.ndarray:
+    """Multi-index of the named control pulse, an (m+1, 2) array.
 
     ``("y", 0)`` is the all-mode quarter rotation y (x) I^m; for
     ``1 <= i <= m``, ``("x", i)`` swaps mode pairs, ``("z", i)`` is a
@@ -162,45 +167,40 @@ def pulse_index(axis: str, qubit: int, m: int) -> MultiIndex:
     I (x) ... (x) {x,y,z} (x) ... (x) I with the factor at position i.
     """
     _check_m(m)
-    if axis not in _PULSE_AXES:
+    if axis not in _PULSE_PAIRS:
         raise ValueError(f"unknown pulse axis {axis!r}")
     if qubit == 0:
         if axis != "y":
             raise ValueError("position 0 only supports the y pulse")
     elif not 1 <= qubit <= m:
         raise ValueError(f"pulse position {qubit} out of range for m={m}")
-    pair = {"x": PAIR_X, "y": PAIR_Y, "z": PAIR_Z}[axis]
-    idx = [PAIR_I] * (m + 1)
-    idx[qubit] = pair
-    return tuple(idx)
+    idx = np.zeros((m + 1, 2), dtype=np.int64)
+    idx[qubit] = _PULSE_PAIRS[axis]
+    return idx
 
 
 def pulse_matrix(axis: str, qubit: int, m: int) -> np.ndarray:
     return s_matrix(pulse_index(axis, qubit, m))
 
 
-def expand_in_basis(X: np.ndarray, m: int, tol: float = 1e-10) -> dict[MultiIndex, float]:
-    """Coefficients B_alpha with X = sum_alpha B_alpha S_alpha over Gamma(m).
+def expand_in_basis(X: np.ndarray, m: int) -> np.ndarray:
+    """Coefficients B_alpha with X = sum_alpha B_alpha S_alpha, one per row of
+    ``gamma_set(m)`` and in its order.
 
     Uses trace orthogonality of the signed-permutation basis,
-    B_alpha = tr(S_alpha^T X) / 2^{m+1}.  Raises if the reconstruction does
-    not close, i.e. X is not in the algebra spanned by Gamma(m).
+    B_alpha = tr(S_alpha^T X) / 2^{m+1}.  Raises if the reconstruction misses
+    X by more than EXPAND_TOL relative, i.e. X is not in the algebra
+    spanned by Gamma(m).
     """
     _check_m(m)
     dim = 2 ** (m + 1)
     X = np.asarray(X, dtype=float)
     if X.shape != (dim, dim):
         raise ValueError(f"expected shape {(dim, dim)}, got {X.shape}")
-    coeffs = {}
-    recon = np.zeros_like(X)
-    for alpha in gamma_set(m):
-        S = s_matrix(alpha)
-        b = float(np.trace(S.T @ X)) / dim
-        coeffs[alpha] = b
-        if b != 0.0:
-            recon += b * S
-    defect = np.linalg.norm(recon - X)
-    if defect > tol * max(1.0, float(np.linalg.norm(X))):
+    S = s_matrix(gamma_set(m))
+    coeffs = np.einsum("aij,ij->a", S, X) / dim
+    defect = np.linalg.norm(np.einsum("a,aij->ij", coeffs, S) - X)
+    if defect > EXPAND_TOL * max(1.0, float(np.linalg.norm(X))):
         raise ValueError(f"matrix is not in sp(2*2^{m}): reconstruction defect {defect:.3e}")
     return coeffs
 
@@ -211,40 +211,37 @@ class AdjointActionReport:
     n_checked: int
     exhaustive: bool
     max_deviation: float
-    tol: float
 
     @property
     def passed(self) -> bool:
-        return self.max_deviation <= self.tol
+        return self.max_deviation <= ADJOINT_TOL
 
 
-def verify_adjoint_action(m: int, tol: float = 1e-12) -> AdjointActionReport:
+def verify_adjoint_action(m: int) -> AdjointActionReport:
     """Check S_beta^{-1} S_alpha S_beta = (-1)^{<alpha,beta>} S_alpha.
 
     Exhaustive over Gamma x Gamma~ for m <= 2; for larger m a sample of
-    1000 pairs drawn with seed 0 is tested.  S_beta is orthogonal, so the inverse is
-    the transpose.
+    1000 pairs drawn with seed 0 (all 1000 alpha positions, then all 1000
+    beta positions) is tested.  The pairs are stacked, in blocks of at most
+    ADJOINT_BLOCK_ELEMENTS matrix elements.
+    S_beta is orthogonal, so the inverse is the transpose.  A pair passes
+    within ADJOINT_TOL in Frobenius norm.
     """
     _check_m(m)
-    gamma = gamma_set(m)
-    gtilde = gamma_tilde_set(m)
-    if m <= 2:
-        pairs: Iterable[tuple[MultiIndex, MultiIndex]] = itertools.product(gamma, gtilde)
-        n_total = len(gamma) * len(gtilde)
-        exhaustive = True
+    gamma, gtilde = gamma_set(m), gamma_tilde_set(m)
+    exhaustive = m <= 2
+    if exhaustive:
+        a, b = np.indices((len(gamma), len(gtilde))).reshape(2, -1)
     else:
         rng = np.random.default_rng(0)
-        n_total = 1000
-        pairs = ((gamma[rng.integers(len(gamma))], gtilde[rng.integers(len(gtilde))])
-                 for _ in range(n_total))
-        exhaustive = False
-    max_dev = 0.0
-    for alpha, beta in pairs:
-        Sa = s_matrix(alpha)
-        Sb = s_matrix(beta)
-        sign = -1.0 if symplectic_inner_product(alpha, beta) else 1.0
-        dev = float(np.linalg.norm(Sb.T @ Sa @ Sb - sign * Sa))
-        if dev > max_dev:
-            max_dev = dev
-    return AdjointActionReport(m=m, n_checked=n_total, exhaustive=exhaustive,
-                               max_deviation=max_dev, tol=tol)
+        a, b = rng.integers(len(gamma), size=1000), rng.integers(len(gtilde), size=1000)
+    alpha, beta = gamma[a], gtilde[b]
+    sign = 1.0 - 2.0 * symplectic_inner_product(alpha, beta)
+    max_dev, block = 0.0, max(1, ADJOINT_BLOCK_ELEMENTS // 4 ** (m + 1))
+    for i in range(0, len(a), block):  # pairs stacked in blocks
+        A, B = s_matrix(alpha[i:i + block]), s_matrix(beta[i:i + block])
+        deviation = np.linalg.norm(B.transpose(0, 2, 1) @ A @ B
+                                   - sign[i:i + block, None, None] * A, axis=(-2, -1))
+        max_dev = max(max_dev, float(deviation.max()))
+    return AdjointActionReport(m=m, n_checked=len(a), exhaustive=exhaustive,
+                               max_deviation=max_dev)

@@ -151,10 +151,10 @@ def test_c06_basis_algebra():
             ok &= bool(np.abs(S.T @ S - np.eye(2 ** (m + 1))).max() < 1e-12)
     devs = []
     for m in (0, 1, 2):
-        rep = pauli_basis.verify_adjoint_action(m, tol=1e-12)
+        rep = pauli_basis.verify_adjoint_action(m)
         ok &= rep.passed and rep.exhaustive
         devs.append(rep.max_deviation)
-    rep3 = pauli_basis.verify_adjoint_action(3, tol=1e-12)
+    rep3 = pauli_basis.verify_adjoint_action(3)
     ok &= rep3.passed and rep3.n_checked == 1000
     devs.append(rep3.max_deviation)
     _record("6 basis algebra", ok, f"max adjoint deviation {max(devs):.1e}")

@@ -209,8 +209,9 @@ class TestVerify:
         assert not out.exists()
 
     def test_unknown_check(self, tmp_path):
-        assert run(["verify", "--check", "bogus",
-                    "--out", str(tmp_path / "u.csv")]) == 2
+        with pytest.raises(SystemExit) as exit_:  # argparse rejects it
+            run(["verify", "--check", "bogus", "--out", str(tmp_path / "u.csv")])
+        assert exit_.value.code == 2
 
 
 class TestSpectrum:
@@ -410,6 +411,15 @@ class TestConfigErrors:
         cfg.write_text("cross_validate=ture\n")
         err = self.run_with(tmp_path, capsys, "spectrum", cfg)
         assert "cross_validate='ture'" in err
+
+    @pytest.mark.parametrize("scheme", ["bogus", "qubit_nudd"])
+    def test_value_outside_the_flag_choices(self, tmp_path, capsys, scheme):
+        # argparse checks no default against choices; the config loader must
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"scheme={scheme}\n")
+        err = self.run_with(tmp_path, capsys, "schedule", cfg)
+        assert f"scheme='{scheme}'" in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("command", SUBCOMMANDS)
     def test_malformed_line(self, tmp_path, capsys, command):

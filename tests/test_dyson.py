@@ -37,7 +37,7 @@ from bosonic_dd.schedules import (
     udd_times,
 )
 
-from oracles import sign_value
+from oracles import as_index, sign_value
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +295,7 @@ def walk(flip_sets, keys):
 def report_rows(report):
     """(s, powers, labels, value, required_zero) of every row, read from the
     report's columns."""
-    return [(s, powers, tuple(report.alphabet[p] for p in picks[:s]), value, required)
+    return [(s, powers, tuple(as_index(report.alphabet[p]) for p in picks[:s]), value, required)
             for (s, powers), picks, value, required in zip(
                 [report.budgets[b] for b in report.budget.tolist()], report.picks.tolist(),
                 report.values.tolist(), report.required_zero.tolist())]
@@ -453,8 +453,9 @@ class TestWalkerProperties:
     @given(st.integers(1, 400), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=15, deadline=None)
     def test_sampled_rows_follow_the_seeded_draws(self, max_tuples, seed):
-        exempt = {(PAIR_I,) * 3, symplectic_form_index(2)}
-        expected, _ = seeded_draws(gamma_set(2), exempt, 2, max_tuples, seed)
+        exempt = {(PAIR_I,) * 3, as_index(symplectic_form_index(2))}
+        expected, _ = seeded_draws(tuple(map(as_index, gamma_set(2))), exempt, 2,
+                                   max_tuples, seed)
         with sampling(max_tuples, seed):
             report = check_homogenization_condition(2, 2)
             again = check_homogenization_condition(2, 2)
@@ -615,9 +616,20 @@ class TestCorrespondence:
         assert report.passed
         assert report.n_checked == len(gamma_set(m))
 
+    @pytest.mark.parametrize("n,m", [(1, 1), (2, 1)])
+    def test_wrong_substitution_mismatches(self, monkeypatch, n, m):
+        # keeping the qubit pulses (x_0 not replaced by y_0) breaks the
+        # correspondence, and only for indices unlike their partner (a_0 in {x, y})
+        monkeypatch.setattr(dyson, "substitute_bosonic", lambda qubit: qubit)
+        report = verify_qubit_bosonic_correspondence(n, m)
+        assert not report.passed
+        assert report.mismatches.shape[1:] == (m + 1, 2) and len(report.mismatches)
+        assert set(map(as_index, report.mismatches)) <= set(map(as_index, gamma_set(m)))
+        assert all(x for x, _ in report.mismatches[:, 0].tolist())
+
     def test_unchanged_when_first_entry_trivial(self):
         # alpha with a_0 = (0, d): the partner index equals alpha itself
-        for alpha in gamma_set(1):
+        for alpha in map(as_index, gamma_set(1)):
             c, d = alpha[0]
             if c == 0:
                 partner = ((0, d ^ c),) + tuple(alpha[1:])

@@ -296,10 +296,9 @@ class TestToggling:
         T = 1.0
         base = expand_in_basis(gen.values(0.37), m)
         toggled = expand_in_basis(toggling_generator(gen, sched, 0.37, T), m)
-        for alpha in gamma_set(m):
+        for alpha, b, t in zip(gamma_set(m), base, toggled):
             F = toggling_sign_function(sched, alpha)
-            assert toggled[alpha] == pytest.approx(sign_value(F, 0.37) * base[alpha],
-                                                   abs=1e-13)
+            assert t == pytest.approx(sign_value(F, 0.37) * b, abs=1e-13)
 
 
 class TestHomogenizationFit:
@@ -321,7 +320,7 @@ class TestHomogenizationFit:
         m = 1
         J = -s_matrix(symplectic_form_index(m))
         alpha = next(a for a in gamma_set(m)
-                     if a != symplectic_form_index(m))
+                     if (a != symplectic_form_index(m)).any())
         P = s_matrix(alpha)
         eps = 1e-4
         S = math.cos(0.2) * np.eye(4) + math.sin(0.2) * J + eps * P
@@ -697,6 +696,32 @@ class TestResumedRefinement:
                 assert resumed == fresh
                 break
             assert np.array_equal(resumed, fresh)
+
+    @given(seeds, st.integers(0, 2), st.integers(1, 5), st.integers(0, 1), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_system_row_pulses_equal_full_products(self, seed, m, n_pulses, degree, flip):
+        # the walk applies each pulse to the system rows of a copy of its
+        # flow; the reference multiplies the full-dimension pulse matrices.
+        # The walk writes nothing into the record, whose stack is the CF4
+        # flows themselves
+        sched = (decoupling_schedule(n_pulses, 2 ** m) if flip
+                 else signed_closed_schedule(seed, m, n_pulses))
+        layout = ModeLayout(2 ** m, 1)
+        gen = make_generator(layout, seed=seed, degree=degree)
+        record = {}
+        S = _walk(gen.coeffs, sched, layout, 0.3, DEFAULT_TOL, record)
+        bounds = np.array([0.0, *sched.deltas, 1.0]) * 0.3
+        flows = _flows(gen.coeffs, bounds[:-1], bounds[1:])
+        if degree:
+            assert record["S"].tobytes() == flows.tobytes()
+        d = layout.system_dim
+        pulses = np.tile(np.eye(layout.dim), (len(sched), 1, 1))
+        pulses[:, :d, :d] = -np.eye(d) if flip else \
+            sched.signs[:, None, None] * s_matrix(sched.pulses)
+        expected = np.eye(layout.dim)
+        for step in pulses @ flows[:-1]:
+            expected = step @ expected
+        assert S.tobytes() == (flows[-1] @ expected).tobytes()
 
     def test_resumed_flows_pass_intervals_of_unequal_depth(self):
         gen = make_generator(ModeLayout(1, 1), seed=5, degree=2)

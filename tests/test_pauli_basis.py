@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from bosonic_dd.pauli_basis import (
     PAIR_X,
     PAIR_Y,
     PAIR_Z,
+    all_indices,
     expand_in_basis,
     gamma_set,
     gamma_tilde_set,
@@ -20,6 +23,7 @@ from bosonic_dd.pauli_basis import (
     symplectic_inner_product,
     verify_adjoint_action,
 )
+from bosonic_dd import pauli_basis
 from bosonic_dd.symplectic import (
     ModeLayout,
     is_in_sp_algebra,
@@ -27,6 +31,8 @@ from bosonic_dd.symplectic import (
     matrix_exponential,
     symplectic_form,
 )
+
+from oracles import as_index, gamma_set_oracle, gamma_tilde_set_oracle
 
 index_strategy = st.lists(st.sampled_from(ALL_PAIRS), min_size=1, max_size=4).map(tuple)
 
@@ -127,7 +133,7 @@ class TestGammaSets:
         assert np.array_equal(G, 2 ** (m + 1) * np.eye(len(mats)))
 
     def test_gamma_tilde_m0(self):
-        assert set(gamma_tilde_set(0)) == {(PAIR_I,), (PAIR_Y,)}
+        assert set(map(as_index, gamma_tilde_set(0))) == {(PAIR_I,), (PAIR_Y,)}
 
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_gamma_tilde_count(self, m):
@@ -142,8 +148,26 @@ class TestGammaSets:
             assert np.abs(S.T @ S - np.eye(8)).max() < 1e-12
 
     def test_resource_guard(self):
-        with pytest.raises(ValueError):
-            gamma_set(5)
+        for index_set in (gamma_set, gamma_tilde_set):
+            with pytest.raises(ValueError):
+                index_set(5)
+
+    @pytest.mark.parametrize("m", range(3))
+    def test_all_indices_in_product_order(self, m):
+        expected = list(itertools.product(ALL_PAIRS, repeat=m + 1))
+        assert list(map(as_index, all_indices(m))) == expected
+
+    def test_all_indices_past_the_guard(self):
+        # the nudd label set (4^{m+1} labels) has its own, looser guard
+        assert all_indices(5).shape == (4 ** 6, 6, 2)
+
+    @pytest.mark.parametrize("m", range(5))
+    def test_stacks_equal_the_per_index_enumeration(self, m):
+        # the same indices in the same (itertools.product) order
+        for stack, oracle in ((gamma_set(m), gamma_set_oracle(m)),
+                              (gamma_tilde_set(m), gamma_tilde_set_oracle(m))):
+            assert stack.shape == (len(oracle), m + 1, 2)
+            assert list(map(as_index, stack)) == list(oracle)
 
 
 class TestInnerProduct:
@@ -194,12 +218,36 @@ class TestAdjointAction:
         assert np.array_equal(y.T @ x @ y, -x)
 
     def test_m1_exhaustive(self):
-        report = verify_adjoint_action(1, tol=1e-12)
+        report = verify_adjoint_action(1)
         assert report.passed
         assert report.n_checked == 10 * 8
 
+    @staticmethod
+    def per_pair_deviation(m):
+        """The largest deviation over Gamma x Gamma~, one pair at a time."""
+        return max(float(np.linalg.norm(s_matrix(b).T @ s_matrix(a) @ s_matrix(b) - (
+            -1.0 if symplectic_inner_product(a, b) else 1.0) * s_matrix(a)))
+            for a in gamma_set_oracle(m) for b in gamma_tilde_set_oracle(m))
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_wrong_sign_factor_fails(self, monkeypatch, m):
+        # z = diag(1, -1) with its -1 flipped is I, which commutes with x and
+        # y; the pairing says z anticommutes with both
+        table = pauli_basis._FACTOR_TABLE.copy()
+        table[1, 1, 1] = 1.0
+        monkeypatch.setattr(pauli_basis, "_FACTOR_TABLE", table)
+        report = verify_adjoint_action(m)
+        assert report.exhaustive and not report.passed
+        assert report.max_deviation == self.per_pair_deviation(m) > 0.0
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_sampled(self, m):
+        report = verify_adjoint_action(m)
+        assert report.passed and not report.exhaustive
+        assert report.n_checked == 1000 and report.max_deviation == 0.0
+
     def test_self_pair_sign(self):
-        for alpha in set(gamma_set(1)) & set(gamma_tilde_set(1)):
+        for alpha in set(map(as_index, gamma_set(1))) & set(map(as_index, gamma_tilde_set(1))):
             S = s_matrix(alpha)
             assert np.array_equal(S.T @ S @ S, S)
 
@@ -209,12 +257,12 @@ class TestExpandInBasis:
         m = 1
         J = symplectic_form(ModeLayout(2, 0))
         coeffs = expand_in_basis(J, m)
-        nonzero = {a: c for a, c in coeffs.items() if c != 0.0}
-        assert nonzero == {symplectic_form_index(m): -1.0}
+        nonzero = {as_index(a): c for a, c in zip(gamma_set(m), coeffs.tolist()) if c != 0.0}
+        assert nonzero == {as_index(symplectic_form_index(m)): -1.0}
 
     def test_zero(self):
         coeffs = expand_in_basis(np.zeros((4, 4)), 1)
-        assert all(c == 0.0 for c in coeffs.values())
+        assert all(c == 0.0 for c in coeffs.tolist())
 
     def test_roundtrip_random(self):
         rng = np.random.default_rng(5)
@@ -225,8 +273,19 @@ class TestExpandInBasis:
             A = rng.uniform(-1, 1, (8, 8))
             X = ((A + A.T) / 2) @ J
             coeffs = expand_in_basis(X, m)
-            recon = sum(c * s_matrix(a) for a, c in coeffs.items())
+            recon = sum(c * s_matrix(a) for a, c in zip(gamma_set(m), coeffs))
             assert np.abs(recon - X).max() < 1e-12
+
+    @pytest.mark.parametrize("m", range(5))
+    def test_equals_per_index_traces(self, m):
+        # one trace per basis index, in gamma_set order; the einsum sums the
+        # same products in another order, so a few ulps apart at most
+        rng = np.random.default_rng(m)
+        dim = 2 ** (m + 1)
+        A = rng.uniform(-1, 1, (dim, dim))
+        X = ((A + A.T) / 2) @ symplectic_form(ModeLayout(dim // 2, 0))
+        expected = [float(np.trace(s_matrix(a).T @ X)) / dim for a in gamma_set_oracle(m)]
+        assert np.abs(expand_in_basis(X, m) - expected).max() <= 1e-14
 
     def test_rejects_non_algebra(self):
         with pytest.raises(ValueError):
@@ -235,12 +294,13 @@ class TestExpandInBasis:
 
 class TestProductIndex:
     def test_empty(self):
-        assert product_index([]) == ((PAIR_I,), 1)
+        idx, sign = product_index([])
+        assert (as_index(idx), sign) == ((PAIR_I,), 1)
 
     def test_self_product_squares(self):
         for alpha in gamma_set(1):
             idx, sign = product_index([alpha, alpha])
-            assert idx == (PAIR_I, PAIR_I)
+            assert as_index(idx) == (PAIR_I, PAIR_I)
             dense = s_matrix(alpha) @ s_matrix(alpha)
             assert np.array_equal(dense, sign * np.eye(4))
 
@@ -250,7 +310,7 @@ class TestProductIndex:
 
     def test_xz_gives_y(self):
         idx, sign = product_index([(PAIR_X,), (PAIR_Z,)])
-        assert idx == (PAIR_Y,)
+        assert as_index(idx) == (PAIR_Y,)
         assert np.array_equal(s_matrix((PAIR_X,)) @ s_matrix((PAIR_Z,)),
                               sign * s_matrix((PAIR_Y,)))
 
@@ -297,10 +357,10 @@ class TestPulses:
 
     def test_pulses_live_in_gamma_tilde(self):
         m = 2
-        by_index = {beta: s_matrix(beta) for beta in gamma_tilde_set(m)}
+        by_index = {as_index(beta): s_matrix(beta) for beta in gamma_tilde_set(m)}
         for axis, qubit in [("y", 0), ("x", 1), ("y", 1), ("z", 1),
                             ("x", 2), ("y", 2), ("z", 2)]:
-            assert pulse_index(axis, qubit, m) in by_index
+            assert as_index(pulse_index(axis, qubit, m)) in by_index
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):

@@ -36,12 +36,7 @@ from bosonic_dd.schedules import (
     write_schedule,
 )
 
-from oracles import sign_value
-
-
-def as_index(row):
-    """One row of a pulse stack as a multi-index tuple of (x, z) pairs."""
-    return tuple(map(tuple, np.asarray(row).tolist()))
+from oracles import as_index, sign_value
 
 
 def nudd_times(n, m):
@@ -288,7 +283,7 @@ class TestSubstitution:
     @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (1, 2), (2, 2)])
     def test_pulses_in_gamma_tilde_and_product_identity(self, n, m):
         bosonic = homogenization_schedule(n, m)
-        allowed = set(gamma_tilde_set(m))
+        allowed = set(map(as_index, gamma_tilde_set(m)))
         P = np.eye(2 ** (m + 1))
         for sign, alpha in zip(bosonic.signs, bosonic.pulses):
             assert as_index(alpha) in allowed
