@@ -16,7 +16,7 @@ Each flag is declared once, in ``build_parser``, with its type and default;
 a flag's long name, with '-' or '_', cast like the flag (a switch takes
 1/0/true/false/yes/no) and held to the flag's choices, and keys that name
 no value flag of the subcommand (``check`` among them) are ignored.  The
-command line is then parsed again, so explicit flags win.
+flags after the subcommand are then parsed over those values, so they win.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import math
 import sys
 from typing import IO, Iterator, Sequence
@@ -71,26 +72,26 @@ _BOOLEANS = {"1": True, "true": True, "yes": True,
              "0": False, "false": False, "no": False}
 
 
-def _config_defaults(parser: argparse.ArgumentParser, path: str) -> None:
-    """Make the config file's values the subcommand's defaults, each cast like
-    its flag (a switch takes a boolean word) and held to its choices, which
-    argparse checks no default against; keys naming no value flag are ignored."""
+def _config_values(parser: argparse.ArgumentParser, path: str) -> dict[str, object]:
+    """The config file's values for the subcommand's flags, each cast like its
+    flag (a switch takes a boolean word) and held to its choices, which argparse
+    checks no namespace value against; keys naming no value flag are ignored."""
     flags = {action.dest: action for action in parser._actions
              if action.dest not in ("help", "config", "check")}
-    defaults = {}
+    values = {}
     for key, raw in _load_config(path).items():
         if key in flags:
             switch = flags[key].const is True  # store_true
             caster = bool if switch else flags[key].type or str
             try:
-                defaults[key] = _BOOLEANS[raw.lower()] if switch else caster(raw)
+                values[key] = _BOOLEANS[raw.lower()] if switch else caster(raw)
             except (KeyError, ValueError) as exc:
                 raise ConfigError(f"{path}: {key}={raw!r} is not a "
                                   f"valid {caster.__name__}") from exc
-            if flags[key].choices and defaults[key] not in flags[key].choices:
+            if flags[key].choices and values[key] not in flags[key].choices:
                 raise ConfigError(f"{path}: {key}={raw!r} is not one of "
                                   f"{', '.join(flags[key].choices)}")
-    parser.set_defaults(**defaults)
+    return values
 
 
 @contextlib.contextmanager
@@ -335,6 +336,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # one parser per process, never changed
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bosonic-dd",
@@ -405,12 +407,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.config:  # the file sets the defaults, so a second parse lets flags win
-            _config_defaults(args.subparser, args.config)
-            args = parser.parse_args(argv)
+        if args.config:  # argparse fills only the names the namespace lacks, so flags win
+            values = argparse.Namespace(**_config_values(args.subparser, args.config))
+            args = args.subparser.parse_args(argv[argv.index(args.command) + 1:], values)
         return args.func(args)
     except (ValueError, evolution.ToleranceNotReached) as exc:
         # usage errors (ConfigError among them) and an unreachable --tol

@@ -16,9 +16,9 @@ scale, and the continuity constants an exclusive cumulative sum.  Keys
 ((f_1, r_1), ..., (f_s, r_s)) come as integer arrays and are walked by
 depth: the distinct length-d prefixes of the longer keys are integrated as
 one stacked stage, and each key's last step is not integrated at all but
-contracted against a per-report table of moments
-int_0^{h_i} (b_i + u)^r u^j du.  Every sum runs in a fixed order, so a
-key's value does not depend on the other keys of the walk.
+contracted, one row per key, against a per-report table of moments
+int_0^{h_i} (b_i + u)^r u^j du.  Every sum runs in an order fixed by the
+grid alone, so a key's value does not depend on the other keys of the walk.
 
 The zero test is relative.  With every sign +1 the integral is the closed
 form scale(r) = 1 / prod_{k=1..s} (k + r_1 + ... + r_k), and |F| <= scale(r)
@@ -152,9 +152,6 @@ def _evaluate(functions: Sequence[PiecewiseSignFunction], f: np.ndarray, r: np.n
     order = np.lexsort(np.where(np.arange(r.shape[1]) < length[:, None],
                                 f * n_powers + r, -1).T[::-1])
     block = max(1, WALK_BLOCK_ELEMENTS // n)  # keys per walk
-    # the walks' leaf products reuse two buffers instead of growing and shrinking
-    # the heap each step (np.take copies its `out` under the default mode)
-    leaf_terms, leaf_inner = np.empty((2, min(block, len(length)), n))
     for start in range(0, len(length), block):
         live = order[start:start + block]
         stage = np.ones((1, n, 1))  # the empty prefix: g = 1
@@ -165,9 +162,7 @@ def _evaluate(functions: Sequence[PiecewiseSignFunction], f: np.ndarray, r: np.n
             inner = stage[g, :, 0] * moments[mu, :, 0]  # sum_j g mu_r, in column order
             for j in range(1, stage.shape[2]):
                 inner += stage[g, :, j] * moments[mu, :, j]
-            terms = np.take(signs, f[leaf, d], axis=0, out=leaf_terms[:len(leaf)], mode="clip")
-            terms *= np.take(inner, which, axis=0, out=leaf_inner[:len(leaf)], mode="clip")
-            values[leaf] = np.cumsum(terms, axis=-1, out=terms)[:, -1]
+            values[leaf] = np.einsum("ki,ki->k", signs[f[leaf, d]], inner[which])
             live = live[length[live] > d + 1]
             if not live.size:
                 break

@@ -401,15 +401,18 @@ def decoupling_error_bound(j0: float, jz: float, order: int, t_total: float) -> 
 
     For x = (J0+Jz)T <= 1 this is the closed form e sqrt(2) x^{N+1}/(N+1)!;
     beyond that the closed form is invalid and the underlying tail-series
-    bound sqrt(2) sum_{s>N} x^s/s! is returned instead.
+    bound sqrt(2) sum_{s>N} x^s/s! is returned instead, inf past the float range.
     """
     if order < 0 or t_total < 0:
         raise ValueError("order and time must be nonnegative")
     x = (j0 + jz) * t_total
     if x <= 1.0:
         return math.e * math.sqrt(2.0) * x ** (order + 1) / math.factorial(order + 1)
-    head = sum(x ** s / math.factorial(s) for s in range(order + 1))
-    return math.sqrt(2.0) * (math.exp(x) - head)
+    try:
+        head = sum(x ** s / math.factorial(s) for s in range(order + 1))
+        return math.sqrt(2.0) * (math.exp(x) - head)
+    except OverflowError:  # e^x past x = 709.78, or x^s: the bound says nothing
+        return math.inf
 
 
 def affine_propagate(gen: AnalyticGenerator, M0: np.ndarray, d0: np.ndarray,

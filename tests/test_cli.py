@@ -1,3 +1,8 @@
+import sys
+import types
+from pathlib import Path
+from unittest import mock
+
 import pytest
 
 from bosonic_dd import cli
@@ -99,6 +104,16 @@ class TestSweeps:
             "[1e-12, 0.01] (10 below, 0 above); widen --tmin/--tmax\n")
         rows = out.read_text().splitlines()[1:]
         assert len(rows) == 10 and all(row.split(",")[4] == "1" for row in rows)
+
+    def test_bound_past_the_float_range_reads_inf(self, tmp_path, capsys):
+        # (J0+Jz)T passes 709.78 at T = 250, where e^x leaves the float range
+        out = tmp_path / "dec.csv"
+        assert run(["decouple-sweep", "--tmin", "1", "--tmax", "250", "--points", "3",
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "only 0 of 3 points inside the fit window" in err and "Traceback" not in err
+        bounds = [row.split(",")[3] for row in out.read_text().splitlines()[1:]]
+        assert bounds[-1] == "inf" and all(b != "inf" for b in bounds[:-1])
 
     def test_homogenize_rejects_bad_mode_count(self, tmp_path):
         assert run(["homogenize-sweep", "--N", "1", "--m", "1", "--nS", "3",
@@ -368,6 +383,65 @@ class TestConfigFile:
         cfg.write_text(f"nS={n_system}\n")
         assert run(["homogenize-sweep", "--N", "1", "--m", "1", "--config",
                     str(cfg), "--out", str(tmp_path / "h.csv")]) == code
+
+
+class TestOneParser:
+    @staticmethod
+    def declared():
+        """Every subparser's defaults: its flags' and its own (func, subparser)."""
+        return {command: ({a.dest: a.default for a in parser._actions}, parser._defaults.copy())
+                for command, parser in ((c, cli.build_parser().parse_args(
+                    [c, *CONFIG_RUNS[c][0]]).subparser) for c in CONFIG_RUNS)}
+
+    def test_built_once_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_config_runs_leave_the_declared_defaults(self, tmp_path):
+        before = self.declared()
+        for command, (extra, values, _) in CONFIG_RUNS.items():
+            cfg = tmp_path / f"{command}.cfg"
+            cfg.write_text("".join(f"{key}={'yes' if value is True else value}\n"
+                                   for key, value in values.items()))
+            run([command, *extra, "--config", str(cfg), "--out", str(tmp_path / "c.out")])
+        assert self.declared() == before
+        # a plain run after them reads the declared defaults: decoupling, N = 1
+        out = tmp_path / "plain.txt"
+        assert run(["schedule", "--out", str(out)]) == 0
+        assert len(body_lines(out)) == 1
+
+    def test_argv_from_the_process(self, tmp_path, monkeypatch):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "hom.txt"
+        cfg.write_text("scheme=homogenization\n")
+        monkeypatch.setattr(sys, "argv", ["bosonic-dd", "schedule", "--config", str(cfg),
+                                          "--m", "1", "--out", str(out)])
+        assert main() == 0
+        assert len(body_lines(out)) == 8
+
+
+class TestBenchmarkWorkloads:
+    """The benchmark's argvs pass their own output checks.  The workload file
+    is executed from its source, so no bytecode is written beside it."""
+
+    @pytest.fixture(scope="class")
+    def workloads(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        module = types.ModuleType("perfbench_workloads")
+        # dataclasses look the defining module up by name
+        with mock.patch.dict(sys.modules, {module.__name__: module}):
+            exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+        return module.WORKLOADS
+
+    NAMES = ("sweep-const", "sweep-timedep", "verify-nested", "spectrum-closed")
+
+    def test_every_workload_is_run(self, workloads):
+        assert sorted(workloads) == sorted(self.NAMES)
+
+    @pytest.mark.parametrize("name", NAMES)
+    @pytest.mark.parametrize("seed", [0, 2 ** 31 - 1])  # the ends of the op-seed range
+    def test_argv_passes_its_check(self, tmp_path, workloads, name, seed):
+        out = tmp_path / "op.csv"
+        assert run(workloads[name].argv(seed, str(out))) == 0
+        assert workloads[name].check(out.read_text()) is None
 
 
 class TestLargeVerify:

@@ -331,6 +331,24 @@ class TestDepthWalker:
         assert [v.hex() for v in walk(flip_sets, keys[::-1])] == \
             [v.hex() for v in shared[::-1]]
 
+    @pytest.mark.parametrize("n", [3, 17, 1025])  # odd interval counts
+    def test_leaf_value_does_not_depend_on_the_block(self, n):
+        # among thousands of keys most leaf rows sit at odd, so unaligned, offsets
+        # of the contracted operands; a key alone sits at offset 0
+        rng = np.random.default_rng(n)
+        flips = (np.sort(rng.choice(np.arange(1, 4 * n), n - 1, replace=False)) / (4 * n)).tolist()
+        functions = [PiecewiseSignFunction(tuple(flips))] + [
+            PiecewiseSignFunction(tuple(sorted(rng.choice(flips, k, replace=False).tolist())))
+            for k in (1, n // 2, n - 2)]
+        n_keys = 3000
+        length = rng.integers(1, 4, n_keys)
+        f = rng.integers(0, len(functions), (n_keys, 3))
+        r = np.where(np.arange(3) < length[:, None], rng.integers(0, 4, (n_keys, 3)), 0)
+        values = _evaluate(functions, f, r, length)
+        for j in rng.choice(n_keys, 40, replace=False):
+            alone = _evaluate(functions, f[j:j + 1], r[j:j + 1], length[j:j + 1])
+            assert alone[0].hex() == values[j].hex()
+
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 9))
     @settings(max_examples=60, deadline=None)
     def test_stacked_stage_equals_one_prefix_stages(self, seed, n_prefixes, n):

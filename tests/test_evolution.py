@@ -430,6 +430,14 @@ class TestErrorBound:
         # tail series: sqrt(2) (e^3 - 1 - 3 - 9/2)
         assert val == pytest.approx(math.sqrt(2) * (math.exp(3) - 8.5), rel=1e-12)
 
+    @pytest.mark.parametrize("x", [710.0, 1e300])  # e^x, or x^2 before it, overflows
+    def test_vacuous_past_the_float_range(self, x):
+        assert decoupling_error_bound(x, 0.0, 2, 1.0) == math.inf
+
+    def test_finite_just_inside_the_float_range(self):
+        assert decoupling_error_bound(709.0, 0.0, 2, 1.0) == pytest.approx(
+            math.sqrt(2) * math.exp(709.0), rel=1e-12)
+
     def test_block_norms(self):
         layout = ModeLayout(1, 2)
         gen = make_generator(layout, seed=17)
