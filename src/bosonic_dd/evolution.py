@@ -11,18 +11,25 @@ generator uses a fourth-order commutator-free scheme: one step over
 
 where X1, X2 are the generator at the two Gauss-Legendre nodes and
 a1 = 1/4 - sqrt(3)/6, a2 = 1/4 + sqrt(3)/6 (the factor applied first weights
-the early node more).  A pass weights the nodes of every segment at once
-and exponentiates the factors in calls of at most CF4_BLOCK_ELEMENTS
-elements, each call's factors one matrix product.  The step is halved
-until successive passes S, S2 of a segment agree to
+the early node more).  A segment's first pass takes the fewest steps, a
+power of two, that keep every factor inside the Taylor branch of
+``matrix_exponential``, sized from a bound on the generator's 1-norm over
+the segment; each refinement doubles them.  The step is halved until
+successive passes S, S2 of a segment agree to
 ||S2 - S||_F <= tol max(1, ||S2||_2), a test relative to the size of the
 propagator (screened by ||S2||_2 <= ||S2||_F before any SVD), so residuals
 down to ~1e-12 are not polluted by integration error; only segments that
-fail it are passed again.  The first pass takes SUBSTEPS steps per segment
-and each refinement doubles them, at most MAX_DEPTH times.  ``order_sweep``
-re-tightens a point's tolerance by resuming from the passes the point
-already ran.  The tolerance ``tol`` (DEFAULT_TOL unless given) is the
-engine's only setting, and it acts only on this time-dependent path.
+fail it are passed again, and a segment that would need more than
+MAX_STEPS steps in one pass raises ToleranceNotReached.  A pass weights the
+nodes of its segments at once and exponentiates the factors in calls of at
+most CF4_BLOCK_ELEMENTS elements.
+
+A walk may go to many end times T at once, each at its own tolerance, with
+the flows of all of them from one call; ``order_sweep`` walks a batch of
+its T points in rounds, each round resuming from the passes the earlier
+ones ran, so only the points whose residual needs a tighter tolerance are
+passed again.  The tolerance ``tol`` (DEFAULT_TOL unless given) is the
+engine's only setting, and it acts only on the time-dependent path.
 
 A walk's pulses are one stack too, from one ``s_matrix`` call over the
 schedule's index stack, each applied to the system rows of its segment's
@@ -49,6 +56,7 @@ from .schedules import (
 )
 from .symplectic import (
     ModeLayout,
+    _TAYLOR_THETA,
     _single_form,
     block_decompose,
     matrix_exponential,
@@ -64,8 +72,7 @@ _MIX = 0.25 + np.array([[-1.0, 1.0], [1.0, -1.0]]) * math.sqrt(3.0) / 6.0
 # residuals a sweep fits its slope over; those below it are floor-flagged
 FIT_WINDOW = (1e-12, 1e-2)
 DEFAULT_TOL = 1e-12  # the integrator's step-halving tolerance
-SUBSTEPS = 16  # CF4 steps per segment in its first pass
-MAX_DEPTH = 8  # step halvings before ToleranceNotReached
+MAX_STEPS = 4096  # the most CF4 steps one pass may take on a segment
 
 
 @dataclass(frozen=True)
@@ -119,65 +126,110 @@ def _polynomial(coeffs: Sequence[np.ndarray], ts) -> np.ndarray:
 
 # Elements exponentiated per call, as in spin_boson.BLOCK_ELEMENTS, so the
 # temporaries stay at 64 kB: a CF4 pass (2 factors x intervals x substeps x
-# dim^2, one substep of every interval at least) and a long constant walk
-# (intervals x dim^2, one interval at least) are split into such calls, and
-# a CF4 pass builds its node weights in blocks of about this size too.
+# dim^2, one substep of one interval at least) and a long constant walk
+# (intervals x dim^2, one interval at least) are split into such calls; a
+# CF4 pass builds its node weights, and a walk copies its flows for the
+# pulses, in blocks of about this size too.
 CF4_BLOCK_ELEMENTS = 8192
+# Flow elements (T points x segments x dim^2) that one batch of sweep points
+# stacks: 2 MB, so a long schedule's step-halving record and the copies a
+# pass makes of it stay small next to the interpreter and its libraries.
+SWEEP_ELEMENTS = 1 << 18
 
 
 def _cf4_pass(coeffs: np.ndarray, t0s: np.ndarray, t1s: np.ndarray,
               n: int) -> np.ndarray:
     """n CF4 steps on every interval [t0s[i], t1s[i]], stacked.  The
+    intervals go in blocks whose factors of one substep hold at most
+    CF4_BLOCK_ELEMENTS elements (one interval at least).  In a block, the
     Gauss-node weights are built for up to CF4_BLOCK_ELEMENTS elements of
     whole chunks at once; each chunk's factors are one product of its weight
     rows (substep, interval, factor) with the coefficients."""
     r, d = len(coeffs), coeffs.shape[-1]
-    h = (t1s - t0s) / n
-    chunk = max(1, CF4_BLOCK_ELEMENTS // (2 * len(h) * d * d))
-    rows = 2 * len(h) * chunk
-    span = chunk * max(1, CF4_BLOCK_ELEMENTS // (rows * r))
-    S = np.eye(d)
-    for k0 in range(0, n, span):
-        a = t0s + h * np.arange(k0, min(k0 + span, n))[:, None]
-        powers = (a[..., None] + h[:, None] * _NODES)[..., None] ** np.arange(r)
-        weights = (h[:, None, None] * (_MIX @ powers)).reshape(-1, r)
-        for j0 in range(0, len(weights), rows):
-            F = weights[j0:j0 + rows] @ coeffs.reshape(r, d * d)
-            E = matrix_exponential(F.reshape(-1, len(h), 2, d, d))
-            for step in E[:, :, 0] @ E[:, :, 1]:
-                S = step @ S
+    S = np.empty((len(t0s), d, d))
+    width = max(1, CF4_BLOCK_ELEMENTS // (2 * d * d))
+    for i0 in range(0, len(t0s), width):
+        t0, h = t0s[i0:i0 + width], (t1s[i0:i0 + width] - t0s[i0:i0 + width]) / n
+        chunk = max(1, CF4_BLOCK_ELEMENTS // (2 * len(h) * d * d))
+        rows = 2 * len(h) * chunk
+        span = chunk * max(1, CF4_BLOCK_ELEMENTS // (rows * r))
+        P = np.eye(d)
+        for k0 in range(0, n, span):
+            a = t0 + h * np.arange(k0, min(k0 + span, n))[:, None]
+            powers = (a[..., None] + h[:, None] * _NODES)[..., None] ** np.arange(r)
+            weights = (h[:, None, None] * (_MIX @ powers)).reshape(-1, r)
+            for j0 in range(0, len(weights), rows):
+                F = weights[j0:j0 + rows] @ coeffs.reshape(r, d * d)
+                E = matrix_exponential(F.reshape(-1, len(h), 2, d, d))
+                for step in E[:, :, 0] @ E[:, :, 1]:
+                    P = step @ P
+        S[i0:i0 + width] = P
     return S
 
 
 class ToleranceNotReached(RuntimeError):
-    """Step halving ran out of refinements before a segment met the tolerance."""
+    """A segment's propagator cannot meet the tolerance within MAX_STEPS CF4
+    steps a pass; ``interval`` is the segment's position in its call."""
+
+    def __init__(self, message: str, interval: int) -> None:
+        super().__init__(message)
+        self.interval = interval
 
 
-def _converged(S2: np.ndarray, diff: np.ndarray, tol: float) -> np.ndarray:
-    """diff <= tol max(1, ||S2||_2) per slice; as ||S2||_2 <= ||S2||_F (up to
-    rounding: the slack), only tol < diff <= tol ||S2||_F needs the SVD."""
+def _first_steps(coeffs: np.ndarray, t0s: np.ndarray, t1s: np.ndarray) -> np.ndarray:
+    """Steps of each interval's first CF4 pass: the smallest power of two n
+    with (t1 - t0) B (|a1| + |a2|) / n <= _TAYLOR_THETA, where
+    B = sum_r ||X_r||_1 max(|t0|, |t1|)^r bounds ||X(t)||_1 on [t0, t1].
+    Every factor of every pass then takes the Taylor branch of
+    ``matrix_exponential``.  A bound that is not finite, or an n past
+    MAX_STEPS, raises ToleranceNotReached before any pass."""
+    norms = np.abs(coeffs).sum(axis=-2).max(axis=-1)
+    reach = np.maximum(np.abs(t0s), np.abs(t1s))
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        bound = (t1s - t0s) * (reach[:, None] ** np.arange(len(norms)) @ norms)
+        load = bound * (np.abs(_MIX[0]).sum() / _TAYLOR_THETA)
+    over = ~(load <= MAX_STEPS)
+    if over.any():
+        j = int(np.flatnonzero(over)[0])
+        raise ToleranceNotReached(
+            f"propagator on [{t0s[j]}, {t1s[j]}] needs more than {MAX_STEPS} CF4 "
+            f"steps a pass: its generator bound times its length is {bound[j]:.6g}", j)
+    mantissa, exponent = np.frexp(np.maximum(load, 1.0))
+    return 1 << (exponent - (mantissa == 0.5))
+
+
+def _converged(S2: np.ndarray, diff: np.ndarray, tol) -> np.ndarray:
+    """diff <= tol max(1, ||S2||_2) per slice, at one tolerance or one per
+    slice; as ||S2||_2 <= ||S2||_F (up to rounding: the slack), only
+    tol < diff <= tol ||S2||_F needs the SVD."""
+    tol = np.broadcast_to(tol, diff.shape)
     done = diff <= tol
     fro = np.linalg.norm(S2, axis=(-2, -1))
     open_ = ~done & (diff <= tol * np.maximum(1.0, fro) * (1.0 + 1e-9))
     if open_.any():
-        done[open_] = diff[open_] <= tol * np.maximum(
+        done[open_] = diff[open_] <= tol[open_] * np.maximum(
             1.0, np.linalg.norm(S2[open_], 2, axis=(-2, -1)))
     return done
 
 
 def _flows(coeffs: Sequence[np.ndarray], t0s: Sequence[float],
-           t1s: Sequence[float], tol: float = DEFAULT_TOL,
+           t1s: Sequence[float], tol=DEFAULT_TOL,
            record: dict | None = None) -> np.ndarray:
     """Time-ordered exponentials of sum_r coeffs[r] t^r on every interval
-    [t0s[i], t1s[i]], stacked.  Step halving refines only the intervals
-    that have not yet converged, one pass per depth.  ``record`` (a dict,
-    empty at first) keeps per interval the depth of its last pass, that pass
+    [t0s[i], t1s[i]], stacked, at tolerance ``tol`` (one for all intervals,
+    or one each).  A time-dependent interval's first pass takes
+    ``_first_steps`` steps and each refinement doubles them; only the
+    intervals that have not yet converged are passed again, those with equal
+    steps in one ``_cf4_pass`` call.  ``record`` (a dict, empty at first)
+    keeps per interval the steps of its last pass (0 before any), that pass
     and its distance from the one before, so a later call on the same
-    intervals at a tighter tolerance adds only the passes a fresh call would
+    intervals at tighter tolerances adds only the passes a fresh call would
     add, with bitwise its result (a pass does not depend on the other
     intervals in its call)."""
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), np.shape(t0s))
+    bad = ~((0 < tol) & (tol < math.inf))
+    if bad.any():
+        raise ValueError(f"tolerance must be finite and positive, got {tol[bad][0]}")
     coeffs = np.asarray(coeffs)
     t0s, t1s = np.asarray(t0s, dtype=float), np.asarray(t1s, dtype=float)
     if len(coeffs) == 1:
@@ -186,25 +238,29 @@ def _flows(coeffs: Sequence[np.ndarray], t0s: Sequence[float],
         for i in range(0, len(X), chunk):
             X[i:i + chunk] = matrix_exponential(X[i:i + chunk])
         return X
+    first = _first_steps(coeffs, t0s, t1s)
     record = {} if record is None else record
-    if not record:  # no pass yet: depth -1, identity, infinite distance
-        record.update(depth=np.full(len(t0s), -1), diff=np.full(len(t0s), np.inf),
+    if not record:  # no pass yet: 0 steps, identity, infinite distance
+        record.update(steps=np.zeros(len(t0s), dtype=int), diff=np.full(len(t0s), np.inf),
                       S=np.tile(np.eye(coeffs.shape[-1]), (len(t0s), 1, 1)))
-    depth, S, diff = record["depth"], record["S"], record["diff"]
+    steps, S, diff = record["steps"], record["S"], record["diff"]
     todo = np.flatnonzero(t1s != t0s)
     while True:
-        todo = todo[~_converged(S[todo], diff[todo], tol)]
+        todo = todo[~_converged(S[todo], diff[todo], tol[todo])]
         if not todo.size:
             return S
-        k = depth[todo].min()
-        if k == MAX_DEPTH:
+        n = np.where(steps[todo] > 0, 2 * steps[todo], first[todo])
+        if (n > MAX_STEPS).any():
+            j = todo[n > MAX_STEPS][0]
             raise ToleranceNotReached(
-                f"propagator did not reach tolerance {tol} within "
-                f"{MAX_DEPTH} refinements on [{t0s[todo[0]]}, {t1s[todo[0]]}]")
-        step = todo[depth[todo] == k]
-        S2 = _cf4_pass(coeffs, t0s[step], t1s[step], SUBSTEPS << (k + 1))
-        diff[step] = np.linalg.norm(S2 - S[step], axis=(-2, -1)) if k >= 0 else np.inf
-        S[step], depth[step] = S2, k + 1
+                f"propagator did not reach tolerance {tol[j]} within {MAX_STEPS} "
+                f"CF4 steps on [{t0s[j]}, {t1s[j]}]", j)
+        for size in sorted(set(n.tolist())):  # np.unique would load numpy.ma
+            group = todo[n == size]
+            S2 = _cf4_pass(coeffs, t0s[group], t1s[group], size)
+            diff[group] = np.where(steps[group] > 0,
+                                   np.linalg.norm(S2 - S[group], axis=(-2, -1)), np.inf)
+            S[group], steps[group] = S2, size
 
 
 def propagate(gen: AnalyticGenerator, t0: float, t1: float,
@@ -217,13 +273,16 @@ def propagate(gen: AnalyticGenerator, t0: float, t1: float,
 
 
 def _walk(coeffs: Sequence[np.ndarray], schedule: PulseSchedule | None,
-          layout: ModeLayout, T: float, tol: float = DEFAULT_TOL,
+          layout: ModeLayout, T, tol=DEFAULT_TOL,
           record: dict | None = None) -> np.ndarray:
     """Time-ordered product of the free flows of sum_r coeffs[r] t^r and the
-    schedule's pulses on [0, T], every flow from one batched call.  Each
-    pulse is sign * S_alpha, or -I for a flip schedule, on the system block
-    and identity on the rest, so it acts on the system rows of the flow
-    before it only."""
+    schedule's pulses on [0, T], for one T or a vector of them (a stack of
+    walks), each at tolerance ``tol`` (one for all, or one per T), every
+    flow of every walk from one batched call.  Each pulse is sign * S_alpha,
+    or -I for a flip schedule, on the system block and identity on the
+    rest, so it acts on the system rows of the flow before it only.  An
+    integrator error names the T of its walk; a walk that leaves the float
+    range raises ValueError."""
     deltas = np.empty(0) if schedule is None else schedule.deltas
     dim, d = coeffs[0].shape[-1], layout.system_dim
     if schedule is None or schedule.is_flip_schedule:
@@ -234,16 +293,31 @@ def _walk(coeffs: Sequence[np.ndarray], schedule: PulseSchedule | None,
             raise ValueError(f"pulse dimension {W.shape[-1]} does not match "
                              f"system dimension {d}")
         W *= schedule.signs[:, None, None]
-    bounds = np.array([0.0, *deltas, 1.0]) * T
-    flows = _flows(coeffs, bounds[:-1], bounds[1:], tol, record)
+    Ts = np.atleast_1d(np.asarray(T, dtype=float))
+    bounds = Ts[:, None] * np.array([0.0, *deltas, 1.0])
+    K = len(deltas) + 1
+    try:
+        flows = _flows(coeffs, bounds[:, :-1].ravel(), bounds[:, 1:].ravel(),
+                       np.repeat(np.broadcast_to(tol, Ts.shape), K), record)
+    except ToleranceNotReached as exc:
+        raise ToleranceNotReached(f"{exc} (walk to T = {Ts[exc.interval // K]})",
+                                  exc.interval) from None
+    flows = flows.reshape(len(Ts), K, dim, dim)
     # pulse k times flow k changes only the system rows; flows may be the
-    # record's stack, so they are written into a copy
-    steps = flows[:-1].copy()
-    np.matmul(W, flows[:-1, :d], out=steps[:, :d])
+    # record's stack, so they are written into a copy, a block at a time
     S = np.eye(dim)
-    for step in steps:
-        S = step @ S
-    return flows[-1] @ S
+    width = max(1, CF4_BLOCK_ELEMENTS // (len(Ts) * dim * dim))
+    for k0 in range(0, K - 1, width):
+        k1 = min(k0 + width, K - 1)
+        steps = flows[:, k0:k1].copy()
+        np.matmul(W[k0:k1], flows[:, k0:k1, :d], out=steps[:, :, :d])
+        for k in range(k1 - k0):
+            S = steps[:, k] @ S
+    S = flows[:, -1] @ S
+    lost = ~np.isfinite(S).all(axis=(-2, -1))
+    if lost.any():
+        raise ValueError(f"the evolution to T = {Ts[lost][0]} leaves the float range")
+    return S if np.ndim(T) else S[0]
 
 
 def resulting_evolution(gen: AnalyticGenerator, schedule: PulseSchedule,
@@ -322,11 +396,15 @@ def order_sweep(gen: AnalyticGenerator, scheme: str, order: int,
     evolution, coupled generator) or "homogenization" (rotation-fit residual
     of the system block, decoupled generator with n_system = 2^m modes, which
     fixes m).
-    For a time-dependent generator the integrator tolerance is re-tightened
-    per point until it sits at least two orders below the measured residual,
-    each time resuming from the step-halving record of the point's earlier
-    walks (kept for that point only; the result is bitwise a fresh walk's);
-    a constant generator is propagated exactly, once per point.
+    The T points are walked in batches of at most SWEEP_ELEMENTS flow
+    elements, all points of a batch in one walk per round.  For a
+    time-dependent generator each point's integrator tolerance is
+    re-tightened until it sits at least two orders below the measured
+    residual, for at most four rounds; every round walks the batch at its
+    points' own tolerances and resumes from one step-halving record, so only
+    the segments of re-tightened points are passed again, and each point's
+    result is bitwise a fresh walk's at its final tolerance.  A constant
+    generator is propagated exactly, in one round.
     """
     if scheme == "decoupling":
         schedule = decoupling_schedule(order, gen.layout.n_system)
@@ -342,36 +420,36 @@ def order_sweep(gen: AnalyticGenerator, scheme: str, order: int,
     else:
         raise ValueError(f"unknown sweep scheme {scheme!r}")
 
-    sys_dim = gen.layout.system_dim
-
-    def eval_point(T: float, tol: float) -> tuple[float, float]:
-        residual = math.inf
-        omega = math.nan
-        record: dict = {}
+    sys_dim, dim = gen.layout.system_dim, gen.layout.dim
+    T_grid = tuple(float(T) for T in T_grid)
+    residuals, omegas = np.empty(len(T_grid)), np.full(len(T_grid), np.nan)
+    batch = max(1, SWEEP_ELEMENTS // ((len(schedule) + 1) * dim * dim))
+    for b0 in range(0, len(T_grid), batch):
+        Ts = np.array(T_grid[b0:b0 + batch])
+        res, omg = residuals[b0:b0 + len(Ts)], omegas[b0:b0 + len(Ts)]
+        tols, live, record = np.full(len(Ts), float(tol)), np.ones(len(Ts), bool), {}
         for _ in range(4):
-            S = _walk(gen.coeffs, schedule, gen.layout, T, tol, record)
-            if scheme == "decoupling":
-                residual = offdiag_residual(S, gen.layout)
-            else:
-                fit = homogenization_fit(sign * S[:sys_dim, :sys_dim], T)
-                residual, omega = fit.residual, fit.omega
+            S = _walk(gen.coeffs, schedule, gen.layout, Ts, tols, record)
+            for p in np.flatnonzero(live):
+                if scheme == "decoupling":
+                    res[p] = offdiag_residual(S[p], gen.layout)
+                else:
+                    fit = homogenization_fit(sign * S[p, :sys_dim, :sys_dim], Ts[p])
+                    res[p], omg[p] = fit.residual, fit.omega
             # re-tighten until the integrator sits well below the residual;
             # sub-window points are floor-flagged and excluded from the fit.
             # the 1e-13 floor is the absolute self-consistency allowance:
             # step-halving differences cannot certify much below it in
             # double precision
-            if gen.degree == 0 or residual < FIT_WINDOW[0] or tol <= residual / 100.0:
+            new_tols = np.maximum(res / 200.0, 1e-13)
+            live &= ((gen.degree > 0) & (res >= FIT_WINDOW[0]) & (tols > res / 100.0)
+                     & (new_tols < tols))
+            if not live.any():
                 break
-            new_tol = max(residual / 200.0, 1e-13)
-            if new_tol >= tol:
-                break
-            tol = new_tol
-        return residual, omega
+            tols = np.where(live, new_tols, tols)
 
-    T_grid = tuple(float(T) for T in T_grid)
-    results = [eval_point(T, tol) for T in T_grid]
-    residuals = tuple(r for r, _ in results)
-    omegas = tuple(w for _, w in results) if scheme == "homogenization" else None
+    residuals = tuple(residuals.tolist())
+    omegas = tuple(omegas.tolist()) if scheme == "homogenization" else None
     floor = tuple(r < FIT_WINDOW[0] for r in residuals)
     slope, n_fit = _fit_slope(T_grid, residuals)
 
@@ -399,7 +477,8 @@ def generator_block_norms(gen: AnalyticGenerator) -> tuple[float, float]:
 def decoupling_error_bound(j0: float, jz: float, order: int, t_total: float) -> float:
     """Residual bound for N flip pulses at Uhrig times, time-independent case.
 
-    For x = (J0+Jz)T <= 1 this is the closed form e sqrt(2) x^{N+1}/(N+1)!;
+    For x = (J0+Jz)T <= 1 this is the closed form e sqrt(2) x^{N+1}/(N+1)!,
+    taken in log space once (N+1)! leaves the float range (N >= 170);
     beyond that the closed form is invalid and the underlying tail-series
     bound sqrt(2) sum_{s>N} x^s/s! is returned instead, inf past the float range.
     """
@@ -407,7 +486,13 @@ def decoupling_error_bound(j0: float, jz: float, order: int, t_total: float) -> 
         raise ValueError("order and time must be nonnegative")
     x = (j0 + jz) * t_total
     if x <= 1.0:
-        return math.e * math.sqrt(2.0) * x ** (order + 1) / math.factorial(order + 1)
+        try:
+            return math.e * math.sqrt(2.0) * x ** (order + 1) / math.factorial(order + 1)
+        except OverflowError:  # (N+1)! as a float: the bound is below 1e-308
+            if x == 0.0:
+                return 0.0
+            return math.sqrt(2.0) * math.exp(
+                1.0 + (order + 1) * math.log(x) - math.lgamma(order + 2))
     try:
         head = sum(x ** s / math.factorial(s) for s in range(order + 1))
         return math.sqrt(2.0) * (math.exp(x) - head)

@@ -138,7 +138,8 @@ def matrix_exponential(X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim < 2 or X.shape[-1] != X.shape[-2]:
         raise ValueError(f"X must be square, got shape {X.shape}")
-    col_norms = np.abs(X).sum(axis=-2)
+    with np.errstate(over="ignore"):  # a sum past the float range is inf
+        col_norms = np.abs(X).sum(axis=-2)
     norm = col_norms.max(initial=0.0)  # finite if X is, unless the sum overflows
     if not math.isfinite(norm) and not np.isfinite(X).all():
         raise ValueError("matrix exponential of non-finite input")

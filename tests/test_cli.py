@@ -1,11 +1,14 @@
+import math
+import os
 import sys
 import types
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
-from bosonic_dd import cli
+from bosonic_dd import cli, evolution
 from bosonic_dd.cli import main
 
 
@@ -115,6 +118,56 @@ class TestSweeps:
         bounds = [row.split(",")[3] for row in out.read_text().splitlines()[1:]]
         assert bounds[-1] == "inf" and all(b != "inf" for b in bounds[:-1])
 
+    @pytest.mark.parametrize("argv", [
+        ["homogenize-sweep", "--seed", "7", "--N", "3", "--m", "2", "--nE", "1",
+         "--degree", "1", "--tmin", "1e-1", "--tmax", "1"],
+        # its middle segment at T = 1 needs more than 256 CF4 steps
+        ["decouple-sweep", "--seed", "7", "--N", "4", "--nS", "2", "--nE", "4",
+         "--degree", "2", "--tmin", "1e-1", "--tmax", "1"],
+    ], ids=["homogenization-N3-m2", "decoupling-N4-degree2"])
+    def test_paper_scale_time_dependent_sweep(self, tmp_path, argv):
+        out = tmp_path / "s.csv"
+        assert run(argv + ["--out", str(out)]) == 0
+        rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+        fit = [(math.log(float(T)), math.log(float(r))) for T, r, *_ in rows
+               if 1e-12 <= float(r) <= 1e-2]
+        assert len(rows) == 10 and len(fit) >= 3
+        order = int(argv[argv.index("--N") + 1])
+        assert order + 0.7 <= np.polyfit(*zip(*fit), 1)[0] <= order + 1.5
+
+    def test_sweep_work_count(self):
+        # the sweep-timedep benchmark argv at seed 7: one batched walk per
+        # round, two rounds, and norm-sized first passes.  Per-point walks
+        # took 12 walks, fixed 16-step first passes 2,656 CF4 steps
+        argv = ["decouple-sweep", "--seed", "7", "--N", "4", "--nS", "2", "--nE", "4",
+                "--degree", "2", "--tmin", "1e-2", "--tmax", "3e-1", "--out", os.devnull]
+        with mock.patch.object(evolution, "_walk", wraps=evolution._walk) as walks, \
+                mock.patch.object(evolution, "_cf4_pass",
+                                  wraps=evolution._cf4_pass) as passes:
+            assert run(argv) == 0
+        assert walks.call_count == 2
+        steps = sum(len(call.args[1]) * call.args[3] for call in passes.call_args_list)
+        assert steps <= 1300
+
+    @pytest.mark.parametrize("degree", ["0", "1"])
+    def test_sweep_past_the_float_range(self, tmp_path, capsys, degree):
+        # degree 0: the exact flows overflow; degree 1: the first-pass sizing
+        # refuses a generator bound of inf before any pass
+        out = tmp_path / "s.csv"
+        assert run(["decouple-sweep", "--tmin", "1e299", "--tmax", "1e300", "--points",
+                    "2", "--degree", degree, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "T = 1e+299" in err
+        assert not out.exists()
+
+    def test_bound_past_the_factorial_range(self, tmp_path, capsys):
+        # (N+1)! leaves the float range at N = 170: the bound reads 0
+        out = tmp_path / "s.csv"
+        assert run(["decouple-sweep", "--N", "171", "--points", "3", "--out", str(out)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        assert [row.split(",")[3] for row in out.read_text().splitlines()[1:]] == ["0"] * 3
+
     def test_homogenize_rejects_bad_mode_count(self, tmp_path):
         assert run(["homogenize-sweep", "--N", "1", "--m", "1", "--nS", "3",
                     "--out", str(tmp_path / "x.csv")]) == 2
@@ -165,7 +218,7 @@ class TestSweeps:
          "--tmax", "1.0", "--tol", "1e-14"],
     ], ids=["small", "deep"])
     def test_unreachable_tolerance(self, tmp_path, capsys, flags):
-        # step halving runs out of refinements: a usage error, not a traceback
+        # step halving runs out of its step budget: a usage error, not a traceback
         out = tmp_path / "s.csv"
         assert run(["decouple-sweep", "--seed", "7", *flags, "--out", str(out)]) == 2
         err = capsys.readouterr().err

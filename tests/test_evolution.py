@@ -1,10 +1,12 @@
 import math
+import re
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import mpmath
+from hypothesis import example, given, settings, strategies as st
 
 from bosonic_dd import evolution
 from bosonic_dd.evolution import (
@@ -112,10 +114,27 @@ class TestPropagate:
     def test_refinement_exhaustion(self):
         layout = ModeLayout(1, 1)
         gen = make_generator(layout, seed=4, degree=1)
-        with mock.patch.object(evolution, "SUBSTEPS", 1), \
-                mock.patch.object(evolution, "MAX_DEPTH", 3):
-            with pytest.raises(RuntimeError, match=r"within 3 refinements on \[0\.0, 1\.0\]"):
+        # the first pass on [0, 1] takes 64 steps, so the budget allows two
+        # refinements
+        assert first_steps(gen, [0.0], [1.0]) == [64]
+        with mock.patch.object(evolution, "MAX_STEPS", 256):
+            with pytest.raises(RuntimeError, match=r"within 256 CF4 steps on \[0\.0, 1\.0\]"):
                 propagate(gen, 0.0, 1.0, 1e-30)
+
+    @pytest.mark.parametrize("t1, budget, bound", [(1.0, 32, "5.28867"),
+                                                   (1e300, 4096, "inf")])
+    def test_first_pass_over_the_budget_runs_no_pass(self, t1, budget, bound):
+        # a first pass of 64 steps, or a generator bound past the float range
+        # (degree 2 at t = 1e300), is rejected before any CF4 pass and with
+        # no floating-point warning
+        gen = make_generator(ModeLayout(1, 1), seed=4, degree=2 if t1 > 1 else 1)
+        with mock.patch.object(evolution, "MAX_STEPS", budget), \
+                mock.patch.object(evolution, "_cf4_pass") as passes:
+            with pytest.raises(evolution.ToleranceNotReached, match=re.escape(
+                    f"on [0.0, {t1!r}] needs more than {budget} CF4 steps a pass: "
+                    f"its generator bound times its length is {bound}")):
+                propagate(gen, 0.0, t1)
+        passes.assert_not_called()
 
     @pytest.mark.parametrize("tolerance", [0.0, -1e-12, float("nan"), float("inf")])
     def test_config_rejects_bad_tolerance(self, tolerance):
@@ -402,15 +421,96 @@ class TestOrderSweep:
                 order_sweep(gen, "homogenization", 2, [1e-2, 2e-2])
 
     def test_integrator_self_consistency(self):
+        # the residual does not depend on the first-pass size: the norm-sized
+        # one and twice it
         layout = ModeLayout(1, 2)
         gen = make_generator(layout, seed=16, degree=1)
         sched = decoupling_schedule(2, 1)
         r = []
-        for substeps in (16, 32):
-            with mock.patch.object(evolution, "SUBSTEPS", substeps):
+        for scale in (1, 2):
+            with scaled_first_passes(scale):
                 S = resulting_evolution(gen, sched, 0.05)
             r.append(offdiag_residual(S, layout))
         assert abs(r[0] - r[1]) < max(0.01 * abs(r[1]), 1e-13)
+
+
+def per_point_sweep(gen, scheme, order, grid):
+    """Residuals and omegas of a sweep whose every point is walked alone and
+    afresh at each tolerance of the re-tightening rule: the former
+    per-point loop of ``order_sweep``, kept as its oracle."""
+    if scheme == "decoupling":
+        sched, sign = decoupling_schedule(order, gen.layout.n_system), 1
+    else:
+        sched = homogenization_schedule(order, gen.layout.n_system.bit_length() - 1)
+        sign = evolution._pulse_product_sign(sched)
+    d = gen.layout.system_dim
+    residuals, omegas = [], []
+    for T in grid:
+        tol = DEFAULT_TOL
+        for _ in range(4):
+            S = _walk(gen.coeffs, sched, gen.layout, T, tol)
+            if scheme == "decoupling":
+                residual, omega = offdiag_residual(S, gen.layout), math.nan
+            else:
+                fit = homogenization_fit(sign * S[:d, :d], T)
+                residual, omega = fit.residual, fit.omega
+            if residual < evolution.FIT_WINDOW[0] or tol <= residual / 100.0:
+                break
+            new_tol = max(residual / 200.0, 1e-13)
+            if new_tol >= tol:
+                break
+            tol = new_tol
+        residuals.append(residual)
+        omegas.append(omega)
+    return residuals, omegas
+
+
+class TestBatchedSweep:
+    @given(st.sampled_from(["decoupling", "homogenization"]), st.integers(0, 1),
+           st.integers(0, 2), seeds, st.integers(1, 2), st.integers(1, 3),
+           st.floats(1e-3, 0.3), st.floats(1.5, 30.0), st.integers(2, 5),
+           st.sampled_from([1, 360, 3000, evolution.SWEEP_ELEMENTS]))
+    @settings(max_examples=25, deadline=None)
+    # a re-tightened point whose later passes move its residual, in one
+    # batch of all five points and in batches of two
+    @example("decoupling", 0, 2, 7, 2, 4, 1e-2, 30.0, 5, evolution.SWEEP_ELEMENTS)
+    @example("decoupling", 0, 2, 7, 2, 4, 1e-2, 30.0, 5, 360)
+    def test_batched_sweep_equals_per_point_fresh_walks(self, scheme, m, n_env, seed,
+                                                        degree, order, tmin, ratio,
+                                                        points, elements):
+        # the budget puts every point in its own batch (1), a few in each
+        # (360: two points of the examples) or all in one; each point's
+        # residual is bitwise a fresh walk's
+        layout = ModeLayout(2 ** m if scheme == "homogenization" else m + 1, n_env)
+        gen = random_generator(layout, seed=seed, scale_ss=1.0,
+                               scale_se=0.0 if scheme == "homogenization" else 1.0,
+                               scale_ee=1.0, degree=degree)
+        grid = np.geomspace(tmin, tmin * ratio, points)
+        try:
+            expected = per_point_sweep(gen, scheme, order, grid)
+        except evolution.ToleranceNotReached:
+            return
+        with mock.patch.object(evolution, "SWEEP_ELEMENTS", elements):
+            res = order_sweep(gen, scheme, order, grid)
+        assert list(res.residuals) == expected[0]
+        if scheme == "homogenization":
+            assert list(res.omegas) == expected[1]
+
+    @given(layouts, seeds, st.integers(1, 2), st.integers(1, 4), st.floats(0.01, 5.0))
+    @settings(max_examples=25, deadline=None)
+    def test_time_dependent_walks_never_call_scipy_expm(self, layout, seed, degree,
+                                                        order, T):
+        # norm-sized passes keep every factor in the Taylor branch; a walk
+        # whose first pass would need more than MAX_STEPS steps is refused
+        import scipy.linalg
+        gen = make_generator(layout, seed=seed, degree=degree)
+        sched = decoupling_schedule(order, layout.n_system)
+        with mock.patch.object(scipy.linalg, "expm",
+                               side_effect=AssertionError("scipy expm called")):
+            try:
+                resulting_evolution(gen, sched, T)
+            except evolution.ToleranceNotReached:
+                pass
 
 
 class TestErrorBound:
@@ -433,6 +533,17 @@ class TestErrorBound:
     @pytest.mark.parametrize("x", [710.0, 1e300])  # e^x, or x^2 before it, overflows
     def test_vacuous_past_the_float_range(self, x):
         assert decoupling_error_bound(x, 0.0, 2, 1.0) == math.inf
+
+    @pytest.mark.parametrize("order", [169, 170, 171, 400])
+    @pytest.mark.parametrize("x", [0.0, 0.5, 0.99, 1.0])
+    def test_closed_form_past_the_factorial_range(self, order, x):
+        # (N+1)! leaves the float range at N = 170; the bound is then below
+        # 1e-308, a subnormal or 0, and must not raise
+        with mpmath.workdps(50):
+            exact = float(mpmath.e * mpmath.sqrt(2) * mpmath.mpf(x) ** (order + 1)
+                          / mpmath.factorial(order + 1))
+        assert decoupling_error_bound(x, 0.0, order, 1.0) == pytest.approx(
+            exact, rel=1e-9, abs=1e-320)
 
     def test_finite_just_inside_the_float_range(self):
         assert decoupling_error_bound(709.0, 0.0, 2, 1.0) == pytest.approx(
@@ -631,15 +742,21 @@ class TestPropagationProperties:
                                wraps=evolution._cf4_pass) as passes:
             batched = _flows(gen.coeffs, t0s, t1s)
         assert batched.shape == (len(intervals), layout.dim, layout.dim)
+        batched_passes = pass_steps(passes)
         for F, t0, t1 in zip(batched, t0s, t1s):
-            single = _flows(gen.coeffs, [t0], [t1])[0]
-            if degree == 0:
-                assert np.array_equal(F, single)
-            else:
-                assert rel_dist(F, single) <= 1e-12
-        if degree:
-            sizes = [len(call.args[1]) for call in passes.call_args_list]
-            assert sizes[0] == len(spans) + 1 > sizes[-1] == 1
+            with mock.patch.object(evolution, "_cf4_pass",
+                                   wraps=evolution._cf4_pass) as passes:
+                single = _flows(gen.coeffs, [t0], [t1])[0]
+            assert np.array_equal(F, single)
+            # a later pass holds only unconverged intervals: each interval
+            # takes the passes its own call takes, its first pass norm-sized
+            # and each later one twice the one before
+            steps = pass_steps(passes).get((t0, t1), [])
+            copies = intervals.count((t0, t1))
+            assert batched_passes.get((t0, t1), []) == sorted(steps * copies)
+            if degree and t1 > t0:
+                assert steps == [first_steps(gen, [t0], [t1])[0] << k
+                                 for k in range(len(steps))]
 
     def test_constant_flows_split_at_the_block_cap(self):
         layout = ModeLayout(2, 2)  # dim 8: 64 elements a slice
@@ -655,6 +772,28 @@ class TestPropagationProperties:
                    for call in expm.call_args_list)
         for F, t0, t1 in zip(batched, t0s, t1s):
             assert np.array_equal(F, _flows(gen.coeffs, [t0], [t1])[0])
+
+
+def pass_steps(passes):
+    """The step counts of every CF4 pass per interval (t0, t1), in the order
+    of the calls ``passes`` (a spy on ``_cf4_pass``) saw."""
+    steps = {}
+    for call in passes.call_args_list:
+        for t0, t1 in zip(call.args[1].tolist(), call.args[2].tolist()):
+            steps.setdefault((t0, t1), []).append(call.args[3])
+    return steps
+
+
+def first_steps(gen, t0s, t1s):
+    return evolution._first_steps(np.asarray(gen.coeffs), np.asarray(t0s, dtype=float),
+                                  np.asarray(t1s, dtype=float)).tolist()
+
+
+def scaled_first_passes(scale):
+    """Every first CF4 pass ``scale`` times its norm-sized step count."""
+    first = evolution._first_steps
+    return mock.patch.object(evolution, "_first_steps",
+                             lambda *args: scale * first(*args))
 
 
 def chunked_cf4_pass(coeffs, t0s, t1s, n):
@@ -692,12 +831,12 @@ class TestResumedRefinement:
            st.lists(st.floats(1e-13, 1e-5), min_size=2, max_size=3, unique=True))
     @settings(max_examples=40, deadline=None)
     def test_resumed_walk_equals_fresh_walk(self, layout, seed, degree, order, T,
-                                            substeps, tolerances):
+                                            scale, tolerances):
         gen = make_generator(layout, seed=seed, degree=degree)
         sched = decoupling_schedule(order, layout.n_system)
         record = {}
         for tol in sorted(tolerances, reverse=True):
-            with mock.patch.object(evolution, "SUBSTEPS", substeps):
+            with scaled_first_passes(scale):
                 fresh = walk_or_error(gen.coeffs, sched, layout, T, tol)
                 resumed = walk_or_error(gen.coeffs, sched, layout, T, tol, record)
             if isinstance(fresh, str):
@@ -734,14 +873,16 @@ class TestResumedRefinement:
     def test_resumed_flows_pass_intervals_of_unequal_depth(self):
         gen = make_generator(ModeLayout(1, 1), seed=5, degree=2)
         t0s, t1s = [0.0, 0.1], [0.1, 0.5]
-        record, depths = {}, []
+        record, steps = {}, []
         for tol in (1e-6, 1e-9, 1e-12):
-            with mock.patch.object(evolution, "SUBSTEPS", 4):
-                resumed = _flows(gen.coeffs, t0s, t1s, tol, record)
-                assert np.array_equal(resumed, _flows(gen.coeffs, t0s, t1s, tol))
-            depths.append(record["depth"].tolist())
-        # the last call resumes the intervals from depths 2 and 4
-        assert depths == [[1, 1], [2, 4], [4, 6]]
+            resumed = _flows(gen.coeffs, t0s, t1s, tol, record)
+            assert np.array_equal(resumed, _flows(gen.coeffs, t0s, t1s, tol))
+            steps.append(record["steps"].tolist())
+        # the record holds the steps of each interval's last pass; first
+        # passes of 4 and 32 steps, and the last call resumes the intervals
+        # from 16 and 64 steps
+        assert first_steps(gen, t0s, t1s) == [4, 32]
+        assert steps == [[8, 64], [16, 64], [64, 256]]
 
     @given(layouts, seeds, st.integers(1, 2),
            st.lists(st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 0.3)),
@@ -762,23 +903,44 @@ class TestResumedRefinement:
         assert all(call.args[0].size <= max(evolution.CF4_BLOCK_ELEMENTS, one_substep)
                    for call in expm.call_args_list)
 
+    def test_cf4_pass_blocks_its_intervals(self):
+        # 100 intervals of dim 12 make 28,800 factor elements a substep: the
+        # pass splits them into blocks of 28 intervals, bitwise the same
+        gen = make_generator(ModeLayout(2, 4), seed=9, degree=2)
+        coeffs = np.asarray(gen.coeffs)
+        t0s = np.linspace(0.0, 0.5, 100)
+        t1s = t0s + 0.004
+        with mock.patch.object(evolution, "matrix_exponential",
+                               wraps=evolution.matrix_exponential) as expm:
+            S = _cf4_pass(coeffs, t0s, t1s, 3)
+        assert np.array_equal(S, chunked_cf4_pass(coeffs, t0s, t1s, 3))
+        assert max(call.args[0].size for call in expm.call_args_list) \
+            <= evolution.CF4_BLOCK_ELEMENTS
+
     def test_re_tightening_sweep_runs_no_pass_twice(self):
-        gen = make_generator(ModeLayout(1, 2), seed=1, degree=2)
-        grid = np.geomspace(2e-3, 0.3, 6)
+        gen = make_generator(ModeLayout(1, 2), seed=7, degree=2)
+        grid = np.geomspace(1e-2, 0.3, 5)
+        calls = mock.Mock()
         with mock.patch.object(evolution, "_cf4_pass", wraps=evolution._cf4_pass) as p, \
                 mock.patch.object(evolution, "_walk", wraps=evolution._walk) as walks:
-            resumed = order_sweep(gen, "decoupling", 3, grid)
-        # one (interval, substeps) key per pass of a segment; the T points
-        # have distinct segments, so a repeat can only come from one point
+            calls.attach_mock(p, "cf4_pass")
+            calls.attach_mock(walks, "walk")
+            resumed = order_sweep(gen, "decoupling", 4, grid)
+        # one (interval, steps) key per pass of a segment; the T points have
+        # distinct segments, so a repeat can only come from one point
         passes = [(t0, t1, call.args[3]) for call in p.call_args_list
                   for t0, t1 in zip(call.args[1].tolist(), call.args[2].tolist())]
-        assert walks.call_count > len(grid)  # some point was re-tightened
+        final_tols = walks.call_args_list[-1].args[4]
+        assert 0 < (final_tols < DEFAULT_TOL).sum() < len(grid)  # re-tightened points
+        assert walks.call_count <= 4  # one walk of all points per round
+        names = [name for name, *_ in calls.mock_calls]
+        assert "cf4_pass" in names[names.index("walk", 1):]  # a later round passes too
         assert len(passes) == len(set(passes))
         # and the resumed sweep equals one that walks every tolerance afresh
         fresh_walk = evolution._walk
         with mock.patch.object(evolution, "_walk",
                                lambda *args: fresh_walk(*args[:5])):
-            fresh = order_sweep(gen, "decoupling", 3, grid)
+            fresh = order_sweep(gen, "decoupling", 4, grid)
         assert resumed.residuals == fresh.residuals
 
     @given(seeds, st.integers(1, 12), st.integers(1, 6), st.floats(0.1, 3.0),
