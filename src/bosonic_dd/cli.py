@@ -361,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tmin", type=float, default=1e-3, help="smallest total time T")
         p.add_argument("--tmax", type=float, default=1e-1, help="largest total time T")
         p.add_argument("--points", type=int, default=10, help="log-spaced T points")
-        p.add_argument("--tol", type=float, default=1e-12,
+        p.add_argument("--tol", type=float, default=evolution.DEFAULT_TOL,
                        help="integrator tolerance (time-dependent generators)")
         return p
 

@@ -102,16 +102,6 @@ def _integrate_stage(coeffs: np.ndarray, signs: np.ndarray, powers: np.ndarray,
     return out
 
 
-def _dedupe(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(codes, return_inverse=True)`` by a stable argsort (np.unique
-    may import numpy.ma, which a cold process would pay for)."""
-    order = np.argsort(codes, kind="stable")  # a lower memory peak than the default
-    first = np.diff(codes[order], prepend=-1) != 0  # codes are >= 0
-    inverse = np.empty_like(order)
-    inverse[order] = np.cumsum(first) - 1
-    return codes[order[first]], inverse
-
-
 def _evaluate(functions: Sequence[PiecewiseSignFunction], f: np.ndarray, r: np.ndarray,
               length: np.ndarray) -> np.ndarray:
     """Nested integral of every key.
@@ -157,7 +147,7 @@ def _evaluate(functions: Sequence[PiecewiseSignFunction], f: np.ndarray, r: np.n
         stage = np.ones((1, n, 1))  # the empty prefix: g = 1
         for d in range(r.shape[1]):
             leaf = live[length[live] == d + 1]
-            last, which = _dedupe(prefix[leaf] * n_powers + r[leaf, d])
+            last, which = np.unique(prefix[leaf] * n_powers + r[leaf, d], return_inverse=True)
             g, mu = last // n_powers, last % n_powers
             inner = stage[g, :, 0] * moments[mu, :, 0]  # sum_j g mu_r, in column order
             for j in range(1, stage.shape[2]):
@@ -166,8 +156,8 @@ def _evaluate(functions: Sequence[PiecewiseSignFunction], f: np.ndarray, r: np.n
             live = live[length[live] > d + 1]
             if not live.size:
                 break
-            steps, prefix[live] = _dedupe((prefix[live] * len(signs) + f[live, d])
-                                          * n_powers + r[live, d])
+            steps, prefix[live] = np.unique((prefix[live] * len(signs) + f[live, d])
+                                            * n_powers + r[live, d], return_inverse=True)
             parent, steps = np.divmod(steps, len(signs) * n_powers)
             stage = _integrate_stage(stage[parent], signs[steps // n_powers], steps % n_powers,
                                      d + 1 + int(power_sum[live, d].max()), left_pow, width_pow)

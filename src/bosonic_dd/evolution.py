@@ -25,11 +25,11 @@ nodes of its segments at once and exponentiates the factors in calls of at
 most CF4_BLOCK_ELEMENTS elements.
 
 A walk may go to many end times T at once, each at its own tolerance, with
-the flows of all of them from one call; ``order_sweep`` walks a batch of
-its T points in rounds, each round resuming from the passes the earlier
-ones ran, so only the points whose residual needs a tighter tolerance are
-passed again.  The tolerance ``tol`` (DEFAULT_TOL unless given) is the
-engine's only setting, and it acts only on the time-dependent path.
+the flows of all of them from one call; ``order_sweep`` walks its T points
+in rounds, and each later round walks afresh only the points whose residual
+needs a tighter tolerance.  The tolerance ``tol`` (DEFAULT_TOL unless
+given) is the engine's only setting, and it acts only on the time-dependent
+path.
 
 A walk's pulses are one stack too, from one ``s_matrix`` call over the
 schedule's index stack, each applied to the system rows of its segment's
@@ -41,6 +41,7 @@ is the same walk on the homogeneous embedding of dimension dim + 1.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -132,8 +133,8 @@ def _polynomial(coeffs: Sequence[np.ndarray], ts) -> np.ndarray:
 # pulses, in blocks of about this size too.
 CF4_BLOCK_ELEMENTS = 8192
 # Flow elements (T points x segments x dim^2) that one batch of sweep points
-# stacks: 2 MB, so a long schedule's step-halving record and the copies a
-# pass makes of it stay small next to the interpreter and its libraries.
+# stacks: 2 MB, so a long schedule's flows and the copies a walk makes of
+# them stay small next to the interpreter and its libraries.
 SWEEP_ELEMENTS = 1 << 18
 
 
@@ -213,19 +214,15 @@ def _converged(S2: np.ndarray, diff: np.ndarray, tol) -> np.ndarray:
 
 
 def _flows(coeffs: Sequence[np.ndarray], t0s: Sequence[float],
-           t1s: Sequence[float], tol=DEFAULT_TOL,
-           record: dict | None = None) -> np.ndarray:
+           t1s: Sequence[float], tol=DEFAULT_TOL) -> np.ndarray:
     """Time-ordered exponentials of sum_r coeffs[r] t^r on every interval
     [t0s[i], t1s[i]], stacked, at tolerance ``tol`` (one for all intervals,
     or one each).  A time-dependent interval's first pass takes
     ``_first_steps`` steps and each refinement doubles them; only the
     intervals that have not yet converged are passed again, those with equal
-    steps in one ``_cf4_pass`` call.  ``record`` (a dict, empty at first)
-    keeps per interval the steps of its last pass (0 before any), that pass
-    and its distance from the one before, so a later call on the same
-    intervals at tighter tolerances adds only the passes a fresh call would
-    add, with bitwise its result (a pass does not depend on the other
-    intervals in its call)."""
+    steps in one ``_cf4_pass`` call.  A pass does not depend on the other
+    intervals in its call, so each interval's flow is bitwise the one it
+    gets alone."""
     tol = np.broadcast_to(np.asarray(tol, dtype=float), np.shape(t0s))
     bad = ~((0 < tol) & (tol < math.inf))
     if bad.any():
@@ -239,11 +236,9 @@ def _flows(coeffs: Sequence[np.ndarray], t0s: Sequence[float],
             X[i:i + chunk] = matrix_exponential(X[i:i + chunk])
         return X
     first = _first_steps(coeffs, t0s, t1s)
-    record = {} if record is None else record
-    if not record:  # no pass yet: 0 steps, identity, infinite distance
-        record.update(steps=np.zeros(len(t0s), dtype=int), diff=np.full(len(t0s), np.inf),
-                      S=np.tile(np.eye(coeffs.shape[-1]), (len(t0s), 1, 1)))
-    steps, S, diff = record["steps"], record["S"], record["diff"]
+    # before any pass: 0 steps, the identity, an infinite distance
+    steps, diff = np.zeros(len(t0s), dtype=int), np.full(len(t0s), np.inf)
+    S = np.tile(np.eye(coeffs.shape[-1]), (len(t0s), 1, 1))
     todo = np.flatnonzero(t1s != t0s)
     while True:
         todo = todo[~_converged(S[todo], diff[todo], tol[todo])]
@@ -255,7 +250,7 @@ def _flows(coeffs: Sequence[np.ndarray], t0s: Sequence[float],
             raise ToleranceNotReached(
                 f"propagator did not reach tolerance {tol[j]} within {MAX_STEPS} "
                 f"CF4 steps on [{t0s[j]}, {t1s[j]}]", j)
-        for size in sorted(set(n.tolist())):  # np.unique would load numpy.ma
+        for size in sorted(set(n.tolist())):  # np.unique(n) would load numpy.ma
             group = todo[n == size]
             S2 = _cf4_pass(coeffs, t0s[group], t1s[group], size)
             diff[group] = np.where(steps[group] > 0,
@@ -273,8 +268,7 @@ def propagate(gen: AnalyticGenerator, t0: float, t1: float,
 
 
 def _walk(coeffs: Sequence[np.ndarray], schedule: PulseSchedule | None,
-          layout: ModeLayout, T, tol=DEFAULT_TOL,
-          record: dict | None = None) -> np.ndarray:
+          layout: ModeLayout, T, tol=DEFAULT_TOL) -> np.ndarray:
     """Time-ordered product of the free flows of sum_r coeffs[r] t^r and the
     schedule's pulses on [0, T], for one T or a vector of them (a stack of
     walks), each at tolerance ``tol`` (one for all, or one per T), every
@@ -298,13 +292,13 @@ def _walk(coeffs: Sequence[np.ndarray], schedule: PulseSchedule | None,
     K = len(deltas) + 1
     try:
         flows = _flows(coeffs, bounds[:, :-1].ravel(), bounds[:, 1:].ravel(),
-                       np.repeat(np.broadcast_to(tol, Ts.shape), K), record)
+                       np.repeat(np.broadcast_to(tol, Ts.shape), K))
     except ToleranceNotReached as exc:
         raise ToleranceNotReached(f"{exc} (walk to T = {Ts[exc.interval // K]})",
                                   exc.interval) from None
     flows = flows.reshape(len(Ts), K, dim, dim)
-    # pulse k times flow k changes only the system rows; flows may be the
-    # record's stack, so they are written into a copy, a block at a time
+    # pulse k times flow k changes only the system rows, written into a
+    # copy of the flows a block at a time
     S = np.eye(dim)
     width = max(1, CF4_BLOCK_ELEMENTS // (len(Ts) * dim * dim))
     for k0 in range(0, K - 1, width):
@@ -396,15 +390,13 @@ def order_sweep(gen: AnalyticGenerator, scheme: str, order: int,
     evolution, coupled generator) or "homogenization" (rotation-fit residual
     of the system block, decoupled generator with n_system = 2^m modes, which
     fixes m).
-    The T points are walked in batches of at most SWEEP_ELEMENTS flow
-    elements, all points of a batch in one walk per round.  For a
-    time-dependent generator each point's integrator tolerance is
+    For a time-dependent generator each point's integrator tolerance is
     re-tightened until it sits at least two orders below the measured
-    residual, for at most four rounds; every round walks the batch at its
-    points' own tolerances and resumes from one step-halving record, so only
-    the segments of re-tightened points are passed again, and each point's
-    result is bitwise a fresh walk's at its final tolerance.  A constant
-    generator is propagated exactly, in one round.
+    residual, for at most four rounds.  Every round walks the points still
+    being re-tightened (all of them at first) afresh at their own
+    tolerances, in batches of at most SWEEP_ELEMENTS flow elements, one walk
+    per batch, so each point's result is a walk of it alone at its final
+    tolerance.  A constant generator is propagated exactly, in one round.
     """
     if scheme == "decoupling":
         schedule = decoupling_schedule(order, gen.layout.n_system)
@@ -422,31 +414,31 @@ def order_sweep(gen: AnalyticGenerator, scheme: str, order: int,
 
     sys_dim, dim = gen.layout.system_dim, gen.layout.dim
     T_grid = tuple(float(T) for T in T_grid)
-    residuals, omegas = np.empty(len(T_grid)), np.full(len(T_grid), np.nan)
+    Ts = np.array(T_grid)
+    residuals, omegas = np.empty(len(Ts)), np.full(len(Ts), np.nan)
+    tols, live = np.full(len(Ts), float(tol)), np.ones(len(Ts), bool)
     batch = max(1, SWEEP_ELEMENTS // ((len(schedule) + 1) * dim * dim))
-    for b0 in range(0, len(T_grid), batch):
-        Ts = np.array(T_grid[b0:b0 + batch])
-        res, omg = residuals[b0:b0 + len(Ts)], omegas[b0:b0 + len(Ts)]
-        tols, live, record = np.full(len(Ts), float(tol)), np.ones(len(Ts), bool), {}
-        for _ in range(4):
-            S = _walk(gen.coeffs, schedule, gen.layout, Ts, tols, record)
-            for p in np.flatnonzero(live):
+    for _ in range(4):
+        points = np.flatnonzero(live)
+        for b0 in range(0, len(points), batch):
+            ps = points[b0:b0 + batch]
+            for p, S in zip(ps, _walk(gen.coeffs, schedule, gen.layout, Ts[ps], tols[ps])):
                 if scheme == "decoupling":
-                    res[p] = offdiag_residual(S[p], gen.layout)
+                    residuals[p] = offdiag_residual(S, gen.layout)
                 else:
-                    fit = homogenization_fit(sign * S[p, :sys_dim, :sys_dim], Ts[p])
-                    res[p], omg[p] = fit.residual, fit.omega
-            # re-tighten until the integrator sits well below the residual;
-            # sub-window points are floor-flagged and excluded from the fit.
-            # the 1e-13 floor is the absolute self-consistency allowance:
-            # step-halving differences cannot certify much below it in
-            # double precision
-            new_tols = np.maximum(res / 200.0, 1e-13)
-            live &= ((gen.degree > 0) & (res >= FIT_WINDOW[0]) & (tols > res / 100.0)
-                     & (new_tols < tols))
-            if not live.any():
-                break
-            tols = np.where(live, new_tols, tols)
+                    fit = homogenization_fit(sign * S[:sys_dim, :sys_dim], Ts[p])
+                    residuals[p], omegas[p] = fit.residual, fit.omega
+        # re-tighten until the integrator sits well below the residual;
+        # sub-window points are floor-flagged and excluded from the fit.
+        # the 1e-13 floor is the absolute self-consistency allowance:
+        # step-halving differences cannot certify much below it in
+        # double precision
+        new_tols = np.maximum(residuals / 200.0, 1e-13)
+        live &= ((gen.degree > 0) & (residuals >= FIT_WINDOW[0])
+                 & (tols > residuals / 100.0) & (new_tols < tols))
+        if not live.any():
+            break
+        tols = np.where(live, new_tols, tols)
 
     residuals = tuple(residuals.tolist())
     omegas = tuple(omegas.tolist()) if scheme == "homogenization" else None
@@ -480,7 +472,8 @@ def decoupling_error_bound(j0: float, jz: float, order: int, t_total: float) -> 
     For x = (J0+Jz)T <= 1 this is the closed form e sqrt(2) x^{N+1}/(N+1)!,
     taken in log space once (N+1)! leaves the float range (N >= 170);
     beyond that the closed form is invalid and the underlying tail-series
-    bound sqrt(2) sum_{s>N} x^s/s! is returned instead, inf past the float range.
+    bound sqrt(2) sum_{s>N} x^s/s! is returned instead, summed from its first
+    term (taken in log space), inf past the float range.
     """
     if order < 0 or t_total < 0:
         raise ValueError("order and time must be nonnegative")
@@ -494,10 +487,15 @@ def decoupling_error_bound(j0: float, jz: float, order: int, t_total: float) -> 
             return math.sqrt(2.0) * math.exp(
                 1.0 + (order + 1) * math.log(x) - math.lgamma(order + 2))
     try:
-        head = sum(x ** s / math.factorial(s) for s in range(order + 1))
-        return math.sqrt(2.0) * (math.exp(x) - head)
-    except OverflowError:  # e^x past x = 709.78, or x^s: the bound says nothing
+        term = math.exp((order + 1) * math.log(x) - math.lgamma(order + 2))
+    except OverflowError:  # the first term alone is past the float range
         return math.inf
+    tail = term
+    for s in itertools.count(order + 2):
+        term *= x / s
+        if not tail + term > tail:  # negligible, or the tail is inf
+            return math.sqrt(2.0) * tail
+        tail += term
 
 
 def affine_propagate(gen: AnalyticGenerator, M0: np.ndarray, d0: np.ndarray,

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import sys
 import types
 from pathlib import Path
@@ -137,8 +138,10 @@ class TestSweeps:
 
     def test_sweep_work_count(self):
         # the sweep-timedep benchmark argv at seed 7: one batched walk per
-        # round, two rounds, and norm-sized first passes.  Per-point walks
-        # took 12 walks, fixed 16-step first passes 2,656 CF4 steps
+        # round, two rounds, the second of only the 2 re-tightened points,
+        # and norm-sized first passes: 1,232 CF4 steps.  Per-point walks,
+        # fixed 16-step first passes (2,656 steps) or a second round over
+        # all 10 points would fail here
         argv = ["decouple-sweep", "--seed", "7", "--N", "4", "--nS", "2", "--nE", "4",
                 "--degree", "2", "--tmin", "1e-2", "--tmax", "3e-1", "--out", os.devnull]
         with mock.patch.object(evolution, "_walk", wraps=evolution._walk) as walks, \
@@ -146,6 +149,10 @@ class TestSweeps:
                                   wraps=evolution._cf4_pass) as passes:
             assert run(argv) == 0
         assert walks.call_count == 2
+        grid = walks.call_args_list[0].args[3]
+        assert len(grid) == 10 and (walks.call_args_list[0].args[4] == 1e-12).all()
+        T, tols = walks.call_args_list[1].args[3:5]
+        assert T.tolist() == grid[:2].tolist() and (tols < 1e-12).all()
         steps = sum(len(call.args[1]) * call.args[3] for call in passes.call_args_list)
         assert steps <= 1300
 
@@ -237,6 +244,40 @@ class TestSweeps:
         err = capsys.readouterr().err
         assert err == "error: m=5 exceeds the exhaustive-enumeration guard (max 4)\n"
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    # a slope outside [N+0.7, N+1.5]: the sweep leaves the perturbative regime
+    (["homogenize-sweep", "--N", "3", "--tmin", "0.3", "--tmax", "3", "--degree", "1",
+      "--out", os.devnull], 1, "",
+     r"slope acceptance failed: slope=4\.8\d* window=\[3\.7,4\.5\]\n"),
+    (["schedule", "--N", "1", "--out", "-"], 0,
+     "#scheme decoupling\n#N 1\n#m -\n#nS 1\n# bits: index pairs innermost-level first, "
+     "x-bit then z-bit per position; flip schedules use the single bit 1\n"
+     "0.49999999999999989\t1\n", ""),
+    (["decouple-sweep", "--N", "0", "--out", "{out}"], 2, "", r"error: invalid N/nS/nE\n"),
+    (["decouple-sweep", "--nS", "0", "--out", "{out}"], 2, "", r"error: invalid N/nS/nE\n"),
+    (["decouple-sweep", "--nE", "-1", "--out", "{out}"], 2, "", r"error: invalid N/nS/nE\n"),
+    (["homogenize-sweep", "--N", "0", "--out", "{out}"], 2, "", r"error: invalid N/m\n"),
+    (["homogenize-sweep", "--m", "-1", "--out", "{out}"], 2, "", r"error: invalid N/m\n"),
+    (["verify", "--check", "homogenization", "--mutate", "--m", "0", "--out", "{out}"], 2,
+     "", r"error: the mutation self-test needs m >= 1\n"),
+    (["spectrum", "--nE", "0", "--out", "{out}"], 2, "",
+     r"error: need at least one bath line\n"),
+    (["schedule", "--config", "{config}", "--out", "{out}"], 2, "",
+     r"error: config file \S+ is not UTF-8 text\n"),
+], ids=["slope-outside-window", "stdout", "decouple-N", "decouple-nS", "decouple-nE",
+        "homogenize-N", "homogenize-m", "mutate-m0", "spectrum-nE0", "config-not-utf8"])
+def test_input_check(tmp_path, capsys, argv, code, out, err):
+    config = tmp_path / "latin1.cfg"
+    config.write_bytes("scheme=d\xe9couplage\n".encode("latin-1"))
+    target = tmp_path / "o.csv"
+    assert run([a.format(out=target, config=config) for a in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == out
+    assert re.fullmatch(err, captured.err)
+    if code == 2:
+        assert not target.exists()
 
 
 class TestOutput:

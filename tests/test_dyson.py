@@ -15,7 +15,6 @@ from bosonic_dd import cli, dyson
 from bosonic_dd.dyson import (
     DEGREE_CAP,
     _budget_pairs,
-    _dedupe,
     _evaluate,
     _integrate_stage,
     check_bosonic_decoupling_condition,
@@ -302,15 +301,6 @@ def report_rows(report):
 
 
 class TestDepthWalker:
-    @given(st.lists(st.integers(0, 2 ** 40), max_size=40))
-    @settings(max_examples=60, deadline=None)
-    def test_dedupe_equals_np_unique(self, codes):
-        codes = np.array(codes, dtype=np.intp)
-        distinct, inverse = _dedupe(codes)
-        expected, expected_inverse = np.unique(codes, return_inverse=True)
-        assert distinct.tolist() == expected.tolist()
-        assert inverse.tolist() == expected_inverse.tolist()
-
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_values_match_the_rational_oracle(self, data):

@@ -435,19 +435,21 @@ class TestOrderSweep:
 
 
 def per_point_sweep(gen, scheme, order, grid):
-    """Residuals and omegas of a sweep whose every point is walked alone and
-    afresh at each tolerance of the re-tightening rule: the former
-    per-point loop of ``order_sweep``, kept as its oracle."""
+    """Residuals, omegas and the tolerances walked of a sweep whose every
+    point is walked alone and afresh at each tolerance of the re-tightening
+    rule: the former per-point loop of ``order_sweep``, kept as its oracle."""
     if scheme == "decoupling":
         sched, sign = decoupling_schedule(order, gen.layout.n_system), 1
     else:
         sched = homogenization_schedule(order, gen.layout.n_system.bit_length() - 1)
         sign = evolution._pulse_product_sign(sched)
     d = gen.layout.system_dim
-    residuals, omegas = [], []
+    residuals, omegas, tolerances = [], [], []
     for T in grid:
         tol = DEFAULT_TOL
+        tolerances.append([])
         for _ in range(4):
+            tolerances[-1].append(tol)
             S = _walk(gen.coeffs, sched, gen.layout, T, tol)
             if scheme == "decoupling":
                 residual, omega = offdiag_residual(S, gen.layout), math.nan
@@ -462,7 +464,7 @@ def per_point_sweep(gen, scheme, order, grid):
             tol = new_tol
         residuals.append(residual)
         omegas.append(omega)
-    return residuals, omegas
+    return residuals, omegas, tolerances
 
 
 class TestBatchedSweep:
@@ -544,6 +546,23 @@ class TestErrorBound:
                           / mpmath.factorial(order + 1))
         assert decoupling_error_bound(x, 0.0, order, 1.0) == pytest.approx(
             exact, rel=1e-9, abs=1e-320)
+
+    @pytest.mark.parametrize("x, order, expected", [
+        (1.5, 40, 7.2712345574054912e-43),
+        (2.0, 170, 3.4510029403277494e-258),
+        (2.0, 171, 4.0125213044889432e-260),
+        (5.0, 10, 2.8744711994327527),
+    ])
+    def test_tail_series_to_full_precision(self, x, order, expected):
+        # sqrt(2) sum_{s>N} x^s/s! from its first term: e^x minus the head
+        # cancelled to rounding noise here (-2.5e-15 at x = 1.5, N = 40)
+        with mpmath.workdps(50):
+            xm = mpmath.mpf(x)
+            exact = mpmath.sqrt(2) * mpmath.fsum(
+                xm ** s / mpmath.factorial(s) for s in range(order + 1, order + 100))
+        assert float(exact) == pytest.approx(expected, rel=1e-16, abs=0.0)
+        assert decoupling_error_bound(x, 0.0, order, 1.0) == pytest.approx(
+            expected, rel=1e-13, abs=0.0)
 
     def test_finite_just_inside_the_float_range(self):
         assert decoupling_error_bound(709.0, 0.0, 2, 1.0) == pytest.approx(
@@ -676,6 +695,36 @@ class TestRandomGenerator:
                                scale_ee=1.0, degree=1)
         assert gen.decoupled
         assert len(gen.coeffs) == 2
+
+
+LAYOUT = ModeLayout(1, 1)  # dim 4
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: order_sweep(make_generator(LAYOUT), "periodic", 2, [1e-2, 2e-2]),
+     "unknown sweep scheme 'periodic'"),
+    (lambda: homogenization_fit(np.eye(3), 1.0), "square of even dimension"),
+    (lambda: homogenization_fit(np.eye(4)[:2], 1.0), "square of even dimension"),
+    (lambda: AnalyticGenerator(layout=LAYOUT, coeffs=(np.zeros((2, 2)),)),
+     "coefficient 0 has shape (2, 2), expected (4, 4)"),
+    (lambda: AnalyticGenerator(layout=LAYOUT, coeffs=(np.zeros((4, 4)),),
+                               linear=(np.zeros(4), np.zeros(3))),
+     "linear coefficient 1 has shape (3,)"),
+    (lambda: decoupling_error_bound(1.0, 1.0, -1, 1.0), "order and time must be nonnegative"),
+    (lambda: decoupling_error_bound(1.0, 1.0, 2, -1.0), "order and time must be nonnegative"),
+    (lambda: affine_propagate(make_generator(LAYOUT), np.eye(3), np.zeros(4), 1.0),
+     "covariance shape (3, 3) != (4, 4)"),
+    (lambda: affine_propagate(make_generator(LAYOUT), np.eye(4), np.zeros(5), 1.0),
+     "displacement shape (5,) != (4,)"),
+    (lambda: random_generator(LAYOUT, 0, 1.0, -0.5, 1.0), "scales must be nonnegative"),
+    (lambda: random_generator(LAYOUT, 0, 1.0, 1.0, 1.0, degree=5),
+     "polynomial degree capped at 4"),
+], ids=["scheme", "odd-fit", "nonsquare-fit", "coefficient-shape", "linear-shape",
+        "bound-order", "bound-time", "covariance-shape", "displacement-shape",
+        "generator-scale", "generator-degree"])
+def test_input_check(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def forced_cf4(gen):
@@ -818,49 +867,19 @@ def full_convergence_test(S2, diff, tol):
     return diff <= tol * np.maximum(1.0, np.linalg.norm(S2, 2, axis=(-2, -1)))
 
 
-def walk_or_error(*args):
-    try:
-        return _walk(*args)
-    except RuntimeError as exc:
-        return str(exc)
-
-
 class TestResumedRefinement:
-    @given(layouts, seeds, st.integers(1, 2), st.integers(1, 4), st.floats(0.01, 1.0),
-           st.sampled_from([1, 4, 16]),
-           st.lists(st.floats(1e-13, 1e-5), min_size=2, max_size=3, unique=True))
-    @settings(max_examples=40, deadline=None)
-    def test_resumed_walk_equals_fresh_walk(self, layout, seed, degree, order, T,
-                                            scale, tolerances):
-        gen = make_generator(layout, seed=seed, degree=degree)
-        sched = decoupling_schedule(order, layout.n_system)
-        record = {}
-        for tol in sorted(tolerances, reverse=True):
-            with scaled_first_passes(scale):
-                fresh = walk_or_error(gen.coeffs, sched, layout, T, tol)
-                resumed = walk_or_error(gen.coeffs, sched, layout, T, tol, record)
-            if isinstance(fresh, str):
-                assert resumed == fresh
-                break
-            assert np.array_equal(resumed, fresh)
-
     @given(seeds, st.integers(0, 2), st.integers(1, 5), st.integers(0, 1), st.booleans())
     @settings(max_examples=40, deadline=None)
     def test_system_row_pulses_equal_full_products(self, seed, m, n_pulses, degree, flip):
         # the walk applies each pulse to the system rows of a copy of its
-        # flow; the reference multiplies the full-dimension pulse matrices.
-        # The walk writes nothing into the record, whose stack is the CF4
-        # flows themselves
+        # flow; the reference multiplies the full-dimension pulse matrices
         sched = (decoupling_schedule(n_pulses, 2 ** m) if flip
                  else signed_closed_schedule(seed, m, n_pulses))
         layout = ModeLayout(2 ** m, 1)
         gen = make_generator(layout, seed=seed, degree=degree)
-        record = {}
-        S = _walk(gen.coeffs, sched, layout, 0.3, DEFAULT_TOL, record)
+        S = _walk(gen.coeffs, sched, layout, 0.3)
         bounds = np.array([0.0, *sched.deltas, 1.0]) * 0.3
         flows = _flows(gen.coeffs, bounds[:-1], bounds[1:])
-        if degree:
-            assert record["S"].tobytes() == flows.tobytes()
         d = layout.system_dim
         pulses = np.tile(np.eye(layout.dim), (len(sched), 1, 1))
         pulses[:, :d, :d] = -np.eye(d) if flip else \
@@ -871,18 +890,17 @@ class TestResumedRefinement:
         assert S.tobytes() == (flows[-1] @ expected).tobytes()
 
     def test_resumed_flows_pass_intervals_of_unequal_depth(self):
+        # one fresh call passes every unconverged interval per iteration,
+        # those of equal steps in one call: first passes of 4, 32 and 4
+        # steps, then doublings until each interval converges
         gen = make_generator(ModeLayout(1, 1), seed=5, degree=2)
-        t0s, t1s = [0.0, 0.1], [0.1, 0.5]
-        record, steps = {}, []
-        for tol in (1e-6, 1e-9, 1e-12):
-            resumed = _flows(gen.coeffs, t0s, t1s, tol, record)
-            assert np.array_equal(resumed, _flows(gen.coeffs, t0s, t1s, tol))
-            steps.append(record["steps"].tolist())
-        # the record holds the steps of each interval's last pass; first
-        # passes of 4 and 32 steps, and the last call resumes the intervals
-        # from 16 and 64 steps
-        assert first_steps(gen, t0s, t1s) == [4, 32]
-        assert steps == [[8, 64], [16, 64], [64, 256]]
+        t0s, t1s = [0.0, 0.1, 0.5], [0.1, 0.5, 0.55]
+        assert first_steps(gen, t0s, t1s) == [4, 32, 4]
+        with mock.patch.object(evolution, "_cf4_pass", wraps=evolution._cf4_pass) as passes:
+            _flows(gen.coeffs, t0s, t1s, 1e-12)
+        assert [(call.args[3], call.args[1].tolist()) for call in passes.call_args_list] == [
+            (4, [0.0, 0.5]), (32, [0.1]), (8, [0.0, 0.5]), (64, [0.1]), (16, [0.0, 0.5]),
+            (128, [0.1]), (32, [0.0, 0.5]), (256, [0.1]), (64, [0.0])]
 
     @given(layouts, seeds, st.integers(1, 2),
            st.lists(st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 0.3)),
@@ -918,30 +936,20 @@ class TestResumedRefinement:
             <= evolution.CF4_BLOCK_ELEMENTS
 
     def test_re_tightening_sweep_runs_no_pass_twice(self):
+        # each later round walks afresh exactly the points it re-tightened,
+        # at their new tolerances, and every point's residual is a fresh
+        # walk's at its final tolerance
         gen = make_generator(ModeLayout(1, 2), seed=7, degree=2)
         grid = np.geomspace(1e-2, 0.3, 5)
-        calls = mock.Mock()
-        with mock.patch.object(evolution, "_cf4_pass", wraps=evolution._cf4_pass) as p, \
-                mock.patch.object(evolution, "_walk", wraps=evolution._walk) as walks:
-            calls.attach_mock(p, "cf4_pass")
-            calls.attach_mock(walks, "walk")
-            resumed = order_sweep(gen, "decoupling", 4, grid)
-        # one (interval, steps) key per pass of a segment; the T points have
-        # distinct segments, so a repeat can only come from one point
-        passes = [(t0, t1, call.args[3]) for call in p.call_args_list
-                  for t0, t1 in zip(call.args[1].tolist(), call.args[2].tolist())]
-        final_tols = walks.call_args_list[-1].args[4]
-        assert 0 < (final_tols < DEFAULT_TOL).sum() < len(grid)  # re-tightened points
-        assert walks.call_count <= 4  # one walk of all points per round
-        names = [name for name, *_ in calls.mock_calls]
-        assert "cf4_pass" in names[names.index("walk", 1):]  # a later round passes too
-        assert len(passes) == len(set(passes))
-        # and the resumed sweep equals one that walks every tolerance afresh
-        fresh_walk = evolution._walk
-        with mock.patch.object(evolution, "_walk",
-                               lambda *args: fresh_walk(*args[:5])):
-            fresh = order_sweep(gen, "decoupling", 4, grid)
-        assert resumed.residuals == fresh.residuals
+        residuals, _, tolerances = per_point_sweep(gen, "decoupling", 4, grid)
+        with mock.patch.object(evolution, "_walk", wraps=evolution._walk) as walks:
+            res = order_sweep(gen, "decoupling", 4, grid)
+        assert list(res.residuals) == residuals
+        assert 0 < sum(len(tols) > 1 for tols in tolerances) < len(grid)
+        rounds = [[(T, tols[k]) for T, tols in zip(grid.tolist(), tolerances) if len(tols) > k]
+                  for k in range(max(map(len, tolerances)))]
+        assert [list(zip(call.args[3].tolist(), call.args[4].tolist()))
+                for call in walks.call_args_list] == rounds
 
     @given(seeds, st.integers(1, 12), st.integers(1, 6), st.floats(0.1, 3.0),
            st.lists(st.floats(0.0, 10.0), min_size=1, max_size=6))

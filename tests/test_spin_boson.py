@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 from unittest.mock import patch
 
 import numpy as np
@@ -225,6 +226,23 @@ class TestFilters:
             yl = y_filter(z, deltas)
             assert fl.real - math.sin(z) == pytest.approx(yl.imag, abs=1e-12)
             assert fl.imag + 1.0 - math.cos(z) == pytest.approx(yl.real, abs=1e-12)
+
+    @pytest.mark.parametrize("deltas, message", [
+        ((0.0, 1.0), "pulse fractions must lie in (0, 1]"),
+        ((-0.25, 0.5), "pulse fractions must lie in (0, 1]"),
+        ((0.5, 1.5), "pulse fractions must lie in (0, 1]"),
+        ((0.25, math.nan), "pulse fractions must lie in (0, 1]"),
+        ((0.75, 0.25), "pulse fractions must be strictly increasing"),
+        ((0.5, 0.5), "pulse fractions must be strictly increasing"),
+    ])
+    @pytest.mark.parametrize("entry", [
+        lambda deltas: y_filter(1.0, deltas),
+        lambda deltas: channel_params(seeded_bath(1, 2), 1.0, deltas),
+        lambda deltas: cross_validate(seeded_bath(1, 2), deltas, 1.0),
+    ], ids=["y_filter", "channel_params", "cross_validate"])
+    def test_bad_train_rejected(self, deltas, message, entry):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            entry(deltas)
 
     def test_even_train_completion(self):
         assert len(even_flip_train(1)) == 2
