@@ -34,7 +34,6 @@ from .pauli_basis import (
 )
 from .schedules import (
     PulseSchedule,
-    PiecewiseSignFunction,
     udd_times,
     decoupling_schedule,
     flip_train_schedule,

@@ -116,14 +116,9 @@ def _t_grid(tmin: float, tmax: float, points: int) -> tuple[float, ...]:
 
 
 def _sweep_grid(args: argparse.Namespace) -> tuple[float, ...]:
-    """The sweep's T grid, after checking its tolerance, degree and scales."""
+    """The sweep's T grid, after checking its tolerance."""
     if not 0 < args.tol < math.inf:
         raise ValueError("--tol must be finite and positive")
-    if not 0 <= args.degree <= 4:
-        raise ValueError("--degree must lie in 0..4")
-    for key in ("scale_ss", "scale_se", "scale_ee"):
-        if not 0 <= getattr(args, key, 0.0) < math.inf:
-            raise ValueError(f"--{key.replace('_', '-')} must be finite and >= 0")
     return _t_grid(args.tmin, args.tmax, args.points)
 
 

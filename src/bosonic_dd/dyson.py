@@ -6,10 +6,10 @@ The central object is
     F[r_1..r_s; F_1..F_s] = int_0^1 dt_s ... int_0^{t_2} dt_1
                              prod_k F_k(t_k) t_k^{r_k}
 
-evaluated by iterated antidifferentiation, exact up to roundoff: the sign
-functions are piecewise constant, so every stage is a polynomial on each
-interval of one grid laid over the union of all flips a report uses (labels
-with identical flips share one function).  A stage is an
+evaluated by iterated antidifferentiation, exact up to roundoff: a sign
+function is a flip mask over the schedule's pulse times, so every stage is a
+polynomial on each interval of one grid, the times where any mask of a report
+flips (labels with equal masks share one function).  A stage is an
 ``(n_intervals, degree + 1)`` array in the local variable u = t - b_i, so
 t^r is a binomial expansion in b_i, antidifferentiation a column shift and
 scale, and the continuity constants an exclusive cumulative sum.  Keys
@@ -57,7 +57,6 @@ import numpy.random  # numpy 2 loads it lazily; load it at import time
 
 from .pauli_basis import all_indices, gamma_set, symplectic_form_index
 from .schedules import (
-    PiecewiseSignFunction,
     PulseSchedule,
     decoupling_schedule,
     homogenization_schedule,
@@ -102,25 +101,27 @@ def _integrate_stage(coeffs: np.ndarray, signs: np.ndarray, powers: np.ndarray,
     return out
 
 
-def _evaluate(functions: Sequence[PiecewiseSignFunction], f: np.ndarray, r: np.ndarray,
+def _evaluate(breaks: np.ndarray, signs: np.ndarray, f: np.ndarray, r: np.ndarray,
               length: np.ndarray) -> np.ndarray:
     """Nested integral of every key.
 
-    Row j of the ``(n, width)`` integer arrays ``f`` and ``r`` is the key
-    ((f_1, r_1), ..., (f_s, r_s)), s = ``length[j]``, f indexing ``functions``
-    (padding past s: r = 0, any valid f).  Walked by depth: the distinct
-    length-d prefixes of the keys longer than d form one stacked stage, and a
-    key of length d + 1 is its prefix stage g contracted with the moments
+    Sign function k flips at the times ``breaks[signs[k]]``: ``signs`` is an
+    ``(n_functions, L)`` flip mask over the ``(L,)`` times ``breaks``, which
+    are strictly increasing in (0, 1) where any mask is set.  Row j of the
+    ``(n, width)`` integer arrays ``f`` and ``r`` is the key
+    ((f_1, r_1), ..., (f_s, r_s)), s = ``length[j]``, f indexing the rows of
+    ``signs`` (padding past s: r = 0, any valid f).  Walked by depth: the
+    distinct length-d prefixes of the keys longer than d form one stacked
+    stage, and a key of length d + 1 is its prefix stage g contracted with the moments
     mu_r[i, j] = int_0^{h_i} (b_i + u)^r u^j du: sum_i F(b_i) sum_j g mu_r.
     """
-    grid = {0.0, 1.0}
-    for F in functions:
-        grid.update(F.flips)
-    breaks = np.array(sorted(grid))
+    used = signs.any(axis=0)
+    breaks = np.concatenate([[0.0], breaks[used], [1.0]])
     n = len(breaks) - 1
     # F is (-1)^(number of flips <= b_i) on (b_i, b_{i+1}]
-    signs = np.array([1.0 - 2.0 * (np.searchsorted(F.flips, breaks[:-1], side="right") % 2)
-                      for F in functions]).reshape(len(functions), n)
+    flips = np.zeros((len(signs), n), dtype=np.intp)
+    np.cumsum(signs[:, used], axis=1, out=flips[:, 1:])
+    signs = 1.0 - 2.0 * (flips % 2)
     if not length.size:  # e.g. a sampled report that drew no tuple
         return np.empty(0)
     power_sum = np.cumsum(r, axis=1)  # a length-d prefix has degree d + power_sum[d - 1]
@@ -164,16 +165,24 @@ def _evaluate(functions: Sequence[PiecewiseSignFunction], f: np.ndarray, r: np.n
     return values
 
 
-def iterated_integral(signs: Sequence[PiecewiseSignFunction],
-                      powers: Sequence[int]) -> float:
-    """Exact nested integral g_s(1) with g_k' = F_k(u) u^{r_k} g_{k-1}(u)."""
+def iterated_integral(signs: Sequence[Sequence[float]], powers: Sequence[int]) -> float:
+    """Exact nested integral g_s(1) with g_k' = F_k(u) u^{r_k} g_{k-1}(u),
+    where F_k starts at +1 and flips at the times ``signs[k]``."""
     if len(signs) != len(powers):
         raise ValueError("need one power per sign function")
     if not signs:
         raise ValueError("empty integrand")
     if any(r < 0 for r in powers):
         raise ValueError("powers must be nonnegative")
-    return float(_evaluate(signs, np.arange(len(powers))[None], np.array([powers], dtype=np.intp),
+    flips = [np.asarray(F, dtype=float) for F in signs]
+    if not all(F.ndim == 1 and ((np.diff(F, prepend=0.0) > 0.0) & (F < 1.0)).all()
+               for F in flips):
+        raise ValueError("flip points must be strictly increasing in (0, 1)")
+    times = np.sort(np.concatenate(flips))
+    times = times[np.diff(times, prepend=0.0) > 0.0]  # each flip time once
+    # np.isin would sort through np.unique, which loads numpy.ma
+    return float(_evaluate(times, np.array([(times == F[:, None]).any(axis=0) for F in flips]),
+                           np.arange(len(powers))[None], np.array([powers], dtype=np.intp),
                            np.array([len(powers)]))[0])
 
 
@@ -248,8 +257,8 @@ def check_udd_condition(order: int, tol: float = ZERO_TOL) -> ConditionReport:
     value (-1/4)^N is the witness that suppression stops exactly at order N.
     """
     _check_scalar_order(order)
-    sigma = PiecewiseSignFunction(udd_times(order))
-    return _scalar_condition_report(order, sigma, tol)
+    return _scalar_condition_report(order, np.array(udd_times(order)),
+                                    np.array([[False] * order, [True] * order]), tol)
 
 
 def check_bosonic_decoupling_condition(order: int, tol: float = ZERO_TOL) -> ConditionReport:
@@ -259,34 +268,36 @@ def check_bosonic_decoupling_condition(order: int, tol: float = ZERO_TOL) -> Con
     Uhrig construction exactly; this is asserted before checking.
     """
     _check_scalar_order(order)
-    sigma = toggling_sign_function(decoupling_schedule(order, n_system=1), 1)
-    if sigma.flips != udd_times(order):
+    schedule = decoupling_schedule(order, n_system=1)
+    flips = toggling_sign_function(schedule, np.arange(2))
+    if tuple(schedule.deltas[flips[1]].tolist()) != udd_times(order):
         raise AssertionError("schedule-derived sigma differs from the Uhrig times")
-    return _scalar_condition_report(order, sigma, tol)
+    return _scalar_condition_report(order, schedule.deltas, flips, tol)
 
 
-def _scalar_condition_report(order: int, sigma: PiecewiseSignFunction,
+def _scalar_condition_report(order: int, times: np.ndarray, flips: np.ndarray,
                              tol: float) -> ConditionReport:
-    # gamma labels 0 and 1 stand for the constant and sigma; their xor is 0 or 1.
-    # The witness row (s=1, r=N, gamma=1) lies one order past the budget.
-    report = _tuple_condition_report((PiecewiseSignFunction(()), sigma), np.arange(2),
-                                     np.zeros(1, dtype=int), order, tol)
+    # gamma labels 0 and 1 stand for the constant and sigma (mask rows 0 and 1);
+    # their xor is 0 or 1.  The witness row (s=1, r=N, gamma=1) lies one order past the budget.
+    report = _tuple_condition_report(times, flips, np.arange(2), np.zeros(1, int), order, tol)
     return replace(report, budgets=report.budgets + ((1, (order,)),),
                    budget=np.append(report.budget, len(report.budgets)),
                    picks=np.concatenate([report.picks, [[1] + [-1] * (order - 1)]]),
-                   values=np.append(report.values, iterated_integral([sigma], [order])),
+                   values=np.append(report.values, iterated_integral([times[flips[1]]], [order])),
                    required_zero=np.append(report.required_zero, False))
 
 
-def _tuple_condition_report(functions: Sequence[PiecewiseSignFunction],
+def _tuple_condition_report(times: np.ndarray, flips: np.ndarray,
                             alphabet: np.ndarray, exempt_xors: np.ndarray,
                             order: int, tol: float) -> ConditionReport:
-    """Every tuple of ``alphabet`` labels (sign function ``functions[k]`` for
-    label k) whose index xor is no row of ``exempt_xors``, with every budget
-    of powers."""
-    # labels whose sign functions coincide share one function index
-    merged: dict[tuple[float, ...], int] = {}
-    function = np.array([merged.setdefault(F.flips, len(merged)) for F in functions])
+    """Every tuple of ``alphabet`` labels (label k flipping at the masked
+    ``times[flips[k]]``) whose index xor is no row of ``exempt_xors``, with
+    every budget of powers."""
+    # labels with equal masks share one function, numbered by first appearance
+    functions, first, inverse = np.unique(flips, axis=0, return_index=True,
+                                          return_inverse=True)
+    appearance = np.argsort(first)
+    functions, function = functions[appearance], np.argsort(appearance)[inverse]
     # each label's index bits packed into one integer, so index xors are integer xors
     weight = 1 << np.arange(np.size(alphabet[0]))
     code = np.reshape(alphabet, (len(alphabet), -1)) @ weight
@@ -330,8 +341,8 @@ def _tuple_condition_report(functions: Sequence[PiecewiseSignFunction],
             n += n_kept
         budget, picks = budget[:n], picks[:n]
         exhaustive = False
-    values = _evaluate([PiecewiseSignFunction(flips) for flips in merged], function[picks],
-                       powers[budget], np.array([s for s, _ in budgets])[budget])
+    values = _evaluate(times, functions, function[picks], powers[budget],
+                       np.array([s for s, _ in budgets])[budget])
     return ConditionReport(tol=tol, alphabet=alphabet,
                            budgets=tuple(budgets), budget=budget, picks=picks,
                            values=values, required_zero=np.ones(len(values), dtype=bool),
@@ -344,8 +355,8 @@ def check_qubit_nudd_condition(order: int, m: int, tol: float = ZERO_TOL) -> Con
     schedule = qubit_nudd_schedule(order, m)
     alphabet = all_indices(m)
     exempt = np.zeros((1, m + 1, 2), dtype=int)  # the zero index, product ~ identity
-    functions = [toggling_sign_function(schedule, alpha) for alpha in alphabet]
-    return _tuple_condition_report(functions, alphabet, exempt, order, tol)
+    return _tuple_condition_report(schedule.deltas, toggling_sign_function(schedule, alphabet),
+                                   alphabet, exempt, order, tol)
 
 
 def check_homogenization_condition_for(schedule: PulseSchedule,
@@ -361,8 +372,8 @@ def check_homogenization_condition_for(schedule: PulseSchedule,
     m = schedule.m
     alphabet = gamma_set(m)
     exempt = np.stack([np.zeros((m + 1, 2), dtype=int), symplectic_form_index(m)])
-    functions = [toggling_sign_function(schedule, alpha) for alpha in alphabet]
-    return _tuple_condition_report(functions, alphabet, exempt, schedule.order, tol)
+    return _tuple_condition_report(schedule.deltas, toggling_sign_function(schedule, alphabet),
+                                   alphabet, exempt, schedule.order, tol)
 
 
 def check_homogenization_condition(order: int, m: int, tol: float = ZERO_TOL) -> ConditionReport:
@@ -390,7 +401,7 @@ class CorrespondenceReport:
 
 
 def verify_qubit_bosonic_correspondence(order: int, m: int) -> CorrespondenceReport:
-    """Breakpoint-exact equality F^bos_alpha == F^qubit_alpha'.
+    """Breakpoint-exact equality F^bos_alpha == F^qubit_alpha' of flip times.
 
     alpha' differs from alpha only at position 0: with a_0 = (c, d), the
     partner index is (c, c, 0, ..., 0) xor alpha, i.e. a_0' = (0, d xor c).
@@ -401,7 +412,7 @@ def verify_qubit_bosonic_correspondence(order: int, m: int) -> CorrespondenceRep
     partner = gamma.copy()
     partner[:, 0, 1] ^= partner[:, 0, 0]
     partner[:, 0, 0] = 0
-    differ = [toggling_sign_function(bosonic, alpha) != toggling_sign_function(qubit, beta)
-              for alpha, beta in zip(gamma, partner)]
+    differ = [not np.array_equal(bosonic.deltas[b], qubit.deltas[q]) for b, q in zip(
+        toggling_sign_function(bosonic, gamma), toggling_sign_function(qubit, partner))]
     return CorrespondenceReport(order=order, m=m, n_checked=len(gamma),
                                 mismatches=gamma[np.array(differ, dtype=bool)])

@@ -96,8 +96,10 @@ class AnalyticGenerator:
             if X.shape != (self.layout.dim, self.layout.dim):
                 raise ValueError(f"coefficient {r} has shape {X.shape}, "
                                  f"expected {(self.layout.dim,) * 2}")
+            if not np.isfinite(X).all():
+                raise ValueError(f"coefficient {r} is not finite")
             res = sp_algebra_residual(X, J)
-            if res > 1e-10 * max(1.0, float(np.linalg.norm(X))):
+            if not res <= 1e-10 * max(1.0, float(np.linalg.norm(X))):
                 raise ValueError(f"coefficient {r} is not in sp(2n): residual {res:.3e}")
         if self.linear is not None:
             for r, v in enumerate(self.linear):
@@ -514,8 +516,9 @@ def affine_propagate(gen: AnalyticGenerator, M0: np.ndarray, d0: np.ndarray,
     d0 = np.asarray(d0, dtype=float)
     if M0.shape != (dim, dim):
         raise ValueError(f"covariance shape {M0.shape} != {(dim, dim)}")
-    if np.linalg.norm(M0 - M0.T) > 1e-12 * max(1.0, float(np.linalg.norm(M0))):
-        raise ValueError("initial covariance must be symmetric")
+    if not (np.isfinite(M0).all()
+            and np.linalg.norm(M0 - M0.T) <= 1e-12 * max(1.0, float(np.linalg.norm(M0)))):
+        raise ValueError("initial covariance must be finite and symmetric")
     if d0.shape != (dim,):
         raise ValueError(f"displacement shape {d0.shape} != {(dim,)}")
 
@@ -534,10 +537,10 @@ def random_generator(layout: ModeLayout, seed: int, scale_ss: float,
                      scale_se: float, scale_ee: float, degree: int = 0) -> AnalyticGenerator:
     """Seeded generator with X_r = A_r J, A_r symmetric, entries uniform in
     [-1, 1] scaled per block.  scale_se = 0 yields a decoupled generator."""
-    if min(scale_ss, scale_se, scale_ee) < 0:
-        raise ValueError("scales must be nonnegative")
-    if degree > 4:
-        raise ValueError("polynomial degree capped at 4")
+    if not all(0 <= scale < math.inf for scale in (scale_ss, scale_se, scale_ee)):
+        raise ValueError("scales must be nonnegative and finite")
+    if not 0 <= degree <= 4:
+        raise ValueError(f"polynomial degree capped at 4, got {degree}: need 0..4")
     rng = np.random.default_rng(seed)
     J = symplectic_form(layout)
     ds, de = layout.system_dim, layout.env_dim

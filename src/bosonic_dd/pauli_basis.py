@@ -200,7 +200,7 @@ def expand_in_basis(X: np.ndarray, m: int) -> np.ndarray:
     S = s_matrix(gamma_set(m))
     coeffs = np.einsum("aij,ij->a", S, X) / dim
     defect = np.linalg.norm(np.einsum("a,aij->ij", coeffs, S) - X)
-    if defect > EXPAND_TOL * max(1.0, float(np.linalg.norm(X))):
+    if not defect <= EXPAND_TOL * max(1.0, float(np.linalg.norm(X))):  # NaN fails
         raise ValueError(f"matrix is not in sp(2*2^{m}): reconstruction defect {defect:.3e}")
     return coeffs
 

@@ -14,16 +14,17 @@ or None for a flip schedule; and ``signs`` (L,), the +-1 factor of each pulse.
   of an index corresponds to the innermost nesting level of the nested
   train; level 2k is the z-slot and level 2k+1 the x-slot of position k.
 
-Sign functions are stored canonically as their flip points only: F(0+) = +1
-always, and a flip at exactly delta = 1 is dropped (it changes the function
-on a zero-measure tail only, and dropping it makes function comparison
-breakpoint-exact across schedules that do or do not retain a final pulse).
+A toggling-frame sign function F_alpha is a boolean flip mask over the
+schedule's ``deltas``: F(0+) = +1 always, and F flips at each masked pulse.
+A pulse at exactly delta = 1 is never masked (a flip there changes the
+function on a zero-measure tail only, and leaving it out makes the flip
+times of schedules that do or do not retain a final pulse comparable).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Sequence
 
 import numpy as np
@@ -105,22 +106,6 @@ class PulseSchedule:
 
     def __len__(self) -> int:
         return len(self.deltas)
-
-
-@dataclass(frozen=True)
-class PiecewiseSignFunction:
-    """Piecewise +-1 function on [0, 1]: starts at +1, flips at each point.
-
-    Intervals follow the left-open right-closed convention: the value on
-    ``(flip_k, flip_{k+1}]`` is ``(-1)^{k+1}``.
-    """
-
-    flips: tuple[float, ...] = field(default_factory=tuple)
-
-    def __post_init__(self) -> None:
-        flips = np.array(self.flips, dtype=float)
-        if not ((np.diff(flips, prepend=0.0) > 0.0) & (flips < 1.0)).all():
-            raise ValueError("flip points must be strictly increasing in (0, 1)")
 
 
 def udd_times(n_pulses: int) -> tuple[float, ...]:
@@ -253,20 +238,26 @@ def homogenization_schedule(n_pulses: int, m: int) -> PulseSchedule:
 # ---------------------------------------------------------------------------
 
 
-def toggling_sign_function(schedule: PulseSchedule, alpha) -> PiecewiseSignFunction:
-    """F_alpha: flips exactly at pulses whose index pairs oddly with alpha.
+def toggling_sign_function(schedule: PulseSchedule, alpha) -> np.ndarray:
+    """F_alpha as a flip mask over ``schedule.deltas``: True at each pulse
+    whose index pairs oddly with alpha and whose time is below 1.
 
-    For indexed schedules ``alpha`` is a multi-index of matching length; for
-    flip schedules it is a bit (0 or 1), pairing 1 with every flip pulse.
+    For indexed schedules ``alpha`` is a multi-index or an index stack of
+    shape (..., m+1, 2); for flip schedules it is a bit (0 or 1) or an array
+    of bits, bit 1 pairing with every flip pulse.  The mask has shape
+    ``alpha.shape[:-2] + (L,)``, or ``np.shape(alpha) + (L,)`` for bits.
     """
-    deltas = schedule.deltas
+    a = np.asarray(alpha)
     if schedule.is_flip_schedule:
-        if alpha not in (0, 1):
-            raise ValueError("flip schedules pair with a scalar Z2 index")
-        odd = alpha == 1
-    else:
-        odd = symplectic_inner_product(alpha, schedule.pulses) == 1
-    return PiecewiseSignFunction(tuple(deltas[odd & (deltas < 1.0)].tolist()))
+        if not ((a == 0) | (a == 1)).all():
+            raise ValueError("flip schedules pair with Z2 bits, 0 or 1")
+        odd = a[..., None] == 1
+    elif a.ndim < 2:
+        raise ValueError("indexed schedules pair with a multi-index")
+    else:  # as uint8 bits the (..., L, m+1) pairing temporaries stay small
+        odd = symplectic_inner_product(a[..., None, :, :].astype(np.uint8),
+                                       schedule.pulses.astype(np.uint8)) == 1
+    return odd & (schedule.deltas < 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,21 @@
-"""Reference implementations shared by several test modules."""
+"""Reference implementations and seeded test inputs shared by several test
+modules."""
 
 import itertools
 
 import numpy as np
 
 from bosonic_dd.pauli_basis import ALL_PAIRS, PAIR_I, PAIR_X, PAIR_Y, PAIR_Z
+from bosonic_dd.schedules import PulseSchedule
 
 
-def sign_value(sig, tau):
-    """Value of the piecewise sign function ``sig`` at ``tau`` in [0, 1]: +1
-    flipped once per flip point strictly below ``tau``, so the value at a
-    flip point still carries the pre-flip sign."""
+def sign_value(flips, tau):
+    """Value at ``tau`` in [0, 1] of the sign function with flip times
+    ``flips``: +1 flipped once per flip point strictly below ``tau``, so the
+    value at a flip point still carries the pre-flip sign."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"argument {tau} outside [0, 1]")
-    return -1 if sum(1 for t in sig.flips if t < tau) % 2 else 1
+    return -1 if sum(1 for t in flips if t < tau) % 2 else 1
 
 
 def as_index(label):
@@ -44,3 +46,16 @@ def gamma_tilde_set_oracle(m):
     """Gamma~(m) as tuples (a_0 in {I, y}), enumerated one index at a time."""
     return tuple(alpha for alpha in itertools.product(ALL_PAIRS, repeat=m + 1)
                  if tuple(alpha[0]) in (PAIR_I, PAIR_Y))
+
+
+def signed_closed_schedule(seed, m, n_pulses):
+    """n_pulses random pulses of Gamma~ with random signs, closed by one more
+    pulse, the xor of the others, so the product is +-identity."""
+    rng = np.random.default_rng(seed)
+    stack = rng.integers(0, 2, size=(n_pulses, m + 1, 2))
+    stack[:, 0, 1] = stack[:, 0, 0]  # a_0 in {I, y}
+    stack = np.concatenate([stack, np.bitwise_xor.reduce(stack, axis=0)[None]])
+    deltas = np.sort(rng.uniform(0.05, 0.95, n_pulses + 1))
+    signs = rng.choice([-1, 1], n_pulses + 1)
+    return PulseSchedule(scheme="bosonic-homogenization", order=1, deltas=deltas,
+                         pulses=stack, signs=signs, m=m, n_system=2 ** m)

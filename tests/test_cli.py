@@ -636,9 +636,11 @@ codes = [cli.main(argv + ["--out", {out!r}]) for argv in (
     ["verify", "--check", "udd", "--N", "2"],
     ["verify", "--check", "homogenization", "--N", "2", "--m", "1"],
     ["verify", "--check", "nudd", "--N", "1", "--m", "1"],
+    ["verify", "--check", "correspondence", "--N", "2", "--m", "1"],
+    ["verify", "--check", "basis", "--m", "1"],
     ["spectrum", "--nE", "2", "--L", "2", "--points", "3", "--tmin", "1e-3",
      "--tmax", "1e-2", "--cross-validate"])]
 print(json.dumps([codes, "scipy.linalg" in sys.modules,
                   sorted(set(sys.modules) - loaded)]))
 """)
-        assert result == [[0, 0, 0, 0, 0, 0], False, []]
+        assert result == [[0] * 8, False, []]

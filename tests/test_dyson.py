@@ -27,7 +27,6 @@ from bosonic_dd.dyson import (
 )
 from bosonic_dd.pauli_basis import ALL_PAIRS, PAIR_I, PAIR_Y, gamma_set, symplectic_form_index
 from bosonic_dd.schedules import (
-    PiecewiseSignFunction,
     _nudd_labels,
     decoupling_schedule,
     homogenization_schedule,
@@ -47,10 +46,7 @@ from oracles import as_index, sign_value
 def quadrature_oracle(signs, powers, panels=400):
     """Composite-midpoint evaluation of the nested integral, aligned with the
     sign functions' breakpoints so every panel sees a smooth integrand."""
-    grid = {0.0, 1.0}
-    for F in signs:
-        grid.update(F.flips)
-    breaks = sorted(grid)
+    breaks = sorted({0.0, 1.0}.union(*signs))
     xs = []
     ws = []
     for a, b in zip(breaks, breaks[1:]):
@@ -128,7 +124,7 @@ def rational_flips(rng, denominators):
     return tuple(float(f) for f in sorted(points))
 
 
-CONST = PiecewiseSignFunction(())
+CONST = ()  # the constant +1: no flip
 
 
 class TestIteratedIntegralFrozen:
@@ -136,22 +132,22 @@ class TestIteratedIntegralFrozen:
         assert iterated_integral([CONST], [0]) == pytest.approx(1.0, abs=1e-15)
 
     def test_udd1_zeroth_moment(self):
-        sig = PiecewiseSignFunction(udd_times(1))
+        sig = udd_times(1)
         assert iterated_integral([sig], [0]) == pytest.approx(0.0, abs=1e-15)
 
     def test_udd2_first_moment(self):
         # hand value: 1/32 - 8/32 + 7/32 = 0
-        sig = PiecewiseSignFunction(udd_times(2))
+        sig = udd_times(2)
         assert iterated_integral([sig], [1]) == pytest.approx(0.0, abs=1e-15)
 
     def test_udd1_first_moment(self):
         # beyond budget: 1/8 - 3/8 = -1/4
-        sig = PiecewiseSignFunction(udd_times(1))
+        sig = udd_times(1)
         assert iterated_integral([sig], [1]) == pytest.approx(-0.25, abs=1e-14)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_first_violated_moment_matches_piecewise_sum(self, n):
-        sig = PiecewiseSignFunction(udd_times(n))
+        sig = udd_times(n)
         expected = exact_sigma_moment(n, n)
         assert iterated_integral([sig], [n]) == pytest.approx(expected, abs=1e-14)
         assert expected == pytest.approx((-0.25) ** n, abs=1e-12)
@@ -169,6 +165,13 @@ class TestIteratedIntegralFrozen:
         with pytest.raises(ValueError):
             iterated_integral([CONST], [-1])
 
+    @pytest.mark.parametrize("flips", [(0.0,), (0.5, 0.5), (1.0,), (0.6, 0.4), (math.nan,),
+                                       ((0.5,),)],
+                             ids=["zero", "repeated", "one", "decreasing", "nan", "nested"])
+    def test_rejects_flip_times_outside_the_open_interval(self, flips):
+        with pytest.raises(ValueError, match="strictly increasing in \\(0, 1\\)"):
+            iterated_integral([CONST, flips], [0, 1])
+
 
 class TestIteratedIntegralAgainstQuadrature:
     @pytest.mark.parametrize("seed", range(6))
@@ -179,7 +182,7 @@ class TestIteratedIntegralAgainstQuadrature:
         for _ in range(s):
             k = int(rng.integers(0, 4))
             flips = tuple(sorted(rng.uniform(0.05, 0.95, size=k)))
-            signs.append(PiecewiseSignFunction(flips))
+            signs.append(flips)
         powers = [int(r) for r in rng.integers(0, 3, size=s)]
         exact = iterated_integral(signs, powers)
         approx = quadrature_oracle(signs, powers)
@@ -197,14 +200,14 @@ class TestIteratedIntegralAgainstRationalOracle:
         flip_sets = [rational_flips(rng, denominators) for _ in range(s)]
         powers = [int(r) for r in rng.integers(0, 4, size=s)]
         exact = rational_oracle(flip_sets, powers)
-        value = iterated_integral([PiecewiseSignFunction(f) for f in flip_sets], powers)
+        value = iterated_integral(flip_sets, powers)
         assert abs(value - float(exact)) <= 1e-14
 
     def test_uhrig_moments(self):
         for n in range(1, 5):
-            sig = PiecewiseSignFunction(udd_times(n))
+            sig = udd_times(n)
             for r in range(4):
-                exact = rational_oracle([sig.flips], [r])
+                exact = rational_oracle([sig], [r])
                 assert abs(iterated_integral([sig], [r]) - float(exact)) <= 1e-14
 
 
@@ -213,9 +216,7 @@ class TestIntegralProperties:
     @settings(max_examples=30, deadline=None)
     def test_simplex_bound(self, s, seed):
         rng = np.random.default_rng(seed)
-        signs = [PiecewiseSignFunction(tuple(sorted(rng.uniform(0.1, 0.9,
-                                                                rng.integers(0, 3)))))
-                 for _ in range(s)]
+        signs = [tuple(sorted(rng.uniform(0.1, 0.9, rng.integers(0, 3)))) for _ in range(s)]
         powers = [int(r) for r in rng.integers(0, 3, size=s)]
         assert abs(iterated_integral(signs, powers)) <= simplex_scale(powers) * (1 + 1e-12)
 
@@ -228,18 +229,18 @@ class TestIntegralProperties:
             simplex_scale(powers), rel=1e-15)
 
     def test_refinement_invariance(self):
-        sig = PiecewiseSignFunction(udd_times(3))
+        sig = udd_times(3)
         base = iterated_integral([sig, CONST], [1, 2])
         # the extra breakpoints are the flips of a function that no key uses
-        refined = walk([sig.flips, CONST.flips, (0.111, 0.333, 0.777, 0.9)],
+        refined = walk([sig, CONST, (0.111, 0.333, 0.777, 0.9)],
                        [[(0, 1), (1, 2)]])[0]
         assert refined == pytest.approx(base, abs=1e-14)
 
     def test_polynomial_continuity(self):
         # accumulated antiderivatives agree at interior breakpoints: the left
         # piece at u = h_{i-1} equals the right piece at u = 0
-        sig = PiecewiseSignFunction(udd_times(2))
-        breaks = np.array((0.0,) + sig.flips + (1.0,))
+        sig = udd_times(2)
+        breaks = np.array((0.0,) + sig + (1.0,))
         k = np.arange(DEGREE_CAP + 1)
         signs = np.array([1.0, -1.0, 1.0])
         anti = _integrate_stage(np.ones((1, 3, 1)), signs[None], np.array([1]), 2,
@@ -281,13 +282,20 @@ def key_lists(draw, n_functions):
     return keys
 
 
+def flip_masks(flip_sets):
+    """The walker's input for sign functions given by their flip times: the
+    sorted union of the times, and one flip mask over it per function."""
+    times = np.array(sorted(set().union(*flip_sets)), dtype=float)
+    return times, np.array([[t in flips for t in times.tolist()] for flips in flip_sets],
+                           dtype=bool).reshape(len(flip_sets), len(times))
+
+
 def walk(flip_sets, keys):
     """Values of ``keys`` from one walker call, the keys padded with (0, 0)."""
     pairs = np.zeros((len(keys), max(map(len, keys)), 2), dtype=np.intp)
     for row, key in zip(pairs, keys):
         row[:len(key)] = key
-    functions = [PiecewiseSignFunction(flips) for flips in flip_sets]
-    return _evaluate(functions, pairs[..., 0], pairs[..., 1],
+    return _evaluate(*flip_masks(flip_sets), pairs[..., 0], pairs[..., 1],
                      np.array([len(key) for key in keys])).tolist()
 
 
@@ -327,16 +335,16 @@ class TestDepthWalker:
         # of the contracted operands; a key alone sits at offset 0
         rng = np.random.default_rng(n)
         flips = (np.sort(rng.choice(np.arange(1, 4 * n), n - 1, replace=False)) / (4 * n)).tolist()
-        functions = [PiecewiseSignFunction(tuple(flips))] + [
-            PiecewiseSignFunction(tuple(sorted(rng.choice(flips, k, replace=False).tolist())))
-            for k in (1, n // 2, n - 2)]
+        times, functions = flip_masks([tuple(flips)] + [
+            tuple(sorted(rng.choice(flips, k, replace=False).tolist()))
+            for k in (1, n // 2, n - 2)])
         n_keys = 3000
         length = rng.integers(1, 4, n_keys)
         f = rng.integers(0, len(functions), (n_keys, 3))
         r = np.where(np.arange(3) < length[:, None], rng.integers(0, 4, (n_keys, 3)), 0)
-        values = _evaluate(functions, f, r, length)
+        values = _evaluate(times, functions, f, r, length)
         for j in rng.choice(n_keys, 40, replace=False):
-            alone = _evaluate(functions, f[j:j + 1], r[j:j + 1], length[j:j + 1])
+            alone = _evaluate(times, functions, f[j:j + 1], r[j:j + 1], length[j:j + 1])
             assert alone[0].hex() == values[j].hex()
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 9))
@@ -419,7 +427,7 @@ def batches_with_rejections(kept, max_tuples):
 def _label_functions(scheme, n, m):
     """Report and label -> sign function for the small exhaustive reports."""
     if scheme == "udd":
-        sigma = PiecewiseSignFunction(udd_times(n))
+        sigma = udd_times(n)
         return check_udd_condition(n), lambda gamma: sigma if gamma else CONST
     if scheme == "nudd":
         sched = qubit_nudd_schedule(n, m)
@@ -427,7 +435,7 @@ def _label_functions(scheme, n, m):
     else:
         sched = homogenization_schedule(n, m)
         report = check_homogenization_condition(n, m)
-    return report, lambda alpha: toggling_sign_function(sched, alpha)
+    return report, lambda alpha: tuple(sched.deltas[toggling_sign_function(sched, alpha)])
 
 
 class TestWalkerProperties:
@@ -449,12 +457,11 @@ class TestWalkerProperties:
     def test_refinement_invariance(self, extra, seed):
         rng = np.random.default_rng(seed)
         s = int(rng.integers(1, 5))
-        signs = [PiecewiseSignFunction(tuple(np.unique(rng.uniform(0.05, 0.95, k))))
-                 for k in rng.integers(0, 4, size=s)]
+        signs = [tuple(np.unique(rng.uniform(0.05, 0.95, k))) for k in rng.integers(0, 4, size=s)]
         powers = [int(r) for r in rng.integers(0, 4, size=s)]
         base = iterated_integral(signs, powers)
         # the extra breakpoints are the flips of a function that no key uses
-        refined = walk([F.flips for F in signs] + [tuple(sorted(set(extra)))],
+        refined = walk(signs + [tuple(sorted(set(extra)))],
                        [list(enumerate(powers))])[0]
         assert refined == pytest.approx(base, abs=1e-14)
 
@@ -763,7 +770,7 @@ class TestExactConditionValues:
         rng = np.random.default_rng(2024)
         for j in rng.choice(len(rows), size=60, replace=False).tolist():
             _, powers, labels, value, _ = rows[j]
-            exact = rational_oracle([function_of(a).flips for a in labels], powers)
+            exact = rational_oracle([function_of(a) for a in labels], powers)
             assert abs(Fraction(value) - exact) <= self.BOUND
 
 
@@ -816,4 +823,4 @@ class TestFiftyDigitValues:
             exact = fifty_digit_nudd_times(3, 1)
             assert all(abs(float(v) - t) <= 1e-15 for t, v in exact.items())  # a few ulps
             self.check_sample(check_homogenization_condition(3, 1), lambda alpha: [
-                exact[t] for t in toggling_sign_function(schedule, alpha).flips])
+                exact[t] for t in schedule.deltas[toggling_sign_function(schedule, alpha)]])

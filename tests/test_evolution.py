@@ -26,7 +26,7 @@ from bosonic_dd.evolution import (
     random_generator,
     resulting_evolution,
 )
-from bosonic_dd.pauli_basis import gamma_set, s_matrix, symplectic_form_index
+from bosonic_dd.pauli_basis import expand_in_basis, gamma_set, s_matrix, symplectic_form_index
 from bosonic_dd.schedules import (
     PulseSchedule,
     decoupling_schedule,
@@ -45,7 +45,7 @@ from bosonic_dd.symplectic import (
     symplectic_residual,
 )
 
-from oracles import sign_value
+from oracles import sign_value, signed_closed_schedule
 
 
 def make_generator(layout, seed=0, coupled=True, degree=0):
@@ -240,19 +240,6 @@ def control_product(schedule, t, T, layout):
     return C
 
 
-def signed_closed_schedule(seed, m, n_pulses):
-    """n_pulses random pulses of Gamma~ with random signs, closed by one more
-    pulse, the xor of the others, so the product is +-identity."""
-    rng = np.random.default_rng(seed)
-    stack = rng.integers(0, 2, size=(n_pulses, m + 1, 2))
-    stack[:, 0, 1] = stack[:, 0, 0]  # a_0 in {I, y}
-    stack = np.concatenate([stack, np.bitwise_xor.reduce(stack, axis=0)[None]])
-    deltas = np.sort(rng.uniform(0.05, 0.95, n_pulses + 1))
-    signs = rng.choice([-1, 1], n_pulses + 1)
-    return PulseSchedule(scheme="bosonic-homogenization", order=1, deltas=deltas,
-                         pulses=stack, signs=signs, m=m, n_system=2 ** m)
-
-
 def dense_product_sign(schedule):
     """Sign s of the dense time-ordered product prod sign * S_alpha = s I."""
     d = 2 ** (schedule.m + 1)
@@ -295,7 +282,7 @@ class TestToggling:
         layout = ModeLayout(2, 1)
         gen = make_generator(layout, seed=10)
         sched = decoupling_schedule(3, 2)
-        sigma = toggling_sign_function(sched, 1)
+        sigma = sched.deltas[toggling_sign_function(sched, 1)]
         T = 2.0
         for tau in np.linspace(0.01, 0.99, 23):
             X = toggling_generator(gen, sched, tau * T, T)
@@ -306,7 +293,6 @@ class TestToggling:
 
     def test_homogenization_coefficients_pick_up_signs(self):
         # basis coefficients of the toggled generator are F_alpha * B_alpha
-        from bosonic_dd.pauli_basis import expand_in_basis
         m = 1
         layout = ModeLayout(2, 0)
         gen = random_generator(layout, seed=11, scale_ss=1.0, scale_se=0.0,
@@ -315,9 +301,8 @@ class TestToggling:
         T = 1.0
         base = expand_in_basis(gen.values(0.37), m)
         toggled = expand_in_basis(toggling_generator(gen, sched, 0.37, T), m)
-        for alpha, b, t in zip(gamma_set(m), base, toggled):
-            F = toggling_sign_function(sched, alpha)
-            assert t == pytest.approx(sign_value(F, 0.37) * b, abs=1e-13)
+        for flips, b, t in zip(toggling_sign_function(sched, gamma_set(m)), base, toggled):
+            assert t == pytest.approx(sign_value(sched.deltas[flips], 0.37) * b, abs=1e-13)
 
 
 class TestHomogenizationFit:
@@ -717,14 +702,38 @@ LAYOUT = ModeLayout(1, 1)  # dim 4
     (lambda: affine_propagate(make_generator(LAYOUT), np.eye(4), np.zeros(5), 1.0),
      "displacement shape (5,) != (4,)"),
     (lambda: random_generator(LAYOUT, 0, 1.0, -0.5, 1.0), "scales must be nonnegative"),
+    (lambda: random_generator(LAYOUT, 0, math.inf, 1.0, 1.0), "scales must be nonnegative"),
+    (lambda: random_generator(LAYOUT, 0, 1.0, 1.0, math.nan), "nonnegative and finite"),
     (lambda: random_generator(LAYOUT, 0, 1.0, 1.0, 1.0, degree=5),
      "polynomial degree capped at 4"),
+    (lambda: random_generator(LAYOUT, 0, 1.0, 1.0, 1.0, degree=-1),
+     "got -1: need 0..4"),
 ], ids=["scheme", "odd-fit", "nonsquare-fit", "coefficient-shape", "linear-shape",
         "bound-order", "bound-time", "covariance-shape", "displacement-shape",
-        "generator-scale", "generator-degree"])
+        "generator-scale", "generator-scale-inf", "generator-scale-nan", "generator-degree",
+        "generator-degree-negative"])
 def test_input_check(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+def one_entry(value, dim=4):
+    """A zero (dim, dim) matrix with ``value`` at row 0, column 1."""
+    X = np.zeros((dim, dim))
+    X[0, 1] = value
+    return X
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("call", [
+    lambda bad: AnalyticGenerator(layout=LAYOUT, coeffs=(one_entry(bad),)),
+    lambda bad: affine_propagate(make_generator(LAYOUT), one_entry(bad), np.zeros(4), 1.0),
+    lambda bad: expand_in_basis(one_entry(bad), 1),
+], ids=["generator", "covariance", "basis-expansion"])
+def test_relative_checks_reject_nonfinite_input(call, bad):
+    # NaN fails every comparison, so a check written `residual > bound` lets it pass
+    with pytest.raises(ValueError):
+        call(bad)
 
 
 def forced_cf4(gen):

@@ -19,10 +19,9 @@ EXPORTS = {
     "pulse_index", "pulse_matrix", "s_matrix", "symplectic_inner_product",
     "verify_adjoint_action",
     # schedules
-    "PiecewiseSignFunction", "PulseSchedule", "decoupling_schedule",
-    "flip_train_schedule", "homogenization_schedule", "qubit_nudd_schedule",
-    "read_schedule", "substitute_bosonic", "toggling_sign_function", "udd_times",
-    "write_schedule",
+    "PulseSchedule", "decoupling_schedule", "flip_train_schedule",
+    "homogenization_schedule", "qubit_nudd_schedule", "read_schedule",
+    "substitute_bosonic", "toggling_sign_function", "udd_times", "write_schedule",
     # dyson
     "check_bosonic_decoupling_condition", "check_homogenization_condition",
     "check_qubit_nudd_condition", "check_udd_condition", "iterated_integral",
@@ -62,7 +61,6 @@ SIGNATURES = {
     "decoupling_schedule": "n_pulses, n_system",
     "flip_train_schedule": "deltas, n_system, order, scheme",
     "homogenization_schedule": "n_pulses, m",
-    "PiecewiseSignFunction": "flips",
     "PulseSchedule": "scheme, order, deltas, pulses, signs, m, n_system",
     "qubit_nudd_schedule": "n_pulses, m",
     "read_schedule": "stream",

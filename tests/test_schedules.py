@@ -22,7 +22,6 @@ from bosonic_dd.schedules import (
     FLIP,
     MERGE_TOL,
     NUDD_LABEL_GUARD,
-    PiecewiseSignFunction,
     PulseSchedule,
     _nudd_labels,
     decoupling_schedule,
@@ -36,7 +35,7 @@ from bosonic_dd.schedules import (
     write_schedule,
 )
 
-from oracles import as_index, sign_value
+from oracles import as_index, sign_value, signed_closed_schedule
 
 
 def nudd_times(n, m):
@@ -86,28 +85,33 @@ class TestDecouplingSchedule:
         assert len(decoupling_schedule(1, n_system=3)) == 1
 
 
-def interval_values(sig):
-    """Values of ``sig`` on the len(flips) + 1 intervals between consecutive
-    flips, read at each interval's midpoint."""
-    pts = [0.0, *sig.flips, 1.0]
-    return tuple(sign_value(sig, (a + b) / 2) for a, b in zip(pts, pts[1:]))
+def flip_times(schedule, alpha):
+    """The flip times of F_alpha on ``schedule``."""
+    return tuple(schedule.deltas[toggling_sign_function(schedule, alpha)].tolist())
+
+
+def interval_values(flips):
+    """Values of the sign function on the len(flips) + 1 intervals between
+    consecutive flips, read at each interval's midpoint."""
+    pts = [0.0, *flips, 1.0]
+    return tuple(sign_value(flips, (a + b) / 2) for a, b in zip(pts, pts[1:]))
 
 
 class TestSigma:
     def test_n1_values(self):
-        sig = toggling_sign_function(decoupling_schedule(1, 1), 1)
-        assert sig.flips == pytest.approx((0.5,))
+        sig = flip_times(decoupling_schedule(1, 1), 1)
+        assert sig == pytest.approx((0.5,))
         assert sign_value(sig, 0.0) == 1
-        assert sign_value(sig, sig.flips[0]) == 1   # left-open right-closed: (0, 1/2] is +1
+        assert sign_value(sig, sig[0]) == 1   # left-open right-closed: (0, 1/2] is +1
         assert sign_value(sig, 0.75) == -1
 
     def test_n2_interval_values(self):
-        sig = toggling_sign_function(decoupling_schedule(2, 1), 1)
+        sig = flip_times(decoupling_schedule(2, 1), 1)
         assert interval_values(sig) == (1, -1, 1)
 
     def test_n1_integral_is_zero(self):
-        sig = toggling_sign_function(decoupling_schedule(1, 1), 1)
-        pts = [0.0] + list(sig.flips) + [1.0]
+        sig = flip_times(decoupling_schedule(1, 1), 1)
+        pts = [0.0] + list(sig) + [1.0]
         vals = interval_values(sig)
         total = sum(v * (b - a) for v, a, b in zip(vals, pts, pts[1:]))
         assert total == pytest.approx(0.0, abs=1e-15)
@@ -115,20 +119,6 @@ class TestSigma:
     def test_rejects_indexed_schedule(self):
         with pytest.raises(ValueError):
             toggling_sign_function(qubit_nudd_schedule(1, 0), 1)
-
-
-class TestPiecewiseSignFunction:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PiecewiseSignFunction((0.0,))
-        with pytest.raises(ValueError):
-            PiecewiseSignFunction((0.5, 0.5))
-        with pytest.raises(ValueError):
-            PiecewiseSignFunction((1.0,))
-
-    def test_constant(self):
-        f = PiecewiseSignFunction(())
-        assert sign_value(f, 0.0) == sign_value(f, 1.0) == 1
 
 
 def oracle_nested_time(label, grid):
@@ -301,13 +291,12 @@ class TestTogglingSignFunction:
     def test_zero_index_constant(self):
         sched = qubit_nudd_schedule(1, 1)
         f = toggling_sign_function(sched, (PAIR_I, PAIR_I))
-        assert f.flips == ()
+        assert f.shape == (len(sched),) and not f.any()
 
     def test_flip_schedule_matches_sigma(self):
         sched = decoupling_schedule(3, 1)
-        assert toggling_sign_function(sched, 1) == PiecewiseSignFunction(
-            tuple(sched.deltas.tolist()))
-        assert toggling_sign_function(sched, 0).flips == ()
+        assert flip_times(sched, 1) == tuple(sched.deltas.tolist())
+        assert flip_times(sched, 0) == ()
 
     def test_form_index_constant_iff_pulses_commute(self):
         # every homogenization pulse commutes with J, so F is constant
@@ -315,14 +304,53 @@ class TestTogglingSignFunction:
         alpha = symplectic_form_index(1)
         assert all(symplectic_inner_product(alpha, as_index(p)) == 0
                    for p in sched.pulses)
-        assert toggling_sign_function(sched, alpha).flips == ()
+        assert flip_times(sched, alpha) == ()
 
     def test_first_value_plus_one(self):
         sched = homogenization_schedule(2, 1)
         for alpha in gamma_tilde_set(1):
-            f = toggling_sign_function(sched, alpha)
+            f = flip_times(sched, alpha)
             assert sign_value(f, 0.0) == 1
             assert set(interval_values(f)) <= {-1, 1}
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 2), st.integers(1, 12), st.booleans(),
+           st.sampled_from([(), (3,), (2, 3)]))
+    @settings(max_examples=40, deadline=None)
+    def test_indexed_stack_equals_per_index_calls_and_pairing_loop(
+            self, seed, m, n_pulses, final_at_one, stack_shape):
+        sched = signed_closed_schedule(seed, m, n_pulses)
+        if final_at_one:  # a pulse at delta = 1 never flips
+            sched = dataclasses.replace(sched, deltas=np.append(sched.deltas[:-1], 1.0))
+        alpha = np.random.default_rng(seed).integers(0, 2, stack_shape + (m + 1, 2))
+        masks = toggling_sign_function(sched, alpha)
+        assert masks.shape == stack_shape + (len(sched),) and masks.dtype == bool
+        for index in np.ndindex(stack_shape):
+            a = alpha[index].tolist()
+            assert masks[index].tolist() == toggling_sign_function(sched, alpha[index]).tolist()
+            assert masks[index].tolist() == [
+                sum(x * pz + z * px for (x, z), (px, pz) in zip(a, pulse)) % 2 == 1
+                and delta < 1.0
+                for delta, pulse in zip(sched.deltas.tolist(), sched.pulses.tolist())]
+
+    @given(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8), st.booleans(),
+           st.sampled_from([(), (2,), (2, 2)]), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_flip_bits_equal_per_bit_calls_and_pulse_loop(self, deltas, final_at_one,
+                                                          stack_shape, seed):
+        sched = flip_train_schedule(deltas + [1.0] * final_at_one, n_system=1)
+        bits = np.random.default_rng(seed).integers(0, 2, stack_shape)
+        masks = toggling_sign_function(sched, bits)
+        assert masks.shape == stack_shape + (len(sched),) and masks.dtype == bool
+        for index in np.ndindex(stack_shape):
+            bit = int(bits[index])
+            assert masks[index].tolist() == toggling_sign_function(sched, bit).tolist()
+            assert masks[index].tolist() == [bit == 1 and delta < 1.0
+                                              for delta in sched.deltas.tolist()]
+
+    @pytest.mark.parametrize("bits", [2, -1, (0, 2), ((0, 1), (1, 3))])
+    def test_flip_schedule_rejects_bits_outside_z2(self, bits):
+        with pytest.raises(ValueError, match="Z2 bits, 0 or 1"):
+            toggling_sign_function(decoupling_schedule(2, 1), bits)
 
 
 def indexed(deltas, stack, signs=None, m=0):
