@@ -47,7 +47,6 @@ from .schedules import (
 from .dyson import (
     iterated_integral,
     check_udd_condition,
-    check_bosonic_decoupling_condition,
     check_qubit_nudd_condition,
     check_homogenization_condition,
     verify_qubit_bosonic_correspondence,

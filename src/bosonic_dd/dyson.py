@@ -35,12 +35,16 @@ Checked conditions (each over all tuples with s + sum(r) <= N):
 * bosonic homogenization:              vanishes when xor(alpha) is neither
                                        the zero index nor the index of -J
 
+Each report takes the sign functions of its alphabet from its own schedule,
+by one ``toggling_sign_function`` call: sigma is the flip mask of the N-pulse
+decoupling schedule, and the indices pair with the pulses of the nested train.
+
 A ``ConditionReport`` holds its rows as columns, with no object per row: the
 (s, powers) budgets and one budget id per row, an (n_rows, s_max) matrix of
 alphabet positions, the walker's values, a ``required_zero`` mask and the
 alphabet.  ``passed``, ``max_violation`` and ``n_checked`` are array
-reductions (a NaN value fails).  The scalar reports append their witness
-row, one order past the budget, as one more budget that need not vanish.
+reductions (a NaN value fails).  The udd report appends its witness row,
+one order past the budget, as one more budget that need not vanish.
 A report enumerates every tuple when there are at most MAX_TUPLES of them;
 past that it checks MAX_TUPLES tuples drawn with seed SAMPLE_SEED.
 """
@@ -63,7 +67,6 @@ from .schedules import (
     qubit_nudd_schedule,
     substitute_bosonic,
     toggling_sign_function,
-    udd_times,
 )
 
 DEGREE_CAP = 24
@@ -251,53 +254,34 @@ def _check_label_guard(order: int, m: int, condition: str) -> None:
 
 
 def check_udd_condition(order: int, tol: float = ZERO_TOL) -> ConditionReport:
-    """Single-axis Uhrig vanishing: all tuples with odd gamma parity vanish.
+    """Single-axis Uhrig vanishing for the sigma of the decoupling schedule:
+    all tuples with odd gamma parity vanish.
 
     Also probes the tuple (s=1, r=N, gamma=1) one order past the budget; its
     value (-1/4)^N is the witness that suppression stops exactly at order N.
     """
     _check_scalar_order(order)
-    return _scalar_condition_report(order, np.array(udd_times(order)),
-                                    np.array([[False] * order, [True] * order]), tol)
-
-
-def check_bosonic_decoupling_condition(order: int, tol: float = ZERO_TOL) -> ConditionReport:
-    """Same integral equations, with sigma built from the pulse schedule.
-
-    The sign function of the flip-pulse schedule must coincide with the
-    Uhrig construction exactly; this is asserted before checking.
-    """
-    _check_scalar_order(order)
     schedule = decoupling_schedule(order, n_system=1)
-    flips = toggling_sign_function(schedule, np.arange(2))
-    if tuple(schedule.deltas[flips[1]].tolist()) != udd_times(order):
-        raise AssertionError("schedule-derived sigma differs from the Uhrig times")
-    return _scalar_condition_report(order, schedule.deltas, flips, tol)
-
-
-def _scalar_condition_report(order: int, times: np.ndarray, flips: np.ndarray,
-                             tol: float) -> ConditionReport:
-    # gamma labels 0 and 1 stand for the constant and sigma (mask rows 0 and 1);
-    # their xor is 0 or 1.  The witness row (s=1, r=N, gamma=1) lies one order past the budget.
-    report = _tuple_condition_report(times, flips, np.arange(2), np.zeros(1, int), order, tol)
+    # gamma bits 0 and 1 stand for the constant and sigma; their xor is 0 or 1
+    report = _tuple_condition_report(schedule, np.arange(2), np.zeros(1, int), tol)
+    witness = _evaluate(schedule.deltas, toggling_sign_function(schedule, np.ones(1, int)),
+                        np.zeros((1, 1), int), np.array([[order]]), np.ones(1, int))
     return replace(report, budgets=report.budgets + ((1, (order,)),),
                    budget=np.append(report.budget, len(report.budgets)),
                    picks=np.concatenate([report.picks, [[1] + [-1] * (order - 1)]]),
-                   values=np.append(report.values, iterated_integral([times[flips[1]]], [order])),
+                   values=np.append(report.values, witness),
                    required_zero=np.append(report.required_zero, False))
 
 
-def _tuple_condition_report(times: np.ndarray, flips: np.ndarray,
-                            alphabet: np.ndarray, exempt_xors: np.ndarray,
-                            order: int, tol: float) -> ConditionReport:
-    """Every tuple of ``alphabet`` labels (label k flipping at the masked
-    ``times[flips[k]]``) whose index xor is no row of ``exempt_xors``, with
-    every budget of powers."""
-    # labels with equal masks share one function, numbered by first appearance
-    functions, first, inverse = np.unique(flips, axis=0, return_index=True,
-                                          return_inverse=True)
-    appearance = np.argsort(first)
-    functions, function = functions[appearance], np.argsort(appearance)[inverse]
+def _tuple_condition_report(schedule: PulseSchedule, alphabet: np.ndarray,
+                            exempt_xors: np.ndarray, tol: float) -> ConditionReport:
+    """Every tuple of ``alphabet`` labels, label k flipping where its sign
+    function over ``schedule`` flips, whose index xor is no row of
+    ``exempt_xors``, with every budget of powers to the schedule's order."""
+    order = schedule.order
+    # labels with equal masks share one function
+    functions, function = np.unique(toggling_sign_function(schedule, alphabet), axis=0,
+                                    return_inverse=True)
     # each label's index bits packed into one integer, so index xors are integer xors
     weight = 1 << np.arange(np.size(alphabet[0]))
     code = np.reshape(alphabet, (len(alphabet), -1)) @ weight
@@ -341,7 +325,7 @@ def _tuple_condition_report(times: np.ndarray, flips: np.ndarray,
             n += n_kept
         budget, picks = budget[:n], picks[:n]
         exhaustive = False
-    values = _evaluate(times, functions, function[picks], powers[budget],
+    values = _evaluate(schedule.deltas, functions, function[picks], powers[budget],
                        np.array([s for s, _ in budgets])[budget])
     return ConditionReport(tol=tol, alphabet=alphabet,
                            budgets=tuple(budgets), budget=budget, picks=picks,
@@ -355,8 +339,7 @@ def check_qubit_nudd_condition(order: int, m: int, tol: float = ZERO_TOL) -> Con
     schedule = qubit_nudd_schedule(order, m)
     alphabet = all_indices(m)
     exempt = np.zeros((1, m + 1, 2), dtype=int)  # the zero index, product ~ identity
-    return _tuple_condition_report(schedule.deltas, toggling_sign_function(schedule, alphabet),
-                                   alphabet, exempt, order, tol)
+    return _tuple_condition_report(schedule, alphabet, exempt, tol)
 
 
 def check_homogenization_condition_for(schedule: PulseSchedule,
@@ -372,8 +355,7 @@ def check_homogenization_condition_for(schedule: PulseSchedule,
     m = schedule.m
     alphabet = gamma_set(m)
     exempt = np.stack([np.zeros((m + 1, 2), dtype=int), symplectic_form_index(m)])
-    return _tuple_condition_report(schedule.deltas, toggling_sign_function(schedule, alphabet),
-                                   alphabet, exempt, schedule.order, tol)
+    return _tuple_condition_report(schedule, alphabet, exempt, tol)
 
 
 def check_homogenization_condition(order: int, m: int, tol: float = ZERO_TOL) -> ConditionReport:

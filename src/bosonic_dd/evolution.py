@@ -463,9 +463,7 @@ def generator_block_norms(gen: AnalyticGenerator) -> tuple[float, float]:
     if gen.degree > 0:
         raise ValueError("block norms are defined for time-independent generators")
     b = block_decompose(gen.coeffs[0], gen.layout)
-    j0 = spectral_norm(b.ee) if b.ee.size else 0.0
-    jz = spectral_norm(b.ss) + (spectral_norm(b.se) if b.se.size else 0.0)
-    return j0, jz
+    return spectral_norm(b.ee), spectral_norm(b.ss) + spectral_norm(b.se)
 
 
 def decoupling_error_bound(j0: float, jz: float, order: int, t_total: float) -> float:

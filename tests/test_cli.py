@@ -213,9 +213,10 @@ class TestSweeps:
         assert run([command, *flags, *points, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
-        if "--tol" in " ".join(flags):
-            assert err == ("error: --tol must lie in (0, 1)\n" if command == "verify"
-                           else "error: --tol must be finite and positive\n")
+        if "--tol" in " ".join(flags):  # verify's own check, else the integrator's
+            assert re.fullmatch(r"error: --tol must lie in \(0, 1\)\n" if command == "verify"
+                                else r"error: tolerance must be finite and positive, got \S+\n",
+                                err)
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [
@@ -238,9 +239,13 @@ class TestSweeps:
         ["homogenize-sweep", "--N", "1", "--m", "5", "--nS", "32"],
     ], ids=["schedule", "homogenize-sweep"])
     def test_m_beyond_the_basis_guard(self, tmp_path, capsys, command):
-        # m is bounded by pauli_basis.MAX_M = 4 on every homogenization path
+        # m is bounded by pauli_basis.MAX_M = 4 on every homogenization path,
+        # before any 2^m-mode generator is built
         out = tmp_path / "o.txt"
-        assert run([*command, "--out", str(out)]) == 2
+        with mock.patch.object(evolution, "random_generator",
+                               side_effect=AssertionError("generator built")) as build:
+            assert run([*command, "--out", str(out)]) == 2
+        assert not build.called
         err = capsys.readouterr().err
         assert err == "error: m=5 exceeds the exhaustive-enumeration guard (max 4)\n"
         assert not out.exists()
@@ -255,11 +260,16 @@ class TestSweeps:
      "#scheme decoupling\n#N 1\n#m -\n#nS 1\n# bits: index pairs innermost-level first, "
      "x-bit then z-bit per position; flip schedules use the single bit 1\n"
      "0.49999999999999989\t1\n", ""),
-    (["decouple-sweep", "--N", "0", "--out", "{out}"], 2, "", r"error: invalid N/nS/nE\n"),
-    (["decouple-sweep", "--nS", "0", "--out", "{out}"], 2, "", r"error: invalid N/nS/nE\n"),
-    (["decouple-sweep", "--nE", "-1", "--out", "{out}"], 2, "", r"error: invalid N/nS/nE\n"),
-    (["homogenize-sweep", "--N", "0", "--out", "{out}"], 2, "", r"error: invalid N/m\n"),
-    (["homogenize-sweep", "--m", "-1", "--out", "{out}"], 2, "", r"error: invalid N/m\n"),
+    # N, nS, nE and m are checked where the library first uses them
+    (["decouple-sweep", "--N", "0", "--out", "{out}"], 2, "", r"error: need at least one pulse\n"),
+    (["decouple-sweep", "--nS", "0", "--out", "{out}"], 2, "",
+     r"error: need at least one system mode\n"),
+    (["decouple-sweep", "--nE", "-1", "--out", "{out}"], 2, "",
+     r"error: environment mode count must be nonnegative\n"),
+    (["homogenize-sweep", "--N", "0", "--out", "{out}"], 2, "",
+     r"error: suppression order must be >= 1\n"),
+    (["homogenize-sweep", "--m", "-1", "--out", "{out}"], 2, "",
+     r"error: m must be nonnegative\n"),
     (["verify", "--check", "homogenization", "--mutate", "--m", "0", "--out", "{out}"], 2,
      "", r"error: the mutation self-test needs m >= 1\n"),
     (["spectrum", "--nE", "0", "--out", "{out}"], 2, "",

@@ -17,7 +17,6 @@ from bosonic_dd.dyson import (
     _budget_pairs,
     _evaluate,
     _integrate_stage,
-    check_bosonic_decoupling_condition,
     check_homogenization_condition,
     check_homogenization_condition_for,
     check_qubit_nudd_condition,
@@ -516,9 +515,8 @@ class TestUddCondition:
         with pytest.raises(ValueError):
             check_udd_condition(13)
 
-    @pytest.mark.parametrize("check", [check_udd_condition, check_bosonic_decoupling_condition])
-    def test_order_10_exhaustive(self, check):
-        report = check(10)
+    def test_order_10_exhaustive(self):
+        report = check_udd_condition(10)
         assert report.passed and report.exhaustive
         assert len(report.values) == 29525  # 3^10 // 2 required rows and the witness
 
@@ -529,15 +527,22 @@ class TestUddCondition:
 
 
 class TestBosonicDecouplingCondition:
+    """The udd check runs on sigma of the bosonic decoupling schedule."""
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_udd_rows_bitwise(self, n):
-        a = check_udd_condition(n)
-        b = check_bosonic_decoupling_condition(n)
-        assert b.passed
-        assert report_rows(a) == report_rows(b)
+        # sigma flips at the Uhrig times, so every row, the witness too, is the
+        # walk over a hand-built Uhrig mask, bit for bit
+        report = check_udd_condition(n)
+        length = np.array([s for s, _ in report.budgets])[report.budget]
+        powers = np.array([r + (0,) * (n - s) for s, r in report.budgets])[report.budget]
+        uhrig = _evaluate(np.array(udd_times(n)), np.array([[False] * n, [True] * n]),
+                          np.maximum(report.picks, 0), powers, length)
+        assert report.passed
+        assert uhrig.tobytes() == report.values.tobytes()
 
     def test_even_parity_tuples_not_required(self):
-        report = check_bosonic_decoupling_condition(2)
+        report = check_udd_condition(2)
         for _, _, labels, _, required in report_rows(report):
             if required:
                 assert sum(labels) % 2 == 1
@@ -546,8 +551,8 @@ class TestBosonicDecouplingCondition:
 @pytest.mark.parametrize("check, args, message", [
     (check_udd_condition, (0,), "order must be >= 1"),
     (check_udd_condition, (13,), "budget guard: order <= 12"),
-    (check_bosonic_decoupling_condition, (0,), "order must be >= 1"),
-    (check_bosonic_decoupling_condition, (13,), "budget guard: order <= 12"),
+    (check_qubit_nudd_condition, (0, 1), "suppression order must be >= 1"),
+    (check_homogenization_condition, (1, -1), "m must be nonnegative"),
     (check_qubit_nudd_condition, (9, 2), "label set exceeds the qubit-condition guard"),
     (check_homogenization_condition, (9, 2),
      "label set exceeds the homogenization-condition guard"),

@@ -23,9 +23,8 @@ EXPORTS = {
     "homogenization_schedule", "qubit_nudd_schedule", "read_schedule",
     "substitute_bosonic", "toggling_sign_function", "udd_times", "write_schedule",
     # dyson
-    "check_bosonic_decoupling_condition", "check_homogenization_condition",
-    "check_qubit_nudd_condition", "check_udd_condition", "iterated_integral",
-    "verify_qubit_bosonic_correspondence",
+    "check_homogenization_condition", "check_qubit_nudd_condition",
+    "check_udd_condition", "iterated_integral", "verify_qubit_bosonic_correspondence",
     # evolution
     "AnalyticGenerator", "affine_propagate", "decoupling_error_bound",
     "generator_block_norms", "homogenization_fit", "order_sweep", "propagate",
@@ -69,7 +68,6 @@ SIGNATURES = {
     "udd_times": "n_pulses",
     "write_schedule": "schedule, stream",
     # dyson
-    "check_bosonic_decoupling_condition": "order, tol",
     "check_homogenization_condition": "order, m, tol",
     "check_qubit_nudd_condition": "order, m, tol",
     "check_udd_condition": "order, tol",

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -394,3 +395,12 @@ class TestPulses:
             E = matrix_exponential(G)
             W = pulse_matrix(axis, qubit, m)
             assert min(np.abs(E - W).max(), np.abs(E + W).max()) < 1e-13
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: gamma_set(-1), "m must be nonnegative"),
+    (lambda: expand_in_basis(np.eye(3), 1), "expected shape (4, 4), got (3, 3)"),
+], ids=["m-negative", "expand-shape"])
+def test_input_check(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

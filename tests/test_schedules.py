@@ -2,6 +2,7 @@ import dataclasses
 import io
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -83,6 +84,11 @@ class TestDecouplingSchedule:
 
     def test_n1_single_pulse(self):
         assert len(decoupling_schedule(1, n_system=3)) == 1
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_sigma_flips_at_the_uhrig_times_bitwise(self, n):
+        # the udd condition check walks this mask
+        assert flip_times(decoupling_schedule(n, n_system=1), 1) == udd_times(n)
 
 
 def flip_times(schedule, alpha):
@@ -522,6 +528,11 @@ def random_schedules(draw, min_size=0):
 
 
 class TestScheduleFile:
+    def test_header_key_without_value_is_skipped(self):
+        written = text(decoupling_schedule(2, 1))
+        body = written.replace("#nS 1\n", "#N\n#nS\n#nS 1\n")
+        assert text(read_schedule(io.StringIO(body))) == written
+
     @settings(max_examples=30, deadline=None)
     @given(scheme=st.sampled_from(sorted(SCHEMES)), order=st.integers(1, 3),
            k=st.integers(0, 2))
@@ -618,3 +629,14 @@ class TestScheduleFile:
         delta, bits = body[0].split("\t")
         assert bits == "1"
         assert float(delta) == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: qubit_nudd_schedule(0, 1), "suppression order must be >= 1"),
+    (lambda: qubit_nudd_schedule(1, -1), "m must be nonnegative"),
+    (lambda: substitute_bosonic(decoupling_schedule(2, 1)),
+     "substitution expects an indexed qubit schedule"),
+], ids=["nudd-order", "nudd-m-negative", "substitute-flip-schedule"])
+def test_input_check(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

@@ -466,3 +466,13 @@ class TestCrossValidation:
         p = channel_params(bath, 0.5, even_flip_train(2))
         assert p.y_noise >= 0
         assert p.total_time == 0.5
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: channel_apply(np.eye(3), ChannelParams(x_shear=0.0, y_noise=0.0, total_time=1.0,
+                                                    deltas=(0.5, 1.0))),
+     "system covariance must be 2x2"),
+], ids=["apply-shape"])
+def test_input_check(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -271,3 +272,14 @@ class TestSpectralNorm:
 
     def test_zero_matrix(self):
         assert spectral_norm(np.zeros((4, 4))) == 0.0
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: is_in_sp_algebra(np.zeros((2, 3)), np.eye(2)), "X must be square, got shape (2, 3)"),
+    (lambda: is_symplectic(np.eye(4), symplectic_form(ModeLayout(1, 0))),
+     "dimension mismatch: S (4, 4) vs J (2, 2)"),
+    (lambda: spectral_norm(np.ones((2, 2, 2))), "spectral_norm expects a 2-d array"),
+], ids=["algebra-nonsquare", "group-dimension", "norm-3d"])
+def test_input_check(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
