@@ -64,14 +64,10 @@ from .evolution import (
 )
 from .spin_boson import (
     BathSpec,
-    ChannelParams,
     y_filter,
-    f_filter,
     shear_parameter,
     added_noise,
     thermal_covariance,
-    channel_params,
-    channel_apply,
     cross_validate,
     even_flip_train,
 )

@@ -45,7 +45,8 @@ alphabet positions, the walker's values, a ``required_zero`` mask and the
 alphabet.  ``passed``, ``max_violation`` and ``n_checked`` are array
 reductions (a NaN value fails).  The udd report appends its witness row,
 one order past the budget, as one more budget that need not vanish.
-A report enumerates every tuple when there are at most MAX_TUPLES of them;
+Every report takes orders 1..12, checked before its budgets are built.  A
+report enumerates every tuple when there are at most MAX_TUPLES of them;
 past that it checks MAX_TUPLES tuples drawn with seed SAMPLE_SEED.
 """
 
@@ -236,12 +237,14 @@ class ConditionReport:
 def _budget_pairs(order: int) -> list[tuple[int, tuple[int, ...]]]:
     """All (s, powers) with s >= 1 and s + sum(powers) <= order: by s, then
     by sum(powers), then lexicographically."""
-    return [(s, powers) for s in range(1, order + 1)
-            for powers in sorted(itertools.product(range(order - s + 1), repeat=s), key=sum)
-            if sum(powers) <= order - s]
+    # the powers summing to t are the compositions of t into s parts; those
+    # follow, in lexicographic order, the positions of s - 1 bars among t + s - 1
+    return [(s, tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, t + s - 1))))
+            for s in range(1, order + 1) for t in range(order - s + 1)
+            for bars in itertools.combinations(range(t + s - 1), s - 1)]
 
 
-def _check_scalar_order(order: int) -> None:
+def _check_order(order: int) -> None:
     if order < 1:
         raise ValueError("order must be >= 1")
     if order > 12:
@@ -260,7 +263,7 @@ def check_udd_condition(order: int, tol: float = ZERO_TOL) -> ConditionReport:
     Also probes the tuple (s=1, r=N, gamma=1) one order past the budget; its
     value (-1/4)^N is the witness that suppression stops exactly at order N.
     """
-    _check_scalar_order(order)
+    _check_order(order)
     schedule = decoupling_schedule(order, n_system=1)
     # gamma bits 0 and 1 stand for the constant and sigma; their xor is 0 or 1
     report = _tuple_condition_report(schedule, np.arange(2), np.zeros(1, int), tol)
@@ -279,6 +282,7 @@ def _tuple_condition_report(schedule: PulseSchedule, alphabet: np.ndarray,
     function over ``schedule`` flips, whose index xor is no row of
     ``exempt_xors``, with every budget of powers to the schedule's order."""
     order = schedule.order
+    _check_order(order)  # before the budgets, which grow as (order - s + 1)^s
     # labels with equal masks share one function
     functions, function = np.unique(toggling_sign_function(schedule, alphabet), axis=0,
                                     return_inverse=True)

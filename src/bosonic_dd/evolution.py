@@ -317,8 +317,9 @@ def _walk(coeffs: Sequence[np.ndarray], schedule: PulseSchedule | None,
 
 
 def resulting_evolution(gen: AnalyticGenerator, schedule: PulseSchedule,
-                        T: float, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """S(T, t_L) . prod_j (S_j (+) I) S(t_j, t_{j-1}) in time order."""
+                        T, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """S(T, t_L) . prod_j (S_j (+) I) S(t_j, t_{j-1}) in time order; for a
+    1-D grid of T, the stack of those products, from one batched walk."""
     return _walk(gen.coeffs, schedule, gen.layout, T, tol)
 
 

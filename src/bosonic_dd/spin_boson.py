@@ -57,8 +57,10 @@ class BathSpec:
     def __post_init__(self) -> None:
         if len(self.couplings) != len(self.frequencies):
             raise ValueError("couplings and frequencies must have equal length")
-        if any(w <= 0 for w in self.frequencies):
-            raise ValueError("bath frequencies must be positive")
+        if any(not math.isfinite(g) for g in self.couplings):
+            raise ValueError("bath couplings must be finite")
+        if any(not (0 < w < math.inf) for w in self.frequencies):
+            raise ValueError("bath frequencies must be finite and positive")
         if not (self.beta > 0):
             raise ValueError("inverse temperature must be positive (math.inf allowed)")
 
@@ -145,14 +147,6 @@ def y_filter(z, deltas):
     return _on_grid(lambda z, phase, s: _y_of(z, phase, s)[:, 0], z, deltas)
 
 
-def f_filter(z, deltas):
-    """f_L(z) = 2i sum_m (-1)^m e^{-i z d_m}.
-
-    Satisfies Re f_L - sin z = Im y_L and Im f_L + 1 - cos z = Re y_L.
-    """
-    return _on_grid(lambda z, phase, s: 2j * (phase.conj() @ s)[:, 0], z, deltas)
-
-
 def pair_shear(total_time, bath: BathSpec, deltas):
     """Ordered-pulse-pair contribution to the shear parameter."""
     return 4.0 * _line_sum(_pairs_of, total_time, bath, deltas)
@@ -207,70 +201,32 @@ def bath_generator(bath: BathSpec) -> AnalyticGenerator:
     return AnalyticGenerator(layout=layout, coeffs=(X,))
 
 
-@dataclass(frozen=True)
-class ChannelParams:
-    x_shear: float
-    y_noise: float
-    total_time: float
-    deltas: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if self.y_noise < 0:
-            raise ValueError("added noise must be nonnegative")
-        _check_even(self.deltas)
+# the initial system covariances M0 the check applies both channels to
+COVARIANCES = np.array([np.eye(2), np.diag([4.0, 0.25])])
 
 
-def channel_params(bath: BathSpec, total_time: float, deltas) -> ChannelParams:
-    x, y = channel_columns(total_time, bath, deltas)
-    return ChannelParams(x_shear=x, y_noise=y, total_time=total_time,
-                         deltas=tuple(float(d) for d in deltas))
+def cross_validate(bath: BathSpec, deltas, total_time):
+    """Largest entrywise deviation of the closed-form channel from direct
+    symplectic simulation: a float for a scalar T, an array for a 1-D grid.
 
-
-def channel_apply(M0: np.ndarray, params: ChannelParams) -> np.ndarray:
-    """Shear conjugation plus noise: [[1,x],[0,1]] M [[1,x],[0,1]]^T + diag(y, 0)."""
-    M0 = np.asarray(M0, dtype=float)
-    if M0.shape != (2, 2):
-        raise ValueError("system covariance must be 2x2")
-    sh = np.array([[1.0, params.x_shear], [0.0, 1.0]])
-    out = sh @ M0 @ sh.T
-    out[0, 0] += params.y_noise
-    return out
-
-
-@dataclass(frozen=True)
-class CrossValidationReport:
-    total_time: float
-    deltas: tuple[float, ...]
-    deviations: tuple[float, ...]
-
-    @property
-    def max_deviation(self) -> float:
-        return max(self.deviations)
-
-
-def cross_validate(bath: BathSpec, deltas, total_time: float,
-                   covariances: tuple[np.ndarray, ...] | None = None
-                   ) -> CrossValidationReport:
-    """Compare the closed-form channel against direct symplectic simulation.
-
-    Builds the full (2n+2)-dimensional evolution with flip pulses, applies
-    it to M0 (+) M_thermal, extracts the system block and reports the max
-    entrywise deviation from channel_apply for each initial covariance.
+    One walk over the grid gives the full (2n+2)-dimensional evolution S
+    with flip pulses; the system block of S (M0 (+) M_thermal) S^T is
+    compared with [[1,x],[0,1]] M0 [[1,x],[0,1]]^T + diag(y, 0) for every
+    M0 of COVARIANCES, x and y from one ``channel_columns`` call.
     """
     deltas = _check_even(deltas)
     if bath.n_modes > 5:
         raise ValueError("cross validation is limited to 5 bath modes")
-    if covariances is None:
-        covariances = (np.eye(2), np.diag([4.0, 0.25]))
-    S = resulting_evolution(bath_generator(bath), flip_train_schedule(deltas, n_system=1),
-                            total_time)
-    M = np.zeros_like(S)  # M0 (+) the bath's thermal covariance
-    M[2:, 2:] = thermal_covariance(bath)
-    params = channel_params(bath, total_time, deltas)
-    deviations = []
-    for M0 in covariances:
-        M[:2, :2] = M0
-        out = S @ M @ S.T
-        deviations.append(float(np.abs(out[:2, :2] - channel_apply(M0, params)).max()))
-    return CrossValidationReport(total_time=total_time, deltas=deltas,
-                                 deviations=tuple(deviations))
+    Ts = np.atleast_1d(np.asarray(total_time, dtype=float))
+    x, y = channel_columns(Ts, bath, deltas)
+    S = resulting_evolution(bath_generator(bath), flip_train_schedule(deltas, n_system=1), Ts)
+    M = np.zeros((len(COVARIANCES), *S.shape[1:]))  # M0 (+) the bath's thermal covariance
+    M[:, :2, :2] = COVARIANCES
+    M[:, 2:, 2:] = thermal_covariance(bath)
+    simulated = S[:, None, :2] @ M @ S[:, None, :2].mT
+    shear = np.tile(np.eye(2), (len(Ts), 1, 1, 1))
+    shear[:, 0, 0, 1] = x
+    closed = shear @ COVARIANCES @ shear.mT
+    closed[..., 0, 0] += y[:, None]
+    deviation = np.abs(simulated - closed).max(axis=(1, 2, 3))
+    return float(deviation[0]) if np.ndim(total_time) == 0 else deviation

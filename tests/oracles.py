@@ -7,6 +7,7 @@ import numpy as np
 
 from bosonic_dd.pauli_basis import ALL_PAIRS, PAIR_I, PAIR_X, PAIR_Y, PAIR_Z
 from bosonic_dd.schedules import PulseSchedule
+from bosonic_dd.spin_boson import _on_grid
 
 
 def sign_value(flips, tau):
@@ -59,3 +60,12 @@ def signed_closed_schedule(seed, m, n_pulses):
     signs = rng.choice([-1, 1], n_pulses + 1)
     return PulseSchedule(scheme="bosonic-homogenization", order=1, deltas=deltas,
                          pulses=stack, signs=signs, m=m, n_system=2 ** m)
+
+
+def f_filter(z, deltas):
+    """f_L(z) = 2i sum_m (-1)^m e^{-i z d_m}, a scalar or 1-D grid of z as
+    ``y_filter`` takes it.
+
+    Satisfies Re f_L - sin z = Im y_L and Im f_L + 1 - cos z = Re y_L.
+    """
+    return _on_grid(lambda z, phase, s: 2j * (phase.conj() @ s)[:, 0], z, deltas)

@@ -163,6 +163,7 @@ def test_c06_basis_algebra():
 def test_c07_channel_oracle_equivalence():
     rng = np.random.default_rng(77)
     covs = (np.eye(2), np.diag([4.0, 0.25]))
+    assert np.array_equal(spin_boson.COVARIANCES, covs)
     worst = 0.0
     ok = True
     for n_modes in (1, 3):
@@ -174,11 +175,9 @@ def test_c07_channel_oracle_equivalence():
         for n_pulses in (2, 4):  # L in {2, 4}
             deltas = spin_boson.even_flip_train(n_pulses)
             assert len(deltas) in (2, 4)
-            for T in (0.1, 0.5, 1.0):
-                rep = spin_boson.cross_validate(bath, deltas, T,
-                                                covariances=covs)
-                worst = max(worst, rep.max_deviation)
-                ok &= rep.max_deviation <= 1e-8
+            deviations = spin_boson.cross_validate(bath, deltas, (0.1, 0.5, 1.0))
+            worst = max(worst, float(deviations.max()))
+            ok &= bool((deviations <= 1e-8).all())
 
     # shear parameter is independent of the temperature
     om = rng.uniform(0.2, 1.0, 3); om /= om.max()

@@ -9,7 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from bosonic_dd import cli, evolution
+from bosonic_dd import cli, dyson, evolution, spin_boson
 from bosonic_dd.cli import main
 
 
@@ -327,6 +327,18 @@ class TestVerify:
         assert capsys.readouterr().err == "error: budget guard: order <= 12\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("check", ["nudd", "homogenization"])
+    def test_order_guard_before_budgets(self, tmp_path, capsys, check):
+        # the label guard alone admits N = 25 at m = 0; the budgets must not
+        # be enumerated, so the patched enumeration fails the test if called
+        out = tmp_path / "v.csv"
+        with mock.patch.object(dyson, "_budget_pairs",
+                               side_effect=AssertionError("budgets enumerated")):
+            assert run(["verify", "--check", check, "--N", "25", "--m", "0",
+                        "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: budget guard: order <= 12\n"
+        assert not out.exists()
+
     def test_unknown_check(self, tmp_path):
         with pytest.raises(SystemExit) as exit_:  # argparse rejects it
             run(["verify", "--check", "bogus", "--out", str(tmp_path / "u.csv")])
@@ -363,18 +375,26 @@ class TestSpectrum:
             assert float(row[4]) < 1e-8  # dev_udd
             assert float(row[8]) < 1e-8  # dev_periodic
 
-    @pytest.mark.parametrize("flags", [
-        ["--beta", "0"],
-        ["--beta", "-1"],
-        ["--tmax", "1e400"],
-        ["--coupling-scale", "nan"],
+    @pytest.mark.parametrize("flags, message", [
+        (["--beta", "0"], "inverse temperature must be positive (math.inf allowed)"),
+        (["--beta", "-1"], "inverse temperature must be positive (math.inf allowed)"),
+        (["--tmax", "1e400"], "need finite 0 < tmin < tmax and at least two grid points"),
+        (["--coupling-scale", "nan"], "bath couplings must be finite"),  # BathSpec's check
     ], ids=["beta-zero", "beta-negative", "tmax-overflow", "coupling-nan"])
-    def test_bad_numeric_input(self, tmp_path, capsys, flags):
+    def test_bad_numeric_input(self, tmp_path, capsys, flags, message):
         out = tmp_path / "s.csv"
         assert run(["spectrum", *flags, "--points", "3", "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    def test_cross_validate_walks_once_per_train(self, tmp_path):
+        out = tmp_path / "s.csv"
+        with mock.patch.object(spin_boson, "resulting_evolution",
+                               wraps=spin_boson.resulting_evolution) as walks:
+            assert run(["spectrum", "--cross-validate", "--points", "5",
+                        "--out", str(out)]) == 0
+        assert walks.call_count == 2  # the udd and the periodic train
+        assert all(len(call.args[2]) == 5 for call in walks.call_args_list)
 
     def test_vacuum_beta_allowed(self, tmp_path):
         out = tmp_path / "s.csv"

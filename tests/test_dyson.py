@@ -548,6 +548,17 @@ class TestBosonicDecouplingCondition:
                 assert sum(labels) % 2 == 1
 
 
+def test_budget_pairs_follow_the_filtered_product():
+    # the sampled draws index this list, so its order is pinned: the old
+    # enumeration, every power tuple filtered by its sum and stably sorted
+    for order in range(1, 13):
+        product = [(s, powers) for s in range(1, order + 1)
+                   for powers in sorted(itertools.product(range(order - s + 1), repeat=s),
+                                        key=sum)
+                   if sum(powers) <= order - s]
+        assert _budget_pairs(order) == product
+
+
 @pytest.mark.parametrize("check, args, message", [
     (check_udd_condition, (0,), "order must be >= 1"),
     (check_udd_condition, (13,), "budget guard: order <= 12"),

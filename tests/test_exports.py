@@ -30,9 +30,8 @@ EXPORTS = {
     "generator_block_norms", "homogenization_fit", "order_sweep", "propagate",
     "random_generator", "resulting_evolution",
     # spin_boson
-    "BathSpec", "ChannelParams", "added_noise", "channel_apply", "channel_params",
-    "cross_validate", "even_flip_train", "f_filter", "shear_parameter",
-    "thermal_covariance", "y_filter",
+    "BathSpec", "added_noise", "cross_validate", "even_flip_train",
+    "shear_parameter", "thermal_covariance", "y_filter",
 }
 
 # parameter names of every exported callable
@@ -86,12 +85,8 @@ SIGNATURES = {
     # spin_boson
     "added_noise": "total_time, bath, deltas",
     "BathSpec": "couplings, frequencies, beta",
-    "channel_apply": "M0, params",
-    "channel_params": "bath, total_time, deltas",
-    "ChannelParams": "x_shear, y_noise, total_time, deltas",
-    "cross_validate": "bath, deltas, total_time, covariances",
+    "cross_validate": "bath, deltas, total_time",
     "even_flip_train": "n_pulses",
-    "f_filter": "z, deltas",
     "shear_parameter": "total_time, bath, deltas",
     "thermal_covariance": "bath",
     "y_filter": "z, deltas",

@@ -8,17 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bosonic_dd import spin_boson
+from bosonic_dd.evolution import resulting_evolution
+from bosonic_dd.schedules import flip_train_schedule
 from bosonic_dd.spin_boson import (
     BathSpec,
-    ChannelParams,
     added_noise,
-    channel_apply,
+    bath_generator,
     channel_columns,
-    channel_params,
     coupling_matrix,
     cross_validate,
     even_flip_train,
-    f_filter,
     pair_shear,
     shear_parameter,
     thermal_covariance,
@@ -30,6 +29,7 @@ from bosonic_dd.symplectic import (
     matrix_exponential,
     symplectic_form,
 )
+from oracles import f_filter
 
 
 def seeded_bath(seed, n, beta=1.0, scale=0.3):
@@ -174,6 +174,8 @@ class TestArrayClosedForm:
         with pytest.raises(ValueError):
             added_noise(np.ones((2, 2)), bath, (0.25, 0.75))
         with pytest.raises(ValueError):
+            cross_validate(bath, (0.25, 0.75), np.ones((2, 2)))
+        with pytest.raises(ValueError):
             y_filter(np.ones(3), (0.5,))
 
 
@@ -185,6 +187,16 @@ class TestBathSpec:
             BathSpec(couplings=(1.0,), frequencies=(0.0,), beta=1.0)
         with pytest.raises(ValueError):
             BathSpec(couplings=(1.0,), frequencies=(1.0,), beta=-1.0)
+
+    @pytest.mark.parametrize("couplings, frequencies, message", [
+        ((1.0,), (math.nan,), "bath frequencies must be finite and positive"),
+        ((1.0,), (math.inf,), "bath frequencies must be finite and positive"),
+        ((math.inf,), (1.0,), "bath couplings must be finite"),
+        ((0.1, math.nan), (1.0, 0.5), "bath couplings must be finite"),
+    ], ids=["nan-frequency", "inf-frequency", "inf-coupling", "nan-coupling"])
+    def test_non_finite_rejected(self, couplings, frequencies, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            BathSpec(couplings=couplings, frequencies=frequencies, beta=1.0)
 
     def test_vacuum_flag(self):
         bath = BathSpec(couplings=(0.1,), frequencies=(1.0,), beta=math.inf)
@@ -237,9 +249,9 @@ class TestFilters:
     ])
     @pytest.mark.parametrize("entry", [
         lambda deltas: y_filter(1.0, deltas),
-        lambda deltas: channel_params(seeded_bath(1, 2), 1.0, deltas),
+        lambda deltas: channel_columns(1.0, seeded_bath(1, 2), deltas),
         lambda deltas: cross_validate(seeded_bath(1, 2), deltas, 1.0),
-    ], ids=["y_filter", "channel_params", "cross_validate"])
+    ], ids=["y_filter", "channel_columns", "cross_validate"])
     def test_bad_train_rejected(self, deltas, message, entry):
         with pytest.raises(ValueError, match=re.escape(message)):
             entry(deltas)
@@ -262,8 +274,6 @@ class TestChannelScalars:
             point = channel_columns(T, bath, deltas)
             assert [type(v) for v in point] == [float, float]
             assert point == pytest.approx([x, y], rel=1e-13)
-            params = channel_params(bath, T, deltas)
-            assert (params.x_shear, params.y_noise) == tuple(point)
 
     def test_zero_coupling(self):
         bath = BathSpec(couplings=(0.0, 0.0), frequencies=(0.5, 1.0), beta=2.0)
@@ -398,81 +408,80 @@ class TestUncontrolledPropagator:
             assert is_symplectic(uncontrolled_propagator(bath, t), J, tol=1e-10)
 
 
+def simulated_system_block(bath, deltas, T, M0):
+    """The system block of S (M0 (+) M_thermal) S^T for the walk S of the train."""
+    S = resulting_evolution(bath_generator(bath), flip_train_schedule(deltas, n_system=1), T)
+    M = np.zeros_like(S)
+    M[:2, :2], M[2:, 2:] = M0, thermal_covariance(bath)
+    return (S @ M @ S.T)[:2, :2]
+
+
 class TestChannelApply:
+    """The channel M0 -> [[1,x],[0,1]] M0 [[1,x],[0,1]]^T + diag(y, 0), read
+    off the direct simulation."""
+
     def test_identity_channel(self):
-        params = ChannelParams(x_shear=0.0, y_noise=0.0, total_time=1.0,
-                               deltas=(0.25, 0.75))
+        bath = BathSpec(couplings=(0.0, 0.0), frequencies=(0.5, 1.0), beta=2.0)
         M0 = np.array([[1.5, 0.2], [0.2, 0.9]])
-        assert np.array_equal(channel_apply(M0, params), M0)
+        assert np.abs(simulated_system_block(bath, (0.25, 0.75), 1.3, M0) - M0).max() < 1e-15
 
     def test_shear_of_identity(self):
-        a, y = 0.4, 0.05
-        params = ChannelParams(x_shear=a, y_noise=y, total_time=1.0,
-                               deltas=(0.25, 0.75))
-        out = channel_apply(np.eye(2), params)
-        expected = np.array([[1 + a * a + y, a], [a, 1.0]])
-        assert np.abs(out - expected).max() < 1e-15
+        bath, deltas, T = seeded_bath(15, 3, scale=1.0), (0.2, 0.55), 2.0
+        x, y = channel_columns(T, bath, deltas)
+        assert abs(x) > 1e-2 and y > 1e-1
+        expected = np.array([[1 + x * x + y, x], [x, 1.0]])
+        assert np.abs(simulated_system_block(bath, deltas, T, np.eye(2)) - expected).max() < 1e-12
 
     def test_determinant_grows_by_noise(self):
         # for M0 = I: det(M_out) = 1 + y
-        params = ChannelParams(x_shear=0.7, y_noise=0.3, total_time=1.0,
-                               deltas=(0.5, 1.0))
-        out = channel_apply(np.eye(2), params)
-        assert np.linalg.det(out) == pytest.approx(1.3, rel=1e-12)
+        bath, deltas, T = seeded_bath(16, 2), even_flip_train(2), 1.7
+        y = added_noise(T, bath, deltas)
+        out = simulated_system_block(bath, deltas, T, np.eye(2))
+        assert np.linalg.det(out) == pytest.approx(1.0 + y, rel=1e-12)
 
     def test_shear_matrix_is_symplectic(self):
         sh = np.array([[1.0, 0.83], [0.0, 1.0]])
         assert np.linalg.det(sh) == 1.0
-
-    def test_negative_noise_rejected(self):
-        with pytest.raises(ValueError):
-            ChannelParams(x_shear=0.0, y_noise=-0.1, total_time=1.0,
-                          deltas=(0.5, 1.0))
 
 
 class TestCrossValidation:
     def test_uncoupled_exact(self):
         bath = BathSpec(couplings=(0.0, 0.0, 0.0),
                         frequencies=(0.4, 0.7, 1.0), beta=1.0)
-        report = cross_validate(bath, even_flip_train(2), 0.8)
-        assert report.max_deviation < 1e-12
+        assert cross_validate(bath, even_flip_train(2), 0.8) < 1e-12
 
     def test_seeded_bath_oracle_equivalence(self):
         bath = seeded_bath(11, 3)
         for T in (0.3, 0.9, 1.7):
-            report = cross_validate(bath, even_flip_train(2), T)
-            assert report.max_deviation < 1e-8
+            assert cross_validate(bath, even_flip_train(2), T) < 1e-8
 
     def test_asymmetric_train(self):
         # breaks the Uhrig symmetry, exercising the pulse-pair shear part
         bath = seeded_bath(12, 2)
         assert abs(pair_shear(1.1, bath, (0.2, 0.55))) > 1e-6
-        report = cross_validate(bath, (0.2, 0.55), 1.1)
-        assert report.max_deviation < 1e-10
+        assert cross_validate(bath, (0.2, 0.55), 1.1) < 1e-10
 
     def test_covariance_choice_immaterial(self):
         bath = seeded_bath(13, 3)
-        report = cross_validate(bath, even_flip_train(2), 0.6,
-                                covariances=(np.eye(2), np.diag([4.0, 0.25])))
-        assert all(d < 1e-8 for d in report.deviations)
+        assert np.array_equal(spin_boson.COVARIANCES, [np.eye(2), np.diag([4.0, 0.25])])
+        assert cross_validate(bath, even_flip_train(2), 0.6) < 1e-8
+        # any other initial covariances agree as well
+        rng = np.random.default_rng(13)
+        factors = rng.normal(size=(4, 2, 2))
+        with patch.object(spin_boson, "COVARIANCES", factors @ factors.transpose(0, 2, 1)):
+            assert cross_validate(bath, even_flip_train(2), 0.6) < 1e-8
+
+    def test_grid_equals_scalar_calls(self):
+        bath, deltas = seeded_bath(17, 4, beta=0.7), even_flip_train(4)
+        grid = np.logspace(math.log10(0.05), math.log10(2.0), 9)
+        deviations = cross_validate(bath, deltas, grid)
+        assert deviations.shape == grid.shape
+        for T, deviation in zip(grid, deviations):
+            point = cross_validate(bath, deltas, T)
+            assert type(point) is float and point < 1e-8
+            assert abs(deviation - point) <= 1e-15
 
     def test_bath_size_guard(self):
         bath = seeded_bath(1, 6)
         with pytest.raises(ValueError):
             cross_validate(bath, (0.25, 0.75), 1.0)
-
-    def test_channel_params_helper(self):
-        bath = seeded_bath(14, 2)
-        p = channel_params(bath, 0.5, even_flip_train(2))
-        assert p.y_noise >= 0
-        assert p.total_time == 0.5
-
-
-@pytest.mark.parametrize("call, message", [
-    (lambda: channel_apply(np.eye(3), ChannelParams(x_shear=0.0, y_noise=0.0, total_time=1.0,
-                                                    deltas=(0.5, 1.0))),
-     "system covariance must be 2x2"),
-], ids=["apply-shape"])
-def test_input_check(call, message):
-    with pytest.raises(ValueError, match=re.escape(message)):
-        call()
