@@ -12,10 +12,11 @@ generator uses a fourth-order commutator-free scheme: one step over
 where X1, X2 are the generator at the two Gauss-Legendre nodes and
 a1 = 1/4 - sqrt(3)/6, a2 = 1/4 + sqrt(3)/6 (the factor applied first weights
 the early node more).  A segment's first pass takes the fewest steps, a
-power of two, that keep every factor inside the Taylor branch of
-``matrix_exponential``, sized from a bound on the generator's 1-norm over
-the segment; each refinement doubles them.  The step is halved until
-successive passes S, S2 of a segment agree to
+power of two, that keep every factor's 1-norm below the Taylor limit
+theta of ``matrix_exponential``, sized from a bound on the generator's
+1-norm over the segment; each refinement doubles them.  So a pass calls
+the Taylor kernel (the degree-8 polynomial in three products) directly.
+The step is halved until successive passes S, S2 of a segment agree to
 ||S2 - S||_F <= tol max(1, ||S2||_2), a test relative to the size of the
 propagator (screened by ||S2||_2 <= ||S2||_F before any SVD), so residuals
 down to ~1e-12 are not polluted by integration error; only segments that
@@ -59,6 +60,7 @@ from .symplectic import (
     ModeLayout,
     _TAYLOR_THETA,
     _single_form,
+    _taylor_exponential,
     block_decompose,
     matrix_exponential,
     offdiag_residual,
@@ -147,7 +149,10 @@ def _cf4_pass(coeffs: np.ndarray, t0s: np.ndarray, t1s: np.ndarray,
     CF4_BLOCK_ELEMENTS elements (one interval at least).  In a block, the
     Gauss-node weights are built for up to CF4_BLOCK_ELEMENTS elements of
     whole chunks at once; each chunk's factors are one product of its weight
-    rows (substep, interval, factor) with the coefficients."""
+    rows (substep, interval, factor) with the coefficients, exponentiated by
+    the Taylor kernel without a norm screen.  Precondition: every interval's
+    n is at least its ``_first_steps``, so every factor's 1-norm is at most
+    _TAYLOR_THETA; ``_flows``, the only caller, guarantees it."""
     r, d = len(coeffs), coeffs.shape[-1]
     S = np.empty((len(t0s), d, d))
     width = max(1, CF4_BLOCK_ELEMENTS // (2 * d * d))
@@ -163,7 +168,7 @@ def _cf4_pass(coeffs: np.ndarray, t0s: np.ndarray, t1s: np.ndarray,
             weights = (h[:, None, None] * (_MIX @ powers)).reshape(-1, r)
             for j0 in range(0, len(weights), rows):
                 F = weights[j0:j0 + rows] @ coeffs.reshape(r, d * d)
-                E = matrix_exponential(F.reshape(-1, len(h), 2, d, d))
+                E = _taylor_exponential(F.reshape(-1, len(h), 2, d, d))
                 for step in E[:, :, 0] @ E[:, :, 1]:
                     P = step @ P
         S[i0:i0 + width] = P
@@ -183,8 +188,10 @@ def _first_steps(coeffs: np.ndarray, t0s: np.ndarray, t1s: np.ndarray) -> np.nda
     """Steps of each interval's first CF4 pass: the smallest power of two n
     with (t1 - t0) B (|a1| + |a2|) / n <= _TAYLOR_THETA, where
     B = sum_r ||X_r||_1 max(|t0|, |t1|)^r bounds ||X(t)||_1 on [t0, t1].
-    Every factor of every pass then takes the Taylor branch of
-    ``matrix_exponential``.  A bound that is not finite, or an n past
+    Every factor of every pass then has 1-norm at most _TAYLOR_THETA, which
+    lets ``_cf4_pass`` call the Taylor kernel without screening its factors
+    (the degree-8 polynomial in three products: Bader, Blanes & Casas,
+    Mathematics 7, 1174 (2019)).  A bound that is not finite, or an n past
     MAX_STEPS, raises ToleranceNotReached before any pass."""
     norms = np.abs(coeffs).sum(axis=-2).max(axis=-1)
     reach = np.maximum(np.abs(t0s), np.abs(t1s))
@@ -233,7 +240,7 @@ def _flows(coeffs: Sequence[np.ndarray], t0s: Sequence[float],
     t0s, t1s = np.asarray(t0s, dtype=float), np.asarray(t1s, dtype=float)
     if len(coeffs) == 1:
         X = (t1s - t0s)[:, None, None] * coeffs[0]
-        chunk = max(1, CF4_BLOCK_ELEMENTS // X[0].size)
+        chunk = max(1, CF4_BLOCK_ELEMENTS // coeffs[0].size)
         for i in range(0, len(X), chunk):
             X[i:i + chunk] = matrix_exponential(X[i:i + chunk])
         return X
@@ -276,7 +283,9 @@ def _walk(coeffs: Sequence[np.ndarray], schedule: PulseSchedule | None,
     walks), each at tolerance ``tol`` (one for all, or one per T), every
     flow of every walk from one batched call.  Each pulse is sign * S_alpha,
     or -I for a flip schedule, on the system block and identity on the
-    rest, so it acts on the system rows of the flow before it only.  An
+    rest, so it acts on the system rows of the flow before it only.  A T
+    that is negative or not finite, or a T array of more than one axis,
+    raises ValueError; an empty vector of T gives an empty stack.  An
     integrator error names the T of its walk; a walk that leaves the float
     range raises ValueError."""
     deltas = np.empty(0) if schedule is None else schedule.deltas
@@ -290,6 +299,11 @@ def _walk(coeffs: Sequence[np.ndarray], schedule: PulseSchedule | None,
                              f"system dimension {d}")
         W *= schedule.signs[:, None, None]
     Ts = np.atleast_1d(np.asarray(T, dtype=float))
+    if Ts.ndim > 1:
+        raise ValueError(f"T must be one time or a 1-D grid, got shape {Ts.shape}")
+    bad = Ts[~((0 <= Ts) & (Ts < math.inf))]
+    if bad.size:
+        raise ValueError(f"need 0 <= T < inf, got T = {bad[0]}")
     bounds = Ts[:, None] * np.array([0.0, *deltas, 1.0])
     K = len(deltas) + 1
     try:
@@ -302,7 +316,7 @@ def _walk(coeffs: Sequence[np.ndarray], schedule: PulseSchedule | None,
     # pulse k times flow k changes only the system rows, written into a
     # copy of the flows a block at a time
     S = np.eye(dim)
-    width = max(1, CF4_BLOCK_ELEMENTS // (len(Ts) * dim * dim))
+    width = max(1, CF4_BLOCK_ELEMENTS // (max(1, len(Ts)) * dim * dim))
     for k0 in range(0, K - 1, width):
         k1 = min(k0 + width, K - 1)
         steps = flows[:, k0:k1].copy()
@@ -520,6 +534,8 @@ def affine_propagate(gen: AnalyticGenerator, M0: np.ndarray, d0: np.ndarray,
         raise ValueError("initial covariance must be finite and symmetric")
     if d0.shape != (dim,):
         raise ValueError(f"displacement shape {d0.shape} != {(dim,)}")
+    if np.ndim(T):
+        raise ValueError(f"affine propagation takes one T, got shape {np.shape(T)}")
 
     linear = gen.linear or ()
     emb = np.zeros((max(len(gen.coeffs), len(linear)), dim + 1, dim + 1))

@@ -101,26 +101,37 @@ def is_symplectic(S: np.ndarray, J: np.ndarray, tol: float = 1e-10) -> bool:
 # about 5.7e-18 at theta = 5e-2, below 2^-53 ~ 1.1e-16 (cf. theta_8 = 5.0e-2
 # in Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
 _TAYLOR_THETA = 5e-2
-_TAYLOR_DEGREE = 8
-_INV_FACTORIALS = [1.0 / math.factorial(k) for k in range(_TAYLOR_DEGREE + 1)]
+# The same polynomial in three products (Bader, Blanes & Casas, Mathematics
+# 7, 1174 (2019)), with r = sqrt(177):
+#   X2 = X X,  X4 = X2 (x1 X + x2 X2),
+#   T8 = (x3 X2 + X4)(x4 I + x5 X + x6 X2 + x7 X4) + y2 X2 + X + I.
+_R = math.sqrt(177.0)
+_TAYLOR_COEFFS = ((1 + _R) / 132, (1 + _R) / 528, 2 / 3,  # x1, x2, x3
+                  (-271 + 29 * _R) / 210, 11 * (-1 + _R) / 840,  # x4, x5
+                  11 * (-9 + _R) / 3360, (89 - _R) / 2240,  # x6, x7
+                  (857 - 58 * _R) / 630)  # y2
 
 
 def _taylor_exponential(X: np.ndarray) -> np.ndarray:
-    """sum_{k<=8} X^k/k! by Paterson-Stockmeyer: X^2, X^3, X^4, then
-    B0 + X^4 B1, each sum accumulated left to right in two scratch buffers."""
-    c = _INV_FACTORIALS
+    """sum_{k<=8} X^k/k! in three matrix products, each sum accumulated left
+    to right in place; for a stack of matrices, slice by slice."""
+    x1, x2, x3, x4, x5, x6, x7, y2 = _TAYLOR_COEFFS
+    I = np.eye(X.shape[-1])
     X2 = X @ X
-    X3 = X2 @ X
-    X4 = X2 @ X2
-    B, term = c[5] * X, np.empty_like(X)
-    for ck, Xk in ((c[6], X2), (c[7], X3), (c[8], X4)):
-        B += np.multiply(Xk, ck, out=term)
-    E = X4 @ B
-    np.multiply(X4, c[4], out=B)
-    for ck, Xk in ((c[3], X3), (c[2], X2), (c[1], X)):  # c[1] X is X exactly
-        B += np.multiply(Xk, ck, out=term)
-    B += np.eye(X.shape[-1])
-    E += B
+    A = np.multiply(X2, x2)
+    term = np.multiply(X, x1)
+    term += A
+    X4 = X2 @ term
+    np.multiply(X2, x3, out=A)
+    A += X4
+    B = np.multiply(X, x5)
+    B += x4 * I
+    B += np.multiply(X2, x6, out=term)
+    B += np.multiply(X4, x7, out=term)
+    E = A @ B
+    E += np.multiply(X2, y2, out=term)
+    E += X
+    E += I
     return E
 
 
@@ -128,10 +139,13 @@ def matrix_exponential(X: np.ndarray) -> np.ndarray:
     """Dense matrix exponential of each square matrix in ``(..., d, d)``.
 
     A slice with 1-norm <= theta = 5e-2 takes the degree-8 Taylor polynomial
-    (truncation error below 2^-53), any other slice scipy's scaling-and-
-    squaring Pade; the branch is chosen per slice, so a stacked call equals
-    the per-slice calls bitwise.  Relative accuracy is ~1e-13 or better for
-    ``||X|| <= 10``; larger inputs are handled by the backend's rescaling.
+    in three products (truncation error below 2^-53), any other slice
+    scipy's scaling-and-squaring Pade; the branch is chosen per slice, so a
+    stacked call equals the per-slice calls bitwise.  The CF4 passes of
+    ``evolution``, sized to keep every factor below theta, call the Taylor
+    kernel ``_taylor_exponential`` directly, without this screen.  Relative
+    accuracy is ~1e-13 or better for ``||X|| <= 10``; larger inputs are
+    handled by the backend's rescaling.
     ``scipy.linalg`` is imported only when a slice needs it, so a run whose
     slices all stay below theta never pays for loading it.
     """

@@ -663,6 +663,8 @@ loaded = set(sys.modules)
 codes = [cli.main(argv + ["--out", {out!r}]) for argv in (
     ["homogenize-sweep", "--N", "1", "--m", "1", "--points", "3"],
     ["decouple-sweep", "--N", "1", "--degree", "1", "--points", "3"],
+    ["decouple-sweep", "--N", "4", "--nS", "2", "--nE", "4", "--degree", "2",
+     "--tmin", "1e-2", "--tmax", "3e-1"],
     ["verify", "--check", "udd", "--N", "2"],
     ["verify", "--check", "homogenization", "--N", "2", "--m", "1"],
     ["verify", "--check", "nudd", "--N", "1", "--m", "1"],
@@ -673,4 +675,4 @@ codes = [cli.main(argv + ["--out", {out!r}]) for argv in (
 print(json.dumps([codes, "scipy.linalg" in sys.modules,
                   sorted(set(sys.modules) - loaded)]))
 """)
-        assert result == [[0] * 8, False, []]
+        assert result == [[0] * 9, False, []]

@@ -36,6 +36,8 @@ from bosonic_dd.schedules import (
 )
 from bosonic_dd.symplectic import (
     ModeLayout,
+    _TAYLOR_THETA,
+    _taylor_exponential,
     block_decompose,
     is_symplectic,
     matrix_exponential,
@@ -180,6 +182,15 @@ class TestResultingEvolution:
         with pytest.raises(ValueError, match="pulse dimension 2 does not match "
                                              "system dimension 4"):
             resulting_evolution(gen, sched, 1.0)
+
+    @pytest.mark.parametrize("degree", [0, 1])
+    def test_empty_grid_gives_an_empty_stack(self, degree):
+        # both generator classes: the exact path and the CF4 path
+        layout = ModeLayout(2, 1)
+        gen = make_generator(layout, seed=4, degree=degree)
+        for sched in (decoupling_schedule(3, 2), homogenization_schedule(1, 1)):
+            S = resulting_evolution(gen, sched, np.array([]))
+            assert S.shape == (0, layout.dim, layout.dim)
 
     @given(seeds, st.integers(0, 2), st.integers(1, 5), st.integers(0, 1))
     @settings(max_examples=25, deadline=None)
@@ -487,17 +498,50 @@ class TestBatchedSweep:
     @settings(max_examples=25, deadline=None)
     def test_time_dependent_walks_never_call_scipy_expm(self, layout, seed, degree,
                                                         order, T):
-        # norm-sized passes keep every factor in the Taylor branch; a walk
-        # whose first pass would need more than MAX_STEPS steps is refused
+        # norm-sized passes keep every factor in the Taylor branch and call
+        # the kernel directly; a walk whose first pass would need more than
+        # MAX_STEPS steps is refused
         import scipy.linalg
         gen = make_generator(layout, seed=seed, degree=degree)
         sched = decoupling_schedule(order, layout.n_system)
         with mock.patch.object(scipy.linalg, "expm",
-                               side_effect=AssertionError("scipy expm called")):
+                               side_effect=AssertionError("scipy expm called")), \
+                mock.patch.object(evolution, "matrix_exponential",
+                                  side_effect=AssertionError("matrix_exponential called")):
             try:
                 resulting_evolution(gen, sched, T)
             except evolution.ToleranceNotReached:
                 pass
+
+    @given(st.builds(ModeLayout, st.integers(1, 2), st.integers(0, 2)), seeds,
+           st.integers(1, 4), st.floats(0.0, 30.0),
+           st.lists(st.floats(-7.0, 1.0), min_size=1, max_size=4))
+    @settings(max_examples=30, deadline=None)
+    # first passes of MAX_STEPS steps, far from t = 0 at degree 4
+    @example(ModeLayout(1, 1), 3, 4, 20.0, [-2.99])
+    @example(ModeLayout(1, 1), 3, 1, 30.0, [0.659, -3.0])
+    def test_every_cf4_factor_stays_below_theta(self, layout, seed, degree, t0,
+                                                log_spans):
+        # _cf4_pass calls the Taylor kernel without a norm screen: every
+        # factor of every pass, first or refined, must have 1-norm <= theta
+        coeffs = np.asarray(make_generator(layout, seed=seed, degree=degree).coeffs)
+        t0s, t1s = [], []
+        for u in log_spans:  # the intervals whose first pass MAX_STEPS allows
+            try:
+                evolution._first_steps(coeffs, np.array([t0]), np.array([t0 + 10 ** u]))
+            except evolution.ToleranceNotReached:
+                continue
+            t0s.append(t0)
+            t1s.append(t0 + 10 ** u)
+        with mock.patch.object(evolution, "_taylor_exponential",
+                               wraps=evolution._taylor_exponential) as kernel:
+            try:
+                _flows(coeffs, t0s, t1s)
+            except evolution.ToleranceNotReached:
+                pass
+        assert kernel.call_count > 0 or not t0s
+        for call in kernel.call_args_list:
+            assert np.abs(call.args[0]).sum(axis=-2).max() <= _TAYLOR_THETA
 
 
 class TestErrorBound:
@@ -708,10 +752,24 @@ LAYOUT = ModeLayout(1, 1)  # dim 4
      "polynomial degree capped at 4"),
     (lambda: random_generator(LAYOUT, 0, 1.0, 1.0, 1.0, degree=-1),
      "got -1: need 0..4"),
+    (lambda: resulting_evolution(make_generator(LAYOUT), decoupling_schedule(2, 1), -0.5),
+     "need 0 <= T < inf, got T = -0.5"),
+    (lambda: resulting_evolution(make_generator(LAYOUT, degree=1), decoupling_schedule(2, 1),
+                                 [0.1, math.nan]), "need 0 <= T < inf, got T = nan"),
+    (lambda: resulting_evolution(make_generator(LAYOUT, degree=1), decoupling_schedule(2, 1),
+                                 math.inf), "need 0 <= T < inf, got T = inf"),
+    (lambda: resulting_evolution(make_generator(LAYOUT), decoupling_schedule(1, 1),
+                                 np.full((3, 3), 0.1)),
+     "T must be one time or a 1-D grid, got shape (3, 3)"),
+    (lambda: affine_propagate(make_generator(LAYOUT), np.eye(4), np.zeros(4), -1.0),
+     "need 0 <= T < inf, got T = -1.0"),
+    (lambda: affine_propagate(make_generator(LAYOUT), np.eye(4), np.zeros(4), [0.1, 0.2]),
+     "affine propagation takes one T, got shape (2,)"),
 ], ids=["scheme", "odd-fit", "nonsquare-fit", "coefficient-shape", "linear-shape",
         "bound-order", "bound-time", "covariance-shape", "displacement-shape",
         "generator-scale", "generator-scale-inf", "generator-scale-nan", "generator-degree",
-        "generator-degree-negative"])
+        "generator-degree-negative", "walk-time-negative", "walk-time-nan", "walk-time-inf",
+        "walk-time-2d", "affine-time-negative", "affine-time-grid"])
 def test_input_check(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
@@ -866,7 +924,7 @@ def chunked_cf4_pass(coeffs, t0s, t1s, n):
         powers = (a[..., None] + h[:, None] * evolution._NODES)[..., None] \
             ** np.arange(len(coeffs))
         weights = h[:, None, None] * (evolution._MIX @ powers)
-        E = matrix_exponential(np.tensordot(weights, coeffs, axes=1))
+        E = _taylor_exponential(np.tensordot(weights, coeffs, axes=1))
         for step in E[:, :, 0] @ E[:, :, 1]:
             S = step @ S
     return S
@@ -922,11 +980,12 @@ class TestResumedRefinement:
         t1s = t0s + np.array([h for _, h in spans])
         coeffs = np.asarray(gen.coeffs)
         n = 16 << depth  # up to 1024 substeps: several weight blocks
-        with mock.patch.object(evolution, "matrix_exponential",
-                               wraps=evolution.matrix_exponential) as expm:
+        with mock.patch.object(evolution, "_taylor_exponential",
+                               wraps=evolution._taylor_exponential) as expm:
             S = _cf4_pass(coeffs, t0s, t1s, n)
         assert np.array_equal(S, chunked_cf4_pass(coeffs, t0s, t1s, n))
         one_substep = 2 * len(spans) * layout.dim ** 2
+        assert expm.call_count > 0
         assert all(call.args[0].size <= max(evolution.CF4_BLOCK_ELEMENTS, one_substep)
                    for call in expm.call_args_list)
 
@@ -937,8 +996,8 @@ class TestResumedRefinement:
         coeffs = np.asarray(gen.coeffs)
         t0s = np.linspace(0.0, 0.5, 100)
         t1s = t0s + 0.004
-        with mock.patch.object(evolution, "matrix_exponential",
-                               wraps=evolution.matrix_exponential) as expm:
+        with mock.patch.object(evolution, "_taylor_exponential",
+                               wraps=evolution._taylor_exponential) as expm:
             S = _cf4_pass(coeffs, t0s, t1s, 3)
         assert np.array_equal(S, chunked_cf4_pass(coeffs, t0s, t1s, 3))
         assert max(call.args[0].size for call in expm.call_args_list) \

@@ -171,6 +171,7 @@ class TestArrayClosedForm:
     def test_empty_and_bad_grids(self):
         bath = seeded_bath(1, 2)
         assert shear_parameter(np.array([]), bath, (0.25, 0.75)).shape == (0,)
+        assert cross_validate(bath, (0.25, 0.75), np.array([])).shape == (0,)
         with pytest.raises(ValueError):
             added_noise(np.ones((2, 2)), bath, (0.25, 0.75))
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -18,19 +19,21 @@ from bosonic_dd.symplectic import (
     symplectic_form,
 )
 from bosonic_dd.symplectic import _TAYLOR_THETA as TAYLOR_THETA
-from bosonic_dd.symplectic import _taylor_exponential
+from bosonic_dd.symplectic import _TAYLOR_COEFFS, _taylor_exponential
 
 
 def out_of_place_taylor(X):
-    """The degree-8 Paterson-Stockmeyer expression with a temporary per
-    term: the former kernel, kept as a bitwise oracle."""
-    c = [1.0 / math.factorial(k) for k in range(9)]
+    """The degree-8 Taylor polynomial in three products (Bader, Blanes &
+    Casas 2019) with a temporary per term, kept as a bitwise oracle."""
+    r = math.sqrt(177.0)
+    x1, x2, x3 = (1 + r) / 132, (1 + r) / 528, 2 / 3
+    x4, x5, x6 = (-271 + 29 * r) / 210, 11 * (-1 + r) / 840, 11 * (-9 + r) / 3360
+    x7, y2 = (89 - r) / 2240, (857 - 58 * r) / 630
+    I = np.eye(X.shape[-1])
     X2 = X @ X
-    X3 = X2 @ X
-    X4 = X2 @ X2
-    E = X4 @ (c[5] * X + c[6] * X2 + c[7] * X3 + c[8] * X4)
-    E += c[4] * X4 + c[3] * X3 + c[2] * X2 + X + np.eye(X.shape[-1])
-    return E
+    X4 = X2 @ (x1 * X + x2 * X2)
+    return ((x3 * X2 + X4) @ (x4 * I + x5 * X + x6 * X2 + x7 * X4)
+            + y2 * X2 + X + I)
 
 
 def random_symmetric(rng, dim):
@@ -199,6 +202,35 @@ class TestMatrixExponential:
         # at scale 1 a rescaled 1-norm can round above theta: scipy's branch
         small = np.abs(X).sum(axis=-2).max(axis=-1) <= TAYLOR_THETA
         assert matrix_exponential(X)[small].tobytes() == E[small].tobytes()
+
+    def test_taylor_kernel_coefficients_are_inverse_factorials(self):
+        # the kernel's own polynomial, read off the first row of its value
+        # at the 17x17 shift matrix N (N^k is the k-th superdiagonal)
+        coeffs = _taylor_exponential(np.eye(17, k=1))[0]
+        with mpmath.workdps(50):
+            for k, c in enumerate(coeffs[:9]):
+                assert abs(c * mpmath.factorial(k) - 1) <= 1e-15
+            r = mpmath.sqrt(177)
+            exact = [(1 + r) / 132, (1 + r) / 528, mpmath.mpf(2) / 3,
+                     (-271 + 29 * r) / 210, 11 * (-1 + r) / 840,
+                     11 * (-9 + r) / 3360, (89 - r) / 2240, (857 - 58 * r) / 630]
+            for stored, value in zip(_TAYLOR_COEFFS, exact, strict=True):
+                assert abs(stored / value - 1) <= 1e-15
+        assert not coeffs[9:].any()  # no term above degree 8
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 12),
+           norm=st.one_of(st.just(TAYLOR_THETA), st.floats(0.0, TAYLOR_THETA)))
+    def test_taylor_kernel_agrees_with_mpmath(self, seed, dim, norm):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-1.0, 1.0, (dim, dim))
+        X *= norm / np.abs(X).sum(axis=0).max()
+        E = _taylor_exponential(X)
+        with mpmath.workdps(50):
+            reference = mpmath.expm(mpmath.matrix(X.tolist()))
+            deviation = max(abs(mpmath.mpf(E[i, j]) - reference[i, j])
+                            for i in range(dim) for j in range(dim))
+        assert deviation <= 1e-15 * max(1.0, np.abs(E).sum(axis=0).max())
 
     def test_large_norm_slice_loads_scipy_expm(self, fresh_python):
         equal, loaded_before, loaded_after = fresh_python("""
