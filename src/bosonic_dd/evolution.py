@@ -129,12 +129,12 @@ def _polynomial(coeffs: Sequence[np.ndarray], ts) -> np.ndarray:
     return np.tensordot(powers, np.asarray(coeffs), axes=1)
 
 
-# Elements exponentiated per call, as in spin_boson.BLOCK_ELEMENTS, so the
-# temporaries stay at 64 kB: a CF4 pass (2 factors x intervals x substeps x
-# dim^2, one substep of one interval at least) and a long constant walk
-# (intervals x dim^2, one interval at least) are split into such calls; a
-# CF4 pass builds its node weights, and a walk copies its flows for the
-# pulses, in blocks of about this size too.
+# Elements exponentiated per call, so the temporaries stay at 64 kB, as in a
+# block of spin_boson.BLOCK_ELEMENTS real elements: a CF4 pass (2 factors x
+# intervals x substeps x dim^2, one substep of one interval at least) and a
+# long constant walk (intervals x dim^2, one interval at least) are split into
+# such calls; a CF4 pass builds its node weights, and a walk copies its flows
+# for the pulses, in blocks of about this size too.
 CF4_BLOCK_ELEMENTS = 8192
 # Flow elements (T points x segments x dim^2) that one batch of sweep points
 # stacks: 2 MB, so a long schedule's flows and the copies a walk makes of
@@ -271,9 +271,22 @@ def propagate(gen: AnalyticGenerator, t0: float, t1: float,
               tol: float = DEFAULT_TOL) -> np.ndarray:
     """Time-ordered propagator of X(t) on [t0, t1]: exact for a constant
     generator, step-halving CF4 otherwise."""
+    for name, t in (("t0", t0), ("t1", t1)):
+        if not math.isfinite(t):
+            raise ValueError(f"need a finite {name}, got {name} = {t}")
     if t1 < t0:
         raise ValueError("need t0 <= t1")
     return _flows(gen.coeffs, [t0], [t1], tol)[0]
+
+
+def _check_times(T) -> np.ndarray:
+    """T, one time or an array of them, as a float array; an entry that is
+    negative or not finite raises ValueError."""
+    Ts = np.asarray(T, dtype=float)
+    bad = Ts[~((0 <= Ts) & (Ts < math.inf))]
+    if bad.size:
+        raise ValueError(f"need 0 <= T < inf, got T = {bad[0]}")
+    return Ts
 
 
 def _walk(coeffs: Sequence[np.ndarray], schedule: PulseSchedule | None,
@@ -301,9 +314,7 @@ def _walk(coeffs: Sequence[np.ndarray], schedule: PulseSchedule | None,
     Ts = np.atleast_1d(np.asarray(T, dtype=float))
     if Ts.ndim > 1:
         raise ValueError(f"T must be one time or a 1-D grid, got shape {Ts.shape}")
-    bad = Ts[~((0 <= Ts) & (Ts < math.inf))]
-    if bad.size:
-        raise ValueError(f"need 0 <= T < inf, got T = {bad[0]}")
+    _check_times(Ts)
     bounds = Ts[:, None] * np.array([0.0, *deltas, 1.0])
     K = len(deltas) + 1
     try:

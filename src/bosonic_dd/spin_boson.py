@@ -29,18 +29,22 @@ The pair part is the phase-space footprint of the commutators between the
 single-pulse coupling generators: their commutator is a Q^2 shear (not a
 scalar), so it survives in the covariance picture.  Both pieces together
 reproduce the direct symplectic simulation to machine precision; the added
-noise y is insensitive to it.  T and z may be scalars or 1-D grids (evaluated
-in blocks); the pair sum costs O(L) per line as a prefix sum (:func:`_pairs_of`).
+noise y is insensitive to it.  T and z may be scalars or 1-D grids, evaluated
+in blocks of BLOCK_ELEMENTS real elements.  Each block's cos(z d_k) and
+sin(z d_k) are split into tiles of PULSE_TILE pulses; one GEMM against a
+constant tile matrix and prefix sums over the tiles give y_L and the pair sum
+in O(L PULSE_TILE) per line (:func:`_filter_sums`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import AnalyticGenerator, resulting_evolution
+from .evolution import AnalyticGenerator, _check_times, resulting_evolution
 from .schedules import flip_train_schedule, udd_times
 from .symplectic import ModeLayout, symplectic_form
 
@@ -96,71 +100,116 @@ def _check_even(deltas) -> tuple[float, ...]:
     return deltas
 
 
-# Elements (T points x bath lines x pulses) per evaluated block: each complex
-# temporary of a block stays at 32 kB, so peak memory does not grow with the
-# T grid while numpy still amortises its per-call overhead.
-BLOCK_ELEMENTS = 2048
+# Real elements (T points x bath lines x padded pulses) per evaluated block:
+# each temporary of a block stays at 64 kB, as evolution.CF4_BLOCK_ELEMENTS,
+# so peak memory does not grow with the T grid while numpy still amortises
+# its per-call overhead.
+BLOCK_ELEMENTS = 8192
+# Pulses per tile of the pair sum: even, so the signs (-1)^k repeat from tile
+# to tile and one (w, w+1) matrix serves every tile; the within-tile pairs
+# cost O(L w) per line, not O(L^2).
+PULSE_TILE = 16
+
+
+@functools.cache  # one read-only matrix per tile width
+def _tile_matrix(w):
+    """[B^T - B | s] for the signs s_k = (-1)^k of one tile of w pulses and
+    its strictly lower sign matrix B_jl = s_j s_l [l < j]."""
+    s = (-1.0) ** np.arange(1, w + 1)
+    B = np.tril(np.outer(s, s), -1)
+    matrix = np.column_stack((B.T - B, s))
+    matrix.flags.writeable = False
+    return matrix
+
+
+def _filter_sums(z, padded, n_pulses, matrix):
+    """y_L(z) and the pulse-pair sum
+
+        P = sum_{l<j} s_j s_l [sin(z (d_j - d_l)) + sin(z d_l) - sin(z d_j)]
+
+    at every z of a block, in real arithmetic over c = cos(z d_k) and
+    sn = sin(z d_k).  ``padded`` holds the n_pulses fractions, zero-padded to
+    whole tiles of w = len(matrix) pulses; the padding is zeroed in c (and is
+    0 in sn), so it adds nothing.  One GEMM of c, one row per tile, against
+    ``matrix`` = [B^T - B | s] gives each tile's row c (B^T - B), whose
+    contraction with sn is the tile's own sum_{l<j} s_j s_l sin(z (d_j - d_l)),
+    and its Sc = sum_k s_k cos(z d_k); sn s gives its Ss.  The pairs across
+    tiles are sum_t Ss_t sum_{t'<t} Sc_t' - Sc_t sum_{t'<t} Ss_t'.  The
+    sin(z d_l) - sin(z d_j) part is sum_k a_k sin(z d_k) with
+    a_k = s_k (sum_{j>k} s_j - sum_{l<k} s_l), and a_k = s_k for every even
+    alternating train, so it is S = sum_t Ss_t."""
+    w = matrix.shape[0]
+    zd = z[..., None] * padded
+    c, sn = np.cos(zd), np.sin(zd)
+    c[..., n_pulses:] = 0.0
+    c, sn = c.reshape(-1, w), sn.reshape(-1, w)
+    g = c @ matrix
+    shape = (*z.shape, padded.size // w)
+    cos_sums, sin_sums = g[:, w].reshape(shape), (sn @ matrix[:, w]).reshape(shape)
+    within = np.einsum("ij,ij->i", sn, g[:, :w]).reshape(shape)
+    # inclusive prefix sums: the t' = t terms Ss_t Sc_t - Sc_t Ss_t cancel
+    cos_prefix, sin_prefix = np.cumsum(cos_sums, axis=-1), np.cumsum(sin_sums, axis=-1)
+    S = sin_prefix[..., -1]
+    y = 2.0 * (cos_prefix[..., -1] + 1j * S) + 1.0 - np.exp(1j * z)
+    pairs = (within + sin_sums * cos_prefix - cos_sums * sin_prefix).sum(axis=-1) + S
+    return y, pairs
 
 
 def _on_grid(fn, grid, deltas, rates=(1.0,)):
-    """fn(z, phases e^{i z d_k}, signs (-1)^k) at z = grid x rates, taking a
-    scalar or 1-D grid in blocks of BLOCK_ELEMENTS; a scalar gives a scalar.
-    fn maps a (block, rates) z to (block,), or to (columns, block), in which
-    case a scalar gives a list."""
+    """fn(z, y_L(z), pair sum) at z = grid x rates, taking a scalar or 1-D
+    grid in blocks of BLOCK_ELEMENTS; a scalar gives a scalar.  fn maps a
+    (block, rates) z to (block,), or to (columns, block), in which case a
+    scalar gives a list."""
     d, rates = np.array(_check_even(deltas)), np.asarray(rates)
-    s = (-1.0) ** np.arange(1, len(d) + 1)
     arr = np.asarray(grid, dtype=float)
     if arr.ndim > 1:
         raise ValueError("expected a scalar or a 1-D array")
-    step = max(1, BLOCK_ELEMENTS // max(rates.size * d.size, 1))
+    w = min(PULSE_TILE, max(d.size, 2))
+    padded = np.zeros(max(1, -(-d.size // w)) * w)
+    padded[:d.size] = d
+    matrix = _tile_matrix(w)
+    step = max(1, BLOCK_ELEMENTS // (rates.size * padded.size))
     zs = (t[:, None] * rates
           for t in np.split(arr.reshape(-1), range(step, arr.size, step)))
-    out = np.concatenate([fn(z, np.exp(1j * (z[..., None] * d)), s) for z in zs],
-                         axis=-1)
+    out = np.concatenate([fn(z, *_filter_sums(z, padded, d.size, matrix))
+                          for z in zs], axis=-1)
     return out[..., 0].tolist() if arr.ndim == 0 else out
 
 
-def _y_of(z, phase, s):
-    return 2.0 * (phase @ s) + 1.0 - np.exp(1j * z)
-
-
-def _pairs_of(z, phase, s):
-    """sum_{l<j} s_j s_l [sin(z (d_j - d_l)) + sin(z d_l) - sin(z d_j)] in O(L):
-    Im sum_j s_j e^{i z d_j} conj(sum_{l<j} s_l e^{i z d_l}) for the first part
-    and sum_k a_k sin(z d_k), a_k = s_k (sum_{j>k} s_j - sum_{l<k} s_l), for the rest."""
-    signed = phase * s
-    prior = np.cumsum(signed[..., :-1], axis=-1).conj()
-    a = s * (s.sum() - 2.0 * np.cumsum(s) + s)
-    return (signed[..., 1:] * prior).imag.sum(axis=-1) + phase.imag @ a
-
-
 def _line_sum(per_line, total_time, bath: BathSpec, deltas):
-    """sum_j (lambda_j / omega_j)^2 per_line(z, phases, signs) at z = omega_j T."""
+    """sum_j (lambda_j / omega_j)^2 per_line(z, y_L(z), pair sum) at z = omega_j T;
+    a T that is negative or not finite raises ValueError."""
+    Ts = _check_times(total_time)
     om = np.asarray(bath.frequencies)
     weight = (np.asarray(bath.couplings) / om) ** 2
-    return _on_grid(lambda z, phase, s: per_line(z, phase, s) @ weight,
-                    total_time, deltas, om)
+    return _on_grid(lambda z, y, pairs: per_line(z, y, pairs) @ weight,
+                    Ts, deltas, om)
 
 
 def y_filter(z, deltas):
-    """y_L(z) = 2 sum_m (-1)^m e^{i z d_m} + 1 - e^{iz}."""
-    return _on_grid(lambda z, phase, s: _y_of(z, phase, s)[:, 0], z, deltas)
+    """y_L(z) = 2 sum_m (-1)^m e^{i z d_m} + 1 - e^{iz}; a z that is not
+    finite raises ValueError."""
+    zs = np.asarray(z, dtype=float)
+    bad = zs[~np.isfinite(zs)]
+    if bad.size:
+        raise ValueError(f"need a finite z, got z = {bad[0]}")
+    return _on_grid(lambda z, y, pairs: y[:, 0], zs, deltas)
 
 
 def pair_shear(total_time, bath: BathSpec, deltas):
     """Ordered-pulse-pair contribution to the shear parameter."""
-    return 4.0 * _line_sum(_pairs_of, total_time, bath, deltas)
+    return 4.0 * _line_sum(lambda z, y, pairs: pairs, total_time, bath, deltas)
 
 
 def channel_columns(total_time, bath: BathSpec, deltas):
-    """The channel's (x, y) from one pass over the phases: a list of two
+    """The channel's (x, y) from one pass of the block kernel: a list of two
     floats for a scalar T, a (2, len) array for a 1-D T grid."""
     coth = bath.thermal_weights()
 
-    def per_line(z, phase, s):
-        yl, sin = _y_of(z, phase, s), np.sin(z)
+    def per_line(z, yl, pairs):
+        sin = np.sin(z)
         shear = (z - sin - sin * yl.real + (np.cos(z) - 1.0) * yl.imag
-                 + 4.0 * _pairs_of(z, phase, s))
+                 + 4.0 * pairs)
         return np.stack((shear, coth * np.abs(yl) ** 2))
 
     return _line_sum(per_line, total_time, bath, deltas)

@@ -7,7 +7,7 @@ import numpy as np
 
 from bosonic_dd.pauli_basis import ALL_PAIRS, PAIR_I, PAIR_X, PAIR_Y, PAIR_Z
 from bosonic_dd.schedules import PulseSchedule
-from bosonic_dd.spin_boson import _on_grid
+from bosonic_dd.spin_boson import _check_even
 
 
 def sign_value(flips, tau):
@@ -64,8 +64,11 @@ def signed_closed_schedule(seed, m, n_pulses):
 
 def f_filter(z, deltas):
     """f_L(z) = 2i sum_m (-1)^m e^{-i z d_m}, a scalar or 1-D grid of z as
-    ``y_filter`` takes it.
+    ``y_filter`` takes it, summed from its definition over every (z, pulse).
 
     Satisfies Re f_L - sin z = Im y_L and Im f_L + 1 - cos z = Re y_L.
     """
-    return _on_grid(lambda z, phase, s: 2j * (phase.conj() @ s)[:, 0], z, deltas)
+    d = np.array(_check_even(deltas))
+    s = (-1.0) ** np.arange(1, len(d) + 1)
+    f = 2j * (np.exp(-1j * np.multiply.outer(z, d)) * s).sum(axis=-1)
+    return complex(f) if np.ndim(z) == 0 else f

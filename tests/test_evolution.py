@@ -113,6 +113,18 @@ class TestPropagate:
         with pytest.raises(ValueError):
             propagate(gen, 1.0, 0.0)
 
+    @pytest.mark.parametrize("degree", [0, 1], ids=["constant", "time-dependent"])
+    @pytest.mark.parametrize("t0, t1, message", [
+        (0.0, math.nan, "need a finite t1, got t1 = nan"),
+        (0.0, math.inf, "need a finite t1, got t1 = inf"),
+        (math.nan, 1.0, "need a finite t0, got t0 = nan"),
+        (-math.inf, 1.0, "need a finite t0, got t0 = -inf"),
+    ], ids=["nan-t1", "inf-t1", "nan-t0", "inf-t0"])
+    def test_non_finite_end_points_rejected(self, degree, t0, t1, message):
+        gen = make_generator(ModeLayout(1, 1), seed=4, degree=degree)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            propagate(gen, t0, t1)
+
     def test_refinement_exhaustion(self):
         layout = ModeLayout(1, 1)
         gen = make_generator(layout, seed=4, degree=1)

@@ -3,6 +3,7 @@ import math
 import re
 from unittest.mock import patch
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -89,6 +90,26 @@ def oracle_noise(T, bath, deltas):
     return out
 
 
+def mp_channel(T, bath, deltas, dps=40):
+    """The channel's (x, y) at ``dps`` digits, one bath line and one pulse
+    pair at a time, from the exact binary values of T, the bath and deltas."""
+    with mpmath.workdps(dps):
+        d = [mpmath.mpf(v) for v in deltas]
+        s = [(-1) ** k for k in range(1, len(d) + 1)]
+        x = y = mpmath.mpf(0)
+        for lam, om, coth in zip(bath.couplings, bath.frequencies, bath.thermal_weights()):
+            z, weight = mpmath.mpf(om) * T, (mpmath.mpf(lam) / om) ** 2
+            sins = [mpmath.sin(z * dk) for dk in d]
+            yl = 2 * mpmath.fsum(sk * mpmath.expj(z * dk) for sk, dk in zip(s, d)) \
+                + 1 - mpmath.expj(z)
+            pairs = mpmath.fsum(s[j] * s[l] * (mpmath.sin(z * (d[j] - d[l])) + sins[l] - sins[j])
+                                for j in range(len(d)) for l in range(j))
+            x += weight * (z - mpmath.sin(z) - mpmath.sin(z) * yl.real
+                           + (mpmath.cos(z) - 1) * yl.imag + 4 * pairs)
+            y += weight * coth * abs(yl) ** 2
+        return float(x), float(y)
+
+
 def channel_scale(bath):
     """sum_j (lambda_j / omega_j)^2 max(1, coth(beta omega_j / 2))."""
     lam, om = np.array(bath.couplings), np.array(bath.frequencies)
@@ -167,6 +188,59 @@ class TestArrayClosedForm:
         zs = np.linspace(0.0, 3.0, spin_boson.BLOCK_ELEMENTS // 16 + 7)
         for z, y in zip(zs, y_filter(zs, deltas)):
             assert y == pytest.approx(oracle_y(z, deltas), abs=1e-12)
+
+    @pytest.mark.parametrize("L", [14, 16, 18, 34, 40, 100])
+    @pytest.mark.parametrize("train", ["uhrig", "periodic", "asymmetric"])
+    def test_trains_over_several_tiles(self, L, train):
+        # one tile (L <= PULSE_TILE), whole tiles, and a padded last tile
+        deltas = {
+            "uhrig": even_flip_train(L),
+            "periodic": tuple((j + 1) / L for j in range(L)),
+            "asymmetric": tuple(np.sort(np.random.default_rng(L).uniform(1e-3, 1.0, L))),
+        }[train]
+        bath = seeded_bath(L, 3)
+        tol = 1e-12 * channel_scale(bath)
+        w = min(spin_boson.PULSE_TILE, L)
+        per_point = bath.n_modes * -(-L // w) * w
+        # blocks of 2 T points (2, 2, 1) and of 6 z points (6, 6, 1)
+        Ts, zs = np.linspace(0.1, 2.0, 5), np.linspace(0.0, 3.0, 13)
+        with patch.object(spin_boson, "BLOCK_ELEMENTS", 2 * per_point):
+            grid = {fn: fn(Ts, bath, deltas)
+                    for fn in (shear_parameter, added_noise, pair_shear)}
+            ys = y_filter(zs, deltas)
+        oracle = {shear_parameter: oracle_shear, added_noise: oracle_noise,
+                  pair_shear: oracle_pair}
+        for fn, values in grid.items():
+            for T, value in zip(Ts, values):
+                assert value == pytest.approx(oracle[fn](T, bath, deltas), abs=tol)
+        for z, y in zip(zs, ys):
+            assert y == pytest.approx(oracle_y(z, deltas), abs=1e-12)
+
+    def test_long_train_against_40_digit_reference(self):
+        # 200 Uhrig pulses: 13 tiles, the last one padded
+        bath, deltas = seeded_bath(1, 2), even_flip_train(200)
+        Ts = np.array([0.7, 2.0])
+        for T, x, y in zip(Ts, *channel_columns(Ts, bath, deltas)):
+            reference = mp_channel(T, bath, deltas)
+            assert abs(x - reference[0]) <= 2e-14
+            assert abs(y - reference[1]) <= 2e-14
+
+    @pytest.mark.parametrize("T", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
+    @pytest.mark.parametrize("entry", [channel_columns, shear_parameter, added_noise,
+                                       pair_shear])
+    def test_bad_times_rejected(self, T, entry):
+        bath = seeded_bath(1, 2)
+        for times in (T, np.array([0.5, T])):
+            with pytest.raises(ValueError, match=re.escape(f"need 0 <= T < inf, got T = {T}")):
+                entry(times, bath, (0.25, 0.75))
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    def test_non_finite_z_rejected(self, z):
+        for zs in (z, np.array([0.5, z])):
+            with pytest.raises(ValueError, match=re.escape(f"need a finite z, got z = {z}")):
+                y_filter(zs, (0.25, 0.75))
+        # any finite z is evaluated, negative ones included
+        assert y_filter(-1.0, (0.25, 0.75)) == pytest.approx(oracle_y(-1.0, (0.25, 0.75)))
 
     def test_empty_and_bad_grids(self):
         bath = seeded_bath(1, 2)
