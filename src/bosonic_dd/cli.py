@@ -302,10 +302,11 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         if args.cross_validate:
             header.append(f"dev_{name}")
             columns.append(spin_boson.cross_validate(bath, deltas, grid))
+    row = ",".join(["%.17g"] * len(header)) + "\n"  # _fmt's format, one call per row
     with _output(args.out) as stream:
         stream.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            stream.write(",".join(_fmt(v) for v in row) + "\n")
+        stream.writelines(row % values for values in zip(*(np.asarray(c).tolist()
+                                                           for c in columns)))
     return 0
 
 

@@ -30,10 +30,13 @@ single-pulse coupling generators: their commutator is a Q^2 shear (not a
 scalar), so it survives in the covariance picture.  Both pieces together
 reproduce the direct symplectic simulation to machine precision; the added
 noise y is insensitive to it.  T and z may be scalars or 1-D grids, evaluated
-in blocks of BLOCK_ELEMENTS real elements.  Each block's cos(z d_k) and
-sin(z d_k) are split into tiles of PULSE_TILE pulses; one GEMM against a
-constant tile matrix and prefix sums over the tiles give y_L and the pair sum
-in O(L PULSE_TILE) per line (:func:`_filter_sums`).
+in blocks of BLOCK_ELEMENTS real elements; a T point wider than a block is
+split along its bath lines.  Each block's cos(z d_k) and sin(z d_k), and
+cos z and sin z, come from one tan(x/2) per phase (:func:`_cos_sin`): numpy
+has no sincos, and its tan is one vectorised pass where sin and cos are two
+slower ones.  The phases are split into tiles of PULSE_TILE pulses; one GEMM
+against a constant tile matrix and prefix sums over the tiles give y_L and
+the pair sum in O(L PULSE_TILE) per line (:func:`_filter_sums`).
 """
 
 from __future__ import annotations
@@ -122,8 +125,19 @@ def _tile_matrix(w):
     return matrix
 
 
+def _cos_sin(x):
+    """cos x and sin x from one t = tan(x/2): (1 - t^2)/(1 + t^2) and
+    2t/(1 + t^2).  numpy has no sincos, and its float64 tan is one pass where
+    sin and cos are two; the pair stays within 2.3e-16 of np.cos and np.sin.
+    t^2 cannot overflow: no double lies close enough to an odd multiple of pi."""
+    t = np.tan(0.5 * x)
+    t2 = t * t
+    r = 1.0 / (1.0 + t2)
+    return (1.0 - t2) * r, 2.0 * t * r
+
+
 def _filter_sums(z, padded, n_pulses, matrix):
-    """y_L(z) and the pulse-pair sum
+    """cos z, sin z, y_L(z) and the pulse-pair sum
 
         P = sum_{l<j} s_j s_l [sin(z (d_j - d_l)) + sin(z d_l) - sin(z d_j)]
 
@@ -139,8 +153,7 @@ def _filter_sums(z, padded, n_pulses, matrix):
     a_k = s_k (sum_{j>k} s_j - sum_{l<k} s_l), and a_k = s_k for every even
     alternating train, so it is S = sum_t Ss_t."""
     w = matrix.shape[0]
-    zd = z[..., None] * padded
-    c, sn = np.cos(zd), np.sin(zd)
+    c, sn = _cos_sin(z[..., None] * padded)
     c[..., n_pulses:] = 0.0
     c, sn = c.reshape(-1, w), sn.reshape(-1, w)
     g = c @ matrix
@@ -150,17 +163,21 @@ def _filter_sums(z, padded, n_pulses, matrix):
     # inclusive prefix sums: the t' = t terms Ss_t Sc_t - Sc_t Ss_t cancel
     cos_prefix, sin_prefix = np.cumsum(cos_sums, axis=-1), np.cumsum(sin_sums, axis=-1)
     S = sin_prefix[..., -1]
-    y = 2.0 * (cos_prefix[..., -1] + 1j * S) + 1.0 - np.exp(1j * z)
+    cos_z, sin_z = _cos_sin(z)
+    y = (2.0 * cos_prefix[..., -1] + 1.0 - cos_z) + 1j * (2.0 * S - sin_z)
     pairs = (within + sin_sums * cos_prefix - cos_sums * sin_prefix).sum(axis=-1) + S
-    return y, pairs
+    return cos_z, sin_z, y, pairs
 
 
-def _on_grid(fn, grid, deltas, rates=(1.0,)):
-    """fn(z, y_L(z), pair sum) at z = grid x rates, taking a scalar or 1-D
-    grid in blocks of BLOCK_ELEMENTS; a scalar gives a scalar.  fn maps a
-    (block, rates) z to (block,), or to (columns, block), in which case a
-    scalar gives a list."""
-    d, rates = np.array(_check_even(deltas)), np.asarray(rates)
+def _on_grid(per_line, grid, deltas, rates=(1.0,), weight=(1.0,)):
+    """sum_j weight_j per_line(z, cos z, sin z, y_L(z), pair sum) at
+    z = grid x rates_j, taking a scalar or 1-D grid in blocks of
+    BLOCK_ELEMENTS; a scalar gives a scalar.  per_line maps a (block, lines)
+    z to (block, lines), or to (columns, block, lines) with a (columns,
+    lines) weight, in which case a scalar gives a list.  A grid point wider
+    than a block is split along its lines, whose weighted sums add; one
+    line's padded pulses are never split."""
+    d, rates, weight = np.array(_check_even(deltas)), np.asarray(rates), np.asarray(weight)
     arr = np.asarray(grid, dtype=float)
     if arr.ndim > 1:
         raise ValueError("expected a scalar or a 1-D array")
@@ -168,22 +185,34 @@ def _on_grid(fn, grid, deltas, rates=(1.0,)):
     padded = np.zeros(max(1, -(-d.size // w)) * w)
     padded[:d.size] = d
     matrix = _tile_matrix(w)
-    step = max(1, BLOCK_ELEMENTS // (rates.size * padded.size))
-    zs = (t[:, None] * rates
-          for t in np.split(arr.reshape(-1), range(step, arr.size, step)))
-    out = np.concatenate([fn(z, *_filter_sums(z, padded, d.size, matrix))
-                          for z in zs], axis=-1)
+    lines = max(1, min(rates.size, BLOCK_ELEMENTS // padded.size))
+    step = max(1, BLOCK_ELEMENTS // (lines * padded.size))
+    chunks = [(rates[j:j + lines], weight[..., j:j + lines, None])
+              for j in range(0, rates.size, lines)]
+
+    def part(t, r, wts):
+        z = t[:, None] * r
+        return per_line(z, *_filter_sums(z, padded, d.size, matrix)) @ wts
+
+    def block(t):
+        parts = [part(t, r, wts) for r, wts in chunks]
+        return sum(parts[1:], parts[0])[..., 0]
+
+    out = np.concatenate([block(t) for t in np.split(arr.reshape(-1),
+                                                     range(step, arr.size, step))],
+                         axis=-1)
     return out[..., 0].tolist() if arr.ndim == 0 else out
 
 
-def _line_sum(per_line, total_time, bath: BathSpec, deltas):
-    """sum_j (lambda_j / omega_j)^2 per_line(z, y_L(z), pair sum) at z = omega_j T;
-    a T that is negative or not finite raises ValueError."""
+def _line_sum(per_line, total_time, bath: BathSpec, deltas, factors=1.0):
+    """sum_j (lambda_j / omega_j)^2 factors_j per_line(z, cos z, sin z,
+    y_L(z), pair sum) at z = omega_j T, with (columns, lines) factors for a
+    per_line of several columns; a T that is negative or not finite raises
+    ValueError."""
     Ts = _check_times(total_time)
     om = np.asarray(bath.frequencies)
-    weight = (np.asarray(bath.couplings) / om) ** 2
-    return _on_grid(lambda z, y, pairs: per_line(z, y, pairs) @ weight,
-                    Ts, deltas, om)
+    weight = (np.asarray(bath.couplings) / om) ** 2 * np.asarray(factors)
+    return _on_grid(per_line, Ts, deltas, om, weight)
 
 
 def y_filter(z, deltas):
@@ -193,26 +222,23 @@ def y_filter(z, deltas):
     bad = zs[~np.isfinite(zs)]
     if bad.size:
         raise ValueError(f"need a finite z, got z = {bad[0]}")
-    return _on_grid(lambda z, y, pairs: y[:, 0], zs, deltas)
+    return _on_grid(lambda z, cos, sin, y, pairs: y, zs, deltas)
 
 
 def pair_shear(total_time, bath: BathSpec, deltas):
     """Ordered-pulse-pair contribution to the shear parameter."""
-    return 4.0 * _line_sum(lambda z, y, pairs: pairs, total_time, bath, deltas)
+    return 4.0 * _line_sum(lambda z, cos, sin, y, pairs: pairs, total_time, bath, deltas)
 
 
 def channel_columns(total_time, bath: BathSpec, deltas):
     """The channel's (x, y) from one pass of the block kernel: a list of two
     floats for a scalar T, a (2, len) array for a 1-D T grid."""
-    coth = bath.thermal_weights()
+    def per_line(z, cos, sin, yl, pairs):
+        shear = (z - sin - sin * yl.real + (cos - 1.0) * yl.imag + 4.0 * pairs)
+        return np.stack((shear, np.abs(yl) ** 2))
 
-    def per_line(z, yl, pairs):
-        sin = np.sin(z)
-        shear = (z - sin - sin * yl.real + (np.cos(z) - 1.0) * yl.imag
-                 + 4.0 * pairs)
-        return np.stack((shear, coth * np.abs(yl) ** 2))
-
-    return _line_sum(per_line, total_time, bath, deltas)
+    factors = np.stack((np.ones(bath.n_modes), bath.thermal_weights()))
+    return _line_sum(per_line, total_time, bath, deltas, factors)
 
 
 def shear_parameter(total_time, bath: BathSpec, deltas):

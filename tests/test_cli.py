@@ -402,6 +402,23 @@ class TestSpectrum:
                     "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 4
 
+    def test_rows_equal_the_per_value_format(self, tmp_path):
+        # the row writer against one _fmt call per value over the same columns
+        out = tmp_path / "s.csv"
+        assert run(["spectrum", "--seed", "2", "--nE", "3", "--L", "4", "--points", "6",
+                    "--tmin", "0.05", "--tmax", "4.0", "--beta", "2.0",
+                    "--coupling-scale", "0.4", "--cross-validate", "--out", str(out)]) == 0
+        grid, bath = cli._t_grid(0.05, 4.0, 6), cli._seeded_bath(2, 3, 2.0, 0.4)
+        columns = [grid]
+        for deltas in (spin_boson.even_flip_train(4), (0.25, 0.5, 0.75, 1.0)):
+            columns += [*spin_boson.channel_columns(grid, bath, deltas),
+                        np.abs(spin_boson.y_filter(max(bath.frequencies) * np.array(grid),
+                                                   deltas)) ** 2,
+                        spin_boson.cross_validate(bath, deltas, grid)]
+        lines = out.read_text().splitlines()
+        assert len(lines) == 7
+        assert lines[1:] == [",".join(cli._fmt(v) for v in row) for row in zip(*columns)]
+
     def test_columns_match_per_point_library_calls(self, tmp_path):
         # each column is computed over the whole grid at once; the values
         # equal the scalar calls at every grid point

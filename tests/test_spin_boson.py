@@ -225,6 +225,60 @@ class TestArrayClosedForm:
             assert abs(x - reference[0]) <= 2e-14
             assert abs(y - reference[1]) <= 2e-14
 
+    @pytest.mark.parametrize("L", [16, 18])
+    @pytest.mark.parametrize("train", ["uhrig", "periodic"])
+    def test_trains_against_40_digit_reference(self, L, train):
+        # from short times to z ~ 900, where each phase z d_k is reduced mod pi
+        deltas = even_flip_train(L) if train == "uhrig" else tuple((j + 1) / L
+                                                                   for j in range(L))
+        bath, Ts = seeded_bath(L, 3), np.array([0.05, 2.0, 900.0])
+        for T, x, y in zip(Ts, *channel_columns(Ts, bath, deltas)):
+            for value, reference in zip((x, y), mp_channel(T, bath, deltas)):
+                assert abs(value - reference) <= 1e-13 * max(1.0, abs(reference))
+
+    def test_wide_points_split_along_lines(self):
+        # a T point wider than a block is split into chunks of whole lines;
+        # a point that fits keeps all its lines in one block
+        bath, deltas, Ts = seeded_bath(5, 7), even_flip_train(18), np.linspace(0.1, 3.0, 4)
+        whole = channel_columns(Ts, bath, deltas), pair_shear(Ts, bath, deltas)
+        seen = []
+
+        def spy(z, padded, n_pulses, matrix):
+            seen.append((z.shape, padded.size))
+            return filter_sums(z, padded, n_pulses, matrix)
+
+        filter_sums = spin_boson._filter_sums
+        # 2, 3 or all 7 lines of 32 padded pulses per block, one T point each
+        for cap, chunks in ((64, [2, 2, 2, 1]), (127, [3, 3, 1]), (7 * 32, [7])):
+            seen.clear()
+            with patch.object(spin_boson, "BLOCK_ELEMENTS", cap), \
+                    patch.object(spin_boson, "_filter_sums", spy):
+                split = channel_columns(Ts, bath, deltas), pair_shear(Ts, bath, deltas)
+            assert all(np.prod(shape) * padded <= cap for shape, padded in seen)
+            assert [shape for shape, _ in seen] == 2 * [(1, n) for _ in Ts for n in chunks]
+            for a, b in zip(whole, split):
+                np.testing.assert_allclose(b, a, rtol=0, atol=1e-15 * channel_scale(bath))
+        # a block narrower than one line's padded pulses still takes the line whole
+        seen.clear()
+        with patch.object(spin_boson, "BLOCK_ELEMENTS", 8), \
+                patch.object(spin_boson, "_filter_sums", spy):
+            np.testing.assert_allclose(channel_columns(Ts, bath, deltas), whole[0],
+                                       rtol=0, atol=1e-15 * channel_scale(bath))
+        assert {shape for shape, _ in seen} == {(1, 1)}
+
+    def test_benchmark_shape_keeps_whole_lines(self):
+        # 64 lines x 16 pulses: 8 T points of all lines per block
+        seen = []
+        filter_sums = spin_boson._filter_sums
+
+        def spy(z, *args):
+            seen.append(z.shape)
+            return filter_sums(z, *args)
+
+        with patch.object(spin_boson, "_filter_sums", spy):
+            channel_columns(np.linspace(0.1, 3.0, 100), seeded_bath(1, 64), even_flip_train(16))
+        assert seen == [(8, 64)] * 12 + [(4, 64)]
+
     @pytest.mark.parametrize("T", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
     @pytest.mark.parametrize("entry", [channel_columns, shear_parameter, added_noise,
                                        pair_shear])
@@ -252,6 +306,27 @@ class TestArrayClosedForm:
             cross_validate(bath, (0.25, 0.75), np.ones((2, 2)))
         with pytest.raises(ValueError):
             y_filter(np.ones(3), (0.5,))
+
+
+class TestCosSin:
+    @pytest.mark.parametrize("draw", [
+        lambda rng, n: rng.uniform(-2.0, 2.0, n),
+        lambda rng, n: rng.uniform(0.0, 1e3, n),
+        lambda rng, n: rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n),
+        # within 1e-9 of odd multiples of pi, where tan(x/2) is large
+        lambda rng, n: ((2 * rng.integers(-10**6, 10**6, n) + 1) * math.pi
+                        + rng.uniform(-1e-9, 1e-9, n)),
+        lambda rng, n: np.array([0.0, -0.0, math.pi, -math.pi, 1.7e308, -1.7e308]),
+    ], ids=["small", "to-1e3", "powers", "odd-pi", "exact"])
+    def test_equals_numpy_cos_and_sin(self, draw):
+        x = draw(np.random.default_rng(0), 200_000)
+        cos, sin = spin_boson._cos_sin(x)
+        assert np.abs(cos - np.cos(x)).max() <= 4.5e-16
+        assert np.abs(sin - np.sin(x)).max() <= 4.5e-16
+
+    def test_zero_is_exact(self):
+        cos, sin = spin_boson._cos_sin(np.zeros(3))
+        assert cos.tolist() == [1.0] * 3 and sin.tolist() == [0.0] * 3
 
 
 class TestBathSpec:
