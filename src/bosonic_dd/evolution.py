@@ -362,8 +362,11 @@ def homogenization_fit(S_sys: np.ndarray, T: float) -> RotationFit:
     """Best rotation e^{omega T J} by trace projection onto span{I, J}.
 
     c1 = tr(S)/d and c2 = tr(J^T S)/d are the I- and J-components; the fitted
-    frequency is atan2(c2, c1)/T and the residual the Frobenius distance.
+    frequency is atan2(c2, c1)/T and the residual the Frobenius distance;
+    a T that is not finite and positive raises ValueError.
     """
+    if not 0 < T < math.inf:
+        raise ValueError(f"need 0 < T < inf, got T = {T}")
     d = S_sys.shape[0]
     if d % 2 or S_sys.shape != (d, d):
         raise ValueError("system matrix must be square of even dimension")
@@ -425,6 +428,7 @@ def order_sweep(gen: AnalyticGenerator, scheme: str, order: int,
     tolerances, in batches of at most SWEEP_ELEMENTS flow elements, one walk
     per batch, so each point's result is a walk of it alone at its final
     tolerance.  A constant generator is propagated exactly, in one round.
+    A T that is not finite and positive raises ValueError before any walk.
     """
     if scheme == "decoupling":
         schedule = decoupling_schedule(order, gen.layout.n_system)
@@ -443,6 +447,9 @@ def order_sweep(gen: AnalyticGenerator, scheme: str, order: int,
     sys_dim, dim = gen.layout.system_dim, gen.layout.dim
     T_grid = tuple(float(T) for T in T_grid)
     Ts = np.array(T_grid)
+    bad = Ts[~((0 < Ts) & (Ts < math.inf))]
+    if bad.size:
+        raise ValueError(f"need 0 < T < inf, got T = {bad[0]}")
     residuals, omegas = np.empty(len(Ts)), np.full(len(Ts), np.nan)
     tols, live = np.full(len(Ts), float(tol)), np.ones(len(Ts), bool)
     batch = max(1, SWEEP_ELEMENTS // ((len(schedule) + 1) * dim * dim))

@@ -63,6 +63,8 @@ class PulseSchedule:
     def __post_init__(self) -> None:
         if self.n_system is not None and self.n_system < 1:
             raise ValueError(f"n_system must be >= 1, got {self.n_system}")
+        if self.m is not None and self.m < 0:
+            raise ValueError(f"m must be nonnegative, got {self.m}")
         flip = self.m is None
         if flip != (self.pulses is None):
             raise ValueError("a schedule has a pulse stack iff m is set")

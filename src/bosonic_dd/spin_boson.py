@@ -29,14 +29,17 @@ The pair part is the phase-space footprint of the commutators between the
 single-pulse coupling generators: their commutator is a Q^2 shear (not a
 scalar), so it survives in the covariance picture.  Both pieces together
 reproduce the direct symplectic simulation to machine precision; the added
-noise y is insensitive to it.  T and z may be scalars or 1-D grids, evaluated
-in blocks of BLOCK_ELEMENTS real elements; a T point wider than a block is
-split along its bath lines.  Each block's cos(z d_k) and sin(z d_k), and
-cos z and sin z, come from one tan(x/2) per phase (:func:`_cos_sin`): numpy
-has no sincos, and its tan is one vectorised pass where sin and cos are two
-slower ones.  The phases are split into tiles of PULSE_TILE pulses; one GEMM
-against a constant tile matrix and prefix sums over the tiles give y_L and
-the pair sum in O(L PULSE_TILE) per line (:func:`_filter_sums`).
+noise y is insensitive to it.  T and z may be scalars or 1-D grids.  Every
+(T, line) pair is one phase z = omega_j T on a flat T-major axis, evaluated
+in runs of whole z values of at most BLOCK_ELEMENTS real elements (one z at
+least); the kernel's flat outputs take about 90 B per pair, and each line
+sum is one product of a (T, lines) array with the line weights.  Each run's
+cos(z d_k) and sin(z d_k), and cos z and sin z, come from one tan(x/2) per
+phase (:func:`_cos_sin`): numpy has no sincos, and its tan is one vectorised
+pass where sin and cos are two slower ones.  The phases are split into tiles
+of PULSE_TILE pulses; one GEMM against a constant tile matrix and prefix
+sums over the tiles give y_L and the pair sum in O(L PULSE_TILE) per line
+(:func:`_filter_sums`).
 """
 
 from __future__ import annotations
@@ -103,10 +106,11 @@ def _check_even(deltas) -> tuple[float, ...]:
     return deltas
 
 
-# Real elements (T points x bath lines x padded pulses) per evaluated block:
-# each temporary of a block stays at 64 kB, as evolution.CF4_BLOCK_ELEMENTS,
-# so peak memory does not grow with the T grid while numpy still amortises
-# its per-call overhead.
+# Real elements (z values x padded pulses) per evaluated run of the flat
+# phase axis: each pulse-wide temporary of a run stays at 64 kB, as
+# evolution.CF4_BLOCK_ELEMENTS, while numpy still amortises its per-call
+# overhead; only the per-z outputs, about 90 B per (T, line) pair, grow
+# with the grid.
 BLOCK_ELEMENTS = 8192
 # Pulses per tile of the pair sum: even, so the signs (-1)^k repeat from tile
 # to tile and one (w, w+1) matrix serves every tile; the within-tile pairs
@@ -169,50 +173,30 @@ def _filter_sums(z, padded, n_pulses, matrix):
     return cos_z, sin_z, y, pairs
 
 
-def _on_grid(per_line, grid, deltas, rates=(1.0,), weight=(1.0,)):
-    """sum_j weight_j per_line(z, cos z, sin z, y_L(z), pair sum) at
-    z = grid x rates_j, taking a scalar or 1-D grid in blocks of
-    BLOCK_ELEMENTS; a scalar gives a scalar.  per_line maps a (block, lines)
-    z to (block, lines), or to (columns, block, lines) with a (columns,
-    lines) weight, in which case a scalar gives a list.  A grid point wider
-    than a block is split along its lines, whose weighted sums add; one
-    line's padded pulses are never split."""
-    d, rates, weight = np.array(_check_even(deltas)), np.asarray(rates), np.asarray(weight)
-    arr = np.asarray(grid, dtype=float)
-    if arr.ndim > 1:
+def _phase_sums(z, deltas):
+    """cos z, sin z, y_L(z) and the pair sum at every z of a (points, lines)
+    array, each of z's shape.  z is evaluated along its flat T-major axis,
+    in runs of at most BLOCK_ELEMENTS // (padded pulses) z values and one at
+    least; a z of no elements gives empty arrays."""
+    d = np.array(_check_even(deltas))
+    if z.ndim > 2:
         raise ValueError("expected a scalar or a 1-D array")
     w = min(PULSE_TILE, max(d.size, 2))
     padded = np.zeros(max(1, -(-d.size // w)) * w)
     padded[:d.size] = d
-    matrix = _tile_matrix(w)
-    lines = max(1, min(rates.size, BLOCK_ELEMENTS // padded.size))
-    step = max(1, BLOCK_ELEMENTS // (lines * padded.size))
-    chunks = [(rates[j:j + lines], weight[..., j:j + lines, None])
-              for j in range(0, rates.size, lines)]
-
-    def part(t, r, wts):
-        z = t[:, None] * r
-        return per_line(z, *_filter_sums(z, padded, d.size, matrix)) @ wts
-
-    def block(t):
-        parts = [part(t, r, wts) for r, wts in chunks]
-        return sum(parts[1:], parts[0])[..., 0]
-
-    out = np.concatenate([block(t) for t in np.split(arr.reshape(-1),
-                                                     range(step, arr.size, step))],
-                         axis=-1)
-    return out[..., 0].tolist() if arr.ndim == 0 else out
+    step, matrix, flat = max(1, BLOCK_ELEMENTS // padded.size), _tile_matrix(w), z.reshape(-1)
+    runs = [_filter_sums(run, padded, d.size, matrix)
+            for run in np.split(flat, range(step, flat.size, step))]
+    return [np.concatenate(out).reshape(z.shape) for out in zip(*runs)]
 
 
-def _line_sum(per_line, total_time, bath: BathSpec, deltas, factors=1.0):
-    """sum_j (lambda_j / omega_j)^2 factors_j per_line(z, cos z, sin z,
-    y_L(z), pair sum) at z = omega_j T, with (columns, lines) factors for a
-    per_line of several columns; a T that is negative or not finite raises
+def _bath_phases(total_time, bath: BathSpec, deltas):
+    """(lambda_j / omega_j)^2, z = omega_j T and the four sums there,
+    one row of lines per T; a T that is negative or not finite raises
     ValueError."""
-    Ts = _check_times(total_time)
     om = np.asarray(bath.frequencies)
-    weight = (np.asarray(bath.couplings) / om) ** 2 * np.asarray(factors)
-    return _on_grid(per_line, Ts, deltas, om, weight)
+    z = _check_times(total_time)[..., None] * om
+    return (np.asarray(bath.couplings) / om) ** 2, z, *_phase_sums(z, deltas)
 
 
 def y_filter(z, deltas):
@@ -222,23 +206,24 @@ def y_filter(z, deltas):
     bad = zs[~np.isfinite(zs)]
     if bad.size:
         raise ValueError(f"need a finite z, got z = {bad[0]}")
-    return _on_grid(lambda z, cos, sin, y, pairs: y, zs, deltas)
+    y = _phase_sums(zs[..., None], deltas)[2][..., 0]
+    return y.tolist() if zs.ndim == 0 else y
 
 
 def pair_shear(total_time, bath: BathSpec, deltas):
     """Ordered-pulse-pair contribution to the shear parameter."""
-    return 4.0 * _line_sum(lambda z, cos, sin, y, pairs: pairs, total_time, bath, deltas)
+    weight, _, _, _, _, pairs = _bath_phases(total_time, bath, deltas)
+    out = 4.0 * (pairs @ weight)
+    return out.tolist() if np.ndim(total_time) == 0 else out
 
 
 def channel_columns(total_time, bath: BathSpec, deltas):
     """The channel's (x, y) from one pass of the block kernel: a list of two
     floats for a scalar T, a (2, len) array for a 1-D T grid."""
-    def per_line(z, cos, sin, yl, pairs):
-        shear = (z - sin - sin * yl.real + (cos - 1.0) * yl.imag + 4.0 * pairs)
-        return np.stack((shear, np.abs(yl) ** 2))
-
-    factors = np.stack((np.ones(bath.n_modes), bath.thermal_weights()))
-    return _line_sum(per_line, total_time, bath, deltas, factors)
+    weight, z, cos, sin, yl, pairs = _bath_phases(total_time, bath, deltas)
+    shear = z - sin - sin * yl.real + (cos - 1.0) * yl.imag + 4.0 * pairs
+    out = np.stack((shear @ weight, np.abs(yl) ** 2 @ (weight * bath.thermal_weights())))
+    return out.tolist() if np.ndim(total_time) == 0 else out
 
 
 def shear_parameter(total_time, bath: BathSpec, deltas):

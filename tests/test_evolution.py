@@ -383,6 +383,18 @@ class TestOrderSweep:
         with pytest.raises(ValueError):
             order_sweep(gen, "homogenization", 1, [0.1, 0.2])
 
+    @pytest.mark.parametrize("scheme", ["decoupling", "homogenization"])
+    @pytest.mark.parametrize("bad", [0.0, -0.1, math.nan, math.inf])
+    def test_bad_time_rejected_before_the_walk(self, scheme, bad):
+        layout = ModeLayout(2, 1) if scheme == "homogenization" else ModeLayout(1, 1)
+        gen = random_generator(layout, seed=15, scale_ss=1.0,
+                               scale_se=0.0 if scheme == "homogenization" else 1.0,
+                               scale_ee=1.0)
+        with mock.patch.object(evolution, "_walk", wraps=evolution._walk) as walks, \
+                pytest.raises(ValueError, match=re.escape(f"need 0 < T < inf, got T = {bad}")):
+            order_sweep(gen, scheme, 1, [bad, 0.1])
+        assert walks.call_count == 0
+
     @pytest.mark.parametrize("order", [1, 2])
     def test_homogenization_omega_stability(self, order):
         # fitted rotation frequency settles as T -> 0: the three smallest-T
@@ -746,6 +758,10 @@ LAYOUT = ModeLayout(1, 1)  # dim 4
      "unknown sweep scheme 'periodic'"),
     (lambda: homogenization_fit(np.eye(3), 1.0), "square of even dimension"),
     (lambda: homogenization_fit(np.eye(4)[:2], 1.0), "square of even dimension"),
+    (lambda: homogenization_fit(np.eye(4), 0.0), "need 0 < T < inf, got T = 0.0"),
+    (lambda: homogenization_fit(np.eye(4), -0.5), "need 0 < T < inf, got T = -0.5"),
+    (lambda: homogenization_fit(np.eye(4), math.nan), "need 0 < T < inf, got T = nan"),
+    (lambda: homogenization_fit(np.eye(4), math.inf), "need 0 < T < inf, got T = inf"),
     (lambda: AnalyticGenerator(layout=LAYOUT, coeffs=(np.zeros((2, 2)),)),
      "coefficient 0 has shape (2, 2), expected (4, 4)"),
     (lambda: AnalyticGenerator(layout=LAYOUT, coeffs=(np.zeros((4, 4)),),
@@ -777,7 +793,8 @@ LAYOUT = ModeLayout(1, 1)  # dim 4
      "need 0 <= T < inf, got T = -1.0"),
     (lambda: affine_propagate(make_generator(LAYOUT), np.eye(4), np.zeros(4), [0.1, 0.2]),
      "affine propagation takes one T, got shape (2,)"),
-], ids=["scheme", "odd-fit", "nonsquare-fit", "coefficient-shape", "linear-shape",
+], ids=["scheme", "odd-fit", "nonsquare-fit", "fit-time-zero", "fit-time-negative",
+        "fit-time-nan", "fit-time-inf", "coefficient-shape", "linear-shape",
         "bound-order", "bound-time", "covariance-shape", "displacement-shape",
         "generator-scale", "generator-scale-inf", "generator-scale-nan", "generator-degree",
         "generator-degree-negative", "walk-time-negative", "walk-time-nan", "walk-time-inf",

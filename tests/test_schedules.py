@@ -603,6 +603,15 @@ class TestScheduleFile:
         with pytest.raises(ValueError, match=f"n_system must be >= 1, got {n_system}"):
             read_schedule(io.StringIO(body))
 
+    def test_negative_m_rejected(self):
+        # m = 0 is one qubit's pulses; m = -1 has no pulse width at all
+        with pytest.raises(ValueError, match="m must be nonnegative, got -1"):
+            PulseSchedule(scheme="x", order=1, deltas=[], pulses=np.zeros((0, 0, 2), int),
+                          signs=[], m=-1)
+        with pytest.raises(ValueError, match="m must be nonnegative, got -1"):
+            read_schedule(io.StringIO("#scheme x\n#N 1\n#m -1\n"))
+        assert read_schedule(io.StringIO("#scheme x\n#N 1\n#m 0\n")).m == 0
+
     def test_roundtrip(self):
         for sched in (decoupling_schedule(3, 2), qubit_nudd_schedule(1, 1),
                       homogenization_schedule(2, 1)):

@@ -236,9 +236,10 @@ class TestArrayClosedForm:
             for value, reference in zip((x, y), mp_channel(T, bath, deltas)):
                 assert abs(value - reference) <= 1e-13 * max(1.0, abs(reference))
 
-    def test_wide_points_split_along_lines(self):
-        # a T point wider than a block is split into chunks of whole lines;
-        # a point that fits keeps all its lines in one block
+    def test_runs_hold_at_most_the_cap(self):
+        # the 4 T points x 7 lines are one flat axis of 28 z values, each of
+        # 32 padded pulses; a run holds at most BLOCK_ELEMENTS elements, or
+        # one z, and the results do not depend on the cap
         bath, deltas, Ts = seeded_bath(5, 7), even_flip_train(18), np.linspace(0.1, 3.0, 4)
         whole = channel_columns(Ts, bath, deltas), pair_shear(Ts, bath, deltas)
         seen = []
@@ -248,26 +249,19 @@ class TestArrayClosedForm:
             return filter_sums(z, padded, n_pulses, matrix)
 
         filter_sums = spin_boson._filter_sums
-        # 2, 3 or all 7 lines of 32 padded pulses per block, one T point each
-        for cap, chunks in ((64, [2, 2, 2, 1]), (127, [3, 3, 1]), (7 * 32, [7])):
+        for cap, runs in ((8, [1] * 28), (64, [2] * 14), (127, [3] * 9 + [1]),
+                          (7 * 32, [7] * 4), (28 * 32, [28]), (10**6, [28])):
             seen.clear()
             with patch.object(spin_boson, "BLOCK_ELEMENTS", cap), \
                     patch.object(spin_boson, "_filter_sums", spy):
                 split = channel_columns(Ts, bath, deltas), pair_shear(Ts, bath, deltas)
-            assert all(np.prod(shape) * padded <= cap for shape, padded in seen)
-            assert [shape for shape, _ in seen] == 2 * [(1, n) for _ in Ts for n in chunks]
+            assert all(shape[0] * padded <= cap or shape == (1,) for shape, padded in seen)
+            assert [shape for shape, _ in seen] == 2 * [(n,) for n in runs]
             for a, b in zip(whole, split):
                 np.testing.assert_allclose(b, a, rtol=0, atol=1e-15 * channel_scale(bath))
-        # a block narrower than one line's padded pulses still takes the line whole
-        seen.clear()
-        with patch.object(spin_boson, "BLOCK_ELEMENTS", 8), \
-                patch.object(spin_boson, "_filter_sums", spy):
-            np.testing.assert_allclose(channel_columns(Ts, bath, deltas), whole[0],
-                                       rtol=0, atol=1e-15 * channel_scale(bath))
-        assert {shape for shape, _ in seen} == {(1, 1)}
 
-    def test_benchmark_shape_keeps_whole_lines(self):
-        # 64 lines x 16 pulses: 8 T points of all lines per block
+    def test_benchmark_shape_runs(self):
+        # 100 T points x 64 lines x 16 pulses: 6,400 z values in runs of 512
         seen = []
         filter_sums = spin_boson._filter_sums
 
@@ -277,7 +271,20 @@ class TestArrayClosedForm:
 
         with patch.object(spin_boson, "_filter_sums", spy):
             channel_columns(np.linspace(0.1, 3.0, 100), seeded_bath(1, 64), even_flip_train(16))
-        assert seen == [(8, 64)] * 12 + [(4, 64)]
+        assert seen == [(512,)] * 12 + [(256,)]
+
+    def test_empty_bath_sums_to_zero(self):
+        # a bath of no lines is a sum over no lines: x = y = 0, and the
+        # simulation, pulses alone, agrees
+        bath, deltas, Ts = BathSpec((), (), 1.0), (0.25, 0.75), np.array([0.5, 2.0])
+        assert channel_columns(0.5, bath, deltas) == [0.0, 0.0]
+        assert channel_columns(Ts, bath, deltas).tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        for fn in (shear_parameter, added_noise, pair_shear):
+            value = fn(0.5, bath, deltas)
+            assert type(value) is float and value == 0.0
+            assert fn(Ts, bath, deltas).tolist() == [0.0, 0.0]
+        assert cross_validate(bath, deltas, 0.5) == 0.0
+        assert cross_validate(bath, deltas, Ts).tolist() == [0.0, 0.0]
 
     @pytest.mark.parametrize("T", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
     @pytest.mark.parametrize("entry", [channel_columns, shear_parameter, added_noise,
