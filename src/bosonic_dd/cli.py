@@ -190,9 +190,11 @@ def cmd_homogenize_sweep(args: argparse.Namespace) -> int:
     return _slope_exit(result)
 
 
-def _report_lines(check: str, report: dyson.ConditionReport) -> list[str]:
-    """The verify CSV lines of a condition report, one f-string per row; each
-    label and each budget's s and r text is formatted once."""
+def _report_lines(check: str, report: dyson.ConditionReport) -> str:
+    """The verify CSV lines of a condition report, as one string: each row's
+    template is built as an object-array sum, and all values go in with one
+    ``%`` (_fmt's format); each label and each budget's s and r text is
+    formatted once."""
     # a label's text is its bits: a 0-d label (udd: 0 or 1) as is, an index as
     # the x-bit and z-bit of each position
     text = ["".join(map(str, bits))
@@ -202,12 +204,13 @@ def _report_lines(check: str, report: dyson.ConditionReport) -> list[str]:
     later = np.array([";" + t for t in text] + [""], dtype=object)
     for column in report.picks.T[1:]:
         labels += later[column]
-    heads = [f"{check},{s},{';'.join(map(str, powers))}," for s, powers in report.budgets]
-    tails = ((",0,1\n", ",0,1\n"), (",1,0\n", ",1,1\n"))  # [required_zero][pass]
-    return [f"{heads[b]}{label},{_fmt(value)}{tails[required][ok]}"
-            for b, label, value, required, ok in zip(
-                report.budget.tolist(), labels.tolist(), report.values.tolist(),
-                report.required_zero.tolist(), report.row_passes.tolist())]
+    heads = np.array([f"{check},{s},{';'.join(map(str, powers))},"
+                      for s, powers in report.budgets], dtype=object)
+    tails = np.array([[",0,1\n", ",0,1\n"], [",1,0\n", ",1,1\n"]],
+                     dtype=object)  # [required_zero][pass]
+    rows = (heads[report.budget] + labels + ",%.17g"
+            + tails[report.required_zero.astype(int), report.row_passes.astype(int)])
+    return "".join(rows.tolist()) % tuple(report.values.tolist())
 
 
 _VERIFY_CHECKS = ("basis", "udd", "nudd", "homogenization", "correspondence")
@@ -226,7 +229,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     def add_report(check: str, report: dyson.ConditionReport) -> None:
         passes.append(report.passed)
-        lines.extend(_report_lines(check, report))
+        lines.append(_report_lines(check, report))
 
     if "basis" in selected:
         count_ok = len(pauli_basis.gamma_set(args.m)) == \

@@ -21,9 +21,12 @@ The step is halved until successive passes S, S2 of a segment agree to
 propagator (screened by ||S2||_2 <= ||S2||_F before any SVD), so residuals
 down to ~1e-12 are not polluted by integration error; only segments that
 fail it are passed again, and a segment that would need more than
-MAX_STEPS steps in one pass raises ToleranceNotReached.  A pass weights the
-nodes of its segments at once and exponentiates the factors in calls of at
-most CF4_BLOCK_ELEMENTS elements.
+MAX_STEPS steps in one pass raises ToleranceNotReached.  Each refinement
+round is one pass over all its unconverged segments, whatever their step
+counts: the pass walks the steps of all of them together, a segment leaving
+the walk when its own steps are done, weights the nodes of its segments at
+once and exponentiates the factors in calls of at most CF4_BLOCK_ELEMENTS
+elements.
 
 A walk may go to many end times T at once, each at its own tolerance, with
 the flows of all of them from one call; ``order_sweep`` walks its T points
@@ -143,35 +146,49 @@ SWEEP_ELEMENTS = 1 << 18
 
 
 def _cf4_pass(coeffs: np.ndarray, t0s: np.ndarray, t1s: np.ndarray,
-              n: int) -> np.ndarray:
-    """n CF4 steps on every interval [t0s[i], t1s[i]], stacked.  The
-    intervals go in blocks whose factors of one substep hold at most
-    CF4_BLOCK_ELEMENTS elements (one interval at least).  In a block, the
-    Gauss-node weights are built for up to CF4_BLOCK_ELEMENTS elements of
-    whole chunks at once; each chunk's factors are one product of its weight
-    rows (substep, interval, factor) with the coefficients, exponentiated by
-    the Taylor kernel without a norm screen.  Precondition: every interval's
-    n is at least its ``_first_steps``, so every factor's 1-norm is at most
+              n: np.ndarray) -> np.ndarray:
+    """n[i] CF4 steps on every interval [t0s[i], t1s[i]], stacked; n does not
+    increase along the intervals.  The intervals go in blocks whose factors
+    of one substep hold at most CF4_BLOCK_ELEMENTS elements (one interval at
+    least).  A block walks its steps k = 0, 1, ... over the prefix of its
+    intervals with n > k, in one tier per distinct n: a tier ends at the
+    smallest n of its prefix, where the intervals of that n are done and
+    leave the prefix.  In a tier, the Gauss-node weights are built for up to
+    CF4_BLOCK_ELEMENTS elements of whole chunks at once; each chunk's factors
+    are one product of its weight rows (substep, interval, factor) with the
+    coefficients, exponentiated by the Taylor kernel without a norm screen.
+    Every interval's steps are multiplied in its own order, so its flow is
+    bitwise the one it gets alone.  Precondition: every interval's n is at
+    least its ``_first_steps``, so every factor's 1-norm is at most
     _TAYLOR_THETA; ``_flows``, the only caller, guarantees it."""
     r, d = len(coeffs), coeffs.shape[-1]
     S = np.empty((len(t0s), d, d))
+    hs = (t1s - t0s) / n
+    falls = (np.flatnonzero(n[1:] != n[:-1]) + 1).tolist()  # where n drops
     width = max(1, CF4_BLOCK_ELEMENTS // (2 * d * d))
     for i0 in range(0, len(t0s), width):
-        t0, h = t0s[i0:i0 + width], (t1s[i0:i0 + width] - t0s[i0:i0 + width]) / n
-        chunk = max(1, CF4_BLOCK_ELEMENTS // (2 * len(h) * d * d))
-        rows = 2 * len(h) * chunk
-        span = chunk * max(1, CF4_BLOCK_ELEMENTS // (rows * r))
-        P = np.eye(d)
-        for k0 in range(0, n, span):
-            a = t0 + h * np.arange(k0, min(k0 + span, n))[:, None]
-            powers = (a[..., None] + h[:, None] * _NODES)[..., None] ** np.arange(r)
-            weights = (h[:, None, None] * (_MIX @ powers)).reshape(-1, r)
-            for j0 in range(0, len(weights), rows):
-                F = weights[j0:j0 + rows] @ coeffs.reshape(r, d * d)
-                E = _taylor_exponential(F.reshape(-1, len(h), 2, d, d))
-                for step in E[:, :, 0] @ E[:, :, 1]:
-                    P = step @ P
-        S[i0:i0 + width] = P
+        # the tiers' prefixes [i0, i), longest first: the block, then up to
+        # each drop of n inside it
+        tiers = [min(i0 + width, len(t0s))]
+        tiers += [i for i in reversed(falls) if i0 < i < i0 + width]
+        P, k0 = np.eye(d), 0
+        for i, rest in zip(tiers, tiers[1:] + [i0]):
+            t0, h, live, end = t0s[i0:i], hs[i0:i], i - i0, int(n[i - 1])
+            chunk = max(1, CF4_BLOCK_ELEMENTS // (2 * live * d * d))
+            rows = 2 * live * chunk
+            span = chunk * max(1, CF4_BLOCK_ELEMENTS // (rows * r))
+            for k in range(k0, end, span):  # the tier's steps k0 .. end - 1
+                a = t0 + h * np.arange(k, min(k + span, end))[:, None]
+                powers = (a[..., None] + h[:, None] * _NODES)[..., None] ** np.arange(r)
+                weights = (h[:, None, None] * (_MIX @ powers)).reshape(-1, r)
+                for j0 in range(0, len(weights), rows):
+                    F = weights[j0:j0 + rows] @ coeffs.reshape(r, d * d)
+                    E = _taylor_exponential(F.reshape(-1, live, 2, d, d))
+                    for step in E[:, :, 0] @ E[:, :, 1]:
+                        P = step @ P
+            # the intervals [rest, i) have taken all their steps
+            S[rest:i] = P[rest - i0:]
+            P, k0 = P[:rest - i0], end
     return S
 
 
@@ -228,10 +245,10 @@ def _flows(coeffs: Sequence[np.ndarray], t0s: Sequence[float],
     [t0s[i], t1s[i]], stacked, at tolerance ``tol`` (one for all intervals,
     or one each).  A time-dependent interval's first pass takes
     ``_first_steps`` steps and each refinement doubles them; only the
-    intervals that have not yet converged are passed again, those with equal
-    steps in one ``_cf4_pass`` call.  A pass does not depend on the other
-    intervals in its call, so each interval's flow is bitwise the one it
-    gets alone."""
+    intervals that have not yet converged are passed again, all of them in
+    one ``_cf4_pass`` call per refinement round, most steps first.  A pass
+    does not depend on the other intervals in its call, so each interval's
+    flow is bitwise the one it gets alone."""
     tol = np.broadcast_to(np.asarray(tol, dtype=float), np.shape(t0s))
     bad = ~((0 < tol) & (tol < math.inf))
     if bad.any():
@@ -259,12 +276,12 @@ def _flows(coeffs: Sequence[np.ndarray], t0s: Sequence[float],
             raise ToleranceNotReached(
                 f"propagator did not reach tolerance {tol[j]} within {MAX_STEPS} "
                 f"CF4 steps on [{t0s[j]}, {t1s[j]}]", j)
-        for size in sorted(set(n.tolist())):  # np.unique(n) would load numpy.ma
-            group = todo[n == size]
-            S2 = _cf4_pass(coeffs, t0s[group], t1s[group], size)
-            diff[group] = np.where(steps[group] > 0,
-                                   np.linalg.norm(S2 - S[group], axis=(-2, -1)), np.inf)
-            S[group], steps[group] = S2, size
+        order = np.argsort(-n, kind="stable")  # most steps first
+        group, n = todo[order], n[order]
+        S2 = _cf4_pass(coeffs, t0s[group], t1s[group], n)
+        diff[group] = np.where(steps[group] > 0,
+                               np.linalg.norm(S2 - S[group], axis=(-2, -1)), np.inf)
+        S[group], steps[group] = S2, n
 
 
 def propagate(gen: AnalyticGenerator, t0: float, t1: float,
@@ -296,11 +313,11 @@ def _walk(coeffs: Sequence[np.ndarray], schedule: PulseSchedule | None,
     walks), each at tolerance ``tol`` (one for all, or one per T), every
     flow of every walk from one batched call.  Each pulse is sign * S_alpha,
     or -I for a flip schedule, on the system block and identity on the
-    rest, so it acts on the system rows of the flow before it only.  A T
-    that is negative or not finite, or a T array of more than one axis,
-    raises ValueError; an empty vector of T gives an empty stack.  An
-    integrator error names the T of its walk; a walk that leaves the float
-    range raises ValueError."""
+    rest, so it acts on the system rows of the flow before it only.  A
+    schedule built for another number of system modes, a T that is negative
+    or not finite, or a T array of more than one axis, raises ValueError; an
+    empty vector of T gives an empty stack.  An integrator error names the T
+    of its walk; a walk that leaves the float range raises ValueError."""
     deltas = np.empty(0) if schedule is None else schedule.deltas
     dim, d = coeffs[0].shape[-1], layout.system_dim
     if schedule is None or schedule.is_flip_schedule:
@@ -311,6 +328,9 @@ def _walk(coeffs: Sequence[np.ndarray], schedule: PulseSchedule | None,
             raise ValueError(f"pulse dimension {W.shape[-1]} does not match "
                              f"system dimension {d}")
         W *= schedule.signs[:, None, None]
+    if schedule is not None and schedule.n_system not in (None, layout.n_system):
+        raise ValueError(f"schedule for {schedule.n_system} system modes does not "
+                         f"match the layout's {layout.n_system}")
     Ts = np.atleast_1d(np.asarray(T, dtype=float))
     if Ts.ndim > 1:
         raise ValueError(f"T must be one time or a 1-D grid, got shape {Ts.shape}")

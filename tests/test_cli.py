@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import re
@@ -15,6 +16,21 @@ from bosonic_dd.cli import main
 
 def run(args):
     return main(args)
+
+
+def per_row_lines(check, report):
+    """Oracle: a condition report's verify CSV lines, one f-string per row
+    of its columns."""
+    lines = []
+    for j, (b, value, required, ok) in enumerate(zip(
+            report.budget.tolist(), report.values.tolist(),
+            report.required_zero.tolist(), report.row_passes.tolist())):
+        s, powers = report.budgets[b]
+        labels = ";".join("".join(str(bit) for bit in np.ravel(report.alphabet[p]).tolist())
+                          for p in report.picks[j, :s].tolist())
+        lines.append(f"{check},{s},{';'.join(str(r) for r in powers)},{labels},"
+                     f"{value:.17g},{int(required)},{int(ok)}\n")
+    return lines
 
 
 def body_lines(path):
@@ -153,8 +169,32 @@ class TestSweeps:
         assert len(grid) == 10 and (walks.call_args_list[0].args[4] == 1e-12).all()
         T, tols = walks.call_args_list[1].args[3:5]
         assert T.tolist() == grid[:2].tolist() and (tols < 1e-12).all()
-        steps = sum(len(call.args[1]) * call.args[3] for call in passes.call_args_list)
+        steps = sum(int(call.args[3].sum()) for call in passes.call_args_list)
         assert steps <= 1300
+
+    def test_one_cf4_pass_per_refinement_round(self):
+        # the sweep-timedep benchmark argv at seed 11: every refinement round
+        # of a walk passes all its unconverged segments, whatever their step
+        # counts, in one _cf4_pass call: 7 calls for 1,538 CF4 steps and
+        # 3,076 factor matrices.  A call per step count makes 23
+        argv = ["decouple-sweep", "--seed", "11", "--N", "4", "--nS", "2", "--nE", "4",
+                "--degree", "2", "--tmin", "1e-2", "--tmax", "3e-1", "--out", os.devnull]
+        with mock.patch.object(evolution, "_walk", wraps=evolution._walk) as walks, \
+                mock.patch.object(evolution, "_converged",
+                                  wraps=evolution._converged) as tests, \
+                mock.patch.object(evolution, "_cf4_pass",
+                                  wraps=evolution._cf4_pass) as passes, \
+                mock.patch.object(evolution, "_taylor_exponential",
+                                  wraps=evolution._taylor_exponential) as kernel:
+            assert run(argv) == 0
+        # a walk's _flows tests convergence once before each round and once
+        # after the last
+        assert passes.call_count == tests.call_count - walks.call_count == 7
+        assert max(len(set(call.args[3].tolist())) for call in passes.call_args_list) == 5
+        assert sum(int(call.args[3].sum()) for call in passes.call_args_list) == 1538
+        factors = [call.args[0] for call in kernel.call_args_list]
+        assert sum(F.size // F.shape[-1] ** 2 for F in factors) == 3076
+        assert all(F.size <= evolution.CF4_BLOCK_ELEMENTS for F in factors)
 
     @pytest.mark.parametrize("degree", ["0", "1"])
     def test_sweep_past_the_float_range(self, tmp_path, capsys, degree):
@@ -338,6 +378,38 @@ class TestVerify:
                         "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: budget guard: order <= 12\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags, max_tuples, code", [
+        (["--check", "udd", "--N", "3"], None, 0),  # the witness row is the last
+        (["--check", "nudd", "--N", "2", "--m", "1"], 40, 0),  # sampled
+        (["--check", "homogenization", "--check", "correspondence", "--N", "2", "--m", "1"],
+         None, 0),
+        (["--check", "homogenization", "--N", "2", "--m", "1", "--mutate"], None, 1),
+    ], ids=["udd", "nudd-sampled", "homogenization", "mutate"])
+    def test_rows_equal_the_per_row_oracle(self, tmp_path, flags, max_tuples, code):
+        # the writer formats a whole report with one template; each report's
+        # rows must read as one f-string per row of its columns
+        out = tmp_path / "v.csv"
+        with mock.patch.object(cli, "_report_lines", wraps=cli._report_lines) as writer, \
+                mock.patch.object(dyson, "MAX_TUPLES", max_tuples or dyson.MAX_TUPLES):
+            assert run(["verify", *flags, "--out", str(out)]) == code
+        reports = [call.args for call in writer.call_args_list]
+        assert len(reports) == 1
+        check, report = reports[0]
+        assert report.exhaustive == (max_tuples is None)
+        assert report.passed == (code == 0)
+        lines = out.read_text().splitlines(keepends=True)
+        assert lines[1:1 + len(report.values)] == per_row_lines(check, report)
+        assert len(lines) == 1 + len(report.values) + ("correspondence" in flags)
+
+    def test_non_finite_values_equal_the_per_row_oracle(self):
+        report = dyson.check_udd_condition(3)
+        values = report.values.copy()
+        values[:4] = [math.nan, math.inf, -math.inf, -0.0]
+        report = dataclasses.replace(report, values=values)
+        text = cli._report_lines("udd", report)
+        assert text.splitlines(keepends=True) == per_row_lines("udd", report)
+        assert text.split("\n")[0].split(",")[4:] == ["nan", "1", "0"]
 
     def test_unknown_check(self, tmp_path):
         with pytest.raises(SystemExit) as exit_:  # argparse rejects it

@@ -717,7 +717,7 @@ class TestCsv:
                 if all(isinstance(l, int) for l in labels)
                 else ";".join("".join(f"{x}{z}" for x, z in alpha) for alpha in labels)
                 for _, _, labels, _, _ in report_rows(report)]
-            lines = cli._report_lines(check, report)
+            lines = cli._report_lines(check, report).splitlines(keepends=True)
             assert [line.split(",")[3] for line in lines] == expected
 
 
@@ -769,8 +769,8 @@ class TestColumnReductions:
             assert math.isnan(report.max_violation)
         else:
             assert report.max_violation == max(needed, default=0.0)
-        assert cli._report_lines(check, report) == [row_line(check, report.tol, row)
-                                                     for row in rows]
+        assert cli._report_lines(check, report).splitlines(keepends=True) == [
+            row_line(check, report.tol, row) for row in rows]
 
 
 class TestExactConditionValues:

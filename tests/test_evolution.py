@@ -793,12 +793,22 @@ LAYOUT = ModeLayout(1, 1)  # dim 4
      "need 0 <= T < inf, got T = -1.0"),
     (lambda: affine_propagate(make_generator(LAYOUT), np.eye(4), np.zeros(4), [0.1, 0.2]),
      "affine propagation takes one T, got shape (2,)"),
+    # a flip schedule for another number of system modes has the same pulses
+    (lambda: resulting_evolution(make_generator(LAYOUT), decoupling_schedule(2, 2), 0.1),
+     "schedule for 2 system modes does not match the layout's 1"),
+    (lambda: resulting_evolution(make_generator(ModeLayout(2, 1), degree=1),
+                                 decoupling_schedule(2, 3), [0.1, 0.2]),
+     "schedule for 3 system modes does not match the layout's 2"),
+    (lambda: affine_propagate(make_generator(LAYOUT), np.eye(4), np.zeros(4), 0.1,
+                              schedule=decoupling_schedule(3, 2)),
+     "schedule for 2 system modes does not match the layout's 1"),
 ], ids=["scheme", "odd-fit", "nonsquare-fit", "fit-time-zero", "fit-time-negative",
         "fit-time-nan", "fit-time-inf", "coefficient-shape", "linear-shape",
         "bound-order", "bound-time", "covariance-shape", "displacement-shape",
         "generator-scale", "generator-scale-inf", "generator-scale-nan", "generator-degree",
         "generator-degree-negative", "walk-time-negative", "walk-time-nan", "walk-time-inf",
-        "walk-time-2d", "affine-time-negative", "affine-time-grid"])
+        "walk-time-2d", "affine-time-negative", "affine-time-grid",
+        "walk-flip-modes", "walk-flip-modes-grid", "affine-flip-modes"])
 def test_input_check(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
@@ -924,8 +934,9 @@ def pass_steps(passes):
     of the calls ``passes`` (a spy on ``_cf4_pass``) saw."""
     steps = {}
     for call in passes.call_args_list:
-        for t0, t1 in zip(call.args[1].tolist(), call.args[2].tolist()):
-            steps.setdefault((t0, t1), []).append(call.args[3])
+        for t0, t1, n in zip(call.args[1].tolist(), call.args[2].tolist(),
+                             call.args[3].tolist()):
+            steps.setdefault((t0, t1), []).append(n)
     return steps
 
 
@@ -986,17 +997,19 @@ class TestResumedRefinement:
         assert S.tobytes() == (flows[-1] @ expected).tobytes()
 
     def test_resumed_flows_pass_intervals_of_unequal_depth(self):
-        # one fresh call passes every unconverged interval per iteration,
-        # those of equal steps in one call: first passes of 4, 32 and 4
-        # steps, then doublings until each interval converges
+        # a fresh _flows call passes all its unconverged intervals in one
+        # _cf4_pass call per round, most steps first: first passes of 4, 32
+        # and 4 steps, then doublings until each interval converges
         gen = make_generator(ModeLayout(1, 1), seed=5, degree=2)
         t0s, t1s = [0.0, 0.1, 0.5], [0.1, 0.5, 0.55]
         assert first_steps(gen, t0s, t1s) == [4, 32, 4]
         with mock.patch.object(evolution, "_cf4_pass", wraps=evolution._cf4_pass) as passes:
             _flows(gen.coeffs, t0s, t1s, 1e-12)
-        assert [(call.args[3], call.args[1].tolist()) for call in passes.call_args_list] == [
-            (4, [0.0, 0.5]), (32, [0.1]), (8, [0.0, 0.5]), (64, [0.1]), (16, [0.0, 0.5]),
-            (128, [0.1]), (32, [0.0, 0.5]), (256, [0.1]), (64, [0.0])]
+        assert [(call.args[3].tolist(), call.args[1].tolist())
+                for call in passes.call_args_list] == [
+            ([32, 4, 4], [0.1, 0.0, 0.5]), ([64, 8, 8], [0.1, 0.0, 0.5]),
+            ([128, 16, 16], [0.1, 0.0, 0.5]), ([256, 32, 32], [0.1, 0.0, 0.5]),
+            ([64], [0.0])]
 
     @given(layouts, seeds, st.integers(1, 2),
            st.lists(st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 0.3)),
@@ -1011,7 +1024,7 @@ class TestResumedRefinement:
         n = 16 << depth  # up to 1024 substeps: several weight blocks
         with mock.patch.object(evolution, "_taylor_exponential",
                                wraps=evolution._taylor_exponential) as expm:
-            S = _cf4_pass(coeffs, t0s, t1s, n)
+            S = _cf4_pass(coeffs, t0s, t1s, np.full(len(spans), n))
         assert np.array_equal(S, chunked_cf4_pass(coeffs, t0s, t1s, n))
         one_substep = 2 * len(spans) * layout.dim ** 2
         assert expm.call_count > 0
@@ -1027,10 +1040,45 @@ class TestResumedRefinement:
         t1s = t0s + 0.004
         with mock.patch.object(evolution, "_taylor_exponential",
                                wraps=evolution._taylor_exponential) as expm:
-            S = _cf4_pass(coeffs, t0s, t1s, 3)
+            S = _cf4_pass(coeffs, t0s, t1s, np.full(100, 3))
         assert np.array_equal(S, chunked_cf4_pass(coeffs, t0s, t1s, 3))
         assert max(call.args[0].size for call in expm.call_args_list) \
             <= evolution.CF4_BLOCK_ELEMENTS
+
+    @given(st.integers(1, 6).flatmap(
+               lambda modes: st.integers(1, modes).map(lambda n: ModeLayout(n, modes - n))),
+           seeds, st.integers(1, 3),
+           st.lists(st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 0.3), st.integers(0, 8)),
+                    min_size=1, max_size=60))
+    @settings(max_examples=50, deadline=None)
+    # tier ends inside what one Taylor call of a single step count would hold
+    @example(ModeLayout(1, 0), 3, 2, [(0.1 * i, 0.05, i) for i in range(5)])
+    # more intervals than one block of dim 12 holds (28), tiers across both blocks
+    @example(ModeLayout(2, 4), 9, 2, [(0.008 * i, 0.004, i % 9) for i in range(60)])
+    # step counts that fall at the last interval of a block and at block starts
+    @example(ModeLayout(2, 4), 5, 1, [(0.008 * i, 0.004, (i < 27) + (i < 28) + (i < 56))
+                                      for i in range(60)])
+    def test_mixed_step_counts_equal_single_interval_passes(self, layout, seed, degree,
+                                                            intervals):
+        # one pass over intervals of unequal step counts, most steps first,
+        # gives each interval bitwise the flow of its own single-interval pass
+        coeffs = np.asarray(make_generator(layout, seed=seed, degree=degree).coeffs)
+        intervals = sorted(intervals, key=lambda iv: -iv[2])
+        t0s = np.array([t for t, _, _ in intervals])
+        t1s = t0s + np.array([h for _, h, _ in intervals])
+        n = np.array([1 << k for _, _, k in intervals])
+        with mock.patch.object(evolution, "_taylor_exponential",
+                               wraps=evolution._taylor_exponential) as expm:
+            S = _cf4_pass(coeffs, t0s, t1s, n)
+        for i in range(len(intervals)):
+            assert np.array_equal(S[i], _cf4_pass(coeffs, t0s[i:i + 1], t1s[i:i + 1],
+                                                  n[i:i + 1])[0])
+        one_substep = 2 * layout.dim ** 2
+        assert all(call.args[0].size <= max(evolution.CF4_BLOCK_ELEMENTS, one_substep)
+                   for call in expm.call_args_list)
+        # the factors are exactly two per step of every interval
+        assert sum(call.args[0].size for call in expm.call_args_list) \
+            == 2 * n.sum() * layout.dim ** 2
 
     def test_re_tightening_sweep_runs_no_pass_twice(self):
         # each later round walks afresh exactly the points it re-tightened,
