@@ -276,6 +276,8 @@ def _mutated_homogenization_report(order: int, m: int, tol: float) -> dyson.Cond
 def _seeded_bath(seed: int, n_modes: int, beta: float,
                  coupling_scale: float) -> spin_boson.BathSpec:
     """Deterministic bath with max frequency normalized to 1."""
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     om = rng.uniform(0.2, 1.0, n_modes)
     om /= om.max()

@@ -23,10 +23,9 @@ down to ~1e-12 are not polluted by integration error; only segments that
 fail it are passed again, and a segment that would need more than
 MAX_STEPS steps in one pass raises ToleranceNotReached.  Each refinement
 round is one pass over all its unconverged segments, whatever their step
-counts: the pass walks the steps of all of them together, a segment leaving
-the walk when its own steps are done, weights the nodes of its segments at
-once and exponentiates the factors in calls of at most CF4_BLOCK_ELEMENTS
-elements.
+counts: sorted once, most steps first, they make one stream of (step,
+segment) pairs, step-major, whose node weights are built and whose factors
+are exponentiated in blocks of at most CF4_BLOCK_ELEMENTS elements.
 
 A walk may go to many end times T at once, each at its own tolerance, with
 the flows of all of them from one call; ``order_sweep`` walks its T points
@@ -110,6 +109,8 @@ class AnalyticGenerator:
             for r, v in enumerate(self.linear):
                 if v.shape != (self.layout.dim,):
                     raise ValueError(f"linear coefficient {r} has shape {v.shape}")
+                if not np.isfinite(v).all():
+                    raise ValueError(f"linear coefficient {r} is not finite")
 
     @property
     def degree(self) -> int:
@@ -133,11 +134,12 @@ def _polynomial(coeffs: Sequence[np.ndarray], ts) -> np.ndarray:
 
 
 # Elements exponentiated per call, so the temporaries stay at 64 kB, as in a
-# block of spin_boson.BLOCK_ELEMENTS real elements: a CF4 pass (2 factors x
-# intervals x substeps x dim^2, one substep of one interval at least) and a
-# long constant walk (intervals x dim^2, one interval at least) are split into
-# such calls; a CF4 pass builds its node weights, and a walk copies its flows
-# for the pulses, in blocks of about this size too.
+# block of spin_boson.BLOCK_ELEMENTS real elements: a CF4 pass (2 factors of
+# dim^2 per (step, interval) pair, one pair at least) and a long constant walk
+# (dim^2 per interval, one interval at least) are split into such calls; a
+# CF4 pass builds its node weights (2 x (degree + 1) per pair) for whole calls
+# at a time, and a walk copies its flows for the pulses, in blocks of about
+# this size too.
 CF4_BLOCK_ELEMENTS = 8192
 # Flow elements (T points x segments x dim^2) that one batch of sweep points
 # stacks: 2 MB, so a long schedule's flows and the copies a walk makes of
@@ -148,47 +150,43 @@ SWEEP_ELEMENTS = 1 << 18
 def _cf4_pass(coeffs: np.ndarray, t0s: np.ndarray, t1s: np.ndarray,
               n: np.ndarray) -> np.ndarray:
     """n[i] CF4 steps on every interval [t0s[i], t1s[i]], stacked; n does not
-    increase along the intervals.  The intervals go in blocks whose factors
-    of one substep hold at most CF4_BLOCK_ELEMENTS elements (one interval at
-    least).  A block walks its steps k = 0, 1, ... over the prefix of its
-    intervals with n > k, in one tier per distinct n: a tier ends at the
-    smallest n of its prefix, where the intervals of that n are done and
-    leave the prefix.  In a tier, the Gauss-node weights are built for up to
-    CF4_BLOCK_ELEMENTS elements of whole chunks at once; each chunk's factors
-    are one product of its weight rows (substep, interval, factor) with the
-    coefficients, exponentiated by the Taylor kernel without a norm screen.
-    Every interval's steps are multiplied in its own order, so its flow is
-    bitwise the one it gets alone.  Precondition: every interval's n is at
-    least its ``_first_steps``, so every factor's 1-norm is at most
-    _TAYLOR_THETA; ``_flows``, the only caller, guarantees it."""
+    increase along the intervals, so step k is taken by a prefix of them,
+    those with n > k.  The pass is one step-major stream of (step, interval)
+    pairs.  Its Gauss-node weights are built in blocks of whole Taylor calls,
+    of about CF4_BLOCK_ELEMENTS elements; a call exponentiates the factors
+    (its weight rows times the coefficients) of at most CF4_BLOCK_ELEMENTS
+    elements, one pair at least, without a norm screen, and its steps act on
+    the flows in runs of one step, one product a run.  So every interval's
+    steps are multiplied in its own order, and its flow is bitwise the one it
+    gets alone.  Precondition: every interval's n is at least its
+    ``_first_steps``, so every factor's 1-norm is at most _TAYLOR_THETA;
+    ``_flows``, the only caller, guarantees it."""
     r, d = len(coeffs), coeffs.shape[-1]
-    S = np.empty((len(t0s), d, d))
+    S = np.tile(np.eye(d), (len(n), 1, 1))
     hs = (t1s - t0s) / n
-    falls = (np.flatnonzero(n[1:] != n[:-1]) + 1).tolist()  # where n drops
-    width = max(1, CF4_BLOCK_ELEMENTS // (2 * d * d))
-    for i0 in range(0, len(t0s), width):
-        # the tiers' prefixes [i0, i), longest first: the block, then up to
-        # each drop of n inside it
-        tiers = [min(i0 + width, len(t0s))]
-        tiers += [i for i in reversed(falls) if i0 < i < i0 + width]
-        P, k0 = np.eye(d), 0
-        for i, rest in zip(tiers, tiers[1:] + [i0]):
-            t0, h, live, end = t0s[i0:i], hs[i0:i], i - i0, int(n[i - 1])
-            chunk = max(1, CF4_BLOCK_ELEMENTS // (2 * live * d * d))
-            rows = 2 * live * chunk
-            span = chunk * max(1, CF4_BLOCK_ELEMENTS // (rows * r))
-            for k in range(k0, end, span):  # the tier's steps k0 .. end - 1
-                a = t0 + h * np.arange(k, min(k + span, end))[:, None]
-                powers = (a[..., None] + h[:, None] * _NODES)[..., None] ** np.arange(r)
-                weights = (h[:, None, None] * (_MIX @ powers)).reshape(-1, r)
-                for j0 in range(0, len(weights), rows):
-                    F = weights[j0:j0 + rows] @ coeffs.reshape(r, d * d)
-                    E = _taylor_exponential(F.reshape(-1, live, 2, d, d))
-                    for step in E[:, :, 0] @ E[:, :, 1]:
-                        P = step @ P
-            # the intervals [rest, i) have taken all their steps
-            S[rest:i] = P[rest - i0:]
-            P, k0 = P[:rest - i0], end
+    # pairs of step k: starts[k] .. starts[k + 1] - 1, intervals 0 .. live_k - 1
+    live = np.searchsorted(-n, -np.arange(n.max(initial=0)), side="left")
+    starts = np.concatenate(([0], np.cumsum(live)))
+    bounds = starts.tolist()
+    rows = max(1, CF4_BLOCK_ELEMENTS // (2 * d * d))  # pairs a Taylor call
+    block = rows * max(1, CF4_BLOCK_ELEMENTS // (2 * r * rows))  # pairs a weight block
+    for p0 in range(0, bounds[-1], block):
+        p = np.arange(p0, min(p0 + block, bounds[-1]))
+        k = np.searchsorted(starts, p, side="right") - 1
+        i = p - starts[k]
+        h = hs[i]
+        a = t0s[i] + h * k
+        powers = (a[:, None] + h[:, None] * _NODES)[..., None] ** np.arange(r)
+        weights = (h[:, None, None] * (_MIX @ powers)).reshape(-1, r)
+        for q0 in range(0, len(p), rows):
+            F = weights[2 * q0:2 * (q0 + rows)] @ coeffs.reshape(r, d * d)
+            E = _taylor_exponential(F.reshape(-1, 2, d, d))
+            steps = E[:, 0] @ E[:, 1]
+            q1 = q0 + len(steps)
+            for kk in range(k[q0], k[q1 - 1] + 1):  # runs of one step
+                j0, j1 = max(bounds[kk] - p0, q0), min(bounds[kk + 1] - p0, q1)
+                run = slice(i[j0], i[j0] + j1 - j0)
+                S[run] = steps[j0 - q0:j1 - q0] @ S[run]
     return S
 
 
@@ -246,9 +244,9 @@ def _flows(coeffs: Sequence[np.ndarray], t0s: Sequence[float],
     or one each).  A time-dependent interval's first pass takes
     ``_first_steps`` steps and each refinement doubles them; only the
     intervals that have not yet converged are passed again, all of them in
-    one ``_cf4_pass`` call per refinement round, most steps first.  A pass
-    does not depend on the other intervals in its call, so each interval's
-    flow is bitwise the one it gets alone."""
+    one ``_cf4_pass`` call per refinement round, in one order sorted once,
+    most steps first.  A pass does not depend on the other intervals in its
+    call, so each interval's flow is bitwise the one it gets alone."""
     tol = np.broadcast_to(np.asarray(tol, dtype=float), np.shape(t0s))
     bad = ~((0 < tol) & (tol < math.inf))
     if bad.any():
@@ -262,26 +260,24 @@ def _flows(coeffs: Sequence[np.ndarray], t0s: Sequence[float],
             X[i:i + chunk] = matrix_exponential(X[i:i + chunk])
         return X
     first = _first_steps(coeffs, t0s, t1s)
-    # before any pass: 0 steps, the identity, an infinite distance
-    steps, diff = np.zeros(len(t0s), dtype=int), np.full(len(t0s), np.inf)
-    S = np.tile(np.eye(coeffs.shape[-1]), (len(t0s), 1, 1))
     todo = np.flatnonzero(t1s != t0s)
-    while True:
-        todo = todo[~_converged(S[todo], diff[todo], tol[todo])]
-        if not todo.size:
-            return S
-        n = np.where(steps[todo] > 0, 2 * steps[todo], first[todo])
+    # most steps first: doubling every n and dropping intervals keeps the order
+    todo = todo[np.argsort(-first[todo], kind="stable")]
+    n = first[todo]
+    S = np.tile(np.eye(coeffs.shape[-1]), (len(t0s), 1, 1))
+    S[todo] = _cf4_pass(coeffs, t0s[todo], t1s[todo], n)
+    while todo.size:
+        n = 2 * n
         if (n > MAX_STEPS).any():
-            j = todo[n > MAX_STEPS][0]
+            j = todo[n > MAX_STEPS].min()
             raise ToleranceNotReached(
                 f"propagator did not reach tolerance {tol[j]} within {MAX_STEPS} "
                 f"CF4 steps on [{t0s[j]}, {t1s[j]}]", j)
-        order = np.argsort(-n, kind="stable")  # most steps first
-        group, n = todo[order], n[order]
-        S2 = _cf4_pass(coeffs, t0s[group], t1s[group], n)
-        diff[group] = np.where(steps[group] > 0,
-                               np.linalg.norm(S2 - S[group], axis=(-2, -1)), np.inf)
-        S[group], steps[group] = S2, n
+        S2 = _cf4_pass(coeffs, t0s[todo], t1s[todo], n)
+        done = _converged(S2, np.linalg.norm(S2 - S[todo], axis=(-2, -1)), tol[todo])
+        S[todo] = S2
+        todo, n = todo[~done], n[~done]
+    return S
 
 
 def propagate(gen: AnalyticGenerator, t0: float, t1: float,
@@ -594,6 +590,8 @@ def random_generator(layout: ModeLayout, seed: int, scale_ss: float,
         raise ValueError("scales must be nonnegative and finite")
     if not 0 <= degree <= 4:
         raise ValueError(f"polynomial degree capped at 4, got {degree}: need 0..4")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     J = symplectic_form(layout)
     ds, de = layout.system_dim, layout.env_dim

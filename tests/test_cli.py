@@ -176,7 +176,9 @@ class TestSweeps:
         # the sweep-timedep benchmark argv at seed 11: every refinement round
         # of a walk passes all its unconverged segments, whatever their step
         # counts, in one _cf4_pass call: 7 calls for 1,538 CF4 steps and
-        # 3,076 factor matrices.  A call per step count makes 23
+        # 3,076 factor matrices.  A call per step count makes 23.  The
+        # factors go to the Taylor kernel in full calls of 28 (dim 12): 59
+        # calls, where a call per run of intervals of one step count made 74
         argv = ["decouple-sweep", "--seed", "11", "--N", "4", "--nS", "2", "--nE", "4",
                 "--degree", "2", "--tmin", "1e-2", "--tmax", "3e-1", "--out", os.devnull]
         with mock.patch.object(evolution, "_walk", wraps=evolution._walk) as walks, \
@@ -187,14 +189,15 @@ class TestSweeps:
                 mock.patch.object(evolution, "_taylor_exponential",
                                   wraps=evolution._taylor_exponential) as kernel:
             assert run(argv) == 0
-        # a walk's _flows tests convergence once before each round and once
-        # after the last
-        assert passes.call_count == tests.call_count - walks.call_count == 7
+        # a walk's _flows tests convergence once after each pass but its first
+        assert passes.call_count - walks.call_count == tests.call_count
+        assert passes.call_count == 7
         assert max(len(set(call.args[3].tolist())) for call in passes.call_args_list) == 5
         assert sum(int(call.args[3].sum()) for call in passes.call_args_list) == 1538
         factors = [call.args[0] for call in kernel.call_args_list]
         assert sum(F.size // F.shape[-1] ** 2 for F in factors) == 3076
         assert all(F.size <= evolution.CF4_BLOCK_ELEMENTS for F in factors)
+        assert kernel.call_count <= 62
 
     @pytest.mark.parametrize("degree", ["0", "1"])
     def test_sweep_past_the_float_range(self, tmp_path, capsys, degree):
@@ -314,10 +317,18 @@ class TestSweeps:
      "", r"error: the mutation self-test needs m >= 1\n"),
     (["spectrum", "--nE", "0", "--out", "{out}"], 2, "",
      r"error: need at least one bath line\n"),
+    # numpy's own message for a negative seed does not name the seed
+    (["decouple-sweep", "--seed", "-1", "--out", "{out}"], 2, "",
+     r"error: seed must be nonnegative, got -1\n"),
+    (["homogenize-sweep", "--seed", "-3", "--out", "{out}"], 2, "",
+     r"error: seed must be nonnegative, got -3\n"),
+    (["spectrum", "--seed", "-1", "--out", "{out}"], 2, "",
+     r"error: seed must be nonnegative, got -1\n"),
     (["schedule", "--config", "{config}", "--out", "{out}"], 2, "",
      r"error: config file \S+ is not UTF-8 text\n"),
 ], ids=["slope-outside-window", "stdout", "decouple-N", "decouple-nS", "decouple-nE",
-        "homogenize-N", "homogenize-m", "mutate-m0", "spectrum-nE0", "config-not-utf8"])
+        "homogenize-N", "homogenize-m", "mutate-m0", "spectrum-nE0", "decouple-seed",
+        "homogenize-seed", "spectrum-seed", "config-not-utf8"])
 def test_input_check(tmp_path, capsys, argv, code, out, err):
     config = tmp_path / "latin1.cfg"
     config.write_bytes("scheme=d\xe9couplage\n".encode("latin-1"))

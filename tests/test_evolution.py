@@ -824,9 +824,11 @@ def one_entry(value, dim=4):
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("call", [
     lambda bad: AnalyticGenerator(layout=LAYOUT, coeffs=(one_entry(bad),)),
+    lambda bad: AnalyticGenerator(layout=LAYOUT, coeffs=(one_entry(0.0),),
+                                  linear=(one_entry(bad)[0],)),
     lambda bad: affine_propagate(make_generator(LAYOUT), one_entry(bad), np.zeros(4), 1.0),
     lambda bad: expand_in_basis(one_entry(bad), 1),
-], ids=["generator", "covariance", "basis-expansion"])
+], ids=["generator", "generator-linear", "covariance", "basis-expansion"])
 def test_relative_checks_reject_nonfinite_input(call, bad):
     # NaN fails every comparison, so a check written `residual > bound` lets it pass
     with pytest.raises(ValueError):
@@ -1033,7 +1035,8 @@ class TestResumedRefinement:
 
     def test_cf4_pass_blocks_its_intervals(self):
         # 100 intervals of dim 12 make 28,800 factor elements a substep: the
-        # pass splits them into blocks of 28 intervals, bitwise the same
+        # pass exponentiates them in calls of 28 (step, interval) pairs, so a
+        # step's pairs span several calls, bitwise the same
         gen = make_generator(ModeLayout(2, 4), seed=9, degree=2)
         coeffs = np.asarray(gen.coeffs)
         t0s = np.linspace(0.0, 0.5, 100)
@@ -1051,13 +1054,18 @@ class TestResumedRefinement:
            st.lists(st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 0.3), st.integers(0, 8)),
                     min_size=1, max_size=60))
     @settings(max_examples=50, deadline=None)
-    # tier ends inside what one Taylor call of a single step count would hold
+    # the intervals taking a step shrink inside one Taylor call
     @example(ModeLayout(1, 0), 3, 2, [(0.1 * i, 0.05, i) for i in range(5)])
-    # more intervals than one block of dim 12 holds (28), tiers across both blocks
+    # nine step counts over 60 intervals of dim 12 (28 pairs a Taylor call):
+    # runs of one step begin and end inside calls
     @example(ModeLayout(2, 4), 9, 2, [(0.008 * i, 0.004, i % 9) for i in range(60)])
-    # step counts that fall at the last interval of a block and at block starts
+    # step counts that fall at the last interval of a call and at call starts
     @example(ModeLayout(2, 4), 5, 1, [(0.008 * i, 0.004, (i < 27) + (i < 28) + (i < 56))
                                       for i in range(60)])
+    # one step's pairs split across two Taylor calls (dim 12: 28 pairs a call)
+    @example(ModeLayout(2, 4), 9, 2, [(0.008 * i, 0.004, 1) for i in range(40)])
+    # one step's pairs split across two weight blocks (degree 2: 1,344 pairs)
+    @example(ModeLayout(2, 4), 9, 2, [(0.008 * i, 0.004, 5) for i in range(60)])
     def test_mixed_step_counts_equal_single_interval_passes(self, layout, seed, degree,
                                                             intervals):
         # one pass over intervals of unequal step counts, most steps first,
@@ -1079,6 +1087,32 @@ class TestResumedRefinement:
         # the factors are exactly two per step of every interval
         assert sum(call.args[0].size for call in expm.call_args_list) \
             == 2 * n.sum() * layout.dim ** 2
+
+    @given(st.integers(1, 6).flatmap(
+               lambda modes: st.integers(1, modes).map(lambda n: ModeLayout(n, modes - n))),
+           st.integers(1, 3), st.lists(st.integers(0, 8), min_size=1, max_size=60))
+    @settings(max_examples=30, deadline=None)
+    # two weight blocks of dim 12 at degree 2 (1,344 pairs a block)
+    @example(ModeLayout(2, 4), 2, [5] * 60)
+    def test_taylor_calls_are_full_but_the_last_of_each_weight_block(self, layout, degree,
+                                                                      depths):
+        # a pass sends its (step, interval) pairs to the Taylor kernel in
+        # calls of `rows` pairs, the most CF4_BLOCK_ELEMENTS holds; only the
+        # last call of each weight block (the most whole calls whose node
+        # weights, 2 (degree + 1) a pair, CF4_BLOCK_ELEMENTS holds) is short
+        coeffs = np.asarray(make_generator(layout, seed=3, degree=degree).coeffs)
+        n = np.array(sorted((1 << k for k in depths), reverse=True))
+        t0s = 0.01 * np.arange(len(n))
+        with mock.patch.object(evolution, "_taylor_exponential",
+                               wraps=evolution._taylor_exponential) as expm:
+            _cf4_pass(coeffs, t0s, t0s + 0.004, n)
+        rows = max(1, evolution.CF4_BLOCK_ELEMENTS // (2 * layout.dim ** 2))
+        block = rows * max(1, evolution.CF4_BLOCK_ELEMENTS // (2 * (degree + 1) * rows))
+        expected, total = [], int(n.sum())
+        for p0 in range(0, total, block):
+            pairs = min(block, total - p0)
+            expected += [rows] * (pairs // rows) + [pairs % rows] * (pairs % rows > 0)
+        assert [len(call.args[0]) for call in expm.call_args_list] == expected
 
     def test_re_tightening_sweep_runs_no_pass_twice(self):
         # each later round walks afresh exactly the points it re-tightened,
