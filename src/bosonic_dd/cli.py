@@ -26,6 +26,8 @@ import contextlib
 import dataclasses
 import functools
 import math
+import os
+import stat
 import sys
 from typing import IO, Iterator, Sequence
 
@@ -97,16 +99,26 @@ def _config_values(parser: argparse.ArgumentParser, path: str) -> dict[str, obje
 @contextlib.contextmanager
 def _output(path: str) -> Iterator[IO[str]]:
     """The output stream: stdout for '-', else the file, closed on exit; a
-    file that cannot be opened is a usage error."""
+    file that cannot be opened is a usage error.
+
+    An existing file is written over in place and then cut at the written
+    length, also when the write fails, rather than truncated to zero when
+    opened: ext4 flushes a file truncated to zero when it is closed.  Only a
+    regular file is cut, so /dev/null and a FIFO work as before.
+    """
     if path == "-":
         yield sys.stdout
         return
     try:
-        stream = open(path, "w", encoding="utf-8", newline="\n")
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
-    with stream:
-        yield stream
+    with open(fd, "w", encoding="utf-8", newline="\n") as stream:
+        try:
+            yield stream
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                stream.truncate()  # at the current position, after a flush
 
 
 def _t_grid(tmin: float, tmax: float, points: int) -> tuple[float, ...]:

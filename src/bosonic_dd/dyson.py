@@ -9,16 +9,19 @@ The central object is
 evaluated by iterated antidifferentiation, exact up to roundoff: a sign
 function is a flip mask over the schedule's pulse times, so every stage is a
 polynomial on each interval of one grid, the times where any mask of a report
-flips (labels with equal masks share one function).  A stage is an
-``(n_intervals, degree + 1)`` array in the local variable u = t - b_i, so
-t^r is a binomial expansion in b_i, antidifferentiation a column shift and
-scale, and the continuity constants an exclusive cumulative sum.  Keys
+flips (labels with equal masks share one function, merged by the masks'
+bytes).  A stage is an ``(n_intervals, degree + 1)`` array in the local
+variable u = t - b_i, so t^r is a binomial expansion in b_i,
+antidifferentiation a column shift and scale, and the continuity constants
+an exclusive cumulative sum.  Keys
 ((f_1, r_1), ..., (f_s, r_s)) come as integer arrays and are walked by
 depth: the distinct length-d prefixes of the longer keys are integrated as
 one stacked stage, and each key's last step is not integrated at all but
 contracted, one row per key, against a per-report table of moments
-int_0^{h_i} (b_i + u)^r u^j du.  Every sum runs in an order fixed by the
-grid alone, so a key's value does not depend on the other keys of the walk.
+int_0^{h_i} (b_i + u)^r u^j du, its two operands gathered into buffers that
+each ``_evaluate`` call allocates once.  Every sum runs in an order fixed by
+the grid alone, so a key's value does not depend on the other keys of the
+walk.
 
 The zero test is relative.  With every sign +1 the integral is the closed
 form scale(r) = 1 / prod_{k=1..s} (k + r_1 + ... + r_k), and |F| <= scale(r)
@@ -147,6 +150,9 @@ def _evaluate(breaks: np.ndarray, signs: np.ndarray, f: np.ndarray, r: np.ndarra
     order = np.lexsort(np.where(np.arange(r.shape[1]) < length[:, None],
                                 f * n_powers + r, -1).T[::-1])
     block = max(1, WALK_BLOCK_ELEMENTS // n)  # keys per walk
+    # the leaf step's two gathers, allocated once: fresh ones each depth and walk
+    # would be returned to the system and faulted in again every time
+    gathered = np.empty((2, min(block, len(length)), n))
     for start in range(0, len(length), block):
         live = order[start:start + block]
         stage = np.ones((1, n, 1))  # the empty prefix: g = 1
@@ -157,7 +163,10 @@ def _evaluate(breaks: np.ndarray, signs: np.ndarray, f: np.ndarray, r: np.ndarra
             inner = stage[g, :, 0] * moments[mu, :, 0]  # sum_j g mu_r, in column order
             for j in range(1, stage.shape[2]):
                 inner += stage[g, :, j] * moments[mu, :, j]
-            values[leaf] = np.einsum("ki,ki->k", signs[f[leaf, d]], inner[which])
+            leaf_signs, leaf_inner = gathered[:, :len(leaf)]
+            np.take(signs, f[leaf, d], axis=0, mode="clip", out=leaf_signs)
+            np.take(inner, which, axis=0, mode="clip", out=leaf_inner)
+            values[leaf] = np.einsum("ki,ki->k", leaf_signs, leaf_inner)
             live = live[length[live] > d + 1]
             if not live.size:
                 break
@@ -283,9 +292,13 @@ def _tuple_condition_report(schedule: PulseSchedule, alphabet: np.ndarray,
     ``exempt_xors``, with every budget of powers to the schedule's order."""
     order = schedule.order
     _check_order(order)  # before the budgets, which grow as (order - s + 1)^s
-    # labels with equal masks share one function
-    functions, function = np.unique(toggling_sign_function(schedule, alphabet), axis=0,
-                                    return_inverse=True)
+    # labels with equal masks share one function, numbered by first occurrence
+    masks = toggling_sign_function(schedule, alphabet)
+    ids: dict[bytes, int] = {}
+    function = np.fromiter((ids.setdefault(row.tobytes(), len(ids)) for row in masks),
+                           dtype=np.intp, count=len(masks))
+    functions = np.empty((len(ids), masks.shape[1]), dtype=bool)
+    functions[function] = masks
     # each label's index bits packed into one integer, so index xors are integer xors
     weight = 1 << np.arange(np.size(alphabet[0]))
     code = np.reshape(alphabet, (len(alphabet), -1)) @ weight

@@ -102,9 +102,14 @@ class AnalyticGenerator:
                                  f"expected {(self.layout.dim,) * 2}")
             if not np.isfinite(X).all():
                 raise ValueError(f"coefficient {r} is not finite")
-            res = sp_algebra_residual(X, J)
-            if not res <= 1e-10 * max(1.0, float(np.linalg.norm(X))):
-                raise ValueError(f"coefficient {r} is not in sp(2n): residual {res:.3e}")
+            # res(X) <= 1e-10 max(1, |X|), tested on X scaled exactly by 2^-e so
+            # that its largest entry is below 1 and no norm overflows
+            e = max(int(np.frexp(np.abs(X).max())[1]), 0)
+            scaled = np.ldexp(X, -e)
+            res, scale = sp_algebra_residual(scaled, J), max(2.0 ** -e, np.linalg.norm(scaled))
+            if not res <= 1e-10 * scale:
+                raise ValueError(f"coefficient {r} is not in sp(2n): "
+                                 f"residual {res / scale:.3e} relative to max(1, |X|)")
         if self.linear is not None:
             for r, v in enumerate(self.linear):
                 if v.shape != (self.layout.dim,):

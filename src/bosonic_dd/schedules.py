@@ -19,24 +19,22 @@ schedule's ``deltas``: F(0+) = +1 always, and F flips at each masked pulse.
 A pulse at exactly delta = 1 is never masked (a flip there changes the
 function on a zero-measure tail only, and leaving it out makes the flip
 times of schedules that do or do not retain a final pulse comparable).
+
+``qubit_nudd_schedule`` and ``homogenization_schedule`` are cached: each
+(N, m) is built once per process, and the one frozen schedule, with its
+read-only columns, is shared by every caller.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import IO, Sequence
 
 import numpy as np
 
-from .pauli_basis import (
-    PAIR_I,
-    PAIR_X,
-    PAIR_Y,
-    PAIR_Z,
-    _check_m,
-    symplectic_inner_product,
-)
+from .pauli_basis import PAIR_I, PAIR_X, PAIR_Y, PAIR_Z, _check_m
 
 FLIP = 1  # file token for -I on the system block
 
@@ -201,6 +199,7 @@ def _nudd_labels(n_pulses: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     return digits.T, times, level, table
 
 
+@functools.cache  # shared: a schedule is frozen, its columns read-only
 def qubit_nudd_schedule(n_pulses: int, m: int) -> PulseSchedule:
     """The (m+1)-qubit nested Uhrig schedule in time order."""
     _, times, level, table = _nudd_labels(n_pulses, m)
@@ -229,6 +228,7 @@ def substitute_bosonic(qubit: PulseSchedule) -> PulseSchedule:
                          signs=qubit.signs[keep], m=qubit.m, n_system=qubit.n_system)
 
 
+@functools.cache  # as qubit_nudd_schedule
 def homogenization_schedule(n_pulses: int, m: int) -> PulseSchedule:
     """Bosonic homogenization schedule for 2^m modes at suppression order N."""
     _check_m(m)
@@ -240,6 +240,14 @@ def homogenization_schedule(n_pulses: int, m: int) -> PulseSchedule:
 # ---------------------------------------------------------------------------
 
 
+def _bit_codes(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The x bits and the z bits of each index of a (..., m+1, 2) bit stack,
+    packed with weight 1 << position into (..., ceil((m+1)/8)) bytes."""
+    bits = stack != 0
+    return (np.packbits(bits[..., 0], axis=-1, bitorder="little"),
+            np.packbits(bits[..., 1], axis=-1, bitorder="little"))
+
+
 def toggling_sign_function(schedule: PulseSchedule, alpha) -> np.ndarray:
     """F_alpha as a flip mask over ``schedule.deltas``: True at each pulse
     whose index pairs oddly with alpha and whose time is below 1.
@@ -248,6 +256,9 @@ def toggling_sign_function(schedule: PulseSchedule, alpha) -> np.ndarray:
     shape (..., m+1, 2); for flip schedules it is a bit (0 or 1) or an array
     of bits, bit 1 pairing with every flip pulse.  The mask has shape
     ``alpha.shape[:-2] + (L,)``, or ``np.shape(alpha) + (L,)`` for bits.
+
+    The symplectic pairing sum_j (a_x p_z + a_z p_x) mod 2 is the parity of
+    the set bits of (a_x & p_z) ^ (a_z & p_x) over the packed bit codes.
     """
     a = np.asarray(alpha)
     if schedule.is_flip_schedule:
@@ -256,9 +267,13 @@ def toggling_sign_function(schedule: PulseSchedule, alpha) -> np.ndarray:
         odd = a[..., None] == 1
     elif a.ndim < 2:
         raise ValueError("indexed schedules pair with a multi-index")
-    else:  # as uint8 bits the (..., L, m+1) pairing temporaries stay small
-        odd = symplectic_inner_product(a[..., None, :, :].astype(np.uint8),
-                                       schedule.pulses.astype(np.uint8)) == 1
+    elif a.shape[-2:] != schedule.pulses.shape[1:]:
+        raise ValueError("multi-index length mismatch")
+    elif not ((a == 0) | (a == 1)).all():
+        raise ValueError("indexed schedules pair with multi-indices of bits 0 or 1")
+    else:
+        (ax, az), (px, pz) = _bit_codes(a[..., None, :, :]), _bit_codes(schedule.pulses)
+        odd = np.bitwise_count(np.bitwise_xor.reduce((ax & pz) ^ (az & px), axis=-1)) & 1 == 1
     return odd & (schedule.deltas < 1.0)
 
 

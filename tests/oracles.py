@@ -5,7 +5,14 @@ import itertools
 
 import numpy as np
 
-from bosonic_dd.pauli_basis import ALL_PAIRS, PAIR_I, PAIR_X, PAIR_Y, PAIR_Z
+from bosonic_dd.pauli_basis import (
+    ALL_PAIRS,
+    PAIR_I,
+    PAIR_X,
+    PAIR_Y,
+    PAIR_Z,
+    symplectic_inner_product,
+)
 from bosonic_dd.schedules import PulseSchedule
 from bosonic_dd.spin_boson import _check_even
 
@@ -47,6 +54,14 @@ def gamma_tilde_set_oracle(m):
     """Gamma~(m) as tuples (a_0 in {I, y}), enumerated one index at a time."""
     return tuple(alpha for alpha in itertools.product(ALL_PAIRS, repeat=m + 1)
                  if tuple(alpha[0]) in (PAIR_I, PAIR_Y))
+
+
+def pairing_mask(schedule, alpha):
+    """F_alpha's flip mask over an indexed schedule from its definition: the
+    symplectic pairing of alpha with the pulse is odd and its time is below 1."""
+    a = np.asarray(alpha)
+    return ((symplectic_inner_product(a[..., None, :, :], schedule.pulses) == 1)
+            & (schedule.deltas < 1.0))
 
 
 def signed_closed_schedule(seed, m, n_pulses):

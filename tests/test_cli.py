@@ -326,9 +326,12 @@ class TestSweeps:
      r"error: seed must be nonnegative, got -1\n"),
     (["schedule", "--config", "{config}", "--out", "{out}"], 2, "",
      r"error: config file \S+ is not UTF-8 text\n"),
+    # the generator check is scale-free: no norm overflows, so no numpy warning
+    (["decouple-sweep", "--scale-ss", "1e200", "--points", "2", "--out", "{out}"], 2, "",
+     r"error: the evolution to T = 0\.001 leaves the float range\n"),
 ], ids=["slope-outside-window", "stdout", "decouple-N", "decouple-nS", "decouple-nE",
         "homogenize-N", "homogenize-m", "mutate-m0", "spectrum-nE0", "decouple-seed",
-        "homogenize-seed", "spectrum-seed", "config-not-utf8"])
+        "homogenize-seed", "spectrum-seed", "config-not-utf8", "scale-overflow"])
 def test_input_check(tmp_path, capsys, argv, code, out, err):
     config = tmp_path / "latin1.cfg"
     config.write_bytes("scheme=d\xe9couplage\n".encode("latin-1"))
@@ -355,6 +358,30 @@ class TestOutput:
         assert err.startswith("error: cannot write ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_overwrite_leaves_a_fresh_runs_bytes(self, tmp_path):
+        # an existing file is written over in place and cut at the written length
+        argv = ["verify", "--check", "udd", "--N", "3"]
+        fresh, over = tmp_path / "fresh.txt", tmp_path / "over.txt"
+        assert run([*argv, "--out", str(fresh)]) == 0
+        over.write_bytes(b"junk\x00\xff" * 20_000)
+        assert len(over.read_bytes()) > len(fresh.read_bytes())
+        for _ in range(2):
+            assert run([*argv, "--out", str(over)]) == 0
+            assert over.read_bytes() == fresh.read_bytes()
+
+    def test_failed_write_is_cut_at_its_length(self, tmp_path, capsys):
+        out = tmp_path / "s.txt"
+        out.write_text("x" * 1000)
+
+        def half_written(schedule, stream):
+            stream.write("#scheme")
+            raise ValueError("disk gone")
+
+        with mock.patch.object(cli.schedules, "write_schedule", half_written):
+            assert run(["schedule", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: disk gone\n"
+        assert out.read_text() == "#scheme"
+
 
 class TestVerify:
     def test_requires_checks(self, tmp_path):
@@ -367,6 +394,20 @@ class TestVerify:
         lines = out.read_text().splitlines()
         assert lines[0] == "check,s,r,labels,value,required_zero,pass"
         assert len(lines) > 3
+
+    def test_all_equals_the_single_checks_concatenated(self, tmp_path):
+        header = "check,s,r,labels,value,required_zero,pass\n"
+        rows = []
+        for check in ("basis", "udd", "nudd", "homogenization", "correspondence"):
+            out = tmp_path / f"{check}.csv"
+            assert run(["verify", "--check", check, "--N", "2", "--m", "1",
+                        "--out", str(out)]) == 0
+            text = out.read_text()
+            assert text.startswith(header)
+            rows.append(text[len(header):])
+        out = tmp_path / "all.csv"
+        assert run(["verify", "--check", "all", "--N", "2", "--m", "1", "--out", str(out)]) == 0
+        assert out.read_text() == header + "".join(rows)
 
     def test_mutation_detected(self, tmp_path):
         assert run(["verify", "--check", "homogenization", "--N", "2",

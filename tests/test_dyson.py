@@ -449,6 +449,19 @@ class TestWalkerProperties:
             alone = iterated_integral([function_of(a) for a in labels], powers)
             assert abs(value - alone) <= 1e-15
 
+    @pytest.mark.parametrize("case", [("udd", 3, None), ("nudd", 2, 1), ("hom", 2, 1),
+                                      ("hom", 1, 2)])
+    def test_equal_masks_share_one_function(self, case):
+        # the walk's functions are distinct masks, and each label's id names its own
+        # mask: equal masks get one id, distinct masks distinct ids
+        with mock.patch.object(dyson, "_evaluate", wraps=dyson._evaluate) as spy:
+            report, function_of = _label_functions(*case)
+        times, functions, f = spy.call_args_list[0].args[:3]
+        assert len({row.tobytes() for row in functions}) == len(functions)
+        picks = report.picks[:len(f)]  # past them, the udd witness row
+        for label, function in zip(picks[picks >= 0].tolist(), f[picks >= 0].tolist()):
+            assert tuple(times[functions[function]]) == function_of(report.alphabet[label])
+
     @given(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
                     max_size=6),
            st.integers(0, 2 ** 32 - 1))

@@ -828,11 +828,33 @@ def one_entry(value, dim=4):
                                   linear=(one_entry(bad)[0],)),
     lambda bad: affine_propagate(make_generator(LAYOUT), one_entry(bad), np.zeros(4), 1.0),
     lambda bad: expand_in_basis(one_entry(bad), 1),
-], ids=["generator", "generator-linear", "covariance", "basis-expansion"])
+    # finite entries whose squares overflow: an inf residual passed `res <= 1e-10 * inf`
+    lambda bad: AnalyticGenerator(layout=LAYOUT, coeffs=(np.diag([1e200] * 4),)),
+], ids=["generator", "generator-linear", "covariance", "basis-expansion",
+        "generator-norm-overflow"])
 def test_relative_checks_reject_nonfinite_input(call, bad):
     # NaN fails every comparison, so a check written `residual > bound` lets it pass
     with pytest.raises(ValueError):
         call(bad)
+
+
+@pytest.mark.parametrize("exponent", [-1000, -10, 0, 10, 500, 1000])
+def test_generator_check_is_scale_free(exponent):
+    # an sp(2n) coefficient passes at any scale; one with a defect fails at every
+    # scale where |X| >= 1 with the same residual relative to |X|, also where
+    # its squared entries overflow
+    X = make_generator(LAYOUT, seed=3).coeffs[0]
+    X /= np.abs(X).max()
+    defect = X + 1e-6 * np.eye(4)
+
+    def message(M):
+        with pytest.raises(ValueError, match="is not in sp") as info:
+            AnalyticGenerator(layout=LAYOUT, coeffs=(M,))
+        return str(info.value)
+
+    AnalyticGenerator(layout=LAYOUT, coeffs=(np.ldexp(X, exponent),))
+    if exponent >= 0:
+        assert message(np.ldexp(defect, exponent)) == message(defect)
 
 
 def forced_cf4(gen):

@@ -36,7 +36,7 @@ from bosonic_dd.schedules import (
     write_schedule,
 )
 
-from oracles import as_index, sign_value, signed_closed_schedule
+from oracles import as_index, pairing_mask, sign_value, signed_closed_schedule
 
 
 def nudd_times(n, m):
@@ -255,6 +255,17 @@ class TestNestedPulses:
                 assert acc == dot
 
 
+class TestNestedBuildersCached:
+    @pytest.mark.parametrize("build", [qubit_nudd_schedule, homogenization_schedule])
+    def test_built_once_and_read_only(self, build):
+        # one schedule per (N, m) and process, shared: its columns refuse writes
+        sched = build(3, 1)
+        assert build(3, 1) is sched and build(2, 1) is not sched
+        for column in (sched.deltas, sched.pulses, sched.signs):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[0]
+
+
 class TestSubstitution:
     def test_replacement_rules(self):
         qubit = qubit_nudd_schedule(2, 1)
@@ -319,17 +330,19 @@ class TestTogglingSignFunction:
             assert sign_value(f, 0.0) == 1
             assert set(interval_values(f)) <= {-1, 1}
 
-    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 2), st.integers(1, 12), st.booleans(),
-           st.sampled_from([(), (3,), (2, 3)]))
-    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 4), st.integers(1, 12), st.booleans(),
+           hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3))
+    @settings(max_examples=60, deadline=None)
     def test_indexed_stack_equals_per_index_calls_and_pairing_loop(
             self, seed, m, n_pulses, final_at_one, stack_shape):
         sched = signed_closed_schedule(seed, m, n_pulses)
-        if final_at_one:  # a pulse at delta = 1 never flips
+        if final_at_one:  # a pulse at delta = 1 never flips, whatever its pairing
             sched = dataclasses.replace(sched, deltas=np.append(sched.deltas[:-1], 1.0))
         alpha = np.random.default_rng(seed).integers(0, 2, stack_shape + (m + 1, 2))
         masks = toggling_sign_function(sched, alpha)
         assert masks.shape == stack_shape + (len(sched),) and masks.dtype == bool
+        assert np.array_equal(masks, pairing_mask(sched, alpha))
+        assert not (final_at_one and masks[..., -1].any())
         for index in np.ndindex(stack_shape):
             a = alpha[index].tolist()
             assert masks[index].tolist() == toggling_sign_function(sched, alpha[index]).tolist()
@@ -645,7 +658,14 @@ class TestScheduleFile:
     (lambda: qubit_nudd_schedule(1, -1), "m must be nonnegative"),
     (lambda: substitute_bosonic(decoupling_schedule(2, 1)),
      "substitution expects an indexed qubit schedule"),
-], ids=["nudd-order", "nudd-m-negative", "substitute-flip-schedule"])
+    (lambda: toggling_sign_function(qubit_nudd_schedule(1, 1), (PAIR_X, PAIR_I, PAIR_Z)),
+     "multi-index length mismatch"),
+    *[(lambda alpha=alpha: toggling_sign_function(qubit_nudd_schedule(1, 1), alpha),
+       "indexed schedules pair with multi-indices of bits 0 or 1")
+      for alpha in (((2, 0), (0, 0)), ((0, 0), (0, -1)), ((0, 0.5), (1, 0)),
+                    [((1, 0), (0, 1)), ((0, 1), (3, 1))])],
+], ids=["nudd-order", "nudd-m-negative", "substitute-flip-schedule", "mask-index-length",
+        "mask-bit-2", "mask-bit-negative", "mask-bit-half", "mask-bit-in-stack"])
 def test_input_check(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
