@@ -26,8 +26,6 @@ import contextlib
 import dataclasses
 import functools
 import math
-import os
-import stat
 import sys
 from typing import IO, Iterator, Sequence
 
@@ -99,26 +97,16 @@ def _config_values(parser: argparse.ArgumentParser, path: str) -> dict[str, obje
 @contextlib.contextmanager
 def _output(path: str) -> Iterator[IO[str]]:
     """The output stream: stdout for '-', else the file, closed on exit; a
-    file that cannot be opened is a usage error.
-
-    An existing file is written over in place and then cut at the written
-    length, also when the write fails, rather than truncated to zero when
-    opened: ext4 flushes a file truncated to zero when it is closed.  Only a
-    regular file is cut, so /dev/null and a FIFO work as before.
-    """
+    file that cannot be opened is a usage error."""
     if path == "-":
         yield sys.stdout
         return
     try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        stream = open(path, "w", encoding="utf-8", newline="\n")
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
-    with open(fd, "w", encoding="utf-8", newline="\n") as stream:
-        try:
-            yield stream
-        finally:
-            if stat.S_ISREG(os.fstat(fd).st_mode):
-                stream.truncate()  # at the current position, after a flush
+    with stream:
+        yield stream
 
 
 def _t_grid(tmin: float, tmax: float, points: int) -> tuple[float, ...]:

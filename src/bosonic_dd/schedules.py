@@ -20,9 +20,9 @@ A pulse at exactly delta = 1 is never masked (a flip there changes the
 function on a zero-measure tail only, and leaving it out makes the flip
 times of schedules that do or do not retain a final pulse comparable).
 
-``qubit_nudd_schedule`` and ``homogenization_schedule`` are cached: each
-(N, m) is built once per process, and the one frozen schedule, with its
-read-only columns, is shared by every caller.
+``qubit_nudd_schedule`` is cached: each (N, m) is built once per process,
+and the one frozen schedule, with its read-only columns, is shared by every
+caller, ``homogenization_schedule`` among them.
 """
 
 from __future__ import annotations
@@ -228,7 +228,6 @@ def substitute_bosonic(qubit: PulseSchedule) -> PulseSchedule:
                          signs=qubit.signs[keep], m=qubit.m, n_system=qubit.n_system)
 
 
-@functools.cache  # as qubit_nudd_schedule
 def homogenization_schedule(n_pulses: int, m: int) -> PulseSchedule:
     """Bosonic homogenization schedule for 2^m modes at suppression order N."""
     _check_m(m)
@@ -238,14 +237,6 @@ def homogenization_schedule(n_pulses: int, m: int) -> PulseSchedule:
 # ---------------------------------------------------------------------------
 # Toggling-frame sign functions
 # ---------------------------------------------------------------------------
-
-
-def _bit_codes(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The x bits and the z bits of each index of a (..., m+1, 2) bit stack,
-    packed with weight 1 << position into (..., ceil((m+1)/8)) bytes."""
-    bits = stack != 0
-    return (np.packbits(bits[..., 0], axis=-1, bitorder="little"),
-            np.packbits(bits[..., 1], axis=-1, bitorder="little"))
 
 
 def toggling_sign_function(schedule: PulseSchedule, alpha) -> np.ndarray:
@@ -258,7 +249,8 @@ def toggling_sign_function(schedule: PulseSchedule, alpha) -> np.ndarray:
     ``alpha.shape[:-2] + (L,)``, or ``np.shape(alpha) + (L,)`` for bits.
 
     The symplectic pairing sum_j (a_x p_z + a_z p_x) mod 2 is the parity of
-    the set bits of (a_x & p_z) ^ (a_z & p_x) over the packed bit codes.
+    the set bits of (a_x & p_z) ^ (a_z & p_x), each index's x and z bits
+    packed into one integer with weight 1 << position.
     """
     a = np.asarray(alpha)
     if schedule.is_flip_schedule:
@@ -272,8 +264,11 @@ def toggling_sign_function(schedule: PulseSchedule, alpha) -> np.ndarray:
     elif not ((a == 0) | (a == 1)).all():
         raise ValueError("indexed schedules pair with multi-indices of bits 0 or 1")
     else:
-        (ax, az), (px, pz) = _bit_codes(a[..., None, :, :]), _bit_codes(schedule.pulses)
-        odd = np.bitwise_count(np.bitwise_xor.reduce((ax & pz) ^ (az & px), axis=-1)) & 1 == 1
+        bits = a.shape[-2]  # the narrowest codes (uint8 up to 8 bits) keep the parity pass short
+        weight = (1 << np.arange(bits)).astype(np.min_scalar_type((1 << bits) - 1))
+        ax, az = (a[..., None, :, 0] != 0) @ weight, (a[..., None, :, 1] != 0) @ weight
+        px, pz = (schedule.pulses != 0).transpose(2, 0, 1) @ weight
+        odd = np.bitwise_count((ax & pz) ^ (az & px)) & 1 == 1
     return odd & (schedule.deltas < 1.0)
 
 

@@ -358,30 +358,6 @@ class TestOutput:
         assert err.startswith("error: cannot write ") and err.count("\n") == 1
         assert "Traceback" not in err
 
-    def test_overwrite_leaves_a_fresh_runs_bytes(self, tmp_path):
-        # an existing file is written over in place and cut at the written length
-        argv = ["verify", "--check", "udd", "--N", "3"]
-        fresh, over = tmp_path / "fresh.txt", tmp_path / "over.txt"
-        assert run([*argv, "--out", str(fresh)]) == 0
-        over.write_bytes(b"junk\x00\xff" * 20_000)
-        assert len(over.read_bytes()) > len(fresh.read_bytes())
-        for _ in range(2):
-            assert run([*argv, "--out", str(over)]) == 0
-            assert over.read_bytes() == fresh.read_bytes()
-
-    def test_failed_write_is_cut_at_its_length(self, tmp_path, capsys):
-        out = tmp_path / "s.txt"
-        out.write_text("x" * 1000)
-
-        def half_written(schedule, stream):
-            stream.write("#scheme")
-            raise ValueError("disk gone")
-
-        with mock.patch.object(cli.schedules, "write_schedule", half_written):
-            assert run(["schedule", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: disk gone\n"
-        assert out.read_text() == "#scheme"
-
 
 class TestVerify:
     def test_requires_checks(self, tmp_path):

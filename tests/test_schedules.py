@@ -255,12 +255,11 @@ class TestNestedPulses:
                 assert acc == dot
 
 
-class TestNestedBuildersCached:
-    @pytest.mark.parametrize("build", [qubit_nudd_schedule, homogenization_schedule])
-    def test_built_once_and_read_only(self, build):
+class TestNestedBuilderCached:
+    def test_built_once_and_read_only(self):
         # one schedule per (N, m) and process, shared: its columns refuse writes
-        sched = build(3, 1)
-        assert build(3, 1) is sched and build(2, 1) is not sched
+        sched = qubit_nudd_schedule(3, 1)
+        assert qubit_nudd_schedule(3, 1) is sched and qubit_nudd_schedule(2, 1) is not sched
         for column in (sched.deltas, sched.pulses, sched.signs):
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = column[0]
