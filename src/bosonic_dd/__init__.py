@@ -11,6 +11,8 @@ Subpackages:
 * :mod:`bosonic_dd.cli` - command-line front end
 """
 
+import numpy.random  # numpy 2 loads it lazily; load it at import time
+
 from .symplectic import (
     ModeLayout,
     symplectic_form,

@@ -30,7 +30,6 @@ import sys
 from typing import IO, Iterator, Sequence
 
 import numpy as np
-import numpy.random  # numpy 2 loads it lazily; load it at import time
 
 from . import dyson, evolution, pauli_basis, schedules, spin_boson
 from .symplectic import ModeLayout

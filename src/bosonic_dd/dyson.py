@@ -61,7 +61,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-import numpy.random  # numpy 2 loads it lazily; load it at import time
 
 from .pauli_basis import all_indices, gamma_set, symplectic_form_index
 from .schedules import (

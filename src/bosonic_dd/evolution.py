@@ -27,16 +27,16 @@ counts: sorted once, most steps first, they make one stream of (step,
 segment) pairs, step-major, whose node weights are built and whose factors
 are exponentiated in blocks of at most CF4_BLOCK_ELEMENTS elements.
 
-A walk may go to many end times T at once, each at its own tolerance, with
-the flows of all of them from one call; ``order_sweep`` walks its T points
-in rounds, and each later round walks afresh only the points whose residual
-needs a tighter tolerance.  The tolerance ``tol`` (DEFAULT_TOL unless
-given) is the engine's only setting, and it acts only on the time-dependent
-path.
+A walk may go to many end times T at once, each at its own tolerance, in
+batches of T points that bound its memory; ``order_sweep`` walks its T
+points in rounds, one walk a round, and each later round walks afresh only
+the points whose residual needs a tighter tolerance.  The tolerance ``tol``
+(DEFAULT_TOL unless given) is the engine's only setting, and it acts only
+on the time-dependent path.
 
 A walk's pulses are one stack too, from one ``s_matrix`` call over the
-schedule's index stack, each applied to the system rows of its segment's
-flow only.  Each pulse is applied after the free segment that ends at its
+schedule's index stack, each written into the system rows of its segment's
+flow.  Each pulse is applied after the free segment that ends at its
 application time; in particular a pulse at delta = 1 acts after the final
 segment, immediately before readout.  Affine (displacement) propagation
 is the same walk on the homogeneous embedding of dimension dim + 1.
@@ -50,7 +50,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import numpy.random  # numpy 2 loads it lazily; load it at import time
 
 from .pauli_basis import product_index, s_matrix
 from .schedules import (
@@ -141,15 +140,14 @@ def _polynomial(coeffs: Sequence[np.ndarray], ts) -> np.ndarray:
 # Elements exponentiated per call, so the temporaries stay at 64 kB, as in a
 # block of spin_boson.BLOCK_ELEMENTS real elements: a CF4 pass (2 factors of
 # dim^2 per (step, interval) pair, one pair at least) and a long constant walk
-# (dim^2 per interval, one interval at least) are split into such calls; a
-# CF4 pass builds its node weights (2 x (degree + 1) per pair) for whole calls
-# at a time, and a walk copies its flows for the pulses, in blocks of about
-# this size too.
+# (dim^2 per interval, one interval at least) are split into such calls, and
+# a CF4 pass builds its node weights (2 x (degree + 1) per pair) for whole
+# calls at a time, in blocks of about this size too.
 CF4_BLOCK_ELEMENTS = 8192
-# Flow elements (T points x segments x dim^2) that one batch of sweep points
-# stacks: 2 MB, so a long schedule's flows and the copies a walk makes of
-# them stay small next to the interpreter and its libraries.
-SWEEP_ELEMENTS = 1 << 18
+# Flow elements (T points x segments x dim^2) that one batch of a walk's T
+# points stacks, one walk at least: 2 MB, so the flows of a long schedule or
+# of a fine T grid stay small next to the interpreter and its libraries.
+FLOW_ELEMENTS = 1 << 18
 
 
 def _cf4_pass(coeffs: np.ndarray, t0s: np.ndarray, t1s: np.ndarray,
@@ -311,14 +309,16 @@ def _walk(coeffs: Sequence[np.ndarray], schedule: PulseSchedule | None,
           layout: ModeLayout, T, tol=DEFAULT_TOL) -> np.ndarray:
     """Time-ordered product of the free flows of sum_r coeffs[r] t^r and the
     schedule's pulses on [0, T], for one T or a vector of them (a stack of
-    walks), each at tolerance ``tol`` (one for all, or one per T), every
-    flow of every walk from one batched call.  Each pulse is sign * S_alpha,
-    or -I for a flip schedule, on the system block and identity on the
-    rest, so it acts on the system rows of the flow before it only.  A
-    schedule built for another number of system modes, a T that is negative
-    or not finite, or a T array of more than one axis, raises ValueError; an
-    empty vector of T gives an empty stack.  An integrator error names the T
-    of its walk; a walk that leaves the float range raises ValueError."""
+    walks), each at tolerance ``tol`` (one for all, or one per T), in batches
+    of T points whose flows stack at most max(K dim^2, FLOW_ELEMENTS)
+    elements for K segments a walk.  Each pulse is sign * S_alpha, or -I for
+    a flip schedule, on the system block and identity on the rest, so it is
+    written into the system rows of the flow before it.  A schedule built for
+    another number of system modes, a T that is negative or not finite, or a
+    T array of more than one axis, raises ValueError; an empty vector of T
+    gives an empty stack.  Errors come in batch order: an integrator error
+    names the T of its walk and its ``interval`` in the whole stack; a walk
+    that leaves the float range raises ValueError."""
     deltas = np.empty(0) if schedule is None else schedule.deltas
     dim, d = coeffs[0].shape[-1], layout.system_dim
     if schedule is None or schedule.is_flip_schedule:
@@ -336,36 +336,37 @@ def _walk(coeffs: Sequence[np.ndarray], schedule: PulseSchedule | None,
     if Ts.ndim > 1:
         raise ValueError(f"T must be one time or a 1-D grid, got shape {Ts.shape}")
     _check_times(Ts)
-    bounds = Ts[:, None] * np.array([0.0, *deltas, 1.0])
-    K = len(deltas) + 1
-    try:
-        flows = _flows(coeffs, bounds[:, :-1].ravel(), bounds[:, 1:].ravel(),
-                       np.repeat(np.broadcast_to(tol, Ts.shape), K))
-    except ToleranceNotReached as exc:
-        raise ToleranceNotReached(f"{exc} (walk to T = {Ts[exc.interval // K]})",
-                                  exc.interval) from None
-    flows = flows.reshape(len(Ts), K, dim, dim)
-    # pulse k times flow k changes only the system rows, written into a
-    # copy of the flows a block at a time
-    S = np.eye(dim)
-    width = max(1, CF4_BLOCK_ELEMENTS // (max(1, len(Ts)) * dim * dim))
-    for k0 in range(0, K - 1, width):
-        k1 = min(k0 + width, K - 1)
-        steps = flows[:, k0:k1].copy()
-        np.matmul(W[k0:k1], flows[:, k0:k1, :d], out=steps[:, :, :d])
-        for k in range(k1 - k0):
-            S = steps[:, k] @ S
-    S = flows[:, -1] @ S
-    lost = ~np.isfinite(S).all(axis=(-2, -1))
-    if lost.any():
-        raise ValueError(f"the evolution to T = {Ts[lost][0]} leaves the float range")
+    tols = np.broadcast_to(tol, Ts.shape)
+    grid, K = np.array([0.0, *deltas, 1.0]), len(deltas) + 1
+    batch = max(1, FLOW_ELEMENTS // (K * dim * dim))
+    S = np.empty((len(Ts), dim, dim))
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        for b0 in range(0, len(Ts), batch):
+            ts = Ts[b0:b0 + batch]
+            bounds = ts[:, None] * grid
+            try:
+                flows = _flows(coeffs, bounds[:, :-1].ravel(), bounds[:, 1:].ravel(),
+                               np.repeat(tols[b0:b0 + batch], K))
+            except ToleranceNotReached as exc:
+                raise ToleranceNotReached(f"{exc} (walk to T = {ts[exc.interval // K]})",
+                                          b0 * K + exc.interval) from None
+            flows = flows.reshape(-1, K, dim, dim)
+            # pulse k acts after flow k, on its system rows only
+            flows[:, :-1, :d] = W @ flows[:, :-1, :d]
+            P = flows[:, 0]
+            for k in range(1, K):
+                P = flows[:, k] @ P
+            lost = ~np.isfinite(P).all(axis=(-2, -1))
+            if lost.any():
+                raise ValueError(f"the evolution to T = {ts[lost][0]} leaves the float range")
+            S[b0:b0 + batch] = P
     return S if np.ndim(T) else S[0]
 
 
 def resulting_evolution(gen: AnalyticGenerator, schedule: PulseSchedule,
                         T, tol: float = DEFAULT_TOL) -> np.ndarray:
     """S(T, t_L) . prod_j (S_j (+) I) S(t_j, t_{j-1}) in time order; for a
-    1-D grid of T, the stack of those products, from one batched walk."""
+    1-D grid of T, the stack of those products, from one memory-bounded walk."""
     return _walk(gen.coeffs, schedule, gen.layout, T, tol)
 
 
@@ -446,9 +447,9 @@ def order_sweep(gen: AnalyticGenerator, scheme: str, order: int,
     re-tightened until it sits at least two orders below the measured
     residual, for at most four rounds.  Every round walks the points still
     being re-tightened (all of them at first) afresh at their own
-    tolerances, in batches of at most SWEEP_ELEMENTS flow elements, one walk
-    per batch, so each point's result is a walk of it alone at its final
-    tolerance.  A constant generator is propagated exactly, in one round.
+    tolerances, in one walk a round, so each point's result is a walk of it
+    alone at its final tolerance.  A constant generator is propagated
+    exactly, in one round.
     A T that is not finite and positive raises ValueError before any walk.
     """
     if scheme == "decoupling":
@@ -465,7 +466,7 @@ def order_sweep(gen: AnalyticGenerator, scheme: str, order: int,
     else:
         raise ValueError(f"unknown sweep scheme {scheme!r}")
 
-    sys_dim, dim = gen.layout.system_dim, gen.layout.dim
+    sys_dim = gen.layout.system_dim
     T_grid = tuple(float(T) for T in T_grid)
     Ts = np.array(T_grid)
     bad = Ts[~((0 < Ts) & (Ts < math.inf))]
@@ -473,17 +474,14 @@ def order_sweep(gen: AnalyticGenerator, scheme: str, order: int,
         raise ValueError(f"need 0 < T < inf, got T = {bad[0]}")
     residuals, omegas = np.empty(len(Ts)), np.full(len(Ts), np.nan)
     tols, live = np.full(len(Ts), float(tol)), np.ones(len(Ts), bool)
-    batch = max(1, SWEEP_ELEMENTS // ((len(schedule) + 1) * dim * dim))
     for _ in range(4):
-        points = np.flatnonzero(live)
-        for b0 in range(0, len(points), batch):
-            ps = points[b0:b0 + batch]
-            for p, S in zip(ps, _walk(gen.coeffs, schedule, gen.layout, Ts[ps], tols[ps])):
-                if scheme == "decoupling":
-                    residuals[p] = offdiag_residual(S, gen.layout)
-                else:
-                    fit = homogenization_fit(sign * S[:sys_dim, :sys_dim], Ts[p])
-                    residuals[p], omegas[p] = fit.residual, fit.omega
+        ps = np.flatnonzero(live)
+        for p, S in zip(ps, _walk(gen.coeffs, schedule, gen.layout, Ts[ps], tols[ps])):
+            if scheme == "decoupling":
+                residuals[p] = offdiag_residual(S, gen.layout)
+            else:
+                fit = homogenization_fit(sign * S[:sys_dim, :sys_dim], Ts[p])
+                residuals[p], omegas[p] = fit.residual, fit.omega
         # re-tighten until the integrator sits well below the residual;
         # sub-window points are floor-flagged and excluded from the fit.
         # the 1e-13 floor is the absolute self-consistency allowance:

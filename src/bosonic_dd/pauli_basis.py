@@ -41,7 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.random  # numpy 2 loads it lazily; load it at import time
 
 Pair = tuple[int, int]
 

@@ -269,10 +269,11 @@ def cross_validate(bath: BathSpec, deltas, total_time):
     """Largest entrywise deviation of the closed-form channel from direct
     symplectic simulation: a float for a scalar T, an array for a 1-D grid.
 
-    One walk over the grid gives the full (2n+2)-dimensional evolution S
-    with flip pulses; the system block of S (M0 (+) M_thermal) S^T is
-    compared with [[1,x],[0,1]] M0 [[1,x],[0,1]]^T + diag(y, 0) for every
-    M0 of COVARIANCES, x and y from one ``channel_columns`` call.
+    One walk over the grid, in batches of bounded memory, gives the full
+    (2n+2)-dimensional evolution S with flip pulses; the system block of
+    S (M0 (+) M_thermal) S^T is compared with [[1,x],[0,1]] M0 [[1,x],[0,1]]^T
+    + diag(y, 0) for every M0 of COVARIANCES, x and y from one
+    ``channel_columns`` call.
     """
     deltas = _check_even(deltas)
     if bath.n_modes > 5:

@@ -329,9 +329,17 @@ class TestSweeps:
     # the generator check is scale-free: no norm overflows, so no numpy warning
     (["decouple-sweep", "--scale-ss", "1e200", "--points", "2", "--out", "{out}"], 2, "",
      r"error: the evolution to T = 0\.001 leaves the float range\n"),
+    # a walk whose products overflow reports it once, with no numpy or scipy warning
+    (["decouple-sweep", "--tmin", "1e3", "--tmax", "1e5", "--points", "3", "--out", "{out}"],
+     2, "", r"error: the evolution to T = 1000\.0 leaves the float range\n"),
+    (["homogenize-sweep", "--tmin", "1e3", "--tmax", "1e5", "--points", "3", "--out",
+      "{out}"], 2, "", r"error: the evolution to T = 10000\.0 leaves the float range\n"),
+    (["spectrum", "--L", "2", "--tmax", "1e300", "--cross-validate", "--out", "{out}"], 2, "",
+     r"error: the evolution to T = 2\.5993687807452343e\+30 leaves the float range\n"),
 ], ids=["slope-outside-window", "stdout", "decouple-N", "decouple-nS", "decouple-nE",
         "homogenize-N", "homogenize-m", "mutate-m0", "spectrum-nE0", "decouple-seed",
-        "homogenize-seed", "spectrum-seed", "config-not-utf8", "scale-overflow"])
+        "homogenize-seed", "spectrum-seed", "config-not-utf8", "scale-overflow",
+        "decouple-overflow", "homogenize-overflow", "spectrum-overflow"])
 def test_input_check(tmp_path, capsys, argv, code, out, err):
     config = tmp_path / "latin1.cfg"
     config.write_bytes("scheme=d\xe9couplage\n".encode("latin-1"))

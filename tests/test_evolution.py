@@ -491,11 +491,11 @@ class TestBatchedSweep:
     @given(st.sampled_from(["decoupling", "homogenization"]), st.integers(0, 1),
            st.integers(0, 2), seeds, st.integers(1, 2), st.integers(1, 3),
            st.floats(1e-3, 0.3), st.floats(1.5, 30.0), st.integers(2, 5),
-           st.sampled_from([1, 360, 3000, evolution.SWEEP_ELEMENTS]))
+           st.sampled_from([1, 360, 3000, evolution.FLOW_ELEMENTS]))
     @settings(max_examples=25, deadline=None)
     # a re-tightened point whose later passes move its residual, in one
     # batch of all five points and in batches of two
-    @example("decoupling", 0, 2, 7, 2, 4, 1e-2, 30.0, 5, evolution.SWEEP_ELEMENTS)
+    @example("decoupling", 0, 2, 7, 2, 4, 1e-2, 30.0, 5, evolution.FLOW_ELEMENTS)
     @example("decoupling", 0, 2, 7, 2, 4, 1e-2, 30.0, 5, 360)
     def test_batched_sweep_equals_per_point_fresh_walks(self, scheme, m, n_env, seed,
                                                         degree, order, tmin, ratio,
@@ -512,7 +512,7 @@ class TestBatchedSweep:
             expected = per_point_sweep(gen, scheme, order, grid)
         except evolution.ToleranceNotReached:
             return
-        with mock.patch.object(evolution, "SWEEP_ELEMENTS", elements):
+        with mock.patch.object(evolution, "FLOW_ELEMENTS", elements):
             res = order_sweep(gen, scheme, order, grid)
         assert list(res.residuals) == expected[0]
         if scheme == "homogenization":
@@ -999,26 +999,74 @@ def full_convergence_test(S2, diff, tol):
 
 
 class TestResumedRefinement:
-    @given(seeds, st.integers(0, 2), st.integers(1, 5), st.integers(0, 1), st.booleans())
+    @given(seeds, st.integers(0, 2), st.integers(1, 5), st.integers(0, 1), st.booleans(),
+           st.lists(st.floats(0.01, 0.5), min_size=1, max_size=5), st.integers(0, 6))
     @settings(max_examples=40, deadline=None)
-    def test_system_row_pulses_equal_full_products(self, seed, m, n_pulses, degree, flip):
-        # the walk applies each pulse to the system rows of a copy of its
-        # flow; the reference multiplies the full-dimension pulse matrices
+    def test_system_row_pulses_equal_full_products(self, seed, m, n_pulses, degree, flip,
+                                                   grid, per_batch):
+        # the walk writes each pulse into the system rows of its flow, with
+        # its T points in batches of per_batch walks (0: one walk a batch,
+        # as a budget below one walk's flows gives); the reference walks
+        # each T alone and multiplies the full-dimension pulse matrices
         sched = (decoupling_schedule(n_pulses, 2 ** m) if flip
                  else signed_closed_schedule(seed, m, n_pulses))
         layout = ModeLayout(2 ** m, 1)
         gen = make_generator(layout, seed=seed, degree=degree)
-        S = _walk(gen.coeffs, sched, layout, 0.3)
-        bounds = np.array([0.0, *sched.deltas, 1.0]) * 0.3
-        flows = _flows(gen.coeffs, bounds[:-1], bounds[1:])
+        walk_elements = (len(sched) + 1) * layout.dim ** 2
+        with mock.patch.object(evolution, "FLOW_ELEMENTS", per_batch * walk_elements):
+            stack = resulting_evolution(gen, sched, np.array(grid))
         d = layout.system_dim
         pulses = np.tile(np.eye(layout.dim), (len(sched), 1, 1))
         pulses[:, :d, :d] = -np.eye(d) if flip else \
             sched.signs[:, None, None] * s_matrix(sched.pulses)
-        expected = np.eye(layout.dim)
-        for step in pulses @ flows[:-1]:
-            expected = step @ expected
-        assert S.tobytes() == (flows[-1] @ expected).tobytes()
+        for S, T in zip(stack, grid):
+            bounds = np.array([0.0, *sched.deltas, 1.0]) * T
+            flows = _flows(gen.coeffs, bounds[:-1], bounds[1:])
+            expected = np.eye(layout.dim)
+            for step in pulses @ flows[:-1]:
+                expected = step @ expected
+            assert S.tobytes() == (flows[-1] @ expected).tobytes()
+            assert S.tobytes() == _walk(gen.coeffs, sched, layout, T).tobytes()
+
+    @pytest.mark.parametrize("degree, budget, points, calls",
+                             [(0, evolution.FLOW_ELEMENTS, 1000, 3), (1, 1, 5, 5)])
+    def test_walk_bounds_the_flows_of_each_call(self, degree, budget, points, calls):
+        # a grid wider than one batch takes several _flows calls, each of at
+        # most max(K dim^2, FLOW_ELEMENTS) flow elements: walks of 41 flows
+        # of 16 elements, 399 of them a call, or one a call under a budget of 1
+        layout = ModeLayout(1, 1)
+        gen = make_generator(layout, seed=3, degree=degree)
+        sched = decoupling_schedule(40, 1)
+        with mock.patch.object(evolution, "FLOW_ELEMENTS", budget), \
+                mock.patch.object(evolution, "_flows", wraps=evolution._flows) as flows:
+            resulting_evolution(gen, sched, np.linspace(0.01, 0.2, points))
+        sizes = [len(call.args[1]) * 16 for call in flows.call_args_list]
+        assert len(sizes) == calls and sum(sizes) == points * 41 * 16
+        assert max(sizes) <= max(41 * 16, budget)
+
+    @pytest.mark.parametrize("kind", ["first-pass", "refinement"])
+    def test_later_batch_error_names_its_walk(self, kind):
+        # the third walk fails: alone in its batch, or with the others in
+        # one, the error names its T and its segment's position in the
+        # whole stack of walks
+        layout = ModeLayout(1, 1)
+        gen = make_generator(layout, seed=4, degree=1)
+        sched = decoupling_schedule(2, 1)  # K = 3 segments a walk
+        grid, tols = np.array([0.1, 0.2, 1.0, 0.3]), np.full(4, DEFAULT_TOL)
+        budget = 32 if kind == "first-pass" else 256
+        if kind == "refinement":
+            tols[2] = 1e-30
+        errors = []
+        with mock.patch.object(evolution, "MAX_STEPS", budget):
+            with pytest.raises(evolution.ToleranceNotReached) as alone:
+                _walk(gen.coeffs, sched, layout, 1.0, tols[2])
+            for elements in (1, evolution.FLOW_ELEMENTS):
+                with mock.patch.object(evolution, "FLOW_ELEMENTS", elements), \
+                        pytest.raises(evolution.ToleranceNotReached) as info:
+                    _walk(gen.coeffs, sched, layout, grid, tols)
+                errors.append((str(info.value), info.value.interval))
+        assert str(alone.value).endswith(" (walk to T = 1.0)")
+        assert errors == [(str(alone.value), 2 * 3 + alone.value.interval)] * 2
 
     def test_resumed_flows_pass_intervals_of_unequal_depth(self):
         # a fresh _flows call passes all its unconverged intervals in one

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bosonic_dd import spin_boson
+from bosonic_dd import evolution, spin_boson
 from bosonic_dd.evolution import resulting_evolution
 from bosonic_dd.schedules import flip_train_schedule
 from bosonic_dd.spin_boson import (
@@ -637,6 +637,19 @@ class TestCrossValidation:
             point = cross_validate(bath, deltas, T)
             assert type(point) is float and point < 1e-8
             assert abs(deviation - point) <= 1e-15
+
+    @pytest.mark.parametrize("per_batch", [0, 3])
+    def test_batched_grid_equals_one_batch(self, per_batch):
+        # 9 walks of 5 flows of 10 x 10: one batch as given, or batches of
+        # one walk (a budget below one walk's flows) or of three walks
+        bath, deltas = seeded_bath(17, 4, beta=0.7), even_flip_train(4)
+        grid = np.logspace(math.log10(0.05), math.log10(2.0), 9)
+        whole = cross_validate(bath, deltas, grid)
+        with patch.object(evolution, "FLOW_ELEMENTS", per_batch * 5 * 100), \
+                patch.object(evolution, "_flows", wraps=evolution._flows) as flows:
+            batched = cross_validate(bath, deltas, grid)
+        assert flows.call_count == (9 if per_batch == 0 else 3)
+        assert batched.tobytes() == whole.tobytes()
 
     def test_bath_size_guard(self):
         bath = seeded_bath(1, 6)
