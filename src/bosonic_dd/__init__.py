@@ -16,7 +16,6 @@ import numpy.random  # numpy 2 loads it lazily; load it at import time
 from .symplectic import (
     ModeLayout,
     symplectic_form,
-    is_in_sp_algebra,
     is_symplectic,
     matrix_exponential,
     block_decompose,
@@ -29,8 +28,6 @@ from .pauli_basis import (
     gamma_tilde_set,
     symplectic_inner_product,
     product_index,
-    pulse_index,
-    pulse_matrix,
     expand_in_basis,
     verify_adjoint_action,
 )

@@ -154,34 +154,6 @@ def product_index(alphas) -> tuple[np.ndarray, int]:
     return acc[-1], -1 if odd else 1
 
 
-_PULSE_PAIRS = {"x": PAIR_X, "y": PAIR_Y, "z": PAIR_Z}
-
-
-def pulse_index(axis: str, qubit: int, m: int) -> np.ndarray:
-    """Multi-index of the named control pulse, an (m+1, 2) array.
-
-    ``("y", 0)`` is the all-mode quarter rotation y (x) I^m; for
-    ``1 <= i <= m``, ``("x", i)`` swaps mode pairs, ``("z", i)`` is a
-    half-mode phase flip and ``("y", i)`` their product, each acting as
-    I (x) ... (x) {x,y,z} (x) ... (x) I with the factor at position i.
-    """
-    _check_m(m)
-    if axis not in _PULSE_PAIRS:
-        raise ValueError(f"unknown pulse axis {axis!r}")
-    if qubit == 0:
-        if axis != "y":
-            raise ValueError("position 0 only supports the y pulse")
-    elif not 1 <= qubit <= m:
-        raise ValueError(f"pulse position {qubit} out of range for m={m}")
-    idx = np.zeros((m + 1, 2), dtype=np.int64)
-    idx[qubit] = _PULSE_PAIRS[axis]
-    return idx
-
-
-def pulse_matrix(axis: str, qubit: int, m: int) -> np.ndarray:
-    return s_matrix(pulse_index(axis, qubit, m))
-
-
 def expand_in_basis(X: np.ndarray, m: int) -> np.ndarray:
     """Coefficients B_alpha with X = sum_alpha B_alpha S_alpha, one per row of
     ``gamma_set(m)`` and in its order.

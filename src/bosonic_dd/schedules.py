@@ -14,6 +14,12 @@ or None for a flip schedule; and ``signs`` (L,), the +-1 factor of each pulse.
   of an index corresponds to the innermost nesting level of the nested
   train; level 2k is the z-slot and level 2k+1 the x-slot of position k.
 
+The nested train is built by nesting: level 0 is UDD_N closed by a pulse
+at 1, and each level r = 1..2m+1 places the train of the levels below it
+inside every interval of its own UDD_N train, the end of each of those
+blocks but the last carrying level r's pulse.  For odd N a level's pulse
+also carries the y factors of every lower position.
+
 A toggling-frame sign function F_alpha is a boolean flip mask over the
 schedule's ``deltas``: F(0+) = +1 always, and F flips at each masked pulse.
 A pulse at exactly delta = 1 is never masked (a flip there changes the
@@ -39,7 +45,7 @@ from .pauli_basis import PAIR_I, PAIR_X, PAIR_Y, PAIR_Z, _check_m
 FLIP = 1  # file token for -I on the system block
 
 # Coincident flips of a flip train compose.  The nested recursion never puts
-# two pulses this close: its smallest gap under the label guard is 6.1e-12.
+# two pulses this close: its smallest gap under NUDD_LABEL_GUARD is 6.1e-12.
 MERGE_TOL = 1e-12
 
 NUDD_LABEL_GUARD = 10 ** 6
@@ -59,6 +65,8 @@ class PulseSchedule:
     n_system: int | None = None
 
     def __post_init__(self) -> None:
+        if self.order < 0:
+            raise ValueError(f"order must be nonnegative, got {self.order}")
         if self.n_system is not None and self.n_system < 1:
             raise ValueError(f"n_system must be >= 1, got {self.n_system}")
         if self.m is not None and self.m < 0:
@@ -149,44 +157,28 @@ def _nudd_guard(n_pulses: int, m: int) -> None:
         raise ValueError("m must be nonnegative")
     if (n_pulses + 1) ** (2 * m + 2) > NUDD_LABEL_GUARD:
         raise ValueError(
-            f"label set size (N+1)^(2m+2) = {(n_pulses + 1) ** (2 * m + 2)} "
+            f"pulse count (N+1)^(2m+2) = {(n_pulses + 1) ** (2 * m + 2)} "
             f"exceeds the resource guard {NUDD_LABEL_GUARD}")
 
 
-def _nudd_labels(n_pulses: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                                 np.ndarray]:
-    """Labels {0..N}^{2m+2} in lexicographic order, with their pulse
-    fractions, pulse levels and the (2m+3, m+1, 2) level-pulse table.
+@functools.cache  # shared: a schedule is frozen, its columns read-only
+def qubit_nudd_schedule(n_pulses: int, m: int) -> PulseSchedule:
+    """The (m+1)-qubit nested Uhrig schedule, (N+1)^(2m+2) pulses in time order.
 
-    A label's level is the position r of its first nonzero entry, and 2m+2
-    for the all-zero label.  That label maps to 1 (a final pulse at readout
-    time); a label with r >= 1 is evaluated through the shifted label with
-    entries (r-1, r) replaced by (N+1, l_r - 1).  The nesting recursion
-    d <- delta_l + (delta_{l+1} - delta_l) d runs innermost entry first over
-    ``grid``, which holds delta_j for j = 0..N+1 plus a sentinel at N+2 that
-    is only ever multiplied by a zero prefix.
+    Level 0 is the UDD_N train delta_1..delta_N closed by a pulse at 1.  Each
+    level r = 1..2m+1 puts the train built so far into every interval
+    (delta_j, delta_{j+1}] of its own UDD_N grid (delta_0 = 0, delta_{N+1} = 1)
+    by the affine map t -> delta_j + (delta_{j+1} - delta_j) t; the closing
+    pulse of each block but the last becomes level r's pulse, and the last
+    block's stays the closing pulse at 1.
 
     Pulses: for even N the level decides, z at even levels, x at odd.  For
     odd N each level pulse additionally carries the product of all lower y
     factors (z_k picks up y_0..y_{k-1}, x_k becomes y_0..y_k, and the
-    all-zero label becomes the product of every y).
+    closing pulse becomes the product of every y).
     """
     _nudd_guard(n_pulses, m)
     N, width = n_pulses, 2 * m + 2
-    digits = np.indices((N + 1,) * width).reshape(width, -1)  # row r: entry r of each label
-    level = np.full(digits.shape[1], width)
-    for r in range(width - 1, -1, -1):
-        level[digits[r] != 0] = r
-    shifted = digits.copy()
-    rows = np.flatnonzero((level >= 1) & (level < width))
-    shifted[level[rows] - 1, rows] = N + 1
-    shifted[level[rows], rows] -= 1
-    grid = np.array((0.0, *udd_times(N), 1.0, 1.0))
-    times = grid[shifted[0]]
-    for column in shifted[1:]:
-        times = grid[column] + (grid[column + 1] - grid[column]) * times
-    times[level == width] = 1.0
-
     odd = N % 2 == 1
     table = np.zeros((width + 1, m + 1, 2), dtype=int)
     for r in range(width):
@@ -196,16 +188,16 @@ def _nudd_labels(n_pulses: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndar
         if not (odd and x_slot):
             table[r, k] = PAIR_X if x_slot else PAIR_Z
     table[width] = PAIR_Y if odd else PAIR_I
-    return digits.T, times, level, table
 
-
-@functools.cache  # shared: a schedule is frozen, its columns read-only
-def qubit_nudd_schedule(n_pulses: int, m: int) -> PulseSchedule:
-    """The (m+1)-qubit nested Uhrig schedule in time order."""
-    _, times, level, table = _nudd_labels(n_pulses, m)
-    order = np.argsort(times, kind="stable")
-    return PulseSchedule(scheme="qubit-nudd", order=n_pulses, deltas=times[order],
-                         pulses=table[level[order]], signs=np.ones(len(order), dtype=int),
+    grid = np.array((0.0, *udd_times(N), 1.0))
+    times, level = grid[1:], np.array([0] * N + [width])
+    for r in range(1, width):
+        block = times.size
+        times = (grid[:-1, None] + np.diff(grid)[:, None] * times).ravel()
+        level = np.tile(level, N + 1)
+        level[block - 1:-1:block] = r  # every block's closing pulse but the last
+    return PulseSchedule(scheme="qubit-nudd", order=n_pulses, deltas=times,
+                         pulses=table[level], signs=np.ones(len(times), dtype=int),
                          m=m, n_system=2 ** m)
 
 

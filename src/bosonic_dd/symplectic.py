@@ -80,10 +80,6 @@ def sp_algebra_residual(X: np.ndarray, J: np.ndarray) -> float:
     return float(np.linalg.norm(X.T @ J + J @ X))
 
 
-def is_in_sp_algebra(X: np.ndarray, J: np.ndarray, tol: float = 1e-10) -> bool:
-    return sp_algebra_residual(X, J) <= tol
-
-
 def symplectic_residual(S: np.ndarray, J: np.ndarray) -> float:
     """Frobenius norm of ``S J S^T - J`` (zero iff S is symplectic)."""
     _check_square(S, "S")

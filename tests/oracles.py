@@ -13,7 +13,7 @@ from bosonic_dd.pauli_basis import (
     PAIR_Z,
     symplectic_inner_product,
 )
-from bosonic_dd.schedules import PulseSchedule
+from bosonic_dd.schedules import PulseSchedule, _nudd_guard, udd_times
 from bosonic_dd.spin_boson import _check_even
 
 
@@ -54,6 +54,62 @@ def gamma_tilde_set_oracle(m):
     """Gamma~(m) as tuples (a_0 in {I, y}), enumerated one index at a time."""
     return tuple(alpha for alpha in itertools.product(ALL_PAIRS, repeat=m + 1)
                  if tuple(alpha[0]) in (PAIR_I, PAIR_Y))
+
+
+def nudd_labels(n_pulses, m):
+    """Labels {0..N}^{2m+2} in lexicographic order, with their pulse
+    fractions, pulse levels and the (2m+3, m+1, 2) level-pulse table: the
+    nested schedule enumerated one label at a time, the reference that
+    ``qubit_nudd_schedule`` is checked against.
+
+    A label's level is the position r of its first nonzero entry, and 2m+2
+    for the all-zero label.  That label maps to 1 (a final pulse at readout
+    time); a label with r >= 1 is evaluated through the shifted label with
+    entries (r-1, r) replaced by (N+1, l_r - 1).  The nesting recursion
+    d <- delta_l + (delta_{l+1} - delta_l) d runs innermost entry first over
+    ``grid``, which holds delta_j for j = 0..N+1 plus a sentinel at N+2 that
+    is only ever multiplied by a zero prefix.
+
+    Pulses: for even N the level decides, z at even levels, x at odd.  For
+    odd N each level pulse additionally carries the product of all lower y
+    factors (z_k picks up y_0..y_{k-1}, x_k becomes y_0..y_k, and the
+    all-zero label becomes the product of every y).
+    """
+    _nudd_guard(n_pulses, m)
+    N, width = n_pulses, 2 * m + 2
+    digits = np.indices((N + 1,) * width).reshape(width, -1)  # row r: entry r of each label
+    level = np.full(digits.shape[1], width)
+    for r in range(width - 1, -1, -1):
+        level[digits[r] != 0] = r
+    shifted = digits.copy()
+    rows = np.flatnonzero((level >= 1) & (level < width))
+    shifted[level[rows] - 1, rows] = N + 1
+    shifted[level[rows], rows] -= 1
+    grid = np.array((0.0, *udd_times(N), 1.0, 1.0))
+    times = grid[shifted[0]]
+    for column in shifted[1:]:
+        times = grid[column] + (grid[column + 1] - grid[column]) * times
+    times[level == width] = 1.0
+
+    odd = N % 2 == 1
+    table = np.zeros((width + 1, m + 1, 2), dtype=int)
+    for r in range(width):
+        k, x_slot = divmod(r, 2)
+        if odd:
+            table[r, :k + x_slot] = PAIR_Y
+        if not (odd and x_slot):
+            table[r, k] = PAIR_X if x_slot else PAIR_Z
+    table[width] = PAIR_Y if odd else PAIR_I
+    return digits.T, times, level, table
+
+
+def label_nudd_schedule(n_pulses, m):
+    """The nested schedule from its labels: ``nudd_labels`` sorted by time."""
+    _, times, level, table = nudd_labels(n_pulses, m)
+    order = np.argsort(times, kind="stable")
+    return PulseSchedule(scheme="qubit-nudd", order=n_pulses, deltas=times[order],
+                         pulses=table[level[order]], signs=np.ones(len(order), dtype=int),
+                         m=m, n_system=2 ** m)
 
 
 def pairing_mask(schedule, alpha):

@@ -26,7 +26,6 @@ from bosonic_dd.dyson import (
 )
 from bosonic_dd.pauli_basis import ALL_PAIRS, PAIR_I, PAIR_Y, gamma_set, symplectic_form_index
 from bosonic_dd.schedules import (
-    _nudd_labels,
     decoupling_schedule,
     homogenization_schedule,
     qubit_nudd_schedule,
@@ -34,7 +33,7 @@ from bosonic_dd.schedules import (
     udd_times,
 )
 
-from oracles import as_index, sign_value
+from oracles import as_index, nudd_labels, sign_value
 
 
 # ---------------------------------------------------------------------------
@@ -806,8 +805,8 @@ class TestExactConditionValues:
 def fifty_digit_nudd_times(n_pulses, m):
     """Each nested-schedule pulse time (as a float, the schedule's value) to
     its value at the working precision: the nesting recursion of
-    ``_nudd_labels`` run on Uhrig fractions sin^2 at that precision."""
-    digits, times, level, _ = _nudd_labels(n_pulses, m)
+    ``nudd_labels`` run on Uhrig fractions sin^2 at that precision."""
+    digits, times, level, _ = nudd_labels(n_pulses, m)
     width = 2 * m + 2
     grid = ([mpmath.mpf(0)] + [mpmath.sin(j * mpmath.pi / (2 * (n_pulses + 1))) ** 2
                                for j in range(1, n_pulses + 1)] + [mpmath.mpf(1)] * 2)

@@ -12,11 +12,11 @@ import bosonic_dd
 
 EXPORTS = {
     # symplectic
-    "ModeLayout", "block_decompose", "is_in_sp_algebra", "is_symplectic",
+    "ModeLayout", "block_decompose", "is_symplectic",
     "matrix_exponential", "offdiag_residual", "spectral_norm", "symplectic_form",
     # pauli_basis
     "expand_in_basis", "gamma_set", "gamma_tilde_set", "product_index",
-    "pulse_index", "pulse_matrix", "s_matrix", "symplectic_inner_product",
+    "s_matrix", "symplectic_inner_product",
     "verify_adjoint_action",
     # schedules
     "PulseSchedule", "decoupling_schedule", "flip_train_schedule",
@@ -38,7 +38,6 @@ EXPORTS = {
 SIGNATURES = {
     # symplectic
     "block_decompose": "M, layout",
-    "is_in_sp_algebra": "X, J, tol",
     "is_symplectic": "S, J, tol",
     "matrix_exponential": "X",
     "ModeLayout": "n_system, n_env",
@@ -50,8 +49,6 @@ SIGNATURES = {
     "gamma_set": "m",
     "gamma_tilde_set": "m",
     "product_index": "alphas",
-    "pulse_index": "axis, qubit, m",
-    "pulse_matrix": "axis, qubit, m",
     "s_matrix": "alpha",
     "symplectic_inner_product": "alpha, beta",
     "verify_adjoint_action": "m",

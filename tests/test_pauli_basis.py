@@ -17,8 +17,6 @@ from bosonic_dd.pauli_basis import (
     gamma_set,
     gamma_tilde_set,
     product_index,
-    pulse_index,
-    pulse_matrix,
     s_matrix,
     symplectic_form_index,
     symplectic_inner_product,
@@ -27,9 +25,9 @@ from bosonic_dd.pauli_basis import (
 from bosonic_dd import pauli_basis
 from bosonic_dd.symplectic import (
     ModeLayout,
-    is_in_sp_algebra,
     is_symplectic,
     matrix_exponential,
+    sp_algebra_residual,
     symplectic_form,
 )
 
@@ -124,7 +122,7 @@ class TestGammaSets:
     def test_gamma_members_in_algebra(self, m):
         J = symplectic_form(ModeLayout(2 ** m, 0))
         for alpha in gamma_set(m):
-            assert is_in_sp_algebra(s_matrix(alpha), J, tol=1e-14)
+            assert sp_algebra_residual(s_matrix(alpha), J) <= 1e-14
 
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_gamma_spans_algebra(self, m):
@@ -340,46 +338,50 @@ class TestProductIndex:
         assert np.array_equal(dense, sign * s_matrix(idx))
 
 
+# The control pulses of 2^m modes by name: the all-mode quarter rotation y_0
+# = y (x) I^m, and for 1 <= i <= m the mode swap x_i, the half-mode phase
+# flip z_i and their product y_i, each with its factor at position i
+CONTROL_PULSES = {
+    1: {"y0": (PAIR_Y, PAIR_I),
+        "x1": (PAIR_I, PAIR_X), "y1": (PAIR_I, PAIR_Y), "z1": (PAIR_I, PAIR_Z)},
+    2: {"y0": (PAIR_Y, PAIR_I, PAIR_I),
+        "x1": (PAIR_I, PAIR_X, PAIR_I), "y1": (PAIR_I, PAIR_Y, PAIR_I),
+        "z1": (PAIR_I, PAIR_Z, PAIR_I),
+        "x2": (PAIR_I, PAIR_I, PAIR_X), "y2": (PAIR_I, PAIR_I, PAIR_Y),
+        "z2": (PAIR_I, PAIR_I, PAIR_Z)},
+}
+
+
 class TestPulses:
     def test_y0_is_y_tensor_identity(self):
-        assert np.array_equal(pulse_matrix("y", 0, 1),
+        assert np.array_equal(s_matrix(CONTROL_PULSES[1]["y0"]),
                               np.kron(s_matrix((PAIR_Y,)), np.eye(2)))
 
     def test_x1_swaps_modes(self):
         # I (x) x permutes the two modes in both the Q and the P sector
-        W = pulse_matrix("x", 1, 1)
+        W = s_matrix(CONTROL_PULSES[1]["x1"])
         perm = np.zeros((4, 4))
         perm[0, 1] = perm[1, 0] = perm[2, 3] = perm[3, 2] = 1.0
         assert np.array_equal(W, perm)
 
     def test_z1_is_diagonal_signs(self):
-        W = pulse_matrix("z", 1, 1)
+        W = s_matrix(CONTROL_PULSES[1]["z1"])
         assert np.array_equal(W, np.diag([1.0, -1.0, 1.0, -1.0]))
 
     def test_pulses_live_in_gamma_tilde(self):
         m = 2
         by_index = {as_index(beta): s_matrix(beta) for beta in gamma_tilde_set(m)}
-        for axis, qubit in [("y", 0), ("x", 1), ("y", 1), ("z", 1),
-                            ("x", 2), ("y", 2), ("z", 2)]:
-            assert as_index(pulse_index(axis, qubit, m)) in by_index
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            pulse_index("x", 0, 1)
-        with pytest.raises(ValueError):
-            pulse_index("z", 3, 2)
-        with pytest.raises(ValueError):
-            pulse_index("w", 1, 1)
+        for idx in CONTROL_PULSES[m].values():
+            assert as_index(idx) in by_index
 
     @staticmethod
-    def pulse_generator(axis, qubit, m):
-        """An algebra element G with exp(G) = +-pulse_matrix(axis, qubit, m)."""
-        idx = pulse_index(axis, qubit, m)  # validates arguments
+    def pulse_generator(name, idx, m):
+        """An algebra element G with exp(G) = +-s_matrix(idx), the pulse ``name``."""
         y0 = s_matrix(symplectic_form_index(m))
-        if qubit == 0:
+        if name == "y0":
             return (np.pi / 2) * y0
         W = s_matrix(idx)
-        if axis == "y":
+        if name[0] == "y":
             return (np.pi / 2) * W
         return (np.pi / 2) * (y0 @ (W + np.eye(W.shape[0])))
 
@@ -387,13 +389,11 @@ class TestPulses:
     def test_generators_exponentiate_to_pulses(self, m):
         # every pulse is +-exp(G) for an algebra element G
         J = symplectic_form(ModeLayout(2 ** m, 0))
-        labels = [("y", 0)] + [(ax, i) for i in range(1, m + 1)
-                               for ax in ("x", "y", "z")]
-        for axis, qubit in labels:
-            G = self.pulse_generator(axis, qubit, m)
-            assert is_in_sp_algebra(G, J, tol=1e-12)
+        for name, idx in CONTROL_PULSES[m].items():
+            G = self.pulse_generator(name, idx, m)
+            assert sp_algebra_residual(G, J) <= 1e-12
             E = matrix_exponential(G)
-            W = pulse_matrix(axis, qubit, m)
+            W = s_matrix(idx)
             assert min(np.abs(E - W).max(), np.abs(E + W).max()) < 1e-13
 
 

@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from bosonic_dd.pauli_basis import (
@@ -24,7 +24,6 @@ from bosonic_dd.schedules import (
     MERGE_TOL,
     NUDD_LABEL_GUARD,
     PulseSchedule,
-    _nudd_labels,
     decoupling_schedule,
     flip_train_schedule,
     homogenization_schedule,
@@ -36,18 +35,25 @@ from bosonic_dd.schedules import (
     write_schedule,
 )
 
-from oracles import as_index, pairing_mask, sign_value, signed_closed_schedule
+from oracles import (
+    as_index,
+    label_nudd_schedule,
+    nudd_labels,
+    pairing_mask,
+    sign_value,
+    signed_closed_schedule,
+)
 
 
 def nudd_times(n, m):
     """Pulse fraction for every label in {0..N}^{2m+2}, in label order."""
-    labels, times, _, _ = _nudd_labels(n, m)
+    labels, times, _, _ = nudd_labels(n, m)
     return dict(zip(map(tuple, labels.tolist()), times.tolist()))
 
 
 def nudd_pulses(n, m):
     """Pulse index for every label, in label order."""
-    labels, _, level, table = _nudd_labels(n, m)
+    labels, _, level, table = nudd_labels(n, m)
     return dict(zip(map(tuple, labels.tolist()), (as_index(table[r]) for r in level)))
 
 
@@ -191,6 +197,57 @@ class TestNestedAgainstOracle:
                 assert tuple(sched.deltas.tolist()) == tuple(map(times.get, order))
                 assert list(map(as_index, sched.pulses)) == list(map(pulses.get, order))
             n += 1
+
+
+def admitted_sizes(m, most=NUDD_LABEL_GUARD):
+    """Every N that NUDD_LABEL_GUARD admits at ``m`` with at most ``most`` pulses."""
+    return list(itertools.takewhile(lambda n: (n + 1) ** (2 * m + 2) <= most,
+                                    itertools.count(1)))
+
+
+PAPER_SIZES = [(4, 3), (2, 4), (1, 8), (9, 2)]
+
+
+def build_uncached(n, m):
+    """A fresh nested schedule, so that a sweep over sizes keeps none of them."""
+    return qubit_nudd_schedule.__wrapped__(n, m)
+
+
+class TestNestedBuilderAgainstLabels:
+    @pytest.mark.parametrize("m", range(8))
+    def test_bitwise_for_every_size_up_to_1e5_pulses(self, m):
+        sizes = admitted_sizes(m, most=10 ** 5)
+        for n in sizes:
+            assert_same(build_uncached(n, m), label_nudd_schedule(n, m))
+        assert sizes
+
+    @pytest.mark.parametrize("n,m", PAPER_SIZES)
+    def test_bitwise_at_paper_sizes(self, n, m):
+        assert_same(build_uncached(n, m), label_nudd_schedule(n, m))
+
+    @given(st.sampled_from([(n, m) for m in range(1, 9) for n in admitted_sizes(m)]))
+    @example((4, 3))
+    @example((2, 4))
+    @example((1, 8))
+    @example((9, 2))
+    @settings(max_examples=20, deadline=None)
+    def test_first_interval_nests_the_schedule_one_qubit_down(self, size):
+        # the first interval of level 2m+1, and within it the first of level
+        # 2m, hold the whole (N, m-1) schedule scaled twice by delta_1; its
+        # pulses gain an identity pair at position m, and its closing pulse
+        # is level 2m's pulse instead: z_m, times y_0..y_{m-1} for odd N.
+        # The first interval of level 2m+1 closes with x_m, or y_0..y_m for odd N
+        n, m = size
+        outer, inner = build_uncached(n, m), build_uncached(n, m - 1)
+        d1, block = udd_times(n)[0], (n + 1) ** (2 * m)
+        assert outer.deltas[:block].tobytes() == (d1 * (d1 * inner.deltas)).tobytes()
+        padded = np.concatenate([inner.pulses, np.zeros((block, 1, 2), dtype=int)], axis=1)
+        assert np.array_equal(outer.pulses[:block - 1], padded[:-1])
+        odd = n % 2 == 1
+        z_m = (PAIR_Y if odd else PAIR_I,) * m + (PAIR_Z,)
+        x_m = (PAIR_Y,) * (m + 1) if odd else (PAIR_I,) * m + (PAIR_X,)
+        assert as_index(outer.pulses[block - 1]) == z_m
+        assert as_index(outer.pulses[(n + 1) * block - 1]) == x_m
 
 
 class TestNestedTimes:
@@ -485,7 +542,7 @@ class TestMerging:
         # schedule's deltas) stay more than MERGE_TOL apart
         n = 1
         while (n + 1) ** (2 * m + 2) <= min(10 ** 5, NUDD_LABEL_GUARD):
-            assert np.diff(np.sort(_nudd_labels(n, m)[1])).min() > MERGE_TOL
+            assert np.diff(np.sort(nudd_labels(n, m)[1])).min() > MERGE_TOL
             n += 1
         assert n > 1
 
@@ -614,6 +671,14 @@ class TestScheduleFile:
         body = f"#scheme decoupling\n#N 1\n#m -\n#nS {n_system}\n0.5\t1\n"
         with pytest.raises(ValueError, match=f"n_system must be >= 1, got {n_system}"):
             read_schedule(io.StringIO(body))
+
+    def test_negative_order_rejected(self):
+        # the order is a suppression order (#N in a file); 0 is a flip train's default
+        with pytest.raises(ValueError, match="order must be nonnegative, got -3"):
+            PulseSchedule(scheme="x", order=-3, deltas=[], pulses=None, signs=[])
+        with pytest.raises(ValueError, match="order must be nonnegative, got -3"):
+            read_schedule(io.StringIO("#scheme x\n#N -3\n#m -\n"))
+        assert read_schedule(io.StringIO("#scheme x\n#N 0\n#m -\n")).order == 0
 
     def test_negative_m_rejected(self):
         # m = 0 is one qubit's pulses; m = -1 has no pulse width at all
