@@ -190,26 +190,30 @@ def cmd_homogenize_sweep(args: argparse.Namespace) -> int:
 
 
 def _report_lines(check: str, report: dyson.ConditionReport) -> str:
-    """The verify CSV lines of a condition report, as one string: each row's
-    template is built as an object-array sum, and all values go in with one
-    ``%`` (_fmt's format); each label and each budget's s and r text is
-    formatted once."""
+    """The verify CSV lines of a condition report, as one string: an object
+    table of text parts, one row per line (budget head, first label, later
+    labels, value, required-zero/pass tail), joined once.  Each label, each
+    budget's s and r text and each distinct value (by its bits, so 0.0 and
+    -0.0 stay apart) is formatted once, by _fmt, and gathered."""
     # a label's text is its bits: a 0-d label (udd: 0 or 1) as is, an index as
     # the x-bit and z-bit of each position
     text = ["".join(map(str, bits))
             for bits in report.alphabet.reshape(len(report.alphabet), -1).tolist()]
-    # row labels as object-array sums; a -1 pick (past s) adds the last text, ""
-    labels = np.array(text + [""], dtype=object)[report.picks[:, 0]]
-    later = np.array([";" + t for t in text] + [""], dtype=object)
-    for column in report.picks.T[1:]:
-        labels += later[column]
     heads = np.array([f"{check},{s},{';'.join(map(str, powers))},"
                       for s, powers in report.budgets], dtype=object)
     tails = np.array([[",0,1\n", ",0,1\n"], [",1,0\n", ",1,1\n"]],
                      dtype=object)  # [required_zero][pass]
-    rows = (heads[report.budget] + labels + ",%.17g"
-            + tails[report.required_zero.astype(int), report.row_passes.astype(int)])
-    return "".join(rows.tolist()) % tuple(report.values.tolist())
+    _, first, which = np.unique(report.values.view(np.int64), return_index=True,
+                                return_inverse=True)
+    table = np.empty((len(report.values), report.picks.shape[1] + 3), dtype=object)
+    table[:, 0] = heads[report.budget]
+    # a -1 pick (past s) takes the last text, ""
+    table[:, 1] = np.array(text + [""], dtype=object)[report.picks[:, 0]]
+    table[:, 2:-2] = np.array([";" + t for t in text] + [""], dtype=object)[report.picks[:, 1:]]
+    table[:, -2] = np.array(["," + _fmt(v) for v in report.values[first].tolist()],
+                            dtype=object)[which]
+    table[:, -1] = tails[report.required_zero.astype(int), report.row_passes.astype(int)]
+    return "".join(table.ravel().tolist())
 
 
 _VERIFY_CHECKS = ("basis", "udd", "nudd", "homogenization", "correspondence")

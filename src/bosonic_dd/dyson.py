@@ -14,14 +14,16 @@ bytes).  A stage is an ``(n_intervals, degree + 1)`` array in the local
 variable u = t - b_i, so t^r is a binomial expansion in b_i,
 antidifferentiation a column shift and scale, and the continuity constants
 an exclusive cumulative sum.  Keys
-((f_1, r_1), ..., (f_s, r_s)) come as integer arrays and are walked by
-depth: the distinct length-d prefixes of the longer keys are integrated as
-one stacked stage, and each key's last step is not integrated at all but
-contracted, one row per key, against a per-report table of moments
-int_0^{h_i} (b_i + u)^r u^j du, its two operands gathered into buffers that
-each ``_evaluate`` call allocates once.  Every sum runs in an order fixed by
-the grid alone, so a key's value does not depend on the other keys of the
-walk.
+((f_1, r_1), ..., (f_s, r_s)) come as integer arrays, sorted so that equal
+keys are neighbours; each distinct key is walked once and its value copied
+to its duplicates by one gather.  The walk goes by depth: the distinct
+length-d prefixes of the longer keys are integrated as one stacked stage,
+and each key's last step is not integrated at all but contracted, one row
+per key, against a per-report table of moments int_0^{h_i} (b_i + u)^r u^j
+du, its two operands gathered into buffers that each ``_evaluate`` call
+allocates once.  Every sum runs in an order fixed by the grid alone, so a
+key's value does not depend on the other keys of the walk, and a duplicate's
+copied value is bitwise the one it would get walked itself.
 
 The zero test is relative.  With every sign +1 the integral is the closed
 form scale(r) = 1 / prod_{k=1..s} (k + r_1 + ... + r_k), and |F| <= scale(r)
@@ -116,10 +118,13 @@ def _evaluate(breaks: np.ndarray, signs: np.ndarray, f: np.ndarray, r: np.ndarra
     are strictly increasing in (0, 1) where any mask is set.  Row j of the
     ``(n, width)`` integer arrays ``f`` and ``r`` is the key
     ((f_1, r_1), ..., (f_s, r_s)), s = ``length[j]``, f indexing the rows of
-    ``signs`` (padding past s: r = 0, any valid f).  Walked by depth: the
-    distinct length-d prefixes of the keys longer than d form one stacked
-    stage, and a key of length d + 1 is its prefix stage g contracted with the moments
-    mu_r[i, j] = int_0^{h_i} (b_i + u)^r u^j du: sum_i F(b_i) sum_j g mu_r.
+    ``signs`` (padding past s: r = 0, any valid f).  The keys are sorted
+    lexicographically and cut into blocks of at most WALK_BLOCK_ELEMENTS / n
+    keys, duplicates counted; each block walks only the first key of each run
+    of equal keys, and one gather copies every run's value to the rest.  Walked
+    by depth: the distinct length-d prefixes of the keys longer than d form one
+    stacked stage, and a key of length d + 1 is its prefix stage g contracted with
+    the moments mu_r[i, j] = int_0^{h_i} (b_i + u)^r u^j du: sum_i F(b_i) sum_j g mu_r.
     """
     used = signs.any(axis=0)
     breaks = np.concatenate([[0.0], breaks[used], [1.0]])
@@ -146,14 +151,23 @@ def _evaluate(breaks: np.ndarray, signs: np.ndarray, f: np.ndarray, r: np.ndarra
     values = np.empty(len(length))
     prefix = np.zeros(len(length), dtype=np.intp)  # each key's row in `stage`
     # walks over blocks of keys in lexicographic order share most prefixes
-    order = np.lexsort(np.where(np.arange(r.shape[1]) < length[:, None],
-                                f * n_powers + r, -1).T[::-1])
-    block = max(1, WALK_BLOCK_ELEMENTS // n)  # keys per walk
+    keys = np.where(np.arange(r.shape[1]) < length[:, None], f * n_powers + r, -1)
+    order = np.lexsort(keys.T[::-1])
+    # equal keys sit next to each other in `order`; only the first of each run
+    # is walked (columns compared one at a time: no sorted copy of `keys`)
+    first = np.zeros(len(order), dtype=bool)
+    first[0] = True
+    for d in range(keys.shape[1]):
+        first[1:] |= np.diff(keys[order, d]) != 0
+    del keys
+    # keys per walk, duplicates counted: a block of distinct keys alone would
+    # span more prefixes, and its stages would outgrow the bound
+    block = max(1, WALK_BLOCK_ELEMENTS // n)
     # the leaf step's two gathers, allocated once: fresh ones each depth and walk
     # would be returned to the system and faulted in again every time
     gathered = np.empty((2, min(block, len(length)), n))
     for start in range(0, len(length), block):
-        live = order[start:start + block]
+        live = order[start:start + block][first[start:start + block]]
         stage = np.ones((1, n, 1))  # the empty prefix: g = 1
         for d in range(r.shape[1]):
             leaf = live[length[live] == d + 1]
@@ -174,6 +188,7 @@ def _evaluate(breaks: np.ndarray, signs: np.ndarray, f: np.ndarray, r: np.ndarra
             parent, steps = np.divmod(steps, len(signs) * n_powers)
             stage = _integrate_stage(stage[parent], signs[steps // n_powers], steps % n_powers,
                                      d + 1 + int(power_sum[live, d].max()), left_pow, width_pow)
+    values[order] = values[order[first]][np.cumsum(first) - 1]  # each run's value
     return values
 
 

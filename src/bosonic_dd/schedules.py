@@ -305,7 +305,8 @@ def write_schedule(schedule: PulseSchedule, stream: IO[str]) -> None:
 
 
 def read_schedule(stream: IO[str]) -> PulseSchedule:
-    """Parse a schedule file; a malformed line raises ValueError naming it."""
+    """Parse a schedule file; a malformed line raises ValueError naming it, and
+    a header value that the schedule rejects (#N, #m, #nS) one naming the header."""
     scheme, order, m, n_system = "unknown", 0, None, None
     deltas, rows, signs = [], [], []
     for lineno, line in enumerate(stream, 1):
@@ -345,7 +346,12 @@ def read_schedule(stream: IO[str]) -> PulseSchedule:
             signs.append(sign)
         except ValueError as exc:
             raise ValueError(f"schedule line {lineno}: {exc}") from exc
+    # a pulse line has 2(m+1) >= 0 bits, so m < -1 comes with no pulse line;
+    # the width floor leaves such an m for the construction to reject
     pulses = None if m is None else (np.frombuffer("".join(rows).encode(), dtype=np.uint8)
-                                     - ord("0")).reshape(len(rows), m + 1, 2)
-    return PulseSchedule(scheme=scheme, order=order, deltas=deltas, pulses=pulses,
-                         signs=signs, m=m, n_system=n_system)
+                                     - ord("0")).reshape(len(rows), max(m + 1, 0), 2)
+    try:  # the lines parsed, so what the construction rejects is a header value
+        return PulseSchedule(scheme=scheme, order=order, deltas=deltas, pulses=pulses,
+                             signs=signs, m=m, n_system=n_system)
+    except ValueError as exc:
+        raise ValueError(f"schedule header: {exc}") from exc

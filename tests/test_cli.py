@@ -447,6 +447,24 @@ class TestVerify:
         assert text.splitlines(keepends=True) == per_row_lines("udd", report)
         assert text.split("\n")[0].split(",")[4:] == ["nan", "1", "0"]
 
+    def test_repeated_values_formatted_once_per_bit_pattern(self):
+        # the writer formats each distinct value once, keyed by its bits: 0.0
+        # and -0.0 (and NaNs of either sign) are apart, equal values share text
+        report = dyson.check_homogenization_condition(2, 1)
+        values = report.values.copy()
+        special = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf]
+        values[:4 * len(special)] = special * 4
+        values[-3:] = values[len(special):len(special) + 3]  # -0.0, nan, -nan again
+        report = dataclasses.replace(report, values=values)
+        assert len(np.unique(report.values)) < len(report.values)
+        with mock.patch.object(cli, "_fmt", wraps=cli._fmt) as fmt:
+            text = cli._report_lines("homogenization", report)
+        assert text.splitlines(keepends=True) == per_row_lines("homogenization", report)
+        bits = np.array([call.args[0] for call in fmt.call_args_list]).view(np.int64)
+        assert sorted(bits.tolist()) == np.unique(values.view(np.int64)).tolist()
+        assert [line.split(",")[4] for line in text.splitlines()[:len(special)]] == \
+            ["0", "-0", "nan", "nan", "inf", "-inf"]
+
     def test_unknown_check(self, tmp_path):
         with pytest.raises(SystemExit) as exit_:  # argparse rejects it
             run(["verify", "--check", "bogus", "--out", str(tmp_path / "u.csv")])

@@ -327,6 +327,21 @@ class TestDepthWalker:
         assert [v.hex() for v in walk(flip_sets, keys[::-1])] == \
             [v.hex() for v in shared[::-1]]
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_each_distinct_key_is_contracted_once(self, data):
+        flip_sets = data.draw(rational_functions())
+        distinct = list(dict.fromkeys(map(tuple, data.draw(key_lists(len(flip_sets))))))
+        repeats = data.draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=12))
+        keys = data.draw(st.permutations(distinct + repeats))
+        # every leaf contraction is one einsum over its keys' rows
+        with mock.patch.object(np, "einsum", wraps=np.einsum) as spy:
+            values = walk(flip_sets, [list(key) for key in keys])
+        assert sum(len(call.args[1]) for call in spy.call_args_list) == len(distinct)
+        alone = dict(zip(distinct, walk(flip_sets, [list(key) for key in distinct])))
+        for key, value in zip(keys, values):
+            assert value.hex() == alone[key].hex() == walk(flip_sets, [list(key)])[0].hex()
+
     @pytest.mark.parametrize("n", [3, 17, 1025])  # odd interval counts
     def test_leaf_value_does_not_depend_on_the_block(self, n):
         # among thousands of keys most leaf rows sit at odd, so unaligned, offsets

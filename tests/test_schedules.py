@@ -672,6 +672,17 @@ class TestScheduleFile:
         with pytest.raises(ValueError, match=f"n_system must be >= 1, got {n_system}"):
             read_schedule(io.StringIO(body))
 
+    @pytest.mark.parametrize("body,message", [
+        ("#scheme x\n#N -3\n#m -\n0.5\t1\n", "order must be nonnegative, got -3"),
+        ("#scheme x\n#N 1\n#m -1\n", "m must be nonnegative, got -1"),
+        ("#scheme x\n#N 1\n#m -2\n", "m must be nonnegative, got -2"),  # no pulse width
+        ("#scheme x\n#N 1\n#m -\n#nS 0\n0.5\t1\n", "n_system must be >= 1, got 0"),
+    ], ids=["N", "m", "m-2", "nS"])
+    def test_rejected_header_value_named(self, body, message):
+        # each header parses as an integer; only the schedule rejects its value
+        with pytest.raises(ValueError, match=f"^schedule header: {message}$"):
+            read_schedule(io.StringIO(body))
+
     def test_negative_order_rejected(self):
         # the order is a suppression order (#N in a file); 0 is a flip train's default
         with pytest.raises(ValueError, match="order must be nonnegative, got -3"):
