@@ -199,8 +199,8 @@ def iterated_integral(signs: Sequence[Sequence[float]], powers: Sequence[int]) -
         raise ValueError("need one power per sign function")
     if not signs:
         raise ValueError("empty integrand")
-    if any(r < 0 for r in powers):
-        raise ValueError("powers must be nonnegative")
+    if not all(r >= 0 and float(r).is_integer() for r in powers):  # NaN fails
+        raise ValueError(f"powers must be nonnegative integers, got {list(powers)}")
     flips = [np.asarray(F, dtype=float) for F in signs]
     if not all(F.ndim == 1 and ((np.diff(F, prepend=0.0) > 0.0) & (F < 1.0)).all()
                for F in flips):

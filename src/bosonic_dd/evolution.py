@@ -527,9 +527,12 @@ def decoupling_error_bound(j0: float, jz: float, order: int, t_total: float) -> 
     bound sqrt(2) sum_{s>N} x^s/s! is returned instead, summed from its first
     term (taken in log space), inf past the float range.
     """
-    if order < 0 or t_total < 0:
-        raise ValueError("order and time must be nonnegative")
-    x = (j0 + jz) * t_total
+    if order < 0 or not t_total >= 0:  # NaN fails
+        raise ValueError(f"order and time must be nonnegative, got N = {order}, T = {t_total}")
+    if not (j0 >= 0 and jz >= 0):
+        raise ValueError(f"norms must be nonnegative, got J0 = {j0}, Jz = {jz}")
+    # no evolution, whatever the other factor (inf * 0 would be NaN)
+    x = 0.0 if j0 + jz == 0.0 or t_total == 0.0 else (j0 + jz) * t_total
     if x <= 1.0:
         try:
             return math.e * math.sqrt(2.0) * x ** (order + 1) / math.factorial(order + 1)

@@ -25,15 +25,25 @@ repeat=m+1)`` order; two subsets of it matter, each in that order:
   orthogonal symplectic and are the pulses available to bosonic schemes.
 
 The index algebra and ``s_matrix`` broadcast over the leading axes of a
-stack; ``s_matrix`` of a stack is the stack of its matrices, built by one
-broadcast per position from a four-entry factor table.  Since
-S_(x,z) = x^x z^z and zx = -xz, two factors multiply by the rule
+stack and read one bit code: each index packs into an x-code and a z-code,
+unsigned integers whose bit m - j holds the x- or z-bit of position j, so
+position 0 is the most significant bit, as in the row numbering of the
+Kronecker product.  Since S_(x,z) = x^x z^z, each 2x2 factor sends column
+c to row c xor x with the sign (-1)^(z c), and S_alpha is the signed
+permutation
+
+    (S_alpha)_{r,c} = [r xor c = x] (-1)^popcount(z & c)
+
+of alpha's codes x and z; ``s_matrix`` of a stack is the stack of its
+matrices.  As zx = -xz, two factors multiply by the rule
 
     S_p S_q = (-1)^(p_z q_x) S_(p xor q)
 
 at every position, so an ordered product is the xor of its indices with the
 sign (-1)^(sum over factors of z_acc . x), z_acc being the xor of the
-z-bits of all earlier factors.
+z-bits of all earlier factors, and S_alpha S_beta = (-1)^<alpha,beta>
+S_beta S_alpha with the pairing <alpha,beta> = popcount((a_x & b_z) ^
+(a_z & b_x)) mod 2.
 """
 
 from __future__ import annotations
@@ -49,12 +59,6 @@ PAIR_X: Pair = (1, 0)
 PAIR_Y: Pair = (1, 1)
 PAIR_Z: Pair = (0, 1)
 ALL_PAIRS: tuple[Pair, ...] = (PAIR_I, PAIR_X, PAIR_Y, PAIR_Z)
-
-# The 2x2 factor of each pair, at code 2 * x-bit + z-bit: I, z, x, y
-_FACTOR_TABLE = np.array([[[1, 0], [0, 1]],
-                          [[1, 0], [0, -1]],
-                          [[0, 1], [1, 0]],
-                          [[0, -1], [1, 0]]], dtype=float)
 
 # Resource guard: dimension 2^{m+1} and |Gamma| grow fast; m=4 (dim 32,
 # |Gamma| = 528) is the largest size any verification here needs.
@@ -79,26 +83,39 @@ def all_indices(m: int) -> np.ndarray:
     return np.array(ALL_PAIRS)[np.indices((4,) * (m + 1)).reshape(m + 1, -1).T]
 
 
-def s_matrix(alpha) -> np.ndarray:
-    """Kronecker product S_{a_0} (x) ... (x) S_{a_m}; dimension 2^{m+1}.
-
-    ``alpha`` is one multi-index or an index stack of shape (..., m+1, 2),
-    whose matrices come stacked along its leading axes.  A ragged stack
-    raises numpy's ValueError.
-    """
+def _codes(alpha) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``alpha`` as a checked index stack (..., m+1, 2) of bits, with its x-
+    and z-codes of shape (...): bit m - j of a code holds position j's bit,
+    in the narrowest unsigned type of m+1 bits.  A ragged stack raises
+    numpy's ValueError."""
     a = np.asarray(alpha)
     if a.ndim < 2 or a.shape[-2] == 0 or a.shape[-1] != 2:
         raise ValueError(f"expected at least one (x, z) pair per multi-index, "
                          f"got shape {a.shape}")
-    valid = ((a == 0) | (a == 1)).all(axis=-1)
+    valid = (a == 0) | (a == 1)
     if not valid.all():
-        raise ValueError(f"invalid Z2xZ2 entry {tuple(a[~valid][0].tolist())!r}")
-    codes = (2 * a[..., 0] + a[..., 1]).astype(np.intp)
-    M = _FACTOR_TABLE[codes[..., 0]]
-    for j in range(1, codes.shape[-1]):
-        M = (M[..., :, None, :, None] * _FACTOR_TABLE[codes[..., j]][..., None, :, None, :]
-             ).reshape(codes.shape[:-1] + (2 * M.shape[-1],) * 2)
-    return M
+        raise ValueError(f"invalid Z2xZ2 entry {tuple(a[~valid.all(axis=-1)][0].tolist())!r}")
+    bits = a.shape[-2]
+    weight = (1 << np.arange(bits - 1, -1, -1)).astype(np.min_scalar_type((1 << bits) - 1))
+    return a, (a[..., 0] != 0) @ weight, (a[..., 1] != 0) @ weight
+
+
+def s_matrix(alpha) -> np.ndarray:
+    """S_alpha = S_{a_0} (x) ... (x) S_{a_m}, dimension 2^{m+1}: the signed
+    permutation with its one nonzero of row r at column c = r xor x, of sign
+    (-1)^popcount(z & c).
+
+    ``alpha`` is one multi-index or an index stack of shape (..., m+1, 2),
+    whose matrices come stacked along its leading axes.  A zero entry
+    carries the sign of the Kronecker product of the 2x2 factors: -0.0 where
+    an odd number of positions have a nonzero factor entry (that bit of
+    r xor c xor x clear) with the z-bit and the column bit set.
+    """
+    a, x, z = _codes(alpha)
+    col = np.arange(1 << a.shape[-2], dtype=x.dtype)
+    off = col[:, None] ^ col ^ x[..., None, None]  # zero exactly on the permutation
+    S = (off == 0).astype(float)
+    return np.negative(S, out=S, where=np.bitwise_count(z[..., None, None] & col & ~off) & 1 == 1)
 
 
 def gamma_set(m: int) -> np.ndarray:
@@ -124,34 +141,40 @@ def symplectic_form_index(m: int) -> np.ndarray:
 
 
 def symplectic_inner_product(alpha, beta):
-    """Componentwise symplectic pairing sum_j a_j^T [[0,1],[-1,0]] b_j mod 2.
+    """Componentwise symplectic pairing sum_j a_j^T [[0,1],[-1,0]] b_j mod 2,
+    the parity of popcount((a_x & b_z) ^ (a_z & b_x)) on the bit codes.
 
     Either argument may be an index stack of shape (..., m+1, 2); the stacks
-    broadcast against each other.  Two single indices give an ``int``.
+    broadcast against each other.  Two single indices give an ``int``, and
+    an entry outside {0, 1} raises ValueError.
     """
-    a, b = np.asarray(alpha), np.asarray(beta)
+    (a, ax, az), (b, bx, bz) = _codes(alpha), _codes(beta)
     if a.shape[-2:] != b.shape[-2:]:
         raise ValueError("multi-index length mismatch")
-    pairing = (a[..., 0] * b[..., 1] + a[..., 1] * b[..., 0]).sum(axis=-1) % 2
+    # int64, as uint8 would wrap in arithmetic such as 1 - 2 * pairing
+    pairing = (np.bitwise_count((ax & bz) ^ (az & bx)) & 1).astype(np.int64)
     return int(pairing) if pairing.ndim == 0 else pairing
 
 
 def product_index(alphas) -> tuple[np.ndarray, int]:
     """Index and sign of the ordered product: prod_k S_{alpha_k} = sign * S_xor.
 
-    ``alphas`` is a (k, m+1, 2) stack.  The empty product is (the all-zero
-    index of length 1, +1); callers that know the index length should prefer
-    passing at least one operand.
+    ``alphas`` is a (k, m+1, 2) stack of bits; the sign's exponent is
+    sum_k popcount(z_acc & x_k) on the bit codes (see the module docstring).
+    The empty product is (the all-zero index of length 1, +1); callers that
+    know the index length should prefer passing at least one operand.
     """
     if len(alphas) == 0:
         return np.zeros((1, 2), dtype=np.int64), 1
     try:
-        stack = np.asarray(alphas, dtype=np.int64)
+        stack = np.asarray(alphas)
     except ValueError as exc:
         raise ValueError("multi-index length mismatch") from exc
-    acc = np.bitwise_xor.accumulate(stack, axis=0)
-    odd = (acc[:-1, :, 1] * stack[1:, :, 0]).sum() % 2
-    return acc[-1], -1 if odd else 1
+    if stack.ndim != 3:
+        raise ValueError(f"expected a (k, m+1, 2) stack of multi-indices, got shape {stack.shape}")
+    stack, x, z = _codes(stack)
+    odd = np.bitwise_count(np.bitwise_xor.accumulate(z)[:-1] & x[1:]).sum() % 2
+    return np.bitwise_xor.reduce(stack.astype(np.int64)), -1 if odd else 1
 
 
 def expand_in_basis(X: np.ndarray, m: int) -> np.ndarray:

@@ -40,7 +40,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .pauli_basis import PAIR_I, PAIR_X, PAIR_Y, PAIR_Z, _check_m
+from .pauli_basis import PAIR_I, PAIR_X, PAIR_Y, PAIR_Z, _check_m, symplectic_inner_product
 
 FLIP = 1  # file token for -I on the system block
 
@@ -240,9 +240,8 @@ def toggling_sign_function(schedule: PulseSchedule, alpha) -> np.ndarray:
     of bits, bit 1 pairing with every flip pulse.  The mask has shape
     ``alpha.shape[:-2] + (L,)``, or ``np.shape(alpha) + (L,)`` for bits.
 
-    The symplectic pairing sum_j (a_x p_z + a_z p_x) mod 2 is the parity of
-    the set bits of (a_x & p_z) ^ (a_z & p_x), each index's x and z bits
-    packed into one integer with weight 1 << position.
+    The pairing is :func:`bosonic_dd.pauli_basis.symplectic_inner_product`,
+    one stacked call over alpha and the schedule's pulses.
     """
     a = np.asarray(alpha)
     if schedule.is_flip_schedule:
@@ -256,11 +255,7 @@ def toggling_sign_function(schedule: PulseSchedule, alpha) -> np.ndarray:
     elif not ((a == 0) | (a == 1)).all():
         raise ValueError("indexed schedules pair with multi-indices of bits 0 or 1")
     else:
-        bits = a.shape[-2]  # the narrowest codes (uint8 up to 8 bits) keep the parity pass short
-        weight = (1 << np.arange(bits)).astype(np.min_scalar_type((1 << bits) - 1))
-        ax, az = (a[..., None, :, 0] != 0) @ weight, (a[..., None, :, 1] != 0) @ weight
-        px, pz = (schedule.pulses != 0).transpose(2, 0, 1) @ weight
-        odd = np.bitwise_count((ax & pz) ^ (az & px)) & 1 == 1
+        odd = symplectic_inner_product(a[..., None, :, :], schedule.pulses) == 1
     return odd & (schedule.deltas < 1.0)
 
 

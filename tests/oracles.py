@@ -11,7 +11,6 @@ from bosonic_dd.pauli_basis import (
     PAIR_X,
     PAIR_Y,
     PAIR_Z,
-    symplectic_inner_product,
 )
 from bosonic_dd.schedules import PulseSchedule, _nudd_guard, udd_times
 from bosonic_dd.spin_boson import _check_even
@@ -114,10 +113,11 @@ def label_nudd_schedule(n_pulses, m):
 
 def pairing_mask(schedule, alpha):
     """F_alpha's flip mask over an indexed schedule from its definition: the
-    symplectic pairing of alpha with the pulse is odd and its time is below 1."""
-    a = np.asarray(alpha)
-    return ((symplectic_inner_product(a[..., None, :, :], schedule.pulses) == 1)
-            & (schedule.deltas < 1.0))
+    symplectic pairing sum_j (a_x p_z + a_z p_x) mod 2 of alpha with the
+    pulse is odd and its time is below 1."""
+    a, p = np.asarray(alpha)[..., None, :, :], schedule.pulses
+    pairing = (a[..., 0] * p[..., 1] + a[..., 1] * p[..., 0]).sum(axis=-1) % 2
+    return (pairing == 1) & (schedule.deltas < 1.0)
 
 
 def signed_closed_schedule(seed, m, n_pulses):

@@ -163,6 +163,20 @@ class TestIteratedIntegralFrozen:
         with pytest.raises(ValueError):
             iterated_integral([CONST], [-1])
 
+    @pytest.mark.parametrize("power", [0.5, 1.7, -1.0, math.nan, math.inf])
+    def test_rejects_powers_that_are_not_nonnegative_integers(self, power):
+        # an intp cast would truncate 0.5 to 0 and 1.7 to 1
+        sig = udd_times(1)
+        with pytest.raises(ValueError, match="powers must be nonnegative integers"):
+            iterated_integral([sig], [power])
+        with pytest.raises(ValueError, match="powers must be nonnegative integers"):
+            iterated_integral([CONST, sig], [1, power])
+
+    def test_integral_float_and_numpy_powers_accepted(self):
+        sig = udd_times(1)
+        assert (iterated_integral([sig], [2.0]) == iterated_integral([sig], [np.int64(2)])
+                == iterated_integral([sig], [2]))
+
     @pytest.mark.parametrize("flips", [(0.0,), (0.5, 0.5), (1.0,), (0.6, 0.4), (math.nan,),
                                        ((0.5,),)],
                              ids=["zero", "repeated", "one", "decreasing", "nan", "nested"])

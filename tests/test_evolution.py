@@ -589,6 +589,16 @@ class TestErrorBound:
     def test_vacuous_past_the_float_range(self, x):
         assert decoupling_error_bound(x, 0.0, 2, 1.0) == math.inf
 
+    @pytest.mark.parametrize("j0, jz, t_total, expected", [
+        (math.inf, 0.0, 1.0, math.inf),
+        (0.5, math.inf, 1.0, math.inf),
+        (1.0, 1.0, math.inf, math.inf),
+        (math.inf, 1.0, 0.0, 0.0),  # no time, no evolution
+        (0.0, 0.0, math.inf, 0.0),  # no coupling, no evolution
+    ])
+    def test_infinite_inputs(self, j0, jz, t_total, expected):
+        assert decoupling_error_bound(j0, jz, 2, t_total) == expected
+
     @pytest.mark.parametrize("order", [169, 170, 171, 400])
     @pytest.mark.parametrize("x", [0.0, 0.5, 0.99, 1.0])
     def test_closed_form_past_the_factorial_range(self, order, x):
@@ -769,6 +779,16 @@ LAYOUT = ModeLayout(1, 1)  # dim 4
      "linear coefficient 1 has shape (3,)"),
     (lambda: decoupling_error_bound(1.0, 1.0, -1, 1.0), "order and time must be nonnegative"),
     (lambda: decoupling_error_bound(1.0, 1.0, 2, -1.0), "order and time must be nonnegative"),
+    (lambda: decoupling_error_bound(1.0, 1.0, 2, math.nan),
+     "order and time must be nonnegative, got N = 2, T = nan"),
+    (lambda: decoupling_error_bound(-5.0, 1.0, 2, 1.0),
+     "norms must be nonnegative, got J0 = -5.0, Jz = 1.0"),
+    (lambda: decoupling_error_bound(1.0, -0.5, 2, 1.0),
+     "norms must be nonnegative, got J0 = 1.0, Jz = -0.5"),
+    (lambda: decoupling_error_bound(math.nan, 1.0, 2, 1.0),
+     "norms must be nonnegative, got J0 = nan, Jz = 1.0"),
+    (lambda: decoupling_error_bound(1.0, math.nan, 2, 1.0),
+     "norms must be nonnegative, got J0 = 1.0, Jz = nan"),
     (lambda: affine_propagate(make_generator(LAYOUT), np.eye(3), np.zeros(4), 1.0),
      "covariance shape (3, 3) != (4, 4)"),
     (lambda: affine_propagate(make_generator(LAYOUT), np.eye(4), np.zeros(5), 1.0),
@@ -804,7 +824,8 @@ LAYOUT = ModeLayout(1, 1)  # dim 4
      "schedule for 2 system modes does not match the layout's 1"),
 ], ids=["scheme", "odd-fit", "nonsquare-fit", "fit-time-zero", "fit-time-negative",
         "fit-time-nan", "fit-time-inf", "coefficient-shape", "linear-shape",
-        "bound-order", "bound-time", "covariance-shape", "displacement-shape",
+        "bound-order", "bound-time", "bound-time-nan", "bound-j0-negative",
+        "bound-jz-negative", "bound-j0-nan", "bound-jz-nan", "covariance-shape", "displacement-shape",
         "generator-scale", "generator-scale-inf", "generator-scale-nan", "generator-degree",
         "generator-degree-negative", "walk-time-negative", "walk-time-nan", "walk-time-inf",
         "walk-time-2d", "affine-time-negative", "affine-time-grid",

@@ -33,7 +33,8 @@ from bosonic_dd.symplectic import (
 
 from oracles import as_index, gamma_set_oracle, gamma_tilde_set_oracle
 
-index_strategy = st.lists(st.sampled_from(ALL_PAIRS), min_size=1, max_size=4).map(tuple)
+# one multi-index, m in 0..4
+index_strategy = st.lists(st.sampled_from(ALL_PAIRS), min_size=1, max_size=5).map(tuple)
 
 
 @st.composite
@@ -53,12 +54,22 @@ KRON_FACTORS = {
 }
 
 
-def kron_oracle(alpha):
+def kron_oracle(alpha, factors=KRON_FACTORS):
     """S_alpha as the np.kron chain of its 2x2 factors."""
-    M = KRON_FACTORS[alpha[0]]
+    M = factors[alpha[0]]
     for a in alpha[1:]:
-        M = np.kron(M, KRON_FACTORS[a])
+        M = np.kron(M, factors[a])
     return M
+
+
+def kron_stack_oracle(stack, factors):
+    """``kron_oracle`` of every index of an (..., m+1, 2) stack, stacked as
+    ``s_matrix`` stacks them."""
+    stack = np.asarray(stack)
+    d = 2 ** stack.shape[-2]
+    flat = stack.reshape(-1, *stack.shape[-2:]).tolist()
+    return np.array([kron_oracle(tuple(map(tuple, a)), factors) for a in flat]).reshape(
+        stack.shape[:-2] + (d, d))
 
 
 # index stacks of shape (*lead, m+1, 2): m in 0..3, up to two leading axes
@@ -110,6 +121,17 @@ class TestSMatrix:
             assert set(np.unique(S)) <= {-1.0, 0.0, 1.0}
             assert np.array_equal(np.abs(S) @ np.ones(8), np.ones(8))
             assert np.array_equal(np.abs(S).T @ np.ones(8), np.ones(8))
+
+    @pytest.mark.parametrize("m", range(5))
+    def test_one_signed_entry_per_row_at_row_xor_x(self, m):
+        # row r of S_alpha holds one +-1, at column r xor x, x the x-bits of
+        # alpha read with position 0 as the most significant bit
+        a = all_indices(m)
+        S = s_matrix(a)
+        rows = np.arange(2 ** (m + 1))
+        x = a[:, :, 0] @ 2 ** np.arange(m, -1, -1)
+        assert ((S != 0).sum(axis=-1) == 1).all()
+        assert (np.abs(S[np.arange(len(a))[:, None], rows, rows ^ x[:, None]]) == 1.0).all()
 
 
 class TestGammaSets:
@@ -184,6 +206,16 @@ class TestInnerProduct:
         with pytest.raises(ValueError):
             symplectic_inner_product((PAIR_X,), (PAIR_X, PAIR_I))
 
+    @pytest.mark.parametrize("alpha, beta, message", [
+        (((2, 0),), (PAIR_I,), "invalid Z2xZ2 entry (2, 0)"),
+        ((PAIR_X,), ((0, -1),), "invalid Z2xZ2 entry (0, -1)"),
+        (PAIR_X, PAIR_Z, "at least one (x, z) pair"),
+    ], ids=["entry-2", "entry-minus-1", "bare-pair"])
+    def test_malformed_index_rejected(self, alpha, beta, message):
+        # 2 is not a Z2 bit, though it pairs as 0 mod 2
+        with pytest.raises(ValueError, match=re.escape(message)):
+            symplectic_inner_product(alpha, beta)
+
     @given(index_strategy, index_strategy)
     def test_matches_commutation_sign(self, alpha, beta):
         # <a,b> = 1 exactly when the dense matrices anticommute
@@ -196,7 +228,7 @@ class TestInnerProduct:
 
 
     @settings(max_examples=50, deadline=None)
-    @given(index_lists(max_size=8), st.integers(1, 5))
+    @given(index_lists(max_m=4, max_size=8), st.integers(1, 5))
     def test_stacked_pairing_equals_per_pair_formula(self, indices, split):
         # a (k, 1, m+1, 2) stack against a (1, l, m+1, 2) stack gives the
         # k x l matrix of the per-pair pairings
@@ -205,6 +237,7 @@ class TestInnerProduct:
         expected = [[sum(ax * bz + az * bx for (ax, az), (bx, bz) in zip(a, b)) % 2
                      for b in cols] for a in rows]
         assert table.tolist() == expected
+        assert table.dtype == np.int64  # signs 1 - 2 * table must not wrap
 
 
 class TestAdjointAction:
@@ -223,18 +256,20 @@ class TestAdjointAction:
 
     @staticmethod
     def per_pair_deviation(m):
-        """The largest deviation over Gamma x Gamma~, one pair at a time."""
-        return max(float(np.linalg.norm(s_matrix(b).T @ s_matrix(a) @ s_matrix(b) - (
-            -1.0 if symplectic_inner_product(a, b) else 1.0) * s_matrix(a)))
+        """The largest deviation over Gamma x Gamma~, one pair at a time, of
+        the matrices ``pauli_basis.s_matrix`` gives at call time."""
+        S = pauli_basis.s_matrix
+        return max(float(np.linalg.norm(S(b).T @ S(a) @ S(b) - (
+            -1.0 if symplectic_inner_product(a, b) else 1.0) * S(a)))
             for a in gamma_set_oracle(m) for b in gamma_tilde_set_oracle(m))
 
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_wrong_sign_factor_fails(self, monkeypatch, m):
         # z = diag(1, -1) with its -1 flipped is I, which commutes with x and
         # y; the pairing says z anticommutes with both
-        table = pauli_basis._FACTOR_TABLE.copy()
-        table[1, 1, 1] = 1.0
-        monkeypatch.setattr(pauli_basis, "_FACTOR_TABLE", table)
+        factors = {**KRON_FACTORS, PAIR_Z: np.array([[1.0, 0.0], [0.0, 1.0]])}
+        monkeypatch.setattr(pauli_basis, "s_matrix",
+                            lambda alpha: kron_stack_oracle(alpha, factors))
         report = verify_adjoint_action(m)
         assert report.exhaustive and not report.passed
         assert report.max_deviation == self.per_pair_deviation(m) > 0.0
@@ -306,6 +341,16 @@ class TestProductIndex:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
             product_index([(PAIR_X,), (PAIR_X, PAIR_I)])
+
+    @pytest.mark.parametrize("alphas, message", [
+        ([PAIR_X], "expected a (k, m+1, 2) stack of multi-indices, got shape (1, 2)"),
+        ([((3, 0),)], "invalid Z2xZ2 entry (3, 0)"),
+        ([(PAIR_X,), ((0, 2),)], "invalid Z2xZ2 entry (0, 2)"),
+        ([((1, 0, 1),)], "at least one (x, z) pair"),
+    ], ids=["one-pair", "entry-3", "later-entry-2", "triple"])
+    def test_malformed_stack_rejected(self, alphas, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            product_index(alphas)
 
     def test_xz_gives_y(self):
         idx, sign = product_index([(PAIR_X,), (PAIR_Z,)])
