@@ -176,8 +176,6 @@ def cmd_decouple_sweep(args: argparse.Namespace) -> int:
 
 def cmd_homogenize_sweep(args: argparse.Namespace) -> int:
     pauli_basis._check_m(args.m)  # before any 2^m-mode allocation
-    if args.nS is not None and args.nS != 2 ** args.m:
-        raise ValueError(f"homogenization needs nS = 2^m = {2 ** args.m}, got {args.nS}")
     grid = _t_grid(args.tmin, args.tmax, args.points)
     layout = ModeLayout(n_system=2 ** args.m, n_env=args.nE)
     gen = evolution.random_generator(layout, seed=args.seed, scale_ss=1.0,
@@ -367,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sweep("homogenize-sweep", cmd_homogenize_sweep, "homogenization order sweep", N=1)
     p.add_argument("--m", type=int, default=1, help="nesting level: 2^m system modes")
-    p.add_argument("--nS", type=int, help="system modes, must equal 2^m")
 
     p = command("verify", cmd_verify, "basis, Dyson-condition and correspondence checks")
     p.add_argument("--check", action="append", default=[], choices=(*_VERIFY_CHECKS, "all"),

@@ -276,7 +276,8 @@ def _check_order(order: int) -> None:
 
 def _check_label_guard(order: int, m: int, condition: str) -> None:
     if (order + 1) ** (2 * m + 2) > QUBIT_LABEL_GUARD:
-        raise ValueError(f"label set exceeds the {condition}-condition guard")
+        raise ValueError(f"pulse count (N+1)^(2m+2) = {(order + 1) ** (2 * m + 2)} "
+                         f"exceeds the {condition}-condition guard {QUBIT_LABEL_GUARD}")
 
 
 def check_udd_condition(order: int, tol: float = ZERO_TOL) -> ConditionReport:

@@ -126,16 +126,6 @@ class AnalyticGenerator:
         blocks = (block_decompose(X, self.layout) for X in self.coeffs)
         return not any(b.se.any() or b.es.any() for b in blocks)
 
-    def values(self, ts) -> np.ndarray:
-        """X(t) at every t in ``ts``, shape ``np.shape(ts) + (dim, dim)``."""
-        return _polynomial(self.coeffs, ts)
-
-
-def _polynomial(coeffs: Sequence[np.ndarray], ts) -> np.ndarray:
-    """sum_r coeffs[r] t^r at every t in ``ts``, stacked along its axes."""
-    powers = np.asarray(ts, dtype=float)[..., None] ** np.arange(len(coeffs))
-    return np.tensordot(powers, np.asarray(coeffs), axes=1)
-
 
 # Elements exponentiated per call, so the temporaries stay at 64 kB, as in a
 # block of spin_boson.BLOCK_ELEMENTS real elements: a CF4 pass (2 factors of

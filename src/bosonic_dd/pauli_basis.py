@@ -34,8 +34,8 @@ permutation
 
     (S_alpha)_{r,c} = [r xor c = x] (-1)^popcount(z & c)
 
-of alpha's codes x and z; ``s_matrix`` of a stack is the stack of its
-matrices.  As zx = -xz, two factors multiply by the rule
+of alpha's codes x and z, every other entry +0.0; ``s_matrix`` of a stack
+is the stack of its matrices.  As zx = -xz, two factors multiply by the rule
 
     S_p S_q = (-1)^(p_z q_x) S_(p xor q)
 
@@ -106,16 +106,13 @@ def s_matrix(alpha) -> np.ndarray:
     (-1)^popcount(z & c).
 
     ``alpha`` is one multi-index or an index stack of shape (..., m+1, 2),
-    whose matrices come stacked along its leading axes.  A zero entry
-    carries the sign of the Kronecker product of the 2x2 factors: -0.0 where
-    an odd number of positions have a nonzero factor entry (that bit of
-    r xor c xor x clear) with the z-bit and the column bit set.
+    whose matrices come stacked along its leading axes.  Every zero entry
+    is +0.0.
     """
     a, x, z = _codes(alpha)
     col = np.arange(1 << a.shape[-2], dtype=x.dtype)
-    off = col[:, None] ^ col ^ x[..., None, None]  # zero exactly on the permutation
-    S = (off == 0).astype(float)
-    return np.negative(S, out=S, where=np.bitwise_count(z[..., None, None] & col & ~off) & 1 == 1)
+    sign = 1.0 - 2.0 * (np.bitwise_count(z[..., None] & col) & 1)  # one per column
+    return np.where(col[:, None] ^ col == x[..., None, None], sign[..., None, :], 0.0)
 
 
 def gamma_set(m: int) -> np.ndarray:
@@ -161,11 +158,8 @@ def product_index(alphas) -> tuple[np.ndarray, int]:
 
     ``alphas`` is a (k, m+1, 2) stack of bits; the sign's exponent is
     sum_k popcount(z_acc & x_k) on the bit codes (see the module docstring).
-    The empty product is (the all-zero index of length 1, +1); callers that
-    know the index length should prefer passing at least one operand.
+    An empty (0, m+1, 2) stack gives (the all-zero index of length m+1, +1).
     """
-    if len(alphas) == 0:
-        return np.zeros((1, 2), dtype=np.int64), 1
     try:
         stack = np.asarray(alphas)
     except ValueError as exc:

@@ -13,6 +13,7 @@ or None for a flip schedule; and ``signs`` (L,), the +-1 factor of each pulse.
 * indexed schedules ("qubit-nudd", "bosonic-homogenization"): position 0
   of an index corresponds to the innermost nesting level of the nested
   train; level 2k is the z-slot and level 2k+1 the x-slot of position k.
+  Their ``n_system``, when set, is 2^m.
 
 The nested train is built by nesting: level 0 is UDD_N closed by a pulse
 at 1, and each level r = 1..2m+1 places the train of the levels below it
@@ -71,6 +72,8 @@ class PulseSchedule:
             raise ValueError(f"n_system must be >= 1, got {self.n_system}")
         if self.m is not None and self.m < 0:
             raise ValueError(f"m must be nonnegative, got {self.m}")
+        if self.m is not None and self.n_system not in (None, 2 ** self.m):
+            raise ValueError(f"n_system must be 2^m = {2 ** self.m}, got {self.n_system}")
         flip = self.m is None
         if flip != (self.pulses is None):
             raise ValueError("a schedule has a pulse stack iff m is set")
@@ -250,11 +253,7 @@ def toggling_sign_function(schedule: PulseSchedule, alpha) -> np.ndarray:
         odd = a[..., None] == 1
     elif a.ndim < 2:
         raise ValueError("indexed schedules pair with a multi-index")
-    elif a.shape[-2:] != schedule.pulses.shape[1:]:
-        raise ValueError("multi-index length mismatch")
-    elif not ((a == 0) | (a == 1)).all():
-        raise ValueError("indexed schedules pair with multi-indices of bits 0 or 1")
-    else:
+    else:  # symplectic_inner_product checks alpha's length and bits
         odd = symplectic_inner_product(a[..., None, :, :], schedule.pulses) == 1
     return odd & (schedule.deltas < 1.0)
 

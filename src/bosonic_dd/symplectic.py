@@ -157,8 +157,6 @@ def matrix_exponential(X: np.ndarray) -> np.ndarray:
         return _taylor_exponential(X)
     import scipy.linalg  # loaded on first use: most runs never get here
     small = col_norms.max(axis=-1) <= _TAYLOR_THETA
-    if not small.any():
-        return scipy.linalg.expm(X)
     E = np.empty_like(X)
     E[small] = _taylor_exponential(X[small])
     E[~small] = scipy.linalg.expm(X[~small])

@@ -120,6 +120,13 @@ def pairing_mask(schedule, alpha):
     return (pairing == 1) & (schedule.deltas < 1.0)
 
 
+def generator_values(gen, ts):
+    """X(t) = sum_r X_r t^r of a generator at every t in ``ts``, shape
+    ``np.shape(ts) + (dim, dim)``."""
+    powers = np.asarray(ts, dtype=float)[..., None] ** np.arange(len(gen.coeffs))
+    return np.tensordot(powers, np.asarray(gen.coeffs), axes=1)
+
+
 def signed_closed_schedule(seed, m, n_pulses):
     """n_pulses random pulses of Gamma~ with random signs, closed by one more
     pulse, the xor of the others, so the product is +-identity."""

@@ -218,9 +218,13 @@ class TestSweeps:
         assert "Traceback" not in capsys.readouterr().err
         assert [row.split(",")[3] for row in out.read_text().splitlines()[1:]] == ["0"] * 3
 
-    def test_homogenize_rejects_bad_mode_count(self, tmp_path):
-        assert run(["homogenize-sweep", "--N", "1", "--m", "1", "--nS", "3",
-                    "--out", str(tmp_path / "x.csv")]) == 2
+    def test_homogenize_rejects_bad_mode_count(self, tmp_path, capsys):
+        # --m fixes the 2^m system modes, so there is no --nS flag to set them
+        with pytest.raises(SystemExit) as exit_:
+            run(["homogenize-sweep", "--N", "1", "--m", "1", "--nS", "2",
+                 "--out", str(tmp_path / "x.csv")])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --nS 2" in capsys.readouterr().err
 
     def test_bad_grid(self, tmp_path):
         assert run(["decouple-sweep", "--tmin", "0.1", "--tmax", "0.01",
@@ -279,7 +283,7 @@ class TestSweeps:
 
     @pytest.mark.parametrize("command", [
         ["schedule", "--scheme", "homogenization", "--N", "1", "--m", "5"],
-        ["homogenize-sweep", "--N", "1", "--m", "5", "--nS", "32"],
+        ["homogenize-sweep", "--N", "1", "--m", "5"],
     ], ids=["schedule", "homogenize-sweep"])
     def test_m_beyond_the_basis_guard(self, tmp_path, capsys, command):
         # m is bounded by pauli_basis.MAX_M = 4 on every homogenization path,
@@ -580,7 +584,7 @@ CONFIG_RUNS = {
                        ["--points", "3"]),
     "homogenize-sweep": ([], {"seed": "4", "N": "2", "nE": "2", "degree": "1",
                               "tmin": "2e-3", "tmax": "5e-2", "points": "4",
-                              "tol": "1e-11", "m": "0", "nS": "1"},
+                              "tol": "1e-11", "m": "0"},
                          ["--seed", "6"]),
     "verify": (["--check", "homogenization"], {"N": "1", "m": "2", "tol": "1e-9",
                                                "mutate": True},
@@ -643,13 +647,14 @@ class TestConfigFile:
                     "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()[0].split(",")) == columns
 
-    @pytest.mark.parametrize("n_system,code", [(2, 0), (3, 2)])
-    def test_config_value_takes_the_flag_type(self, tmp_path, n_system, code):
-        # nS has no default; its config value is cast to int like the flag
+    @pytest.mark.parametrize("count,code", [(2, 0), (3, 2)])
+    def test_config_value_takes_the_flag_type(self, tmp_path, count, code):
+        # L's config value is cast to int like the flag, so an odd count is
+        # the same usage error as on the command line
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"nS={n_system}\n")
-        assert run(["homogenize-sweep", "--N", "1", "--m", "1", "--config",
-                    str(cfg), "--out", str(tmp_path / "h.csv")]) == code
+        cfg.write_text(f"L={count}\n")
+        assert run(["spectrum", "--points", "3", "--config", str(cfg),
+                    "--out", str(tmp_path / "s.csv")]) == code
 
 
 class TestOneParser:

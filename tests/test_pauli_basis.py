@@ -87,8 +87,9 @@ class TestSMatrix:
         assert S.shape == stack.shape[:-2] + (d, d)
         for i in np.ndindex(stack.shape[:-2]):
             alpha = tuple(map(tuple, stack[i].tolist()))
-            assert S[i].tobytes() == kron_oracle(alpha).tobytes()
-            assert s_matrix(alpha).tobytes() == kron_oracle(alpha).tobytes()
+            # + 0.0 turns the oracle's -0.0 zeros into +0.0 and keeps every other entry
+            assert S[i].tobytes() == (kron_oracle(alpha) + 0.0).tobytes()
+            assert s_matrix(alpha).tobytes() == (kron_oracle(alpha) + 0.0).tobytes()
 
     @pytest.mark.parametrize("alpha, message", [
         (((2, 0), PAIR_I), "invalid Z2xZ2 entry"),
@@ -125,13 +126,15 @@ class TestSMatrix:
     @pytest.mark.parametrize("m", range(5))
     def test_one_signed_entry_per_row_at_row_xor_x(self, m):
         # row r of S_alpha holds one +-1, at column r xor x, x the x-bits of
-        # alpha read with position 0 as the most significant bit
+        # alpha read with position 0 as the most significant bit; every other
+        # entry is +0.0
         a = all_indices(m)
         S = s_matrix(a)
         rows = np.arange(2 ** (m + 1))
         x = a[:, :, 0] @ 2 ** np.arange(m, -1, -1)
         assert ((S != 0).sum(axis=-1) == 1).all()
         assert (np.abs(S[np.arange(len(a))[:, None], rows, rows ^ x[:, None]]) == 1.0).all()
+        assert not np.signbit(S[S == 0.0]).any()
 
 
 class TestGammaSets:
@@ -328,8 +331,12 @@ class TestExpandInBasis:
 
 class TestProductIndex:
     def test_empty(self):
-        idx, sign = product_index([])
-        assert (as_index(idx), sign) == ((PAIR_I,), 1)
+        # an empty stack keeps its index length; a bare [] has none
+        for m in range(3):
+            idx, sign = product_index(np.zeros((0, m + 1, 2), dtype=int))
+            assert (as_index(idx), sign) == ((PAIR_I,) * (m + 1), 1)
+        with pytest.raises(ValueError, match=re.escape("got shape (0,)")):
+            product_index([])
 
     def test_self_product_squares(self):
         for alpha in gamma_set(1):

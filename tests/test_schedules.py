@@ -583,7 +583,9 @@ def random_schedules(draw, min_size=0):
         times.append(1.0)
     n = len(times)
     m = draw(st.sampled_from([None, 0, 1, 2]))
-    header = dict(order=draw(st.integers(0, 9)), n_system=draw(st.none() | st.integers(1, 8)))
+    # an indexed schedule acts on 2^m modes, a flip train on any number
+    modes = st.integers(1, 8) if m is None else st.just(2 ** m)
+    header = dict(order=draw(st.integers(0, 9)), n_system=draw(st.none() | modes))
     if m is None:
         return PulseSchedule(scheme="flip-train", deltas=times, pulses=None, signs=[1] * n,
                              **header)
@@ -677,10 +679,11 @@ class TestScheduleFile:
         ("#scheme x\n#N 1\n#m -1\n", "m must be nonnegative, got -1"),
         ("#scheme x\n#N 1\n#m -2\n", "m must be nonnegative, got -2"),  # no pulse width
         ("#scheme x\n#N 1\n#m -\n#nS 0\n0.5\t1\n", "n_system must be >= 1, got 0"),
-    ], ids=["N", "m", "m-2", "nS"])
+        ("#scheme x\n#N 1\n#m 1\n#nS 3\n0.5\t1000\n", "n_system must be 2^m = 2, got 3"),
+    ], ids=["N", "m", "m-2", "nS", "nS-not-2^m"])
     def test_rejected_header_value_named(self, body, message):
         # each header parses as an integer; only the schedule rejects its value
-        with pytest.raises(ValueError, match=f"^schedule header: {message}$"):
+        with pytest.raises(ValueError, match=f"^schedule header: {re.escape(message)}$"):
             read_schedule(io.StringIO(body))
 
     def test_negative_order_rejected(self):
@@ -733,13 +736,18 @@ class TestScheduleFile:
     (lambda: qubit_nudd_schedule(1, -1), "m must be nonnegative"),
     (lambda: substitute_bosonic(decoupling_schedule(2, 1)),
      "substitution expects an indexed qubit schedule"),
+    (lambda: PulseSchedule(scheme="x", order=1, deltas=[0.5], pulses=[(PAIR_X, PAIR_I)],
+                           signs=[1], m=1, n_system=3), "n_system must be 2^m = 2, got 3"),
     (lambda: toggling_sign_function(qubit_nudd_schedule(1, 1), (PAIR_X, PAIR_I, PAIR_Z)),
      "multi-index length mismatch"),
+    # symplectic_inner_product checks alpha's bits, naming its first bad pair
     *[(lambda alpha=alpha: toggling_sign_function(qubit_nudd_schedule(1, 1), alpha),
-       "indexed schedules pair with multi-indices of bits 0 or 1")
-      for alpha in (((2, 0), (0, 0)), ((0, 0), (0, -1)), ((0, 0.5), (1, 0)),
-                    [((1, 0), (0, 1)), ((0, 1), (3, 1))])],
-], ids=["nudd-order", "nudd-m-negative", "substitute-flip-schedule", "mask-index-length",
+       f"invalid Z2xZ2 entry {entry}")
+      for alpha, entry in ((((2, 0), (0, 0)), "(2, 0)"), (((0, 0), (0, -1)), "(0, -1)"),
+                           (((0, 0.5), (1, 0)), "(0.0, 0.5)"),
+                           ([((1, 0), (0, 1)), ((0, 1), (3, 1))], "(3, 1)"))],
+], ids=["nudd-order", "nudd-m-negative", "substitute-flip-schedule", "indexed-n-system",
+        "mask-index-length",
         "mask-bit-2", "mask-bit-negative", "mask-bit-half", "mask-bit-in-stack"])
 def test_input_check(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -156,6 +156,15 @@ class TestMatrixExponential:
         with pytest.raises(ValueError):
             matrix_exponential(np.zeros((3, 2, 4)))
 
+    @pytest.mark.parametrize("dim", [2, 5, 16, 34])
+    def test_large_slices_are_scipy_expm_bitwise(self, dim):
+        # every slice above theta, alone or stacked, is scipy's expm of it
+        X = np.random.default_rng(dim).uniform(-1.0, 1.0, (2, 3, dim, dim))
+        E = matrix_exponential(X)
+        for i, j in np.ndindex(2, 3):
+            assert E[i, j].tobytes() == scipy.linalg.expm(X[i, j]).tobytes()
+        assert matrix_exponential(X[1, 2]).tobytes() == scipy.linalg.expm(X[1, 2]).tobytes()
+
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 12),
            norms=st.lists(st.one_of(
