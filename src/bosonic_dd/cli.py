@@ -187,31 +187,46 @@ def cmd_homogenize_sweep(args: argparse.Namespace) -> int:
     return _slope_exit(result)
 
 
+# Rows of a verify report that one object table of text parts holds: a
+# block of them takes 8 bytes a cell, rows x (s_max + 3) cells, 1 MB at
+# udd N=12 (s_max = 12), where the whole 100,001-row table took 12 MB.
+REPORT_BLOCK_ROWS = 8192
+
+
 def _report_lines(check: str, report: dyson.ConditionReport) -> str:
-    """The verify CSV lines of a condition report, as one string: an object
-    table of text parts, one row per line (budget head, first label, later
-    labels, value, required-zero/pass tail), joined once.  Each label, each
-    budget's s and r text and each distinct value (by its bits, so 0.0 and
-    -0.0 stay apart) is formatted once, by _fmt, and gathered."""
+    """The verify CSV lines of a condition report, as one string: per block
+    of REPORT_BLOCK_ROWS rows, an object table of text parts, one row per
+    line (budget head, first label, later labels, value, required-zero/pass
+    tail), joined once.  Each label, each budget's s and r text and each
+    distinct value of the report (by its bits, so 0.0 and -0.0 stay apart)
+    is formatted once, by _fmt, and gathered."""
     # a label's text is its bits: a 0-d label (udd: 0 or 1) as is, an index as
     # the x-bit and z-bit of each position
     text = ["".join(map(str, bits))
             for bits in report.alphabet.reshape(len(report.alphabet), -1).tolist()]
     heads = np.array([f"{check},{s},{';'.join(map(str, powers))},"
                       for s, powers in report.budgets], dtype=object)
+    # a -1 pick (past s) takes the last text, ""
+    firsts = np.array(text + [""], dtype=object)
+    laters = np.array([";" + t for t in text] + [""], dtype=object)
     tails = np.array([[",0,1\n", ",0,1\n"], [",1,0\n", ",1,1\n"]],
                      dtype=object)  # [required_zero][pass]
     _, first, which = np.unique(report.values.view(np.int64), return_index=True,
                                 return_inverse=True)
-    table = np.empty((len(report.values), report.picks.shape[1] + 3), dtype=object)
-    table[:, 0] = heads[report.budget]
-    # a -1 pick (past s) takes the last text, ""
-    table[:, 1] = np.array(text + [""], dtype=object)[report.picks[:, 0]]
-    table[:, 2:-2] = np.array([";" + t for t in text] + [""], dtype=object)[report.picks[:, 1:]]
-    table[:, -2] = np.array(["," + _fmt(v) for v in report.values[first].tolist()],
-                            dtype=object)[which]
-    table[:, -1] = tails[report.required_zero.astype(int), report.row_passes.astype(int)]
-    return "".join(table.ravel().tolist())
+    values = np.array(["," + _fmt(v) for v in report.values[first].tolist()], dtype=object)
+    required, passes = report.required_zero.astype(int), report.row_passes.astype(int)
+    blocks = []
+    for r0 in range(0, len(report.values), REPORT_BLOCK_ROWS):
+        rows = slice(r0, r0 + REPORT_BLOCK_ROWS)
+        picks = report.picks[rows]
+        table = np.empty((len(picks), picks.shape[1] + 3), dtype=object)
+        table[:, 0] = heads[report.budget[rows]]
+        table[:, 1] = firsts[picks[:, 0]]
+        table[:, 2:-2] = laters[picks[:, 1:]]
+        table[:, -2] = values[which[rows]]
+        table[:, -1] = tails[required[rows], passes[rows]]
+        blocks.append("".join(table.ravel().tolist()))
+    return "".join(blocks)
 
 
 _VERIFY_CHECKS = ("basis", "udd", "nudd", "homogenization", "correspondence")

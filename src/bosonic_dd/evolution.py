@@ -1,9 +1,11 @@
 """Time-ordered symplectic propagation interleaved with instantaneous pulses.
 
-A walk over a pulse schedule gets the propagators of all its free segments
+A walk over a pulse schedule gets the propagators of its free segments
 from one batched call, and each generator class has one path.  A constant
-generator propagates every segment [t0, t1] exactly, by exp((t1 - t0) X0),
-stacked in calls of at most CF4_BLOCK_ELEMENTS elements.  A time-dependent
+generator propagates an interval [t0, t1] exactly, by exp((t1 - t0) X0),
+stacked in calls of at most CF4_BLOCK_ELEMENTS elements; a constant walk
+takes one such exponential per group of equal segment lengths (equal up to
+LENGTH_MERGE), not one per segment.  A time-dependent
 generator uses a fourth-order commutator-free scheme: one step over
 [t, t+h] is
 
@@ -34,12 +36,15 @@ the points whose residual needs a tighter tolerance.  The tolerance ``tol``
 (DEFAULT_TOL unless given) is the engine's only setting, and it acts only
 on the time-dependent path.
 
-A walk's pulses are one stack too, from one ``s_matrix`` call over the
-schedule's index stack, each written into the system rows of its segment's
-flow.  Each pulse is applied after the free segment that ends at its
-application time; in particular a pulse at delta = 1 acts after the final
-segment, immediately before readout.  Affine (displacement) propagation
-is the same walk on the homogeneous embedding of dimension dim + 1.
+A walk's pulses come from one ``s_matrix`` call over the schedule's distinct
+signed pulses, each written into the system rows of its segment's flow.  A
+walk forms each distinct (pulse, flow) factor once and multiplies the K
+factors of its K segments in time order, so a constant walk's work and
+memory grow with its distinct factors, and only its K products with K.
+Each pulse is applied after the free segment that ends at its application
+time; in particular a pulse at delta = 1 acts after the final segment,
+immediately before readout.  Affine (displacement) propagation is the same
+walk on the homogeneous embedding of dimension dim + 1.
 """
 
 from __future__ import annotations
@@ -138,6 +143,11 @@ CF4_BLOCK_ELEMENTS = 8192
 # points stacks, one walk at least: 2 MB, so the flows of a long schedule or
 # of a fine T grid stay small next to the interpreter and its libraries.
 FLOW_ELEMENTS = 1 << 18
+# Unit segment lengths at most this far apart share one exponential on a
+# constant walk.  A difference of two grid points in [0, 1] rounds by about
+# one eps, and the equal lengths of a nested Uhrig schedule land at most 1 eps
+# apart (N = 2-4, m = 1-4), while its distinct ones lie 2e8 eps apart or more.
+LENGTH_MERGE = 4 * np.finfo(float).eps
 
 
 def _cf4_pass(coeffs: np.ndarray, t0s: np.ndarray, t1s: np.ndarray,
@@ -295,30 +305,84 @@ def _check_times(T) -> np.ndarray:
     return Ts
 
 
+def _distinct(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) of an integer array, from one stable argsort:
+    codes[first] are its distinct values, ascending, each at its first
+    position, and codes[first][inverse] is codes."""
+    order = np.argsort(codes, kind="stable")
+    ranked = codes[order]
+    new = np.empty(len(codes), dtype=bool)
+    new[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    inverse = np.empty(len(codes), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
+def _length_groups(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(group, means) of the unit segment lengths (nonnegative): in ascending
+    order, a group opens at the shortest length not yet grouped and takes
+    every length within LENGTH_MERGE of it, so no group is wider than the
+    bound; means[g] is the mean of group g, as its shortest member plus the
+    mean excess of its members, so a group of equal lengths keeps their
+    value and the lengths' total moves by at most K eps for K lengths."""
+    order = np.argsort(lengths.view(np.int64), kind="stable")  # a double >= 0 sorts as its bits
+    ranked = lengths[order]
+    # a group opens more than LENGTH_MERGE above the length before it, and
+    # inside a wider run of closer neighbours, above its group's shortest
+    opens = np.diff(ranked, prepend=-math.inf) > LENGTH_MERGE
+    runs = np.flatnonzero(opens)
+    ends = np.append(runs[1:], len(ranked))
+    wide = ranked[ends - 1] - ranked[runs] > LENGTH_MERGE
+    for a, b in zip(runs[wide].tolist(), ends[wide].tolist()):
+        shortest = ranked[a]
+        for i in range(a + 1, b):
+            if ranked[i] - shortest > LENGTH_MERGE:
+                opens[i], shortest = True, ranked[i]
+    starts = np.flatnonzero(opens)
+    sizes = np.diff(starts, append=len(ranked))
+    shortest = ranked[starts]
+    means = shortest + np.add.reduceat(ranked - np.repeat(shortest, sizes), starts) / sizes
+    group = np.empty(len(lengths), dtype=np.intp)
+    group[order] = np.cumsum(opens) - 1
+    return group, means
+
+
 def _walk(coeffs: Sequence[np.ndarray], schedule: PulseSchedule | None,
           layout: ModeLayout, T, tol=DEFAULT_TOL) -> np.ndarray:
     """Time-ordered product of the free flows of sum_r coeffs[r] t^r and the
     schedule's pulses on [0, T], for one T or a vector of them (a stack of
-    walks), each at tolerance ``tol`` (one for all, or one per T), in batches
-    of T points whose flows stack at most max(K dim^2, FLOW_ELEMENTS)
-    elements for K segments a walk.  Each pulse is sign * S_alpha, or -I for
-    a flip schedule, on the system block and identity on the rest, so it is
-    written into the system rows of the flow before it.  A schedule built for
-    another number of system modes, a T that is negative or not finite, or a
-    T array of more than one axis, raises ValueError; an empty vector of T
-    gives an empty stack.  Errors come in batch order: an integrator error
-    names the T of its walk and its ``interval`` in the whole stack; a walk
-    that leaves the float range raises ValueError."""
+    walks), each at tolerance ``tol`` (one for all, or one per T).
+
+    Each segment's factor is its flow with its pulse (sign * S_alpha, or -I
+    for a flip schedule) written into the system rows; the factors are
+    multiplied in time order, one product a segment.  A walk forms each
+    distinct factor once: its key is the segment's signed pulse (the last
+    segment has none) and, for a constant generator, its group of unit
+    lengths (``_length_groups``), whose one exponential, exp(T len X0),
+    serves all its segments; a time-dependent segment is a key of its own.
+    So the pulses come from one ``s_matrix`` call over the distinct signed
+    pulses, and the T points go in batches whose factors stack at most
+    max(F dim^2, FLOW_ELEMENTS) elements for F distinct factors a walk
+    (F <= K, the segment count).  A schedule built for another number of
+    system modes, a T that is negative or not finite, or a T array of more
+    than one axis, raises ValueError; an empty vector of T gives an empty
+    stack.  Errors come in batch order: an integrator error names the T of
+    its walk and its ``interval`` in the whole stack; a walk that leaves the
+    float range raises ValueError."""
     deltas = np.empty(0) if schedule is None else schedule.deltas
-    dim, d = coeffs[0].shape[-1], layout.system_dim
+    dim, d, K = coeffs[0].shape[-1], layout.system_dim, len(deltas) + 1
     if schedule is None or schedule.is_flip_schedule:
-        W = np.broadcast_to(-np.eye(d), (len(deltas), d, d))
+        W, pulse = -np.eye(d)[None], np.zeros(K - 1, dtype=np.intp)
     else:
-        W = s_matrix(schedule.pulses)
+        bits = schedule.pulses.reshape(K - 1, -1)
+        first, pulse = _distinct(bits @ (2 << np.arange(bits.shape[1]))
+                                 + (schedule.signs < 0))
+        W = s_matrix(schedule.pulses[first])
         if W.shape[-1] != d:
             raise ValueError(f"pulse dimension {W.shape[-1]} does not match "
                              f"system dimension {d}")
-        W *= schedule.signs[:, None, None]
+        W *= schedule.signs[first, None, None]
     if schedule is not None and schedule.n_system not in (None, layout.n_system):
         raise ValueError(f"schedule for {schedule.n_system} system modes does not "
                          f"match the layout's {layout.n_system}")
@@ -327,25 +391,34 @@ def _walk(coeffs: Sequence[np.ndarray], schedule: PulseSchedule | None,
         raise ValueError(f"T must be one time or a 1-D grid, got shape {Ts.shape}")
     _check_times(Ts)
     tols = np.broadcast_to(tol, Ts.shape)
-    grid, K = np.array([0.0, *deltas, 1.0]), len(deltas) + 1
-    batch = max(1, FLOW_ELEMENTS // (K * dim * dim))
+    grid = np.array([0.0, *deltas, 1.0])
+    if len(coeffs) == 1:  # one interval [0, T len] a length group
+        group, ends = _length_groups(np.diff(grid))
+        starts = np.zeros_like(ends)
+        # a factor a distinct (pulse, group); the last segment's, the one
+        # without a pulse (id len(W)), comes last
+        first, key = _distinct(np.append(pulse, len(W)) * len(ends) + group)
+        flow, pulse = group[first], pulse[first[:-1]]
+    else:  # a factor a segment
+        starts, ends, flow, key = grid[:-1], grid[1:], slice(None), np.arange(K)
+    W = W[pulse]  # the pulse of every factor but the last
+    n, batch = len(starts), max(1, FLOW_ELEMENTS // ((len(W) + 1) * dim * dim))
     S = np.empty((len(Ts), dim, dim))
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below
         for b0 in range(0, len(Ts), batch):
             ts = Ts[b0:b0 + batch]
-            bounds = ts[:, None] * grid
             try:
-                flows = _flows(coeffs, bounds[:, :-1].ravel(), bounds[:, 1:].ravel(),
-                               np.repeat(tols[b0:b0 + batch], K))
+                flows = _flows(coeffs, (ts[:, None] * starts).ravel(),
+                               (ts[:, None] * ends).ravel(), np.repeat(tols[b0:b0 + batch], n))
             except ToleranceNotReached as exc:
-                raise ToleranceNotReached(f"{exc} (walk to T = {ts[exc.interval // K]})",
-                                          b0 * K + exc.interval) from None
-            flows = flows.reshape(-1, K, dim, dim)
-            # pulse k acts after flow k, on its system rows only
-            flows[:, :-1, :d] = W @ flows[:, :-1, :d]
-            P = flows[:, 0]
-            for k in range(1, K):
-                P = flows[:, k] @ P
+                raise ToleranceNotReached(f"{exc} (walk to T = {ts[exc.interval // n]})",
+                                          b0 * n + exc.interval) from None
+            factors = flows.reshape(len(ts), n, dim, dim)[:, flow]
+            # a pulse acts after its segment's flow, on its system rows only
+            factors[:, :-1, :d] = W @ factors[:, :-1, :d]
+            P = factors[:, key[0]]
+            for k in key[1:].tolist():
+                P = factors[:, k] @ P
             lost = ~np.isfinite(P).all(axis=(-2, -1))
             if lost.any():
                 raise ValueError(f"the evolution to T = {ts[lost][0]} leaves the float range")

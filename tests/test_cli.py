@@ -152,6 +152,27 @@ class TestSweeps:
         order = int(argv[argv.index("--N") + 1])
         assert order + 0.7 <= np.polyfit(*zip(*fit), 1)[0] <= order + 1.5
 
+    @pytest.mark.parametrize("flags, code", [
+        (["--N", "2", "--m", "4", "--tmin", "1e-1", "--tmax", "1"], 0),
+        (["--N", "4", "--m", "3", "--tmin", "4e-1", "--tmax", "3"], 0),
+        # four points of this grid sit at the walk's rounding floor, just
+        # inside the fit window, and pull the slope to 3
+        (["--N", "4", "--m", "3", "--tmin", "1e-1", "--tmax", "1"], 1),
+    ], ids=["N2-m4", "N4-m3", "N4-m3-floor"])
+    def test_paper_scale_constant_sweep(self, tmp_path, capsys, flags, code):
+        # the builder's largest homogenization schedules: 19,684 and 78,126
+        # segments a walk, formed from 56 and 121 distinct factors
+        out = tmp_path / "s.csv"
+        assert run(["homogenize-sweep", "--seed", "7", "--nE", "1", *flags,
+                    "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == ""
+        else:
+            assert err.startswith("slope acceptance failed: slope=")
+        rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+        assert len(rows) == 10 and all(math.isfinite(float(row[2])) for row in rows)
+
     def test_sweep_work_count(self):
         # the sweep-timedep benchmark argv at seed 7: one batched walk per
         # round, two rounds, the second of only the 2 re-tightened points,
@@ -468,6 +489,19 @@ class TestVerify:
         assert sorted(bits.tolist()) == np.unique(values.view(np.int64)).tolist()
         assert [line.split(",")[4] for line in text.splitlines()[:len(special)]] == \
             ["0", "-0", "nan", "nan", "inf", "-inf"]
+
+    @pytest.mark.parametrize("block", [1, 5, 101])
+    def test_blocks_smaller_than_the_report_write_the_same_lines(self, block):
+        # the table of text parts is built per block of rows; the lines, and
+        # the one _fmt call per distinct value, are those of the whole report
+        report = dyson.check_homogenization_condition(2, 1)  # 102 rows
+        assert len(report.values) > block
+        whole = cli._report_lines("homogenization", report)
+        with mock.patch.object(cli, "REPORT_BLOCK_ROWS", block), \
+                mock.patch.object(cli, "_fmt", wraps=cli._fmt) as fmt:
+            text = cli._report_lines("homogenization", report)
+        assert text == whole == "".join(per_row_lines("homogenization", report))
+        assert fmt.call_count == len(np.unique(report.values.view(np.int64)))
 
     def test_unknown_check(self, tmp_path):
         with pytest.raises(SystemExit) as exit_:  # argparse rejects it

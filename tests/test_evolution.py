@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -1020,51 +1021,111 @@ def full_convergence_test(S2, diff, tol):
     return diff <= tol * np.maximum(1.0, np.linalg.norm(S2, 2, axis=(-2, -1)))
 
 
+def walk_intervals(sched, degree, T):
+    """The intervals [t0s, t1s] of a walk to T, one per segment: the raw
+    [T g_k, T g_{k+1}] of its grid g on a time-dependent walk, and [0, T len]
+    on a constant one, len being the mean of the segment's length group."""
+    grid = np.array([0.0, *sched.deltas, 1.0])
+    if degree:
+        return grid[:-1] * T, grid[1:] * T
+    group, lengths = evolution._length_groups(np.diff(grid))
+    return np.zeros(len(group)), T * lengths[group]
+
+
+def distinct_factors(sched, degree):
+    """The number of distinct (signed pulse, segment length) factors a walk
+    forms: every segment is its own on a time-dependent walk; the last
+    segment has no pulse."""
+    grid = np.array([0.0, *sched.deltas, 1.0])
+    group = (np.arange(len(grid) - 1) if degree
+             else evolution._length_groups(np.diff(grid))[0])
+    pulses = ([("flip",)] * len(sched) if sched.is_flip_schedule
+              else [(*p.ravel().tolist(), s) for p, s in zip(sched.pulses, sched.signs)])
+    return len(set(zip([*pulses, None], group.tolist())))
+
+
+def walk_schedule(kind, seed, m, n_pulses):
+    if kind == "flip":
+        return decoupling_schedule(n_pulses, 2 ** m)
+    if kind == "signed":
+        return signed_closed_schedule(seed, m, n_pulses)
+    return homogenization_schedule(min(n_pulses, 2), m)  # up to 243 segments
+
+
 class TestResumedRefinement:
-    @given(seeds, st.integers(0, 2), st.integers(1, 5), st.integers(0, 1), st.booleans(),
+    @given(seeds, st.integers(0, 2), st.integers(1, 5), st.integers(0, 2),
+           st.sampled_from(["flip", "signed", "nested"]),
            st.lists(st.floats(0.01, 0.5), min_size=1, max_size=5), st.integers(0, 6))
     @settings(max_examples=40, deadline=None)
-    def test_system_row_pulses_equal_full_products(self, seed, m, n_pulses, degree, flip,
+    def test_system_row_pulses_equal_full_products(self, seed, m, n_pulses, degree, kind,
                                                    grid, per_batch):
-        # the walk writes each pulse into the system rows of its flow, with
-        # its T points in batches of per_batch walks (0: one walk a batch,
-        # as a budget below one walk's flows gives); the reference walks
-        # each T alone and multiplies the full-dimension pulse matrices
-        sched = (decoupling_schedule(n_pulses, 2 ** m) if flip
-                 else signed_closed_schedule(seed, m, n_pulses))
+        # the walk writes each pulse into the system rows of its segment's
+        # flow, forms each distinct factor once and multiplies them in time
+        # order, with its T points in batches of per_batch walks (0: one walk
+        # a batch, as a budget below one walk's factors gives); the reference
+        # walks each T alone, one flow a segment over the walk's intervals,
+        # and multiplies the full-dimension pulse matrices in sequence
+        sched = walk_schedule(kind, seed, m, n_pulses)
         layout = ModeLayout(2 ** m, 1)
         gen = make_generator(layout, seed=seed, degree=degree)
-        walk_elements = (len(sched) + 1) * layout.dim ** 2
+        walk_elements = distinct_factors(sched, degree) * layout.dim ** 2
         with mock.patch.object(evolution, "FLOW_ELEMENTS", per_batch * walk_elements):
             stack = resulting_evolution(gen, sched, np.array(grid))
         d = layout.system_dim
         pulses = np.tile(np.eye(layout.dim), (len(sched), 1, 1))
-        pulses[:, :d, :d] = -np.eye(d) if flip else \
+        pulses[:, :d, :d] = -np.eye(d) if kind == "flip" else \
             sched.signs[:, None, None] * s_matrix(sched.pulses)
         for S, T in zip(stack, grid):
-            bounds = np.array([0.0, *sched.deltas, 1.0]) * T
-            flows = _flows(gen.coeffs, bounds[:-1], bounds[1:])
+            flows = _flows(gen.coeffs, *walk_intervals(sched, degree, T))
             expected = np.eye(layout.dim)
             for step in pulses @ flows[:-1]:
                 expected = step @ expected
             assert S.tobytes() == (flows[-1] @ expected).tobytes()
             assert S.tobytes() == _walk(gen.coeffs, sched, layout, T).tobytes()
 
+    @given(seeds, st.sampled_from([(1, 0), (2, 1), (3, 1), (1, 2), (2, 2)]),
+           st.sampled_from(["flip", "signed", "nested"]), st.floats(0.01, 2.0))
+    @settings(max_examples=25, deadline=None)
+    def test_constant_walk_equals_the_raw_segment_walk(self, seed, order_m, kind, T):
+        # a constant walk exponentiates each length group's mean, not the raw
+        # difference T g_{k+1} - T g_k of its grid: its K factors then move
+        # by about LENGTH_MERGE T ||X|| each, and so does the product
+        order, m = order_m
+        sched = walk_schedule(kind, seed, m, order)
+        layout = ModeLayout(2 ** m, 1)
+        gen = make_generator(layout, seed=seed)
+        bounds = np.array([0.0, *sched.deltas, 1.0]) * T
+        walk = resulting_evolution(gen, sched, T)
+        expected = np.eye(layout.dim)
+        for j, F in enumerate(_flows(gen.coeffs, bounds[:-1], bounds[1:])):
+            expected = F @ expected
+            if j < len(sched):
+                expected = embedded_pulse(sched, j, layout) @ expected
+        K, scale = len(sched) + 1, max(1.0, T * spectral_norm(gen.coeffs[0]))
+        assert rel_dist(walk, expected) <= 8 * K * np.finfo(float).eps * scale
+
     @pytest.mark.parametrize("degree, budget, points, calls",
-                             [(0, evolution.FLOW_ELEMENTS, 1000, 3), (1, 1, 5, 5)])
+                             [(0, evolution.FLOW_ELEMENTS, 1000, 2), (1, 1, 5, 5)])
     def test_walk_bounds_the_flows_of_each_call(self, degree, budget, points, calls):
-        # a grid wider than one batch takes several _flows calls, each of at
-        # most max(K dim^2, FLOW_ELEMENTS) flow elements: walks of 41 flows
-        # of 16 elements, 399 of them a call, or one a call under a budget of 1
+        # a grid wider than one batch takes several _flows calls, whose
+        # walks form at most max(F dim^2, FLOW_ELEMENTS) factor elements for
+        # F distinct factors a walk.  Walks of 41 segments of 16 elements: a
+        # constant one has 21 length groups (Uhrig's are symmetric) and 22
+        # factors, so 744 walks a call; a time-dependent one has 41 of each,
+        # one walk a call under a budget of 1
         layout = ModeLayout(1, 1)
         gen = make_generator(layout, seed=3, degree=degree)
         sched = decoupling_schedule(40, 1)
+        intervals, factors = (21, 22) if degree == 0 else (41, 41)
+        assert distinct_factors(sched, degree) == factors
         with mock.patch.object(evolution, "FLOW_ELEMENTS", budget), \
                 mock.patch.object(evolution, "_flows", wraps=evolution._flows) as flows:
             resulting_evolution(gen, sched, np.linspace(0.01, 0.2, points))
-        sizes = [len(call.args[1]) * 16 for call in flows.call_args_list]
-        assert len(sizes) == calls and sum(sizes) == points * 41 * 16
-        assert max(sizes) <= max(41 * 16, budget)
+        walks = [len(call.args[1]) // intervals for call in flows.call_args_list]
+        assert len(walks) == calls and sum(walks) == points
+        assert all(len(call.args[1]) == n * intervals
+                   for call, n in zip(flows.call_args_list, walks))
+        assert max(walks) * factors * 16 <= max(factors * 16, budget)
 
     @pytest.mark.parametrize("kind", ["first-pass", "refinement"])
     def test_later_batch_error_names_its_walk(self, kind):
@@ -1253,3 +1314,93 @@ class TestResumedRefinement:
                                (np.nextafter(np.full(4, tol), np.inf), False)):
             assert (_converged(small, diff, tol) == expected).all()
             assert (full_convergence_test(small, diff, tol) == expected).all()
+
+
+def increasing_deltas():
+    """Pulse times in (0, 1], strictly increasing: arbitrary ones, or the
+    partial sums of lengths drawn from a few values and normalized, whose
+    equal lengths come out of the grid differences a few eps apart."""
+    arbitrary = st.lists(st.floats(1e-9, 1.0), min_size=1, max_size=40, unique=True).map(
+        lambda ds: np.sort(ds))
+    repeated = st.tuples(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=4),
+                         st.lists(st.integers(0, 3), min_size=2, max_size=200)).map(
+        lambda args: np.cumsum(np.resize(args[0], 4)[args[1]])[:-1]
+        / np.sum(np.resize(args[0], 4)[args[1]]))
+    return st.one_of(arbitrary, repeated).filter(
+        lambda ds: len(ds) and (np.diff(ds) > 0).all() and 0 < ds[0] and ds[-1] <= 1)
+
+
+class TestDistinctFactors:
+    @given(increasing_deltas())
+    @settings(max_examples=200, deadline=None)
+    def test_length_groups_stay_within_the_merge_bound(self, deltas):
+        # lengths further apart than LENGTH_MERGE never share a group, so
+        # never one exponential; the group means keep the walk's total time
+        lengths = np.diff([0.0, *deltas, 1.0])
+        group, means = evolution._length_groups(lengths)
+        for g in range(len(means)):
+            members = lengths[group == g]
+            assert members.size and members.max() - members.min() <= evolution.LENGTH_MERGE
+            assert members.min() <= means[g] <= members.max()
+        ranked = np.sort(means)
+        assert (np.diff(ranked) > 0).all()
+        K, eps = len(lengths), np.finfo(float).eps
+        assert abs(math.fsum(means[group]) - 1.0) <= K * eps
+
+    def test_a_chain_of_close_lengths_splits_at_the_bound(self):
+        # lengths 2 ulps (eps / 2) apart at 0.25 chain past LENGTH_MERGE =
+        # 4 eps: the nine within it of the shortest share a group, the tenth
+        # opens the next
+        eps = np.finfo(float).eps
+        lengths = np.concatenate([0.25 + np.arange(10)[::-1] * eps / 2, [0.1, 0.0]])
+        group, means = evolution._length_groups(lengths)
+        assert group.tolist() == [3] + [2] * 9 + [1, 0]
+        assert means.tolist() == [0.0, 0.1, 0.25 + 2 * eps, 0.25 + 4.5 * eps]
+
+    @pytest.mark.parametrize("order, m, groups", [
+        (2, 1, 5), (3, 1, 5), (3, 2, 7), (2, 3, 9), (3, 3, 9), (2, 4, 11)])
+    def test_one_exponential_per_length_group_and_one_pulse_per_signed_pulse(
+            self, order, m, groups):
+        # a nested Uhrig segment's length is a product of one level fraction
+        # a level, and each pulse one of a few signed permutations
+        sched = homogenization_schedule(order, m)
+        layout = ModeLayout(2 ** m, 1)
+        gen = make_generator(layout, seed=order + m, coupled=False)
+        grid = np.array([0.05, 0.1, 0.3])
+        with mock.patch.object(evolution, "matrix_exponential",
+                               wraps=evolution.matrix_exponential) as expm, \
+                mock.patch.object(evolution, "s_matrix", wraps=evolution.s_matrix) as pulses:
+            resulting_evolution(gen, sched, grid)
+        assert sum(len(call.args[0]) for call in expm.call_args_list) == len(grid) * groups
+        signed = {(*p.ravel().tolist(), s) for p, s in zip(sched.pulses, sched.signs)}
+        assert [len(call.args[0]) for call in pulses.call_args_list] == [len(signed)]
+        assert len(signed) < len(sched)
+
+    @pytest.mark.parametrize("degree", [0, 1])
+    def test_time_dependent_and_flip_walks_take_one_s_matrix_call(self, degree):
+        # a time-dependent walk keeps one factor a segment, but its pulses
+        # also come from the distinct signed pulses; a flip schedule calls
+        # no s_matrix at all
+        sched = homogenization_schedule(2, 1)
+        layout = ModeLayout(2, 1)
+        gen = make_generator(layout, seed=2, degree=degree, coupled=False)
+        with mock.patch.object(evolution, "s_matrix", wraps=evolution.s_matrix) as pulses:
+            resulting_evolution(gen, sched, 0.2)
+            resulting_evolution(gen, decoupling_schedule(3, 2), 0.2)
+        signed = {(*p.ravel().tolist(), s) for p, s in zip(sched.pulses, sched.signs)}
+        assert [len(call.args[0]) for call in pulses.call_args_list] == [len(signed)]
+
+    def test_paper_scale_walk_memory(self):
+        # N=2 m=4: 19,684 segments of 34 x 34, 10 distinct signed pulses and
+        # 11 length groups; one T point's per-segment flows alone took 182 MB
+        sched = homogenization_schedule(2, 4)
+        layout = ModeLayout(16, 1)
+        gen = make_generator(layout, seed=7, coupled=False)
+        grid = np.logspace(-1, 0, 10)
+        tracemalloc.start()
+        try:
+            resulting_evolution(gen, sched, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2 ** 20

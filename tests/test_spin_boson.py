@@ -640,12 +640,14 @@ class TestCrossValidation:
 
     @pytest.mark.parametrize("per_batch", [0, 3])
     def test_batched_grid_equals_one_batch(self, per_batch):
-        # 9 walks of 5 flows of 10 x 10: one batch as given, or batches of
-        # one walk (a budget below one walk's flows) or of three walks
+        # 9 walks of 5 segments of 10 x 10, whose 3 length groups (Uhrig's
+        # lengths are symmetric) and flips make 4 distinct factors, the last
+        # segment having no flip: one batch as given, or batches of one walk
+        # (a budget below one walk's factors) or of three walks
         bath, deltas = seeded_bath(17, 4, beta=0.7), even_flip_train(4)
         grid = np.logspace(math.log10(0.05), math.log10(2.0), 9)
         whole = cross_validate(bath, deltas, grid)
-        with patch.object(evolution, "FLOW_ELEMENTS", per_batch * 5 * 100), \
+        with patch.object(evolution, "FLOW_ELEMENTS", per_batch * 4 * 100), \
                 patch.object(evolution, "_flows", wraps=evolution._flows) as flows:
             batched = cross_validate(bath, deltas, grid)
         assert flows.call_count == (9 if per_batch == 0 else 3)
