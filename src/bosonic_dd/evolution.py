@@ -82,6 +82,8 @@ _MIX = 0.25 + np.array([[-1.0, 1.0], [1.0, -1.0]]) * math.sqrt(3.0) / 6.0
 FIT_WINDOW = (1e-12, 1e-2)
 DEFAULT_TOL = 1e-12  # the integrator's step-halving tolerance
 MAX_STEPS = 4096  # the most CF4 steps one pass may take on a segment
+# math.atan2 entry by entry: numpy's arctan2 can differ from it in the last bit
+_atan2 = np.vectorize(math.atan2, otypes=[float])
 
 
 @dataclass(frozen=True)
@@ -443,26 +445,32 @@ class RotationFit:
     residual: float
 
 
-def homogenization_fit(S_sys: np.ndarray, T: float) -> RotationFit:
-    """Best rotation e^{omega T J} by trace projection onto span{I, J}.
+def homogenization_fit(S_sys: np.ndarray, T) -> RotationFit:
+    """Best rotation e^{omega T J} by trace projection onto span{I, J}, of
+    one d x d matrix at one T (floats), or of a (..., d, d) stack at a T each
+    (arrays, each entry bitwise the fit of its matrix alone).
 
     c1 = tr(S)/d and c2 = tr(J^T S)/d are the I- and J-components; the fitted
     frequency is atan2(c2, c1)/T and the residual the Frobenius distance;
     a T that is not finite and positive raises ValueError.
     """
-    if not 0 < T < math.inf:
-        raise ValueError(f"need 0 < T < inf, got T = {T}")
-    d = S_sys.shape[0]
-    if d % 2 or S_sys.shape != (d, d):
+    Ts = np.asarray(T)
+    bad = Ts[~((0 < Ts) & (Ts < math.inf))]
+    if bad.size:
+        raise ValueError(f"need 0 < T < inf, got T = {bad[0]}")
+    d = S_sys.shape[-1]
+    if d % 2 or S_sys.ndim < 2 or S_sys.shape[-2] != d:
         raise ValueError("system matrix must be square of even dimension")
     J = _single_form(d // 2)
-    c1 = float(np.trace(S_sys)) / d
-    c2 = float(np.trace(J.T @ S_sys)) / d
-    if c1 == 0.0 and c2 == 0.0:
+    c1 = np.trace(S_sys, axis1=-2, axis2=-1) / d
+    c2 = np.trace(J.T @ S_sys, axis1=-2, axis2=-1) / d
+    if ((c1 == 0.0) & (c2 == 0.0)).any():
         raise DegenerateRotationFit("both trace projections vanish; no rotation fit")
-    theta = math.atan2(c2, c1)
-    R = math.cos(theta) * np.eye(d) + math.sin(theta) * J
-    return RotationFit(omega=theta / T, residual=float(np.linalg.norm(S_sys - R)))
+    theta = _atan2(c2, c1)
+    R = np.cos(theta)[..., None, None] * np.eye(d) + np.sin(theta)[..., None, None] * J
+    D = (S_sys - R).reshape(*S_sys.shape[:-2], d * d)
+    fit = RotationFit(omega=theta / Ts, residual=np.sqrt(np.vecdot(D, D)))
+    return fit if S_sys.ndim > 2 else RotationFit(float(fit.omega), float(fit.residual))
 
 
 @dataclass(frozen=True)
@@ -505,31 +513,33 @@ def order_sweep(gen: AnalyticGenerator, scheme: str, order: int,
     ``scheme`` is "decoupling" (off-diagonal residual of the resulting
     evolution, coupled generator) or "homogenization" (rotation-fit residual
     of the system block, decoupled generator with n_system = 2^m modes, which
-    fixes m).
+    fixes m; it walks the system block alone, as the fit reads no other).
     For a time-dependent generator each point's integrator tolerance is
     re-tightened until it sits at least two orders below the measured
     residual, for at most four rounds.  Every round walks the points still
     being re-tightened (all of them at first) afresh at their own
-    tolerances, in one walk a round, so each point's result is a walk of it
-    alone at its final tolerance.  A constant generator is propagated
-    exactly, in one round.
+    tolerances, in one walk and one stacked fit a round, so each point's
+    result is a walk of it alone at its final tolerance.  A constant
+    generator is propagated exactly, in one round.
     A T that is not finite and positive raises ValueError before any walk.
     """
+    coeffs, layout = gen.coeffs, gen.layout
     if scheme == "decoupling":
-        schedule = decoupling_schedule(order, gen.layout.n_system)
+        schedule = decoupling_schedule(order, layout.n_system)
         sign = 1
     elif scheme == "homogenization":
-        m = gen.layout.n_system.bit_length() - 1
-        if gen.layout.n_system != 2 ** m:
+        m = layout.n_system.bit_length() - 1
+        if layout.n_system != 2 ** m:
             raise ValueError("homogenization requires n_system = 2^m")
         if not gen.decoupled:
             raise ValueError("homogenization sweep expects a decoupled generator")
         schedule = homogenization_schedule(order, m)
         sign = _pulse_product_sign(schedule)
+        d = layout.system_dim  # the pulses and the fit act on this block alone
+        coeffs, layout = tuple(X[:d, :d] for X in coeffs), ModeLayout(layout.n_system)
     else:
         raise ValueError(f"unknown sweep scheme {scheme!r}")
 
-    sys_dim = gen.layout.system_dim
     T_grid = tuple(float(T) for T in T_grid)
     Ts = np.array(T_grid)
     bad = Ts[~((0 < Ts) & (Ts < math.inf))]
@@ -539,12 +549,12 @@ def order_sweep(gen: AnalyticGenerator, scheme: str, order: int,
     tols, live = np.full(len(Ts), float(tol)), np.ones(len(Ts), bool)
     for _ in range(4):
         ps = np.flatnonzero(live)
-        for p, S in zip(ps, _walk(gen.coeffs, schedule, gen.layout, Ts[ps], tols[ps])):
-            if scheme == "decoupling":
-                residuals[p] = offdiag_residual(S, gen.layout)
-            else:
-                fit = homogenization_fit(sign * S[:sys_dim, :sys_dim], Ts[p])
-                residuals[p], omegas[p] = fit.residual, fit.omega
+        S = _walk(coeffs, schedule, layout, Ts[ps], tols[ps])
+        if scheme == "decoupling":
+            residuals[ps] = [offdiag_residual(s, layout) for s in S]
+        else:
+            fit = homogenization_fit(sign * S, Ts[ps])
+            residuals[ps], omegas[ps] = fit.residual, fit.omega
         # re-tighten until the integrator sits well below the residual;
         # sub-window points are floor-flagged and excluded from the fit.
         # the 1e-13 floor is the absolute self-consistency allowance:

@@ -27,9 +27,10 @@ A pulse at exactly delta = 1 is never masked (a flip there changes the
 function on a zero-measure tail only, and leaving it out makes the flip
 times of schedules that do or do not retain a final pulse comparable).
 
-``qubit_nudd_schedule`` is cached: each (N, m) is built once per process,
-and the one frozen schedule, with its read-only columns, is shared by every
-caller, ``homogenization_schedule`` among them.
+The nest (times, an int8 level per pulse, the table of level pulses) is
+cached, one read-only nest per (N, m) and process: the qubit schedule (cached
+too) reads the table at every level, and the homogenization schedule its
+substituted table at the levels whose row is not the identity.
 """
 
 from __future__ import annotations
@@ -164,16 +165,17 @@ def _nudd_guard(n_pulses: int, m: int) -> None:
             f"exceeds the resource guard {NUDD_LABEL_GUARD}")
 
 
-@functools.cache  # shared: a schedule is frozen, its columns read-only
-def qubit_nudd_schedule(n_pulses: int, m: int) -> PulseSchedule:
-    """The (m+1)-qubit nested Uhrig schedule, (N+1)^(2m+2) pulses in time order.
+@functools.cache  # shared: its arrays are read-only
+def _nest(n_pulses: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(times, level, table) of the (m+1)-qubit nested Uhrig train: pulse j
+    is table[level[j]] at times[j], with int8 levels 0..2m+2.
 
     Level 0 is the UDD_N train delta_1..delta_N closed by a pulse at 1.  Each
     level r = 1..2m+1 puts the train built so far into every interval
     (delta_j, delta_{j+1}] of its own UDD_N grid (delta_0 = 0, delta_{N+1} = 1)
     by the affine map t -> delta_j + (delta_{j+1} - delta_j) t; the closing
     pulse of each block but the last becomes level r's pulse, and the last
-    block's stays the closing pulse at 1.
+    block's stays the closing pulse at 1 (row 2m+2).
 
     Pulses: for even N the level decides, z at even levels, x at odd.  For
     odd N each level pulse additionally carries the product of all lower y
@@ -193,15 +195,31 @@ def qubit_nudd_schedule(n_pulses: int, m: int) -> PulseSchedule:
     table[width] = PAIR_Y if odd else PAIR_I
 
     grid = np.array((0.0, *udd_times(N), 1.0))
-    times, level = grid[1:], np.array([0] * N + [width])
+    times, level = grid[1:], np.array([0] * N + [width], dtype=np.int8)
     for r in range(1, width):
         block = times.size
         times = (grid[:-1, None] + np.diff(grid)[:, None] * times).ravel()
         level = np.tile(level, N + 1)
         level[block - 1:-1:block] = r  # every block's closing pulse but the last
+    for array in (times, level, table):
+        array.flags.writeable = False
+    return times, level, table
+
+
+@functools.cache  # shared: a schedule is frozen, its columns read-only
+def qubit_nudd_schedule(n_pulses: int, m: int) -> PulseSchedule:
+    """The (m+1)-qubit nested Uhrig schedule: ``_nest``'s (N+1)^(2m+2) pulses."""
+    times, level, table = _nest(n_pulses, m)
     return PulseSchedule(scheme="qubit-nudd", order=n_pulses, deltas=times,
                          pulses=table[level], signs=np.ones(len(times), dtype=int),
                          m=m, n_system=2 ** m)
+
+
+def _bosonic(pulses: np.ndarray) -> np.ndarray:
+    """A qubit pulse stack substituted (``substitute_bosonic``), as a new stack."""
+    pulses = pulses.copy()
+    pulses[:, 0, 1] = pulses[:, 0, 0]  # the x-bit picks y (for x and y) or I (for I and z)
+    return pulses
 
 
 def substitute_bosonic(qubit: PulseSchedule) -> PulseSchedule:
@@ -215,8 +233,7 @@ def substitute_bosonic(qubit: PulseSchedule) -> PulseSchedule:
     """
     if qubit.is_flip_schedule:
         raise ValueError("substitution expects an indexed qubit schedule")
-    pulses = qubit.pulses.copy()
-    pulses[:, 0, 1] = pulses[:, 0, 0]  # the x-bit picks y (for x and y) or I (for I and z)
+    pulses = _bosonic(qubit.pulses)
     keep = pulses.any(axis=(1, 2)) | (qubit.deltas == 1.0)
     return PulseSchedule(scheme="bosonic-homogenization", order=qubit.order,
                          deltas=qubit.deltas[keep], pulses=pulses[keep],
@@ -224,9 +241,16 @@ def substitute_bosonic(qubit: PulseSchedule) -> PulseSchedule:
 
 
 def homogenization_schedule(n_pulses: int, m: int) -> PulseSchedule:
-    """Bosonic homogenization schedule for 2^m modes at suppression order N."""
+    """Bosonic homogenization schedule for 2^m modes at suppression order N,
+    ``substitute_bosonic(qubit_nudd_schedule(N, m))`` read off ``_nest``."""
     _check_m(m)
-    return substitute_bosonic(qubit_nudd_schedule(n_pulses, m))
+    times, level, table = _nest(n_pulses, m)
+    table = _bosonic(table)
+    keep = table.any(axis=(1, 2))[level] | (times == 1.0)
+    return PulseSchedule(scheme="bosonic-homogenization", order=n_pulses,
+                         deltas=times[keep], pulses=table[level[keep]],
+                         signs=np.ones(np.count_nonzero(keep), dtype=int),
+                         m=m, n_system=2 ** m)
 
 
 # ---------------------------------------------------------------------------

@@ -361,6 +361,39 @@ class TestHomogenizationFit:
         with pytest.raises(DegenerateRotationFit):
             homogenization_fit(S, T=1.0)
 
+    @given(st.integers(1, 16), st.integers(1, 20), seeds)
+    @settings(max_examples=40, deadline=None)
+    @example(1, 1, 0)
+    @example(16, 20, 1)
+    def test_stack_equals_each_matrix_alone(self, half, count, seed):
+        # rotations perturbed at scales from 1e-12 to 10, and random T: each
+        # entry of the stacked fit is bitwise the fit of its matrix alone,
+        # and that is the one-matrix formula in math's scalar functions
+        d, rng = 2 * half, np.random.default_rng(seed)
+        J = symplectic_form(ModeLayout(half))
+        theta = rng.uniform(-math.pi, math.pi, count)[:, None, None]
+        scale = 10.0 ** rng.uniform(-12, 1, count)[:, None, None]
+        S = np.cos(theta) * np.eye(d) + np.sin(theta) * J + scale * rng.normal(size=(count, d, d))
+        T = 10.0 ** rng.uniform(-3, 1, count)
+        fit = homogenization_fit(S, T)
+        assert fit.omega.shape == fit.residual.shape == (count,)
+        for k in range(count):
+            alone = homogenization_fit(S[k], T[k])
+            assert type(alone.omega) is type(alone.residual) is float
+            assert (alone.omega, alone.residual) == (fit.omega[k], fit.residual[k])
+            c1, c2 = float(np.trace(S[k])) / d, float(np.trace(J.T @ S[k])) / d
+            angle = math.atan2(c2, c1)
+            R = math.cos(angle) * np.eye(d) + math.sin(angle) * J
+            assert alone.omega == angle / T[k]
+            assert alone.residual == float(np.linalg.norm(S[k] - R))
+
+    def test_one_degenerate_matrix_rejects_the_stack(self):
+        S = np.tile(np.eye(2), (3, 1, 1))
+        S[1] = [[0.0, 1.0], [1.0, 0.0]]  # trace-free, J-component-free
+        with pytest.raises(DegenerateRotationFit,
+                           match="both trace projections vanish; no rotation fit"):
+            homogenization_fit(S, np.ones(3))
+
 
 class TestOrderSweep:
     def test_zero_coupling_floors(self):
@@ -458,24 +491,28 @@ class TestOrderSweep:
 def per_point_sweep(gen, scheme, order, grid):
     """Residuals, omegas and the tolerances walked of a sweep whose every
     point is walked alone and afresh at each tolerance of the re-tightening
-    rule: the former per-point loop of ``order_sweep``, kept as its oracle."""
+    rule, and fitted alone: the former per-point loop of ``order_sweep``,
+    kept as its oracle.  A homogenization point walks the system block of
+    the decoupled generator, as the sweep does."""
+    coeffs, layout = gen.coeffs, gen.layout
     if scheme == "decoupling":
-        sched, sign = decoupling_schedule(order, gen.layout.n_system), 1
+        sched, sign = decoupling_schedule(order, layout.n_system), 1
     else:
-        sched = homogenization_schedule(order, gen.layout.n_system.bit_length() - 1)
+        sched = homogenization_schedule(order, layout.n_system.bit_length() - 1)
         sign = evolution._pulse_product_sign(sched)
-    d = gen.layout.system_dim
+        d = layout.system_dim
+        coeffs, layout = tuple(X[:d, :d] for X in coeffs), ModeLayout(layout.n_system)
     residuals, omegas, tolerances = [], [], []
     for T in grid:
         tol = DEFAULT_TOL
         tolerances.append([])
         for _ in range(4):
             tolerances[-1].append(tol)
-            S = _walk(gen.coeffs, sched, gen.layout, T, tol)
+            S = _walk(coeffs, sched, layout, T, tol)
             if scheme == "decoupling":
-                residual, omega = offdiag_residual(S, gen.layout), math.nan
+                residual, omega = offdiag_residual(S, layout), math.nan
             else:
-                fit = homogenization_fit(sign * S[:d, :d], T)
+                fit = homogenization_fit(sign * S, T)
                 residual, omega = fit.residual, fit.omega
             if residual < evolution.FIT_WINDOW[0] or tol <= residual / 100.0:
                 break
@@ -567,6 +604,65 @@ class TestBatchedSweep:
         assert kernel.call_count > 0 or not t0s
         for call in kernel.call_args_list:
             assert np.abs(call.args[0]).sum(axis=-2).max() <= _TAYLOR_THETA
+
+
+def full_dimension_sweep(gen, order, grid):
+    """A homogenization sweep whose every walk takes the whole generator,
+    environment block and all, and hands the fit its system block."""
+    d = gen.layout.system_dim
+    walk = evolution._walk
+
+    def full_walk(coeffs, schedule, layout, T, tol):
+        return walk(gen.coeffs, schedule, gen.layout, T, tol)[..., :d, :d]
+
+    with mock.patch.object(evolution, "_walk", full_walk):
+        return order_sweep(gen, "homogenization", order, grid)
+
+
+class TestSystemBlockSweep:
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_walk_sees_the_system_block(self, degree):
+        gen = random_generator(ModeLayout(2, 3), seed=5, scale_ss=1.0, scale_se=0.0,
+                               scale_ee=1.0, degree=degree)
+        with mock.patch.object(evolution, "_walk", wraps=evolution._walk) as walks:
+            order_sweep(gen, "homogenization", 2, np.geomspace(1e-2, 0.3, 4))
+        assert walks.call_count >= 1
+        for call in walks.call_args_list:
+            coeffs, _, layout = call.args[:3]
+            assert layout == ModeLayout(2, 0)
+            assert [X.shape for X in coeffs] == [(4, 4)] * (degree + 1)
+            for X, full in zip(coeffs, gen.coeffs):
+                assert np.array_equal(X, full[:4, :4])
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_constant_sweep_ignores_the_environment(self, order):
+        # at degree 0 the system block is drawn first, whatever n_env
+        grid = np.geomspace(2e-2, 0.5, 6)
+        sweeps = [order_sweep(random_generator(ModeLayout(2, n_env), seed=3, scale_ss=1.0,
+                                               scale_se=0.0, scale_ee=1.0),
+                              "homogenization", order, grid) for n_env in (0, 1, 4, 8)]
+        for res in sweeps[1:]:
+            assert (res.residuals, res.omegas) == (sweeps[0].residuals, sweeps[0].omegas)
+
+    @pytest.mark.parametrize("n_env", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    @pytest.mark.parametrize("seed, order", [(1, 1), (2, 2)])
+    def test_equals_the_full_dimension_walk(self, n_env, degree, seed, order):
+        # the environment block reaches neither the pulses nor the fit, so
+        # dropping it moves a constant sweep at roundoff only, and a
+        # time-dependent one within the integrator's tolerance (every walk is
+        # at DEFAULT_TOL or tighter); omega is compared as the fitted angle
+        gen = random_generator(ModeLayout(2, n_env), seed=seed, scale_ss=1.0,
+                               scale_se=0.0, scale_ee=1.0, degree=degree)
+        grid = np.geomspace(2e-2, 0.5, 6)
+        res = order_sweep(gen, "homogenization", order, grid)
+        full = full_dimension_sweep(gen, order, grid)
+        bound = 1e-15 if degree == 0 else DEFAULT_TOL
+        assert np.abs(np.subtract(res.residuals, full.residuals)).max() <= bound
+        assert np.abs(grid * np.subtract(res.omegas, full.omegas)).max() <= bound
+        if degree == 0:
+            assert np.abs(np.subtract(res.omegas, full.omegas)).max() <= 1e-15
+        assert res.product_sign == full.product_sign
 
 
 class TestErrorBound:
@@ -774,6 +870,11 @@ LAYOUT = ModeLayout(1, 1)  # dim 4
     (lambda: homogenization_fit(np.eye(4), -0.5), "need 0 < T < inf, got T = -0.5"),
     (lambda: homogenization_fit(np.eye(4), math.nan), "need 0 < T < inf, got T = nan"),
     (lambda: homogenization_fit(np.eye(4), math.inf), "need 0 < T < inf, got T = inf"),
+    (lambda: homogenization_fit(np.zeros((2, 3, 3)), np.ones(2)), "square of even dimension"),
+    (lambda: homogenization_fit(np.tile(np.eye(4), (3, 1, 1)), np.array([0.5, 0.0, -1.0])),
+     "need 0 < T < inf, got T = 0.0"),
+    (lambda: homogenization_fit(np.tile(np.eye(4), (2, 1, 1)), np.array([0.5, math.nan])),
+     "need 0 < T < inf, got T = nan"),
     (lambda: AnalyticGenerator(layout=LAYOUT, coeffs=(np.zeros((2, 2)),)),
      "coefficient 0 has shape (2, 2), expected (4, 4)"),
     (lambda: AnalyticGenerator(layout=LAYOUT, coeffs=(np.zeros((4, 4)),),
@@ -825,7 +926,8 @@ LAYOUT = ModeLayout(1, 1)  # dim 4
                               schedule=decoupling_schedule(3, 2)),
      "schedule for 2 system modes does not match the layout's 1"),
 ], ids=["scheme", "odd-fit", "nonsquare-fit", "fit-time-zero", "fit-time-negative",
-        "fit-time-nan", "fit-time-inf", "coefficient-shape", "linear-shape",
+        "fit-time-nan", "fit-time-inf", "odd-fit-stack", "fit-stack-time-zero",
+        "fit-stack-time-nan", "coefficient-shape", "linear-shape",
         "bound-order", "bound-time", "bound-time-nan", "bound-j0-negative",
         "bound-jz-negative", "bound-j0-nan", "bound-jz-nan", "covariance-shape", "displacement-shape",
         "generator-scale", "generator-scale-inf", "generator-scale-nan", "generator-degree",

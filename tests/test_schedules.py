@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import io
 import itertools
 import math
@@ -9,7 +10,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from bosonic_dd import cli, schedules
 from bosonic_dd.pauli_basis import (
+    MAX_M,
     PAIR_I,
     PAIR_X,
     PAIR_Y,
@@ -208,9 +211,29 @@ def admitted_sizes(m, most=NUDD_LABEL_GUARD):
 PAPER_SIZES = [(4, 3), (2, 4), (1, 8), (9, 2)]
 
 
+def built_fresh(builder, n, m):
+    """builder(n, m) from a nest built for it alone, so that a sweep over
+    sizes keeps none of them."""
+    try:
+        return builder(n, m)
+    finally:
+        schedules._nest.cache_clear()
+
+
 def build_uncached(n, m):
     """A fresh nested schedule, so that a sweep over sizes keeps none of them."""
-    return qubit_nudd_schedule.__wrapped__(n, m)
+    return built_fresh(qubit_nudd_schedule.__wrapped__, n, m)
+
+
+def assert_substituted(n, m):
+    """The homogenization schedule is bitwise the substituted qubit schedule;
+    past MAX_M the homogenization builder refuses the size."""
+    if m > MAX_M:
+        with pytest.raises(ValueError, match="exhaustive-enumeration guard"):
+            built_fresh(homogenization_schedule, n, m)
+        return
+    assert_same(built_fresh(homogenization_schedule, n, m),
+                substitute_bosonic(build_uncached(n, m)))
 
 
 class TestNestedBuilderAgainstLabels:
@@ -224,6 +247,17 @@ class TestNestedBuilderAgainstLabels:
     @pytest.mark.parametrize("n,m", PAPER_SIZES)
     def test_bitwise_at_paper_sizes(self, n, m):
         assert_same(build_uncached(n, m), label_nudd_schedule(n, m))
+
+    @pytest.mark.parametrize("m", range(8))
+    def test_homogenization_is_the_substituted_schedule_up_to_1e5_pulses(self, m):
+        sizes = admitted_sizes(m, most=10 ** 5)
+        for n in sizes:
+            assert_substituted(n, m)
+        assert sizes
+
+    @pytest.mark.parametrize("n,m", PAPER_SIZES)
+    def test_homogenization_is_the_substituted_schedule_at_paper_sizes(self, n, m):
+        assert_substituted(n, m)
 
     @given(st.sampled_from([(n, m) for m in range(1, 9) for n in admitted_sizes(m)]))
     @example((4, 3))
@@ -320,6 +354,33 @@ class TestNestedBuilderCached:
         for column in (sched.deltas, sched.pulses, sched.signs):
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = column[0]
+
+    def test_nest_is_read_only(self):
+        times, level, table = schedules._nest(3, 1)
+        assert level.dtype == np.int8 and len(times) == len(level) == 4 ** 4
+        assert len(table) == 2 * 1 + 3
+        for array in (times, level, table):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
+
+    def test_verify_builds_the_nest_once(self, monkeypatch, tmp_path):
+        # the homogenization check and the correspondence check (qubit and
+        # bosonic schedules) share one nest
+        calls = []
+
+        def counted(n, m):
+            calls.append((n, m))
+            return nest(n, m)
+
+        nest = schedules._nest.__wrapped__
+        monkeypatch.setattr(schedules, "_nest", functools.cache(counted))
+        qubit_nudd_schedule.cache_clear()
+        try:
+            assert cli.main(["verify", "--check", "homogenization", "--check", "correspondence",
+                             "--N", "3", "--m", "1", "--out", str(tmp_path / "v.csv")]) == 0
+        finally:
+            qubit_nudd_schedule.cache_clear()
+        assert calls == [(3, 1)]
 
 
 class TestSubstitution:
