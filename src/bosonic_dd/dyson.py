@@ -67,6 +67,7 @@ import numpy as np
 from .pauli_basis import all_indices, gamma_set, symplectic_form_index
 from .schedules import (
     PulseSchedule,
+    _nudd_guard,
     decoupling_schedule,
     homogenization_schedule,
     qubit_nudd_schedule,
@@ -274,12 +275,6 @@ def _check_order(order: int) -> None:
         raise ValueError("budget guard: order <= 12")
 
 
-def _check_label_guard(order: int, m: int, condition: str) -> None:
-    if (order + 1) ** (2 * m + 2) > QUBIT_LABEL_GUARD:
-        raise ValueError(f"pulse count (N+1)^(2m+2) = {(order + 1) ** (2 * m + 2)} "
-                         f"exceeds the {condition}-condition guard {QUBIT_LABEL_GUARD}")
-
-
 def check_udd_condition(order: int, tol: float = ZERO_TOL) -> ConditionReport:
     """Single-axis Uhrig vanishing for the sigma of the decoupling schedule:
     all tuples with odd gamma parity vanish.
@@ -367,7 +362,7 @@ def _tuple_condition_report(schedule: PulseSchedule, alphabet: np.ndarray,
 
 def check_qubit_nudd_condition(order: int, m: int, tol: float = ZERO_TOL) -> ConditionReport:
     """Nested-train decoupling condition over the full (Z2xZ2)^{m+1} alphabet."""
-    _check_label_guard(order, m, "qubit")
+    _nudd_guard(order, m, QUBIT_LABEL_GUARD, "qubit-condition")
     schedule = qubit_nudd_schedule(order, m)
     alphabet = all_indices(m)
     exempt = np.zeros((1, m + 1, 2), dtype=int)  # the zero index, product ~ identity
@@ -392,7 +387,7 @@ def check_homogenization_condition_for(schedule: PulseSchedule,
 
 def check_homogenization_condition(order: int, m: int, tol: float = ZERO_TOL) -> ConditionReport:
     """Homogenization condition for the nested-train bosonic schedule."""
-    _check_label_guard(order, m, "homogenization")
+    _nudd_guard(order, m, QUBIT_LABEL_GUARD, "homogenization-condition")
     return check_homogenization_condition_for(homogenization_schedule(order, m), tol)
 
 

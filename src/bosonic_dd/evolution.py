@@ -297,28 +297,14 @@ def propagate(gen: AnalyticGenerator, t0: float, t1: float,
     return _flows(gen.coeffs, [t0], [t1], tol)[0]
 
 
-def _check_times(T) -> np.ndarray:
+def _check_times(T, positive: bool = False) -> np.ndarray:
     """T, one time or an array of them, as a float array; an entry that is
-    negative or not finite raises ValueError."""
+    negative (or zero, if ``positive``) or not finite raises ValueError."""
     Ts = np.asarray(T, dtype=float)
-    bad = Ts[~((0 <= Ts) & (Ts < math.inf))]
+    bad = Ts[~(((0 < Ts) if positive else (0 <= Ts)) & (Ts < math.inf))]
     if bad.size:
-        raise ValueError(f"need 0 <= T < inf, got T = {bad[0]}")
+        raise ValueError(f"need 0 {'<' if positive else '<='} T < inf, got T = {bad[0]}")
     return Ts
-
-
-def _distinct(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, inverse) of an integer array, from one stable argsort:
-    codes[first] are its distinct values, ascending, each at its first
-    position, and codes[first][inverse] is codes."""
-    order = np.argsort(codes, kind="stable")
-    ranked = codes[order]
-    new = np.empty(len(codes), dtype=bool)
-    new[:1] = True
-    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
-    inverse = np.empty(len(codes), dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    return order[new], inverse
 
 
 def _length_groups(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -378,8 +364,8 @@ def _walk(coeffs: Sequence[np.ndarray], schedule: PulseSchedule | None,
         W, pulse = -np.eye(d)[None], np.zeros(K - 1, dtype=np.intp)
     else:
         bits = schedule.pulses.reshape(K - 1, -1)
-        first, pulse = _distinct(bits @ (2 << np.arange(bits.shape[1]))
-                                 + (schedule.signs < 0))
+        codes = bits @ (2 << np.arange(bits.shape[1])) + (schedule.signs < 0)
+        _, first, pulse = np.unique(codes, return_index=True, return_inverse=True)
         W = s_matrix(schedule.pulses[first])
         if W.shape[-1] != d:
             raise ValueError(f"pulse dimension {W.shape[-1]} does not match "
@@ -399,7 +385,8 @@ def _walk(coeffs: Sequence[np.ndarray], schedule: PulseSchedule | None,
         starts = np.zeros_like(ends)
         # a factor a distinct (pulse, group); the last segment's, the one
         # without a pulse (id len(W)), comes last
-        first, key = _distinct(np.append(pulse, len(W)) * len(ends) + group)
+        _, first, key = np.unique(np.append(pulse, len(W)) * len(ends) + group,
+                                  return_index=True, return_inverse=True)
         flow, pulse = group[first], pulse[first[:-1]]
     else:  # a factor a segment
         starts, ends, flow, key = grid[:-1], grid[1:], slice(None), np.arange(K)
@@ -454,10 +441,7 @@ def homogenization_fit(S_sys: np.ndarray, T) -> RotationFit:
     frequency is atan2(c2, c1)/T and the residual the Frobenius distance;
     a T that is not finite and positive raises ValueError.
     """
-    Ts = np.asarray(T)
-    bad = Ts[~((0 < Ts) & (Ts < math.inf))]
-    if bad.size:
-        raise ValueError(f"need 0 < T < inf, got T = {bad[0]}")
+    Ts = _check_times(T, positive=True)
     d = S_sys.shape[-1]
     if d % 2 or S_sys.ndim < 2 or S_sys.shape[-2] != d:
         raise ValueError("system matrix must be square of even dimension")
@@ -541,10 +525,7 @@ def order_sweep(gen: AnalyticGenerator, scheme: str, order: int,
         raise ValueError(f"unknown sweep scheme {scheme!r}")
 
     T_grid = tuple(float(T) for T in T_grid)
-    Ts = np.array(T_grid)
-    bad = Ts[~((0 < Ts) & (Ts < math.inf))]
-    if bad.size:
-        raise ValueError(f"need 0 < T < inf, got T = {bad[0]}")
+    Ts = _check_times(T_grid, positive=True)
     residuals, omegas = np.empty(len(Ts)), np.full(len(Ts), np.nan)
     tols, live = np.full(len(Ts), float(tol)), np.ones(len(Ts), bool)
     for _ in range(4):

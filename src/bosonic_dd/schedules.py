@@ -28,9 +28,9 @@ function on a zero-measure tail only, and leaving it out makes the flip
 times of schedules that do or do not retain a final pulse comparable).
 
 The nest (times, an int8 level per pulse, the table of level pulses) is
-cached, one read-only nest per (N, m) and process: the qubit schedule (cached
-too) reads the table at every level, and the homogenization schedule its
-substituted table at the levels whose row is not the identity.
+cached, one read-only nest per (N, m) and process: the qubit schedule reads
+the table at every level, and the homogenization schedule its substituted
+table at the levels whose row is not the identity.
 """
 
 from __future__ import annotations
@@ -154,15 +154,17 @@ def decoupling_schedule(n_pulses: int, n_system: int) -> PulseSchedule:
 # ---------------------------------------------------------------------------
 
 
-def _nudd_guard(n_pulses: int, m: int) -> None:
+def _nudd_guard(n_pulses: int, m: int, limit: int = NUDD_LABEL_GUARD,
+                guard: str = "resource") -> None:
+    """Refuse an order below 1, a negative m, or a nested train of more than
+    ``limit`` pulses, naming ``guard`` in the last case."""
     if n_pulses < 1:
         raise ValueError("suppression order must be >= 1")
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if (n_pulses + 1) ** (2 * m + 2) > NUDD_LABEL_GUARD:
-        raise ValueError(
-            f"pulse count (N+1)^(2m+2) = {(n_pulses + 1) ** (2 * m + 2)} "
-            f"exceeds the resource guard {NUDD_LABEL_GUARD}")
+    if (n_pulses + 1) ** (2 * m + 2) > limit:
+        raise ValueError(f"pulse count (N+1)^(2m+2) = {(n_pulses + 1) ** (2 * m + 2)} "
+                         f"exceeds the {guard} guard {limit}")
 
 
 @functools.cache  # shared: its arrays are read-only
@@ -206,7 +208,6 @@ def _nest(n_pulses: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return times, level, table
 
 
-@functools.cache  # shared: a schedule is frozen, its columns read-only
 def qubit_nudd_schedule(n_pulses: int, m: int) -> PulseSchedule:
     """The (m+1)-qubit nested Uhrig schedule: ``_nest``'s (N+1)^(2m+2) pulses."""
     times, level, table = _nest(n_pulses, m)

@@ -219,10 +219,16 @@ def pair_shear(total_time, bath: BathSpec, deltas):
 
 def channel_columns(total_time, bath: BathSpec, deltas):
     """The channel's (x, y) from one pass of the block kernel: a list of two
-    floats for a scalar T, a (2, len) array for a 1-D T grid."""
-    weight, z, cos, sin, yl, pairs = _bath_phases(total_time, bath, deltas)
-    shear = z - sin - sin * yl.real + (cos - 1.0) * yl.imag + 4.0 * pairs
-    out = np.stack((shear @ weight, np.abs(yl) ** 2 @ (weight * bath.thermal_weights())))
+    floats for a scalar T, a (2, len) array for a 1-D T grid; an x or y that
+    leaves the float range raises ValueError."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # rejected below
+        weight, z, cos, sin, yl, pairs = _bath_phases(total_time, bath, deltas)
+        shear = z - sin - sin * yl.real + (cos - 1.0) * yl.imag + 4.0 * pairs
+        out = np.stack((shear @ weight, np.abs(yl) ** 2 @ (weight * bath.thermal_weights())))
+    Ts = np.asarray(total_time, dtype=float).ravel()
+    lost = Ts[~np.isfinite(out.reshape(2, -1)).all(axis=0)]
+    if lost.size:
+        raise ValueError(f"the evolution to T = {lost[0]} leaves the float range")
     return out.tolist() if np.ndim(total_time) == 0 else out
 
 

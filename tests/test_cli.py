@@ -361,10 +361,17 @@ class TestSweeps:
       "{out}"], 2, "", r"error: the evolution to T = 10000\.0 leaves the float range\n"),
     (["spectrum", "--L", "2", "--tmax", "1e300", "--cross-validate", "--out", "{out}"], 2, "",
      r"error: the evolution to T = 2\.5993687807452343e\+30 leaves the float range\n"),
+    # a closed-form channel past the float range: its line weights (lambda/omega)^2,
+    # or its thermal weights coth(beta omega / 2), overflow without a numpy warning
+    (["spectrum", "--coupling-scale", "1e300", "--out", "{out}"], 2, "",
+     r"error: the evolution to T = 0\.049999999999999996 leaves the float range\n"),
+    (["spectrum", "--beta", "1e-320", "--out", "{out}"], 2, "",
+     r"error: the evolution to T = 0\.049999999999999996 leaves the float range\n"),
 ], ids=["slope-outside-window", "stdout", "decouple-N", "decouple-nS", "decouple-nE",
         "homogenize-N", "homogenize-m", "mutate-m0", "spectrum-nE0", "decouple-seed",
         "homogenize-seed", "spectrum-seed", "config-not-utf8", "scale-overflow",
-        "decouple-overflow", "homogenize-overflow", "spectrum-overflow"])
+        "decouple-overflow", "homogenize-overflow", "spectrum-overflow",
+        "channel-coupling-overflow", "channel-thermal-overflow"])
 def test_input_check(tmp_path, capsys, argv, code, out, err):
     config = tmp_path / "latin1.cfg"
     config.write_bytes("scheme=d\xe9couplage\n".encode("latin-1"))
@@ -559,6 +566,23 @@ class TestSpectrum:
                         "--out", str(out)]) == 0
         assert walks.call_count == 2  # the udd and the periodic train
         assert all(len(call.args[2]) == 5 for call in walks.call_args_list)
+
+    def test_largest_finite_channel_is_written(self, tmp_path, capsys):
+        # couplings of 1e150 put x and y near 1e299, inside the float range:
+        # the rows are the library's columns, written without a warning
+        out = tmp_path / "s.csv"
+        assert run(["spectrum", "--coupling-scale", "1e150", "--points", "3",
+                    "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        grid, bath = cli._t_grid(0.05, 2.0, 3), cli._seeded_bath(0, 3, 1.0, 1e150)
+        columns = [grid]
+        for deltas in (spin_boson.even_flip_train(2), (0.5, 1.0)):
+            columns += [*spin_boson.channel_columns(grid, bath, deltas),
+                        np.abs(spin_boson.y_filter(max(bath.frequencies) * np.array(grid),
+                                                   deltas)) ** 2]
+        lines = out.read_text().splitlines()
+        assert lines[1:] == [",".join(cli._fmt(v) for v in row) for row in zip(*columns)]
+        assert 1e298 < max(abs(v) for column in columns for v in column) < math.inf
 
     def test_vacuum_beta_allowed(self, tmp_path):
         out = tmp_path / "s.csv"

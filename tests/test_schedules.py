@@ -222,7 +222,7 @@ def built_fresh(builder, n, m):
 
 def build_uncached(n, m):
     """A fresh nested schedule, so that a sweep over sizes keeps none of them."""
-    return built_fresh(qubit_nudd_schedule.__wrapped__, n, m)
+    return built_fresh(qubit_nudd_schedule, n, m)
 
 
 def assert_substituted(n, m):
@@ -347,10 +347,27 @@ class TestNestedPulses:
 
 
 class TestNestedBuilderCached:
-    def test_built_once_and_read_only(self):
-        # one schedule per (N, m) and process, shared: its columns refuse writes
+    @pytest.fixture
+    def nest_calls(self, monkeypatch):
+        """The (N, m) of every nest built during the test, from an empty cache."""
+        calls = []
+
+        def counted(n, m):
+            calls.append((n, m))
+            return nest(n, m)
+
+        nest = schedules._nest.__wrapped__
+        monkeypatch.setattr(schedules, "_nest", functools.cache(counted))
+        return calls
+
+    def test_built_once_and_read_only(self, nest_calls):
+        # one nest per (N, m) and process; each call gathers a fresh schedule
+        # from it, bitwise the same, whose columns refuse writes
         sched = qubit_nudd_schedule(3, 1)
-        assert qubit_nudd_schedule(3, 1) is sched and qubit_nudd_schedule(2, 1) is not sched
+        again = qubit_nudd_schedule(3, 1)
+        assert again is not sched
+        assert_same(again, sched)
+        assert nest_calls == [(3, 1)]
         for column in (sched.deltas, sched.pulses, sched.signs):
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = column[0]
@@ -363,24 +380,12 @@ class TestNestedBuilderCached:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = array[0]
 
-    def test_verify_builds_the_nest_once(self, monkeypatch, tmp_path):
+    def test_verify_builds_the_nest_once(self, nest_calls, tmp_path):
         # the homogenization check and the correspondence check (qubit and
         # bosonic schedules) share one nest
-        calls = []
-
-        def counted(n, m):
-            calls.append((n, m))
-            return nest(n, m)
-
-        nest = schedules._nest.__wrapped__
-        monkeypatch.setattr(schedules, "_nest", functools.cache(counted))
-        qubit_nudd_schedule.cache_clear()
-        try:
-            assert cli.main(["verify", "--check", "homogenization", "--check", "correspondence",
-                             "--N", "3", "--m", "1", "--out", str(tmp_path / "v.csv")]) == 0
-        finally:
-            qubit_nudd_schedule.cache_clear()
-        assert calls == [(3, 1)]
+        assert cli.main(["verify", "--check", "homogenization", "--check", "correspondence",
+                         "--N", "3", "--m", "1", "--out", str(tmp_path / "v.csv")]) == 0
+        assert nest_calls == [(3, 1)]
 
 
 class TestSubstitution:

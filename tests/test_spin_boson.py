@@ -432,6 +432,17 @@ class TestChannelScalars:
             assert [type(v) for v in point] == [float, float]
             assert point == pytest.approx([x, y], rel=1e-13)
 
+    @pytest.mark.parametrize("entry", [shear_parameter, added_noise, cross_validate])
+    def test_channel_past_the_float_range(self, entry):
+        # (lambda/omega)^2 overflows: a ValueError naming the first T, no numpy
+        # warning (tier-1 turns warnings into errors)
+        bath, deltas = BathSpec((1e300,), (0.5,), 1.0), (0.25, 0.75)
+        for times, first in ((0.5, "0.5"), (np.array([0.25, 0.5]), "0.25")):
+            args = (bath, deltas, times) if entry is cross_validate else (times, bath, deltas)
+            with pytest.raises(ValueError, match=re.escape(
+                    f"the evolution to T = {first} leaves the float range")):
+                entry(*args)
+
     def test_zero_coupling(self):
         bath = BathSpec(couplings=(0.0, 0.0), frequencies=(0.5, 1.0), beta=2.0)
         deltas = (0.25, 0.75)
