@@ -27,7 +27,9 @@ MAX_STEPS steps in one pass raises ToleranceNotReached.  Each refinement
 round is one pass over all its unconverged segments, whatever their step
 counts: sorted once, most steps first, they make one stream of (step,
 segment) pairs, step-major, whose node weights are built and whose factors
-are exponentiated in blocks of at most CF4_BLOCK_ELEMENTS elements.
+are exponentiated in blocks of at most CF4_BLOCK_ELEMENTS elements, in one
+scratch kept for the process: temporaries freed after every block may be
+trimmed off the heap top and faulted in again, depending on heap layout.
 
 A walk may go to many end times T at once, each at its own tolerance, in
 batches of T points that bound its memory; ``order_sweep`` walks its T
@@ -49,6 +51,7 @@ walk on the homogeneous embedding of dimension dim + 1.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -152,22 +155,32 @@ FLOW_ELEMENTS = 1 << 18
 LENGTH_MERGE = 4 * np.finfo(float).eps
 
 
+# The factors, Taylor temporaries and steps of a CF4 pass's Taylor calls
+# (see _cf4_pass): 7 x CF4_BLOCK_ELEMENTS doubles once a pass has run.  One
+# per process, so two threads must not run passes at once.
+_cf4_scratch = np.empty(0)
+
+
 def _cf4_pass(coeffs: np.ndarray, t0s: np.ndarray, t1s: np.ndarray,
               n: np.ndarray) -> np.ndarray:
-    """n[i] CF4 steps on every interval [t0s[i], t1s[i]], stacked; n does not
-    increase along the intervals, so step k is taken by a prefix of them,
-    those with n > k.  The pass is one step-major stream of (step, interval)
-    pairs.  Its Gauss-node weights are built in blocks of whole Taylor calls,
-    of about CF4_BLOCK_ELEMENTS elements; a call exponentiates the factors
-    (its weight rows times the coefficients) of at most CF4_BLOCK_ELEMENTS
-    elements, one pair at least, without a norm screen, and its steps act on
-    the flows in runs of one step, one product a run.  So every interval's
-    steps are multiplied in its own order, and its flow is bitwise the one it
-    gets alone.  Precondition: every interval's n is at least its
-    ``_first_steps``, so every factor's 1-norm is at most _TAYLOR_THETA;
-    ``_flows``, the only caller, guarantees it."""
+    """n[i] >= 1 CF4 steps on every interval [t0s[i], t1s[i]], stacked; n
+    does not increase along the intervals, so step k is taken by a prefix of
+    them, those with n > k.  The pass is one step-major stream of (step,
+    interval) pairs.  Its Gauss-node weights are built in blocks of whole
+    Taylor calls, of about CF4_BLOCK_ELEMENTS elements; a call exponentiates
+    the factors (its weight rows times the coefficients) of at most
+    CF4_BLOCK_ELEMENTS elements, one pair at least, without a norm screen,
+    and its steps act on the flows in runs of one step, one product a run;
+    step 0 is copied, not multiplied onto the identity.  Every call's
+    factors, temporaries and steps live in ``_cf4_scratch``, which grows only
+    for a single pair wider than a block; the stack returned does not.  So
+    every interval's steps are multiplied in its own order, and its flow is
+    bitwise the one it gets alone.  Precondition: every interval's n is at
+    least its ``_first_steps``, so every factor's 1-norm is at most
+    _TAYLOR_THETA; ``_flows``, the only caller, guarantees it."""
+    global _cf4_scratch
     r, d = len(coeffs), coeffs.shape[-1]
-    S = np.tile(np.eye(d), (len(n), 1, 1))
+    S = np.empty((len(n), d, d))
     hs = (t1s - t0s) / n
     # pairs of step k: starts[k] .. starts[k + 1] - 1, intervals 0 .. live_k - 1
     live = np.searchsorted(-n, -np.arange(n.max(initial=0)), side="left")
@@ -175,6 +188,10 @@ def _cf4_pass(coeffs: np.ndarray, t0s: np.ndarray, t1s: np.ndarray,
     bounds = starts.tolist()
     rows = max(1, CF4_BLOCK_ELEMENTS // (2 * d * d))  # pairs a Taylor call
     block = rows * max(1, CF4_BLOCK_ELEMENTS // (2 * r * rows))  # pairs a weight block
+    size = 7 * rows * 2 * d * d  # the factors and the kernel's six slots
+    if _cf4_scratch.size < size:
+        _cf4_scratch = np.empty(max(size, 7 * CF4_BLOCK_ELEMENTS))
+    slots = _cf4_scratch[:size].reshape(7, rows, 2, d, d)
     for p0 in range(0, bounds[-1], block):
         p = np.arange(p0, min(p0 + block, bounds[-1]))
         k = np.searchsorted(starts, p, side="right") - 1
@@ -183,15 +200,19 @@ def _cf4_pass(coeffs: np.ndarray, t0s: np.ndarray, t1s: np.ndarray,
         a = t0s[i] + h * k
         powers = (a[:, None] + h[:, None] * _NODES)[..., None] ** np.arange(r)
         weights = (h[:, None, None] * (_MIX @ powers)).reshape(-1, r)
-        for q0 in range(0, len(p), rows):
-            F = weights[2 * q0:2 * (q0 + rows)] @ coeffs.reshape(r, d * d)
-            E = _taylor_exponential(F.reshape(-1, 2, d, d))
-            steps = E[:, 0] @ E[:, 1]
-            q1 = q0 + len(steps)
-            for kk in range(k[q0], k[q1 - 1] + 1):  # runs of one step
-                j0, j1 = max(bounds[kk] - p0, q0), min(bounds[kk + 1] - p0, q1)
-                run = slice(i[j0], i[j0] + j1 - j0)
-                S[run] = steps[j0 - q0:j1 - q0] @ S[run]
+        for g0 in range(p0, p0 + len(p), rows):  # pairs g0 .. g1 - 1 a call
+            g1 = min(g0 + rows, p0 + len(p))
+            work = slots[:, :g1 - g0]
+            np.matmul(weights[2 * (g0 - p0):2 * (g1 - p0)], coeffs.reshape(r, d * d),
+                      out=work[0].reshape(-1, d * d))
+            E = _taylor_exponential(work[0], work[1:])
+            # the steps overwrite the kernel's first temporary, dead by now
+            steps = np.matmul(E[:, 0], E[:, 1], out=work[1, :, 0])
+            for kk in range(bisect.bisect_right(bounds, g0) - 1,
+                            bisect.bisect_right(bounds, g1 - 1)):  # runs of one step
+                j0, j1 = max(bounds[kk], g0), min(bounds[kk + 1], g1)
+                run = slice(j0 - bounds[kk], j1 - bounds[kk])
+                S[run] = steps[j0 - g0:j1 - g0] @ S[run] if kk else steps[j0 - g0:j1 - g0]
     return S
 
 
@@ -281,6 +302,7 @@ def _flows(coeffs: Sequence[np.ndarray], t0s: Sequence[float],
         S2 = _cf4_pass(coeffs, t0s[todo], t1s[todo], n)
         done = _converged(S2, np.linalg.norm(S2 - S[todo], axis=(-2, -1)), tol[todo])
         S[todo] = S2
+        del S2  # not held through the next pass
         todo, n = todo[~done], n[~done]
     return S
 

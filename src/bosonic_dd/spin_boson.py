@@ -210,11 +210,22 @@ def y_filter(z, deltas):
     return y.tolist() if zs.ndim == 0 else y
 
 
-def pair_shear(total_time, bath: BathSpec, deltas):
-    """Ordered-pulse-pair contribution to the shear parameter."""
-    weight, _, _, _, _, pairs = _bath_phases(total_time, bath, deltas)
-    out = 4.0 * (pairs @ weight)
+def _in_float_range(total_time, out, rows: int):
+    """out, ``rows`` values per T, as a list for a scalar T; a T with a value
+    that is not finite raises ValueError."""
+    Ts = np.asarray(total_time, dtype=float).ravel()
+    lost = Ts[~np.isfinite(out.reshape(rows, -1)).all(axis=0)]
+    if lost.size:
+        raise ValueError(f"the evolution to T = {lost[0]} leaves the float range")
     return out.tolist() if np.ndim(total_time) == 0 else out
+
+
+def pair_shear(total_time, bath: BathSpec, deltas):
+    """Ordered-pulse-pair contribution to the shear parameter; one that
+    leaves the float range raises ValueError."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # rejected below
+        weight, _, _, _, _, pairs = _bath_phases(total_time, bath, deltas)
+        return _in_float_range(total_time, 4.0 * (pairs @ weight), 1)
 
 
 def channel_columns(total_time, bath: BathSpec, deltas):
@@ -225,11 +236,7 @@ def channel_columns(total_time, bath: BathSpec, deltas):
         weight, z, cos, sin, yl, pairs = _bath_phases(total_time, bath, deltas)
         shear = z - sin - sin * yl.real + (cos - 1.0) * yl.imag + 4.0 * pairs
         out = np.stack((shear @ weight, np.abs(yl) ** 2 @ (weight * bath.thermal_weights())))
-    Ts = np.asarray(total_time, dtype=float).ravel()
-    lost = Ts[~np.isfinite(out.reshape(2, -1)).all(axis=0)]
-    if lost.size:
-        raise ValueError(f"the evolution to T = {lost[0]} leaves the float range")
-    return out.tolist() if np.ndim(total_time) == 0 else out
+    return _in_float_range(total_time, out, 2)
 
 
 def shear_parameter(total_time, bath: BathSpec, deltas):

@@ -108,26 +108,29 @@ _TAYLOR_COEFFS = ((1 + _R) / 132, (1 + _R) / 528, 2 / 3,  # x1, x2, x3
                   (857 - 58 * _R) / 630)  # y2
 
 
-def _taylor_exponential(X: np.ndarray) -> np.ndarray:
+def _taylor_exponential(X: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """sum_{k<=8} X^k/k! in three matrix products, each sum accumulated left
-    to right in place; for a stack of matrices, slice by slice."""
+    to right in place, the identity terms on a strided diagonal view; for a
+    stack of matrices, slice by slice.  ``work`` (6, *X.shape) takes the
+    five temporaries and the result, its last slot; without it the result
+    owns its data."""
     x1, x2, x3, x4, x5, x6, x7, y2 = _TAYLOR_COEFFS
-    I = np.eye(X.shape[-1])
-    X2 = X @ X
-    A = np.multiply(X2, x2)
-    term = np.multiply(X, x1)
+    X2, A, term, X4, B, E = [np.empty(X.shape) for _ in range(6)] if work is None else work
+    np.matmul(X, X, out=X2)
+    np.multiply(X2, x2, out=A)
+    np.multiply(X, x1, out=term)
     term += A
-    X4 = X2 @ term
+    np.matmul(X2, term, out=X4)
     np.multiply(X2, x3, out=A)
     A += X4
-    B = np.multiply(X, x5)
-    B += x4 * I
+    np.multiply(X, x5, out=B)
+    np.einsum("...ii->...i", B)[...] += x4
     B += np.multiply(X2, x6, out=term)
     B += np.multiply(X4, x7, out=term)
-    E = A @ B
+    np.matmul(A, B, out=E)
     E += np.multiply(X2, y2, out=term)
     E += X
-    E += I
+    np.einsum("...ii->...i", E)[...] += 1.0
     return E
 
 

@@ -595,15 +595,19 @@ class TestBatchedSweep:
                 continue
             t0s.append(t0)
             t1s.append(t0 + 10 ** u)
-        with mock.patch.object(evolution, "_taylor_exponential",
-                               wraps=evolution._taylor_exponential) as kernel:
+        norms = []  # read at each call: a pass reuses its scratch for the next
+
+        def kernel(X, *work):
+            norms.append(np.abs(X).sum(axis=-2).max())
+            return _taylor_exponential(X, *work)
+
+        with mock.patch.object(evolution, "_taylor_exponential", kernel):
             try:
                 _flows(coeffs, t0s, t1s)
             except evolution.ToleranceNotReached:
                 pass
-        assert kernel.call_count > 0 or not t0s
-        for call in kernel.call_args_list:
-            assert np.abs(call.args[0]).sum(axis=-2).max() <= _TAYLOR_THETA
+        assert norms or not t0s
+        assert all(norm <= _TAYLOR_THETA for norm in norms)
 
 
 def full_dimension_sweep(gen, order, grid):
@@ -1416,6 +1420,61 @@ class TestResumedRefinement:
                                (np.nextafter(np.full(4, tol), np.inf), False)):
             assert (_converged(small, diff, tol) == expected).all()
             assert (full_convergence_test(small, diff, tol) == expected).all()
+
+
+class TestCF4Scratch:
+    """A CF4 pass takes the factors, Taylor temporaries and steps of every
+    Taylor call from one scratch kept for the process."""
+
+    def test_taylor_calls_share_one_scratch(self):
+        coeffs = np.asarray(make_generator(ModeLayout(2, 4), seed=9, degree=2).coeffs)
+        t0s = np.linspace(0.0, 0.5, 60)
+        n = np.array([1 << (i % 5) for i in range(60)])[::-1].copy()
+        scratches = []
+        for _ in range(2):  # the second pass reuses the first one's scratch
+            with mock.patch.object(evolution, "_taylor_exponential",
+                                   wraps=evolution._taylor_exponential) as expm:
+                S = _cf4_pass(coeffs, t0s, t0s + 0.004, n)
+            scratches.append(evolution._cf4_scratch)
+            assert expm.call_count > 1
+            for call in expm.call_args_list:
+                X, work = call.args
+                assert np.shares_memory(X, scratches[-1]) and np.shares_memory(work, scratches[-1])
+            assert not np.shares_memory(S, scratches[-1])
+        assert scratches[0] is scratches[1]
+
+    def test_passes_at_two_dims_equal_single_interval_passes(self):
+        # back to back at dim 12 and dim 66, whose single (step, interval)
+        # pair is wider than a block and grows the scratch, then dim 12 again
+        passes = []
+        for layout in (ModeLayout(2, 4), ModeLayout(17, 16), ModeLayout(2, 4)):
+            coeffs = np.asarray(make_generator(layout, seed=4, degree=2).coeffs)
+            t0s = 0.01 * np.arange(20)
+            t1s = t0s + 0.004
+            n = np.array([1 << (3 - i // 5) for i in range(20)])
+            S = _cf4_pass(coeffs, t0s, t1s, n)
+            for i in range(20):
+                assert np.array_equal(S[i], _cf4_pass(coeffs, t0s[i:i + 1], t1s[i:i + 1],
+                                                      n[i:i + 1])[0])
+            passes.append(S)
+        assert evolution._cf4_scratch.size >= 14 * 66 ** 2
+        assert passes[0].tobytes() == passes[2].tobytes()
+
+    @pytest.mark.parametrize("steps, peak_kb", [(8, 322), (32, 351), (128, 404)])
+    def test_warm_pass_memory(self, steps, peak_kb):
+        # half the traced peak of a pass that allocated its Taylor temporaries
+        # each call (644, 702 and 809 kB)
+        coeffs = np.asarray(make_generator(ModeLayout(2, 4), seed=9, degree=2).coeffs)
+        t0s = np.linspace(0.0, 0.5, 18)
+        n = np.full(18, steps)
+        _cf4_pass(coeffs, t0s, t0s + 0.004, n)
+        tracemalloc.start()
+        try:
+            _cf4_pass(coeffs, t0s, t0s + 0.004, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= peak_kb * 1024
 
 
 def increasing_deltas():

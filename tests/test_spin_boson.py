@@ -432,7 +432,8 @@ class TestChannelScalars:
             assert [type(v) for v in point] == [float, float]
             assert point == pytest.approx([x, y], rel=1e-13)
 
-    @pytest.mark.parametrize("entry", [shear_parameter, added_noise, cross_validate])
+    @pytest.mark.parametrize("entry", [shear_parameter, added_noise, pair_shear,
+                                       cross_validate])
     def test_channel_past_the_float_range(self, entry):
         # (lambda/omega)^2 overflows: a ValueError naming the first T, no numpy
         # warning (tier-1 turns warnings into errors)

@@ -210,6 +210,23 @@ class TestMatrixExponential:
         small = np.abs(X).sum(axis=-2).max(axis=-1) <= TAYLOR_THETA
         assert matrix_exponential(X)[small].tobytes() == E[small].tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 34),
+           shape=st.lists(st.integers(0, 3), max_size=2),
+           scale=st.floats(0.0, 1.0))
+    def test_taylor_kernel_in_caller_scratch(self, seed, dim, shape, scale):
+        # with a scratch the kernel writes its temporaries and its result
+        # there, bitwise as without one; without, its result owns its data
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-1.0, 1.0, (*shape, dim, dim))
+        norms = np.abs(X).sum(axis=-2).max(axis=-1, keepdims=True)[..., None]
+        X *= scale * TAYLOR_THETA / np.maximum(norms, 1e-300)
+        work = np.full((6, *X.shape), np.nan)
+        E, alone = _taylor_exponential(X, work), _taylor_exponential(X)
+        assert E.base is work and E.shape == X.shape
+        assert alone.flags.owndata
+        assert E.tobytes() == alone.tobytes() == out_of_place_taylor(X).tobytes()
+
     def test_taylor_kernel_coefficients_are_inverse_factorials(self):
         # the kernel's own polynomial, read off the first row of its value
         # at the 17x17 shift matrix N (N^k is the k-th superdiagonal)
